@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/grid_solver.hpp"
+#include "core/schedule.hpp"
 #include "layout/block_layout.hpp"
 #include "simmpi/comm.hpp"
 
@@ -62,7 +63,10 @@ class CosmaPlan {
 
   /// Initial distributions: each rank owns a 1/p_n row slice of its A leaf
   /// block and a 1/p_m row slice of its B leaf block; final C is the 1/p_k
-  /// row slice of the leaf C block.
+  /// row slice of the leaf C block. *_rect(r) is rank r's one rect.
+  Rect a_rect(int world_rank) const;
+  Rect b_rect(int world_rank) const;
+  Rect c_rect(int world_rank) const;
   BlockLayout a_native() const;
   BlockLayout b_native() const;
   BlockLayout c_native() const;
@@ -90,6 +94,16 @@ class CosmaPlan {
   std::vector<CosmaStep> steps_;
   bool ctf_mode_ = false;
 };
+
+/// Appends world rank `rank`'s COSMA-like schedule to `s`. A and B start in
+/// layouts `a_from` / `b_from` (buffer slots `a_src` / `b_src`); CTF passes
+/// its remapped copies. `anchor` is the machine whose ctf_gemm_fraction
+/// derates CTF-mode GEMMs.
+void build_schedule(const CosmaPlan& plan, int rank,
+                    const simmpi::Machine& anchor, bool trans_a, bool trans_b,
+                    Schedule& s, LayoutId a_from = kUserLayoutA,
+                    int a_src = kUserA, LayoutId b_from = kUserLayoutB,
+                    int b_src = kUserB);
 
 /// C = op(A) x op(B) with COSMA-like scheduling; same calling convention as
 /// ca3dmm_multiply (user layouts in/out, redistribution included).

@@ -30,6 +30,12 @@ struct CtfPlan {
   }
 };
 
+/// Appends world rank `rank`'s CTF-like schedule (remap into the 1-D column
+/// layouts kCyclicA/B, then the COSMA-like pipeline) to `s`.
+void build_schedule(const CtfPlan& plan, int rank,
+                    const simmpi::Machine& anchor, bool trans_a, bool trans_b,
+                    Schedule& s);
+
 template <typename T>
 void ctf_multiply(simmpi::Comm& world, const CtfPlan& plan, bool trans_a,
                   bool trans_b, const BlockLayout& a_layout, const T* a_local,

@@ -18,6 +18,7 @@
 #include <optional>
 
 #include "core/grid_solver.hpp"
+#include "core/schedule.hpp"
 #include "layout/block_layout.hpp"
 #include "simmpi/comm.hpp"
 
@@ -33,7 +34,11 @@ class P25dPlan {
   int c() const { return c_; }    ///< replication depth
   int active() const { return q_ * q_ * c_; }
 
-  /// A and B initial distributions: q x q blocks on layer 0 only.
+  /// A and B initial distributions: q x q blocks on layer 0 only (rank
+  /// j*q + i owns block (i, j)). *_rect(r) is rank r's one rect.
+  Rect a_rect(int world_rank) const;
+  Rect b_rect(int world_rank) const;
+  Rect c_rect(int world_rank) const;
   BlockLayout a_native() const;
   BlockLayout b_native() const;
   /// Final C: each (i, j) block row-split across the c layers.
@@ -49,6 +54,10 @@ class P25dPlan {
   int nranks_ = 0;
   int q_ = 1, c_ = 1;
 };
+
+/// Appends world rank `rank`'s 2.5D schedule to `s`.
+void build_schedule(const P25dPlan& plan, int rank, bool trans_a,
+                    bool trans_b, Schedule& s);
 
 /// C = op(A) x op(B) with the 2.5D algorithm; same calling convention as
 /// ca3dmm_multiply.

@@ -14,6 +14,7 @@
 #include <optional>
 
 #include "core/grid_solver.hpp"
+#include "core/schedule.hpp"
 #include "layout/block_layout.hpp"
 #include "simmpi/comm.hpp"
 
@@ -29,6 +30,10 @@ class SummaPlan {
   int pc() const { return pc_; }
   int active() const { return pr_ * pc_; }
 
+  /// Grid ranks are row-major over (pr, pc); idle ranks own nothing.
+  Rect a_rect(int world_rank) const;
+  Rect b_rect(int world_rank) const;
+  Rect c_rect(int world_rank) const;
   BlockLayout a_native() const;
   BlockLayout b_native() const;
   BlockLayout c_native() const;
@@ -42,6 +47,11 @@ class SummaPlan {
   int nranks_ = 0;
   int pr_ = 1, pc_ = 1;
 };
+
+/// Appends world rank `rank`'s SUMMA schedule to `s` (`panel_kb` as in
+/// summa_multiply).
+void build_schedule(const SummaPlan& plan, int rank, i64 panel_kb,
+                    bool trans_a, bool trans_b, Schedule& s);
 
 /// C = op(A) x op(B) with SUMMA; same calling convention as ca3dmm_multiply.
 /// `panel_kb` caps the broadcast panel width (0 = largest possible panels,

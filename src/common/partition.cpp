@@ -2,30 +2,6 @@
 
 namespace ca3dmm {
 
-// The canonical partition gives the first (n mod p) blocks size ceil(n/p)
-// and the rest size floor(n/p). This matches the paper's ⌈m/p_m⌉ / ⌊m/p_m⌋
-// block-size statement.
-
-i64 block_size(i64 n, i64 p, i64 b) {
-  CA_ASSERT_MSG(p > 0 && b >= 0 && b < p, "n=%lld p=%lld b=%lld",
-                static_cast<long long>(n), static_cast<long long>(p),
-                static_cast<long long>(b));
-  const i64 q = n / p, r = n % p;
-  return q + (b < r ? 1 : 0);
-}
-
-i64 block_start(i64 n, i64 p, i64 b) {
-  CA_ASSERT_MSG(p > 0 && b >= 0 && b <= p, "n=%lld p=%lld b=%lld",
-                static_cast<long long>(n), static_cast<long long>(p),
-                static_cast<long long>(b));
-  const i64 q = n / p, r = n % p;
-  return q * b + (b < r ? b : r);
-}
-
-Range block_range(i64 n, i64 p, i64 b) {
-  return Range{block_start(n, p, b), block_start(n, p, b) + block_size(n, p, b)};
-}
-
 i64 block_of_index(i64 n, i64 p, i64 i) {
   CA_ASSERT(i >= 0 && i < n);
   const i64 q = n / p, r = n % p;

@@ -36,14 +36,34 @@ inline Range intersect(const Range& a, const Range& b) {
   return r;
 }
 
+// The canonical partition gives the first (n mod p) blocks size ceil(n/p)
+// and the rest size floor(n/p). This matches the paper's ⌈m/p_m⌉ / ⌊m/p_m⌋
+// block-size statement. Inline: plans and the cost model query these for
+// every rank.
+
 /// Size of block `b` when [0, n) is split into `p` canonical blocks.
-i64 block_size(i64 n, i64 p, i64 b);
+inline i64 block_size(i64 n, i64 p, i64 b) {
+  CA_ASSERT_MSG(p > 0 && b >= 0 && b < p, "n=%lld p=%lld b=%lld",
+                static_cast<long long>(n), static_cast<long long>(p),
+                static_cast<long long>(b));
+  const i64 q = n / p, r = n % p;
+  return q + (b < r ? 1 : 0);
+}
 
 /// Starting index of block `b`.
-i64 block_start(i64 n, i64 p, i64 b);
+inline i64 block_start(i64 n, i64 p, i64 b) {
+  CA_ASSERT_MSG(p > 0 && b >= 0 && b <= p, "n=%lld p=%lld b=%lld",
+                static_cast<long long>(n), static_cast<long long>(p),
+                static_cast<long long>(b));
+  const i64 q = n / p, r = n % p;
+  return q * b + (b < r ? b : r);
+}
 
 /// Range of block `b`.
-Range block_range(i64 n, i64 p, i64 b);
+inline Range block_range(i64 n, i64 p, i64 b) {
+  const i64 lo = block_start(n, p, b);
+  return Range{lo, lo + block_size(n, p, b)};
+}
 
 /// Index of the block that contains global index `i`.
 i64 block_of_index(i64 n, i64 p, i64 i);

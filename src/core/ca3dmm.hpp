@@ -19,20 +19,30 @@
 // the plan itself (Ca3dmmPlan::options()): a plan can never be executed with
 // options other than the ones that shaped its grid.
 //
-// Two execution modes:
-//   * one-shot ca3dmm_multiply — splits the per-plan communicators on every
-//     call (the historical behavior);
-//   * ca3dmm_multiply with a PlanComms — reuses communicators split once by
-//     PlanComms::make, eliminating the per-call split latency. This is the
-//     building block of the persistent engine (src/engine).
+// Execution runs the plan's schedule (core/schedule.hpp) for the calling
+// rank — the same op list the cost model replays. Two modes differ only in
+// where the schedule's four per-plan splits come from:
+//   * one-shot ca3dmm_multiply — splits the communicators in place, at
+//     their program points, on every call;
+//   * ca3dmm_multiply with a PlanComms — takes them from communicators
+//     split once by PlanComms::make, eliminating the per-call split
+//     latency. This is the building block of the persistent engine
+//     (src/engine).
 #pragma once
 
 #include "core/engine2d.hpp"
 #include "core/plan.hpp"
+#include "core/schedule.hpp"
 #include "layout/redistribute.hpp"
 #include "simmpi/comm.hpp"
 
 namespace ca3dmm {
+
+/// Appends world rank `rank`'s share of Algorithm 1 under `plan` to `s`
+/// (layouts kUserLayout* -> kNative* -> kUserLayoutC; the active, Cannon,
+/// replication and reduction splits are cacheable).
+void build_schedule(const Ca3dmmPlan& plan, int rank, bool trans_a,
+                    bool trans_b, Schedule& s);
 
 /// The split communicators one plan's execution uses, created once and
 /// reusable across any number of multiplications with that plan.
@@ -50,7 +60,8 @@ struct PlanComms {
   simmpi::Comm repl;
   simmpi::Comm reduce;
 
-  /// Splits all communicators for `plan`. Collective over `world`, which
+  /// Splits all communicators for `plan` — the cacheable splits of this
+  /// rank's schedule, in program order. Collective over `world`, which
   /// must span exactly plan.nranks() ranks. Charges the split setup cost
   /// once; executions through the returned object charge none.
   static PlanComms make(simmpi::Comm& world, const Ca3dmmPlan& plan);

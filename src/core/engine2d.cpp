@@ -1,19 +1,16 @@
 #include "core/engine2d.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <utility>
 
 #include "common/error.hpp"
 #include "linalg/gemm.hpp"
 #include "resilience/abft.hpp"
-#include "simmpi/cluster.hpp"
 
 namespace ca3dmm {
 
 using simmpi::Comm;
 using simmpi::Phase;
-using simmpi::PhaseScope;
-using simmpi::TrackedBuffer;
 
 namespace {
 
@@ -27,265 +24,241 @@ constexpr int kTagSkewB = 401;
 inline int grid_rank(int s, int i, int j) { return j * s + i; }
 inline int wrap(int v, int s) { return ((v % s) + s) % s; }
 
-/// Elements on the wire for a tile of `payload` elements: the payload alone,
-/// or payload + ABFT checksum trailer when protection is on.
-template <typename T>
-i64 msg_elems(bool abft, i64 payload) {
-  return abft ? resilience::abft_msg_elems<T>(payload) : payload;
+/// The degenerate s == 1 grid of both engines: one local GEMM, nothing to
+/// communicate.
+void single_gemm(Schedule& sc, const Engine2dShape& sh, int a, int b, int c,
+                 std::initializer_list<int> release) {
+  const i64 kb = sh.kpart_sizes[0];
+  sc.set_phase(Phase::kCompute);
+  sc.compute(a, b, c, sh.mb, sh.nb, kb, kb,
+             gemm_flops(sh.mb, sh.nb, kb),
+             gemm_bytes(sh.mb, sh.nb, kb, sc.esize()), false);
+  sc.set_phase(kInheritPhase);
+  for (const int slot : release) sc.free(slot);
 }
 
-/// Writes the checksum trailer behind buf's payload and charges the encode
-/// scan (one linear pass over the payload; the staging memcpy of the skew is
-/// folded into the same scan). The cost model mirrors this charge.
-template <typename T>
-void abft_send_prep(Comm& grid, T* buf, i64 payload) {
-  resilience::abft_encode_msg<T>(buf, payload);
-  grid.charge_local_work(static_cast<double>(payload) * sizeof(T));
+/// GEMM bytes of successive steps: operands every step, C only on the
+/// first (the GPU device keeps C resident across steps).
+class StepBytes {
+ public:
+  StepBytes(const Engine2dShape& sh, i64 esize) : sh_(sh), esize_(esize) {}
+  double operator()(i64 kw) {
+    const double b = gemm_operand_bytes(sh_.mb, sh_.nb, kw, esize_) +
+                     (c_staged_ ? 0.0 : gemm_result_bytes(sh_.mb, sh_.nb,
+                                                          esize_));
+    c_staged_ = true;
+    return b;
+  }
+
+ private:
+  const Engine2dShape& sh_;
+  i64 esize_;
+  bool c_staged_ = false;
+};
+
+}  // namespace
+
+void cannon_schedule(Schedule& sc, const Engine2dShape& sh, int grid, int a,
+                     int b, int c, i64 min_kblk,
+                     std::initializer_list<int> release) {
+  const int s = sh.s, i = sh.i, j = sh.j;
+  CA_ASSERT(static_cast<int>(sh.kpart_sizes.size()) == s);
+  if (s == 1) {
+    single_gemm(sc, sh, a, b, c, release);
+    return;
+  }
+  const i64 esize = sc.esize(), mb = sh.mb, nb = sh.nb;
+  auto kpart = [&](int t) {
+    return sh.kpart_sizes[static_cast<size_t>(wrap(t, s))];
+  };
+  // Elements on the wire for a tile of `payload` elements: the payload
+  // alone, or payload + ABFT checksum trailer when protection is on.
+  const bool abft = sh.abft;
+  auto msg = [&](i64 payload) {
+    return abft ? payload + resilience::abft_trailer_elems(payload, esize)
+                : payload;
+  };
+  const i64 kb_max = sh.kb_max();
+  sc.alloc(kACur, msg(mb * kb_max));
+  sc.alloc(kBCur, msg(kb_max * nb));
+
+  // ---- initial skew (paper §III-B): afterwards this process holds
+  // A k-part (i + j) and B k-part (i + j). A: row i shifts left by i, send
+  // to (i, j-i), receive from (i, j+i). B: column j shifts up by j, send to
+  // (i-j, j), receive from (i+j, j). ----
+  const int to_a = grid_rank(s, i, wrap(j - i, s));
+  const int from_a = grid_rank(s, i, wrap(j + i, s));
+  const int to_b = grid_rank(s, wrap(i - j, s), j);
+  const int from_b = grid_rank(s, wrap(i + j, s), j);
+  const i64 pa_s = mb * kpart(j), pa_r = mb * kpart(j + i);
+  const i64 pb_s = kpart(i) * nb, pb_r = kpart(i + j) * nb;
+  sc.set_phase(Phase::kShift);
+  if (!abft) {
+    sc.exchange(grid, a, pa_s, to_a, kACur, pa_r, from_a, kTagSkewA, false);
+    sc.exchange(grid, b, pb_s, to_b, kBCur, pb_r, from_b, kTagSkewB, false);
+  } else {
+    // The input blocks are const, so each outgoing skew message is staged
+    // to make room for its trailer; the staging buffer dies with the
+    // block, before the dual buffers are allocated.
+    sc.alloc(kStage, msg(pa_s));
+    sc.copy(a, 0, 0, kStage, 0, 0, 1, pa_s);
+    sc.scan(kStage, grid, pa_s, nullptr);
+    sc.exchange(grid, kStage, msg(pa_s), to_a, kACur, msg(pa_r), from_a,
+                kTagSkewA, false);
+    sc.scan(kACur, grid, pa_r, "Cannon A-skew");
+    sc.free(kStage);
+    sc.alloc(kStage, msg(pb_s));
+    sc.copy(b, 0, 0, kStage, 0, 0, 1, pb_s);
+    sc.scan(kStage, grid, pb_s, nullptr);
+    sc.exchange(grid, kStage, msg(pb_s), to_b, kBCur, msg(pb_r), from_b,
+                kTagSkewB, false);
+    sc.scan(kBCur, grid, pb_r, "Cannon B-skew");
+    sc.free(kStage);
+  }
+  sc.set_phase(kInheritPhase);
+  // The skew moved the inputs into the shift buffers; the source blocks are
+  // dead from here on. The second (dual) buffer pair is only allocated now,
+  // so the peak stays at eq. (11)'s two-buffer footprint.
+  for (const int slot : release) sc.free(slot);
+  sc.alloc(kANxt, msg(mb * kb_max));
+  sc.alloc(kBNxt, msg(kb_max * nb));
+
+  // ---- aggregation buffers (multi-shift optimization, paper §III-F) ----
+  const bool aggregate = min_kblk > 0 && kb_max < min_kblk;
+  const i64 agg_cap =
+      aggregate ? std::min(sh.kb_total(), min_kblk + kb_max) : 0;
+  sc.alloc(kAggA, mb * agg_cap);
+  sc.alloc(kAggB, agg_cap * nb);
+  i64 agg_k = 0;
+
+  StepBytes step_bytes(sh, esize);
+  const int left = grid_rank(s, i, wrap(j - 1, s));
+  const int right = grid_rank(s, i, wrap(j + 1, s));
+  const int up = grid_rank(s, wrap(i - 1, s), j);
+  const int down = grid_rank(s, wrap(i + 1, s), j);
+  int a_cur = kACur, a_nxt = kANxt, b_cur = kBCur, b_nxt = kBNxt;
+
+  // The overlap budget accumulates across shifts until the next GEMM flush:
+  // with aggregation, the appended panels free the shift buffers
+  // immediately, so several steps' transfers pipeline into one aggregated
+  // GEMM. The final step has nothing in flight.
+  for (int t = 0; t < s; ++t) {
+    const i64 kb = kpart(i + j + t);  // current k-part extent
+    const i64 kb_next = kpart(i + j + t + 1);
+    if (t < s - 1) {
+      sc.set_phase(Phase::kShift);
+      if (abft) sc.scan(a_cur, grid, mb * kb, nullptr);
+      sc.exchange(grid, a_cur, msg(mb * kb), left, a_nxt, msg(mb * kb_next),
+                  right, kTagShiftA, sh.overlap);
+      if (abft) sc.scan(a_nxt, grid, mb * kb_next, "Cannon A-shift");
+      if (abft) sc.scan(b_cur, grid, kb * nb, nullptr);
+      sc.exchange(grid, b_cur, msg(kb * nb), up, b_nxt, msg(kb_next * nb),
+                  down, kTagShiftB, sh.overlap);
+      if (abft) sc.scan(b_nxt, grid, kb_next * nb, "Cannon B-shift");
+      sc.set_phase(kInheritPhase);
+    }
+    if (aggregate) {
+      // Append the current panels; run one GEMM once enough k accumulated.
+      sc.copy(a_cur, 0, kb, kAggA, agg_k, agg_cap, mb, kb);
+      sc.copy(b_cur, 0, 0, kAggB, agg_k * nb, 0, 1, kb * nb);
+      agg_k += kb;
+      if (agg_k >= min_kblk || t == s - 1) {
+        sc.set_phase(Phase::kCompute);
+        sc.compute(kAggA, kAggB, c, mb, nb, agg_k, agg_cap,
+                   gemm_flops(mb, nb, agg_k), step_bytes(agg_k), true);
+        sc.set_phase(kInheritPhase);
+        agg_k = 0;
+      }
+    } else {
+      sc.set_phase(Phase::kCompute);
+      sc.compute(a_cur, b_cur, c, mb, nb, kb, kb, gemm_flops(mb, nb, kb),
+                 step_bytes(kb), true);
+      sc.set_phase(kInheritPhase);
+    }
+    std::swap(a_cur, a_nxt);
+    std::swap(b_cur, b_nxt);
+  }
+  sc.free(kAggB);
+  sc.free(kAggA);
+  sc.free(kBNxt);
+  sc.free(kANxt);
+  sc.free(kBCur);
+  sc.free(kACur);
 }
 
-/// Charges the decode scan and verifies a received message, correcting a
-/// single corrupted payload byte in place. Multi-byte corruption raises —
-/// detection never silently degrades to a wrong C block.
+void summa_schedule(Schedule& sc, const Engine2dShape& sh, int grid, int a,
+                    int b, int c, std::initializer_list<int> release) {
+  const int s = sh.s, i = sh.i, j = sh.j;
+  if (s == 1) {
+    single_gemm(sc, sh, a, b, c, release);
+    return;
+  }
+  // Row communicator (fixed i, varying j) and column communicator.
+  sc.split(grid, kRow, i, j, false);
+  sc.split(grid, kCol, s + j, i, false);  // color offset keeps it symmetric
+
+  const i64 mb = sh.mb, nb = sh.nb, kb_max = sh.kb_max();
+  sc.alloc(kACur, mb * kb_max);  // the panels
+  sc.alloc(kBCur, kb_max * nb);
+  StepBytes step_bytes(sh, sc.esize());
+  for (int t = 0; t < s; ++t) {
+    const i64 kb = sh.kpart_sizes[static_cast<size_t>(t)];
+    // Owner of A(i, k-part t) is (i, t); of B(k-part t, j) is (t, j).
+    sc.set_phase(Phase::kShift);
+    if (j == t) sc.copy(a, 0, 0, kACur, 0, 0, 1, mb * kb);
+    sc.bcast(kRow, kACur, mb * kb, t, sh.overlap);
+    if (i == t) sc.copy(b, 0, 0, kBCur, 0, 0, 1, kb * nb);
+    sc.bcast(kCol, kBCur, kb * nb, t, sh.overlap);
+    // SUMMA pipelines the next panel broadcast with the current update.
+    sc.set_phase(Phase::kCompute);
+    sc.compute(kACur, kBCur, c, mb, nb, kb, kb, gemm_flops(mb, nb, kb),
+               step_bytes(kb), true);
+    sc.set_phase(kInheritPhase);
+  }
+  for (const int slot : release) sc.free(slot);
+  sc.free(kBCur);
+  sc.free(kACur);
+}
+
+namespace {
+
 template <typename T>
-void abft_recv_check(Comm& grid, T* buf, i64 payload, const char* what) {
-  grid.charge_local_work(static_cast<double>(payload) * sizeof(T));
-  const resilience::AbftDecodeResult res =
-      resilience::abft_decode_msg<T>(buf, payload);
-  if (res.outcome == resilience::AbftOutcome::kUncorrectable)
-    throw Error(strprintf(
-        "abft: uncorrectable corruption in %s message on grid rank %d "
-        "(payload %lld elements)",
-        what, grid.rank(), static_cast<long long>(payload)));
-  if (res.outcome != resilience::AbftOutcome::kClean)
-    simmpi::current_ctx()->stats.abft_corrected++;
+void run_fragment(Comm& grid, const Engine2dShape& sh, const Schedule& sc,
+                  const T* a_block, const T* b_block, T* c_partial) {
+  CA_ASSERT(grid.size() == sh.s * sh.s);
+  CA_ASSERT(grid.rank() == grid_rank(sh.s, sh.i, sh.j));
+  ScheduleIo<T> io;
+  io.a = a_block;
+  io.b = b_block;
+  io.c = c_partial;
+  run_schedule(grid, sc, io);
 }
 
 }  // namespace
 
 template <typename T>
 void cannon_2d(Comm& grid, const Engine2dShape& sh, const T* a_block,
-               const T* b_block, T* c_partial, i64 min_kblk,
-               const ReleaseInputsFn& release_inputs) {
-  const int s = sh.s, i = sh.i, j = sh.j;
-  CA_ASSERT(grid.size() == s * s);
-  CA_ASSERT(grid.rank() == grid_rank(s, i, j));
-  CA_ASSERT(static_cast<int>(sh.kpart_sizes.size()) == s);
-
-  auto kpart = [&](int t) { return sh.kpart_sizes[static_cast<size_t>(wrap(t, s))]; };
-
-  if (s == 1) {
-    // Degenerate Cannon: one local GEMM, nothing to communicate.
-    const i64 kb = kpart(0);
-    PhaseScope ps(grid, Phase::kCompute);
-    gemm_blocked<T>(false, false, sh.mb, sh.nb, kb, T{1}, a_block, kb, b_block,
-                    sh.nb, c_partial, sh.nb);
-    grid.charge_compute(gemm_flops(sh.mb, sh.nb, kb),
-                        gemm_bytes(sh.mb, sh.nb, kb, sizeof(T)));
-    if (release_inputs) release_inputs();
-    return;
-  }
-
-  const bool abft = sh.abft;
-  const i64 kb_max = sh.kb_max();
-  TrackedBuffer<T> a_cur(msg_elems<T>(abft, sh.mb * kb_max));
-  TrackedBuffer<T> b_cur(msg_elems<T>(abft, kb_max * sh.nb));
-
-  // ---- initial skew (paper §III-B): afterwards this process holds
-  // A k-part (i + j) and B k-part (i + j). ----
-  {
-    PhaseScope ps(grid, Phase::kShift);
-    if (!abft) {
-      // A: row i shifts left by i; send to (i, j-i), receive from (i, j+i).
-      grid.sendrecv(a_block, sh.mb * kpart(j), grid_rank(s, i, wrap(j - i, s)),
-                    a_cur.data(), sh.mb * kpart(j + i),
-                    grid_rank(s, i, wrap(j + i, s)), kTagSkewA);
-      // B: column j shifts up by j; send to (i-j, j), receive from (i+j, j).
-      grid.sendrecv(b_block, kpart(i) * sh.nb, grid_rank(s, wrap(i - j, s), j),
-                    b_cur.data(), kpart(i + j) * sh.nb,
-                    grid_rank(s, wrap(i + j, s), j), kTagSkewB);
-    } else {
-      // The input blocks are const, so the outgoing skew message is staged
-      // to make room for its trailer; the staging buffer dies with the
-      // block, before the dual buffers are allocated.
-      {
-        const i64 pa_s = sh.mb * kpart(j), pa_r = sh.mb * kpart(j + i);
-        TrackedBuffer<T> stage(msg_elems<T>(true, pa_s));
-        std::memcpy(stage.data(), a_block,
-                    static_cast<size_t>(pa_s) * sizeof(T));
-        abft_send_prep(grid, stage.data(), pa_s);
-        grid.sendrecv(stage.data(), msg_elems<T>(true, pa_s),
-                      grid_rank(s, i, wrap(j - i, s)), a_cur.data(),
-                      msg_elems<T>(true, pa_r),
-                      grid_rank(s, i, wrap(j + i, s)), kTagSkewA);
-        abft_recv_check(grid, a_cur.data(), pa_r, "Cannon A-skew");
-      }
-      {
-        const i64 pb_s = kpart(i) * sh.nb, pb_r = kpart(i + j) * sh.nb;
-        TrackedBuffer<T> stage(msg_elems<T>(true, pb_s));
-        std::memcpy(stage.data(), b_block,
-                    static_cast<size_t>(pb_s) * sizeof(T));
-        abft_send_prep(grid, stage.data(), pb_s);
-        grid.sendrecv(stage.data(), msg_elems<T>(true, pb_s),
-                      grid_rank(s, wrap(i - j, s), j), b_cur.data(),
-                      msg_elems<T>(true, pb_r),
-                      grid_rank(s, wrap(i + j, s), j), kTagSkewB);
-        abft_recv_check(grid, b_cur.data(), pb_r, "Cannon B-skew");
-      }
-    }
-  }
-  // The skew moved the inputs into the shift buffers; the source blocks are
-  // dead from here on. The second (dual) buffer pair is only allocated now,
-  // so the peak stays at eq. (11)'s two-buffer footprint.
-  if (release_inputs) release_inputs();
-  TrackedBuffer<T> a_nxt(msg_elems<T>(abft, sh.mb * kb_max));
-  TrackedBuffer<T> b_nxt(msg_elems<T>(abft, kb_max * sh.nb));
-
-  // ---- aggregation buffers (multi-shift optimization, paper §III-F) ----
-  const i64 kb_total = sh.kb_total();
-  const bool aggregate = min_kblk > 0 && kb_max < min_kblk && s > 1;
-  const i64 agg_cap =
-      aggregate ? std::min(kb_total, min_kblk + kb_max) : 0;
-  TrackedBuffer<T> agg_a(aggregate ? sh.mb * agg_cap : 0);
-  TrackedBuffer<T> agg_b(aggregate ? agg_cap * sh.nb : 0);
-  i64 agg_k = 0;
-
-  bool c_staged = false;  // the GPU device keeps C resident across steps
-  auto step_bytes = [&](i64 kw) {
-    const double b = gemm_operand_bytes(sh.mb, sh.nb, kw, sizeof(T)) +
-                     (c_staged ? 0.0 : gemm_result_bytes(sh.mb, sh.nb, sizeof(T)));
-    c_staged = true;
-    return b;
-  };
-  const int left = grid_rank(s, i, wrap(j - 1, s));
-  const int right = grid_rank(s, i, wrap(j + 1, s));
-  const int up = grid_rank(s, wrap(i - 1, s), j);
-  const int down = grid_rank(s, wrap(i + 1, s), j);
-
-  // Overlap budget accumulates across shifts until the next GEMM flush:
-  // with aggregation, the appended panels free the shift buffers
-  // immediately, so several steps' transfers pipeline into one aggregated
-  // GEMM. The final step has nothing in flight.
-  double overlap_budget = 0;
-  for (int t = 0; t < s; ++t) {
-    const i64 kb = kpart(i + j + t);     // current k-part extent
-    const i64 kb_next = kpart(i + j + t + 1);
-    if (t < s - 1) {
-      PhaseScope ps(grid, Phase::kShift);
-      if (abft) abft_send_prep(grid, a_cur.data(), sh.mb * kb);
-      grid.sendrecv(a_cur.data(), msg_elems<T>(abft, sh.mb * kb), left,
-                    a_nxt.data(), msg_elems<T>(abft, sh.mb * kb_next), right,
-                    kTagShiftA);
-      if (sh.overlap) overlap_budget += grid.last_op_cost();
-      if (abft)
-        abft_recv_check(grid, a_nxt.data(), sh.mb * kb_next, "Cannon A-shift");
-      if (abft) abft_send_prep(grid, b_cur.data(), kb * sh.nb);
-      grid.sendrecv(b_cur.data(), msg_elems<T>(abft, kb * sh.nb), up,
-                    b_nxt.data(), msg_elems<T>(abft, kb_next * sh.nb), down,
-                    kTagShiftB);
-      if (sh.overlap) overlap_budget += grid.last_op_cost();
-      if (abft)
-        abft_recv_check(grid, b_nxt.data(), kb_next * sh.nb, "Cannon B-shift");
-    }
-    if (aggregate) {
-      // Append the current panels; run one GEMM once enough k accumulated.
-      for (i64 r = 0; r < sh.mb; ++r)
-        std::memcpy(agg_a.data() + r * agg_cap + agg_k, a_cur.data() + r * kb,
-                    static_cast<size_t>(kb) * sizeof(T));
-      std::memcpy(agg_b.data() + agg_k * sh.nb, b_cur.data(),
-                  static_cast<size_t>(kb * sh.nb) * sizeof(T));
-      agg_k += kb;
-      if (agg_k >= min_kblk || t == s - 1) {
-        PhaseScope ps(grid, Phase::kCompute);
-        gemm_blocked<T>(false, false, sh.mb, sh.nb, agg_k, T{1}, agg_a.data(),
-                        agg_cap, agg_b.data(), sh.nb, c_partial, sh.nb);
-        grid.charge_compute_overlap_budget(gemm_flops(sh.mb, sh.nb, agg_k),
-                                           step_bytes(agg_k), overlap_budget);
-        overlap_budget = 0;
-        agg_k = 0;
-      }
-    } else {
-      PhaseScope ps(grid, Phase::kCompute);
-      gemm_blocked<T>(false, false, sh.mb, sh.nb, kb, T{1}, a_cur.data(), kb,
-                      b_cur.data(), sh.nb, c_partial, sh.nb);
-      grid.charge_compute_overlap_budget(gemm_flops(sh.mb, sh.nb, kb),
-                                         step_bytes(kb), overlap_budget);
-      overlap_budget = 0;
-    }
-    a_cur.swap(a_nxt);
-    b_cur.swap(b_nxt);
-  }
+               const T* b_block, T* c_partial, i64 min_kblk) {
+  Schedule sc(sizeof(T));
+  cannon_schedule(sc, sh, kWorld, kUserA, kUserB, kUserC, min_kblk, {});
+  run_fragment(grid, sh, sc, a_block, b_block, c_partial);
 }
 
 template <typename T>
 void summa_2d(Comm& grid, const Engine2dShape& sh, const T* a_block,
-              const T* b_block, T* c_partial,
-              const ReleaseInputsFn& release_inputs) {
-  const int s = sh.s, i = sh.i, j = sh.j;
-  CA_ASSERT(grid.size() == s * s);
-  CA_ASSERT(grid.rank() == grid_rank(s, i, j));
-
-  if (s == 1) {
-    const i64 kb = sh.kpart_sizes[0];
-    PhaseScope ps(grid, Phase::kCompute);
-    gemm_blocked<T>(false, false, sh.mb, sh.nb, kb, T{1}, a_block, kb, b_block,
-                    sh.nb, c_partial, sh.nb);
-    grid.charge_compute(gemm_flops(sh.mb, sh.nb, kb),
-                        gemm_bytes(sh.mb, sh.nb, kb, sizeof(T)));
-    if (release_inputs) release_inputs();
-    return;
-  }
-
-  // Row communicator (fixed i, varying j) and column communicator.
-  Comm row = grid.split(i, j);
-  Comm col = grid.split(s + j, i);  // color offset keeps the call symmetric
-
-  const i64 kb_max = sh.kb_max();
-  TrackedBuffer<T> a_panel(sh.mb * kb_max);
-  TrackedBuffer<T> b_panel(kb_max * sh.nb);
-
-  bool c_staged = false;  // the GPU device keeps C resident across steps
-  auto step_bytes = [&](i64 kw) {
-    const double b = gemm_operand_bytes(sh.mb, sh.nb, kw, sizeof(T)) +
-                     (c_staged ? 0.0 : gemm_result_bytes(sh.mb, sh.nb, sizeof(T)));
-    c_staged = true;
-    return b;
-  };
-  for (int t = 0; t < s; ++t) {
-    const i64 kb = sh.kpart_sizes[static_cast<size_t>(t)];
-    double overlap_budget = 0;
-    {
-      PhaseScope ps(grid, Phase::kShift);
-      // Owner of A(i, k-part t) is (i, t); of B(k-part t, j) is (t, j).
-      if (j == t && kb > 0)
-        std::memcpy(a_panel.data(), a_block,
-                    static_cast<size_t>(sh.mb * kb) * sizeof(T));
-      row.bcast(a_panel.data(), sh.mb * kb, t);
-      if (sh.overlap) overlap_budget = grid.last_op_cost();
-      if (i == t && kb > 0)
-        std::memcpy(b_panel.data(), b_block,
-                    static_cast<size_t>(kb * sh.nb) * sizeof(T));
-      col.bcast(b_panel.data(), kb * sh.nb, t);
-      if (sh.overlap) overlap_budget += grid.last_op_cost();
-    }
-    PhaseScope ps(grid, Phase::kCompute);
-    gemm_blocked<T>(false, false, sh.mb, sh.nb, kb, T{1}, a_panel.data(), kb,
-                    b_panel.data(), sh.nb, c_partial, sh.nb);
-    // SUMMA pipelines the next panel broadcast with the current update.
-    grid.charge_compute_overlap_budget(gemm_flops(sh.mb, sh.nb, kb),
-                                       step_bytes(kb), overlap_budget);
-  }
-  if (release_inputs) release_inputs();
+              const T* b_block, T* c_partial) {
+  Schedule sc(sizeof(T));
+  summa_schedule(sc, sh, kWorld, kUserA, kUserB, kUserC, {});
+  run_fragment(grid, sh, sc, a_block, b_block, c_partial);
 }
 
 template void cannon_2d<float>(Comm&, const Engine2dShape&, const float*,
-                               const float*, float*, i64,
-                               const ReleaseInputsFn&);
+                               const float*, float*, i64);
 template void cannon_2d<double>(Comm&, const Engine2dShape&, const double*,
-                                const double*, double*, i64,
-                                const ReleaseInputsFn&);
+                                const double*, double*, i64);
 template void summa_2d<float>(Comm&, const Engine2dShape&, const float*,
-                              const float*, float*, const ReleaseInputsFn&);
+                              const float*, float*);
 template void summa_2d<double>(Comm&, const Engine2dShape&, const double*,
-                               const double*, double*, const ReleaseInputsFn&);
+                               const double*, double*);
 
 }  // namespace ca3dmm

@@ -14,12 +14,17 @@
 // multi-shift aggregation (several panels accumulated before one local GEMM
 // when k-parts are thin). SUMMA broadcasts the k-part panels along process
 // rows/columns instead; its latency is provably no better (paper §III-E).
+//
+// The engines are schedule fragments (core/schedule.hpp): cannon_schedule
+// and summa_schedule append their ops to a plan's schedule; cannon_2d and
+// summa_2d run one fragment standalone.
 #pragma once
 
-#include <functional>
+#include <initializer_list>
 #include <vector>
 
 #include "common/partition.hpp"
+#include "core/schedule.hpp"
 #include "simmpi/comm.hpp"
 
 namespace ca3dmm {
@@ -54,28 +59,32 @@ struct Engine2dShape {
   }
 };
 
-/// Callback the engines invoke as soon as the input blocks (a_block,
-/// b_block) are dead — for Cannon that is right after the initial skew moves
-/// them into the engine's shift buffers. The driver releases the source
-/// buffers there, which is what keeps CA3DMM at the paper's eq.-(11) memory
-/// footprint (two shift buffers, not three copies).
-using ReleaseInputsFn = std::function<void()>;
-
-/// Cannon's algorithm. `a_block` is (mb x kpart_sizes[j]) row-major,
-/// `b_block` is (kpart_sizes[i] x nb) row-major, `c_partial` is (mb x nb)
-/// and is accumulated into (callers pass it zeroed).
+/// Appends Cannon's algorithm on grid communicator slot `grid`: A block in
+/// buffer slot `a` (mb x kpart_sizes[j], row-major), B block in `b`
+/// (kpart_sizes[i] x nb), partial C accumulated into `c` (mb x nb, zeroed).
 /// `min_kblk` enables multi-shift aggregation (0 = one GEMM per shift).
+/// The buffers in `release` are freed as soon as the inputs are dead —
+/// right after the skew moved them into the shift buffers — which is what
+/// keeps CA3DMM at the paper's eq.-(11) memory footprint (two shift
+/// buffers, not three copies).
+void cannon_schedule(Schedule& s, const Engine2dShape& sh, int grid, int a,
+                     int b, int c, i64 min_kblk,
+                     std::initializer_list<int> release);
+
+/// SUMMA on the same grid, distribution, and result contract. SUMMA
+/// broadcasts panels straight out of the input blocks, so `release` is
+/// only freed after the last panel.
+void summa_schedule(Schedule& s, const Engine2dShape& sh, int grid, int a,
+                    int b, int c, std::initializer_list<int> release);
+
+/// Runs the Cannon fragment alone on `grid` (s*s ranks).
 template <typename T>
 void cannon_2d(simmpi::Comm& grid, const Engine2dShape& sh, const T* a_block,
-               const T* b_block, T* c_partial, i64 min_kblk,
-               const ReleaseInputsFn& release_inputs = {});
+               const T* b_block, T* c_partial, i64 min_kblk);
 
-/// SUMMA on the same grid, distribution, and result contract as cannon_2d.
-/// SUMMA broadcasts panels straight out of the input blocks, so
-/// release_inputs only fires after the last panel.
+/// Runs the SUMMA fragment alone on `grid` (s*s ranks).
 template <typename T>
 void summa_2d(simmpi::Comm& grid, const Engine2dShape& sh, const T* a_block,
-              const T* b_block, T* c_partial,
-              const ReleaseInputsFn& release_inputs = {});
+              const T* b_block, T* c_partial);
 
 }  // namespace ca3dmm

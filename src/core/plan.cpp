@@ -120,48 +120,43 @@ Range Ca3dmmPlan::c_sub_cols(int J, int gk) const {
   return Range{nj.lo + local.lo, nj.lo + local.hi};
 }
 
+Rect Ca3dmmPlan::a_rect(int world_rank) const {
+  const RankCoord co = coord(world_rank);
+  if (!co.active) return Rect{};
+  // Replicated: A block (row i, pre-skew k-part j), replication slice gc.
+  // Otherwise fully distributed: rows of this Cannon group's m slice.
+  return replicates_a() ? Rect{m_range(co.i), ksub(co.gk, co.j, co.gc)}
+                        : Rect{m_range(co.I), kpart(co.gk, co.j)};
+}
+
+Rect Ca3dmmPlan::b_rect(int world_rank) const {
+  const RankCoord co = coord(world_rank);
+  if (!co.active) return Rect{};
+  // A replicated: B fully distributed, (pre-skew k-part i, this group's n
+  // slice). Otherwise B replicated: block (k-part i, col j), slice gc.
+  return replicates_a() ? Rect{kpart(co.gk, co.i), n_range(co.J)}
+                        : Rect{ksub(co.gk, co.i, co.gc), n_range(co.j)};
+}
+
+Rect Ca3dmmPlan::c_rect(int world_rank) const {
+  const RankCoord co = coord(world_rank);
+  if (!co.active) return Rect{};
+  return Rect{m_range(co.I), c_sub_cols(co.J, co.gk)};
+}
+
 BlockLayout Ca3dmmPlan::a_native() const {
-  BlockLayout l(m_, k_, nranks_);
-  for (int r = 0; r < active(); ++r) {
-    const RankCoord co = coord(r);
-    Rect rect;
-    if (replicates_a()) {
-      // A block (row i, pre-skew k-part j), replication slice gc.
-      rect = Rect{m_range(co.i), ksub(co.gk, co.j, co.gc)};
-    } else {
-      // A fully distributed: rows of this Cannon group's m slice.
-      rect = Rect{m_range(co.I), kpart(co.gk, co.j)};
-    }
-    if (!rect.empty()) l.add_rect(r, rect);
-  }
-  return l;
+  return BlockLayout::one_rect_each(m_, k_, nranks_, active(),
+                                    [&](int r) { return a_rect(r); });
 }
 
 BlockLayout Ca3dmmPlan::b_native() const {
-  BlockLayout l(k_, n_, nranks_);
-  for (int r = 0; r < active(); ++r) {
-    const RankCoord co = coord(r);
-    Rect rect;
-    if (replicates_a()) {
-      // B fully distributed: (pre-skew k-part i, this group's n slice).
-      rect = Rect{kpart(co.gk, co.i), n_range(co.J)};
-    } else {
-      // B replicated: block (k-part i, col j), replication slice gc.
-      rect = Rect{ksub(co.gk, co.i, co.gc), n_range(co.j)};
-    }
-    if (!rect.empty()) l.add_rect(r, rect);
-  }
-  return l;
+  return BlockLayout::one_rect_each(k_, n_, nranks_, active(),
+                                    [&](int r) { return b_rect(r); });
 }
 
 BlockLayout Ca3dmmPlan::c_native() const {
-  BlockLayout l(m_, n_, nranks_);
-  for (int r = 0; r < active(); ++r) {
-    const RankCoord co = coord(r);
-    const Rect rect{m_range(co.I), c_sub_cols(co.J, co.gk)};
-    if (!rect.empty()) l.add_rect(r, rect);
-  }
-  return l;
+  return BlockLayout::one_rect_each(m_, n_, nranks_, active(),
+                                    [&](int r) { return c_rect(r); });
 }
 
 double Ca3dmmPlan::volume_lower_bound() const {

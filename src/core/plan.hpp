@@ -140,6 +140,11 @@ class Ca3dmmPlan {
   Range c_sub_cols(int J, int gk) const;
 
   // ---- library-native distributions over all nranks world ranks ----
+  /// The one rect of A / B / C `world_rank` owns natively (empty on idle
+  /// ranks); the *_native() layouts are these rects over all ranks.
+  Rect a_rect(int world_rank) const;
+  Rect b_rect(int world_rank) const;
+  Rect c_rect(int world_rank) const;
   BlockLayout a_native() const;
   BlockLayout b_native() const;
   BlockLayout c_native() const;

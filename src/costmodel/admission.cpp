@@ -21,7 +21,8 @@ const Quote& CostOracle::quote(Algo algo, const Workload& w) {
                 static_cast<int>(w.coll.bcast),
                 static_cast<int>(w.coll.allreduce),
                 w.coll.small_message_bytes,
-                w.overlap};
+                w.overlap,
+                w.k_weights};
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
 

@@ -1,8 +1,8 @@
 // Admission-control pricing on top of the analytic cost model.
 //
 // CA3DMM's unified cost view means a request's latency and peak memory are
-// known *before* it runs: costmodel::predict mirrors the executable
-// operation by operation, and the drift gate (drift.hpp) holds it to the
+// known *before* it runs: costmodel::predict replays the very schedule the
+// executable runs, and the drift gate (drift.hpp) holds it to the
 // engine's executed virtual time within 1e-6 relative. A serving layer can
 // therefore price every incoming request exactly at admission time — no
 // profiling, no feedback warm-up — and make quota, scheduling, and
@@ -56,8 +56,8 @@ class CostOracle {
 
   /// Quotes `w` under `algo`, memoized by the workload's cost-relevant
   /// fields (m, n, k, esize, layout, min_kblk, abft, force_grid, the
-  /// collective schedule, and the overlap flag — the last three vary per
-  /// shape once a tuning DB feeds the service, see tuner/db.hpp).
+  /// collective schedule, the overlap flag — these three vary per shape
+  /// once a tuning DB feeds the service, see tuner/db.hpp — and k_weights).
   /// `w.warm_comms` is ignored: a quote always carries both paths.
   const Quote& quote(Algo algo, const Workload& w);
 
@@ -80,10 +80,10 @@ class CostOracle {
  private:
   using Key =
       std::tuple<int, i64, i64, i64, i64, bool, i64, bool, int, int, int, int,
-                 int, int, int, i64, bool>;
+                 int, int, int, i64, bool, std::vector<double>>;
   // algo, m, n, k, esize, layout, kblk, abft, force pm/pn/pk (0,0,0 = none),
   // coll allgather/reduce_scatter/bcast/allreduce, small_message_bytes,
-  // overlap
+  // overlap, k_weights
 
   int P_;
   simmpi::Machine mach_;

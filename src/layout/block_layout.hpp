@@ -60,6 +60,18 @@ class BlockLayout {
   /// may own many rectangles.
   static BlockLayout block_cyclic(i64 rows, i64 cols, int pr, int pc, i64 rb,
                                   i64 cb);
+  /// Each rank r < `owners` owns the single rect rect_of(r) (an empty rect
+  /// owns nothing) — the shape of every library-native layout.
+  template <typename RectOf>
+  static BlockLayout one_rect_each(i64 rows, i64 cols, int nranks, int owners,
+                                   RectOf&& rect_of) {
+    BlockLayout l(rows, cols, nranks);
+    for (int r = 0; r < owners; ++r) {
+      const Rect rect = rect_of(r);
+      if (!rect.empty()) l.add_rect(r, rect);
+    }
+    return l;
+  }
 
   i64 rows() const { return rows_; }
   i64 cols() const { return cols_; }

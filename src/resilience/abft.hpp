@@ -36,9 +36,8 @@
 // Overhead: 1 + ceil(log2(payload_bytes + 1)) trailer bytes per message
 // (14 bytes for a 4 KiB tile) plus one encode scan at the sender and one
 // decode scan at the receiver, both memory-bandwidth bound
-// (Comm::charge_local_work prices them; costmodel::predict mirrors the
-// charge). abft_trailer_bytes is monotonic in the payload size, which the
-// cost model relies on when mirroring max(send, recv) message sizes.
+// (Comm::charge_local_work prices them; costmodel::predict replays the same
+// scan ops of the schedule).
 #pragma once
 
 #include <cstring>

@@ -111,21 +111,16 @@ std::vector<tuner::TuningKey> PgemmService::refresh_tuning() {
 }
 
 Workload PgemmService::workload_of(const ServiceRequest& r) const {
-  Workload w{r.m, r.n, r.k};
-  w.force_grid = r.opt.force_grid;
-  w.min_kblk = r.opt.min_kblk;
-  w.abft = r.opt.abft;
-  w.overlap = r.opt.overlap;
-  if (r.opt.coll) w.coll = *r.opt.coll;
   // Mirror the engine's tuning snapshot: a tunable request plans under the
   // tuned config on its cache miss, so it must be priced under it too —
   // the quote/execution exactness gate depends on the two never diverging.
+  Ca3dmmOptions opt = r.opt;
   if (const auto tuned = engine_.tuned_for(r.m, r.n, r.k, r.opt)) {
-    w.force_grid = tuned->grid;
-    w.coll = tuned->coll;
-    w.overlap = tuned->overlap;
+    opt.force_grid = tuned->grid;
+    opt.coll = tuned->coll;
+    opt.overlap = tuned->overlap;
   }
-  return w;
+  return costmodel::workload_of(r.m, r.n, r.k, opt);
 }
 
 double PgemmService::dispatch(const ServiceRequest& r, double* predicted_out) {

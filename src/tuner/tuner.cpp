@@ -15,15 +15,12 @@ using simmpi::Cluster;
 
 costmodel::Workload tuned_workload(i64 m, i64 n, i64 k,
                                    const TunedConfig& cfg, i64 min_kblk) {
-  Workload w;
-  w.m = m;
-  w.n = n;
-  w.k = k;
-  w.force_grid = cfg.grid;
-  w.coll = cfg.coll;
-  w.overlap = cfg.overlap;
-  w.min_kblk = min_kblk;
-  return w;
+  Ca3dmmOptions opt;
+  opt.force_grid = cfg.grid;
+  opt.coll = cfg.coll;
+  opt.overlap = cfg.overlap;
+  opt.min_kblk = min_kblk;
+  return costmodel::workload_of(m, n, k, opt);
 }
 
 namespace {

@@ -212,9 +212,13 @@ TEST(Service, MemQuotaBackpressureRejectsInsteadOfExceeding) {
   // The admission gauge never exceeded the contract.
   EXPECT_LE(rep.tenants[0].peak_outstanding_bytes,
             cfg.tenants[0].mem_quota_bytes);
-  for (const service::RequestRecord& r : rep.records)
-    if (r.verdict == static_cast<int>(Verdict::kRejectedMemQuota))
+  EXPECT_EQ(count_verdict(rep, Verdict::kRejectedMemQuota),
+            rep.tenants[0].rejected_mem);
+  for (const service::RequestRecord& r : rep.records) {
+    if (r.verdict == static_cast<int>(Verdict::kRejectedMemQuota)) {
       EXPECT_GT(r.retry_after_s, 0);
+    }
+  }
 }
 
 TEST(Service, QueueBoundSheds) {
@@ -323,6 +327,30 @@ TEST(Service, DriftStaysInsideGateOnExactnessDomain) {
     EXPECT_EQ(m.completed, 3);
     EXPECT_LE(m.max_drift, 1e-6) << m.name;
   }
+}
+
+TEST(Service, WeightedRequestsArePricedAsExecuted) {
+  // k_weights reshape the k split across the k-task groups, so a weighted
+  // request must be priced under its own weights: the quote equals the
+  // executed vtime, and differs from the unweighted request's quote.
+  ServiceConfig cfg;
+  cfg.tenants = {TenantConfig{.name = "weighted"}};
+  ServiceRequest weighted = tiny_request(0, 1);
+  weighted.k = 96;
+  weighted.opt.force_grid = ProcGrid{2, 4, 2};
+  weighted.opt.k_weights = {3, 1};
+  ServiceRequest plain = weighted;
+  plain.id = 2;
+  plain.opt.k_weights.clear();
+  const ServiceReport rep = run_on_cluster(16, cfg, {weighted, plain});
+  ASSERT_EQ(rep.records.size(), 2u);
+  double quote[3] = {};
+  for (const service::RequestRecord& r : rep.records) {
+    ASSERT_EQ(r.verdict, static_cast<int>(Verdict::kCompleted)) << r.id;
+    EXPECT_NEAR(r.predicted_s, r.executed_s, 1e-6 * r.executed_s) << r.id;
+    quote[r.id] = r.predicted_s;
+  }
+  EXPECT_NE(quote[1], quote[2]);
 }
 
 // ---------------------------------------------------------------------------

@@ -172,6 +172,25 @@ TEST(TuningDbPersistence, CostModelVersionMismatchIsIgnored) {
   TuningDb victim;
   EXPECT_FALSE(victim.deserialize(blob, "cost-model-mismatch test"));
   EXPECT_EQ(victim.size(), 0u);
+
+  // Files tuned under every earlier model version (v2 priced uneven shapes
+  // without collective synchronization) are ignored with a warning and
+  // leave a populated DB untouched.
+  for (int old = 1; old < costmodel::kCostModelVersion; ++old) {
+    std::string stale = db.serialize();
+    stale.replace(stale.find(tag), tag.size(),
+                  "costmodel " + std::to_string(old));
+    TuningDb kept;
+    fill_sample(kept);
+    const std::string before = kept.serialize();
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(kept.deserialize(stale, "old-model test"));
+    const std::string warning = testing::internal::GetCapturedStderr();
+    EXPECT_NE(warning.find("cost-model version " + std::to_string(old)),
+              std::string::npos)
+        << warning;
+    EXPECT_EQ(kept.serialize(), before);
+  }
 }
 
 TEST(TuningDbPersistence, TruncatedAndCorruptBlobsAreIgnored) {

@@ -65,13 +65,7 @@ int main(int argc, char** argv) {
 
   simmpi::Cluster cl(P, simmpi::Machine::phoenix_mpi());
   cl.set_trace(true);
-  // Uneven shapes legitimately drift (collective max-entry synchronization);
-  // the documented engine/model tolerance for them is 15%.
-  costmodel::DriftOptions opts;
-  const bool even = (w.m % 16 == 0 && w.n % 16 == 0 && w.k % 16 == 0);
-  if (!even) opts.rtol = 0.15;
-
-  const costmodel::DriftReport rep = costmodel::check_drift(algo, w, cl, opts);
+  const costmodel::DriftReport rep = costmodel::check_drift(algo, w, cl);
 
   std::printf("== %s  m=%lld n=%lld k=%lld  P=%d ==\n\n",
               costmodel::algo_name(algo), static_cast<long long>(w.m),
@@ -87,11 +81,9 @@ int main(int argc, char** argv) {
     simmpi::write_chrome_trace_file(cl, json_path);
     std::printf("trace written to %s\n", json_path.c_str());
   }
-  // Even shapes gate every phase; uneven shapes only guarantee total time
-  // and peak memory (phase attribution shifts with synchronization skew).
-  const bool gate_ok =
-      even ? rep.ok() : (!rep.total.flagged && !rep.peak_bytes_flagged);
-  if (!gate_ok) {
+  // The model replays the executed schedule, so every shape gates every
+  // phase, the total and peak memory at the default tolerance.
+  if (!rep.ok()) {
     std::fprintf(stderr, "DRIFT GATE FAILED\n");
     return 1;
   }
