@@ -1,7 +1,6 @@
 #include "simmpi/coll_cost.hpp"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -13,13 +12,17 @@ namespace {
 /// Exact intra-node byte fraction of a flat schedule from the group's node
 /// multiset: the probability a random ordered pair of distinct group ranks
 /// shares a node. `counts` = ranks per node; `p` = group size.
+double pair_frac(double same_pairs, int p) {
+  if (p <= 1) return 1.0;
+  return same_pairs / (static_cast<double>(p) * (p - 1));
+}
+
 template <typename Counts>
 double multiset_intra_frac(const Counts& counts, int p) {
-  if (p <= 1) return 1.0;
   double same_pairs = 0;
   for (const auto& [id, cnt] : counts)
     same_pairs += static_cast<double>(cnt) * (cnt - 1);
-  return same_pairs / (static_cast<double>(p) * (p - 1));
+  return pair_frac(same_pairs, p);
 }
 
 /// Cost-formula machine of a profile: its first cluster's Machine when the
@@ -66,36 +69,48 @@ GroupProfile GroupProfile::from_topology(const Topology& topo,
   CA_ASSERT(!ranks.empty());
   GroupProfile g;
   g.size = static_cast<int>(ranks.size());
-  std::map<int, int> per_node;                  // node id -> ranks
-  std::map<int, std::map<int, int>> per_clu;    // cluster -> node -> ranks
-  for (int r : ranks) {
-    per_node[topo.node_of_rank(r)]++;
-    per_clu[topo.cluster_of_rank(r)][topo.node_of_rank(r)]++;
-  }
-  g.nodes = static_cast<int>(per_node.size());
-  g.max_ranks_per_node = 0;
-  for (const auto& [node, cnt] : per_node)
-    g.max_ranks_per_node = std::max(g.max_ranks_per_node, cnt);
-  g.single_node = (g.nodes == 1);
-  g.intra_frac = multiset_intra_frac(per_node, g.size);
-  g.clusters = static_cast<int>(per_clu.size());
   g.inter_alpha = topo.link().alpha;
   g.inter_beta = topo.link().beta();
-  std::map<int, int> clu_sizes;
-  for (const auto& [clu, nodes] : per_clu) {
+  g.nodes = 0;
+  // (cluster, node) of every member, sorted: each run of equal pairs is one
+  // node's ranks, and runs are grouped by cluster. The pair counts are
+  // integers, so their sums do not depend on the visiting order.
+  thread_local std::vector<std::pair<int, int>> at;  // predict asks often
+  at.clear();
+  for (int r : ranks)
+    at.emplace_back(topo.cluster_of_rank(r), topo.node_of_rank(r));
+  std::sort(at.begin(), at.end());
+  double node_pairs = 0, clu_pairs = 0;
+  for (size_t lo = 0; lo < at.size();) {
     Part pt;
-    pt.cluster = clu;
-    pt.nodes = static_cast<int>(nodes.size());
-    pt.mach = &topo.machine_of_cluster(clu);
-    for (const auto& [node, cnt] : nodes) {
-      pt.size += cnt;
+    pt.cluster = at[lo].first;
+    pt.mach = &topo.machine_of_cluster(pt.cluster);
+    pt.nodes = 0;
+    double part_pairs = 0;
+    size_t hi = lo;
+    while (hi < at.size() && at[hi].first == pt.cluster) {
+      size_t end = hi;
+      while (end < at.size() && at[end] == at[hi]) ++end;
+      const int cnt = static_cast<int>(end - hi);
+      pt.nodes++;
       pt.max_ranks_per_node = std::max(pt.max_ranks_per_node, cnt);
+      part_pairs += static_cast<double>(cnt) * (cnt - 1);
+      hi = end;
     }
-    pt.intra_frac = multiset_intra_frac(nodes, pt.size);
-    clu_sizes[clu] = pt.size;
+    pt.size = static_cast<int>(hi - lo);
+    pt.intra_frac = pair_frac(part_pairs, pt.size);
+    g.nodes += pt.nodes;
+    g.max_ranks_per_node =
+        std::max(g.max_ranks_per_node, pt.max_ranks_per_node);
+    node_pairs += part_pairs;
+    clu_pairs += static_cast<double>(pt.size) * (pt.size - 1);
     g.parts.push_back(pt);
+    lo = hi;
   }
-  g.cluster_frac = multiset_intra_frac(clu_sizes, g.size);
+  g.single_node = (g.nodes == 1);
+  g.intra_frac = pair_frac(node_pairs, g.size);
+  g.clusters = static_cast<int>(g.parts.size());
+  g.cluster_frac = pair_frac(clu_pairs, g.size);
   return g;
 }
 
