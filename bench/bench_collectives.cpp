@@ -1,34 +1,20 @@
-// Topology-aware collective engine benchmarks.
+// Topology-aware collective engine benchmark: allgather / reduce-scatter
+// costs of every schedule on multi-node Fig.-4-style groups (phoenix
+// machine, 2 and 8 full nodes) across message sizes. The hierarchical
+// schedule must strictly reduce both the modeled inter-node bytes and the
+// virtual time against the flat paper butterfly for large messages.
 //
-// Two parts:
-//  1. Modeled sweep — allgather / reduce-scatter costs of every schedule on
-//     multi-node Fig.-4-style groups (phoenix machine, 2 and 8 full nodes)
-//     across message sizes. The hierarchical schedule must strictly reduce
-//     both the modeled inter-node bytes and the virtual time against the
-//     flat paper butterfly for large messages.
-//  2. Engine wall-clock — a 64-rank allgather + reduce-scatter sweep run
-//     twice, with rank-sharded vs last-arriver data movement. Virtual times
-//     are identical by construction; the comparison measures host wall
-//     clock only (on a single-core host the sharded mode cannot win — the
-//     numbers report whatever the hardware gives).
-//
-// Emits BENCH_collectives.json with both parts.
-#include <chrono>
+// Emits BENCH_collectives.json.
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "simmpi/cluster.hpp"
 #include "simmpi/coll_cost.hpp"
-#include "simmpi/comm.hpp"
 
 namespace ca3dmm::bench {
 namespace {
 
 using simmpi::CollAlgo;
 using simmpi::CollCost;
-using simmpi::CollectiveConfig;
-using simmpi::Cluster;
-using simmpi::Comm;
 using simmpi::GroupProfile;
 using simmpi::LinkParams;
 using simmpi::Machine;
@@ -79,52 +65,7 @@ std::vector<ModelRow> modeled_sweep() {
   return rows;
 }
 
-struct WallClock {
-  int P = 0;
-  int iters = 0;
-  double sharded_s = 0;
-  double last_arriver_s = 0;
-  double sharded_vtime = 0;
-  double last_arriver_vtime = 0;
-};
-
-double run_sweep(int P, int iters, CollectiveConfig::DataMovement dm,
-                 double* vtime_out) {
-  Cluster cl(P, Machine::phoenix_mpi());
-  CollectiveConfig cfg;
-  cfg.data_movement = dm;
-  cl.set_collective_config(cfg);
-  const auto t0 = std::chrono::steady_clock::now();
-  cl.run([&](Comm& c) {
-    const i64 n = 4096;  // 32 KiB per rank
-    std::vector<double> mine(static_cast<size_t>(n), 1.0 + c.rank());
-    std::vector<double> all(static_cast<size_t>(n * P));
-    std::vector<i64> counts(static_cast<size_t>(P), n);
-    std::vector<double> sb(static_cast<size_t>(n * P), 0.5);
-    std::vector<double> rb(static_cast<size_t>(n));
-    for (int it = 0; it < iters; ++it) {
-      c.allgather(mine.data(), n, all.data());
-      c.reduce_scatter(sb.data(), rb.data(), counts);
-    }
-  });
-  const auto t1 = std::chrono::steady_clock::now();
-  *vtime_out = cl.aggregate_stats().vtime;
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-WallClock wallclock_sweep() {
-  WallClock w;
-  w.P = 64;
-  w.iters = 5;
-  w.sharded_s = run_sweep(w.P, w.iters, CollectiveConfig::DataMovement::kSharded,
-                          &w.sharded_vtime);
-  w.last_arriver_s =
-      run_sweep(w.P, w.iters, CollectiveConfig::DataMovement::kLastArriver,
-                &w.last_arriver_vtime);
-  return w;
-}
-
-void write_json(const std::vector<ModelRow>& rows, const WallClock& w) {
+void write_json(const std::vector<ModelRow>& rows) {
   const char* path = "BENCH_collectives.json";
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -141,14 +82,7 @@ void write_json(const std::vector<ModelRow>& rows, const WallClock& w) {
                  r.p, r.nodes, r.op, r.mib, r.algo, r.sim_s, r.inter_mib,
                  i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(f,
-               "  ],\n  \"wallclock\": {\"P\": %d, \"iters\": %d,\n"
-               "    \"sharded_s\": %.6f, \"last_arriver_s\": %.6f,\n"
-               "    \"sharded_vtime\": %.9f, \"last_arriver_vtime\": %.9f,\n"
-               "    \"vtime_identical\": %s}\n}\n",
-               w.P, w.iters, w.sharded_s, w.last_arriver_s, w.sharded_vtime,
-               w.last_arriver_vtime,
-               w.sharded_vtime == w.last_arriver_vtime ? "true" : "false");
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", path);
 }
@@ -168,22 +102,7 @@ void print_tables() {
   std::printf(
       "\n(hierarchical sends each node's bytes over its NIC once: inter\n"
       " bytes drop from n*(p - r) to n*(N - 1) vs the flat butterfly)\n");
-
-  const WallClock w = wallclock_sweep();
-  std::printf(
-      "\n=== Engine data movement, %d ranks, %d x (allgather + "
-      "reduce-scatter) ===\n",
-      w.P, w.iters);
-  TextTable wt({"movement", "wall s", "virtual ms"});
-  wt.add_row({"sharded", strprintf("%.3f", w.sharded_s),
-              strprintf("%.3f", w.sharded_vtime * 1e3)});
-  wt.add_row({"last-arriver", strprintf("%.3f", w.last_arriver_s),
-              strprintf("%.3f", w.last_arriver_vtime * 1e3)});
-  wt.print();
-  std::printf(
-      "(virtual times are identical by construction; wall clock depends on\n"
-      " host core count — sharding only helps with real parallelism)\n");
-  write_json(rows, w);
+  write_json(rows);
 }
 
 void register_benchmarks() {

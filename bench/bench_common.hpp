@@ -157,44 +157,6 @@ inline void parse_fault_flags(int* argc, char** argv) {
   *argc = out;
 }
 
-/// Scheduler backend selected by `--backend threads|fibers`. Defaults to
-/// Cluster::default_backend() (the CA3DMM_SIMMPI_BACKEND environment
-/// variable), so CI's fiber lanes cover the benches without per-binary
-/// flags. Benches that execute on a real Cluster apply it via
-/// cluster.set_backend(bench_backend()).
-inline simmpi::Cluster::Backend& bench_backend() {
-  static simmpi::Cluster::Backend b = simmpi::Cluster::default_backend();
-  return b;
-}
-
-/// Parses and strips `--backend threads|fibers` (space- or =-separated)
-/// before google-benchmark sees argv.
-inline void parse_backend_flags(int* argc, char** argv) {
-  const auto parse = [](const char* v) {
-    if (std::strcmp(v, "fibers") == 0) {
-      bench_backend() = simmpi::Cluster::Backend::kFibers;
-    } else if (std::strcmp(v, "threads") == 0) {
-      bench_backend() = simmpi::Cluster::Backend::kThreads;
-    } else {
-      std::fprintf(stderr,
-                   "unrecognized --backend '%s' (expected threads|fibers)\n",
-                   v);
-      std::exit(2);
-    }
-  };
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < *argc) {
-      parse(argv[++i]);
-    } else if (std::strncmp(argv[i], "--backend=", 10) == 0) {
-      parse(argv[i] + 10);
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-}
-
 /// Multi-tenant service knobs shared by bench_service and the service
 /// smoke tooling. Zero / empty means "use the scenario's default".
 struct ServiceFlags {
@@ -356,7 +318,6 @@ inline int run_bench_main(int argc, char** argv,
                           const std::function<void()>& print_tables) {
   parse_fault_flags(&argc, argv);
   parse_service_flags(&argc, argv);
-  parse_backend_flags(&argc, argv);
   parse_tuning_db_flags(&argc, argv);
   parse_topology_flags(&argc, argv);
   benchmark::Initialize(&argc, argv);

@@ -58,7 +58,6 @@ void print_real_execution() {
     Workload w{960, 960, 960};
     w.force_grid = rc.grid;
     simmpi::Cluster cl(rc.P, mach);
-    cl.set_backend(simmpi::Cluster::Backend::kFibers);
     const auto t0 = std::chrono::steady_clock::now();
     const costmodel::DriftReport rep =
         costmodel::check_drift(Algo::kCa3dmm, w, cl);

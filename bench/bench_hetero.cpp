@@ -72,7 +72,6 @@ RankStats run_split(const Topology& topo, i64 m, i64 n, i64 k,
   const BlockLayout b_nat = plan.b_native();
   const BlockLayout c_nat = plan.c_native();
   Cluster cl(topo);
-  cl.set_backend(bench_backend());
   cl.run([&](Comm& world) {
     const int me = world.rank();
     std::vector<double> a, b;
@@ -124,7 +123,6 @@ std::vector<DriftRow> run_drift_gates() {
   std::vector<DriftRow> rows;
   const auto gate = [&](const char* name, const Workload& w, Algo algo) {
     Cluster cl(topo);
-    cl.set_backend(bench_backend());
     const costmodel::DriftReport rep = costmodel::check_drift(algo, w, cl);
     if (!rep.ok()) {
       std::printf("DRIFT GATE FAILED: %s\n%s", name, rep.table().c_str());

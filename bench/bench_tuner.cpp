@@ -87,9 +87,7 @@ void write_tuner_json(const std::vector<TunerRow>& rows, bool reload_ok,
 
 int run_gates() {
   const Machine mach = Machine::phoenix_mpi();
-  tuner::TunerOptions topt;
-  topt.backend = bench_backend();
-  tuner::Tuner tuner(mach, topt);
+  tuner::Tuner tuner(mach);
   tuner::TuningDb db("BENCH_tuner.db");
 
   std::vector<TunerRow> rows = {
@@ -140,7 +138,6 @@ int run_gates() {
   bool engine_ok = true;
   {
     Cluster cl(kP, mach);
-    cl.set_backend(bench_backend());
     cl.run([&](Comm& world) {
       engine::EngineConfig ecfg;
       ecfg.tuning_db = &reloaded;

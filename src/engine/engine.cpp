@@ -45,7 +45,6 @@ size_t PgemmEngine::PlanKeyHash::operator()(const PlanKey& key) const {
     h = mix(h, std::hash<int>{}(static_cast<int>(cc.bcast)));
     h = mix(h, std::hash<int>{}(static_cast<int>(cc.allreduce)));
     h = mix(h, std::hash<i64>{}(cc.small_message_bytes));
-    h = mix(h, std::hash<int>{}(static_cast<int>(cc.data_movement)));
   }
   return h;
 }

@@ -265,9 +265,9 @@ class PgemmEngine {
   /// Serializes all public entry points. The LRU list, index, pool, and
   /// stats — and the underlying per-rank communicator — are single-caller
   /// structures; one caller at a time is the only sound semantic. A
-  /// CoopMutex (not std::mutex) because under the fiber backend the owning
-  /// rank may migrate between worker threads while holding it, and a
-  /// blocked contender must park its fiber instead of wedging its worker.
+  /// CoopMutex (not std::mutex) because the owning rank's fiber may
+  /// migrate between worker threads while holding it, and a blocked
+  /// contender must park its fiber instead of wedging its worker.
   mutable simmpi::CoopMutex mu_;
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<PlanKey, std::list<Entry>::iterator, PlanKeyHash> index_;

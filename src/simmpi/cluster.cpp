@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <numeric>
 #include <thread>
 
@@ -28,9 +27,10 @@ RankCtx* swap_rank_tls(RankCtx* next) {
 
 }  // namespace detail
 
-RankCtxScope::RankCtxScope(RankCtx* ctx) : saved_(g_ctx) { g_ctx = ctx; }
+RankCtxScope::RankCtxScope(RankCtx* ctx)
+    : saved_(detail::swap_rank_tls(ctx)) {}
 
-RankCtxScope::~RankCtxScope() { g_ctx = saved_; }
+RankCtxScope::~RankCtxScope() { detail::swap_rank_tls(saved_); }
 
 const char* phase_name(Phase p) {
   switch (p) {
@@ -44,12 +44,6 @@ const char* phase_name(Phase p) {
   }
 }
 
-Cluster::Backend Cluster::default_backend() {
-  const char* s = std::getenv("CA3DMM_SIMMPI_BACKEND");
-  if (s != nullptr && std::strcmp(s, "fibers") == 0) return Backend::kFibers;
-  return Backend::kThreads;
-}
-
 Cluster::Cluster(int nranks, Machine machine)
     : Cluster(Topology::homogeneous(nranks, machine)) {}
 
@@ -57,8 +51,7 @@ Cluster::Cluster(Topology topo)
     : nranks_(topo.nranks()),
       topo_(std::move(topo)),
       machine_(topo_.machine()),
-      ctx_(static_cast<size_t>(nranks_)),
-      backend_(default_backend()) {
+      ctx_(static_cast<size_t>(nranks_)) {
   CA_REQUIRE(nranks_ >= 1, "Cluster needs at least one rank, got %d", nranks_);
 }
 
@@ -207,36 +200,15 @@ void Cluster::watchdog_main() {
       prev_all_blocked = false;
       continue;
     }
-    // Deadlock iff every live rank is parked in a rendezvous wait, each of
-    // them re-evaluated its wait predicate against the *current* progress
-    // generation (checked_gen == progress_gen_: it examined the latest
-    // rendezvous state under mu_ and found nothing to do — a rank that was
-    // merely notified but not yet scheduled by the host has an older
-    // checked_gen), and no event happened for a full sampling interval.
-    // Every state change that can satisfy a predicate bumps progress_gen_
-    // and notifies, so this condition cannot regress to progress and host
-    // scheduler lag cannot fake it.
+    // Deadlock iff every live rank is parked in a rendezvous wait, no fiber
+    // is runnable or running, and no rendezvous event happened for a full
+    // sampling interval: nothing can ever wake anyone then — wakes only
+    // come from rank progress (there is none) or an abort. A woken fiber
+    // that the host has not dispatched yet is runnable, so scheduler lag
+    // cannot fake the condition.
     const bool all_blocked = finished_count_ < nranks_ &&
                              blocked_count_ == nranks_ - finished_count_;
-    bool all_checked_current = all_blocked;
-    if (all_blocked) {
-      if (fiber_sched_ != nullptr) {
-        // Fiber backend: keyed wake-ups mean a parked fiber never
-        // re-examines generations it did not wait on, so checked_gen
-        // freshness is unavailable. Instead: with no fiber runnable or
-        // running, every live rank parked, and no rendezvous event for a
-        // full interval, nothing can ever wake anyone — wakes only come
-        // from rank progress (there is none) or an abort.
-        all_checked_current = fiber_sched_->idle();
-      } else {
-        for (int r = 0; r < nranks_ && all_checked_current; ++r) {
-          const RankCtx& c = ctx_[static_cast<size_t>(r)];
-          if (!c.finished && c.checked_gen != progress_gen_)
-            all_checked_current = false;
-        }
-      }
-    }
-    if (all_blocked && all_checked_current && prev_all_blocked &&
+    if (all_blocked && fiber_sched_->idle() && prev_all_blocked &&
         progress_gen_ == prev_gen) {
       watchdog_report_ = strprintf(
           "deadlock detected: all %d live ranks blocked with no progress\n%s",
@@ -278,10 +250,45 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
   std::iota(members.begin(), members.end(), 0);
   auto world = detail::CommState::create(this, std::move(members));
 
-  if (backend_ == Backend::kFibers)
-    run_fibers(rank_main, world);
-  else
-    run_threads(rank_main, world);
+  std::size_t stack = fiber_stack_bytes_;
+  if (stack == 0) {
+    if (const char* s = std::getenv("CA3DMM_SIMMPI_STACK_KB")) {
+      const long long kb = std::atoll(s);
+      if (kb > 0) stack = static_cast<std::size_t>(kb) * 1024;
+    }
+  }
+  if (stack == 0) stack = std::size_t{1} << 20;
+
+  detail::FiberScheduler sched(nranks_, fiber_workers_, stack);
+  for (int r = 0; r < nranks_; ++r)
+    sched.spawn(r, [this, r, &rank_main, &world] {
+      rank_body(r, rank_main, world);
+    });
+
+  // Publish the scheduler before the watchdog starts (its criterion reads
+  // it); cleared only after the watchdog is joined and can no longer
+  // observe it.
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    fiber_sched_ = &sched;
+  }
+  std::thread watchdog;
+  if (watchdog_enabled_) watchdog = std::thread([this] { watchdog_main(); });
+
+  sched.start();
+  sched.wait_all_finished();
+
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    run_active_ = false;
+    watchdog_cv_.notify_all();
+  }
+  if (watchdog.joinable()) watchdog.join();
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    fiber_sched_ = nullptr;
+  }
+  sched.shutdown();
 
   // Drain undelivered messages. An aborted (or simply unbalanced) run can
   // leave eager sends in the channels; the receiver that would have deleted
@@ -323,6 +330,9 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
 
 void Cluster::rank_body(int rank, const std::function<void(Comm&)>& rank_main,
                         const std::shared_ptr<detail::CommState>& world) {
+  // The scheduler saves/restores this TLS around every switch, so it
+  // follows the fiber across workers.
+  detail::swap_rank_tls(&ctx_[static_cast<size_t>(rank)]);
   try {
     Comm c(world, rank);
     rank_main(c);
@@ -339,86 +349,10 @@ void Cluster::rank_body(int rank, const std::function<void(Comm&)>& rank_main,
     std::lock_guard<std::mutex> lk(mu_);
     ctx_[static_cast<size_t>(rank)].finished = true;
     finished_count_++;
+    // No wait predicate depends on a peer finishing, so nobody is woken.
     progress_gen_++;
-    // A blocked peer must re-evaluate its predicate against this bump, or
-    // its checked_gen stays stale and the watchdog (which requires every
-    // blocked rank to have examined the latest generation) can never
-    // declare the deadlock. (Fibers are not woken here: no fiber wait
-    // predicate depends on a peer finishing, and the fiber watchdog uses
-    // scheduler idleness instead of checked_gen freshness.)
-    cv_.notify_all();
   }
-}
-
-void Cluster::run_threads(const std::function<void(Comm&)>& rank_main,
-                          const std::shared_ptr<detail::CommState>& world) {
-  std::thread watchdog;
-  if (watchdog_enabled_) watchdog = std::thread([this] { watchdog_main(); });
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(nranks_));
-  for (int r = 0; r < nranks_; ++r)
-    threads.emplace_back([this, r, &rank_main, &world] {
-      g_ctx = &ctx_[static_cast<size_t>(r)];
-      rank_body(r, rank_main, world);
-      g_ctx = nullptr;
-    });
-  for (auto& t : threads) t.join();
-
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    run_active_ = false;
-    watchdog_cv_.notify_all();
-  }
-  if (watchdog.joinable()) watchdog.join();
-}
-
-void Cluster::run_fibers(const std::function<void(Comm&)>& rank_main,
-                         const std::shared_ptr<detail::CommState>& world) {
-  std::size_t stack = fiber_stack_bytes_;
-  if (stack == 0) {
-    if (const char* s = std::getenv("CA3DMM_SIMMPI_STACK_KB")) {
-      const long long kb = std::atoll(s);
-      if (kb > 0) stack = static_cast<std::size_t>(kb) * 1024;
-    }
-  }
-  if (stack == 0) stack = std::size_t{1} << 20;
-
-  detail::FiberScheduler sched(nranks_, fiber_workers_, stack);
-  for (int r = 0; r < nranks_; ++r)
-    sched.spawn(r, [this, r, &rank_main, &world] {
-      // The body runs on the fiber's stack; the scheduler saves/restores
-      // this TLS around every switch (swap_rank_tls), so setting it here
-      // behaves exactly like the per-thread install of the thread backend.
-      g_ctx = &ctx_[static_cast<size_t>(r)];
-      rank_body(r, rank_main, world);
-      g_ctx = nullptr;
-    });
-
-  // Publish the scheduler before the watchdog starts so its first sample
-  // already uses the fiber criterion; cleared only after the watchdog is
-  // joined and can no longer observe it.
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    fiber_sched_ = &sched;
-  }
-  std::thread watchdog;
-  if (watchdog_enabled_) watchdog = std::thread([this] { watchdog_main(); });
-
-  sched.start();
-  sched.wait_all_finished();
-
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    run_active_ = false;
-    watchdog_cv_.notify_all();
-  }
-  if (watchdog.joinable()) watchdog.join();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    fiber_sched_ = nullptr;
-  }
-  sched.shutdown();
+  detail::swap_rank_tls(nullptr);
 }
 
 const RankStats& Cluster::stats(int rank) const {

@@ -1,9 +1,10 @@
 // Simulated-cluster runtime.
 //
-// A Cluster runs P ranks as threads in one address space. Every rank owns a
-// virtual clock; communication and compute operations advance it using the
-// Machine model, so "runtime" reported by benchmarks is deterministic
-// simulated time, independent of host scheduling and host core count. Data
+// A Cluster runs P ranks as fibers in one address space, multiplexed over a
+// small worker pool (fiber.hpp). Every rank owns a virtual clock;
+// communication and compute operations advance it using the Machine model,
+// so "runtime" reported by benchmarks is deterministic simulated time,
+// independent of host scheduling, dispatch order and host core count. Data
 // movement is real (ranks exchange actual buffers), so algorithm correctness
 // is exercised end to end.
 //
@@ -84,11 +85,12 @@ struct RankStats {
   /// on this counter directly.
   i64 comm_splits = 0;
   /// P2p messages delivered into this rank's *posted* receive buffer by the
-  /// rendezvous fast path (no eager staging copy). Purely observational: on
-  /// the thread backend the send/recv arrival order is host-scheduling
-  /// dependent, so this counter is NOT part of the determinism contract
-  /// (vtimes and payloads are identical either way). On the fiber backend
-  /// dispatch order is deterministic, so tests can pin it exactly.
+  /// rendezvous fast path (no eager staging copy). Purely observational: it
+  /// depends on whether the receiver parked before the sender arrived,
+  /// which with more than one fiber worker is up to the host, so it is NOT
+  /// part of the determinism contract (vtimes and payloads are identical
+  /// either way). With one worker (set_fiber_workers(1)) dispatch order is
+  /// deterministic, so tests can pin it exactly.
   i64 p2p_zero_copy = 0;
   /// Corruptions neutralized by ABFT decode on this rank: payload bytes
   /// corrected in place plus trailer hits absorbed. Fault-injection tests
@@ -116,7 +118,7 @@ struct RankStats {
   }
 };
 
-/// Mutable per-rank context; owned by Cluster, one per rank thread.
+/// Mutable per-rank context; owned by Cluster, one per rank.
 struct RankCtx {
   int world_rank = 0;
   double clock = 0;          ///< virtual time (s)
@@ -136,13 +138,7 @@ struct RankCtx {
   std::uint64_t blocked_comm = 0;    ///< communicator id of the wait
   int blocked_peer = -1;  ///< p2p peer (group rank) or #arrived for collectives
   int blocked_tag = -1;   ///< p2p tag; -1 for collectives
-  /// Cluster::progress_gen_ at this rank's most recent wait-predicate
-  /// evaluation. checked_gen == progress_gen_ means the rank re-examined the
-  /// *current* rendezvous state and found it still has nothing to do; a rank
-  /// that was notified but not yet scheduled has checked_gen < progress_gen_,
-  /// which is how the watchdog tells scheduler lag from a true deadlock.
-  std::uint64_t checked_gen = 0;
-  bool finished = false;  ///< rank thread has returned
+  bool finished = false;  ///< rank body has returned
 
   // Tracing never enters here: clock arithmetic is identical with tracing
   // on or off (call sites emit their own TraceRecords when enabled).
@@ -160,11 +156,11 @@ struct RankCtx {
   void track_free(i64 bytes) { stats.cur_bytes -= bytes; }
 };
 
-/// Context of the calling rank thread; null outside Cluster::run.
+/// Context of the calling rank; null outside Cluster::run.
 RankCtx* current_ctx();
 
 /// RAII adoption of a rank context by the calling thread (nests; the
-/// previous context is restored on destruction). Rank threads get their
+/// previous context is restored on destruction). Rank fibers get their
 /// context installed by Cluster::run; this scope lets a *helper* thread a
 /// rank spawned (e.g. concurrent callers racing into PgemmEngine::submit)
 /// act as that rank — charging virtual time, tracking memory, and driving
@@ -185,7 +181,7 @@ class RankCtxScope {
 /// Records a zero-duration trace marker on the calling rank's timeline at
 /// its current virtual time (plan build, engine cache event, redistribution
 /// pack/unpack, ...). `name` must be a static string. No-op outside a rank
-/// thread or when markers are not being recorded, so instrumented library
+/// or when markers are not being recorded, so instrumented library
 /// code pays one branch when tracing is off.
 inline void trace_marker(const char* name, double bytes = 0) {
   RankCtx* ctx = current_ctx();
@@ -211,10 +207,12 @@ class FiberScheduler;
 Fiber* current_fiber();
 
 /// Installs `next` as the calling thread's rank context and returns the
-/// previous one. The fiber scheduler uses this to save/restore each fiber's
-/// TLS view around context switches, so RankCtxScope keeps working when
-/// fibers share (and migrate between) worker threads.
-RankCtx* swap_rank_tls(RankCtx* next);
+/// previous one. Every write of the rank-context thread-local goes through
+/// here: the fiber scheduler around context switches, the rank body around
+/// rank_main, and RankCtxScope. Out of line on purpose: a fiber may resume
+/// on another worker, and an inlined access could reuse a thread pointer
+/// cached before the switch (ThreadSanitizer's instrumentation does).
+[[gnu::noinline]] RankCtx* swap_rank_tls(RankCtx* next);
 
 /// Key identifying a point-to-point channel.
 struct ChannelKey {
@@ -268,8 +266,9 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Runs `rank_main` on every rank (each on its own thread) with a world
-  /// communicator, and waits for all ranks to finish. Statistics are reset at
+  /// Runs `rank_main` on every rank (each a fiber, dispatched lowest
+  /// virtual clock first over the worker pool) with a world communicator,
+  /// and waits for all ranks to finish. Statistics are reset at
   /// entry, finalized for every rank (failed or not), and readable
   /// afterwards.
   ///
@@ -287,20 +286,10 @@ class Cluster {
   const Machine& machine() const { return machine_; }
   const Topology& topology() const { return topo_; }
 
-  /// Scheduler backend for run(): one std::thread per rank (the original
-  /// model; caps real runs at a few hundred ranks per box), or rank fibers
-  /// multiplexed over a small worker pool (thousands of ranks per box).
-  /// Results, vtimes, traces, and fault behavior are bit-identical across
-  /// backends — see docs/SIMMPI.md for the determinism contract.
-  enum class Backend { kThreads, kFibers };
-
-  /// Process-wide default, read once per Cluster at construction: the
-  /// CA3DMM_SIMMPI_BACKEND environment variable ("fibers" selects fibers,
-  /// anything else threads).
-  static Backend default_backend();
-
-  void set_backend(Backend b) { backend_ = b; }
-  Backend backend() const { return backend_; }
+  /// Ranks always run as fibers. The single-valued enum and set_backend
+  /// remain only for callers that still spell them; they select nothing.
+  enum class Backend { kFibers };
+  void set_backend(Backend) {}
 
   /// Usable stack per fiber (a guard page is added below). Default 1 MiB,
   /// overridable with CA3DMM_SIMMPI_STACK_KB. Rank bodies that recurse
@@ -308,9 +297,10 @@ class Cluster {
   /// the guard page and faults instead of corrupting a neighbour.
   void set_fiber_stack_bytes(std::size_t bytes) { fiber_stack_bytes_ = bytes; }
 
-  /// Worker threads for the fiber backend; 0 (default) picks
+  /// Worker threads running the rank fibers; 0 (default) picks
   /// min(hardware_concurrency, nranks). The pool can still grow at runtime
-  /// when workers get stuck in fibers that block in the OS.
+  /// when workers get stuck in fibers that block in the OS. Results never
+  /// depend on it; with 1 the dispatch order itself is deterministic.
   void set_fiber_workers(int n) { fiber_workers_ = n; }
 
   /// Stats of one rank after run().
@@ -390,24 +380,18 @@ class Cluster {
   friend class CoopMutex;
   friend struct detail::CommState;
 
-  // --- backend-split run loop ---
-  /// Per-rank body shared by both backends: installs the rank context,
-  /// runs rank_main under the abort/error wrappers, and does the finish
-  /// bookkeeping. TLS installation differs per backend, so the caller
-  /// passes a scope-managed context pointer.
+  /// One rank's fiber body: installs the rank context, runs rank_main under
+  /// the abort/error wrappers, and does the finish bookkeeping.
   void rank_body(int rank, const std::function<void(Comm&)>& rank_main,
                  const std::shared_ptr<detail::CommState>& world);
-  void run_threads(const std::function<void(Comm&)>& rank_main,
-                   const std::shared_ptr<detail::CommState>& world);
-  void run_fibers(const std::function<void(Comm&)>& rank_main,
-                  const std::shared_ptr<detail::CommState>& world);
 
   // --- fiber parking / keyed wake-ups (all under mu_) ---
-  /// Blocks the calling rank until `pred` holds. Plain threads wait on the
-  /// cluster condition variable; fibers park under `key` and are woken by
-  /// wake_key_locked / wake_all_fibers_locked. Predicates may have
-  /// side-effects (watchdog note_check) — they are re-evaluated on every
-  /// wake either way.
+  /// Blocks the calling rank until `pred` holds. Rank fibers park under
+  /// `key` and are woken by wake_key_locked / wake_all_fibers_locked. The
+  /// condition-variable wait is the path of real OS threads that adopted a
+  /// rank context (RankCtxScope: e.g. PgemmEngine's racing submitters);
+  /// every wake site therefore also notifies cv_. Predicates are
+  /// re-evaluated on every wake either way.
   template <typename Pred>
   void rank_wait(std::unique_lock<std::mutex>& lk, const detail::WaitKey& key,
                  Pred&& pred) {
@@ -481,7 +465,7 @@ class Cluster {
   bool abort_requested_ = false;
   std::uint64_t progress_gen_ = 0;  ///< bumped on every rendezvous event
   int blocked_count_ = 0;           ///< ranks parked in a wait
-  int finished_count_ = 0;          ///< rank threads that returned
+  int finished_count_ = 0;          ///< rank bodies that returned
   bool run_active_ = false;         ///< watchdog lifetime
   std::condition_variable watchdog_cv_;
   bool watchdog_enabled_ = true;
@@ -494,11 +478,10 @@ class Cluster {
   /// Per-(src,dst,tag) received-message counter for payload flips.
   std::map<std::tuple<int, int, int>, int> recv_match_count_;
 
-  // --- fiber backend state ---
-  Backend backend_;
+  // --- fiber scheduler state ---
   std::size_t fiber_stack_bytes_ = 0;  ///< 0 = default (1 MiB or env)
   int fiber_workers_ = 0;              ///< 0 = auto
-  /// Live scheduler while a fiber run() is in flight, else null. Read by
+  /// Live scheduler while run() is in flight, else null. Read by
   /// wakers and the watchdog under mu_ (set before the watchdog starts,
   /// cleared after it is joined).
   detail::FiberScheduler* fiber_sched_ = nullptr;
@@ -511,15 +494,15 @@ class Cluster {
   std::map<detail::ChannelKey, detail::RecvRec*> posted_recvs_;
 };
 
-/// Mutex usable from rank code under both backends. A fiber that blocks on
-/// a std::mutex wedges its whole worker thread — and worse, a fiber resumed
-/// on a *different* worker would unlock the mutex on a thread that did not
-/// lock it, which is undefined behavior. CoopMutex instead parks fibers
-/// through the cluster's scheduler and keeps plain threads (engine helper
-/// threads) on an internal condition variable. Ownership is a bare atomic,
-/// so lock/unlock may legally happen on different OS threads as a fiber
-/// migrates. Bind to a cluster once before first use from fiber context;
-/// unbound it still works for plain threads.
+/// Mutex usable from rank code. A fiber that blocks on a std::mutex wedges
+/// its whole worker thread — and worse, a fiber resumed on a *different*
+/// worker would unlock the mutex on a thread that did not lock it, which is
+/// undefined behavior. CoopMutex instead parks fibers through the cluster's
+/// scheduler and keeps real OS threads that adopted a rank context (engine
+/// helper threads) on an internal condition variable. Ownership is a bare
+/// atomic, so lock/unlock may legally happen on different OS threads as a
+/// fiber migrates. Bind to a cluster once before first use from fiber
+/// context; unbound it still works for plain threads.
 class CoopMutex {
  public:
   CoopMutex() = default;

@@ -160,9 +160,8 @@ enum class CollAlgo {
 const char* coll_algo_name(CollAlgo a);
 
 /// Per-communicator collective configuration. The default reproduces the
-/// seeded behaviour bit-for-bit: paper-butterfly costs for every collective
-/// and rank-sharded data movement (which affects host wall-clock only,
-/// never virtual time).
+/// seeded behaviour bit-for-bit: paper-butterfly costs for every
+/// collective.
 struct CollectiveConfig {
   CollAlgo allgather = CollAlgo::kPaperButterfly;
   CollAlgo reduce_scatter = CollAlgo::kPaperButterfly;
@@ -171,14 +170,6 @@ struct CollectiveConfig {
   /// kAuto switches from kRecursive to the bandwidth-minded schedule at
   /// this total message size.
   i64 small_message_bytes = 16 * 1024;
-
-  /// Who executes the bulk memcpy/summation of a collective. Virtual time
-  /// is identical either way; this is a host wall-clock knob.
-  enum class DataMovement {
-    kSharded,      ///< every participant moves its own shard, in parallel
-    kLastArriver,  ///< the last-arriving rank moves everything (seed-like)
-  };
-  DataMovement data_movement = DataMovement::kSharded;
 
   /// All four collectives on kAuto — the tuned mode benches exercise.
   static CollectiveConfig tuned() {

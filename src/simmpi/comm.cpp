@@ -151,13 +151,11 @@ std::string validate_collective(const CommState& st, CommState::Op op) {
 /// the group. Exit clock for everyone is max(entry clocks) + cost.
 ///
 /// Phase B (data movement, no lock): the bulk memcpy/summation runs outside
-/// the lock so other communicators are never blocked behind it. `shard(st,
-/// d)` moves the data owned by destination/shard index d, touching only
-/// buffers no other shard writes; with cfg kSharded every member executes
-/// its own shard in parallel, with kLastArriver the last arriver executes
-/// all of them (the seed's serial behaviour). Results are byte-identical
-/// either way: the shards partition the same writes and reductions always
-/// sum in member order.
+/// the lock so other communicators are never blocked behind it. Every
+/// member executes `shard(st, me)`, which moves the data owned by its own
+/// destination index and touches only buffers no other shard writes, so
+/// the shards run in parallel. Results do not depend on their order: the
+/// shards partition the writes and reductions always sum in member order.
 ///
 /// Phase C (completion barrier, under the lock): no member may return — and
 /// possibly free its buffers — before every shard finished. The wait is
@@ -190,9 +188,7 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
   const int p = static_cast<int>(st.members.size());
   if (p <= 1) io = CollIo{};  // single-member groups move nothing
 
-  bool was_last = false;
   bool movement_ok = false;
-  bool sharded = true;
   double exit_time = 0;
   double inter_per_rank = 0;
   CollCost coll_cost;
@@ -220,7 +216,6 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
     const std::uint64_t gen = st.generation;
     st.arrived++;
     if (st.arrived == p) {
-      was_last = true;
       double t0 = 0;
       int crit = 0;  // last arriver by virtual time; ties -> lowest index
       for (int j = 0; j < p; ++j) {
@@ -279,8 +274,6 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
       st.coll_t0 = t0;
       st.coll_crit_world = st.members[static_cast<size_t>(crit)];
       st.dm_ok = e.empty();
-      st.dm_sharded = st.cfg.data_movement ==
-                      CollectiveConfig::DataMovement::kSharded;
       st.dm_remaining = p;
       st.arrived = 0;
       st.op = CommState::Op::kNone;
@@ -291,10 +284,8 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
     } else {
       BlockedScope bs(st.blocked_counter(), ctx, coll_op_name(op), st.id,
                       st.arrived, -1);
-      st.coll_wait(lk, [&] {
-        st.note_check(ctx);
-        return st.generation != gen || st.aborted();
-      });
+      st.coll_wait(lk,
+                   [&] { return st.generation != gen || st.aborted(); });
       if (st.generation == gen) throw ClusterAborted{};
     }
     // Snapshot the completion state before releasing the lock. The fields
@@ -302,7 +293,6 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
     // before every member checks out of phase C below), but locals keep
     // this code independent of that.
     movement_ok = st.dm_ok;
-    sharded = st.dm_sharded;
     exit_time = st.exit_time;
     inter_per_rank = st.coll_inter;
     coll_cost = st.coll_cost;
@@ -313,12 +303,7 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
   }
 
   // Phase B: bulk data movement, outside the lock.
-  if (movement_ok) {
-    if (sharded)
-      shard(st, me);
-    else if (was_last)
-      for (int d = 0; d < p; ++d) shard(st, d);
-  }
+  if (movement_ok) shard(st, me);
 
   // Phase C: completion barrier.
   {
@@ -328,10 +313,7 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
       st.cv().notify_all();
       st.wake_coll();
     } else {
-      st.coll_wait(lk, [&] {
-        st.note_check(ctx);
-        return st.dm_remaining == 0;
-      });
+      st.coll_wait(lk, [&] { return st.dm_remaining == 0; });
     }
     if (err.empty()) finish(st);
   }
@@ -1024,7 +1006,6 @@ void Comm::recv_impl(void* buf, i64 bytes, int src, int tag) {
     {
       BlockedScope bs(&cl->blocked_count_, ctx, "recv", state_->id, src, tag);
       cl->rank_wait(lk, detail::WaitKey::chan(key), [&] {
-        ctx->checked_gen = cl->progress_gen_;
         // A delivered zero-copy recv completes even when an abort raced in:
         // the payload is already in place and the exit time computed.
         if (posted.filled) return true;
@@ -1141,7 +1122,6 @@ void Comm::sendrecv_bytes(const void* sbuf, i64 sbytes, int dst, void* rbuf,
       BlockedScope bs(&cl->blocked_count_, ctx, "sendrecv-wait", state_->id,
                       dst, tag);
       cl->rank_wait(lk, detail::WaitKey::chan(skey), [&] {
-        ctx->checked_gen = cl->progress_gen_;
         return rec.consumed || cl->abort_requested_;
       });
     }

@@ -54,7 +54,8 @@ class Comm {
   const GroupProfile& profile() const;
   /// The cluster this communicator belongs to (null for invalid comms).
   /// Long-lived components that rank code constructs — e.g. the engine's
-  /// CoopMutex — bind to it so their blocking works under both backends.
+  /// CoopMutex — bind to it so their blocking works from rank fibers and
+  /// helper threads alike.
   Cluster* cluster() const;
   bool valid() const { return state_ != nullptr; }
 

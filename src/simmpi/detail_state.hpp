@@ -102,11 +102,10 @@ struct CommState {
 
   // --- data-movement completion barrier ---
   // The bulk memcpy/summation of a collective runs *outside* the rendezvous
-  // lock, sharded across the participating rank threads; these fields make
-  // every member wait until all shards finished before returning (a member
-  // that returned early could free buffers a peer's shard still touches).
+  // lock, sharded across the participating ranks; these fields make every
+  // member wait until all shards finished before returning (a member that
+  // returned early could free buffers a peer's shard still touches).
   bool dm_ok = false;       ///< movement may run (no validation error)
-  bool dm_sharded = true;   ///< snapshot of cfg.data_movement at completion
   int dm_remaining = 0;     ///< members yet to check out of the barrier
 
   struct Slot {
@@ -133,7 +132,7 @@ struct CommState {
   std::mutex& mu() const { return cluster->mu_; }
   std::condition_variable& cv() const { return cluster->cv_; }
   /// Blocks the calling rank on this communicator's rendezvous until `pred`
-  /// holds: condition variable for plain threads, keyed park for fibers.
+  /// holds: keyed park for fibers, condition variable for helper threads.
   template <typename Pred>
   void coll_wait(std::unique_lock<std::mutex>& lk, Pred&& pred) const {
     cluster->rank_wait(lk, WaitKey::coll(id), std::forward<Pred>(pred));
@@ -142,9 +141,6 @@ struct CommState {
   void wake_coll() const { cluster->wake_key_locked(WaitKey::coll(id)); }
   bool aborted() const { return cluster->abort_requested_; }
   void bump_progress() const { ++cluster->progress_gen_; }
-  void note_check(RankCtx* ctx) const {
-    ctx->checked_gen = cluster->progress_gen_;
-  }
   int* blocked_counter() const { return &cluster->blocked_count_; }
   bool validation() const { return cluster->validate_; }
   void fault_point(RankCtx* ctx) const { cluster->fault_point(ctx); }

@@ -1,22 +1,21 @@
-// Fiber backend of the simulated cluster: ranks as stackful coroutines.
+// The simulated cluster's scheduler: ranks as stackful coroutines.
 //
-// The thread backend maps each rank to a std::thread, which caps real runs
-// at a few hundred ranks per box. Here a rank is a stackful fiber with its
-// own small guard-paged stack, multiplexed over a worker pool of about
-// hardware_concurrency OS threads. Runnable fibers are dispatched lowest
-// virtual clock first, so the execution order tracks simulated time; the
-// cluster's state transitions are order-independent by construction, which
-// is what makes results, vtimes, and traces bit-identical to the thread
-// backend (docs/SIMMPI.md documents the determinism contract).
+// A rank is a stackful fiber with its own small guard-paged stack,
+// multiplexed over a worker pool of about hardware_concurrency OS threads,
+// so thousands of ranks fit in one process. Runnable fibers are dispatched
+// lowest virtual clock first, so the execution order tracks simulated time;
+// the cluster's state transitions are order-independent by construction,
+// which is what makes results, vtimes, and traces identical under any
+// dispatch order — one worker or many (docs/SIMMPI.md documents the
+// determinism contract).
 //
-// Blocking: a fiber that would wait on the cluster condition variable
-// instead parks — it registers under a WaitKey, unlocks the cluster mutex,
-// and switches back to its worker's scheduler context. Wake-ups are keyed
-// (per communicator, per p2p channel, per cooperative mutex), so completing
-// one rendezvous never touches the thousands of fibers parked on unrelated
-// state. Real OS threads (e.g. PgemmEngine helper threads that adopted a
-// rank context) keep using the condition-variable path; every wake site
-// signals both.
+// Blocking: a fiber parks — it registers under a WaitKey, unlocks the
+// cluster mutex, and switches back to its worker's scheduler context.
+// Wake-ups are keyed (per communicator, per p2p channel, per cooperative
+// mutex), so completing one rendezvous never touches the thousands of
+// fibers parked on unrelated state. Real OS threads that adopted a rank
+// context (e.g. PgemmEngine helper threads) wait on the cluster condition
+// variable instead; every wake site signals both.
 //
 // The parking handshake is the eventcount pattern: the fiber announces
 // kParking under the cluster lock, unlocks, and switches out; its worker
@@ -108,8 +107,7 @@ struct Fiber {
 };
 
 /// The fiber the calling OS thread is currently running, or nullptr when
-/// called from a plain thread (thread backend, engine helper threads, the
-/// watchdog). This is what routes Cluster::rank_wait to park vs cv-wait.
+/// called from a plain thread (engine helper threads, the watchdog). This is what routes Cluster::rank_wait to park vs cv-wait.
 Fiber* current_fiber();
 
 /// Worker pool + runnable set. Wake-side bookkeeping (the WaitKey -> fiber
@@ -151,8 +149,8 @@ class FiberScheduler {
   void wake(Fiber* f);
 
   /// True when no fiber is runnable or running — with every live rank
-  /// blocked and no progress, that is the fiber backend's deadlock
-  /// criterion (parked fibers cannot self-resume).
+  /// blocked and no progress, that is the watchdog's deadlock criterion
+  /// (parked fibers cannot self-resume).
   bool idle() const;
 
   int nranks() const { return nranks_; }

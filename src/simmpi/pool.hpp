@@ -120,7 +120,7 @@ namespace detail {
 BufferPool* swap_tls_pool(BufferPool* next);
 }  // namespace detail
 
-/// RAII activation of a pool for the calling rank thread; nests (the
+/// RAII activation of a pool for the calling rank; nests (the
 /// previous pool is restored on destruction).
 class PoolScope {
  public:

@@ -114,7 +114,6 @@ TuneResult Tuner::tune(i64 m, i64 n, i64 k, int nranks) const {
       continue;
     }
     Cluster cl(nranks, mach_);
-    cl.set_backend(opt_.backend);
     cl.set_trace(true);
     const DriftReport rep = costmodel::check_drift(
         Algo::kCa3dmm, tuned_workload(m, n, k, f.config, opt_.min_kblk), cl,

@@ -44,9 +44,9 @@ struct TunerOptions {
   /// (validated_s stays 0). For tests and very cheap warming; the
   /// never-slower guarantee then rests on the model alone.
   bool validate = true;
-  /// Scheduler backend for validation clusters (fibers recommended at
-  /// P >= 32; threads is the conservative default via default_backend()).
-  simmpi::Cluster::Backend backend = simmpi::Cluster::default_backend();
+  /// Selects nothing: validation clusters run their ranks as fibers like
+  /// every Cluster. Kept only for callers that still set it.
+  simmpi::Cluster::Backend backend = simmpi::Cluster::Backend::kFibers;
   i64 min_kblk = 192;  ///< passed through to every candidate
 };
 

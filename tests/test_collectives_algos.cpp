@@ -1,7 +1,7 @@
 // The topology-aware collective engine: every schedule (ring, recursive
 // doubling, hierarchical, auto) must deliver byte-identical buffers to the
-// paper-butterfly baseline under both data-movement modes — schedules change
-// modeled cost and inter-node byte accounting, never data. Also covers
+// paper-butterfly baseline — schedules change modeled cost and inter-node
+// byte accounting, never data. Also covers
 // algorithm resolution, per-communicator configuration and split
 // inheritance, hierarchical inter-byte monotonicity, and cooperative abort
 // under fault injection with tuned schedules.
@@ -18,8 +18,6 @@
 
 namespace ca3dmm::simmpi {
 namespace {
-
-using DataMovement = CollectiveConfig::DataMovement;
 
 struct RunResult {
   std::vector<std::vector<double>> bufs;  ///< per rank: all received data
@@ -104,10 +102,9 @@ RunResult run_workload(const Machine& mach, int P,
   return res;
 }
 
-CollectiveConfig uniform(CollAlgo a, DataMovement dm) {
+CollectiveConfig uniform(CollAlgo a) {
   CollectiveConfig cfg;
   cfg.allgather = cfg.reduce_scatter = cfg.bcast = cfg.allreduce = a;
-  cfg.data_movement = dm;
   return cfg;
 }
 
@@ -126,29 +123,10 @@ TEST(CollectivesAlgos, SchedulesAreByteIdentical) {
     const RunResult ref = run_workload(cs.mach, cs.P, CollectiveConfig{});
     for (CollAlgo a : {CollAlgo::kRing, CollAlgo::kRecursive,
                        CollAlgo::kHierarchical, CollAlgo::kAuto}) {
-      for (DataMovement dm :
-           {DataMovement::kSharded, DataMovement::kLastArriver}) {
-        const RunResult got =
-            run_workload(cs.mach, cs.P, uniform(a, dm));
-        EXPECT_EQ(got.bufs, ref.bufs)
-            << cs.name << " algo=" << coll_algo_name(a)
-            << " dm=" << (dm == DataMovement::kSharded ? "sharded" : "last");
-      }
+      const RunResult got = run_workload(cs.mach, cs.P, uniform(a));
+      EXPECT_EQ(got.bufs, ref.bufs)
+          << cs.name << " algo=" << coll_algo_name(a);
     }
-  }
-}
-
-TEST(CollectivesAlgos, DataMovementModeNeverChangesVirtualTime) {
-  // Who performs the memcpy/summation is a host wall-clock detail; virtual
-  // times must be bitwise equal between the two modes, for the default and
-  // the tuned schedules alike.
-  for (CollAlgo a : {CollAlgo::kPaperButterfly, CollAlgo::kAuto}) {
-    const RunResult sharded = run_workload(
-        Machine::phoenix_mpi(), 30, uniform(a, DataMovement::kSharded));
-    const RunResult last = run_workload(
-        Machine::phoenix_mpi(), 30, uniform(a, DataMovement::kLastArriver));
-    EXPECT_EQ(sharded.vtimes, last.vtimes) << coll_algo_name(a);
-    EXPECT_EQ(sharded.bufs, last.bufs) << coll_algo_name(a);
   }
 }
 
@@ -159,7 +137,7 @@ TEST(CollectivesAlgos, DefaultConfigMatchesExplicitButterfly) {
       run_workload(Machine::phoenix_mpi(), 12, CollectiveConfig{});
   const RunResult explicit_bf =
       run_workload(Machine::phoenix_mpi(), 12,
-                   uniform(CollAlgo::kPaperButterfly, DataMovement::kSharded));
+                   uniform(CollAlgo::kPaperButterfly));
   EXPECT_EQ(def.vtimes, explicit_bf.vtimes);
   EXPECT_EQ(def.bufs, explicit_bf.bufs);
 }
@@ -237,7 +215,7 @@ TEST(CollectivesAlgos, HierarchicalReducesEngineInterBytes) {
   const int P = 48;  // two full phoenix_mpi nodes
   auto run_with = [&](CollAlgo a) {
     Cluster cl(P, Machine::phoenix_mpi());
-    cl.set_collective_config(uniform(a, DataMovement::kSharded));
+    cl.set_collective_config(uniform(a));
     cl.run([&](Comm& c) {
       std::vector<double> mine(256, 1.0 + c.rank());
       std::vector<double> all(static_cast<size_t>(256 * P));
@@ -271,32 +249,27 @@ TEST(CollectivesAlgos, PerCommConfigOverridesAndSplitInherits) {
 
 TEST(CollectivesAlgos, FaultInjectionUnwindsUnderTunedSchedules) {
   // A rank killed mid-workload must unwind the whole cluster with a
-  // rank-attributed error regardless of schedule or data-movement mode.
-  for (DataMovement dm :
-       {DataMovement::kSharded, DataMovement::kLastArriver}) {
-    Cluster cl(30, Machine::phoenix_mpi());
-    CollectiveConfig cfg = CollectiveConfig::tuned();
-    cfg.data_movement = dm;
-    cl.set_collective_config(cfg);
-    FaultPlan fp;
-    fp.kills.push_back({7, 2});
-    cl.set_fault_plan(fp);
-    std::string msg;
-    try {
-      cl.run([](Comm& c) {
-        std::vector<double> mine(64, 1.0 * c.rank());
-        std::vector<double> all(static_cast<size_t>(64 * c.size()));
-        c.allgather(mine.data(), 64, all.data());
-        double v = 1.0, s = 0.0;
-        c.allreduce(&v, &s, 1);
-        c.barrier();
-      });
-      ADD_FAILURE() << "run() completed despite the injected kill";
-    } catch (const Error& e) {
-      msg = e.what();
-    }
-    EXPECT_NE(msg.find("rank 7"), std::string::npos) << msg;
+  // rank-attributed error under the tuned schedules.
+  Cluster cl(30, Machine::phoenix_mpi());
+  cl.set_collective_config(CollectiveConfig::tuned());
+  FaultPlan fp;
+  fp.kills.push_back({7, 2});
+  cl.set_fault_plan(fp);
+  std::string msg;
+  try {
+    cl.run([](Comm& c) {
+      std::vector<double> mine(64, 1.0 * c.rank());
+      std::vector<double> all(static_cast<size_t>(64 * c.size()));
+      c.allgather(mine.data(), 64, all.data());
+      double v = 1.0, s = 0.0;
+      c.allreduce(&v, &s, 1);
+      c.barrier();
+    });
+    ADD_FAILURE() << "run() completed despite the injected kill";
+  } catch (const Error& e) {
+    msg = e.what();
   }
+  EXPECT_NE(msg.find("rank 7"), std::string::npos) << msg;
 }
 
 }  // namespace

@@ -389,16 +389,16 @@ TEST(EngineConcurrency, RacingSubmittersSingleRankMixedShapes) {
   // trivially single-member), so each racing thread may drive its own shape.
   // Every thread's result must match the serial reference, and the counters
   // must account for every request exactly once.
-  const int kThreads = 4, kReps = 6;
+  const int kSubmitters = 4, kReps = 6;
   Cluster cl(1, Machine::unit_test());
   cl.run([&](Comm& world) {
     PgemmEngine eng(world);
     std::vector<std::thread> threads;
-    std::vector<std::vector<double>> cs(kThreads);
+    std::vector<std::vector<double>> cs(kSubmitters);
     std::vector<BlockLayout> lays;
-    for (int t = 0; t < kThreads; ++t)
+    for (int t = 0; t < kSubmitters; ++t)
       lays.push_back(BlockLayout::col_1d(16 + 8 * t, 16 + 8 * t, 1));
-    for (int t = 0; t < kThreads; ++t) {
+    for (int t = 0; t < kSubmitters; ++t) {
       threads.emplace_back([&, t] {
         const i64 m = 16 + 8 * t;
         const BlockLayout& lay = lays[static_cast<size_t>(t)];
@@ -415,11 +415,11 @@ TEST(EngineConcurrency, RacingSubmittersSingleRankMixedShapes) {
     for (std::thread& th : threads) th.join();
 
     const EngineStats st = eng.stats();
-    EXPECT_EQ(st.requests, kThreads * kReps);
-    EXPECT_EQ(st.plan_hits + st.plan_misses, kThreads * kReps);
-    EXPECT_EQ(st.plan_misses, kThreads);  // one per distinct shape
+    EXPECT_EQ(st.requests, kSubmitters * kReps);
+    EXPECT_EQ(st.plan_hits + st.plan_misses, kSubmitters * kReps);
+    EXPECT_EQ(st.plan_misses, kSubmitters);  // one per distinct shape
 
-    for (int t = 0; t < kThreads; ++t) {
+    for (int t = 0; t < kSubmitters; ++t) {
       const i64 m = 16 + 8 * t;
       Matrix<double> am(m, m), bm(m, m);
       am.fill_random(kSeedA);
@@ -447,7 +447,7 @@ TEST(EngineConcurrency, RacingSubmittersMultiRankIdenticalRequests) {
   // pairing of collectives computes the same, correct product. Checks the
   // engine's counters saw every request and C matches the reference.
   const i64 m = 24;
-  const int P = 4, kThreads = 3, kReps = 4;
+  const int P = 4, kSubmitters = 3, kReps = 4;
   const BlockLayout lay = BlockLayout::col_1d(m, m, P);
   Cluster cl(P, Machine::unit_test());
   cl.run([&](Comm& world) {
@@ -457,10 +457,10 @@ TEST(EngineConcurrency, RacingSubmittersMultiRankIdenticalRequests) {
     fill_local(lay, me, kSeedB, b);
     PgemmEngine eng(world);
     std::vector<std::vector<double>> cs(
-        kThreads,
+        kSubmitters,
         std::vector<double>(static_cast<size_t>(lay.local_size(me))));
     std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
+    for (int t = 0; t < kSubmitters; ++t) {
       threads.emplace_back([&, t] {
         for (int i = 0; i < kReps; ++i)
           eng.multiply(make_request<double>(
@@ -471,9 +471,9 @@ TEST(EngineConcurrency, RacingSubmittersMultiRankIdenticalRequests) {
     for (std::thread& th : threads) th.join();
 
     const EngineStats st = eng.stats();
-    EXPECT_EQ(st.requests, kThreads * kReps);
+    EXPECT_EQ(st.requests, kSubmitters * kReps);
     EXPECT_EQ(st.plan_misses, 1);
-    EXPECT_EQ(st.plan_hits, kThreads * kReps - 1);
+    EXPECT_EQ(st.plan_hits, kSubmitters * kReps - 1);
 
     Matrix<double> am(m, m), bm(m, m);
     am.fill_random(kSeedA);
@@ -481,7 +481,7 @@ TEST(EngineConcurrency, RacingSubmittersMultiRankIdenticalRequests) {
     Matrix<double> c_ref(m, m);
     gemm_ref<double>(false, false, m, m, m, 1.0, am.data(), bm.data(),
                      c_ref.data());
-    for (int t = 0; t < kThreads; ++t) {
+    for (int t = 0; t < kSubmitters; ++t) {
       i64 pos = 0;
       const std::vector<double>& c = cs[static_cast<size_t>(t)];
       for (const Rect& r : lay.rects_of(me))

@@ -1,8 +1,8 @@
-// Fiber scheduler backend: the determinism contract (results, per-rank
-// virtual times, per-phase stats, and trace critical paths bit-identical to
-// the thread backend), deadlock watchdog and fault injection on fibers,
-// the zero-copy posted-receive fast path, engine helper threads racing into
-// a fiber-hosted rank, and a many-rank smoke at P=512.
+// The fiber scheduler: the determinism contract (results, per-rank virtual
+// times, per-phase stats, and trace critical paths bit-identical under any
+// dispatch order — one worker against four), deadlock watchdog and fault
+// injection, the zero-copy posted-receive fast path, engine helper threads
+// racing into a fiber-hosted rank, and a many-rank smoke at P=512.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -28,10 +28,14 @@ using engine::EngineStats;
 using engine::PgemmEngine;
 using engine::Request;
 
+/// Worker counts the parity tests compare: one worker dispatches in a
+/// fixed lowest-vclock-first order; four interleave as the host schedules.
+constexpr int kWorkerCounts[] = {1, 4};
+
 /// Every field of RankStats that is part of the determinism contract must
-/// match bit-for-bit across backends. p2p_zero_copy is deliberately
-/// excluded: it depends on send/recv arrival order, which the thread
-/// backend leaves to the host scheduler (vtimes are identical either way).
+/// match bit-for-bit across dispatch orders. p2p_zero_copy is deliberately
+/// excluded: it depends on send/recv arrival order, which several workers
+/// leave to the host scheduler (vtimes are identical either way).
 void expect_stats_identical(const RankStats& a, const RankStats& b, int rank) {
   EXPECT_EQ(a.vtime, b.vtime) << "rank " << rank;
   EXPECT_EQ(a.flops, b.flops) << "rank " << rank;
@@ -61,21 +65,20 @@ std::string run_expect_error(Cluster& cl,
 }
 
 TEST(FiberParity, MixedWorkloadBitIdenticalAcrossSeeds) {
-  // The throughput bench's workload shape at test scale, swept over seeds
-  // that perturb every value flowing through the collectives and the ring.
+  // A collective-heavy workload with a p2p ring, swept over seeds that
+  // perturb every value flowing through the collectives and the ring.
   // Per-rank payloads, final clocks, and full stats must be bit-identical
-  // between the two backends for every seed.
+  // between one worker and four for every seed.
   const int P = 12;
   for (const int seed : {1, 7, 1234}) {
     std::vector<std::vector<double>> payload(2);
     std::vector<std::vector<RankStats>> stats(2);
     int bi = 0;
-    for (Cluster::Backend backend :
-         {Cluster::Backend::kThreads, Cluster::Backend::kFibers}) {
+    for (const int workers : kWorkerCounts) {
       Machine mach = Machine::phoenix_mpi();
       mach.ranks_per_node = 4;
       Cluster cl(P, mach);
-      cl.set_backend(backend);
+      cl.set_fiber_workers(workers);
       payload[bi].assign(static_cast<size_t>(P), 0.0);
       auto& out = payload[bi];
       cl.run([&out, seed](Comm& c) {
@@ -109,35 +112,36 @@ TEST(FiberParity, MixedWorkloadBitIdenticalAcrossSeeds) {
 
 TEST(FiberParity, Ca3dmmExecutionStatsIdentical) {
   // The full CA3DMM pipeline (redistribute, replicate, Cannon, reduce)
-  // executed on both backends: aggregate and per-rank stats bit-identical.
+  // executed on one worker and on four: aggregate and per-rank stats
+  // bit-identical.
   const Workload w{96, 96, 96};
-  Cluster th(16, Machine::unit_test());
-  Cluster fi(16, Machine::unit_test());
-  th.set_backend(Cluster::Backend::kThreads);
-  fi.set_backend(Cluster::Backend::kFibers);
-  const RankStats agg_th = costmodel::run_workload(Algo::kCa3dmm, w, th);
-  const RankStats agg_fi = costmodel::run_workload(Algo::kCa3dmm, w, fi);
-  expect_stats_identical(agg_th, agg_fi, -1);
+  Cluster one(16, Machine::unit_test());
+  Cluster four(16, Machine::unit_test());
+  one.set_fiber_workers(1);
+  four.set_fiber_workers(4);
+  const RankStats agg_one = costmodel::run_workload(Algo::kCa3dmm, w, one);
+  const RankStats agg_four = costmodel::run_workload(Algo::kCa3dmm, w, four);
+  expect_stats_identical(agg_one, agg_four, -1);
   for (int r = 0; r < 16; ++r)
-    expect_stats_identical(th.stats(r), fi.stats(r), r);
+    expect_stats_identical(one.stats(r), four.stats(r), r);
 }
 
 TEST(FiberParity, TraceAndCriticalPathIdentical) {
-  // With tracing on, both backends must record the same per-rank timelines:
-  // same record count and fields per rank, and the same critical path (the
-  // formatted path string is a pure function of the trace).
+  // With tracing on, one worker and four must record the same per-rank
+  // timelines: same record count and fields per rank, and the same critical
+  // path (the formatted path string is a pure function of the trace).
   const Workload w{64, 64, 64};
-  Cluster th(8, Machine::unit_test());
-  Cluster fi(8, Machine::unit_test());
-  th.set_backend(Cluster::Backend::kThreads);
-  fi.set_backend(Cluster::Backend::kFibers);
-  th.set_trace(true);
-  fi.set_trace(true);
-  costmodel::run_workload(Algo::kCa3dmm, w, th);
-  costmodel::run_workload(Algo::kCa3dmm, w, fi);
+  Cluster one(8, Machine::unit_test());
+  Cluster four(8, Machine::unit_test());
+  one.set_fiber_workers(1);
+  four.set_fiber_workers(4);
+  one.set_trace(true);
+  four.set_trace(true);
+  costmodel::run_workload(Algo::kCa3dmm, w, one);
+  costmodel::run_workload(Algo::kCa3dmm, w, four);
   for (int r = 0; r < 8; ++r) {
-    const auto& a = th.trace(r);
-    const auto& b = fi.trace(r);
+    const auto& a = one.trace(r);
+    const auto& b = four.trace(r);
     ASSERT_EQ(a.size(), b.size()) << "rank " << r;
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].kind, b[i].kind) << "rank " << r << " rec " << i;
@@ -148,18 +152,17 @@ TEST(FiberParity, TraceAndCriticalPathIdentical) {
       EXPECT_EQ(a[i].t_dep, b[i].t_dep) << "rank " << r << " rec " << i;
     }
   }
-  EXPECT_EQ(format_critical_path(critical_path(th)),
-            format_critical_path(critical_path(fi)));
-  EXPECT_EQ(format_aggregate_table(aggregate_trace(th)),
-            format_aggregate_table(aggregate_trace(fi)));
+  EXPECT_EQ(format_critical_path(critical_path(one)),
+            format_critical_path(critical_path(four)));
+  EXPECT_EQ(format_aggregate_table(aggregate_trace(one)),
+            format_aggregate_table(aggregate_trace(four)));
 }
 
 TEST(FiberWatchdog, DeadlockDetectedOnFibers) {
   // Parked fibers cannot self-resume, so "nothing runnable, nothing
-  // running" is the fiber backend's deadlock criterion; the watchdog must
-  // still produce the same rank-attributed wait-for diagnostic.
+  // running" is the deadlock criterion; the watchdog must still produce the
+  // rank-attributed wait-for diagnostic.
   Cluster cl(2, Machine::unit_test());
-  cl.set_backend(Cluster::Backend::kFibers);
   cl.set_watchdog_interval_ms(20);
   const std::string msg = run_expect_error(cl, [](Comm& c) {
     if (c.rank() == 0) {
@@ -177,7 +180,6 @@ TEST(FiberWatchdog, DeadlockDetectedOnFibers) {
 
 TEST(FiberFaults, KillRankCaughtOnFibers) {
   Cluster cl(4, Machine::unit_test());
-  cl.set_backend(Cluster::Backend::kFibers);
   FaultPlan fp;
   fp.kills.push_back({.rank = 2, .at_op = 3});
   cl.set_fault_plan(fp);
@@ -194,10 +196,10 @@ TEST(FiberFaults, KillRankCaughtOnFibers) {
   cl.run([](Comm& c) { c.barrier(); });
 }
 
-TEST(FiberFaults, StragglerVtimesMatchThreadBackend) {
+TEST(FiberFaults, StragglerVtimesIndependentOfDispatchOrder) {
   // Fault-injected time dilation must flow through the fiber scheduler's
-  // vclock ordering without disturbing determinism: both backends see the
-  // same straggler-shifted clocks.
+  // vclock ordering without disturbing determinism: one worker and four
+  // see the same straggler-shifted clocks.
   FaultPlan fp;
   fp.stragglers.push_back({.node = 1, .factor = 3.0});
   auto body = [](Comm& c) {
@@ -209,10 +211,9 @@ TEST(FiberFaults, StragglerVtimesMatchThreadBackend) {
   };
   std::vector<double> vt[2];
   int bi = 0;
-  for (Cluster::Backend backend :
-       {Cluster::Backend::kThreads, Cluster::Backend::kFibers}) {
+  for (const int workers : kWorkerCounts) {
     Cluster cl(4, Machine::unit_test());
-    cl.set_backend(backend);
+    cl.set_fiber_workers(workers);
     cl.set_fault_plan(fp);
     cl.run(body);
     for (int r = 0; r < 4; ++r) vt[bi].push_back(cl.stats(r).vtime);
@@ -223,11 +224,12 @@ TEST(FiberFaults, StragglerVtimesMatchThreadBackend) {
 }
 
 TEST(FiberFaults, PayloadFlipFiresOnZeroCopyPath) {
-  // Rank 0 posts its recv first (fibers dispatch rank 0 at vclock 0 until
-  // it parks), so rank 1's send takes the zero-copy path — and the flip
-  // must corrupt the posted buffer exactly as it would the staged copy.
+  // Rank 0 posts its recv first (one worker dispatches rank 0 at vclock 0
+  // until it parks), so rank 1's send takes the zero-copy path — and the
+  // flip must corrupt the posted buffer exactly as it would the staged
+  // copy.
   Cluster cl(2, Machine::unit_test());
-  cl.set_backend(Cluster::Backend::kFibers);
+  cl.set_fiber_workers(1);
   FaultPlan fp;
   fp.flips.push_back(
       {.src = 1, .dst = 0, .tag = 5, .nth_match = 1, .offset = 0, .mask = 1});
@@ -251,10 +253,10 @@ TEST(FiberFaults, PayloadFlipFiresOnZeroCopyPath) {
 }
 
 TEST(ZeroCopy, PostedReceiveTakesFastPathWithIdenticalTiming) {
-  // Receiver-first order (rank 0 posts, rank 1 sends) must hit the
-  // zero-copy path on fibers; sender-first order (rank 0 sends into an
-  // unposted channel) must not. Both orders and both backends produce the
-  // same values and virtual clocks.
+  // With one worker, receiver-first order (rank 0 posts, rank 1 sends) must
+  // hit the zero-copy path; sender-first order (rank 0 sends into an
+  // unposted channel) must not. Both orders, on one worker and on four,
+  // produce the same values and virtual clocks.
   auto recv_first = [](Comm& c) {
     double x = 0;
     if (c.rank() == 0) {
@@ -276,32 +278,31 @@ TEST(ZeroCopy, PostedReceiveTakesFastPathWithIdenticalTiming) {
     }
   };
 
-  Cluster fi(2, Machine::unit_test());
-  fi.set_backend(Cluster::Backend::kFibers);
-  fi.run(recv_first);
-  EXPECT_EQ(fi.stats(0).p2p_zero_copy, 1);
-  const double vt_fi_recv = fi.stats(0).vtime;
-  fi.run(send_first);
-  EXPECT_EQ(fi.stats(1).p2p_zero_copy, 0);  // eager: nothing was posted
-  const double vt_fi_send = fi.stats(1).vtime;
+  Cluster one(2, Machine::unit_test());
+  one.set_fiber_workers(1);
+  one.run(recv_first);
+  EXPECT_EQ(one.stats(0).p2p_zero_copy, 1);
+  const double vt_recv = one.stats(0).vtime;
+  one.run(send_first);
+  EXPECT_EQ(one.stats(1).p2p_zero_copy, 0);  // eager: nothing was posted
+  const double vt_send = one.stats(1).vtime;
 
-  Cluster th(2, Machine::unit_test());
-  th.set_backend(Cluster::Backend::kThreads);
-  th.run(recv_first);
-  EXPECT_EQ(th.stats(0).vtime, vt_fi_recv);
-  th.run(send_first);
-  EXPECT_EQ(th.stats(1).vtime, vt_fi_send);
+  Cluster four(2, Machine::unit_test());
+  four.set_fiber_workers(4);
+  four.run(recv_first);
+  EXPECT_EQ(four.stats(0).vtime, vt_recv);
+  four.run(send_first);
+  EXPECT_EQ(four.stats(1).vtime, vt_send);
   // Delivery path never changes modeled time: receiver's cost is the same
   // whether the message was staged or delivered zero-copy.
-  EXPECT_EQ(vt_fi_recv, vt_fi_send);
+  EXPECT_EQ(vt_recv, vt_send);
 }
 
 TEST(ZeroCopy, SizeMismatchStillRaisedOnReceiver) {
   // A posted-size mismatch must decline the fast path and flow through the
   // eager queue so the *receiver* raises the error, same attribution as the
-  // thread backend.
+  // staged path.
   Cluster cl(2, Machine::unit_test());
-  cl.set_backend(Cluster::Backend::kFibers);
   const std::string msg = run_expect_error(cl, [](Comm& c) {
     double x[2] = {1, 2};
     if (c.rank() == 0)
@@ -319,7 +320,7 @@ TEST(FiberEngine, RacingSubmittersOnFiberRanks) {
   // path while the fiber's worker blocks in join() — the case the pool's
   // growth monitor exists for. Results must match the serial reference.
   const i64 m = 24;
-  const int P = 2, kThreads = 2, kReps = 3;
+  const int P = 2, kSubmitters = 2, kReps = 3;
   const BlockLayout lay = BlockLayout::col_1d(m, m, P);
   constexpr std::uint64_t kSeedA = 31, kSeedB = 32;
   auto fill_local = [&](int rank, std::uint64_t seed,
@@ -332,7 +333,6 @@ TEST(FiberEngine, RacingSubmittersOnFiberRanks) {
           buf[static_cast<size_t>(pos++)] = matrix_entry<double>(seed, i, j);
   };
   Cluster cl(P, Machine::unit_test());
-  cl.set_backend(Cluster::Backend::kFibers);
   cl.run([&](Comm& world) {
     const int me = world.rank();
     std::vector<double> a, b;
@@ -340,10 +340,10 @@ TEST(FiberEngine, RacingSubmittersOnFiberRanks) {
     fill_local(me, kSeedB, b);
     PgemmEngine eng(world);
     std::vector<std::vector<double>> cs(
-        kThreads,
+        kSubmitters,
         std::vector<double>(static_cast<size_t>(lay.local_size(me))));
     std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
+    for (int t = 0; t < kSubmitters; ++t) {
       threads.emplace_back([&, t] {
         for (int i = 0; i < kReps; ++i) {
           Request<double> req;
@@ -363,7 +363,7 @@ TEST(FiberEngine, RacingSubmittersOnFiberRanks) {
     for (std::thread& th : threads) th.join();
 
     const EngineStats st = eng.stats();
-    EXPECT_EQ(st.requests, kThreads * kReps);
+    EXPECT_EQ(st.requests, kSubmitters * kReps);
 
     Matrix<double> am(m, m), bm(m, m);
     am.fill_random(kSeedA);
@@ -371,7 +371,7 @@ TEST(FiberEngine, RacingSubmittersOnFiberRanks) {
     Matrix<double> c_ref(m, m);
     gemm_ref<double>(false, false, m, m, m, 1.0, am.data(), bm.data(),
                      c_ref.data());
-    for (int t = 0; t < kThreads; ++t) {
+    for (int t = 0; t < kSubmitters; ++t) {
       i64 pos = 0;
       const std::vector<double>& c = cs[static_cast<size_t>(t)];
       for (const Rect& r : lay.rects_of(me))
@@ -391,7 +391,6 @@ TEST(FiberScale, ManyRanksOnSmallStacksSmoke) {
   // allreduce result is exact.
   const int P = 512;
   Cluster cl(P, Machine::unit_test());
-  cl.set_backend(Cluster::Backend::kFibers);
   cl.set_fiber_stack_bytes(128u << 10);
   cl.set_fiber_workers(2);
   std::vector<double> sums(static_cast<size_t>(P), 0.0);

@@ -114,7 +114,7 @@ TEST(Stress, ClusterReuseAcrossRuns) {
 }
 
 TEST(Stress, LargeRankCount) {
-  // 64 rank threads on one host core: correctness only.
+  // 64 rank fibers: correctness only.
   const int P = 64;
   Cluster cl(P, Machine::phoenix_mpi());
   cl.run([&](Comm& world) {

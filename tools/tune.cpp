@@ -1,7 +1,7 @@
 // tune — warm or inspect the persisted PGEMM tuning database.
 //
 //   ./tune --db PATH [--warm] [--dump] [--p N]
-//          [--shape M,N,K] ... [--backend threads|fibers]
+//          [--shape M,N,K] ...
 //          [--grid-candidates N] [--top-k N] [--no-validate]
 //
 //   --db PATH     tuning database file (created if missing)
@@ -12,7 +12,6 @@
 //   --p N         rank count to tune for (default 32)
 //   --shape M,N,K problem shape; repeatable. Default: the four scaled
 //                 problem classes of the small-scale benches
-//   --backend     simmpi scheduler backend for validation runs
 //   --grid-candidates / --top-k / --no-validate
 //                 search-width knobs (see src/tuner/tuner.hpp)
 //
@@ -36,7 +35,7 @@ namespace {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --db PATH [--warm] [--dump] [--p N]\n"
-               "          [--shape M,N,K]... [--backend threads|fibers]\n"
+               "          [--shape M,N,K]...\n"
                "          [--grid-candidates N] [--top-k N] [--no-validate]\n",
                argv0);
   std::exit(2);
@@ -112,15 +111,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       shapes.push_back({m, n, k});
-    } else if (const char* v = value("--backend")) {
-      if (std::strcmp(v, "fibers") == 0) {
-        topt.backend = simmpi::Cluster::Backend::kFibers;
-      } else if (std::strcmp(v, "threads") == 0) {
-        topt.backend = simmpi::Cluster::Backend::kThreads;
-      } else {
-        std::fprintf(stderr, "unrecognized --backend '%s'\n", v);
-        return 2;
-      }
     } else if (const char* v = value("--grid-candidates")) {
       topt.grid_candidates = std::atoi(v);
     } else if (const char* v = value("--top-k")) {
