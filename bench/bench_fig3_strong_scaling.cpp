@@ -25,14 +25,14 @@ using simmpi::Machine;
 /// nonzero exit.
 bool g_drift_failed = false;
 
-/// Real execution at the figure's two largest process counts, on the fiber
-/// backend — the whole point of fibers is that P=3072 ranks fit in one
-/// address space on one box, so the strong-scaling figure's upper end can be
-/// *executed*, not just predicted. Shapes are miniature (960^3, evenly
-/// divisible by the paper's P=1536/3072 grids) so every rank is symmetric
-/// and the executed virtual times must match the model to rounding; drift
-/// beyond the 1e-6 gate fails the binary, same regime as
-/// bench_fig5_breakdown's P=16 gate but at 200x the rank count.
+/// Real execution at the figure's two largest process counts, and at
+/// P=12288 (4x the paper's largest), on the fiber backend — the whole point
+/// of fibers is that thousands of ranks fit in one address space on one
+/// box, so the strong-scaling figure's upper end can be *executed*, not
+/// just predicted. Shapes are miniature (960^3; the m/n blocks divide
+/// evenly) and the executed virtual times must match the model to
+/// rounding; drift beyond the 1e-6 gate fails the binary, same regime as
+/// bench_fig5_breakdown's P=16 gate but at up to 768x the rank count.
 ///
 /// ranks_per_node is 16 here (not Phoenix's 24) so node boundaries align
 /// with the 256-rank Cannon groups. A group that straddles a node boundary
@@ -50,6 +50,7 @@ void print_real_execution() {
   const RealCase reals[] = {
       {1536, ProcGrid{16, 16, 6}},
       {3072, ProcGrid{16, 16, 12}},
+      {12288, ProcGrid{32, 32, 12}},
   };
   std::printf(
       "\n=== real execution on fibers: executed vs predicted, "

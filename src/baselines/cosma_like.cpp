@@ -61,6 +61,7 @@ CosmaPlan CosmaPlan::make(i64 m, i64 n, i64 k, int nranks,
         break;
     }
   }
+  p.natives_ = NativeLayouts::of(p);
   return p;
 }
 
@@ -92,6 +93,7 @@ CosmaPlan CosmaPlan::make_carma(i64 m, i64 n, i64 k, int nranks) {
     }
   }
   p.grid_ = ProcGrid{pm, pn, pk};
+  p.natives_ = NativeLayouts::of(p);
   return p;
 }
 
@@ -142,21 +144,6 @@ Rect CosmaPlan::c_rect(int world_rank) const {
   const Codes c = codes(world_rank);
   if (!c.active) return Rect{};
   return row_slice(Rect{m_leaf(c.mi), n_leaf(c.ni)}, grid_.pk, c.ki);
-}
-
-BlockLayout CosmaPlan::a_native() const {
-  return BlockLayout::one_rect_each(m_, k_, nranks_, active(),
-                                    [&](int r) { return a_rect(r); });
-}
-
-BlockLayout CosmaPlan::b_native() const {
-  return BlockLayout::one_rect_each(k_, n_, nranks_, active(),
-                                    [&](int r) { return b_rect(r); });
-}
-
-BlockLayout CosmaPlan::c_native() const {
-  return BlockLayout::one_rect_each(m_, n_, nranks_, active(),
-                                    [&](int r) { return c_rect(r); });
 }
 
 void build_schedule(const CosmaPlan& plan, int me,

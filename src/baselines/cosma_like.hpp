@@ -67,9 +67,9 @@ class CosmaPlan {
   Rect a_rect(int world_rank) const;
   Rect b_rect(int world_rank) const;
   Rect c_rect(int world_rank) const;
-  BlockLayout a_native() const;
-  BlockLayout b_native() const;
-  BlockLayout c_native() const;
+  const BlockLayout& a_native() const { return natives_.a; }
+  const BlockLayout& b_native() const { return natives_.b; }
+  const BlockLayout& c_native() const { return natives_.c; }
 
   /// Builds grid + strategy. `force_grid` mirrors Table II experiments.
   static CosmaPlan make(i64 m, i64 n, i64 k, int nranks,
@@ -93,6 +93,7 @@ class CosmaPlan {
   ProcGrid grid_;
   std::vector<CosmaStep> steps_;
   bool ctf_mode_ = false;
+  NativeLayouts natives_;  ///< built once by make()
 };
 
 /// Appends world rank `rank`'s COSMA-like schedule to `s`. A and B start in

@@ -36,6 +36,7 @@ P25dPlan P25dPlan::make(i64 m, i64 n, i64 k, int nranks,
     p.c_ = force_qc->second;
     CA_REQUIRE(p.q_ >= 1 && p.c_ >= 1 && p.active() <= nranks,
                "bad forced 2.5D grid %d^2 x %d", p.q_, p.c_);
+    p.natives_ = NativeLayouts::of(p);
     return p;
   }
   // Choose (q, c): c <= q (classic feasibility), maximize utilization, then
@@ -57,6 +58,7 @@ P25dPlan P25dPlan::make(i64 m, i64 n, i64 k, int nranks,
       }
     }
   }
+  p.natives_ = NativeLayouts::of(p);
   return p;
 }
 
@@ -79,21 +81,6 @@ Rect P25dPlan::c_rect(int r) const {
   const Range sub = block_range(rows.size(), c_, layer);
   return Rect{Range{rows.lo + sub.lo, rows.lo + sub.hi},
               block_range(n_, q_, idx / q_)};
-}
-
-BlockLayout P25dPlan::a_native() const {
-  return BlockLayout::one_rect_each(m_, k_, nranks_, active(),
-                                    [&](int r) { return a_rect(r); });
-}
-
-BlockLayout P25dPlan::b_native() const {
-  return BlockLayout::one_rect_each(k_, n_, nranks_, active(),
-                                    [&](int r) { return b_rect(r); });
-}
-
-BlockLayout P25dPlan::c_native() const {
-  return BlockLayout::one_rect_each(m_, n_, nranks_, active(),
-                                    [&](int r) { return c_rect(r); });
 }
 
 void build_schedule(const P25dPlan& plan, int me, bool trans_a, bool trans_b,

@@ -39,10 +39,10 @@ class P25dPlan {
   Rect a_rect(int world_rank) const;
   Rect b_rect(int world_rank) const;
   Rect c_rect(int world_rank) const;
-  BlockLayout a_native() const;
-  BlockLayout b_native() const;
+  const BlockLayout& a_native() const { return natives_.a; }
+  const BlockLayout& b_native() const { return natives_.b; }
   /// Final C: each (i, j) block row-split across the c layers.
-  BlockLayout c_native() const;
+  const BlockLayout& c_native() const { return natives_.c; }
 
   /// Chooses (q, c): maximize utilization with c <= q (the classic 2.5D
   /// feasibility bound), then minimize the composite grid objective.
@@ -53,6 +53,7 @@ class P25dPlan {
   i64 m_ = 0, n_ = 0, k_ = 0;
   int nranks_ = 0;
   int q_ = 1, c_ = 1;
+  NativeLayouts natives_;  ///< built once by make()
 };
 
 /// Appends world rank `rank`'s 2.5D schedule to `s`.

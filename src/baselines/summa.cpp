@@ -22,6 +22,7 @@ SummaPlan SummaPlan::make(i64 m, i64 n, i64 k, int nranks,
     p.pr_ = force_grid->first;
     p.pc_ = force_grid->second;
     CA_REQUIRE(p.pr_ * p.pc_ <= nranks, "forced SUMMA grid exceeds ranks");
+    p.natives_ = NativeLayouts::of(p);
     return p;
   }
   // Best 2-D factorization under the same composite objective as CA3DMM's
@@ -45,6 +46,7 @@ SummaPlan SummaPlan::make(i64 m, i64 n, i64 k, int nranks,
       }
     }
   }
+  p.natives_ = NativeLayouts::of(p);
   return p;
 }
 
@@ -61,21 +63,6 @@ Rect SummaPlan::b_rect(int r) const {
 Rect SummaPlan::c_rect(int r) const {
   if (r >= active()) return Rect{};
   return Rect{block_range(m_, pr_, r / pc_), block_range(n_, pc_, r % pc_)};
-}
-
-BlockLayout SummaPlan::a_native() const {
-  return BlockLayout::one_rect_each(m_, k_, nranks_, active(),
-                                    [&](int r) { return a_rect(r); });
-}
-
-BlockLayout SummaPlan::b_native() const {
-  return BlockLayout::one_rect_each(k_, n_, nranks_, active(),
-                                    [&](int r) { return b_rect(r); });
-}
-
-BlockLayout SummaPlan::c_native() const {
-  return BlockLayout::one_rect_each(m_, n_, nranks_, active(),
-                                    [&](int r) { return c_rect(r); });
 }
 
 void build_schedule(const SummaPlan& plan, int me, i64 panel_kb,

@@ -34,9 +34,9 @@ class SummaPlan {
   Rect a_rect(int world_rank) const;
   Rect b_rect(int world_rank) const;
   Rect c_rect(int world_rank) const;
-  BlockLayout a_native() const;
-  BlockLayout b_native() const;
-  BlockLayout c_native() const;
+  const BlockLayout& a_native() const { return natives_.a; }
+  const BlockLayout& b_native() const { return natives_.b; }
+  const BlockLayout& c_native() const { return natives_.c; }
 
   /// Near-optimal 2-D grid (k never partitioned — SUMMA's limitation).
   static SummaPlan make(i64 m, i64 n, i64 k, int nranks,
@@ -46,6 +46,7 @@ class SummaPlan {
   i64 m_ = 0, n_ = 0, k_ = 0;
   int nranks_ = 0;
   int pr_ = 1, pc_ = 1;
+  NativeLayouts natives_;  ///< built once by make()
 };
 
 /// Appends world rank `rank`'s SUMMA schedule to `s` (`panel_kb` as in

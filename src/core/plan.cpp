@@ -48,6 +48,7 @@ Ca3dmmPlan Ca3dmmPlan::make(i64 m, i64 n, i64 k, int nranks,
       CA_REQUIRE(opt.k_weights[g] > 0, "k_weights[%zu] = %g must be > 0", g,
                  opt.k_weights[g]);
   }
+  p.natives_ = NativeLayouts::of(p);
   return p;
 }
 
@@ -142,21 +143,6 @@ Rect Ca3dmmPlan::c_rect(int world_rank) const {
   const RankCoord co = coord(world_rank);
   if (!co.active) return Rect{};
   return Rect{m_range(co.I), c_sub_cols(co.J, co.gk)};
-}
-
-BlockLayout Ca3dmmPlan::a_native() const {
-  return BlockLayout::one_rect_each(m_, k_, nranks_, active(),
-                                    [&](int r) { return a_rect(r); });
-}
-
-BlockLayout Ca3dmmPlan::b_native() const {
-  return BlockLayout::one_rect_each(k_, n_, nranks_, active(),
-                                    [&](int r) { return b_rect(r); });
-}
-
-BlockLayout Ca3dmmPlan::c_native() const {
-  return BlockLayout::one_rect_each(m_, n_, nranks_, active(),
-                                    [&](int r) { return c_rect(r); });
 }
 
 double Ca3dmmPlan::volume_lower_bound() const {

@@ -145,9 +145,9 @@ class Ca3dmmPlan {
   Rect a_rect(int world_rank) const;
   Rect b_rect(int world_rank) const;
   Rect c_rect(int world_rank) const;
-  BlockLayout a_native() const;
-  BlockLayout b_native() const;
-  BlockLayout c_native() const;
+  const BlockLayout& a_native() const { return natives_.a; }
+  const BlockLayout& b_native() const { return natives_.b; }
+  const BlockLayout& c_native() const { return natives_.c; }
 
   /// Communication volume lower bound (paper eq. 3), in elements.
   double volume_lower_bound() const;
@@ -163,6 +163,7 @@ class Ca3dmmPlan {
   int nranks_ = 0;
   Ca3dmmOptions opt_{};
   ProcGrid grid_;
+  NativeLayouts natives_;  ///< built once by make()
 };
 
 }  // namespace ca3dmm

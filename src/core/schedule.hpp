@@ -343,9 +343,8 @@ void run_plan(simmpi::Comm& world, const Plan& plan, const BlockLayout& la,
              plan.nranks(), world.size());
   Schedule s(sizeof(T));
   build(s);
-  const BlockLayout na = plan.a_native(), nb = plan.b_native(),
-                    nc = plan.c_native();
-  const BlockLayout* bound[] = {&la, &lb, &lc, &na, &nb, &nc};
+  const BlockLayout* bound[] = {&la, &lb, &lc, &plan.a_native(),
+                                &plan.b_native(), &plan.c_native()};
   std::copy(std::begin(bound), std::end(bound), io.layouts);
   io.a = a;
   io.b = b;

@@ -90,10 +90,10 @@ RankStats run_workload(Algo algo, const Workload& w, Cluster& cl) {
   cl.run([&](Comm& world) {
     const int me = world.rank();
     std::vector<double> a, b;
-    fill_local(*pg.layouts[kUserLayoutA], me, 1, a);
-    fill_local(*pg.layouts[kUserLayoutB], me, 2, b);
+    fill_local(pg.layouts[kUserLayoutA], me, 1, a);
+    fill_local(pg.layouts[kUserLayoutB], me, 2, b);
     std::vector<double> c(
-        static_cast<size_t>(pg.layouts[kUserLayoutC]->local_size(me)));
+        static_cast<size_t>(pg.layouts[kUserLayoutC].local_size(me)));
     pg.execute(world, a.data(), b.data(), c.data());
   });
   return cl.aggregate_stats();

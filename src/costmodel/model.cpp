@@ -477,7 +477,7 @@ class Replay {
     CA_ASSERT(volumes_.size() < volumes_.capacity());  // keeps refs valid
     Volume& v = volumes_.emplace_back();
     v.key = rd;
-    v.v = redistribution_volume(*pg_.layouts[rd.from], *pg_.layouts[rd.to],
+    v.v = redistribution_volume(pg_.layouts[rd.from], pg_.layouts[rd.to],
                                 rd.transpose, esize_);
     v.max_bytes = static_cast<double>(
         std::max(v.v.max_send_bytes, v.v.max_recv_bytes));

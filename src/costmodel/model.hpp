@@ -153,9 +153,9 @@ struct Program {
   std::function<void(simmpi::Comm&, const double* a, const double* b,
                      double* c)>
       execute;
-  /// Indexed by LayoutId; user layouts alias the native ones unless the
+  /// Indexed by LayoutId; user layouts share the native ones unless the
   /// workload asks for custom layouts.
-  std::shared_ptr<const BlockLayout> layouts[kLayoutCount];
+  BlockLayout layouts[kLayoutCount];
   ProcGrid grid{};
   int active = 0;
 };

@@ -51,8 +51,7 @@ Program program_of(Algo algo, const Workload& w, int P,
   pg.nranks = P;
   pg.esize = w.esize;
   const auto col_1d = [&](i64 rows, i64 cols) {
-    return std::make_shared<const BlockLayout>(
-        BlockLayout::col_1d(rows, cols, P));
+    return BlockLayout::col_1d(rows, cols, P);
   };
   // The plan's layouts (natives from `np`: CTF's inner plan), and one
   // shared copy of it for its builder and its public executor.
@@ -60,9 +59,9 @@ Program program_of(Algo algo, const Workload& w, int P,
                         auto multiply) {
     const auto plan =
         std::make_shared<const std::decay_t<decltype(the_plan)>>(the_plan);
-    pg.layouts[kNativeA] = std::make_shared<const BlockLayout>(np.a_native());
-    pg.layouts[kNativeB] = std::make_shared<const BlockLayout>(np.b_native());
-    pg.layouts[kNativeC] = std::make_shared<const BlockLayout>(np.c_native());
+    pg.layouts[kNativeA] = np.a_native();
+    pg.layouts[kNativeB] = np.b_native();
+    pg.layouts[kNativeC] = np.c_native();
     pg.layouts[kUserLayoutA] =
         w.custom_layout ? col_1d(w.m, w.k) : pg.layouts[kNativeA];
     pg.layouts[kUserLayoutB] =
@@ -74,7 +73,7 @@ Program program_of(Algo algo, const Workload& w, int P,
     pg.execute = [plan, multiply, la = pg.layouts[kUserLayoutA],
                   lb = pg.layouts[kUserLayoutB], lc = pg.layouts[kUserLayoutC]](
                      Comm& world, const double* a, const double* b, double* c) {
-      multiply(world, *plan, false, false, *la, a, *lb, b, *lc, c);
+      multiply(world, *plan, false, false, la, a, lb, b, lc, c);
     };
   };
   switch (algo) {

@@ -1,7 +1,8 @@
 #include "layout/redistribute.hpp"
 
+#include <algorithm>
 #include <cstring>
-#include <numeric>
+#include <tuple>
 
 namespace ca3dmm {
 
@@ -9,35 +10,60 @@ namespace {
 
 /// Local-buffer base offset of each rect of `rank` under `layout`.
 std::vector<i64> rect_bases(const BlockLayout& layout, int rank) {
-  const auto& rs = layout.rects_of(rank);
+  const auto rs = layout.rects_of(rank);
   std::vector<i64> base(rs.size() + 1, 0);
   for (size_t t = 0; t < rs.size(); ++t) base[t + 1] = base[t] + rs[t].size();
   return base;
 }
 
-/// Maps a destination rect into source coordinates.
-Rect dst_rect_in_src(const Rect& d, bool transpose) {
-  return transpose ? Rect{d.c, d.r} : d;
+/// Maps a rect between source and destination coordinates (either way).
+Rect transposed_if(const Rect& r, bool transpose) {
+  return transpose ? Rect{r.c, r.r} : r;
 }
 
-/// Invokes fn(intersection_in_src_coords, s_idx, d_idx) for every overlapping
-/// (source rect of src_rank, destination rect of dst_rank) pair, in the
-/// canonical order both sides agree on.
-template <typename Fn>
-void for_each_segment(const BlockLayout& src, int src_rank,
-                      const BlockLayout& dst, int dst_rank, bool transpose,
-                      Fn&& fn) {
-  const auto& srects = src.rects_of(src_rank);
-  const auto& drects = dst.rects_of(dst_rank);
-  for (size_t si = 0; si < srects.size(); ++si)
-    for (size_t di = 0; di < drects.size(); ++di) {
-      const Rect inter =
-          intersect(srects[si], dst_rect_in_src(drects[di], transpose));
-      if (!inter.empty()) fn(inter, si, di);
-    }
+/// The alltoallv list of `segs`: one entry per peer, displacements packed
+/// in segment order.
+std::vector<simmpi::PeerBlock> peer_blocks(
+    const std::vector<RedistSegment>& segs, i64 esize) {
+  std::vector<simmpi::PeerBlock> out;
+  i64 displ = 0;
+  for (const RedistSegment& s : segs) {
+    if (out.empty() || out.back().peer != s.peer)
+      out.push_back(simmpi::PeerBlock{s.peer, 0, displ});
+    out.back().bytes += s.r.size() * esize;
+    displ += s.r.size() * esize;
+  }
+  return out;
 }
 
 }  // namespace
+
+std::vector<RedistSegment> redistribution_segments(const BlockLayout& src,
+                                                   const BlockLayout& dst,
+                                                   bool transpose, int me,
+                                                   bool sending) {
+  std::vector<RedistSegment> segs;
+  const BlockLayout& mine = sending ? src : dst;
+  const BlockLayout& other = sending ? dst : src;
+  const auto my_rects = mine.rects_of(me);
+  for (size_t i = 0; i < my_rects.size(); ++i) {
+    other.index().for_each_overlap(
+        transposed_if(my_rects[i], transpose), [&](int peer, size_t j) {
+          const Rect& theirs = other.rects_of(peer)[j];
+          const Rect& s = sending ? my_rects[i] : theirs;
+          const Rect& d = sending ? theirs : my_rects[i];
+          segs.push_back(RedistSegment{
+              peer, sending ? i : j, sending ? j : i,
+              intersect(s, transposed_if(d, transpose))});
+        });
+  }
+  std::sort(segs.begin(), segs.end(),
+            [](const RedistSegment& x, const RedistSegment& y) {
+              return std::tie(x.peer, x.si, x.di) <
+                     std::tie(y.peer, y.si, y.di);
+            });
+  return segs;
+}
 
 template <typename T>
 void redistribute(simmpi::Comm& comm, const BlockLayout& src,
@@ -58,35 +84,17 @@ void redistribute(simmpi::Comm& comm, const BlockLayout& src,
   const i64 esize = static_cast<i64>(sizeof(T));
   const auto src_base = rect_bases(src, me);
   const auto dst_base = rect_bases(dst, me);
-  const auto& my_srects = src.rects_of(me);
-  const auto& my_drects = dst.rects_of(me);
-
-  // --- counts ---
-  std::vector<i64> scounts(static_cast<size_t>(P), 0),
-      rcounts(static_cast<size_t>(P), 0);
-  for (int d = 0; d < P; ++d)
-    for_each_segment(src, me, dst, d, transpose,
-                     [&](const Rect& r, size_t, size_t) {
-                       scounts[static_cast<size_t>(d)] += r.size() * esize;
-                     });
-  for (int s = 0; s < P; ++s)
-    for_each_segment(src, s, dst, me, transpose,
-                     [&](const Rect& r, size_t, size_t) {
-                       rcounts[static_cast<size_t>(s)] += r.size() * esize;
-                     });
-
-  std::vector<i64> sdispls(static_cast<size_t>(P), 0),
-      rdispls(static_cast<size_t>(P), 0);
-  for (int r = 1; r < P; ++r) {
-    sdispls[static_cast<size_t>(r)] =
-        sdispls[static_cast<size_t>(r - 1)] + scounts[static_cast<size_t>(r - 1)];
-    rdispls[static_cast<size_t>(r)] =
-        rdispls[static_cast<size_t>(r - 1)] + rcounts[static_cast<size_t>(r - 1)];
-  }
-  const i64 send_total =
-      (sdispls.back() + scounts.back()) / esize;
-  const i64 recv_total =
-      (rdispls.back() + rcounts.back()) / esize;
+  const auto my_srects = src.rects_of(me);
+  const auto my_drects = dst.rects_of(me);
+  const auto sends = redistribution_segments(src, dst, transpose, me, true);
+  const auto recvs = redistribution_segments(src, dst, transpose, me, false);
+  const auto send_list = peer_blocks(sends, esize);
+  const auto recv_list = peer_blocks(recvs, esize);
+  const auto total = [](const std::vector<simmpi::PeerBlock>& l) {
+    return l.empty() ? 0 : l.back().displ + l.back().bytes;
+  };
+  const i64 send_total = total(send_list) / esize;
+  const i64 recv_total = total(recv_list) / esize;
 
   // --- pack: row-major in source coordinates, canonical segment order ---
   // Tracked: redistribution staging is part of the per-rank memory footprint
@@ -96,53 +104,49 @@ void redistribute(simmpi::Comm& comm, const BlockLayout& src,
                        static_cast<double>(send_total * esize));
   {
     i64 pos = 0;
-    for (int d = 0; d < P; ++d)
-      for_each_segment(
-          src, me, dst, d, transpose, [&](const Rect& r, size_t si, size_t) {
-            const Rect& srect = my_srects[si];
-            const i64 ld = srect.c.size();
-            const T* base = src_local + src_base[si];
-            for (i64 i = r.r.lo; i < r.r.hi; ++i) {
-              const T* row =
-                  base + (i - srect.r.lo) * ld + (r.c.lo - srect.c.lo);
-              std::memcpy(&sendbuf[static_cast<size_t>(pos)], row,
-                          static_cast<size_t>(r.c.size()) * sizeof(T));
-              pos += r.c.size();
-            }
-          });
+    for (const RedistSegment& sg : sends) {
+      const Rect& r = sg.r;
+      const Rect& srect = my_srects[sg.si];
+      const i64 ld = srect.c.size();
+      const T* base = src_local + src_base[sg.si];
+      for (i64 i = r.r.lo; i < r.r.hi; ++i) {
+        const T* row = base + (i - srect.r.lo) * ld + (r.c.lo - srect.c.lo);
+        std::memcpy(&sendbuf[static_cast<size_t>(pos)], row,
+                    static_cast<size_t>(r.c.size()) * sizeof(T));
+        pos += r.c.size();
+      }
+    }
     CA_ASSERT(pos == send_total);
   }
 
   simmpi::TrackedBuffer<T> recvbuf(recv_total);
-  comm.alltoallv_bytes(sendbuf.data(), scounts, sdispls, recvbuf.data(),
-                       rcounts, rdispls);
+  comm.alltoallv_bytes(sendbuf.data(), send_list, recvbuf.data(), recv_list);
 
   // --- unpack: same canonical order; apply transpose when writing ---
   simmpi::trace_marker("redistribute:unpack",
                        static_cast<double>(recv_total * esize));
   {
     i64 pos = 0;
-    for (int s = 0; s < P; ++s)
-      for_each_segment(
-          src, s, dst, me, transpose, [&](const Rect& r, size_t, size_t di) {
-            const Rect& drect = my_drects[di];
-            const i64 ld = drect.c.size();
-            T* base = dst_local + dst_base[di];
-            if (!transpose) {
-              for (i64 i = r.r.lo; i < r.r.hi; ++i) {
-                T* row = base + (i - drect.r.lo) * ld + (r.c.lo - drect.c.lo);
-                std::memcpy(row, &recvbuf[static_cast<size_t>(pos)],
-                            static_cast<size_t>(r.c.size()) * sizeof(T));
-                pos += r.c.size();
-              }
-            } else {
-              // Source element (i, j) lands at destination (j, i).
-              for (i64 i = r.r.lo; i < r.r.hi; ++i)
-                for (i64 j = r.c.lo; j < r.c.hi; ++j)
-                  base[(j - drect.r.lo) * ld + (i - drect.c.lo)] =
-                      recvbuf[static_cast<size_t>(pos++)];
-            }
-          });
+    for (const RedistSegment& sg : recvs) {
+      const Rect& r = sg.r;
+      const Rect& drect = my_drects[sg.di];
+      const i64 ld = drect.c.size();
+      T* base = dst_local + dst_base[sg.di];
+      if (!transpose) {
+        for (i64 i = r.r.lo; i < r.r.hi; ++i) {
+          T* row = base + (i - drect.r.lo) * ld + (r.c.lo - drect.c.lo);
+          std::memcpy(row, &recvbuf[static_cast<size_t>(pos)],
+                      static_cast<size_t>(r.c.size()) * sizeof(T));
+          pos += r.c.size();
+        }
+      } else {
+        // Source element (i, j) lands at destination (j, i).
+        for (i64 i = r.r.lo; i < r.r.hi; ++i)
+          for (i64 j = r.c.lo; j < r.c.hi; ++j)
+            base[(j - drect.r.lo) * ld + (i - drect.c.lo)] =
+                recvbuf[static_cast<size_t>(pos++)];
+      }
+    }
     CA_ASSERT(pos == recv_total);
   }
 }
@@ -164,18 +168,16 @@ RedistVolume redistribution_volume(const BlockLayout& src,
     }
     return v;
   }
+  // Every segment is a send of its source rank and a receive of its peer.
   for (int s = 0; s < P; ++s)
-    for (int d = 0; d < P; ++d) {
-      i64 bytes = 0;
-      for_each_segment(src, s, dst, d, transpose,
-                       [&](const Rect& r, size_t, size_t) {
-                         bytes += r.size() * esize;
-                       });
+    for (const RedistSegment& sg :
+         redistribution_segments(src, dst, transpose, s, true)) {
+      const i64 bytes = sg.r.size() * esize;
       v.send_staging_bytes[static_cast<size_t>(s)] += bytes;
-      v.recv_staging_bytes[static_cast<size_t>(d)] += bytes;
-      if (s == d) continue;  // local copies are not network traffic
+      v.recv_staging_bytes[static_cast<size_t>(sg.peer)] += bytes;
+      if (sg.peer == s) continue;  // local copies are not network traffic
       v.send_bytes[static_cast<size_t>(s)] += bytes;
-      v.recv_bytes[static_cast<size_t>(d)] += bytes;
+      v.recv_bytes[static_cast<size_t>(sg.peer)] += bytes;
     }
   for (int r = 0; r < P; ++r) {
     v.max_send_bytes = std::max(v.max_send_bytes, v.send_bytes[static_cast<size_t>(r)]);

@@ -10,7 +10,14 @@
 // Both sides of every message derive the segment order from the same global
 // layout information, so no plan metadata is exchanged: for source rank s and
 // destination rank d, segments are ordered by (source rect index, destination
-// rect index) and elements row-major in *source* coordinates.
+// rect index) and elements row-major in *source* coordinates; messages are
+// packed by ascending peer rank.
+//
+// A rank finds its peers by querying the other layout's row-band index
+// (BlockLayout::index) with its own rects, so the metadata work per rank is
+// O((rects + overlaps) log) rather than O(P), and the alltoallv lists only
+// the peers that exchange data. The cost model's redistribution_volume runs
+// the same query for every rank.
 #pragma once
 
 #include <vector>
@@ -32,6 +39,24 @@ template <typename T>
 void redistribute(simmpi::Comm& comm, const BlockLayout& src,
                   const T* src_local, const BlockLayout& dst, T* dst_local,
                   bool transpose = false);
+
+/// One overlapping (source rect, destination rect) pair of a
+/// redistribution between the calling rank and `peer`: rect `si` of the
+/// source rank and rect `di` of the destination rank overlap in `r` (source
+/// coordinates).
+struct RedistSegment {
+  int peer = 0;
+  size_t si = 0, di = 0;
+  Rect r;
+};
+
+/// The segments rank `me` sends (`sending`: peers are destination ranks) or
+/// receives (peers are source ranks), in packing order: peers ascending,
+/// then (si, di). `transpose` as in redistribute().
+std::vector<RedistSegment> redistribution_segments(const BlockLayout& src,
+                                                   const BlockLayout& dst,
+                                                   bool transpose, int me,
+                                                   bool sending);
 
 /// Byte volumes a redistribution would move. `max_*` exclude data that stays
 /// on its rank (no network traffic — matches the engine's all-to-all time

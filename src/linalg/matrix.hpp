@@ -85,12 +85,14 @@ double fro_norm(const Matrix<T>& a) {
 }
 
 /// Copies a rectangular block of `src` (top-left at (sr, sc)) into `dst` at
-/// (dr, dc); `r` x `c` elements.
+/// (dr, dc); `r` x `c` elements. An empty block copies nothing (and never
+/// indexes an empty matrix).
 template <typename T>
 void copy_block(const Matrix<T>& src, i64 sr, i64 sc, Matrix<T>& dst, i64 dr,
                 i64 dc, i64 r, i64 c) {
   CA_ASSERT(sr + r <= src.rows() && sc + c <= src.cols());
   CA_ASSERT(dr + r <= dst.rows() && dc + c <= dst.cols());
+  if (r == 0 || c == 0) return;
   for (i64 i = 0; i < r; ++i)
     std::memcpy(&dst(dr + i, dc), &src(sr + i, sc),
                 static_cast<size_t>(c) * sizeof(T));

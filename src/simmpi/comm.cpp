@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <optional>
+#include <utility>
 
 #include "simmpi/detail_state.hpp"
 
@@ -42,6 +44,62 @@ class BlockedScope {
   int* counter_;
   RankCtx* ctx_;
 };
+
+/// The entry `list` (sorted by peer) holds for `peer`, or null.
+const PeerBlock* find_peer(std::span<const PeerBlock> list, int peer) {
+  const auto it = std::lower_bound(
+      list.begin(), list.end(), peer,
+      [](const PeerBlock& b, int p) { return b.peer < p; });
+  return it != list.end() && it->peer == peer ? &*it : nullptr;
+}
+
+i64 listed_bytes(std::span<const PeerBlock> list, int peer) {
+  const PeerBlock* b = find_peer(list, peer);
+  return b ? b->bytes : 0;
+}
+
+/// A (src, dst) pair whose alltoallv send count differs from the count dst
+/// expects from src.
+struct A2aMismatch {
+  int src = 0, dst = 0;
+  i64 sent = 0, expected = 0;
+};
+
+/// The first mismatched pair in (src, dst) order over a complete alltoallv
+/// rendezvous, or nullopt. Every nonzero send is looked up in its peer's
+/// receive list; if all match and both sides list equally many nonzero
+/// entries, every receive is matched too. O(entries * log entries).
+std::optional<A2aMismatch> alltoallv_mismatch(const CommState& st) {
+  const auto& sl = st.slots;
+  const auto slot = [&](int r) -> const CommState::Slot& {
+    return sl[static_cast<size_t>(r)];
+  };
+  const int p = static_cast<int>(sl.size());
+  std::optional<A2aMismatch> first;
+  size_t nsends = 0, nrecvs = 0;
+  for (int src = 0; src < p; ++src)
+    for (const PeerBlock& b : slot(src).sends) {
+      if (b.bytes == 0) continue;
+      ++nsends;
+      if (!first && listed_bytes(slot(b.peer).recvs, src) != b.bytes)
+        first = A2aMismatch{src, b.peer};
+    }
+  for (int dst = 0; dst < p; ++dst)
+    for (const PeerBlock& b : slot(dst).recvs) nrecvs += b.bytes != 0;
+  if (!first && nsends == nrecvs) return std::nullopt;
+  // Some receive may have no matching send: look for an earlier pair there.
+  const auto before_first = [&](int src, int dst) {
+    return !first || std::pair(src, dst) < std::pair(first->src, first->dst);
+  };
+  for (int dst = 0; dst < p; ++dst)
+    for (const PeerBlock& b : slot(dst).recvs)
+      if (b.bytes != 0 && listed_bytes(slot(b.peer).sends, dst) != b.bytes &&
+          before_first(b.peer, dst))
+        first = A2aMismatch{b.peer, dst};
+  first->sent = listed_bytes(slot(first->src).sends, first->dst);
+  first->expected = listed_bytes(slot(first->dst).recvs, first->src);
+  return first;
+}
 
 /// Debug-validation pass over a complete rendezvous: cross-checks every
 /// member's arguments before any data movement. Returns an error message, or
@@ -114,25 +172,11 @@ std::string validate_collective(const CommState& st, CommState::Op op) {
       }
       break;
     case CommState::Op::kAlltoallv:
-      for (int j = 0; j < p; ++j) {
-        const auto& sj = st.slots[static_cast<size_t>(j)];
-        for (const std::vector<i64>* v : {sj.v0, sj.v1, sj.v2, sj.v3})
-          if (v == nullptr || static_cast<int>(v->size()) != p)
-            return strprintf("alltoallv: rank %d passed a counts/displs "
-                             "vector of the wrong size", j);
-      }
-      for (int src = 0; src < p; ++src)
-        for (int dst = 0; dst < p; ++dst) {
-          const i64 sent = (*st.slots[static_cast<size_t>(src)].v0)
-              [static_cast<size_t>(dst)];
-          const i64 expected = (*st.slots[static_cast<size_t>(dst)].v2)
-              [static_cast<size_t>(src)];
-          if (sent != expected)
-            return strprintf("alltoallv count mismatch: rank %d sends %lld "
-                             "bytes to rank %d, which expects %lld", src,
-                             static_cast<long long>(sent), dst,
-                             static_cast<long long>(expected));
-        }
+      if (const auto mm = alltoallv_mismatch(st))
+        return strprintf("alltoallv count mismatch: rank %d sends %lld "
+                         "bytes to rank %d, which expects %lld", mm->src,
+                         static_cast<long long>(mm->sent), mm->dst,
+                         static_cast<long long>(mm->expected));
       break;
     case CommState::Op::kBarrier:
     case CommState::Op::kSplit:
@@ -755,55 +799,47 @@ void Comm::allreduce_sum(const void* sbuf, void* rbuf, i64 count, Dtype dtype) {
       NoFinish{});
 }
 
-void Comm::alltoallv_bytes(const void* sbuf, const std::vector<i64>& scounts,
-                           const std::vector<i64>& sdispls, void* rbuf,
-                           const std::vector<i64>& rcounts,
-                           const std::vector<i64>& rdispls) {
+void Comm::alltoallv_bytes(const void* sbuf, std::span<const PeerBlock> sends,
+                           void* rbuf, std::span<const PeerBlock> recvs) {
   const int p = size();
-  CA_REQUIRE(static_cast<int>(scounts.size()) == p &&
-                 static_cast<int>(sdispls.size()) == p &&
-                 static_cast<int>(rcounts.size()) == p &&
-                 static_cast<int>(rdispls.size()) == p,
-             "alltoallv counts/displs vectors must have %d entries", p);
   CollIo io;
-  for (int j = 0; j < p; ++j) {
-    if (j == my_index_) continue;  // self-copies are not network traffic
-    io.out += static_cast<double>(scounts[static_cast<size_t>(j)]);
-    io.in += static_cast<double>(rcounts[static_cast<size_t>(j)]);
+  for (const auto list : {sends, recvs}) {
+    int prev = -1;
+    for (const PeerBlock& b : list) {
+      CA_REQUIRE(b.peer > prev && b.peer < p && b.bytes >= 0 && b.displ >= 0,
+                 "alltoallv lists need strictly ascending peers in [0,%d) "
+                 "and nonnegative bytes/displs (rank %d lists peer %d)",
+                 p, my_index_, b.peer);
+      prev = b.peer;
+    }
   }
+  for (const PeerBlock& b : sends)  // self-copies are not network traffic
+    if (b.peer != my_index_) io.out += static_cast<double>(b.bytes);
+  for (const PeerBlock& b : recvs)
+    if (b.peer != my_index_) io.in += static_cast<double>(b.bytes);
   run_collective(
       *state_, my_index_, CommState::Op::kAlltoallv, io,
       [&](CommState::Slot& s) {
         s.sbuf = sbuf;
         s.rbuf = rbuf;
-        s.v0 = &scounts;
-        s.v1 = &sdispls;
-        s.v2 = &rcounts;
-        s.v3 = &rdispls;
+        s.sends = sends;
+        s.recvs = recvs;
       },
       [&](CommState& st) {
-        // Cross-check the full exchange matrix before any data movement so
-        // a count mismatch never corrupts peer buffers.
-        for (int src = 0; src < p; ++src) {
-          const auto& ss = st.slots[static_cast<size_t>(src)];
-          for (int dst = 0; dst < p; ++dst) {
-            const auto& sd = st.slots[static_cast<size_t>(dst)];
-            CA_REQUIRE((*ss.v0)[static_cast<size_t>(dst)] ==
-                           (*sd.v2)[static_cast<size_t>(src)],
-                       "alltoallv count mismatch %d->%d", src, dst);
-          }
-        }
+        // Match every send against its peer's receive before any data
+        // movement so a count mismatch never corrupts peer buffers.
+        if (const auto mm = alltoallv_mismatch(st))
+          throw Error(strprintf("alltoallv count mismatch %d->%d", mm->src,
+                                mm->dst));
         double max_bytes = 0;
         double off_self = 0;  // aggregate bytes that leave their source rank
         for (int src = 0; src < p; ++src) {
           const auto& ss = st.slots[static_cast<size_t>(src)];
           i64 sent = 0, recvd = 0;
-          for (int dst = 0; dst < p; ++dst) {
-            if (dst != src) {  // self-copies are not network traffic
-              sent += (*ss.v0)[static_cast<size_t>(dst)];
-              recvd += (*ss.v2)[static_cast<size_t>(dst)];
-            }
-          }
+          for (const PeerBlock& b : ss.sends)
+            if (b.peer != src) sent += b.bytes;
+          for (const PeerBlock& b : ss.recvs)
+            if (b.peer != src) recvd += b.bytes;
           off_self += static_cast<double>(sent);
           max_bytes = std::max(max_bytes,
                                static_cast<double>(std::max(sent, recvd)));
@@ -814,18 +850,16 @@ void Comm::alltoallv_bytes(const void* sbuf, const std::vector<i64>& scounts,
         c.inter_bytes = off_self * group_inter_frac(st.prof);
         return c;
       },
-      // Shard d fills destination d's receive buffer from every source.
+      // Shard d fills destination d's receive buffer from its sources.
       [&](CommState& st, int d) {
-        auto& sd = st.slots[static_cast<size_t>(d)];
-        for (int src = 0; src < p; ++src) {
-          const auto& ss = st.slots[static_cast<size_t>(src)];
-          const i64 n = (*ss.v0)[static_cast<size_t>(d)];
-          if (n > 0)
-            std::memcpy(static_cast<char*>(sd.rbuf) +
-                            (*sd.v3)[static_cast<size_t>(src)],
-                        static_cast<const char*>(ss.sbuf) +
-                            (*ss.v1)[static_cast<size_t>(d)],
-                        static_cast<size_t>(n));
+        const auto& sd = st.slots[static_cast<size_t>(d)];
+        for (const PeerBlock& r : sd.recvs) {
+          if (r.bytes == 0) continue;
+          const auto& ss = st.slots[static_cast<size_t>(r.peer)];
+          std::memcpy(static_cast<char*>(sd.rbuf) + r.displ,
+                      static_cast<const char*>(ss.sbuf) +
+                          find_peer(ss.sends, d)->displ,
+                      static_cast<size_t>(r.bytes));
         }
       },
       NoFinish{});

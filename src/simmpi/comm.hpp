@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/partition.hpp"
@@ -31,6 +32,14 @@ template <>
 constexpr Dtype dtype_of<float>() { return Dtype::kF32; }
 template <>
 constexpr Dtype dtype_of<double>() { return Dtype::kF64; }
+
+/// One peer's share of a sparse alltoallv: `bytes` bytes at byte offset
+/// `displ` of the send (or receive) buffer.
+struct PeerBlock {
+  int peer = 0;
+  i64 bytes = 0;
+  i64 displ = 0;
+};
 
 class Comm {
  public:
@@ -107,11 +116,13 @@ class Comm {
                           const std::vector<i64>& counts, Dtype dtype,
                           bool custom_tree = false);
   void allreduce_sum(const void* sbuf, void* rbuf, i64 count, Dtype dtype);
-  /// Personalized all-to-all, byte counts/displacements per peer.
-  void alltoallv_bytes(const void* sbuf, const std::vector<i64>& scounts,
-                       const std::vector<i64>& sdispls, void* rbuf,
-                       const std::vector<i64>& rcounts,
-                       const std::vector<i64>& rdispls);
+  /// Sparse personalized all-to-all: `sends` / `recvs` list only the peers
+  /// this rank exchanges bytes with, by strictly ascending peer (a peer
+  /// left out exchanges 0 bytes). Every nonzero send must meet an equal
+  /// receive entry on its peer; a mismatch raises the same error on every
+  /// member before any data moves. Cost O(listed entries), not O(size()).
+  void alltoallv_bytes(const void* sbuf, std::span<const PeerBlock> sends,
+                       void* rbuf, std::span<const PeerBlock> recvs);
 
   // ---- typed convenience wrappers ----
   template <typename T>

@@ -114,9 +114,7 @@ struct CommState {
     i64 n0 = 0;
     int i0 = 0, i1 = 0;
     const std::vector<i64>* v0 = nullptr;
-    const std::vector<i64>* v1 = nullptr;
-    const std::vector<i64>* v2 = nullptr;
-    const std::vector<i64>* v3 = nullptr;
+    std::span<const PeerBlock> sends, recvs;  ///< alltoallv lists
     double t_entry = 0;
     Dtype dt = Dtype::kF64;
   };

@@ -71,9 +71,9 @@ RankStats run_warm(Algo algo, const Workload& w, Cluster& cl) {
   const Ca3dmmPlan plan = Ca3dmmPlan::make(
       w.m, w.n, w.k, P, costmodel::options_of(w, algo == Algo::kCa3dmmSumma));
   const costmodel::Program pg = costmodel::program_of(algo, w, P, cl.machine());
-  const BlockLayout& la = *pg.layouts[kUserLayoutA];
-  const BlockLayout& lb = *pg.layouts[kUserLayoutB];
-  const BlockLayout& lc = *pg.layouts[kUserLayoutC];
+  const BlockLayout& la = pg.layouts[kUserLayoutA];
+  const BlockLayout& lb = pg.layouts[kUserLayoutB];
+  const BlockLayout& lc = pg.layouts[kUserLayoutC];
   std::vector<RankStats> delta(static_cast<size_t>(P));
   cl.run([&](Comm& world) {
     const int me = world.rank();

@@ -1,6 +1,10 @@
 // BlockLayout factories and ownership invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "layout/block_layout.hpp"
 
 namespace ca3dmm {
@@ -105,6 +109,76 @@ TEST(Layout, RectIntersect) {
   EXPECT_EQ(intersect(a, b), (Rect{{2, 4}, {3, 4}}));
   Rect c{{4, 6}, {0, 4}};
   EXPECT_TRUE(intersect(a, c).empty());
+}
+
+TEST(Layout, CopiesShareStorageAndIndex) {
+  const auto a = BlockLayout::grid_2d(8, 8, 2, 2);
+  const RectIndex* ia = &a.index();
+  const BlockLayout b = a;  // a pointer copy
+  EXPECT_EQ(b.rects_of(3).data(), a.rects_of(3).data());
+  EXPECT_EQ(&b.index(), ia);
+  EXPECT_TRUE(a == b);
+}
+
+TEST(Layout, AddRectOnACopyLeavesTheOriginalAndItsIndex) {
+  BlockLayout a(8, 8, 3);
+  a.add_rect(0, {{0, 4}, {0, 8}});
+  a.add_rect(1, {{4, 8}, {0, 4}});
+  const RectIndex* ia = &a.index();
+  BlockLayout b = a;
+  b.add_rect(2, {{4, 8}, {4, 8}});
+  // The original keeps its rects and its index.
+  EXPECT_TRUE(a.rects_of(2).empty());
+  EXPECT_EQ(&a.index(), ia);
+  EXPECT_FALSE(a.covers_exactly());
+  // The copy has its own storage and a fresh index that sees the new rect.
+  EXPECT_TRUE(b.covers_exactly());
+  EXPECT_NE(b.rects_of(0).data(), a.rects_of(0).data());
+  EXPECT_NE(&b.index(), ia);
+  std::vector<int> hits;
+  b.index().for_each_overlap({{5, 6}, {3, 6}},
+                             [&](int rank, size_t) { hits.push_back(rank); });
+  EXPECT_EQ(hits, (std::vector<int>{1, 2}));
+  hits.clear();
+  a.index().for_each_overlap({{5, 6}, {3, 6}},
+                             [&](int rank, size_t) { hits.push_back(rank); });
+  EXPECT_EQ(hits, (std::vector<int>{1}));
+}
+
+TEST(Layout, AddRectAfterIndexBuildDropsTheIndex) {
+  BlockLayout l(4, 4, 2);
+  l.add_rect(0, {{0, 2}, {0, 4}});
+  const RectIndex* before = &l.index();
+  l.add_rect(1, {{2, 4}, {0, 4}});
+  EXPECT_NE(&l.index(), before);
+  int hits = 0;
+  l.index().for_each_overlap({{0, 4}, {1, 2}}, [&](int, size_t) { ++hits; });
+  EXPECT_EQ(hits, 2);
+}
+
+TEST(Layout, IndexReportsMultiBandRectsOnce) {
+  // Rank 0's tall rect spans the three bands rank 1's rects cut.
+  BlockLayout l(6, 4, 2);
+  l.add_rect(0, {{0, 6}, {0, 2}});
+  l.add_rect(1, {{0, 2}, {2, 4}});
+  l.add_rect(1, {{2, 3}, {2, 4}});
+  l.add_rect(1, {{3, 6}, {2, 4}});
+  ASSERT_TRUE(l.covers_exactly());
+  std::vector<std::pair<int, size_t>> hits;
+  l.index().for_each_overlap({{1, 5}, {1, 3}}, [&](int rank, size_t idx) {
+    hits.emplace_back(rank, idx);
+  });
+  std::sort(hits.begin(), hits.end());
+  EXPECT_EQ(hits, (std::vector<std::pair<int, size_t>>{
+                      {0, 0}, {1, 0}, {1, 1}, {1, 2}}));
+  hits.clear();
+  l.index().for_each_overlap({{2, 3}, {0, 1}}, [&](int rank, size_t idx) {
+    hits.emplace_back(rank, idx);
+  });
+  EXPECT_EQ(hits, (std::vector<std::pair<int, size_t>>{{0, 0}}));
+  int none = 0;
+  l.index().for_each_overlap({{2, 2}, {0, 4}}, [&](int, size_t) { ++none; });
+  EXPECT_EQ(none, 0);  // empty query
 }
 
 }  // namespace

@@ -1,10 +1,17 @@
 // Redistribution engine: conversion between arbitrary layout pairs,
-// transpose-on-the-fly, idle ranks, and volume accounting.
+// transpose-on-the-fly, idle ranks, volume accounting, and the indexed peer
+// search against an all-pairs oracle.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
+#include "baselines/cosma_like.hpp"
+#include "baselines/p25d.hpp"
+#include "baselines/summa.hpp"
 #include "common/rng.hpp"
+#include "core/plan.hpp"
 #include "layout/redistribute.hpp"
 #include "linalg/matrix.hpp"
 #include "simmpi/cluster.hpp"
@@ -241,6 +248,222 @@ TEST(Redistribute, ExecutedMatchesVolumePredictionTranspose) {
   check_volume_prediction(BlockLayout::grid_2d(6, 10, 2, 2),
                           BlockLayout::grid_2d(10, 6, 2, 2), 4, true,
                           Machine::unit_test());
+}
+
+// ---- indexed peer search vs. the all-pairs oracle ----
+
+/// The all-pairs enumeration redistribute ran before layouts were indexed:
+/// every peer, every (source rect, destination rect) pair, nonempty
+/// overlaps only. Kept here as the oracle.
+std::vector<RedistSegment> dense_segments(const BlockLayout& src,
+                                          const BlockLayout& dst,
+                                          bool transpose, int me,
+                                          bool sending) {
+  std::vector<RedistSegment> out;
+  for (int peer = 0; peer < src.nranks(); ++peer) {
+    const auto srects = src.rects_of(sending ? me : peer);
+    const auto drects = dst.rects_of(sending ? peer : me);
+    for (size_t si = 0; si < srects.size(); ++si)
+      for (size_t di = 0; di < drects.size(); ++di) {
+        const Rect& d = drects[di];
+        const Rect inter =
+            intersect(srects[si], transpose ? Rect{d.c, d.r} : d);
+        if (!inter.empty()) out.push_back(RedistSegment{peer, si, di, inter});
+      }
+  }
+  return out;
+}
+
+/// redistribution_volume as the all-pairs loop over (source, destination).
+RedistVolume dense_volume(const BlockLayout& src, const BlockLayout& dst,
+                          bool transpose, i64 esize) {
+  const size_t P = static_cast<size_t>(src.nranks());
+  RedistVolume v;
+  v.send_bytes.assign(P, 0);
+  v.recv_bytes.assign(P, 0);
+  v.send_staging_bytes.assign(P, 0);
+  v.recv_staging_bytes.assign(P, 0);
+  for (size_t s = 0; s < P; ++s)
+    for (const RedistSegment& sg :
+         dense_segments(src, dst, transpose, static_cast<int>(s), true)) {
+      const size_t d = static_cast<size_t>(sg.peer);
+      const i64 bytes = sg.r.size() * esize;
+      v.send_staging_bytes[s] += bytes;
+      v.recv_staging_bytes[d] += bytes;
+      if (s == d) continue;
+      v.send_bytes[s] += bytes;
+      v.recv_bytes[d] += bytes;
+    }
+  for (size_t r = 0; r < P; ++r) {
+    v.max_send_bytes = std::max(v.max_send_bytes, v.send_bytes[r]);
+    v.max_recv_bytes = std::max(v.max_recv_bytes, v.recv_bytes[r]);
+  }
+  return v;
+}
+
+/// Every rank's send and receive segments — hence its peer lists, per-peer
+/// byte counts and packing order — and every RedistVolume field equal the
+/// oracle's.
+void expect_matches_oracle(const BlockLayout& src, const BlockLayout& dst,
+                           bool transpose, const std::string& what) {
+  SCOPED_TRACE(what + (transpose ? " (transposed)" : ""));
+  for (int me = 0; me < src.nranks(); ++me)
+    for (const bool sending : {true, false}) {
+      const auto got =
+          redistribution_segments(src, dst, transpose, me, sending);
+      const auto want = dense_segments(src, dst, transpose, me, sending);
+      ASSERT_EQ(got.size(), want.size()) << "rank " << me;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].peer, want[i].peer) << "rank " << me << " seg " << i;
+        EXPECT_EQ(got[i].si, want[i].si) << "rank " << me << " seg " << i;
+        EXPECT_EQ(got[i].di, want[i].di) << "rank " << me << " seg " << i;
+        EXPECT_EQ(got[i].r, want[i].r) << "rank " << me << " seg " << i;
+      }
+    }
+  const RedistVolume got = redistribution_volume(src, dst, transpose, 8);
+  const RedistVolume want = dense_volume(src, dst, transpose, 8);
+  EXPECT_EQ(got.max_send_bytes, want.max_send_bytes);
+  EXPECT_EQ(got.max_recv_bytes, want.max_recv_bytes);
+  EXPECT_EQ(got.send_bytes, want.send_bytes);
+  EXPECT_EQ(got.recv_bytes, want.recv_bytes);
+  EXPECT_EQ(got.send_staging_bytes, want.send_staging_bytes);
+  EXPECT_EQ(got.recv_staging_bytes, want.recv_staging_bytes);
+}
+
+/// A random divisor of P.
+int divisor_of(Rng& rng, int P) {
+  std::vector<int> divs;
+  for (int d = 1; d <= P; ++d)
+    if (P % d == 0) divs.push_back(d);
+  return divs[static_cast<size_t>(
+      rng.uniform(0, static_cast<i64>(divs.size()) - 1))];
+}
+
+/// One of a plan's native layouts with `rows` x `cols` dimensions: A
+/// (m x k), B (k x n) or C (m x n), the free dimension drawn at random.
+template <typename Make>
+BlockLayout plan_native(Rng& rng, i64 rows, i64 cols, Make&& make) {
+  const i64 free = rng.uniform(1, 60);
+  switch (rng.uniform(0, 2)) {
+    case 0: return make(rows, free, cols).a_native();
+    case 1: return make(free, cols, rows).b_native();
+    default: return make(rows, cols, free).c_native();
+  }
+}
+
+/// Random rects from repeated guillotine cuts, dealt to random ranks: ranks
+/// own zero to many rects, and rects span several row bands of the index.
+BlockLayout guillotine(Rng& rng, i64 rows, i64 cols, int P) {
+  std::vector<Rect> rects{Rect{{0, rows}, {0, cols}}};
+  for (int cut = 0; cut < 2 * P; ++cut) {
+    Rect& r = rects[static_cast<size_t>(
+        rng.uniform(0, static_cast<i64>(rects.size()) - 1))];
+    const bool along_rows = rng.uniform(0, 1) == 1;
+    const Range span = along_rows ? r.r : r.c;
+    if (span.size() < 2) continue;
+    const i64 at = rng.uniform(span.lo + 1, span.hi - 1);
+    Rect other = r;
+    (along_rows ? r.r.hi : r.c.hi) = at;
+    (along_rows ? other.r.lo : other.c.lo) = at;
+    rects.push_back(other);
+  }
+  BlockLayout l(rows, cols, P);
+  for (const Rect& r : rects)
+    l.add_rect(static_cast<int>(rng.uniform(0, P - 1)), r);
+  return l;
+}
+
+constexpr int kLayoutKinds = 10;
+const char* const kKindNames[kLayoutKinds] = {
+    "row_1d", "col_1d",  "grid_2d", "grid_2d col-major", "block_cyclic",
+    "single", "ca3dmm",  "cosma",   "summa",             "2.5d"};
+
+BlockLayout layout_of_kind(int kind, Rng& rng, i64 rows, i64 cols, int P) {
+  switch (kind) {
+    case 0: return BlockLayout::row_1d(rows, cols, P);
+    case 1: return BlockLayout::col_1d(rows, cols, P);
+    case 2:
+    case 3: {
+      const int pr = divisor_of(rng, P);
+      return BlockLayout::grid_2d(rows, cols, pr, P / pr, kind == 3);
+    }
+    case 4: {
+      const int pr = divisor_of(rng, P);
+      return BlockLayout::block_cyclic(rows, cols, pr, P / pr,
+                                       rng.uniform(1, 7), rng.uniform(1, 7));
+    }
+    case 5:
+      return BlockLayout::single(rows, cols,
+                                 static_cast<int>(rng.uniform(0, P - 1)), P);
+    case 6:
+      return plan_native(rng, rows, cols, [&](i64 m, i64 n, i64 k) {
+        return Ca3dmmPlan::make(m, n, k, P);
+      });
+    case 7:
+      return plan_native(rng, rows, cols, [&](i64 m, i64 n, i64 k) {
+        return CosmaPlan::make(m, n, k, P);
+      });
+    case 8:
+      return plan_native(rng, rows, cols, [&](i64 m, i64 n, i64 k) {
+        return SummaPlan::make(m, n, k, P);
+      });
+    default:
+      return plan_native(rng, rows, cols, [&](i64 m, i64 n, i64 k) {
+        return P25dPlan::make(m, n, k, P);
+      });
+  }
+}
+
+TEST(RedistributePeers, EveryKindPairMatchesDenseOracle) {
+  Rng rng(14);
+  for (const int P : {7, 48})
+    for (int ks = 0; ks < kLayoutKinds; ++ks)
+      for (int kd = 0; kd < kLayoutKinds; ++kd)
+        for (const bool transpose : {false, true}) {
+          const i64 rows = rng.uniform(1, 70), cols = rng.uniform(1, 70);
+          const BlockLayout src = layout_of_kind(ks, rng, rows, cols, P);
+          const BlockLayout dst =
+              transpose ? layout_of_kind(kd, rng, cols, rows, P)
+                        : layout_of_kind(kd, rng, rows, cols, P);
+          expect_matches_oracle(src, dst, transpose,
+                                "P=" + std::to_string(P) + " " +
+                                    kKindNames[ks] + " -> " + kKindNames[kd]);
+        }
+}
+
+TEST(RedistributePeers, RandomSeededPairsMatchDenseOracle) {
+  Rng rng(20261016);
+  for (const int P : {1, 7, 48, 256})
+    for (int trial = 0; trial < (P == 256 ? 16 : 48); ++trial) {
+      const i64 rows = rng.uniform(1, 120), cols = rng.uniform(1, 120);
+      const bool transpose = rng.uniform(0, 1) == 1;
+      const auto pick = [&](i64 r, i64 c) {
+        const int kind = static_cast<int>(rng.uniform(0, kLayoutKinds));
+        return kind == kLayoutKinds ? guillotine(rng, r, c, P)
+                                    : layout_of_kind(kind, rng, r, c, P);
+      };
+      const BlockLayout src = pick(rows, cols);
+      const BlockLayout dst = transpose ? pick(cols, rows) : pick(rows, cols);
+      expect_matches_oracle(src, dst, transpose,
+                            "P=" + std::to_string(P) + " trial " +
+                                std::to_string(trial));
+    }
+}
+
+TEST(RedistributePeers, GuillotineLayoutsRoundTrip) {
+  // Rects that span several index bands, ranks with many or no rects.
+  Rng rng(5);
+  for (int trial = 0; trial < 8; ++trial) {
+    const int P = static_cast<int>(rng.uniform(1, 9));
+    const i64 rows = rng.uniform(1, 30), cols = rng.uniform(1, 30);
+    const bool transpose = trial % 2 == 1;
+    const BlockLayout src = guillotine(rng, rows, cols, P);
+    const BlockLayout dst = transpose ? guillotine(rng, cols, rows, P)
+                                      : guillotine(rng, rows, cols, P);
+    ASSERT_TRUE(src.covers_exactly());
+    ASSERT_TRUE(dst.covers_exactly());
+    roundtrip(src, dst, P, transpose);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 // data results for every collective, uneven counts, splits, and nesting.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "simmpi/cluster.hpp"
@@ -121,18 +124,15 @@ TEST(Collectives, Alltoallv) {
     // Rank r sends one double (value 100*r + d) to every rank d.
     const int me = c.rank();
     std::vector<double> sbuf(static_cast<size_t>(P));
-    std::vector<i64> scounts(static_cast<size_t>(P)), sdispls(static_cast<size_t>(P));
-    std::vector<i64> rcounts(static_cast<size_t>(P)), rdispls(static_cast<size_t>(P));
+    std::vector<PeerBlock> sends, recvs;
     for (int d = 0; d < P; ++d) {
       sbuf[static_cast<size_t>(d)] = 100.0 * me + d;
-      scounts[static_cast<size_t>(d)] = sizeof(double);
-      sdispls[static_cast<size_t>(d)] = static_cast<i64>(d * sizeof(double));
-      rcounts[static_cast<size_t>(d)] = sizeof(double);
-      rdispls[static_cast<size_t>(d)] = static_cast<i64>(d * sizeof(double));
+      const i64 at = static_cast<i64>(d * sizeof(double));
+      sends.push_back({d, sizeof(double), at});
+      recvs.push_back({d, sizeof(double), at});
     }
     std::vector<double> rbuf(static_cast<size_t>(P), -1);
-    c.alltoallv_bytes(sbuf.data(), scounts, sdispls, rbuf.data(), rcounts,
-                      rdispls);
+    c.alltoallv_bytes(sbuf.data(), sends, rbuf.data(), recvs);
     for (int s = 0; s < P; ++s)
       EXPECT_DOUBLE_EQ(rbuf[static_cast<size_t>(s)], 100.0 * s + me);
   });
@@ -241,23 +241,140 @@ TEST(CollectivesEdge, AlltoallvZeroCountsForSomePeers) {
   cl.run([&](Comm& c) {
     const int me = c.rank();
     const double mine = 100.0 + me;
-    std::vector<i64> scounts(static_cast<size_t>(P), 0);
-    std::vector<i64> sdispls(static_cast<size_t>(P), 0);
-    std::vector<i64> rcounts(static_cast<size_t>(P), 0);
-    std::vector<i64> rdispls(static_cast<size_t>(P), 0);
-    scounts[0] = sizeof(double);
+    const std::vector<PeerBlock> sends{{0, sizeof(double), 0}};
+    std::vector<PeerBlock> recvs;
     if (me == 0)
-      for (int s = 0; s < P; ++s) {
-        rcounts[static_cast<size_t>(s)] = sizeof(double);
-        rdispls[static_cast<size_t>(s)] = static_cast<i64>(s * sizeof(double));
-      }
+      for (int s = 0; s < P; ++s)
+        recvs.push_back(
+            {s, sizeof(double), static_cast<i64>(s * sizeof(double))});
     std::vector<double> rbuf(static_cast<size_t>(P), -1.0);
-    c.alltoallv_bytes(&mine, scounts, sdispls, rbuf.data(), rcounts, rdispls);
+    c.alltoallv_bytes(&mine, sends, rbuf.data(), recvs);
     if (me == 0)
       for (int s = 0; s < P; ++s)
         EXPECT_DOUBLE_EQ(rbuf[static_cast<size_t>(s)], 100.0 + s);
     else
       for (double v : rbuf) EXPECT_DOUBLE_EQ(v, -1.0);
+  });
+}
+
+/// One alltoallv over P ranks where rank r posts `lists(r)` (sends,
+/// receives; each rank's send buffer holds 4 doubles). Returns each rank's
+/// error message ("" = none) and checks that a failed call left the receive
+/// buffer untouched.
+using A2aLists = std::pair<std::vector<PeerBlock>, std::vector<PeerBlock>>;
+std::vector<std::string> alltoallv_errors(
+    int P, bool validate, const std::function<A2aLists(int)>& lists) {
+  Cluster cl(P, Machine::unit_test());
+  cl.set_validation(validate);
+  std::vector<std::string> errors(static_cast<size_t>(P));
+  cl.run([&](Comm& c) {
+    const auto [sends, recvs] = lists(c.rank());
+    const std::vector<double> sbuf(4, 1.0 + c.rank());
+    std::vector<double> rbuf(static_cast<size_t>(4 * P), -1.0);
+    try {
+      c.alltoallv_bytes(sbuf.data(), sends, rbuf.data(), recvs);
+    } catch (const Error& e) {
+      errors[static_cast<size_t>(c.rank())] = e.what();
+      for (double v : rbuf) EXPECT_DOUBLE_EQ(v, -1.0);
+    }
+  });
+  return errors;
+}
+
+/// Every rank sends one double to every rank, except where `tweak` edits
+/// rank r's lists.
+std::function<A2aLists(int)> all_pairs(
+    int P, std::function<void(int, A2aLists&)> tweak) {
+  return [=](int r) {
+    A2aLists l;
+    for (int d = 0; d < P; ++d) {
+      l.first.push_back({d, sizeof(double), 0});
+      l.second.push_back({d, sizeof(double), 8 * d});
+    }
+    tweak(r, l);
+    return l;
+  };
+}
+
+void expect_same_error_everywhere(const std::vector<std::string>& errors,
+                                  const std::string& want) {
+  for (const std::string& e : errors) {
+    EXPECT_EQ(e, errors[0]);
+    EXPECT_NE(e.find(want), std::string::npos) << e;
+  }
+}
+
+TEST(AlltoallvErrors, SendLargerThanPeerExpects) {
+  const auto lists = all_pairs(4, [](int r, A2aLists& l) {
+    if (r == 1) l.first[2].bytes = 16;  // rank 2 expects 8
+  });
+  expect_same_error_everywhere(alltoallv_errors(4, false, lists),
+                               "alltoallv count mismatch 1->2");
+  expect_same_error_everywhere(
+      alltoallv_errors(4, true, lists),
+      "alltoallv count mismatch: rank 1 sends 16 bytes to rank 2, which "
+      "expects 8");
+}
+
+TEST(AlltoallvErrors, ExpectedBytesNobodySends) {
+  const auto lists = all_pairs(4, [](int r, A2aLists& l) {
+    if (r == 0) l.first.erase(l.first.begin() + 3);  // nothing for rank 3
+  });
+  expect_same_error_everywhere(alltoallv_errors(4, false, lists),
+                               "alltoallv count mismatch 0->3");
+  expect_same_error_everywhere(
+      alltoallv_errors(4, true, lists),
+      "alltoallv count mismatch: rank 0 sends 0 bytes to rank 3, which "
+      "expects 8");
+}
+
+TEST(AlltoallvErrors, ReportsFirstMismatchedPairInRankOrder) {
+  // A send mismatch at 2->1 and an unmatched receive at 0->3: the error
+  // names the pair that comes first in (source, destination) order.
+  const auto lists = all_pairs(4, [](int r, A2aLists& l) {
+    if (r == 2) l.first[1].bytes = 16;
+    if (r == 0) l.first.erase(l.first.begin() + 3);
+  });
+  expect_same_error_everywhere(alltoallv_errors(4, false, lists),
+                               "alltoallv count mismatch 0->3");
+}
+
+TEST(AlltoallvErrors, UnsortedListIsRejected) {
+  const auto lists = all_pairs(3, [](int r, A2aLists& l) {
+    if (r == 1) std::swap(l.first[0], l.first[1]);
+  });
+  Cluster cl(3, Machine::unit_test());
+  EXPECT_THROW(cl.run([&](Comm& c) {
+                 const auto [sends, recvs] = lists(c.rank());
+                 double sbuf[4] = {}, rbuf[12] = {};
+                 c.alltoallv_bytes(sbuf, sends, rbuf, recvs);
+               }),
+               Error);
+}
+
+TEST(AlltoallvErrors, SelfOnlySingleRankAndZeroPeerCallsSucceed) {
+  for (const bool validate : {false, true}) {
+    // Self only: each rank's one entry is itself.
+    const auto self = [](int r) {
+      return A2aLists{{{r, sizeof(double), 0}}, {{r, sizeof(double), 0}}};
+    };
+    for (const std::string& e : alltoallv_errors(5, validate, self))
+      EXPECT_EQ(e, "");
+    for (const std::string& e : alltoallv_errors(1, validate, self))
+      EXPECT_EQ(e, "");
+    // Zero peers: empty lists on every rank move nothing.
+    const auto none = [](int) { return A2aLists{}; };
+    for (const std::string& e : alltoallv_errors(5, validate, none))
+      EXPECT_EQ(e, "");
+  }
+  Cluster cl(3, Machine::unit_test());
+  cl.run([](Comm& c) {
+    const double mine = 10.0 + c.rank();
+    double got = -1;
+    const std::vector<PeerBlock> self{{c.rank(), sizeof(double), 0}};
+    c.alltoallv_bytes(&mine, self, &got, self);
+    EXPECT_DOUBLE_EQ(got, mine);
+    c.alltoallv_bytes(nullptr, {}, nullptr, {});
   });
 }
 
@@ -302,10 +419,9 @@ TEST(CollectivesEdge, SingleRankCommunicatorAllCollectives) {
     double ar = -1;
     solo.allreduce(&x, &ar, 1);
     EXPECT_DOUBLE_EQ(ar, 7.5);
-    const std::vector<i64> one{static_cast<i64>(sizeof(double))};
-    const std::vector<i64> zero_d{0};
+    const std::vector<PeerBlock> self{{0, sizeof(double), 0}};
     double a2a = -1;
-    solo.alltoallv_bytes(&x, one, zero_d, &a2a, one, zero_d);
+    solo.alltoallv_bytes(&x, self, &a2a, self);
     EXPECT_DOUBLE_EQ(a2a, 7.5);
     Comm sub = solo.split(0, 0);
     EXPECT_TRUE(sub.valid());
