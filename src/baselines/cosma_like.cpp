@@ -239,8 +239,8 @@ void cosma_multiply(Comm& world, const CosmaPlan& plan, bool trans_a,
                     bool trans_b, const BlockLayout& a_layout, const T* a_local,
                     const BlockLayout& b_layout, const T* b_local,
                     const BlockLayout& c_layout, T* c_local) {
-  run_plan(world, plan, a_layout, a_local, b_layout, b_local, c_layout,
-           c_local, [&](Schedule& s) {
+  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
+           b_local, c_layout, c_local, [&](Schedule& s) {
              build_schedule(plan, world.rank(), world.machine(), trans_a,
                             trans_b, s);
            });

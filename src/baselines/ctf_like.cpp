@@ -39,7 +39,8 @@ void ctf_multiply(Comm& world, const CtfPlan& plan, bool trans_a, bool trans_b,
   io.layouts[kCyclicA] = &a_cyc;
   io.layouts[kCyclicB] = &b_cyc;
   run_plan(
-      world, p, a_layout, a_local, b_layout, b_local, c_layout, c_local,
+      world, p, trans_a, trans_b, a_layout, a_local, b_layout, b_local,
+      c_layout, c_local,
       [&](Schedule& s) {
         build_schedule(plan, world.rank(), world.machine(), trans_a, trans_b,
                        s);

@@ -202,8 +202,8 @@ void p25d_multiply(Comm& world, const P25dPlan& plan, bool trans_a,
                    bool trans_b, const BlockLayout& a_layout, const T* a_local,
                    const BlockLayout& b_layout, const T* b_local,
                    const BlockLayout& c_layout, T* c_local) {
-  run_plan(world, plan, a_layout, a_local, b_layout, b_local, c_layout,
-           c_local, [&](Schedule& s) {
+  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
+           b_local, c_layout, c_local, [&](Schedule& s) {
              build_schedule(plan, world.rank(), trans_a, trans_b, s);
            });
 }

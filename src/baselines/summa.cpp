@@ -140,8 +140,8 @@ void summa_multiply(Comm& world, const SummaPlan& plan, bool trans_a,
                     bool trans_b, const BlockLayout& a_layout, const T* a_local,
                     const BlockLayout& b_layout, const T* b_local,
                     const BlockLayout& c_layout, T* c_local, i64 panel_kb) {
-  run_plan(world, plan, a_layout, a_local, b_layout, b_local, c_layout,
-           c_local, [&](Schedule& s) {
+  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
+           b_local, c_layout, c_local, [&](Schedule& s) {
              build_schedule(plan, world.rank(), panel_kb, trans_a, trans_b, s);
            });
 }

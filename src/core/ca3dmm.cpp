@@ -142,78 +142,35 @@ void ca3dmm_execute(Comm& world, const Ca3dmmPlan& plan, PlanComms* cached,
                     const T* a_local, const BlockLayout& b_layout,
                     const T* b_local, const BlockLayout& c_layout,
                     T* c_local) {
-  // Precondition validation. Every check below depends only on arguments
-  // that MPI semantics require to be identical on all ranks (or on this
-  // rank's own buffers), and runs before any communication: a bad input
-  // raises the same ca3dmm::Error on every rank collectively instead of
-  // diverging into a hang.
-  CA_REQUIRE(world.valid(), "ca3dmm_multiply needs a valid communicator");
-  CA_REQUIRE(world.size() == plan.nranks(), "plan is for %d ranks, comm has %d",
-             plan.nranks(), world.size());
-  const i64 m = plan.m(), n = plan.n(), k = plan.k();
-  CA_REQUIRE(m > 0 && n > 0 && k > 0, "plan is empty (default-constructed?)");
-  CA_REQUIRE(a_layout.nranks() == world.size() &&
-                 b_layout.nranks() == world.size() &&
-                 c_layout.nranks() == world.size(),
-             "operand layouts must cover exactly the %d ranks of the "
-             "communicator (got A:%d B:%d C:%d)",
-             world.size(), a_layout.nranks(), b_layout.nranks(),
-             c_layout.nranks());
-  CA_REQUIRE(c_layout.rows() == m && c_layout.cols() == n,
-             "C layout is %lld x %lld, plan computes %lld x %lld",
-             static_cast<long long>(c_layout.rows()),
-             static_cast<long long>(c_layout.cols()),
-             static_cast<long long>(m), static_cast<long long>(n));
-  CA_REQUIRE((trans_a ? a_layout.cols() : a_layout.rows()) == m &&
-                 (trans_a ? a_layout.rows() : a_layout.cols()) == k,
-             "A layout is %lld x %lld, plan needs op(A) = %lld x %lld",
-             static_cast<long long>(a_layout.rows()),
-             static_cast<long long>(a_layout.cols()),
-             static_cast<long long>(m), static_cast<long long>(k));
-  CA_REQUIRE((trans_b ? b_layout.cols() : b_layout.rows()) == k &&
-                 (trans_b ? b_layout.rows() : b_layout.cols()) == n,
-             "B layout is %lld x %lld, plan needs op(B) = %lld x %lld",
-             static_cast<long long>(b_layout.rows()),
-             static_cast<long long>(b_layout.cols()),
-             static_cast<long long>(k), static_cast<long long>(n));
-  const Ca3dmmOptions& opt = plan.options();
-  CA_REQUIRE(opt.min_kblk >= 0,
-             "min_kblk must be >= 0 (0 = one GEMM per shift), got %lld",
-             static_cast<long long>(opt.min_kblk));
-
-  const int me = world.rank();
-  CA_REQUIRE(a_local != nullptr || a_layout.local_size(me) == 0,
-             "rank %d: A local buffer is null but the layout assigns it "
-             "%lld elements",
-             me, static_cast<long long>(a_layout.local_size(me)));
-  CA_REQUIRE(b_local != nullptr || b_layout.local_size(me) == 0,
-             "rank %d: B local buffer is null but the layout assigns it "
-             "%lld elements",
-             me, static_cast<long long>(b_layout.local_size(me)));
-  CA_REQUIRE(c_local != nullptr || c_layout.local_size(me) == 0,
-             "rank %d: C local buffer is null but the layout assigns it "
-             "%lld elements",
-             me, static_cast<long long>(c_layout.local_size(me)));
   ScheduleIo<T> io;
   if (cached) {
-    const RankCoord co = plan.coord(me);
-    const int s = plan.s();
-    CA_REQUIRE(co.active == cached->active.valid(),
-               "rank %d: cached communicators do not match the plan "
-               "(active comm %s but rank is %s)",
-               me, cached->active.valid() ? "valid" : "invalid",
-               co.active ? "active" : "idle");
-    CA_REQUIRE(!co.active || cached->cannon.size() == s * s,
-               "rank %d: cached Cannon comm has %d ranks, plan needs %d",
-               me, cached->cannon.valid() ? cached->cannon.size() : 0, s * s);
     io.cached[kActive] = &cached->active;
     io.cached[kGrid] = &cached->cannon;
     io.cached[kRepl] = &cached->repl;
     io.cached[kReduce] = &cached->reduce;
   }
   run_plan(
-      world, plan, a_layout, a_local, b_layout, b_local, c_layout, c_local,
-      [&](Schedule& s) { build_schedule(plan, me, trans_a, trans_b, s); },
+      world, plan, trans_a, trans_b, a_layout, a_local, b_layout, b_local,
+      c_layout, c_local,
+      [&](Schedule& s) {
+        // run_plan has validated the call; the cached communicators are
+        // checked here, still before any communication.
+        const int me = world.rank();
+        if (cached) {
+          const RankCoord co = plan.coord(me);
+          const int g = plan.s();
+          CA_REQUIRE(co.active == cached->active.valid(),
+                     "rank %d: cached communicators do not match the plan "
+                     "(active comm %s but rank is %s)",
+                     me, cached->active.valid() ? "valid" : "invalid",
+                     co.active ? "active" : "idle");
+          CA_REQUIRE(!co.active || cached->cannon.size() == g * g,
+                     "rank %d: cached Cannon comm has %d ranks, plan needs %d",
+                     me, cached->cannon.valid() ? cached->cannon.size() : 0,
+                     g * g);
+        }
+        build_schedule(plan, me, trans_a, trans_b, s);
+      },
       io);
 }
 

@@ -331,16 +331,54 @@ template <typename T>
 void run_schedule(simmpi::Comm& world, const Schedule& s,
                   const ScheduleIo<T>& io);
 
-/// The body of every algorithm's executor: builds the calling rank's
-/// schedule with `build`, binds the caller's operands and `plan`'s native
-/// layouts (plus whatever `io` already holds) and runs it.
+/// The body of every algorithm's executor: validates the call, builds the
+/// calling rank's schedule with `build`, binds the caller's operands and
+/// `plan`'s native layouts (plus whatever `io` already holds) and runs it.
+///
+/// Every check depends only on arguments MPI semantics require to be
+/// identical on all ranks, or on this rank's own buffers, and runs before
+/// any communication: a bad input raises the same ca3dmm::Error on every
+/// rank collectively instead of diverging into a hang or a crash.
 template <typename T, typename Plan, typename Build>
-void run_plan(simmpi::Comm& world, const Plan& plan, const BlockLayout& la,
-              const T* a, const BlockLayout& lb, const T* b,
-              const BlockLayout& lc, T* c, Build&& build,
-              ScheduleIo<T> io = {}) {
-  CA_REQUIRE(world.size() == plan.nranks(), "plan is for %d ranks, comm has %d",
-             plan.nranks(), world.size());
+void run_plan(simmpi::Comm& world, const Plan& plan, bool trans_a,
+              bool trans_b, const BlockLayout& la, const T* a,
+              const BlockLayout& lb, const T* b, const BlockLayout& lc, T* c,
+              Build&& build, ScheduleIo<T> io = {}) {
+  CA_REQUIRE(world.valid(), "multiply needs a valid communicator");
+  const int P = world.size();
+  CA_REQUIRE(P == plan.nranks(), "plan is for %d ranks, comm has %d",
+             plan.nranks(), P);
+  const i64 m = plan.m(), n = plan.n(), k = plan.k();
+  CA_REQUIRE(m > 0 && n > 0 && k > 0, "plan is empty (default-constructed?)");
+  CA_REQUIRE(la.nranks() == P && lb.nranks() == P && lc.nranks() == P,
+             "operand layouts must cover exactly the %d ranks of the "
+             "communicator (got A:%d B:%d C:%d)",
+             P, la.nranks(), lb.nranks(), lc.nranks());
+  CA_REQUIRE(lc.rows() == m && lc.cols() == n,
+             "C layout is %lld x %lld, plan computes %lld x %lld",
+             static_cast<long long>(lc.rows()),
+             static_cast<long long>(lc.cols()), static_cast<long long>(m),
+             static_cast<long long>(n));
+  CA_REQUIRE((trans_a ? la.cols() : la.rows()) == m &&
+                 (trans_a ? la.rows() : la.cols()) == k,
+             "A layout is %lld x %lld, plan needs op(A) = %lld x %lld",
+             static_cast<long long>(la.rows()),
+             static_cast<long long>(la.cols()), static_cast<long long>(m),
+             static_cast<long long>(k));
+  CA_REQUIRE((trans_b ? lb.cols() : lb.rows()) == k &&
+                 (trans_b ? lb.rows() : lb.cols()) == n,
+             "B layout is %lld x %lld, plan needs op(B) = %lld x %lld",
+             static_cast<long long>(lb.rows()),
+             static_cast<long long>(lb.cols()), static_cast<long long>(k),
+             static_cast<long long>(n));
+  const int me = world.rank();
+  const BlockLayout* user[] = {&la, &lb, &lc};
+  const bool given[] = {a != nullptr, b != nullptr, c != nullptr};
+  for (int i = 0; i < 3; ++i)
+    CA_REQUIRE(given[i] || user[i]->local_size(me) == 0,
+               "rank %d: %c local buffer is null but the layout assigns it "
+               "%lld elements",
+               me, "ABC"[i], static_cast<long long>(user[i]->local_size(me)));
   Schedule s(sizeof(T));
   build(s);
   const BlockLayout* bound[] = {&la, &lb, &lc, &plan.a_native(),

@@ -56,9 +56,6 @@ PgemmEngine::PgemmEngine(Comm& world, EngineConfig cfg)
       pool_(cfg.pool_max_idle_bytes) {
   pool_.set_footprint_budget(cfg.pool_footprint_budget_bytes);
   CA_REQUIRE(world_.valid(), "PgemmEngine needs a valid communicator");
-  // Bind the engine mutex to the cluster so fiber callers park through the
-  // scheduler instead of blocking their worker thread (see CoopMutex).
-  mu_.bind(world_.cluster());
   CA_REQUIRE(cfg_.plan_cache_capacity >= 1,
              "plan_cache_capacity must be >= 1, got %zu",
              cfg_.plan_cache_capacity);
@@ -69,9 +66,15 @@ PgemmEngine::PgemmEngine(Comm& world, EngineConfig cfg)
       tuned_view_[e.key] = e;
 }
 
+void PgemmEngine::check_owner() const {
+  CA_REQUIRE(simmpi::current_ctx() == owner_ctx_,
+             "PgemmEngine on world rank %d called off its owning rank; an "
+             "engine is a per-rank object, called only from its rank's code",
+             world_.world_rank());
+}
+
 std::vector<tuner::TuningKey> PgemmEngine::refresh_tuning() {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
-  simmpi::RankCtxScope adopt(owner_ctx_);
+  check_owner();
   std::vector<tuner::TuningKey> changed;
   if (!cfg_.tuning_db) return changed;
   // Rank 0's view of the DB is the one everybody adopts: serialize under
@@ -97,7 +100,7 @@ std::vector<tuner::TuningKey> PgemmEngine::refresh_tuning() {
   return changed;
 }
 
-const tuner::TuningEntry* PgemmEngine::tuned_entry_locked(
+const tuner::TuningEntry* PgemmEngine::tuned_entry(
     i64 m, i64 n, i64 k, const Ca3dmmOptions& opt) const {
   if (!cfg_.tuning_db) return nullptr;
   if (opt.force_grid || opt.coll || opt.use_summa) return nullptr;
@@ -109,8 +112,7 @@ const tuner::TuningEntry* PgemmEngine::tuned_entry_locked(
 
 std::optional<tuner::TunedConfig> PgemmEngine::tuned_for(
     i64 m, i64 n, i64 k, const Ca3dmmOptions& opt) const {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
-  const tuner::TuningEntry* e = tuned_entry_locked(m, n, k, opt);
+  const tuner::TuningEntry* e = tuned_entry(m, n, k, opt);
   if (!e) return std::nullopt;
   return e->config;
 }
@@ -138,7 +140,7 @@ PgemmEngine::Entry& PgemmEngine::lookup(const PlanKey& key) {
     const bool tunable =
         !key.opt.force_grid && !key.opt.coll && !key.opt.use_summa;
     const tuner::TuningEntry* te =
-        tuned_entry_locked(key.m, key.n, key.k, key.opt);
+        tuned_entry(key.m, key.n, key.k, key.opt);
     if (te) {
       build_opt.force_grid = te->config.grid;
       build_opt.coll = te->config.coll;
@@ -174,36 +176,28 @@ PgemmEngine::Entry& PgemmEngine::lookup(const PlanKey& key) {
 
 const Ca3dmmPlan& PgemmEngine::plan_for(i64 m, i64 n, i64 k,
                                         const Ca3dmmOptions& opt) {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
-  simmpi::RankCtxScope adopt(owner_ctx_);
+  check_owner();
   return lookup(PlanKey{m, n, k, world_.size(), opt}).plan;
 }
 
 bool PgemmEngine::is_cached(i64 m, i64 n, i64 k,
                             const Ca3dmmOptions& opt) const {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
   return index_.count(PlanKey{m, n, k, world_.size(), opt}) != 0;
 }
 
 i64 PgemmEngine::trim_pool(i64 target_idle_bytes) {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
   return pool_.trim(target_idle_bytes);
 }
 
 EngineStats PgemmEngine::stats() const {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
   EngineStats s = stats_;
   s.pool = pool_.stats();
   return s;
 }
 
-size_t PgemmEngine::cached_plans() const {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
-  return lru_.size();
-}
+size_t PgemmEngine::cached_plans() const { return lru_.size(); }
 
 void PgemmEngine::clear() {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
   lru_.clear();
   index_.clear();
   pool_.trim();
@@ -280,15 +274,13 @@ void PgemmEngine::execute(Entry& entry, const Request<T>& req) {
 
 template <typename T>
 void PgemmEngine::multiply(const Request<T>& req) {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
-  simmpi::RankCtxScope adopt(owner_ctx_);
+  check_owner();
   execute(lookup(key_of(req)), req);
 }
 
 template <typename T>
 void PgemmEngine::submit(const std::vector<Request<T>>& batch) {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
-  simmpi::RankCtxScope adopt(owner_ctx_);
+  check_owner();
   ++stats_.batches;
   // Group same-plan requests, preserving the order groups first appear in;
   // a group's requests then run back-to-back on one cached plan, so an

@@ -31,15 +31,11 @@
 // object; cache state evolves identically on all ranks because the request
 // stream does. Results are bit-identical to the one-shot path.
 //
-// Concurrency: the engine is safe for concurrent callers on one rank. A
-// mutex serializes multiply/submit/plan_for (collectives of one rank cannot
-// interleave anyway — serialization is the only sound semantic, and it is
-// what a serving layer's worker threads need), and the engine re-installs
-// its owning rank's context + pool for the duration of each call, so helper
-// threads without a rank context of their own can drive requests on the
-// owning rank's behalf. Cross-rank collective matching remains the caller's
-// contract: when racing callers can reorder requests, the interleaving must
-// be order-insensitive (single-rank world, or identical requests).
+// Concurrency: the engine is a per-rank object, called from its rank's own
+// code, one call at a time — as an MPI rank is one single-threaded process
+// in every algorithm this repository reproduces. The collective entry
+// points (multiply, submit, plan_for, refresh_tuning) raise ca3dmm::Error
+// when called from anywhere else, such as an OS thread the rank spawned.
 //
 // Failure semantics: a rank killed mid-batch triggers the cluster's
 // cooperative abort, every peer unwinds, and Cluster::run raises one
@@ -58,7 +54,6 @@
 #include <cstddef>
 #include <list>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -252,23 +247,17 @@ class PgemmEngine {
   template <typename T>
   PlanKey key_of(const Request<T>& req) const;
 
-  /// Fresh snapshot entry covering a tunable request, else null. mu_ held.
-  const tuner::TuningEntry* tuned_entry_locked(i64 m, i64 n, i64 k,
-                                               const Ca3dmmOptions& opt) const;
+  /// Fresh snapshot entry covering a tunable request, else null.
+  const tuner::TuningEntry* tuned_entry(i64 m, i64 n, i64 k,
+                                        const Ca3dmmOptions& opt) const;
+
+  /// Raises ca3dmm::Error unless called from the rank that built the engine.
+  void check_owner() const;
 
   simmpi::Comm world_;
   EngineConfig cfg_;
-  /// Rank context of the thread that constructed the engine. Each public
-  /// call re-installs it (RankCtxScope) so helper threads adopt the owning
-  /// rank's clock/stats/tracking for the call's duration.
+  /// Rank context of the rank that constructed the engine (check_owner).
   simmpi::RankCtx* owner_ctx_;
-  /// Serializes all public entry points. The LRU list, index, pool, and
-  /// stats — and the underlying per-rank communicator — are single-caller
-  /// structures; one caller at a time is the only sound semantic. A
-  /// CoopMutex (not std::mutex) because the owning rank's fiber may
-  /// migrate between worker threads while holding it, and a blocked
-  /// contender must park its fiber instead of wedging its worker.
-  mutable simmpi::CoopMutex mu_;
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<PlanKey, std::list<Entry>::iterator, PlanKeyHash> index_;
   simmpi::BufferPool pool_;

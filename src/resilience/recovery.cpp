@@ -125,7 +125,7 @@ RecoveryReport ResilientRunner::run(
       report_.final_nranks = P;
       report_.surviving_world_ranks = survivors;
 
-      // A failure with no rank attributed (watchdog deadlock) cannot be
+      // A failure with no rank attributed (a detected deadlock) cannot be
       // shrunk away; one where every rank failed without a degraded node is
       // a collectively raised input error that would recur at any size.
       if (excluded.empty() || static_cast<int>(excluded.size()) >= P)

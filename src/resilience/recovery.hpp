@@ -103,7 +103,7 @@ class ResilientRunner {
 
   /// Runs rank_main until it succeeds or the retry budget is exhausted.
   /// On success returns the report; on exhaustion (or an unshrinkable
-  /// failure: watchdog deadlock with no rank attribution, or a collectively
+  /// failure: a detected deadlock with no rank attribution, or a collectively
   /// raised error that marks every rank failed without a degraded node —
   /// i.e. a deterministic input error that shrinking cannot fix) throws a
   /// ca3dmm::Error that carries the original rank-attributed message. The

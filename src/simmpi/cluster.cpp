@@ -1,10 +1,8 @@
 #include "simmpi/cluster.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
+#include <cstdio>
 #include <numeric>
-#include <thread>
 
 #include "simmpi/detail_state.hpp"
 #include "simmpi/fiber.hpp"
@@ -26,11 +24,6 @@ RankCtx* swap_rank_tls(RankCtx* next) {
 }
 
 }  // namespace detail
-
-RankCtxScope::RankCtxScope(RankCtx* ctx)
-    : saved_(detail::swap_rank_tls(ctx)) {}
-
-RankCtxScope::~RankCtxScope() { detail::swap_rank_tls(saved_); }
 
 const char* phase_name(Phase p) {
   switch (p) {
@@ -68,7 +61,6 @@ void Cluster::fiber_park_locked(std::unique_lock<std::mutex>& lk,
 }
 
 void Cluster::wake_key_locked(const detail::WaitKey& key) {
-  if (fiber_sched_ == nullptr) return;
   auto it = fiber_waiters_.find(key);
   if (it == fiber_waiters_.end()) return;
   std::vector<detail::Fiber*> list = std::move(it->second);
@@ -77,7 +69,6 @@ void Cluster::wake_key_locked(const detail::WaitKey& key) {
 }
 
 void Cluster::wake_all_fibers_locked() {
-  if (fiber_sched_ == nullptr) return;
   std::map<detail::WaitKey, std::vector<detail::Fiber*>> all;
   all.swap(fiber_waiters_);
   for (auto& [key, list] : all)
@@ -90,40 +81,10 @@ void Cluster::request_abort_locked(int world_rank, const std::string& what) {
     rank_errors_[static_cast<size_t>(world_rank)] = what;
   }
   abort_requested_ = true;
-  progress_gen_++;
-  cv_.notify_all();
   // Every parked fiber must re-check its predicate, see the abort, and
   // unwind — keyed wake-ups alone would leave unrelated waits parked
   // forever.
   wake_all_fibers_locked();
-  watchdog_cv_.notify_all();
-}
-
-void CoopMutex::lock() {
-  if (!locked_.exchange(true, std::memory_order_acquire)) return;
-  if (detail::current_fiber() != nullptr && cluster_ != nullptr) {
-    std::unique_lock<std::mutex> lk(cluster_->mu_);
-    while (locked_.exchange(true, std::memory_order_acquire))
-      cluster_->fiber_park_locked(lk, detail::WaitKey::mutex(this));
-  } else {
-    std::unique_lock<std::mutex> lk(gate_);
-    gate_cv_.wait(lk, [&] {
-      return !locked_.exchange(true, std::memory_order_acquire);
-    });
-  }
-}
-
-void CoopMutex::unlock() {
-  locked_.store(false, std::memory_order_release);
-  if (cluster_ != nullptr) {
-    std::lock_guard<std::mutex> lk(cluster_->mu_);
-    cluster_->wake_key_locked(detail::WaitKey::mutex(this));
-  }
-  // Acquire gate_ before notifying: a plain-thread waiter that saw
-  // locked_==true is either already waiting or still holds gate_ (blocking
-  // us here until it waits), so the notify cannot fall in its gap.
-  { std::lock_guard<std::mutex> lk(gate_); }
-  gate_cv_.notify_all();
 }
 
 void Cluster::fault_point(RankCtx* ctx) {
@@ -180,47 +141,11 @@ std::string Cluster::wait_for_table_locked() const {
           r, c.blocked_op, static_cast<unsigned long long>(c.blocked_comm),
           c.blocked_peer, c.blocked_tag, c.clock);
     } else {
-      // A running rank's clock is written by its thread without mu_, so it
-      // cannot be read here (ThreadSanitizer-verified); blocked and
-      // finished ranks published theirs before taking the lock.
+      // A running rank's clock is written without mu_, so it is not read.
       out += strprintf("  rank %3d  running\n", r);
     }
   }
   return out;
-}
-
-void Cluster::watchdog_main() {
-  std::unique_lock<std::mutex> lk(mu_);
-  std::uint64_t prev_gen = progress_gen_;
-  bool prev_all_blocked = false;
-  while (run_active_) {
-    watchdog_cv_.wait_for(lk, std::chrono::milliseconds(watchdog_interval_ms_));
-    if (!run_active_) break;
-    if (abort_requested_) {
-      prev_all_blocked = false;
-      continue;
-    }
-    // Deadlock iff every live rank is parked in a rendezvous wait, no fiber
-    // is runnable or running, and no rendezvous event happened for a full
-    // sampling interval: nothing can ever wake anyone then — wakes only
-    // come from rank progress (there is none) or an abort. A woken fiber
-    // that the host has not dispatched yet is runnable, so scheduler lag
-    // cannot fake the condition.
-    const bool all_blocked = finished_count_ < nranks_ &&
-                             blocked_count_ == nranks_ - finished_count_;
-    if (all_blocked && fiber_sched_->idle() && prev_all_blocked &&
-        progress_gen_ == prev_gen) {
-      watchdog_report_ = strprintf(
-          "deadlock detected: all %d live ranks blocked with no progress\n%s",
-          nranks_ - finished_count_, wait_for_table_locked().c_str());
-      std::fprintf(stderr, "[simmpi watchdog] %s", watchdog_report_.c_str());
-      request_abort_locked(-1, watchdog_report_);
-      prev_all_blocked = false;
-      continue;
-    }
-    prev_all_blocked = all_blocked;
-    prev_gen = progress_gen_;
-  }
 }
 
 void Cluster::run(const std::function<void(Comm&)>& rank_main) {
@@ -239,55 +164,38 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
   rank_errors_.assign(static_cast<size_t>(nranks_), {});
   rank_failed_.assign(static_cast<size_t>(nranks_), 0);
   degraded_nodes_.clear();
-  watchdog_report_.clear();
+  deadlock_report_.clear();
   recv_match_count_.clear();
   abort_requested_ = false;
-  blocked_count_ = 0;
   finished_count_ = 0;
-  run_active_ = true;
 
   std::vector<int> members(static_cast<size_t>(nranks_));
   std::iota(members.begin(), members.end(), 0);
   auto world = detail::CommState::create(this, std::move(members));
 
-  std::size_t stack = fiber_stack_bytes_;
-  if (stack == 0) {
-    if (const char* s = std::getenv("CA3DMM_SIMMPI_STACK_KB")) {
-      const long long kb = std::atoll(s);
-      if (kb > 0) stack = static_cast<std::size_t>(kb) * 1024;
-    }
-  }
-  if (stack == 0) stack = std::size_t{1} << 20;
-
+  const std::size_t stack =
+      fiber_stack_bytes_ != 0 ? fiber_stack_bytes_ : std::size_t{1} << 20;
   detail::FiberScheduler sched(nranks_, fiber_workers_, stack);
   for (int r = 0; r < nranks_; ++r)
     sched.spawn(r, [this, r, &rank_main, &world] {
       rank_body(r, rank_main, world);
     });
-
-  // Publish the scheduler before the watchdog starts (its criterion reads
-  // it); cleared only after the watchdog is joined and can no longer
-  // observe it.
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    fiber_sched_ = &sched;
-  }
-  std::thread watchdog;
-  if (watchdog_enabled_) watchdog = std::thread([this] { watchdog_main(); });
-
+  fiber_sched_ = &sched;
   sched.start();
-  sched.wait_all_finished();
 
-  {
+  // Only a running fiber can wake a parked one, so an idle scheduler with
+  // an unfinished rank is a deadlock, exactly: every live rank is parked
+  // and none ever will be woken. Abort it with the wait-for table; the
+  // abort wakes every fiber, and they unwind.
+  while (!sched.wait_finished_or_idle()) {
     std::lock_guard<std::mutex> lk(mu_);
-    run_active_ = false;
-    watchdog_cv_.notify_all();
+    deadlock_report_ = strprintf(
+        "deadlock detected: all %d live ranks blocked with no progress\n%s",
+        nranks_ - finished_count_, wait_for_table_locked().c_str());
+    std::fprintf(stderr, "[simmpi watchdog] %s", deadlock_report_.c_str());
+    request_abort_locked(-1, deadlock_report_);
   }
-  if (watchdog.joinable()) watchdog.join();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    fiber_sched_ = nullptr;
-  }
+  fiber_sched_ = nullptr;
   sched.shutdown();
 
   // Drain undelivered messages. An aborted (or simply unbalanced) run can
@@ -309,7 +217,7 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
   // still leaves per-rank virtual times readable for diagnostics.
   for (int r = 0; r < nranks_; ++r) ctx_[r].stats.vtime = ctx_[r].clock;
 
-  if (!watchdog_report_.empty()) throw Error(watchdog_report_);
+  if (!deadlock_report_.empty()) throw Error(deadlock_report_);
 
   int nfailed = 0;
   for (int r = 0; r < nranks_; ++r)
@@ -349,8 +257,6 @@ void Cluster::rank_body(int rank, const std::function<void(Comm&)>& rank_main,
     std::lock_guard<std::mutex> lk(mu_);
     ctx_[static_cast<size_t>(rank)].finished = true;
     finished_count_++;
-    // No wait predicate depends on a peer finishing, so nobody is woken.
-    progress_gen_++;
   }
   detail::swap_rank_tls(nullptr);
 }

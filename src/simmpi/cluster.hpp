@@ -12,8 +12,6 @@
 // the benchmark harness reads to reproduce the paper's tables and figures.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -21,7 +19,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -132,7 +129,7 @@ struct RankCtx {
   double slowdown = 1.0;  ///< fault-injected straggler factor (>= 1)
   i64 comm_ops = 0;       ///< communication ops issued (fault-kill counter)
 
-  // --- blocked-state, read by the deadlock watchdog ---
+  // --- blocked-state, read by the deadlock report's wait-for table ---
   // All fields below are written and read only under Cluster::mu_.
   const char* blocked_op = nullptr;  ///< non-null while parked in a wait
   std::uint64_t blocked_comm = 0;    ///< communicator id of the wait
@@ -159,25 +156,6 @@ struct RankCtx {
 /// Context of the calling rank; null outside Cluster::run.
 RankCtx* current_ctx();
 
-/// RAII adoption of a rank context by the calling thread (nests; the
-/// previous context is restored on destruction). Rank fibers get their
-/// context installed by Cluster::run; this scope lets a *helper* thread a
-/// rank spawned (e.g. concurrent callers racing into PgemmEngine::submit)
-/// act as that rank — charging virtual time, tracking memory, and driving
-/// collectives on its behalf. The adopting threads must hand the context
-/// around with mutual exclusion (one thread inside the scope's rank at a
-/// time); RankCtx itself is not thread-safe.
-class RankCtxScope {
- public:
-  explicit RankCtxScope(RankCtx* ctx);
-  ~RankCtxScope();
-  RankCtxScope(const RankCtxScope&) = delete;
-  RankCtxScope& operator=(const RankCtxScope&) = delete;
-
- private:
-  RankCtx* saved_;
-};
-
 /// Records a zero-duration trace marker on the calling rank's timeline at
 /// its current virtual time (plan build, engine cache event, redistribution
 /// pack/unpack, ...). `name` must be a static string. No-op outside a rank
@@ -201,15 +179,11 @@ struct SendRec;
 struct RecvRec;
 struct Fiber;
 class FiberScheduler;
-/// The fiber the calling OS thread is running, or nullptr on plain threads.
-/// (Defined in fiber.cpp; re-declared here so cluster code can route waits
-/// without pulling in ucontext.)
-Fiber* current_fiber();
 
 /// Installs `next` as the calling thread's rank context and returns the
 /// previous one. Every write of the rank-context thread-local goes through
-/// here: the fiber scheduler around context switches, the rank body around
-/// rank_main, and RankCtxScope. Out of line on purpose: a fiber may resume
+/// here: the fiber scheduler around context switches and the rank body
+/// around rank_main. Out of line on purpose: a fiber may resume
 /// on another worker, and an inlined access could reuse a thread pointer
 /// cached before the switch (ThreadSanitizer's instrumentation does).
 [[gnu::noinline]] RankCtx* swap_rank_tls(RankCtx* next);
@@ -239,9 +213,6 @@ struct WaitKey {
                    (static_cast<std::uint64_t>(c.src) << 40) |
                        (static_cast<std::uint64_t>(c.dst) << 20) |
                        (static_cast<std::uint64_t>(c.tag) & 0xFFFFFu)};
-  }
-  static WaitKey mutex(const void* m) {
-    return WaitKey{3u, reinterpret_cast<std::uintptr_t>(m)};
   }
 };
 
@@ -274,10 +245,10 @@ class Cluster {
   ///
   /// Failure semantics: a rank exception triggers a cooperative abort — all
   /// peers blocked in communication unwind, run() always joins, and a single
-  /// ca3dmm::Error listing *every* failed rank is thrown. A deadlock (all
-  /// live ranks blocked with no progress) is detected by the watchdog and
-  /// reported as an Error carrying the full wait-for table instead of
-  /// hanging.
+  /// ca3dmm::Error listing *every* failed rank is thrown. A deadlock (no
+  /// fiber runnable or running while some rank has not finished) is
+  /// detected the moment the last running fiber parks and reported as an
+  /// Error carrying the full wait-for table instead of hanging.
   void run(const std::function<void(Comm&)>& rank_main);
 
   int nranks() const { return nranks_; }
@@ -291,16 +262,17 @@ class Cluster {
   enum class Backend { kFibers };
   void set_backend(Backend) {}
 
-  /// Usable stack per fiber (a guard page is added below). Default 1 MiB,
-  /// overridable with CA3DMM_SIMMPI_STACK_KB. Rank bodies that recurse
-  /// deeply or place large arrays on the stack need more; an overflow hits
-  /// the guard page and faults instead of corrupting a neighbour.
+  /// Usable stack per fiber (a guard page is added below). Default 1 MiB.
+  /// Rank bodies that recurse deeply or place large arrays on the stack
+  /// need more; an overflow hits the guard page and faults instead of
+  /// corrupting a neighbour.
   void set_fiber_stack_bytes(std::size_t bytes) { fiber_stack_bytes_ = bytes; }
 
   /// Worker threads running the rank fibers; 0 (default) picks
-  /// min(hardware_concurrency, nranks). The pool can still grow at runtime
-  /// when workers get stuck in fibers that block in the OS. Results never
-  /// depend on it; with 1 the dispatch order itself is deterministic.
+  /// min(hardware_concurrency, nranks), and the pool never grows. A rank
+  /// that blocks in the OS (a std::mutex, a join) holds its worker until it
+  /// returns. Results never depend on the count; with 1 the dispatch order
+  /// itself is deterministic.
   void set_fiber_workers(int n) { fiber_workers_ = n; }
 
   /// Stats of one rank after run().
@@ -359,15 +331,6 @@ class Cluster {
   void set_collective_config(const CollectiveConfig& c) { coll_config_ = c; }
   const CollectiveConfig& collective_config() const { return coll_config_; }
 
-  /// Deadlock watchdog (on by default): a background thread that aborts the
-  /// run with a wait-for-table diagnostic when every live rank is blocked
-  /// and no progress occurs across two sampling intervals.
-  void set_watchdog(bool enabled) { watchdog_enabled_ = enabled; }
-  void set_watchdog_interval_ms(int ms) {
-    CA_REQUIRE(ms >= 1, "watchdog interval must be >= 1 ms, got %d", ms);
-    watchdog_interval_ms_ = ms;
-  }
-
   /// Writes the recorded timelines of the last run() in Chrome trace-event
   /// JSON (open in chrome://tracing or https://ui.perfetto.dev): one pid
   /// per simulated node, one tid per rank, one slice per operation,
@@ -377,7 +340,6 @@ class Cluster {
 
  private:
   friend class Comm;
-  friend class CoopMutex;
   friend struct detail::CommState;
 
   /// One rank's fiber body: installs the rank context, runs rank_main under
@@ -386,19 +348,13 @@ class Cluster {
                  const std::shared_ptr<detail::CommState>& world);
 
   // --- fiber parking / keyed wake-ups (all under mu_) ---
-  /// Blocks the calling rank until `pred` holds. Rank fibers park under
-  /// `key` and are woken by wake_key_locked / wake_all_fibers_locked. The
-  /// condition-variable wait is the path of real OS threads that adopted a
-  /// rank context (RankCtxScope: e.g. PgemmEngine's racing submitters);
-  /// every wake site therefore also notifies cv_. Predicates are
-  /// re-evaluated on every wake either way.
+  /// Blocks the calling rank fiber until `pred` holds: it parks under
+  /// `key` and is woken by wake_key_locked / wake_all_fibers_locked, and
+  /// re-evaluates `pred` on every wake. Parking is the only way anything
+  /// waits in the cluster, which is what makes deadlock detection exact.
   template <typename Pred>
   void rank_wait(std::unique_lock<std::mutex>& lk, const detail::WaitKey& key,
                  Pred&& pred) {
-    if (detail::current_fiber() == nullptr) {
-      cv_.wait(lk, std::forward<Pred>(pred));
-      return;
-    }
     while (!pred()) fiber_park_locked(lk, key);
   }
   void fiber_park_locked(std::unique_lock<std::mutex>& lk,
@@ -440,8 +396,7 @@ class Cluster {
   /// Records a node the straggler policy reclassified as degraded. mu_ held.
   void note_degraded_locked(int node);
 
-  // --- deadlock watchdog ---
-  void watchdog_main();
+  // --- deadlock report ---
   std::string wait_for_table_locked() const;
 
   int nranks_;
@@ -452,7 +407,6 @@ class Cluster {
   // One lock for all rendezvous state; the simulator targets correctness and
   // deterministic virtual time, not host-parallel throughput.
   std::mutex mu_;
-  std::condition_variable cv_;
   std::map<detail::ChannelKey, std::deque<detail::SendRec*>> channels_;
   std::uint64_t next_comm_id_ = 1;
   TraceConfig trace_cfg_;
@@ -463,27 +417,20 @@ class Cluster {
 
   // --- run-scoped failure state (guarded by mu_) ---
   bool abort_requested_ = false;
-  std::uint64_t progress_gen_ = 0;  ///< bumped on every rendezvous event
-  int blocked_count_ = 0;           ///< ranks parked in a wait
-  int finished_count_ = 0;          ///< rank bodies that returned
-  bool run_active_ = false;         ///< watchdog lifetime
-  std::condition_variable watchdog_cv_;
-  bool watchdog_enabled_ = true;
-  int watchdog_interval_ms_ = 100;
+  int finished_count_ = 0;  ///< rank bodies that returned
   std::vector<std::string> rank_errors_;
   std::vector<std::uint8_t> rank_failed_;
   /// Nodes the straggler policy reclassified as degraded (sorted, unique).
   std::vector<int> degraded_nodes_;
-  std::string watchdog_report_;
+  std::string deadlock_report_;
   /// Per-(src,dst,tag) received-message counter for payload flips.
   std::map<std::tuple<int, int, int>, int> recv_match_count_;
 
   // --- fiber scheduler state ---
-  std::size_t fiber_stack_bytes_ = 0;  ///< 0 = default (1 MiB or env)
+  std::size_t fiber_stack_bytes_ = 0;  ///< 0 = default (1 MiB)
   int fiber_workers_ = 0;              ///< 0 = auto
-  /// Live scheduler while run() is in flight, else null. Read by
-  /// wakers and the watchdog under mu_ (set before the watchdog starts,
-  /// cleared after it is joined).
+  /// Live scheduler while run() is in flight, else null. Set before the
+  /// workers start and cleared after the last fiber finished.
   detail::FiberScheduler* fiber_sched_ = nullptr;
   /// Parked fibers by wait key (guarded by mu_). A fiber appears in at most
   /// one list; the waker erases it before calling FiberScheduler::wake.
@@ -492,35 +439,6 @@ class Cluster {
   /// mu_). At most one posted recv per channel: a receiver only posts when
   /// the channel queue is empty, and un-posts before leaving its wait.
   std::map<detail::ChannelKey, detail::RecvRec*> posted_recvs_;
-};
-
-/// Mutex usable from rank code. A fiber that blocks on a std::mutex wedges
-/// its whole worker thread — and worse, a fiber resumed on a *different*
-/// worker would unlock the mutex on a thread that did not lock it, which is
-/// undefined behavior. CoopMutex instead parks fibers through the cluster's
-/// scheduler and keeps real OS threads that adopted a rank context (engine
-/// helper threads) on an internal condition variable. Ownership is a bare
-/// atomic, so lock/unlock may legally happen on different OS threads as a
-/// fiber migrates. Bind to a cluster once before first use from fiber
-/// context; unbound it still works for plain threads.
-class CoopMutex {
- public:
-  CoopMutex() = default;
-  CoopMutex(const CoopMutex&) = delete;
-  CoopMutex& operator=(const CoopMutex&) = delete;
-
-  void bind(Cluster* cl) { cluster_ = cl; }
-  void lock();
-  void unlock();
-
- private:
-  std::atomic<bool> locked_{false};
-  Cluster* cluster_ = nullptr;
-  // Plain-thread waiters. The unlocker acquires gate_ before notifying so a
-  // waiter that saw locked_==true cannot miss the wake between its check
-  // and its wait.
-  std::mutex gate_;
-  std::condition_variable gate_cv_;
 };
 
 /// RAII owning buffer whose size is reported to the rank's memory tracker.

@@ -18,30 +18,25 @@ using detail::SendRec;
 
 namespace {
 
-/// Marks the calling rank blocked for the deadlock watchdog for the lifetime
-/// of the scope. Constructed and destroyed with the cluster rendezvous lock
-/// held (the condition_variable wait releases it in between, which is
-/// exactly the window in which the watchdog may inspect the fields).
+/// Marks the calling rank blocked, for the deadlock report's wait-for
+/// table, for the lifetime of the scope. Constructed and destroyed with the
+/// cluster rendezvous lock held (parking releases it in between, which is
+/// when the report may read the fields).
 class BlockedScope {
  public:
-  BlockedScope(int* counter, RankCtx* ctx, const char* op, std::uint64_t comm,
-               int peer, int tag)
-      : counter_(counter), ctx_(ctx) {
+  BlockedScope(RankCtx* ctx, const char* op, std::uint64_t comm, int peer,
+               int tag)
+      : ctx_(ctx) {
     ctx_->blocked_op = op;
     ctx_->blocked_comm = comm;
     ctx_->blocked_peer = peer;
     ctx_->blocked_tag = tag;
-    ++*counter_;
   }
-  ~BlockedScope() {
-    ctx_->blocked_op = nullptr;
-    --*counter_;
-  }
+  ~BlockedScope() { ctx_->blocked_op = nullptr; }
   BlockedScope(const BlockedScope&) = delete;
   BlockedScope& operator=(const BlockedScope&) = delete;
 
  private:
-  int* counter_;
   RankCtx* ctx_;
 };
 
@@ -204,7 +199,7 @@ std::string validate_collective(const CommState& st, CommState::Op op) {
 /// Phase C (completion barrier, under the lock): no member may return — and
 /// possibly free its buffers — before every shard finished. The wait is
 /// guaranteed finite (all p members passed phase A and shard work cannot
-/// block or throw), so it does not register with the deadlock watchdog.
+/// block or throw), so it records no blocked state for the deadlock report.
 /// `finish` then runs for every rank, under the lock (used by split to
 /// fetch its result).
 ///
@@ -322,12 +317,9 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
       st.arrived = 0;
       st.op = CommState::Op::kNone;
       st.generation++;
-      st.bump_progress();
-      st.cv().notify_all();
       st.wake_coll();
     } else {
-      BlockedScope bs(st.blocked_counter(), ctx, coll_op_name(op), st.id,
-                      st.arrived, -1);
+      BlockedScope bs(ctx, coll_op_name(op), st.id, st.arrived, -1);
       st.coll_wait(lk,
                    [&] { return st.generation != gen || st.aborted(); });
       if (st.generation == gen) throw ClusterAborted{};
@@ -353,8 +345,6 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
   {
     std::unique_lock<std::mutex> lk(st.mu());
     if (--st.dm_remaining == 0) {
-      st.bump_progress();
-      st.cv().notify_all();
       st.wake_coll();
     } else {
       st.coll_wait(lk, [&] { return st.dm_remaining == 0; });
@@ -451,7 +441,6 @@ const Machine& Comm::my_machine() const {
 
 const Topology& Comm::topology() const { return state_->topology(); }
 
-Cluster* Comm::cluster() const { return state_ ? state_->cluster : nullptr; }
 
 const GroupProfile& Comm::profile() const { return state_->prof; }
 
@@ -945,8 +934,6 @@ bool Cluster::try_deliver_posted_locked(const detail::ChannelKey& key,
     sender_rec->t_exit = rec->t_exit;
     sender_rec->t_consumer_entry = rec->t_entry;
   }
-  progress_gen_++;
-  cv_.notify_all();
   wake_key_locked(detail::WaitKey::chan(key));
   return true;
 }
@@ -981,8 +968,6 @@ void Comm::send_bytes(const void* buf, i64 bytes, int dst, int tag) {
         rec->buf = rec->owned.get();
       }
       cl->channels_[key].push_back(rec.release());  // receiver deletes
-      cl->progress_gen_++;
-      cl->cv_.notify_all();
       cl->wake_key_locked(detail::WaitKey::chan(key));
     }
   }
@@ -1038,7 +1023,7 @@ void Comm::recv_impl(void* buf, i64 bytes, int src, int tag) {
     posted.slowdown = ctx->slowdown;
     bool registered = false;
     {
-      BlockedScope bs(&cl->blocked_count_, ctx, "recv", state_->id, src, tag);
+      BlockedScope bs(ctx, "recv", state_->id, src, tag);
       cl->rank_wait(lk, detail::WaitKey::chan(key), [&] {
         // A delivered zero-copy recv completes even when an abort raced in:
         // the payload is already in place and the exit time computed.
@@ -1093,8 +1078,6 @@ void Comm::recv_impl(void* buf, i64 bytes, int src, int tag) {
         rec->t_exit = exit;
         rec->t_consumer_entry = entry;
         rec->consumed = true;
-        cl->progress_gen_++;
-        cl->cv_.notify_all();
         cl->wake_key_locked(detail::WaitKey::chan(key));
       }
     }
@@ -1144,8 +1127,6 @@ void Comm::sendrecv_bytes(const void* sbuf, i64 sbytes, int dst, void* rbuf,
     // the queued record, and the wait below returns immediately.
     if (!cl->try_deliver_posted_locked(skey, sbuf, sbytes, entry, &rec)) {
       cl->channels_[skey].push_back(&rec);
-      cl->progress_gen_++;
-      cl->cv_.notify_all();
       cl->wake_key_locked(detail::WaitKey::chan(skey));
     }
   }
@@ -1153,8 +1134,7 @@ void Comm::sendrecv_bytes(const void* sbuf, i64 sbytes, int dst, void* rbuf,
     recv_impl(rbuf, rbytes, src, tag);
     std::unique_lock<std::mutex> lk(cl->mu_);
     {
-      BlockedScope bs(&cl->blocked_count_, ctx, "sendrecv-wait", state_->id,
-                      dst, tag);
+      BlockedScope bs(ctx, "sendrecv-wait", state_->id, dst, tag);
       cl->rank_wait(lk, detail::WaitKey::chan(skey), [&] {
         return rec.consumed || cl->abort_requested_;
       });

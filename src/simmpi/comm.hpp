@@ -61,11 +61,6 @@ class Comm {
   /// The topology of the underlying cluster (rank -> cluster/node map).
   const Topology& topology() const;
   const GroupProfile& profile() const;
-  /// The cluster this communicator belongs to (null for invalid comms).
-  /// Long-lived components that rank code constructs — e.g. the engine's
-  /// CoopMutex — bind to it so their blocking works from rank fibers and
-  /// helper threads alike.
-  Cluster* cluster() const;
   bool valid() const { return state_ != nullptr; }
 
   /// MPI_Comm_split: ranks with equal `color` form a new communicator,

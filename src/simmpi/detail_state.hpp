@@ -128,18 +128,15 @@ struct CommState {
   // CommState is a friend of Cluster; these let the collective runner reach
   // the cluster-wide rendezvous lock and failure-handling state.
   std::mutex& mu() const { return cluster->mu_; }
-  std::condition_variable& cv() const { return cluster->cv_; }
-  /// Blocks the calling rank on this communicator's rendezvous until `pred`
-  /// holds: keyed park for fibers, condition variable for helper threads.
+  /// Parks the calling rank on this communicator's rendezvous until `pred`
+  /// holds.
   template <typename Pred>
   void coll_wait(std::unique_lock<std::mutex>& lk, Pred&& pred) const {
     cluster->rank_wait(lk, WaitKey::coll(id), std::forward<Pred>(pred));
   }
-  /// Wakes fibers parked in coll_wait (pair with cv().notify_all()).
+  /// Wakes fibers parked in coll_wait.
   void wake_coll() const { cluster->wake_key_locked(WaitKey::coll(id)); }
   bool aborted() const { return cluster->abort_requested_; }
-  void bump_progress() const { ++cluster->progress_gen_; }
-  int* blocked_counter() const { return &cluster->blocked_count_; }
   bool validation() const { return cluster->validate_; }
   void fault_point(RankCtx* ctx) const { cluster->fault_point(ctx); }
   const StragglerPolicy& straggler_policy() const {

@@ -3,7 +3,7 @@
 // A FaultPlan is attached to a Cluster before run() and fires at exact
 // points in each rank's own program order, so a given plan reproduces the
 // same failure on every run — the property that makes failure-path tests
-// (cooperative abort, watchdog, consistency checks) non-flaky.
+// (cooperative abort, deadlock detection, consistency checks) non-flaky.
 #pragma once
 
 #include <vector>
@@ -52,8 +52,8 @@ struct FaultPlan {
 };
 
 /// Straggler-mitigation policy, checked at every collective rendezvous on
-/// top of the PR 1 deadlock watchdog (which only catches total stalls, not
-/// slow nodes). When the last arriver's entry time exceeds
+/// top of deadlock detection (which only catches total stalls, not slow
+/// nodes). When the last arriver's entry time exceeds
 /// `degrade_factor` times the latest entry time of any rank on a *different*
 /// node — comparing against other nodes, not other ranks, so a whole slow
 /// node cannot mask itself — and the absolute lag is at least `min_lag_s`

@@ -3,7 +3,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -238,12 +237,8 @@ FiberScheduler::FiberScheduler(int nranks, int workers,
                                std::size_t stack_bytes)
     : nranks_(nranks), stack_bytes_(stack_bytes) {
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  initial_workers_ = workers > 0 ? workers : std::min(nranks, std::max(1, hw));
-  initial_workers_ = std::max(1, std::min(initial_workers_, nranks));
-  // Growth cap: in the worst case every rank fiber blocks in the OS at once
-  // (rank code join()ing real helper threads), and each needs its own
-  // worker for the rest to keep running.
-  max_workers_ = nranks;
+  workers_n_ = workers > 0 ? workers : std::min(nranks, std::max(1, hw));
+  workers_n_ = std::max(1, std::min(workers_n_, nranks));
   fibers_.resize(static_cast<size_t>(nranks));
 }
 
@@ -303,13 +298,8 @@ void FiberScheduler::spawn(int rank, std::function<void()> body) {
 }
 
 void FiberScheduler::start() {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (int i = 0; i < initial_workers_; ++i) spawn_worker_locked();
-  monitor_ = std::thread([this] { monitor_main(); });
-}
-
-void FiberScheduler::spawn_worker_locked() {
-  workers_.emplace_back([this] { worker_main(); });
+  for (int i = 0; i < workers_n_; ++i)
+    workers_.emplace_back([this] { worker_main(); });
 }
 
 Fiber* FiberScheduler::pop_runnable_locked() {
@@ -330,33 +320,34 @@ void FiberScheduler::worker_main() {
     Fiber* f = nullptr;
     {
       std::unique_lock<std::mutex> lk(mu_);
-      work_cv_.wait(lk, [&] { return stop_ || !runnable_.empty(); });
+      work_cond_.wait(lk, [&] { return stop_ || !runnable_.empty(); });
       if (runnable_.empty()) return;  // stop_ set and nothing left to run
       f = pop_runnable_locked();
       ++running_;
-      ++dispatches_;
     }
     f->state.store(Fiber::kRunning, std::memory_order_relaxed);
     switch_into(f);
     // The fiber switched back: it either finished or is parking.
-    if (f->state.load(std::memory_order_acquire) == Fiber::kFinished) {
-      std::lock_guard<std::mutex> lk(mu_);
-      --running_;
-      if (++finished_ == nranks_) done_cv_.notify_all();
-    } else {
-      int expected = Fiber::kParking;
-      const bool parked = f->state.compare_exchange_strong(
-          expected, Fiber::kParked, std::memory_order_acq_rel);
-      std::lock_guard<std::mutex> lk(mu_);
-      --running_;
-      if (!parked) {
-        // A waker caught the fiber mid-switch (kNotified): it is in no wait
-        // list and no one else owns it, so this worker re-enqueues it.
-        f->state.store(Fiber::kRunnable, std::memory_order_relaxed);
-        runnable_.insert({f->vclock, f->rank});
-        work_cv_.notify_one();
-      }
+    const bool finished =
+        f->state.load(std::memory_order_acquire) == Fiber::kFinished;
+    int expected = Fiber::kParking;
+    // A parking fiber whose CAS fails was caught mid-switch by a waker
+    // (kNotified): it is in no wait list and no one else owns it, so this
+    // worker re-enqueues it.
+    const bool requeue =
+        !finished && !f->state.compare_exchange_strong(
+                         expected, Fiber::kParked, std::memory_order_acq_rel);
+    std::lock_guard<std::mutex> lk(mu_);
+    --running_;
+    if (finished) ++finished_;
+    if (requeue) {
+      f->state.store(Fiber::kRunnable, std::memory_order_relaxed);
+      runnable_.insert({f->vclock, f->rank});
+      work_cond_.notify_one();
     }
+    // Only a running fiber can wake a parked one: once nothing is running
+    // or runnable, the run is over or deadlocked.
+    if (running_ == 0 && runnable_.empty()) idle_cond_.notify_all();
   }
 }
 
@@ -409,38 +400,13 @@ void FiberScheduler::wake(Fiber* f) {
   f->state.store(Fiber::kRunnable, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(mu_);
   runnable_.insert({f->vclock, f->rank});
-  work_cv_.notify_one();
+  work_cond_.notify_one();
 }
 
-bool FiberScheduler::idle() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return runnable_.empty() && running_ == 0;
-}
-
-void FiberScheduler::monitor_main() {
+bool FiberScheduler::wait_finished_or_idle() {
   std::unique_lock<std::mutex> lk(mu_);
-  std::uint64_t last_dispatches = dispatches_;
-  bool prev_stuck = false;
-  while (!stop_) {
-    monitor_cv_.wait_for(lk, std::chrono::milliseconds(10));
-    if (stop_) break;
-    // Runnable fibers with no dispatch across two samples means every
-    // worker is wedged inside a fiber that blocked in the OS (mutex, join,
-    // sleep). Grow the pool so the runnable fibers make progress; idle
-    // extra workers are harmless and die at shutdown.
-    const bool stuck = !runnable_.empty() && dispatches_ == last_dispatches &&
-                       static_cast<int>(workers_.size()) >= running_;
-    if (stuck && prev_stuck &&
-        static_cast<int>(workers_.size()) < max_workers_)
-      spawn_worker_locked();
-    prev_stuck = stuck;
-    last_dispatches = dispatches_;
-  }
-}
-
-void FiberScheduler::wait_all_finished() {
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [&] { return finished_ == nranks_; });
+  idle_cond_.wait(lk, [&] { return running_ == 0 && runnable_.empty(); });
+  return finished_ == nranks_;
 }
 
 void FiberScheduler::shutdown() {
@@ -448,10 +414,8 @@ void FiberScheduler::shutdown() {
     std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
   }
-  work_cv_.notify_all();
-  monitor_cv_.notify_all();
+  work_cond_.notify_all();
   for (auto& w : workers_) w.join();
-  if (monitor_.joinable()) monitor_.join();
 }
 
 }  // namespace ca3dmm::simmpi::detail

@@ -11,11 +11,9 @@
 //
 // Blocking: a fiber parks — it registers under a WaitKey, unlocks the
 // cluster mutex, and switches back to its worker's scheduler context.
-// Wake-ups are keyed (per communicator, per p2p channel, per cooperative
-// mutex), so completing one rendezvous never touches the thousands of
-// fibers parked on unrelated state. Real OS threads that adopted a rank
-// context (e.g. PgemmEngine helper threads) wait on the cluster condition
-// variable instead; every wake site signals both.
+// Parking is the only way anything waits in the cluster. Wake-ups are keyed
+// (per communicator, per p2p channel), so completing one rendezvous never
+// touches the thousands of fibers parked on unrelated state.
 //
 // The parking handshake is the eventcount pattern: the fiber announces
 // kParking under the cluster lock, unlocks, and switches out; its worker
@@ -28,9 +26,13 @@
 // Workers never hold the cluster mutex across a context switch, and a
 // fiber's TLS view (current rank context, active buffer pool) is saved and
 // restored around every switch, so fibers migrate freely between workers.
-// A monitor thread grows the pool when every worker is stuck inside a
-// fiber that blocked in the OS (e.g. rank code join()ing helper threads)
-// while runnable fibers starve.
+// The pool has a fixed size. A fiber that blocks in the OS (a std::mutex, a
+// join) keeps its worker and counts as running until it returns.
+//
+// Deadlock: since only a running fiber can wake a parked one, "no fiber
+// runnable or running, some fiber unfinished" is a state nothing can leave.
+// The scheduler reports it the moment the last running fiber parks
+// (wait_finished_or_idle), with no timer involved.
 #pragma once
 
 #include <ucontext.h>
@@ -96,8 +98,8 @@ struct Fiber {
   FiberScheduler* sched = nullptr;
 
   // Fiber-virtualized thread-locals, live while the fiber is switched out.
-  // PoolScope / RankCtxScope mutate real TLS; saving both around every
-  // switch keeps one fiber's pool or adopted context from leaking into
+  // PoolScope and the rank body mutate real TLS; saving both around every
+  // switch keeps one fiber's pool or rank context from leaking into
   // another fiber sharing the worker.
   RankCtx* tls_ctx = nullptr;
   BufferPool* tls_pool = nullptr;
@@ -107,7 +109,7 @@ struct Fiber {
 };
 
 /// The fiber the calling OS thread is currently running, or nullptr when
-/// called from a plain thread (engine helper threads, the watchdog). This is what routes Cluster::rank_wait to park vs cv-wait.
+/// called from a plain thread.
 Fiber* current_fiber();
 
 /// Worker pool + runnable set. Wake-side bookkeeping (the WaitKey -> fiber
@@ -128,13 +130,16 @@ class FiberScheduler {
   /// order).
   void spawn(int rank, std::function<void()> body);
 
-  /// Launches the worker pool and the growth monitor.
+  /// Launches the worker pool.
   void start();
 
-  /// Blocks until every spawned fiber reached kFinished.
-  void wait_all_finished();
+  /// Blocks until no fiber is runnable or running. Returns true when every
+  /// spawned fiber reached kFinished, false on a deadlock: some fiber is
+  /// parked and, with nothing running, nothing can wake it. Only a wake()
+  /// from the caller (the cluster's abort) leaves that state.
+  bool wait_finished_or_idle();
 
-  /// Stops and joins workers + monitor. All fibers must be finished.
+  /// Stops and joins the workers. All fibers must be finished.
   void shutdown();
 
   /// Parks the current fiber. Caller holds the cluster mutex via `lk` and
@@ -145,44 +150,29 @@ class FiberScheduler {
 
   /// Makes a fiber runnable again (or flags it kNotified if it is still
   /// switching out). The caller must have removed it from the wait table;
-  /// callable from fibers and plain threads alike.
+  /// callable from fibers and from the thread in wait_finished_or_idle.
   void wake(Fiber* f);
-
-  /// True when no fiber is runnable or running — with every live rank
-  /// blocked and no progress, that is the watchdog's deadlock criterion
-  /// (parked fibers cannot self-resume).
-  bool idle() const;
 
   int nranks() const { return nranks_; }
 
  private:
   void worker_main();
-  void monitor_main();
   void switch_into(Fiber* f);
-  void spawn_worker_locked();
   Fiber* pop_runnable_locked();
 
   int nranks_;
-  int initial_workers_;
-  int max_workers_;
+  int workers_n_;
   std::size_t stack_bytes_;
   std::vector<std::unique_ptr<Fiber>> fibers_;  ///< indexed by rank
 
-  mutable std::mutex mu_;  ///< guards everything below
+  std::mutex mu_;  ///< guards everything below
   std::set<std::pair<double, int>> runnable_;  ///< (vclock, rank)
   int running_ = 0;        ///< fibers currently on a worker stack
   int finished_ = 0;
-  std::uint64_t dispatches_ = 0;  ///< growth monitor's progress signal
   bool stop_ = false;
   std::vector<std::thread> workers_;
-  std::thread monitor_;
-  std::condition_variable work_cv_;   ///< runnable pushed / stop
-  std::condition_variable done_cv_;   ///< finished_ == nranks_
-  /// The monitor sleeps on its own condition variable, never on work_cv_:
-  /// a wake() notification would end its wait_for early, and two
-  /// back-to-back notifications would look like two 10 ms samples with no
-  /// dispatch in between — growing the pool on a phantom stall.
-  std::condition_variable monitor_cv_;
+  std::condition_variable work_cond_;  ///< runnable pushed / stop
+  std::condition_variable idle_cond_;  ///< nothing runnable or running
 };
 
 }  // namespace detail

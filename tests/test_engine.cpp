@@ -4,6 +4,7 @@
 // semantics), batched submit, and failure semantics under fault injection.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -383,71 +384,13 @@ TEST(EngineFaults, KilledRankMidBatchRaisesOneAggregatedError) {
   cl.set_fault_plan(simmpi::FaultPlan{});
 }
 
-TEST(EngineConcurrency, RacingSubmittersSingleRankMixedShapes) {
-  // The service satellite: multiple caller threads race into one engine.
-  // On a single-rank world the interleaving order is free (collectives are
-  // trivially single-member), so each racing thread may drive its own shape.
-  // Every thread's result must match the serial reference, and the counters
-  // must account for every request exactly once.
-  const int kSubmitters = 4, kReps = 6;
-  Cluster cl(1, Machine::unit_test());
-  cl.run([&](Comm& world) {
-    PgemmEngine eng(world);
-    std::vector<std::thread> threads;
-    std::vector<std::vector<double>> cs(kSubmitters);
-    std::vector<BlockLayout> lays;
-    for (int t = 0; t < kSubmitters; ++t)
-      lays.push_back(BlockLayout::col_1d(16 + 8 * t, 16 + 8 * t, 1));
-    for (int t = 0; t < kSubmitters; ++t) {
-      threads.emplace_back([&, t] {
-        const i64 m = 16 + 8 * t;
-        const BlockLayout& lay = lays[static_cast<size_t>(t)];
-        std::vector<double> a, b;
-        fill_local(lay, 0, kSeedA, a);
-        fill_local(lay, 0, kSeedB, b);
-        std::vector<double> c(static_cast<size_t>(lay.local_size(0)));
-        for (int i = 0; i < kReps; ++i)
-          eng.multiply(make_request<double>(m, m, m, lay, a.data(), lay,
-                                           b.data(), lay, c.data()));
-        cs[static_cast<size_t>(t)] = std::move(c);
-      });
-    }
-    for (std::thread& th : threads) th.join();
-
-    const EngineStats st = eng.stats();
-    EXPECT_EQ(st.requests, kSubmitters * kReps);
-    EXPECT_EQ(st.plan_hits + st.plan_misses, kSubmitters * kReps);
-    EXPECT_EQ(st.plan_misses, kSubmitters);  // one per distinct shape
-
-    for (int t = 0; t < kSubmitters; ++t) {
-      const i64 m = 16 + 8 * t;
-      Matrix<double> am(m, m), bm(m, m);
-      am.fill_random(kSeedA);
-      bm.fill_random(kSeedB);
-      Matrix<double> c_ref(m, m);
-      gemm_ref<double>(false, false, m, m, m, 1.0, am.data(), bm.data(),
-                       c_ref.data());
-      const std::vector<double>& c = cs[static_cast<size_t>(t)];
-      i64 pos = 0;
-      for (const Rect& r : lays[static_cast<size_t>(t)].rects_of(0))
-        for (i64 i = r.r.lo; i < r.r.hi; ++i)
-          for (i64 j = r.c.lo; j < r.c.hi; ++j)
-            ASSERT_NEAR(c[static_cast<size_t>(pos++)], c_ref(i, j),
-                        1e-11 * static_cast<double>(m + 1))
-                << "thread " << t;
-    }
-  });
-}
-
-TEST(EngineConcurrency, RacingSubmittersMultiRankIdenticalRequests) {
-  // Racing callers on a multi-rank world: each rank spawns helper threads
-  // that hammer the shared engine. Because the mutex may serialize the
-  // helpers in a different order on each rank, all racing requests must be
-  // content-identical (the documented contract) — then any cross-rank
-  // pairing of collectives computes the same, correct product. Checks the
-  // engine's counters saw every request and C matches the reference.
-  const i64 m = 24;
-  const int P = 4, kSubmitters = 3, kReps = 4;
+TEST(EngineConcurrency, MultiplyFromHelperThreadRaisesError) {
+  // An engine is a per-rank object called from its rank's code. A multiply
+  // issued from an OS thread the rank spawned has no rank behind it and
+  // must raise Error instead of driving collectives; the owning rank then
+  // multiplies normally.
+  const i64 m = 16;
+  const int P = 2;
   const BlockLayout lay = BlockLayout::col_1d(m, m, P);
   Cluster cl(P, Machine::unit_test());
   cl.run([&](Comm& world) {
@@ -455,42 +398,23 @@ TEST(EngineConcurrency, RacingSubmittersMultiRankIdenticalRequests) {
     std::vector<double> a, b;
     fill_local(lay, me, kSeedA, a);
     fill_local(lay, me, kSeedB, b);
+    std::vector<double> c(static_cast<size_t>(lay.local_size(me)));
     PgemmEngine eng(world);
-    std::vector<std::vector<double>> cs(
-        kSubmitters,
-        std::vector<double>(static_cast<size_t>(lay.local_size(me))));
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kSubmitters; ++t) {
-      threads.emplace_back([&, t] {
-        for (int i = 0; i < kReps; ++i)
-          eng.multiply(make_request<double>(
-              m, m, m, lay, a.data(), lay, b.data(), lay,
-              cs[static_cast<size_t>(t)].data()));
-      });
-    }
-    for (std::thread& th : threads) th.join();
-
-    const EngineStats st = eng.stats();
-    EXPECT_EQ(st.requests, kSubmitters * kReps);
-    EXPECT_EQ(st.plan_misses, 1);
-    EXPECT_EQ(st.plan_hits, kSubmitters * kReps - 1);
-
-    Matrix<double> am(m, m), bm(m, m);
-    am.fill_random(kSeedA);
-    bm.fill_random(kSeedB);
-    Matrix<double> c_ref(m, m);
-    gemm_ref<double>(false, false, m, m, m, 1.0, am.data(), bm.data(),
-                     c_ref.data());
-    for (int t = 0; t < kSubmitters; ++t) {
-      i64 pos = 0;
-      const std::vector<double>& c = cs[static_cast<size_t>(t)];
-      for (const Rect& r : lay.rects_of(me))
-        for (i64 i = r.r.lo; i < r.r.hi; ++i)
-          for (i64 j = r.c.lo; j < r.c.hi; ++j)
-            ASSERT_NEAR(c[static_cast<size_t>(pos++)], c_ref(i, j),
-                        1e-11 * static_cast<double>(m + 1))
-                << "rank " << me << " thread " << t;
-    }
+    const Request<double> req = make_request<double>(
+        m, m, m, lay, a.data(), lay, b.data(), lay, c.data());
+    std::string msg;
+    std::thread helper([&] {
+      try {
+        eng.multiply(req);
+      } catch (const Error& e) {
+        msg = e.what();
+      }
+    });
+    helper.join();
+    EXPECT_NE(msg.find("off its owning rank"), std::string::npos) << msg;
+    EXPECT_EQ(eng.stats().requests, 0);
+    eng.multiply(req);
+    EXPECT_EQ(eng.stats().requests, 1);
   });
 }
 

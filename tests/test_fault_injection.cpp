@@ -1,12 +1,20 @@
 // Failure semantics of the simulated cluster: cooperative abort (a failing
 // rank unwinds every peer in bounded time, with a rank-attributed error),
 // deterministic fault injection (rank kills, node stragglers, payload
-// flips), the collective-consistency checker, and the deadlock watchdog.
+// flips), the collective-consistency checker, and exact deadlock detection.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "baselines/cosma_like.hpp"
+#include "baselines/ctf_like.hpp"
+#include "baselines/p25d.hpp"
+#include "baselines/summa.hpp"
 #include "core/ca3dmm.hpp"
 #include "engine/engine.hpp"
 #include "linalg/matrix.hpp"
@@ -221,9 +229,9 @@ TEST(P2PValidation, RecvSizeMismatchIsAnErrorNotAnAbort) {
 
 TEST(Watchdog, TagMismatchBecomesWaitForTable) {
   // Rank 1 sends tag 7 and finishes; rank 0 waits for tag 999 forever. The
-  // watchdog must convert the hang into a diagnostic naming the stuck op.
+  // scheduler going idle must turn the hang into a diagnostic naming the
+  // stuck op.
   Cluster cl(2, Machine::unit_test());
-  cl.set_watchdog_interval_ms(20);
   const std::string msg = run_expect_error(cl, [](Comm& c) {
     if (c.rank() == 0) {
       double x = 0;
@@ -245,7 +253,6 @@ TEST(Watchdog, SplitCollectiveDeadlockDetected) {
   // runs a barrier on the world communicator while rank 1 runs a barrier on
   // a subgroup... constructed here as a world barrier only rank 0 enters.
   Cluster cl(2, Machine::unit_test());
-  cl.set_watchdog_interval_ms(20);
   const std::string msg = run_expect_error(cl, [](Comm& c) {
     if (c.rank() == 0) {
       c.barrier();
@@ -260,10 +267,9 @@ TEST(Watchdog, SplitCollectiveDeadlockDetected) {
 
 TEST(Watchdog, DoesNotFireOnHealthyRuns) {
   // A run with plenty of blocking communication but steady progress must
-  // never trip the watchdog, even at an aggressive sampling interval.
+  // never be reported as a deadlock.
   const int P = 8;
   Cluster cl(P, Machine::unit_test());
-  cl.set_watchdog_interval_ms(1);
   cl.run([&](Comm& c) {
     for (int i = 0; i < 200; ++i) {
       const int me = c.rank();
@@ -272,6 +278,37 @@ TEST(Watchdog, DoesNotFireOnHealthyRuns) {
       c.barrier();
     }
   });
+}
+
+TEST(Watchdog, OsBlockedRankIsNotADeadlock) {
+  // Rank 0 blocks in the OS on a std::mutex a host thread holds for about
+  // 100 ms while the other ranks park in a barrier. A fiber blocked in the
+  // OS still counts as running, so the scheduler is never idle and the run
+  // completes — on one worker (rank 0 holds it) and on four.
+  for (const int workers : {1, 4}) {
+    std::mutex host_mu;
+    std::atomic<bool> held{false}, contended{false};
+    std::thread holder([&] {
+      std::lock_guard<std::mutex> lk(host_mu);
+      held = true;
+      while (!contended) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    });
+    while (!held) std::this_thread::yield();
+    Cluster cl(4, Machine::unit_test());
+    cl.set_fiber_workers(workers);
+    cl.run([&](Comm& c) {
+      if (c.rank() == 0) {
+        EXPECT_FALSE(host_mu.try_lock());
+        contended = true;
+        std::lock_guard<std::mutex> lk(host_mu);
+      }
+      c.barrier();
+    });
+    holder.join();
+    for (int r = 0; r < 4; ++r)
+      EXPECT_EQ(cl.stats(r).vtime, cl.stats(0).vtime) << "workers " << workers;
+  }
 }
 
 TEST(CoreValidation, BadPlanDimensionsRaiseError) {
@@ -283,25 +320,85 @@ TEST(CoreValidation, BadPlanDimensionsRaiseError) {
   EXPECT_THROW(Ca3dmmPlan::make(5, 5, 5, 4, opt), Error);
 }
 
+/// One public executor, planning m x n x k on the communicator's ranks.
+struct NamedExecutor {
+  const char* name;
+  void (*run)(Comm&, i64, i64, i64, const BlockLayout&, const double*,
+              const BlockLayout&, const double*, const BlockLayout&, double*);
+};
+
+const NamedExecutor kExecutors[] = {
+    {"ca3dmm",
+     [](Comm& w, i64 m, i64 n, i64 k, const BlockLayout& la, const double* a,
+        const BlockLayout& lb, const double* b, const BlockLayout& lc,
+        double* c) {
+       ca3dmm_multiply<double>(w, Ca3dmmPlan::make(m, n, k, w.size()), false,
+                               false, la, a, lb, b, lc, c);
+     }},
+    {"cosma",
+     [](Comm& w, i64 m, i64 n, i64 k, const BlockLayout& la, const double* a,
+        const BlockLayout& lb, const double* b, const BlockLayout& lc,
+        double* c) {
+       cosma_multiply<double>(w, CosmaPlan::make(m, n, k, w.size()), false,
+                              false, la, a, lb, b, lc, c);
+     }},
+    {"carma",
+     [](Comm& w, i64 m, i64 n, i64 k, const BlockLayout& la, const double* a,
+        const BlockLayout& lb, const double* b, const BlockLayout& lc,
+        double* c) {
+       cosma_multiply<double>(w, CosmaPlan::make_carma(m, n, k, w.size()),
+                              false, false, la, a, lb, b, lc, c);
+     }},
+    {"ctf",
+     [](Comm& w, i64 m, i64 n, i64 k, const BlockLayout& la, const double* a,
+        const BlockLayout& lb, const double* b, const BlockLayout& lc,
+        double* c) {
+       ctf_multiply<double>(w, CtfPlan::make(m, n, k, w.size()), false, false,
+                            la, a, lb, b, lc, c);
+     }},
+    {"summa",
+     [](Comm& w, i64 m, i64 n, i64 k, const BlockLayout& la, const double* a,
+        const BlockLayout& lb, const double* b, const BlockLayout& lc,
+        double* c) {
+       summa_multiply<double>(w, SummaPlan::make(m, n, k, w.size()), false,
+                              false, la, a, lb, b, lc, c);
+     }},
+    {"p25d",
+     [](Comm& w, i64 m, i64 n, i64 k, const BlockLayout& la, const double* a,
+        const BlockLayout& lb, const double* b, const BlockLayout& lc,
+        double* c) {
+       p25d_multiply<double>(w, P25dPlan::make(m, n, k, w.size()), false,
+                             false, la, a, lb, b, lc, c);
+     }},
+};
+
 TEST(CoreValidation, LayoutMismatchRaisesCollectivelyNotHang) {
-  // Every rank passes the same bad C layout to pgemm: each raises the same
-  // Error before any communication, so the run fails with all ranks
-  // attributed instead of diverging into a hang.
+  // Every rank passes the same bad input to each executor: a C layout of
+  // the wrong shape, or a null A buffer where the layout assigns elements.
+  // Each rank raises the same Error before any communication, so the run
+  // fails with all ranks attributed instead of hanging or crashing.
   const int P = 4;
-  Cluster cl(P, Machine::unit_test());
-  const std::string msg = run_expect_error(cl, [&](Comm& world) {
-    Ca3dmmPlan plan = Ca3dmmPlan::make(8, 8, 8, P);
-    BlockLayout a = plan.a_native();
-    BlockLayout b = plan.b_native();
-    BlockLayout c_bad(9, 8, P);  // wrong shape on every rank
-    std::vector<double> al(static_cast<size_t>(a.local_size(world.rank())));
-    std::vector<double> bl(static_cast<size_t>(b.local_size(world.rank())));
-    std::vector<double> cb(static_cast<size_t>(c_bad.local_size(world.rank())));
-    ca3dmm_multiply<double>(world, plan, false, false, a, al.data(), b,
-                            bl.data(), c_bad, cb.data());
-  });
-  EXPECT_NE(msg.find("4 ranks failed"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("C layout"), std::string::npos) << msg;
+  const i64 d = 8;
+  const BlockLayout lay = BlockLayout::col_1d(d, d, P);
+  const BlockLayout c_bad(d + 1, d, P);  // wrong shape on every rank
+  for (const NamedExecutor& ex : kExecutors) {
+    SCOPED_TRACE(ex.name);
+    Cluster cl(P, Machine::unit_test());
+    std::string msg = run_expect_error(cl, [&](Comm& world) {
+      std::vector<double> buf(static_cast<size_t>((d + 1) * d), 0.0);
+      ex.run(world, d, d, d, lay, buf.data(), lay, buf.data(), c_bad,
+             buf.data());
+    });
+    EXPECT_NE(msg.find("4 ranks failed"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("C layout"), std::string::npos) << msg;
+
+    msg = run_expect_error(cl, [&](Comm& world) {
+      std::vector<double> buf(static_cast<size_t>(d * d), 0.0);
+      ex.run(world, d, d, d, lay, nullptr, lay, buf.data(), lay, buf.data());
+    });
+    EXPECT_NE(msg.find("4 ranks failed"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("A local buffer is null"), std::string::npos) << msg;
+  }
 }
 
 // ---------------------------------------------------------------------------
