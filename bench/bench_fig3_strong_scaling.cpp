@@ -34,6 +34,10 @@ bool g_drift_failed = false;
 /// rounding; drift beyond the 1e-6 gate fails the binary, same regime as
 /// bench_fig5_breakdown's P=16 gate but at up to 768x the rank count.
 ///
+/// Each executed point also prints the run's HostProfile: context
+/// switches, parks, wakes, lock acquisitions and contention per lock
+/// class, and p2p bytes copied — what the host spent on rendezvous.
+///
 /// ranks_per_node is 16 here (not Phoenix's 24) so node boundaries align
 /// with the 256-rank Cannon groups. A group that straddles a node boundary
 /// makes ranks asymmetric — early arrivers charge their barrier wait to
@@ -67,6 +71,9 @@ void print_real_execution() {
             .count();
     std::printf("\n-- P=%d  grid %s  (host wall %.2f s) --\n%s", rc.P,
                 grid_str(rc.grid).c_str(), wall, rep.table().c_str());
+    // Host-side counters of the executed run (outside the determinism
+    // contract: they move with the worker count and host timing).
+    std::printf("host profile:\n%s", cl.host_profile().table().c_str());
     if (!rep.ok()) {
       g_drift_failed = true;
       std::printf("^^ DRIFT GATE FAILED at P=%d\n", rc.P);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
+#include <utility>
 
 #include "simmpi/detail_state.hpp"
 #include "simmpi/fiber.hpp"
@@ -37,6 +38,49 @@ const char* phase_name(Phase p) {
   }
 }
 
+const char* lock_class_name(LockClass c) {
+  switch (c) {
+    case LockClass::kCluster: return "cluster mu_";
+    case LockClass::kInbox: return "inbox";
+    case LockClass::kSched: return "scheduler";
+    default: return "?";
+  }
+}
+
+HostProfile& HostProfile::operator+=(const HostProfile& o) {
+  switches += o.switches;
+  parks += o.parks;
+  wakes += o.wakes;
+  for (int c = 0; c < static_cast<int>(LockClass::kCount); ++c) {
+    locks[c].acquired += o.locks[c].acquired;
+    locks[c].contended += o.locks[c].contended;
+  }
+  eager_bytes += o.eager_bytes;
+  zero_copy_bytes += o.zero_copy_bytes;
+  inbox_slots_peak = std::max(inbox_slots_peak, o.inbox_slots_peak);
+  return *this;
+}
+
+std::string HostProfile::table() const {
+  std::string out = strprintf(
+      "  context switches %lld, parks %lld, wakes %lld\n",
+      static_cast<long long>(switches), static_cast<long long>(parks),
+      static_cast<long long>(wakes));
+  for (int c = 0; c < static_cast<int>(LockClass::kCount); ++c)
+    out += strprintf("  lock %-12s acquired %10lld  contended %9lld (%.2f%%)\n",
+                     lock_class_name(static_cast<LockClass>(c)),
+                     static_cast<long long>(locks[c].acquired),
+                     static_cast<long long>(locks[c].contended),
+                     100.0 * locks[c].contended_frac());
+  out += strprintf(
+      "  p2p bytes copied: eager %lld, zero-copy %lld; inbox slots peak "
+      "%lld\n",
+      static_cast<long long>(eager_bytes),
+      static_cast<long long>(zero_copy_bytes),
+      static_cast<long long>(inbox_slots_peak));
+  return out;
+}
+
 Cluster::Cluster(int nranks, Machine machine)
     : Cluster(Topology::homogeneous(nranks, machine)) {}
 
@@ -46,33 +90,35 @@ Cluster::Cluster(Topology topo)
       machine_(topo_.machine()),
       ctx_(static_cast<size_t>(nranks_)) {
   CA_REQUIRE(nranks_ >= 1, "Cluster needs at least one rank, got %d", nranks_);
+  inboxes_ = std::make_unique<detail::Inbox[]>(static_cast<size_t>(nranks_));
 }
 
 Cluster::~Cluster() = default;
 
-void Cluster::fiber_park_locked(std::unique_lock<std::mutex>& lk,
-                                const detail::WaitKey& key) {
+void Cluster::park(detail::WaitList& list, std::unique_lock<std::mutex>& lk) {
   detail::Fiber* f = detail::current_fiber();
   CA_ASSERT(f != nullptr && fiber_sched_ != nullptr);
-  fiber_waiters_[key].push_back(f);
-  // park_current drops mu_ before switching out and re-takes it on resume;
-  // the resume only happens after a waker removed us from fiber_waiters_.
+  list.push(f);
+  // The resume only happens after a waker took us off `list`.
   fiber_sched_->park_current(lk);
 }
 
-void Cluster::wake_key_locked(const detail::WaitKey& key) {
-  auto it = fiber_waiters_.find(key);
-  if (it == fiber_waiters_.end()) return;
-  std::vector<detail::Fiber*> list = std::move(it->second);
-  fiber_waiters_.erase(it);
-  for (detail::Fiber* f : list) fiber_sched_->wake(f);
+std::unique_lock<std::mutex> Cluster::lock_mu() {
+  return detail::lock_counted(mu_, LockClass::kCluster);
+}
+
+std::unique_lock<std::mutex> Cluster::lock_inbox(int world_rank) {
+  return detail::lock_counted(inbox(world_rank).mu, LockClass::kInbox);
 }
 
 void Cluster::wake_all_fibers_locked() {
-  std::map<detail::WaitKey, std::vector<detail::Fiber*>> all;
-  all.swap(fiber_waiters_);
-  for (auto& [key, list] : all)
-    for (detail::Fiber* f : list) fiber_sched_->wake(f);
+  for (detail::CommState* st : coll_parked_)
+    if (st != nullptr) st->wake_coll();
+  for (int r = 0; r < nranks_; ++r) {
+    std::unique_lock<std::mutex> lk = lock_inbox(r);
+    for (detail::ChannelSlot& s : inbox(r).slots)
+      fiber_sched_->wake_all(s.waiters);
+  }
 }
 
 void Cluster::request_abort_locked(int world_rank, const std::string& what) {
@@ -80,9 +126,12 @@ void Cluster::request_abort_locked(int world_rank, const std::string& what) {
     rank_failed_[static_cast<size_t>(world_rank)] = 1;
     rank_errors_[static_cast<size_t>(world_rank)] = what;
   }
-  abort_requested_ = true;
+  // Set before any wait list's lock is taken below: a waiter checks the
+  // flag under its list's lock, so it either sees the flag or is already on
+  // the list when the sweep gets there.
+  abort_requested_.store(true, std::memory_order_release);
   // Every parked fiber must re-check its predicate, see the abort, and
-  // unwind — keyed wake-ups alone would leave unrelated waits parked
+  // unwind — targeted wake-ups alone would leave unrelated waits parked
   // forever.
   wake_all_fibers_locked();
 }
@@ -96,13 +145,13 @@ void Cluster::fault_point(RankCtx* ctx) {
           static_cast<long long>(k.at_op)));
 }
 
-void Cluster::maybe_flip_payload_locked(const detail::ChannelKey& key,
-                                        void* buf, i64 bytes) {
+void Cluster::maybe_flip_payload_locked(int src, int dst, int tag, void* buf,
+                                        i64 bytes) {
   if (faults_.flips.empty() || bytes <= 0) return;
-  const int match = ++recv_match_count_[{key.src, key.dst, key.tag}];
+  const int match = ++inbox(dst).flip_matches[{src, tag}];
   for (const FaultPlan::FlipPayload& f : faults_.flips)
-    if (f.src == key.src && f.dst == key.dst && f.tag == key.tag &&
-        f.nth_match == match && f.offset >= 0 && f.offset < bytes)
+    if (f.src == src && f.dst == dst && f.tag == tag && f.nth_match == match &&
+        f.offset >= 0 && f.offset < bytes)
       static_cast<unsigned char*>(buf)[f.offset] ^= f.mask;
 }
 
@@ -128,7 +177,7 @@ const std::string& Cluster::rank_error(int rank) const {
 
 std::vector<int> Cluster::degraded_nodes() const { return degraded_nodes_; }
 
-std::string Cluster::wait_for_table_locked() const {
+std::string Cluster::wait_for_table() const {
   std::string out = "wait-for table (rank / state / comm / peer / tag / vtime):\n";
   for (int r = 0; r < nranks_; ++r) {
     const RankCtx& c = ctx_[static_cast<size_t>(r)];
@@ -141,7 +190,7 @@ std::string Cluster::wait_for_table_locked() const {
           r, c.blocked_op, static_cast<unsigned long long>(c.blocked_comm),
           c.blocked_peer, c.blocked_tag, c.clock);
     } else {
-      // A running rank's clock is written without mu_, so it is not read.
+      // Blocked in the OS: it counts as running, and its clock is live.
       out += strprintf("  rank %3d  running\n", r);
     }
   }
@@ -160,14 +209,17 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
       if (s.node == topo_.node_of_rank(r))
         ctx_[r].slowdown *= s.factor;
   }
-  channels_.clear();
   rank_errors_.assign(static_cast<size_t>(nranks_), {});
   rank_failed_.assign(static_cast<size_t>(nranks_), 0);
   degraded_nodes_.clear();
   deadlock_report_.clear();
-  recv_match_count_.clear();
-  abort_requested_ = false;
+  coll_parked_.assign(static_cast<size_t>(nranks_), nullptr);
+  abort_requested_.store(false, std::memory_order_relaxed);
   finished_count_ = 0;
+  // This thread counts into its own block during the run (the deadlock
+  // abort); keep whatever it held before, in case it is a worker of an
+  // enclosing run.
+  const HostProfile outer = std::exchange(detail::host_counters(), {});
 
   std::vector<int> members(static_cast<size_t>(nranks_));
   std::iota(members.begin(), members.end(), 0);
@@ -188,30 +240,36 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
   // and none ever will be woken. Abort it with the wait-for table; the
   // abort wakes every fiber, and they unwind.
   while (!sched.wait_finished_or_idle()) {
-    std::lock_guard<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk = lock_mu();
     deadlock_report_ = strprintf(
         "deadlock detected: all %d live ranks blocked with no progress\n%s",
-        nranks_ - finished_count_, wait_for_table_locked().c_str());
+        nranks_ - finished_count_, wait_for_table().c_str());
     std::fprintf(stderr, "[simmpi watchdog] %s", deadlock_report_.c_str());
     request_abort_locked(-1, deadlock_report_);
   }
   fiber_sched_ = nullptr;
   sched.shutdown();
+  host_prof_ = std::exchange(detail::host_counters(), outer);
+  sched.add_counters(host_prof_);
 
   // Drain undelivered messages. An aborted (or simply unbalanced) run can
-  // leave eager sends in the channels; the receiver that would have deleted
-  // them never came. Rendezvous records point into (already unwound) sender
-  // stack frames and are erased by the sender's cleanup, so only eager
-  // records are owned here. Posted recvs and wait lists likewise point into
-  // dead stacks; every rank unregistered its own on the way out, so these
-  // are empty — cleared anyway so a future bug cannot leak into the next
-  // run.
-  for (auto& [key, q] : channels_)
-    for (detail::SendRec* rec : q)
-      if (rec->eager) delete rec;
-  channels_.clear();
-  posted_recvs_.clear();
-  fiber_waiters_.clear();
+  // leave eager sends in the inboxes; the receiver that would have deleted
+  // them never came. Rendezvous records point into (already unwound)
+  // sender stack frames and are unlinked by the sender's cleanup, so only
+  // eager records are owned here. Posted recvs and wait lists likewise
+  // point into dead stacks; every rank unregistered its own on the way
+  // out — the slots are dropped anyway so a future bug cannot leak into
+  // the next run.
+  for (int r = 0; r < nranks_; ++r) {
+    detail::Inbox& ib = inbox(r);
+    for (detail::ChannelSlot& s : ib.slots)
+      while (s.head != nullptr) {
+        detail::SendRec* rec = s.pop();
+        if (rec->eager) delete rec;
+      }
+    ib.slots.clear();
+    ib.flip_matches.clear();
+  }
 
   // Finalize stats for every rank before reporting failures: a failed run
   // still leaves per-rank virtual times readable for diagnostics.
@@ -247,14 +305,14 @@ void Cluster::rank_body(int rank, const std::function<void(Comm&)>& rank_main,
   } catch (const detail::ClusterAborted&) {
     // Unwound cooperatively after a peer failure — not this rank's fault.
   } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk = lock_mu();
     request_abort_locked(rank, e.what());
   } catch (...) {
-    std::lock_guard<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk = lock_mu();
     request_abort_locked(rank, "unknown exception");
   }
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk = lock_mu();
     ctx_[static_cast<size_t>(rank)].finished = true;
     finished_count_++;
   }

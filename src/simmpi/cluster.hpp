@@ -10,16 +10,25 @@
 //
 // Per-rank bookkeeping (virtual time per phase, peak tracked memory) is what
 // the benchmark harness reads to reproduce the paper's tables and figures.
+//
+// Rendezvous state has one home and one lock per kind:
+//   * point-to-point: every rank owns an Inbox (detail_state.hpp) of
+//     channel slots keyed by (comm, source, tag); a send or a recv (a
+//     sendrecv is one of each) touches one slot under that inbox's own
+//     mutex and never takes mu_;
+//   * collectives: each communicator's CommState, under Cluster::mu_;
+//   * dispatch: the FiberScheduler's run queue, under its own mutex.
+// Lock order: mu_, then inbox locks in ascending rank, then the scheduler's.
+// No path holds two inbox locks at once; the abort takes them one at a time,
+// in ascending rank order.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <type_traits>
@@ -28,6 +37,7 @@
 #include "common/partition.hpp"
 #include "simmpi/coll_cost.hpp"
 #include "simmpi/fault.hpp"
+#include "simmpi/host_profile.hpp"
 #include "simmpi/machine.hpp"
 #include "simmpi/pool.hpp"
 #include "simmpi/trace.hpp"
@@ -130,7 +140,9 @@ struct RankCtx {
   i64 comm_ops = 0;       ///< communication ops issued (fault-kill counter)
 
   // --- blocked-state, read by the deadlock report's wait-for table ---
-  // All fields below are written and read only under Cluster::mu_.
+  // Written by the rank itself around its waits; the report reads them only
+  // once the scheduler is idle (every live rank parked), so no lock guards
+  // them. `finished` is written under Cluster::mu_.
   const char* blocked_op = nullptr;  ///< non-null while parked in a wait
   std::uint64_t blocked_comm = 0;    ///< communicator id of the wait
   int blocked_peer = -1;  ///< p2p peer (group rank) or #arrived for collectives
@@ -176,8 +188,9 @@ inline void trace_marker(const char* name, double bytes = 0) {
 namespace detail {
 struct CommState;
 struct SendRec;
-struct RecvRec;
-struct Fiber;
+struct Inbox;
+struct ChannelSlot;
+struct WaitList;
 class FiberScheduler;
 
 /// Installs `next` as the calling thread's rank context and returns the
@@ -187,34 +200,6 @@ class FiberScheduler;
 /// on another worker, and an inlined access could reuse a thread pointer
 /// cached before the switch (ThreadSanitizer's instrumentation does).
 [[gnu::noinline]] RankCtx* swap_rank_tls(RankCtx* next);
-
-/// Key identifying a point-to-point channel.
-struct ChannelKey {
-  std::uint64_t comm_id;
-  int src, dst, tag;
-  auto operator<=>(const ChannelKey&) const = default;
-};
-
-/// What a parked fiber is waiting on. Wake-ups are keyed so completing one
-/// rendezvous never touches fibers parked on unrelated state (waking all of
-/// P=3072 parked fibers per event would be O(P^2) switches per collective).
-/// The packing may alias two distinct p2p channels with huge tags; a
-/// collision only causes a spurious wake (predicates are always re-checked),
-/// never a lost one.
-struct WaitKey {
-  std::uint64_t k0 = 0, k1 = 0;
-  auto operator<=>(const WaitKey&) const = default;
-
-  static WaitKey coll(std::uint64_t comm_id) {
-    return WaitKey{1u | (comm_id << 3), 0};
-  }
-  static WaitKey chan(const ChannelKey& c) {
-    return WaitKey{2u | (c.comm_id << 3),
-                   (static_cast<std::uint64_t>(c.src) << 40) |
-                       (static_cast<std::uint64_t>(c.dst) << 20) |
-                       (static_cast<std::uint64_t>(c.tag) & 0xFFFFFu)};
-  }
-};
 
 /// Thrown by blocking primitives when the cluster is unwinding after a peer
 /// failure (cooperative abort). Deliberately not derived from std::exception
@@ -277,6 +262,11 @@ class Cluster {
 
   /// Stats of one rank after run().
   const RankStats& stats(int rank) const;
+
+  /// Host-side counters of the last run() (see HostProfile): context
+  /// switches, parks, wakes, lock acquisitions per lock class, p2p bytes
+  /// copied. Not part of the determinism contract.
+  const HostProfile& host_profile() const { return host_prof_; }
 
   /// Aggregate across ranks: max vtime, max per-phase time, max peak memory,
   /// summed flops, summed inter-node bytes (see RankStats::inter_bytes_s).
@@ -347,42 +337,50 @@ class Cluster {
   void rank_body(int rank, const std::function<void(Comm&)>& rank_main,
                  const std::shared_ptr<detail::CommState>& world);
 
-  // --- fiber parking / keyed wake-ups (all under mu_) ---
-  /// Blocks the calling rank fiber until `pred` holds: it parks under
-  /// `key` and is woken by wake_key_locked / wake_all_fibers_locked, and
-  /// re-evaluates `pred` on every wake. Parking is the only way anything
-  /// waits in the cluster, which is what makes deadlock detection exact.
-  template <typename Pred>
-  void rank_wait(std::unique_lock<std::mutex>& lk, const detail::WaitKey& key,
-                 Pred&& pred) {
-    while (!pred()) fiber_park_locked(lk, key);
-  }
-  void fiber_park_locked(std::unique_lock<std::mutex>& lk,
-                         const detail::WaitKey& key);
-  void wake_key_locked(const detail::WaitKey& key);
+  // --- fiber parking / wake-ups ---
+  /// Parks the calling rank fiber on `list`. The caller holds `lk`, the
+  /// lock guarding `list`; it is released, and stays released once a waker
+  /// resumes the fiber, which then re-checks its predicate. Parking is the
+  /// only way anything waits in the cluster, which is what makes deadlock
+  /// detection exact.
+  void park(detail::WaitList& list, std::unique_lock<std::mutex>& lk);
+  /// Wakes every parked fiber: collective waiters under mu_ (held), then
+  /// each inbox's slot waiters under that inbox's lock, ascending.
   void wake_all_fibers_locked();
 
-  // --- zero-copy p2p rendezvous (mu_ held) ---
-  /// Delivers `bytes` from `buf` straight into a posted matching recv, if
-  /// one exists and the channel is empty (FIFO: a queued eager message must
-  /// be consumed first). Computes the receiver's exit time, applies payload
-  /// flips, and wakes the receiver. When `sender_rec` is non-null (the
-  /// sendrecv path) its completion fields are filled in as if the receiver
-  /// had consumed it. Returns false when the sender must fall back to the
-  /// eager queue (no posted recv, occupied channel, or size mismatch — the
-  /// mismatch must queue so the *receiver* raises the size error).
-  bool try_deliver_posted_locked(const detail::ChannelKey& key,
+  // --- locks, counted in the HostProfile ---
+  std::unique_lock<std::mutex> lock_mu();
+  std::unique_lock<std::mutex> lock_inbox(int world_rank);
+
+  // --- point-to-point inboxes (each under its own mutex) ---
+  detail::Inbox& inbox(int world_rank);  ///< defined in detail_state.hpp
+  /// Delivers `bytes` from `buf` straight into the recv posted on `slot` of
+  /// rank `dst`'s inbox (lock held), if one is posted and the slot's FIFO
+  /// is empty (a queued message must be consumed first). Computes the
+  /// receiver's exit time, applies payload flips, and wakes the receiver.
+  /// When `sender_rec` is non-null (the sendrecv path) its completion
+  /// fields are filled in as if the receiver had consumed it. Returns false
+  /// when the sender must queue instead (no posted recv, occupied FIFO, or
+  /// size mismatch — the mismatch must queue so the *receiver* raises the
+  /// size error).
+  bool try_deliver_posted_locked(detail::ChannelSlot& slot, int dst,
                                  const void* buf, i64 bytes, double t_entry,
                                  detail::SendRec* sender_rec);
 
-  // --- cooperative abort (all under mu_ unless noted) ---
+  // --- cooperative abort ---
   /// Records `what` as rank `world_rank`'s failure (first error per rank
   /// wins; world_rank < 0 records no rank), sets the abort flag, and wakes
-  /// every blocked rank so it unwinds via detail::ClusterAborted.
+  /// every blocked rank so it unwinds via detail::ClusterAborted. mu_ held.
   void request_abort_locked(int world_rank, const std::string& what);
+  /// True once an abort is in flight. Any lock (or none) may be held: the
+  /// flag is set before the abort takes each wait list's lock, so a waiter
+  /// that checks it under that lock either sees it or is already listed.
+  bool aborting() const {
+    return abort_requested_.load(std::memory_order_acquire);
+  }
   /// Throws detail::ClusterAborted if an abort is in flight.
-  void check_abort_locked() const {
-    if (abort_requested_) throw detail::ClusterAborted{};
+  void check_abort() const {
+    if (aborting()) throw detail::ClusterAborted{};
   }
 
   // --- fault injection ---
@@ -390,24 +388,30 @@ class Cluster {
   /// fault plan kills this rank at this op. No lock needed: the plan is
   /// immutable during run() and the counter is rank-private.
   void fault_point(RankCtx* ctx);
-  /// Applies any matching payload flip to a just-received message. mu_ held.
-  void maybe_flip_payload_locked(const detail::ChannelKey& key, void* buf,
+  /// Applies any matching payload flip to a just-received message from
+  /// world rank `src` to `dst` on `tag`. The match count is per world
+  /// (src, dst, tag) across communicators; it lives in dst's inbox, whose
+  /// lock the caller holds.
+  void maybe_flip_payload_locked(int src, int dst, int tag, void* buf,
                                  i64 bytes);
   /// Records a node the straggler policy reclassified as degraded. mu_ held.
   void note_degraded_locked(int node);
 
   // --- deadlock report ---
-  std::string wait_for_table_locked() const;
+  /// Reads every rank's blocked_* fields; call only while the scheduler is
+  /// idle (no rank can write them).
+  std::string wait_for_table() const;
 
   int nranks_;
   Topology topo_;
   Machine machine_;  ///< anchor copy: topo_.machine() (cluster 0)
   std::vector<RankCtx> ctx_;
 
-  // One lock for all rendezvous state; the simulator targets correctness and
-  // deterministic virtual time, not host-parallel throughput.
+  /// Lock of the collective rendezvous state (every CommState) and of the
+  /// run-scoped failure state below. Point-to-point never takes it.
   std::mutex mu_;
-  std::map<detail::ChannelKey, std::deque<detail::SendRec*>> channels_;
+  /// One p2p inbox per world rank, each under its own mutex.
+  std::unique_ptr<detail::Inbox[]> inboxes_;
   std::uint64_t next_comm_id_ = 1;
   TraceConfig trace_cfg_;
   bool validate_ = false;
@@ -416,15 +420,16 @@ class Cluster {
   CollectiveConfig coll_config_;  ///< default for new communicators
 
   // --- run-scoped failure state (guarded by mu_) ---
-  bool abort_requested_ = false;
+  std::atomic<bool> abort_requested_{false};  ///< set under mu_, read anywhere
   int finished_count_ = 0;  ///< rank bodies that returned
   std::vector<std::string> rank_errors_;
   std::vector<std::uint8_t> rank_failed_;
   /// Nodes the straggler policy reclassified as degraded (sorted, unique).
   std::vector<int> degraded_nodes_;
   std::string deadlock_report_;
-  /// Per-(src,dst,tag) received-message counter for payload flips.
-  std::map<std::tuple<int, int, int>, int> recv_match_count_;
+  /// The communicator each rank is parked on in a collective wait, or null
+  /// (guarded by mu_); the abort wakes those lists through it.
+  std::vector<detail::CommState*> coll_parked_;
 
   // --- fiber scheduler state ---
   std::size_t fiber_stack_bytes_ = 0;  ///< 0 = default (1 MiB)
@@ -432,13 +437,7 @@ class Cluster {
   /// Live scheduler while run() is in flight, else null. Set before the
   /// workers start and cleared after the last fiber finished.
   detail::FiberScheduler* fiber_sched_ = nullptr;
-  /// Parked fibers by wait key (guarded by mu_). A fiber appears in at most
-  /// one list; the waker erases it before calling FiberScheduler::wake.
-  std::map<detail::WaitKey, std::vector<detail::Fiber*>> fiber_waiters_;
-  /// Posted-receive table for the zero-copy rendezvous path (guarded by
-  /// mu_). At most one posted recv per channel: a receiver only posts when
-  /// the channel queue is empty, and un-posts before leaving its wait.
-  std::map<detail::ChannelKey, detail::RecvRec*> posted_recvs_;
+  HostProfile host_prof_;  ///< counters of the last run()
 };
 
 /// RAII owning buffer whose size is reported to the rank's memory tracker.

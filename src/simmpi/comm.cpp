@@ -10,18 +10,19 @@
 
 namespace ca3dmm::simmpi {
 
-using detail::ChannelKey;
+using detail::ChannelSlot;
 using detail::ClusterAborted;
 using detail::coll_op_name;
 using detail::CommState;
 using detail::SendRec;
+using detail::SlotKey;
 
 namespace {
 
 /// Marks the calling rank blocked, for the deadlock report's wait-for
-/// table, for the lifetime of the scope. Constructed and destroyed with the
-/// cluster rendezvous lock held (parking releases it in between, which is
-/// when the report may read the fields).
+/// table, for the lifetime of the scope. The report reads the fields only
+/// while the scheduler is idle, i.e. while this rank is parked inside the
+/// scope.
 class BlockedScope {
  public:
   BlockedScope(RankCtx* ctx, const char* op, std::uint64_t comm, int peer,
@@ -196,12 +197,13 @@ std::string validate_collective(const CommState& st, CommState::Op op) {
 /// the shards run in parallel. Results do not depend on their order: the
 /// shards partition the writes and reductions always sum in member order.
 ///
-/// Phase C (completion barrier, under the lock): no member may return — and
-/// possibly free its buffers — before every shard finished. The wait is
-/// guaranteed finite (all p members passed phase A and shard work cannot
+/// Phase C (completion barrier): no member may return — and possibly free
+/// its buffers — before every shard finished. Members count down an atomic;
+/// only the last one, and a member that must park, take the lock. The wait
+/// is guaranteed finite (all p members passed phase A and shard work cannot
 /// block or throw), so it records no blocked state for the deadlock report.
-/// `finish` then runs for every rank, under the lock (used by split to
-/// fetch its result).
+/// `finish` then runs for every rank (used by split to fetch its result,
+/// which the next split rewrites only after every member arrives there).
 ///
 /// Failure handling: an in-flight cluster abort unwinds the phase-A wait
 /// via ClusterAborted; a mismatched op raises Error on the offending rank
@@ -235,7 +237,7 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
   int crit_world = -1;
   std::string err;
   {
-    std::unique_lock<std::mutex> lk(st.mu());
+    std::unique_lock<std::mutex> lk = st.lock();
     if (st.aborted()) throw ClusterAborted{};
     st.fault_point(ctx);  // deterministic rank-kill injection point
     CommState::Slot& slot = st.slots[static_cast<size_t>(me)];
@@ -252,7 +254,7 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
           st.members[static_cast<size_t>(me)], coll_op_name(op),
           coll_op_name(st.op)));
     }
-    const std::uint64_t gen = st.generation;
+    const std::uint64_t gen = st.generation.load(std::memory_order_relaxed);
     st.arrived++;
     if (st.arrived == p) {
       double t0 = 0;
@@ -313,21 +315,24 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
       st.coll_t0 = t0;
       st.coll_crit_world = st.members[static_cast<size_t>(crit)];
       st.dm_ok = e.empty();
-      st.dm_remaining = p;
+      st.dm_remaining.store(p, std::memory_order_relaxed);
       st.arrived = 0;
       st.op = CommState::Op::kNone;
-      st.generation++;
+      st.generation.store(gen + 1, std::memory_order_release);
       st.wake_coll();
+      lk.unlock();
     } else {
       BlockedScope bs(ctx, coll_op_name(op), st.id, st.arrived, -1);
-      st.coll_wait(lk,
-                   [&] { return st.generation != gen || st.aborted(); });
-      if (st.generation == gen) throw ClusterAborted{};
+      const auto done = [&] {
+        return st.generation.load(std::memory_order_acquire) != gen;
+      };
+      st.coll_wait(lk, ctx->world_rank, [&] { return done() || st.aborted(); });
+      if (!done()) throw ClusterAborted{};
     }
-    // Snapshot the completion state before releasing the lock. The fields
-    // stay valid until the next rendezvous on this comm (which cannot start
-    // before every member checks out of phase C below), but locals keep
-    // this code independent of that.
+    // Snapshot the completion state, without the lock: the last arriver
+    // wrote it before bumping the generation, and the next rendezvous on
+    // this comm rewrites it only after every member arrives there. Locals
+    // keep this code independent of that.
     movement_ok = st.dm_ok;
     exit_time = st.exit_time;
     inter_per_rank = st.coll_inter;
@@ -341,16 +346,18 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
   // Phase B: bulk data movement, outside the lock.
   if (movement_ok) shard(st, me);
 
-  // Phase C: completion barrier.
-  {
-    std::unique_lock<std::mutex> lk(st.mu());
-    if (--st.dm_remaining == 0) {
-      st.wake_coll();
-    } else {
-      st.coll_wait(lk, [&] { return st.dm_remaining == 0; });
-    }
-    if (err.empty()) finish(st);
+  // Phase C: completion barrier. The last member to check out wakes the
+  // rest; the others wait without holding the lock once woken.
+  if (st.dm_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    std::unique_lock<std::mutex> lk = st.lock();
+    st.wake_coll();
+  } else {
+    std::unique_lock<std::mutex> lk;
+    st.coll_wait(lk, ctx->world_rank, [&] {
+      return st.dm_remaining.load(std::memory_order_acquire) == 0;
+    });
   }
+  if (err.empty()) finish(st);
 
   if (!err.empty()) throw Error(err);
   const double delta = exit_time - ctx->clock;
@@ -522,12 +529,12 @@ void Comm::charge_local_work(double bytes) {
 // ---------------- collectives ----------------
 
 void Comm::set_collective_config(const CollectiveConfig& cfg) {
-  std::lock_guard<std::mutex> lk(state_->mu());
+  std::unique_lock<std::mutex> lk = state_->lock();
   state_->cfg = cfg;
 }
 
 CollectiveConfig Comm::collective_config() const {
-  std::lock_guard<std::mutex> lk(state_->mu());
+  std::unique_lock<std::mutex> lk = state_->lock();
   return state_->cfg;
 }
 
@@ -901,40 +908,38 @@ Comm Comm::split(int color, int key) const {
 
 // ---------------- point-to-point ----------------
 
-bool Cluster::try_deliver_posted_locked(const detail::ChannelKey& key,
+bool Cluster::try_deliver_posted_locked(detail::ChannelSlot& slot, int dst,
                                         const void* buf, i64 bytes,
                                         double t_entry,
                                         detail::SendRec* sender_rec) {
-  auto it = posted_recvs_.find(key);
-  if (it == posted_recvs_.end()) return false;
-  // FIFO: a queued message (e.g. an earlier eager fallback on this channel)
+  detail::RecvRec* rec = slot.posted;
+  // FIFO: a queued message (e.g. an earlier eager send on this channel)
   // must be matched before this one may jump the queue.
-  auto ch = channels_.find(key);
-  if (ch != channels_.end() && !ch->second.empty()) return false;
-  detail::RecvRec* rec = it->second;
-  // Size mismatch: fall back to the eager queue so the *receiver* raises
-  // the posting error — attribution identical to the staged path.
+  if (rec == nullptr || slot.head != nullptr) return false;
+  // Size mismatch: queue instead so the *receiver* raises the posting
+  // error — attribution identical to the staged path.
   if (rec->bytes != bytes) return false;
-  posted_recvs_.erase(it);
+  slot.posted = nullptr;
   if (bytes > 0) std::memcpy(rec->buf, buf, static_cast<size_t>(bytes));
-  maybe_flip_payload_locked(key, rec->buf, bytes);
+  detail::host_counters().zero_copy_bytes += bytes;
+  const int src = slot.key.src;
+  maybe_flip_payload_locked(src, dst, slot.key.tag, rec->buf, bytes);
   // The receiver's exit time, computed exactly as its staged path would:
   // its own slowdown, max of the two entry clocks plus the p2p cost.
   const double t =
-      t_p2p_ranks(topo_, key.src, key.dst, static_cast<double>(bytes)) *
-      rec->slowdown;
+      t_p2p_ranks(topo_, src, dst, static_cast<double>(bytes)) * rec->slowdown;
   rec->t_exit = std::max(rec->t_entry, t_entry) + t;
   rec->sender_entry = t_entry;
   rec->filled = true;
-  // The receiver is parked on this channel (it only posts while blocked),
-  // so touching its stats under mu_ cannot race with its own writes.
-  ctx_[static_cast<size_t>(key.dst)].stats.p2p_zero_copy++;
+  // The receiver is parked on this slot (it only posts while blocked), so
+  // touching its stats here cannot race with its own writes.
+  ctx_[static_cast<size_t>(dst)].stats.p2p_zero_copy++;
   if (sender_rec != nullptr) {
     sender_rec->consumed = true;
     sender_rec->t_exit = rec->t_exit;
     sender_rec->t_consumer_entry = rec->t_entry;
   }
-  wake_key_locked(detail::WaitKey::chan(key));
+  fiber_sched_->wake_all(slot.waiters);
   return true;
 }
 
@@ -948,16 +953,21 @@ void Comm::send_bytes(const void* buf, i64 bytes, int dst, int tag) {
   cl->fault_point(ctx);
   const double entry = ctx->clock;
   const int dst_w = world_rank_of(dst);
-  const ChannelKey key{state_->id, world_rank(), dst_w, tag};
+  const SlotKey key{state_->id, world_rank(), tag};
   {
-    std::unique_lock<std::mutex> lk(cl->mu_);
-    cl->check_abort_locked();
+    std::unique_lock<std::mutex> lk = cl->lock_inbox(dst_w);
+    cl->check_abort();
+    detail::Inbox& ib = cl->inbox(dst_w);
+    ChannelSlot& slot = ib.get(key);
     // Zero-copy fast path: a matching recv is already posted, so deliver
     // straight into its destination buffer — no eager staging copy. Falls
-    // back to the eager queue when nothing is posted, the channel has
-    // queued messages (FIFO), or sizes mismatch (the receiver must raise
-    // that error).
-    if (!cl->try_deliver_posted_locked(key, buf, bytes, entry, nullptr)) {
+    // back to the eager queue when nothing is posted, the slot has queued
+    // messages (FIFO), or sizes mismatch (the receiver must raise that
+    // error).
+    if (cl->try_deliver_posted_locked(slot, dst_w, buf, bytes, entry,
+                                      nullptr)) {
+      ib.release(key);
+    } else {
       auto rec = std::make_unique<SendRec>();
       rec->bytes = bytes;
       rec->t_entry = entry;
@@ -967,8 +977,9 @@ void Comm::send_bytes(const void* buf, i64 bytes, int dst, int tag) {
         std::memcpy(rec->owned.get(), buf, static_cast<size_t>(bytes));
         rec->buf = rec->owned.get();
       }
-      cl->channels_[key].push_back(rec.release());  // receiver deletes
-      cl->wake_key_locked(detail::WaitKey::chan(key));
+      detail::host_counters().eager_bytes += bytes;
+      slot.push(rec.release());  // receiver deletes
+      cl->fiber_sched_->wake_all(slot.waiters);
     }
   }
   const double t = t_p2p_ranks(state_->topology(), world_rank(), dst_w,
@@ -1006,16 +1017,18 @@ void Comm::recv_impl(void* buf, i64 bytes, int src, int tag) {
   Cluster* cl = state_->cluster;
   RankCtx* ctx = current_ctx();
   const double entry = ctx->clock;
-  const ChannelKey key{state_->id, world_rank_of(src), world_rank(), tag};
+  const int me_w = world_rank();
+  const SlotKey key{state_->id, world_rank_of(src), tag};
   double exit = 0;
   double sender_entry = 0;
   {
-    std::unique_lock<std::mutex> lk(cl->mu_);
+    detail::Inbox& ib = cl->inbox(me_w);
+    std::unique_lock<std::mutex> lk = cl->lock_inbox(me_w);
     SendRec* rec = nullptr;
     // Posted-receive record for the zero-copy fast path: registered (on
-    // this stack frame) once the wait finds the channel empty, so a later
-    // sender can deliver straight into `buf` instead of staging an eager
-    // copy. Unregistered on every exit path of the wait.
+    // this stack frame) once the wait finds the slot's FIFO empty, so a
+    // later sender can deliver straight into `buf` instead of staging an
+    // eager copy. Unregistered on every exit path of the wait.
     detail::RecvRec posted;
     posted.buf = buf;
     posted.bytes = bytes;
@@ -1024,27 +1037,25 @@ void Comm::recv_impl(void* buf, i64 bytes, int src, int tag) {
     bool registered = false;
     {
       BlockedScope bs(ctx, "recv", state_->id, src, tag);
-      cl->rank_wait(lk, detail::WaitKey::chan(key), [&] {
-        // A delivered zero-copy recv completes even when an abort raced in:
-        // the payload is already in place and the exit time computed.
-        if (posted.filled) return true;
-        if (cl->abort_requested_) return true;
-        auto it = cl->channels_.find(key);
-        if (it != cl->channels_.end() && !it->second.empty()) {
-          rec = it->second.front();
-          return true;
+      // A delivered zero-copy recv completes even when an abort raced in:
+      // the payload is already in place and the exit time computed.
+      while (!posted.filled && !cl->aborting()) {
+        ChannelSlot& slot = ib.get(key);
+        if (slot.head != nullptr) {
+          rec = slot.head;
+          break;
         }
         if (!registered) {
-          cl->posted_recvs_[key] = &posted;
+          slot.posted = &posted;
           registered = true;
         }
-        return false;
-      });
+        cl->park(slot.waiters, lk);
+        lk = cl->lock_inbox(me_w);
+      }
     }
     if (registered && !posted.filled) {
-      auto it = cl->posted_recvs_.find(key);
-      if (it != cl->posted_recvs_.end() && it->second == &posted)
-        cl->posted_recvs_.erase(it);
+      ChannelSlot* slot = ib.find(key);  // kept alive by the posted recv
+      if (slot->posted == &posted) slot->posted = nullptr;
     }
     if (posted.filled) {
       // The sender already copied the payload, applied any fault-plan flip,
@@ -1053,21 +1064,23 @@ void Comm::recv_impl(void* buf, i64 bytes, int src, int tag) {
       exit = posted.t_exit;
       sender_entry = posted.sender_entry;
     } else if (rec == nullptr) {
+      ib.release(key);
       throw detail::ClusterAborted{};
     } else {
       // A size mismatch is a user-facing posting error: leave the record in
-      // the channel (the sender's cleanup owns it) and let the Error flow
+      // the slot (the sender's cleanup owns it) and let the Error flow
       // through the cooperative-abort path.
       CA_REQUIRE(rec->bytes == bytes,
                  "recv size mismatch on comm %llu (world %d -> %d, tag %d): "
                  "receiver posted %lld bytes, sender sent %lld",
-                 static_cast<unsigned long long>(state_->id), key.src, key.dst,
+                 static_cast<unsigned long long>(state_->id), key.src, me_w,
                  tag, static_cast<long long>(bytes),
                  static_cast<long long>(rec->bytes));
-      cl->channels_[key].pop_front();
+      ChannelSlot& slot = *ib.find(key);
+      slot.pop();
       if (bytes > 0) std::memmove(buf, rec->buf, static_cast<size_t>(bytes));
-      cl->maybe_flip_payload_locked(key, buf, bytes);
-      const double t = t_p2p_ranks(state_->topology(), key.src, key.dst,
+      cl->maybe_flip_payload_locked(key.src, me_w, tag, buf, bytes);
+      const double t = t_p2p_ranks(state_->topology(), key.src, me_w,
                                    static_cast<double>(bytes)) *
                        ctx->slowdown;
       exit = std::max(entry, rec->t_entry) + t;
@@ -1075,11 +1088,13 @@ void Comm::recv_impl(void* buf, i64 bytes, int src, int tag) {
       if (rec->eager) {
         delete rec;
       } else {
+        detail::host_counters().zero_copy_bytes += bytes;
         rec->t_exit = exit;
         rec->t_consumer_entry = entry;
         rec->consumed = true;
-        cl->wake_key_locked(detail::WaitKey::chan(key));
+        cl->fiber_sched_->wake_all(slot.waiters);
       }
+      ib.release(key);
     }
   }
   ctx->last_op_cost = exit - entry;
@@ -1118,37 +1133,42 @@ void Comm::sendrecv_bytes(const void* sbuf, i64 sbytes, int dst, void* rbuf,
   rec.buf = sbuf;
   rec.bytes = sbytes;
   rec.t_entry = entry;
-  const ChannelKey skey{state_->id, world_rank(), world_rank_of(dst), tag};
+  const int dst_w = world_rank_of(dst);
+  const SlotKey skey{state_->id, world_rank(), tag};
+  detail::Inbox& ib = cl->inbox(dst_w);
   {
-    std::unique_lock<std::mutex> lk(cl->mu_);
-    cl->check_abort_locked();
+    std::unique_lock<std::mutex> lk = cl->lock_inbox(dst_w);
+    cl->check_abort();
+    ChannelSlot& slot = ib.get(skey);
     // Zero-copy fast path: the peer's recv is already posted, so deliver in
     // place — rec's completion fields are filled as if the peer consumed
     // the queued record, and the wait below returns immediately.
-    if (!cl->try_deliver_posted_locked(skey, sbuf, sbytes, entry, &rec)) {
-      cl->channels_[skey].push_back(&rec);
-      cl->wake_key_locked(detail::WaitKey::chan(skey));
+    if (cl->try_deliver_posted_locked(slot, dst_w, sbuf, sbytes, entry,
+                                      &rec)) {
+      ib.release(skey);
+    } else {
+      slot.push(&rec);
+      cl->fiber_sched_->wake_all(slot.waiters);
     }
   }
   try {
     recv_impl(rbuf, rbytes, src, tag);
-    std::unique_lock<std::mutex> lk(cl->mu_);
+    std::unique_lock<std::mutex> lk = cl->lock_inbox(dst_w);
     {
       BlockedScope bs(ctx, "sendrecv-wait", state_->id, dst, tag);
-      cl->rank_wait(lk, detail::WaitKey::chan(skey), [&] {
-        return rec.consumed || cl->abort_requested_;
-      });
+      while (!rec.consumed && !cl->aborting()) {
+        cl->park(ib.get(skey).waiters, lk);
+        lk = cl->lock_inbox(dst_w);
+      }
     }
+    ib.release(skey);
     if (!rec.consumed) throw detail::ClusterAborted{};
   } catch (...) {
-    // The zero-copy send record points into this stack frame: unregister it
+    // The zero-copy send record points into this stack frame: unlink it
     // before unwinding so no peer can touch a dangling pointer.
-    std::lock_guard<std::mutex> lk(cl->mu_);
-    auto it = cl->channels_.find(skey);
-    if (it != cl->channels_.end()) {
-      auto pos = std::find(it->second.begin(), it->second.end(), &rec);
-      if (pos != it->second.end()) it->second.erase(pos);
-    }
+    std::unique_lock<std::mutex> lk = cl->lock_inbox(dst_w);
+    if (ChannelSlot* slot = ib.find(skey)) slot->unlink(&rec);
+    ib.release(skey);
     throw;
   }
   if (rec.t_exit > ctx->clock) {
@@ -1162,10 +1182,10 @@ void Comm::sendrecv_bytes(const void* sbuf, i64 sbytes, int dst, void* rbuf,
       r.t1 = rec.t_exit;
       r.name = "sendrecv-wait";
       r.bytes_out = static_cast<double>(sbytes);
-      r.peer = world_rank_of(dst);
+      r.peer = dst_w;
       r.tag = tag;
       r.comm_id = state_->id;
-      r.dep_rank = world_rank_of(dst);
+      r.dep_rank = dst_w;
       r.t_dep = rec.t_consumer_entry;
       ctx->trace.push_back(r);
     }

@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -121,10 +122,14 @@ struct WorkerFrame {
   std::size_t stack_bytes = 0;
   void* asan_fake_stack = nullptr;
   void* tsan_fiber = nullptr;  ///< the worker thread's own TSan context
+  HostProfile prof;            ///< this worker's counters for the run
 };
 
 thread_local WorkerFrame* g_worker = nullptr;
 thread_local Fiber* g_fiber = nullptr;
+/// Counters of a thread that is not a worker (the one driving
+/// Cluster::run, which wakes every fiber on a deadlock abort).
+thread_local HostProfile g_thread_prof;
 
 void asan_start_switch(void** save, const void* bottom, std::size_t size) {
 #if defined(CA_FIBER_ASAN)
@@ -233,6 +238,21 @@ extern "C" void ca_fiber_entry(void* arg) {
 
 Fiber* current_fiber() { return g_fiber; }
 
+HostProfile& host_counters() {
+  return g_worker != nullptr ? g_worker->prof : g_thread_prof;
+}
+
+std::unique_lock<std::mutex> lock_counted(std::mutex& m, LockClass cls) {
+  std::unique_lock<std::mutex> lk(m, std::try_to_lock);
+  HostProfile::Lock& c = host_counters().lock(cls);
+  ++c.acquired;
+  if (!lk.owns_lock()) {
+    ++c.contended;
+    lk.lock();
+  }
+  return lk;
+}
+
 FiberScheduler::FiberScheduler(int nranks, int workers,
                                std::size_t stack_bytes)
     : nranks_(nranks), stack_bytes_(stack_bytes) {
@@ -293,8 +313,8 @@ void FiberScheduler::spawn(int rank, std::function<void()> body) {
 #endif
 
   std::lock_guard<std::mutex> lk(mu_);
-  runnable_.insert({0.0, rank});
   fibers_[static_cast<size_t>(rank)] = std::move(f);
+  push_runnable_locked(fibers_[static_cast<size_t>(rank)].get());
 }
 
 void FiberScheduler::start() {
@@ -302,10 +322,15 @@ void FiberScheduler::start() {
     workers_.emplace_back([this] { worker_main(); });
 }
 
+void FiberScheduler::push_runnable_locked(Fiber* f) {
+  runnable_.emplace_back(f->vclock, f->rank);
+  std::push_heap(runnable_.begin(), runnable_.end(), std::greater<>{});
+}
+
 Fiber* FiberScheduler::pop_runnable_locked() {
-  auto it = runnable_.begin();
-  Fiber* f = fibers_[static_cast<size_t>(it->second)].get();
-  runnable_.erase(it);
+  std::pop_heap(runnable_.begin(), runnable_.end(), std::greater<>{});
+  Fiber* f = fibers_[static_cast<size_t>(runnable_.back().second)].get();
+  runnable_.pop_back();
   return f;
 }
 
@@ -316,16 +341,21 @@ void FiberScheduler::worker_main() {
   frame.tsan_fiber = __tsan_get_current_fiber();
 #endif
   g_worker = &frame;
+  // The lock is held from a fiber's switch back to the next dispatch, so
+  // one acquisition covers both the bookkeeping and the next pop.
+  std::unique_lock<std::mutex> lk = lock_counted(mu_, LockClass::kSched);
   for (;;) {
-    Fiber* f = nullptr;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      work_cond_.wait(lk, [&] { return stop_ || !runnable_.empty(); });
-      if (runnable_.empty()) return;  // stop_ set and nothing left to run
-      f = pop_runnable_locked();
-      ++running_;
+    work_cond_.wait(lk, [&] { return stop_ || !runnable_.empty(); });
+    if (runnable_.empty()) {  // stop_ set and nothing left to run
+      counters_ += frame.prof;
+      g_worker = nullptr;
+      return;
     }
+    Fiber* f = pop_runnable_locked();
+    ++running_;
+    lk.unlock();
     f->state.store(Fiber::kRunning, std::memory_order_relaxed);
+    ++frame.prof.switches;
     switch_into(f);
     // The fiber switched back: it either finished or is parking.
     const bool finished =
@@ -337,13 +367,12 @@ void FiberScheduler::worker_main() {
     const bool requeue =
         !finished && !f->state.compare_exchange_strong(
                          expected, Fiber::kParked, std::memory_order_acq_rel);
-    std::lock_guard<std::mutex> lk(mu_);
+    lk = lock_counted(mu_, LockClass::kSched);
     --running_;
     if (finished) ++finished_;
-    if (requeue) {
+    if (requeue) {  // this worker pops it next; no other needs waking
       f->state.store(Fiber::kRunnable, std::memory_order_relaxed);
-      runnable_.insert({f->vclock, f->rank});
-      work_cond_.notify_one();
+      push_runnable_locked(f);
     }
     // Only a running fiber can wake a parked one: once nothing is running
     // or runnable, the run is over or deadlocked.
@@ -374,6 +403,7 @@ void FiberScheduler::switch_into(Fiber* f) {
 void FiberScheduler::park_current(std::unique_lock<std::mutex>& lk) {
   Fiber* f = g_fiber;
   CA_ASSERT(f != nullptr);
+  ++host_counters().parks;
   f->vclock = current_ctx() ? current_ctx()->clock : f->vclock;
   f->state.store(Fiber::kParking, std::memory_order_release);
   lk.unlock();
@@ -388,23 +418,34 @@ void FiberScheduler::park_current(std::unique_lock<std::mutex>& lk) {
   // Resumed — possibly on a different worker thread, so the worker frame
   // TLS must not be cached across the switch.
   asan_finish_switch(f->asan_fake_stack);
-  lk.lock();
 }
 
-void FiberScheduler::wake(Fiber* f) {
-  int expected = Fiber::kParking;
-  if (f->state.compare_exchange_strong(expected, Fiber::kNotified,
-                                       std::memory_order_acq_rel))
-    return;  // still switching out; its worker re-enqueues it
-  CA_ASSERT(expected == Fiber::kParked);
-  f->state.store(Fiber::kRunnable, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(mu_);
-  runnable_.insert({f->vclock, f->rank});
-  work_cond_.notify_one();
+void FiberScheduler::wake_all(WaitList& list) {
+  Fiber* f = list.head;
+  list.head = nullptr;
+  if (f == nullptr) return;
+  HostProfile& prof = host_counters();
+  std::unique_lock<std::mutex> lk;  // taken once, for the first parked fiber
+  while (f != nullptr) {
+    // Read the link first: once woken, f may run and park elsewhere.
+    Fiber* next = f->wait_next;
+    ++prof.wakes;
+    int expected = Fiber::kParking;
+    if (!f->state.compare_exchange_strong(expected, Fiber::kNotified,
+                                          std::memory_order_acq_rel)) {
+      // Not still switching out (then its worker re-enqueues it): parked.
+      CA_ASSERT(expected == Fiber::kParked);
+      f->state.store(Fiber::kRunnable, std::memory_order_relaxed);
+      if (!lk.owns_lock()) lk = lock_counted(mu_, LockClass::kSched);
+      push_runnable_locked(f);
+      work_cond_.notify_one();
+    }
+    f = next;
+  }
 }
 
 bool FiberScheduler::wait_finished_or_idle() {
-  std::unique_lock<std::mutex> lk(mu_);
+  std::unique_lock<std::mutex> lk = lock_counted(mu_, LockClass::kSched);
   idle_cond_.wait(lk, [&] { return running_ == 0 && runnable_.empty(); });
   return finished_ == nranks_;
 }

@@ -9,21 +9,27 @@
 // dispatch order — one worker or many (docs/SIMMPI.md documents the
 // determinism contract).
 //
-// Blocking: a fiber parks — it registers under a WaitKey, unlocks the
-// cluster mutex, and switches back to its worker's scheduler context.
-// Parking is the only way anything waits in the cluster. Wake-ups are keyed
-// (per communicator, per p2p channel), so completing one rendezvous never
-// touches the thousands of fibers parked on unrelated state.
+// Blocking: a fiber parks on an intrusive WaitList owned by the state it
+// waits for — a p2p channel slot in the destination rank's inbox, or a
+// communicator's collective rendezvous — and releases that state's lock
+// before it switches back to its worker's scheduler context. Parking is the
+// only way anything waits in the cluster. A wake-up touches only the one
+// list, so completing one rendezvous never touches the thousands of fibers
+// parked on unrelated state.
 //
 // The parking handshake is the eventcount pattern: the fiber announces
-// kParking under the cluster lock, unlocks, and switches out; its worker
+// kParking under the list's lock, unlocks, and switches out; its worker
 // completes kParking -> kParked after the switch. A waker that catches the
 // fiber mid-switch CASes kParking -> kNotified instead, and the worker
 // re-enqueues the fiber on seeing it — so a wake-up between "unlock" and
 // "switched out" is never lost, and a fiber is never enqueued while a
 // worker is still on its stack.
 //
-// Workers never hold the cluster mutex across a context switch, and a
+// The run queue is a binary min-heap of (vclock, rank). The state machine
+// enqueues a fiber at most once, so the pop order equals the order of a
+// sorted set of the same pairs.
+//
+// Workers never hold a rendezvous lock across a context switch, and a
 // fiber's TLS view (current rank context, active buffer pool) is saved and
 // restored around every switch, so fibers migrate freely between workers.
 // The pool has a fixed size. A fiber that blocks in the OS (a std::mutex, a
@@ -55,9 +61,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
+
+#include "simmpi/host_profile.hpp"
 
 namespace ca3dmm::simmpi {
 
@@ -94,6 +101,9 @@ struct Fiber {
   std::atomic<int> state{kRunnable};
   /// Virtual clock at the last park; dispatch priority (lowest first).
   double vclock = 0;
+  /// Next fiber on the WaitList this one is parked on; guarded by that
+  /// list's lock.
+  Fiber* wait_next = nullptr;
   std::function<void()> body;
   FiberScheduler* sched = nullptr;
 
@@ -112,9 +122,30 @@ struct Fiber {
 /// called from a plain thread.
 Fiber* current_fiber();
 
-/// Worker pool + runnable set. Wake-side bookkeeping (the WaitKey -> fiber
-/// lists) lives in the Cluster under its mutex; the scheduler only owns
-/// dispatch.
+/// Parked fibers waiting for one piece of rendezvous state, linked through
+/// Fiber::wait_next. Guarded by the lock of the state that owns it; a waker
+/// empties the whole list (predicates are re-checked after every wake).
+struct WaitList {
+  Fiber* head = nullptr;
+  bool empty() const { return head == nullptr; }
+  void push(Fiber* f) {
+    f->wait_next = head;
+    head = f;
+  }
+};
+
+/// The calling thread's HostProfile counters: its worker's block on a
+/// worker thread (fiber code included), else a thread-local block of the
+/// thread driving Cluster::run. Out of line so a fiber that migrated to
+/// another worker never reuses a cached block.
+[[gnu::noinline]] HostProfile& host_counters();
+
+/// Locks `m`, counting the acquisition in the calling thread's counters
+/// under `cls`, and as contended when try_lock fails first.
+std::unique_lock<std::mutex> lock_counted(std::mutex& m, LockClass cls);
+
+/// Worker pool + run queue. Wait lists live with the state they wait for
+/// (under its lock); the scheduler only owns dispatch.
 class FiberScheduler {
  public:
   /// `workers` = 0 picks min(hardware_concurrency, nranks). `stack_bytes`
@@ -135,29 +166,34 @@ class FiberScheduler {
 
   /// Blocks until no fiber is runnable or running. Returns true when every
   /// spawned fiber reached kFinished, false on a deadlock: some fiber is
-  /// parked and, with nothing running, nothing can wake it. Only a wake()
-  /// from the caller (the cluster's abort) leaves that state.
+  /// parked and, with nothing running, nothing can wake it. Only a
+  /// wake_all() from the caller (the cluster's abort) leaves that state.
   bool wait_finished_or_idle();
 
   /// Stops and joins the workers. All fibers must be finished.
   void shutdown();
 
-  /// Parks the current fiber. Caller holds the cluster mutex via `lk` and
-  /// has already registered the fiber in the cluster's wait table; the
-  /// mutex is released before the switch and re-acquired after resume
-  /// (possibly on a different worker thread).
+  /// Parks the current fiber. The caller holds the lock of the state it
+  /// waits for via `lk` and has already pushed the fiber onto that state's
+  /// WaitList; the lock is released before the switch and stays released
+  /// after the resume (possibly on a different worker thread).
   void park_current(std::unique_lock<std::mutex>& lk);
 
-  /// Makes a fiber runnable again (or flags it kNotified if it is still
-  /// switching out). The caller must have removed it from the wait table;
-  /// callable from fibers and from the thread in wait_finished_or_idle.
-  void wake(Fiber* f);
+  /// Makes every fiber on `list` runnable again (or flags it kNotified if it
+  /// is still switching out) and empties the list. Caller holds the list's
+  /// lock; callable from fibers and from the thread in
+  /// wait_finished_or_idle.
+  void wake_all(WaitList& list);
+
+  /// Adds this run's per-worker counters into `out`. Call after shutdown().
+  void add_counters(HostProfile& out) const { out += counters_; }
 
   int nranks() const { return nranks_; }
 
  private:
   void worker_main();
   void switch_into(Fiber* f);
+  void push_runnable_locked(Fiber* f);
   Fiber* pop_runnable_locked();
 
   int nranks_;
@@ -166,13 +202,16 @@ class FiberScheduler {
   std::vector<std::unique_ptr<Fiber>> fibers_;  ///< indexed by rank
 
   std::mutex mu_;  ///< guards everything below
-  std::set<std::pair<double, int>> runnable_;  ///< (vclock, rank)
+  /// Binary min-heap of (vclock, rank) over std::greater: the lowest
+  /// virtual clock, ties to the lowest rank, is dispatched first.
+  std::vector<std::pair<double, int>> runnable_;
   int running_ = 0;        ///< fibers currently on a worker stack
   int finished_ = 0;
   bool stop_ = false;
   std::vector<std::thread> workers_;
   std::condition_variable work_cond_;  ///< runnable pushed / stop
   std::condition_variable idle_cond_;  ///< nothing runnable or running
+  HostProfile counters_;  ///< workers' counters, added as each one exits
 };
 
 }  // namespace detail

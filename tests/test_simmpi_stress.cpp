@@ -1,15 +1,18 @@
 // Randomized stress tests of the simulated runtime: deep split trees,
 // interleaved collectives on sibling communicators, mixed p2p/collective
-// traffic, and repeated cluster reuse. These guard the rendezvous machinery
-// against ordering bugs that simple unit tests cannot reach.
+// traffic, repeated cluster reuse, and a rank kill while peers are parked
+// on every kind of wait list. These guard the rendezvous machinery against
+// ordering bugs that simple unit tests cannot reach.
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "simmpi/cluster.hpp"
 #include "simmpi/comm.hpp"
+#include "simmpi/fault.hpp"
 
 namespace ca3dmm::simmpi {
 namespace {
@@ -145,6 +148,82 @@ TEST(Stress, VirtualTimeMonotonePerRank) {
       last = world.now();
     }
   });
+}
+
+/// A healthy run (ring shifts, an allreduce, a barrier) whose per-rank
+/// vtimes a reused Cluster must reproduce exactly.
+std::vector<double> healthy_vtimes(Cluster& cl) {
+  const int P = cl.nranks();
+  cl.run([P](Comm& c) {
+    const int me = c.rank();
+    double v = me;
+    for (int step = 0; step < 3; ++step) {
+      double got = -1;
+      c.sendrecv(&v, 1, (me + 1) % P, &got, 1, (me + P - 1) % P, step);
+      v = got;
+    }
+    double sum = 0;
+    c.allreduce(&v, &sum, 1);
+    ASSERT_EQ(sum, P * (P - 1) / 2.0);
+    c.barrier();
+  });
+  std::vector<double> vt;
+  for (int r = 0; r < P; ++r) vt.push_back(cl.stats(r).vtime);
+  return vt;
+}
+
+TEST(AbortStress, KillWhilePeersParkedInRecvSendrecvAndCollective) {
+  // Four workers; rank 0 is killed at its 3rd comm op while the other
+  // ranks wait on it in every kind of wait list: recv (ranks 1-5, inbox
+  // slots of their own inboxes), sendrecv-wait (ranks 6-10, slots of rank
+  // 0's inbox: their recv half is satisfied by a message to themselves) and
+  // a barrier on a communicator rank 0 belongs to (ranks 11-15, the
+  // communicator's list under the cluster lock). The abort must wake them
+  // all, the run must raise the kill attributed to rank 0 alone, and the
+  // same Cluster must then run healthy traffic with the vtimes of a fresh
+  // one.
+  const int P = 16;
+  Cluster fresh(P, Machine::unit_test());
+  fresh.set_fiber_workers(4);
+  const std::vector<double> expect = healthy_vtimes(fresh);
+
+  Cluster cl(P, Machine::unit_test());
+  cl.set_fiber_workers(4);
+  for (int iter = 0; iter < 8; ++iter) {
+    FaultPlan fp;
+    fp.kills.push_back({.rank = 0, .at_op = 3});
+    cl.set_fault_plan(fp);
+    std::string msg;
+    try {
+      cl.run([](Comm& c) {
+        const int me = c.rank();
+        Comm sub = c.split(me == 0 || me >= 11 ? 1 : 0, me);  // op 1
+        double x = me, y = 0;
+        if (me == 0) {
+          c.send(&x, 1, 15, 99);  // op 2: eager, never received
+          sub.barrier();          // op 3: killed here
+        } else if (me <= 5) {
+          c.recv(&y, 1, 0, 7);
+        } else if (me <= 10) {
+          c.send(&x, 1, me, 8);
+          c.sendrecv(&x, 1, 0, &y, 1, me, 8);
+        } else {
+          sub.barrier();
+        }
+        ADD_FAILURE() << "rank " << me << " returned past the kill";
+      });
+    } catch (const Error& e) {
+      msg = e.what();
+    }
+    EXPECT_NE(msg.find("rank 0 failed: fault injection: rank 0 killed at its "
+                       "comm op 3"),
+              std::string::npos)
+        << msg;
+    EXPECT_EQ(cl.failed_ranks(), std::vector<int>{0});
+    cl.set_fault_plan({});
+    EXPECT_EQ(healthy_vtimes(cl), expect) << "iteration " << iter;
+    EXPECT_TRUE(cl.failed_ranks().empty());
+  }
 }
 
 }  // namespace
