@@ -51,6 +51,7 @@ HostProfile& HostProfile::operator+=(const HostProfile& o) {
   switches += o.switches;
   parks += o.parks;
   wakes += o.wakes;
+  steals += o.steals;
   for (int c = 0; c < static_cast<int>(LockClass::kCount); ++c) {
     locks[c].acquired += o.locks[c].acquired;
     locks[c].contended += o.locks[c].contended;
@@ -58,14 +59,20 @@ HostProfile& HostProfile::operator+=(const HostProfile& o) {
   eager_bytes += o.eager_bytes;
   zero_copy_bytes += o.zero_copy_bytes;
   inbox_slots_peak = std::max(inbox_slots_peak, o.inbox_slots_peak);
+  stacks_mapped += o.stacks_mapped;
+  pool_hits += o.pool_hits;
+  pool_misses += o.pool_misses;
+  minor_faults += o.minor_faults;
+  vol_switches += o.vol_switches;
+  sys_cpu_s += o.sys_cpu_s;
   return *this;
 }
 
 std::string HostProfile::table() const {
   std::string out = strprintf(
-      "  context switches %lld, parks %lld, wakes %lld\n",
+      "  context switches %lld, parks %lld, wakes %lld, steals %lld\n",
       static_cast<long long>(switches), static_cast<long long>(parks),
-      static_cast<long long>(wakes));
+      static_cast<long long>(wakes), static_cast<long long>(steals));
   for (int c = 0; c < static_cast<int>(LockClass::kCount); ++c)
     out += strprintf("  lock %-12s acquired %10lld  contended %9lld (%.2f%%)\n",
                      lock_class_name(static_cast<LockClass>(c)),
@@ -78,6 +85,15 @@ std::string HostProfile::table() const {
       static_cast<long long>(eager_bytes),
       static_cast<long long>(zero_copy_bytes),
       static_cast<long long>(inbox_slots_peak));
+  out += strprintf(
+      "  fiber stacks mapped %lld; rank pool hits %lld, misses %lld\n",
+      static_cast<long long>(stacks_mapped), static_cast<long long>(pool_hits),
+      static_cast<long long>(pool_misses));
+  out += strprintf(
+      "  kernel: minor faults %lld, voluntary switches %lld, system CPU "
+      "%.3f s\n",
+      static_cast<long long>(minor_faults),
+      static_cast<long long>(vol_switches), sys_cpu_s);
   return out;
 }
 
@@ -91,13 +107,14 @@ Cluster::Cluster(Topology topo)
       ctx_(static_cast<size_t>(nranks_)) {
   CA_REQUIRE(nranks_ >= 1, "Cluster needs at least one rank, got %d", nranks_);
   inboxes_ = std::make_unique<detail::Inbox[]>(static_cast<size_t>(nranks_));
+  rank_pools_ = std::make_unique<BufferPool[]>(static_cast<size_t>(nranks_));
 }
 
 Cluster::~Cluster() = default;
 
 void Cluster::park(detail::WaitList& list, std::unique_lock<std::mutex>& lk) {
   detail::Fiber* f = detail::current_fiber();
-  CA_ASSERT(f != nullptr && fiber_sched_ != nullptr);
+  CA_ASSERT(f != nullptr && f->sched == fiber_sched_.get());
   list.push(f);
   // The resume only happens after a waker took us off `list`.
   fiber_sched_->park_current(lk);
@@ -216,23 +233,39 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
   coll_parked_.assign(static_cast<size_t>(nranks_), nullptr);
   abort_requested_.store(false, std::memory_order_relaxed);
   finished_count_ = 0;
-  // This thread counts into its own block during the run (the deadlock
-  // abort); keep whatever it held before, in case it is a worker of an
-  // enclosing run.
+  // This thread counts into its own block during the run (spawn, the
+  // deadlock abort); keep whatever it held before, in case it is a worker
+  // of an enclosing run.
   const HostProfile outer = std::exchange(detail::host_counters(), {});
+  const detail::ThreadUsage usage0 = detail::ThreadUsage::now();
+  // Pool counters are lifetime totals; the run's share is the difference.
+  i64 pool_hits0 = 0, pool_misses0 = 0;
+  for (int r = 0; r < nranks_; ++r) {
+    pool_hits0 += rank_pools_[r].stats().hits;
+    pool_misses0 += rank_pools_[r].stats().misses;
+  }
 
   std::vector<int> members(static_cast<size_t>(nranks_));
   std::iota(members.begin(), members.end(), 0);
   auto world = detail::CommState::create(this, std::move(members));
 
+  // The scheduler and its fiber stacks persist across runs; a changed
+  // stack size or worker count rebuilds them.
   const std::size_t stack =
       fiber_stack_bytes_ != 0 ? fiber_stack_bytes_ : std::size_t{1} << 20;
-  detail::FiberScheduler sched(nranks_, fiber_workers_, stack);
-  for (int r = 0; r < nranks_; ++r)
-    sched.spawn(r, [this, r, &rank_main, &world] {
-      rank_body(r, rank_main, world);
-    });
-  fiber_sched_ = &sched;
+  if (!fiber_sched_ || !fiber_sched_->built_for(fiber_workers_, stack))
+    fiber_sched_ =
+        std::make_unique<detail::FiberScheduler>(nranks_, fiber_workers_, stack);
+  detail::FiberScheduler& sched = *fiber_sched_;
+  try {
+    for (int r = 0; r < nranks_; ++r)
+      sched.spawn(r, [this, r, &rank_main, &world] {
+        rank_body(r, rank_main, world);
+      });
+  } catch (...) {
+    fiber_sched_.reset();  // part-spawned: no worker ever ran it
+    throw;
+  }
   sched.start();
 
   // Only a running fiber can wake a parked one, so an idle scheduler with
@@ -247,10 +280,16 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
     std::fprintf(stderr, "[simmpi watchdog] %s", deadlock_report_.c_str());
     request_abort_locked(-1, deadlock_report_);
   }
-  fiber_sched_ = nullptr;
   sched.shutdown();
+  detail::add_usage_since(detail::host_counters(), usage0);
   host_prof_ = std::exchange(detail::host_counters(), outer);
-  sched.add_counters(host_prof_);
+  sched.take_counters(host_prof_);
+  host_prof_.pool_hits = -pool_hits0;
+  host_prof_.pool_misses = -pool_misses0;
+  for (int r = 0; r < nranks_; ++r) {
+    host_prof_.pool_hits += rank_pools_[r].stats().hits;
+    host_prof_.pool_misses += rank_pools_[r].stats().misses;
+  }
 
   // Drain undelivered messages. An aborted (or simply unbalanced) run can
   // leave eager sends in the inboxes; the receiver that would have deleted
@@ -275,6 +314,14 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
   // still leaves per-rank virtual times readable for diagnostics.
   for (int r = 0; r < nranks_; ++r) ctx_[r].stats.vtime = ctx_[r].clock;
 
+  // Every rank's buffers were released as its body unwound. One still
+  // checked out of a rank pool escaped the run, and the pool would hand
+  // its memory to the next run while the escapee still points at it.
+  for (int r = 0; r < nranks_; ++r)
+    CA_REQUIRE(rank_pools_[r].live_bytes() == 0,
+               "rank %d leaked %lld tracked bytes out of Cluster::run", r,
+               static_cast<long long>(rank_pools_[r].live_bytes()));
+
   if (!deadlock_report_.empty()) throw Error(deadlock_report_);
 
   int nfailed = 0;
@@ -296,9 +343,10 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
 
 void Cluster::rank_body(int rank, const std::function<void(Comm&)>& rank_main,
                         const std::shared_ptr<detail::CommState>& world) {
-  // The scheduler saves/restores this TLS around every switch, so it
-  // follows the fiber across workers.
+  // The scheduler saves/restores both thread-locals (rank context, pool)
+  // around every switch, so they follow the fiber across workers.
   detail::swap_rank_tls(&ctx_[static_cast<size_t>(rank)]);
+  PoolScope pool(&rank_pools_[rank]);
   try {
     Comm c(world, rank);
     rank_main(c);

@@ -11,16 +11,25 @@
 // Per-rank bookkeeping (virtual time per phase, peak tracked memory) is what
 // the benchmark harness reads to reproduce the paper's tables and figures.
 //
+// Rank memory outlives a run. The Cluster keeps its fiber scheduler, with
+// every rank's guard-paged stack, from the first run() to its destructor,
+// and owns one BufferPool per rank that every TrackedBuffer of that rank's
+// body draws from. A repeated run therefore maps no stacks and takes its
+// work buffers from memory the last run already faulted in; pooled memory
+// is handed out zeroed and tracked exactly like a fresh allocation, so
+// results and peak bytes (Table I) do not change.
+//
 // Rendezvous state has one home and one lock per kind:
 //   * point-to-point: every rank owns an Inbox (detail_state.hpp) of
 //     channel slots keyed by (comm, source, tag); a send or a recv (a
 //     sendrecv is one of each) touches one slot under that inbox's own
 //     mutex and never takes mu_;
 //   * collectives: each communicator's CommState, under Cluster::mu_;
-//   * dispatch: the FiberScheduler's run queue, under its own mutex.
-// Lock order: mu_, then inbox locks in ascending rank, then the scheduler's.
-// No path holds two inbox locks at once; the abort takes them one at a time,
-// in ascending rank order.
+//   * dispatch: the FiberScheduler's per-worker run queues, each under its
+//     own small lock, and its sleep/idle lock.
+// Lock order: mu_, then inbox locks in ascending rank, then one scheduler
+// lock. No path holds two inbox locks at once; the abort takes them one at
+// a time, in ascending rank order. No path holds two scheduler locks.
 #pragma once
 
 #include <atomic>
@@ -222,8 +231,9 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Runs `rank_main` on every rank (each a fiber, dispatched lowest
-  /// virtual clock first over the worker pool) with a world communicator,
+  /// Runs `rank_main` on every rank (each a fiber; every worker dispatches
+  /// the lowest virtual clock on its run queue first) with a world
+  /// communicator,
   /// and waits for all ranks to finish. Statistics are reset at
   /// entry, finalized for every rank (failed or not), and readable
   /// afterwards.
@@ -250,22 +260,26 @@ class Cluster {
   /// Usable stack per fiber (a guard page is added below). Default 1 MiB.
   /// Rank bodies that recurse deeply or place large arrays on the stack
   /// need more; an overflow hits the guard page and faults instead of
-  /// corrupting a neighbour.
+  /// corrupting a neighbour. Stacks are kept across runs; a new size
+  /// rebuilds them at the next run().
   void set_fiber_stack_bytes(std::size_t bytes) { fiber_stack_bytes_ = bytes; }
 
   /// Worker threads running the rank fibers; 0 (default) picks
   /// min(hardware_concurrency, nranks), and the pool never grows. A rank
   /// that blocks in the OS (a std::mutex, a join) holds its worker until it
   /// returns. Results never depend on the count; with 1 the dispatch order
-  /// itself is deterministic.
+  /// itself is deterministic. A new count rebuilds the scheduler (and its
+  /// stacks) at the next run().
   void set_fiber_workers(int n) { fiber_workers_ = n; }
 
   /// Stats of one rank after run().
   const RankStats& stats(int rank) const;
 
   /// Host-side counters of the last run() (see HostProfile): context
-  /// switches, parks, wakes, lock acquisitions per lock class, p2p bytes
-  /// copied. Not part of the determinism contract.
+  /// switches, parks, wakes, steals, lock acquisitions per lock class, p2p
+  /// bytes copied, stacks mapped, rank-pool reuse and the kernel's share
+  /// (page faults, voluntary switches, system CPU). Not part of the
+  /// determinism contract.
   const HostProfile& host_profile() const { return host_prof_; }
 
   /// Aggregate across ranks: max vtime, max per-phase time, max peak memory,
@@ -434,9 +448,12 @@ class Cluster {
   // --- fiber scheduler state ---
   std::size_t fiber_stack_bytes_ = 0;  ///< 0 = default (1 MiB)
   int fiber_workers_ = 0;              ///< 0 = auto
-  /// Live scheduler while run() is in flight, else null. Set before the
-  /// workers start and cleared after the last fiber finished.
-  detail::FiberScheduler* fiber_sched_ = nullptr;
+  /// The scheduler and its fiber stacks: built by the first run(), rebuilt
+  /// when the stack size or worker count changed, kept until ~Cluster.
+  std::unique_ptr<detail::FiberScheduler> fiber_sched_;
+  /// One pool per rank, installed around its body by rank_body; its idle
+  /// buffers carry over to the next run.
+  std::unique_ptr<BufferPool[]> rank_pools_;
   HostProfile host_prof_;  ///< counters of the last run()
 };
 
@@ -464,9 +481,11 @@ class TrackedBuffer {
     CA_ASSERT(n >= 0);
     if (n == 0) return;
     n_ = n;
-    // Draw from the thread's active BufferPool when one is in scope (the
-    // engine path); the pool hands back zeroed memory, matching new T[n]().
-    // Tracked bytes are identical either way (Table I semantics).
+    // Draw from the calling rank's active BufferPool: the Cluster's pool for
+    // that rank, or an engine's pool scoped over it. The pool hands back
+    // zeroed memory, matching new T[n](); outside a rank (no pool) this is
+    // a plain heap allocation. Tracked bytes are identical either way
+    // (Table I semantics).
     if constexpr (std::is_trivially_copyable_v<T> &&
                   std::is_trivially_destructible_v<T>)
       pool_ = current_buffer_pool();

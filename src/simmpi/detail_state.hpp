@@ -7,7 +7,8 @@
 //     fault plan's per-(src, tag) flip match counts.
 //   * CommState (one per communicator, Cluster::mu_): the in-flight
 //     collective rendezvous and its wait list.
-// Lock order: Cluster::mu_ -> inbox[r] ascending -> scheduler mutex.
+// Lock order: Cluster::mu_ -> inbox[r] ascending -> one scheduler lock (a
+// worker's run queue or the sleep lock).
 #pragma once
 
 #include <algorithm>

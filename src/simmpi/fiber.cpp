@@ -1,6 +1,7 @@
 #include "simmpi/fiber.hpp"
 
 #include <sys/mman.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -40,6 +41,7 @@ void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
 void __sanitizer_finish_switch_fiber(void* fake_stack_save,
                                      const void** bottom_old,
                                      size_t* size_old);
+void __asan_unpoison_memory_region(void const volatile* addr, size_t size);
 }
 #endif
 #if defined(CA_FIBER_TSAN)
@@ -113,6 +115,8 @@ namespace {
 /// Scheduler-side context of one worker thread (lives on the worker's own
 /// stack for its whole life).
 struct WorkerFrame {
+  FiberScheduler* sched = nullptr;  ///< the scheduler this worker serves
+  int index = 0;                    ///< its run queue in that scheduler
 #if defined(CA_SIMMPI_FAST_SWITCH)
   void* sched_sp = nullptr;  ///< saved stack pointer of the dispatch loop
 #else
@@ -253,13 +257,35 @@ std::unique_lock<std::mutex> lock_counted(std::mutex& m, LockClass cls) {
   return lk;
 }
 
+ThreadUsage ThreadUsage::now() {
+  ThreadUsage u;
+#if defined(__linux__)
+  rusage ru{};
+  if (getrusage(RUSAGE_THREAD, &ru) == 0) {
+    u.minor_faults = ru.ru_minflt;
+    u.vol_switches = ru.ru_nvcsw;
+    u.sys_cpu_s = static_cast<double>(ru.ru_stime.tv_sec) +
+                  1e-6 * static_cast<double>(ru.ru_stime.tv_usec);
+  }
+#endif
+  return u;
+}
+
+void add_usage_since(HostProfile& prof, const ThreadUsage& start) {
+  const ThreadUsage end = ThreadUsage::now();
+  prof.minor_faults += end.minor_faults - start.minor_faults;
+  prof.vol_switches += end.vol_switches - start.vol_switches;
+  prof.sys_cpu_s += end.sys_cpu_s - start.sys_cpu_s;
+}
+
 FiberScheduler::FiberScheduler(int nranks, int workers,
                                std::size_t stack_bytes)
-    : nranks_(nranks), stack_bytes_(stack_bytes) {
+    : nranks_(nranks), workers_req_(workers), stack_bytes_(stack_bytes) {
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   workers_n_ = workers > 0 ? workers : std::min(nranks, std::max(1, hw));
   workers_n_ = std::max(1, std::min(workers_n_, nranks));
   fibers_.resize(static_cast<size_t>(nranks));
+  queues_ = std::make_unique<RunQueue[]>(static_cast<size_t>(workers_n_));
 }
 
 FiberScheduler::~FiberScheduler() {
@@ -273,28 +299,52 @@ FiberScheduler::~FiberScheduler() {
 }
 
 void FiberScheduler::spawn(int rank, std::function<void()> body) {
-  auto f = std::make_unique<Fiber>();
-  f->rank = rank;
-  f->sched = this;
+  std::unique_ptr<Fiber>& slot = fibers_[static_cast<size_t>(rank)];
+  if (!slot) {
+    slot = std::make_unique<Fiber>();
+    Fiber& nf = *slot;
+    // Guard page below the stack: an overflow faults instead of silently
+    // corrupting the neighbouring fiber. MAP_NORESERVE keeps thousands of
+    // ranks cheap — physical pages are only committed where the stack is
+    // actually touched, and stay committed for the next run.
+    const long page = sysconf(_SC_PAGESIZE);
+    const std::size_t ps = page > 0 ? static_cast<std::size_t>(page) : 4096;
+    const std::size_t usable = ((stack_bytes_ + ps - 1) / ps) * ps;
+    nf.map_bytes = usable + ps;
+    void* base = mmap(nullptr, nf.map_bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    CA_REQUIRE(base != MAP_FAILED,
+               "fiber stack mmap of %zu bytes failed for rank %d",
+               nf.map_bytes, rank);
+    nf.map_base = static_cast<char*>(base);
+    // The stack lives as long as the Cluster: a guard page that silently
+    // failed to arm would stay missing for every later run.
+    CA_REQUIRE(mprotect(nf.map_base, ps, PROT_NONE) == 0,
+               "fiber stack guard page mprotect failed for rank %d", rank);
+    nf.stack_lo = nf.map_base + ps;
+    nf.stack_bytes = usable;
+    nf.rank = rank;
+    nf.sched = this;
+    ++counters_.stacks_mapped;
+  }
+  Fiber* f = slot.get();
   f->body = std::move(body);
-
-  // Guard page below the stack: an overflow faults instead of silently
-  // corrupting the neighbouring fiber. MAP_NORESERVE keeps thousands of
-  // ranks cheap — physical pages are only committed where the stack is
-  // actually touched.
-  const long page = sysconf(_SC_PAGESIZE);
-  const std::size_t ps = page > 0 ? static_cast<std::size_t>(page) : 4096;
-  const std::size_t usable = ((stack_bytes_ + ps - 1) / ps) * ps;
-  f->map_bytes = usable + ps;
-  void* base = mmap(nullptr, f->map_bytes, PROT_READ | PROT_WRITE,
-                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  CA_REQUIRE(base != MAP_FAILED,
-             "fiber stack mmap of %zu bytes failed for rank %d", f->map_bytes,
-             rank);
-  f->map_base = static_cast<char*>(base);
-  mprotect(f->map_base, ps, PROT_NONE);
-  f->stack_lo = f->map_base + ps;
-  f->stack_bytes = usable;
+  f->state.store(Fiber::kRunnable, std::memory_order_relaxed);
+  f->vclock = 0;
+  f->wait_next = nullptr;
+  f->tls_ctx = nullptr;
+  f->tls_pool = nullptr;
+  f->asan_fake_stack = nullptr;
+#if defined(CA_FIBER_TSAN)
+  // A fresh TSan context too: the last run's never left its final frame.
+  if (f->tsan_fiber) __tsan_destroy_fiber(f->tsan_fiber);
+  f->tsan_fiber = __tsan_create_fiber(0);
+#endif
+#if defined(CA_FIBER_ASAN)
+  // The last run left its frames' redzones poisoned on this stack (the
+  // fiber switched out for good instead of returning through them).
+  __asan_unpoison_memory_region(f->stack_lo, f->stack_bytes);
+#endif
 
 #if defined(CA_SIMMPI_FAST_SWITCH)
   f->sp = ctx_make(f->stack_lo + f->stack_bytes);
@@ -303,81 +353,141 @@ void FiberScheduler::spawn(int rank, std::function<void()> body) {
   f->uctx.uc_stack.ss_sp = f->stack_lo;
   f->uctx.uc_stack.ss_size = f->stack_bytes;
   f->uctx.uc_link = nullptr;
-  const std::uintptr_t p = reinterpret_cast<std::uintptr_t>(f.get());
+  const std::uintptr_t p = reinterpret_cast<std::uintptr_t>(f);
   makecontext(&f->uctx, reinterpret_cast<void (*)()>(fiber_trampoline), 2,
               static_cast<unsigned>(p >> 32),
               static_cast<unsigned>(p & 0xffffffffu));
 #endif
-#if defined(CA_FIBER_TSAN)
-  f->tsan_fiber = __tsan_create_fiber(0);
-#endif
 
-  std::lock_guard<std::mutex> lk(mu_);
-  fibers_[static_cast<size_t>(rank)] = std::move(f);
-  push_runnable_locked(fibers_[static_cast<size_t>(rank)].get());
+  push_runnable(rank % workers_n_, f, kRunnableOne + kActiveOne);
 }
 
 void FiberScheduler::start() {
   for (int i = 0; i < workers_n_; ++i)
-    workers_.emplace_back([this] { worker_main(); });
+    workers_.emplace_back([this, i] { worker_main(i); });
 }
 
-void FiberScheduler::push_runnable_locked(Fiber* f) {
-  runnable_.emplace_back(f->vclock, f->rank);
-  std::push_heap(runnable_.begin(), runnable_.end(), std::greater<>{});
+void FiberScheduler::push_runnable(int q, Fiber* f, std::uint64_t add) {
+  RunQueue& rq = queues_[static_cast<size_t>(q)];
+  std::unique_lock<std::mutex> lk = lock_counted(rq.mu, LockClass::kSched);
+  heap_push(rq, f);
+  publish(rq, lk, 1, add);
 }
 
-Fiber* FiberScheduler::pop_runnable_locked() {
-  std::pop_heap(runnable_.begin(), runnable_.end(), std::greater<>{});
-  Fiber* f = fibers_[static_cast<size_t>(runnable_.back().second)].get();
-  runnable_.pop_back();
+void FiberScheduler::heap_push(RunQueue& rq, Fiber* f) {
+  rq.heap.emplace_back(f->vclock, f->rank);
+  std::push_heap(rq.heap.begin(), rq.heap.end(), std::greater<>{});
+}
+
+void FiberScheduler::publish(RunQueue& rq, std::unique_lock<std::mutex>& lk,
+                             int n, std::uint64_t add) {
+  rq.size.store(rq.heap.size(), std::memory_order_relaxed);
+  // Counted under the queue lock, so the runnable count never runs ahead
+  // of what the heaps hold once a popper has taken its fiber.
+  counts_.fetch_add(add * static_cast<std::uint64_t>(n),
+                    std::memory_order_seq_cst);
+  lk.unlock();
+  // Dekker pair with next_runnable: this thread raised the runnable count
+  // before reading sleepers_, a sleeper raises sleepers_ before reading the
+  // count, so one of the two sees the other.
+  const int sleeping = sleepers_.load(std::memory_order_seq_cst);
+  if (sleeping == 0) return;
+  std::unique_lock<std::mutex> slk = lock_counted(sleep_mu_, LockClass::kSched);
+  for (int i = std::min(n, sleeping); i > 0; --i) work_cond_.notify_one();
+}
+
+Fiber* FiberScheduler::pop_runnable(int q, bool steal, HostProfile& prof) {
+  RunQueue& rq = queues_[static_cast<size_t>(q)];
+  if (rq.size.load(std::memory_order_relaxed) == 0) return nullptr;
+  std::unique_lock<std::mutex> lk;
+  if (steal) {
+    // A thief never waits on a queue its owner (or another thief) holds:
+    // it moves on to the next, and next_runnable rescans while the
+    // runnable count says work is left.
+    lk = std::unique_lock<std::mutex>(rq.mu, std::try_to_lock);
+    if (!lk.owns_lock()) return nullptr;
+    ++prof.lock(LockClass::kSched).acquired;
+  } else {
+    lk = lock_counted(rq.mu, LockClass::kSched);
+  }
+  if (rq.heap.empty()) return nullptr;
+  std::pop_heap(rq.heap.begin(), rq.heap.end(), std::greater<>{});
+  Fiber* f = fibers_[static_cast<size_t>(rq.heap.back().second)].get();
+  rq.heap.pop_back();
+  rq.size.store(rq.heap.size(), std::memory_order_relaxed);
+  counts_.fetch_sub(kRunnableOne, std::memory_order_seq_cst);
+  if (steal) ++prof.steals;
   return f;
 }
 
-void FiberScheduler::worker_main() {
+Fiber* FiberScheduler::next_runnable(int self, HostProfile& prof) {
+  for (;;) {
+    if (Fiber* f = pop_runnable(self, false, prof)) return f;
+    for (int i = 1; i < workers_n_; ++i)
+      if (Fiber* f = pop_runnable((self + i) % workers_n_, true, prof))
+        return f;
+    // Work left on a queue the scan found busy, or pushed since: rescan.
+    if (runnable_of(counts_.load(std::memory_order_seq_cst)) != 0) continue;
+    // Nothing anywhere. Sleep until the runnable count says otherwise (a
+    // push after the load above is caught by the count or notifies us),
+    // then scan again.
+    std::unique_lock<std::mutex> lk = lock_counted(sleep_mu_, LockClass::kSched);
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    while (!stop_ && runnable_of(counts_.load(std::memory_order_seq_cst)) == 0)
+      work_cond_.wait(lk);
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    // shutdown() runs only once every fiber has finished, so nothing is
+    // left to dispatch.
+    if (stop_) return nullptr;
+  }
+}
+
+void FiberScheduler::leave_active() {
+  if (active_of(counts_.fetch_sub(kActiveOne, std::memory_order_acq_rel)) !=
+      1)
+    return;
+  // Only a running fiber can wake a parked one: with nothing running or
+  // runnable, the run is over or deadlocked.
+  std::lock_guard<std::mutex> lk(sleep_mu_);
+  idle_cond_.notify_all();
+}
+
+void FiberScheduler::worker_main(int self) {
+  const ThreadUsage usage0 = ThreadUsage::now();
   WorkerFrame frame;
+  frame.sched = this;
+  frame.index = self;
   query_thread_stack(&frame.stack_lo, &frame.stack_bytes);
 #if defined(CA_FIBER_TSAN)
   frame.tsan_fiber = __tsan_get_current_fiber();
 #endif
   g_worker = &frame;
-  // The lock is held from a fiber's switch back to the next dispatch, so
-  // one acquisition covers both the bookkeeping and the next pop.
-  std::unique_lock<std::mutex> lk = lock_counted(mu_, LockClass::kSched);
-  for (;;) {
-    work_cond_.wait(lk, [&] { return stop_ || !runnable_.empty(); });
-    if (runnable_.empty()) {  // stop_ set and nothing left to run
-      counters_ += frame.prof;
-      g_worker = nullptr;
-      return;
-    }
-    Fiber* f = pop_runnable_locked();
-    ++running_;
-    lk.unlock();
+  while (Fiber* f = next_runnable(self, frame.prof)) {
     f->state.store(Fiber::kRunning, std::memory_order_relaxed);
     ++frame.prof.switches;
     switch_into(f);
     // The fiber switched back: it either finished or is parking.
-    const bool finished =
-        f->state.load(std::memory_order_acquire) == Fiber::kFinished;
-    int expected = Fiber::kParking;
-    // A parking fiber whose CAS fails was caught mid-switch by a waker
-    // (kNotified): it is in no wait list and no one else owns it, so this
-    // worker re-enqueues it.
-    const bool requeue =
-        !finished && !f->state.compare_exchange_strong(
-                         expected, Fiber::kParked, std::memory_order_acq_rel);
-    lk = lock_counted(mu_, LockClass::kSched);
-    --running_;
-    if (finished) ++finished_;
-    if (requeue) {  // this worker pops it next; no other needs waking
-      f->state.store(Fiber::kRunnable, std::memory_order_relaxed);
-      push_runnable_locked(f);
+    if (f->state.load(std::memory_order_acquire) == Fiber::kFinished) {
+      finished_.fetch_add(1, std::memory_order_relaxed);
+      leave_active();
+      continue;
     }
-    // Only a running fiber can wake a parked one: once nothing is running
-    // or runnable, the run is over or deadlocked.
-    if (running_ == 0 && runnable_.empty()) idle_cond_.notify_all();
+    int expected = Fiber::kParking;
+    if (f->state.compare_exchange_strong(expected, Fiber::kParked,
+                                         std::memory_order_acq_rel)) {
+      leave_active();
+      continue;
+    }
+    // The CAS failed: a waker caught the fiber mid-switch (kNotified). It
+    // is in no wait list and no one else owns it, so this worker
+    // re-enqueues it on its own heap; it never stopped being active.
+    f->state.store(Fiber::kRunnable, std::memory_order_relaxed);
+    push_runnable(self, f, kRunnableOne);
   }
+  add_usage_since(frame.prof, usage0);
+  g_worker = nullptr;
+  std::lock_guard<std::mutex> lk(sleep_mu_);
+  counters_ += frame.prof;
 }
 
 void FiberScheduler::switch_into(Fiber* f) {
@@ -425,7 +535,13 @@ void FiberScheduler::wake_all(WaitList& list) {
   list.head = nullptr;
   if (f == nullptr) return;
   HostProfile& prof = host_counters();
+  // Parked fibers go onto the waking worker's heap in one batch; a thread
+  // that is not one of this scheduler's workers uses heap 0.
+  const int q =
+      g_worker != nullptr && g_worker->sched == this ? g_worker->index : 0;
+  RunQueue& rq = queues_[static_cast<size_t>(q)];
   std::unique_lock<std::mutex> lk;  // taken once, for the first parked fiber
+  int n = 0;
   while (f != nullptr) {
     // Read the link first: once woken, f may run and park elsewhere.
     Fiber* next = f->wait_next;
@@ -436,27 +552,33 @@ void FiberScheduler::wake_all(WaitList& list) {
       // Not still switching out (then its worker re-enqueues it): parked.
       CA_ASSERT(expected == Fiber::kParked);
       f->state.store(Fiber::kRunnable, std::memory_order_relaxed);
-      if (!lk.owns_lock()) lk = lock_counted(mu_, LockClass::kSched);
-      push_runnable_locked(f);
-      work_cond_.notify_one();
+      if (!lk.owns_lock()) lk = lock_counted(rq.mu, LockClass::kSched);
+      heap_push(rq, f);
+      ++n;
     }
     f = next;
   }
+  if (n > 0) publish(rq, lk, n, kRunnableOne + kActiveOne);
 }
 
 bool FiberScheduler::wait_finished_or_idle() {
-  std::unique_lock<std::mutex> lk = lock_counted(mu_, LockClass::kSched);
-  idle_cond_.wait(lk, [&] { return running_ == 0 && runnable_.empty(); });
-  return finished_ == nranks_;
+  std::unique_lock<std::mutex> lk = lock_counted(sleep_mu_, LockClass::kSched);
+  idle_cond_.wait(lk, [&] {
+    return active_of(counts_.load(std::memory_order_acquire)) == 0;
+  });
+  return finished_.load(std::memory_order_relaxed) == nranks_;
 }
 
 void FiberScheduler::shutdown() {
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    std::lock_guard<std::mutex> lk(sleep_mu_);
     stop_ = true;
   }
   work_cond_.notify_all();
   for (auto& w : workers_) w.join();
+  workers_.clear();
+  stop_ = false;
+  finished_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace ca3dmm::simmpi::detail

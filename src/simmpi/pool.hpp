@@ -1,12 +1,14 @@
 // Per-rank buffer pool backing TrackedBuffer allocations.
 //
-// The persistent PGEMM engine (src/engine) executes many multiplications on
-// one long-lived context; without pooling, every call re-allocates the same
-// work buffers (initial operand blocks, shift buffers, partial C, packing
-// scratch). A BufferPool keeps released allocations on exact-size free lists
-// and hands them back on the next request of the same size, so a steady
-// stream of same-shape requests performs zero heap allocations after the
-// first call.
+// Every rank of a Cluster allocates from one: the Cluster owns a pool per
+// rank and installs it around the rank's body, so a Cluster that runs many
+// times (a benchmark loop, a service) serves each run's work buffers from
+// memory earlier runs released and already faulted in. The persistent
+// PGEMM engine (src/engine) scopes a pool of its own over the rank's for
+// its calls, with its own idle cap and footprint budget. Either way a
+// released allocation waits on an exact-size free list and is handed back
+// on the next request of the same size, so a steady stream of same-shape
+// requests performs zero heap allocations after the first.
 //
 // Accounting contract (Table I semantics): pooled memory is reported to the
 // rank's memory tracker only while it is checked out. A TrackedBuffer served
@@ -14,18 +16,19 @@
 // program points as a heap-backed one, and pooled memory is returned zeroed
 // (like `new T[n]()`), so peak-memory numbers and computed results are
 // bit-identical with and without a pool. Idle pooled bytes are deliberately
-// NOT charged: they model a reusable arena owned by the engine, and
+// NOT charged: they model a reusable arena owned by the runtime, and
 // `idle_bytes()` exposes them separately.
 //
-// Exact size classes (not power-of-two buckets) are intentional: the engine
-// serves repeated identical shapes, where exact matching gives a 100% reuse
+// Exact size classes (not power-of-two buckets) are intentional: repeated
+// runs and the engine serve repeated identical shapes, where exact matching gives a 100% reuse
 // rate, and it keeps the tracked footprint identical to the unpooled path
 // instead of inflating it by round-up slack.
 //
-// A pool is owned by one rank (thread) and is not thread-safe. Activate it
-// with PoolScope; TrackedBuffer::resize picks up the scope's pool through a
-// thread-local, so the whole CA3DMM call tree (driver, 2-D engines,
-// redistribution) becomes pool-backed without signature changes.
+// A pool is owned by one rank and is not thread-safe. Activate it with
+// PoolScope; TrackedBuffer::resize picks up the scope's pool through a
+// thread-local (which the fiber scheduler saves and restores per fiber), so
+// the whole CA3DMM call tree (driver, 2-D engines, redistribution) is
+// pool-backed without signature changes.
 #pragma once
 
 #include <map>

@@ -1,14 +1,22 @@
 // The fiber scheduler: the determinism contract (results, per-rank virtual
 // times, per-phase stats, and trace critical paths bit-identical under any
 // dispatch order — one worker against four), exact deadlock detection and
-// fault injection, the zero-copy posted-receive fast path, and a many-rank
-// smoke at P=512.
+// fault injection, work stealing between the per-worker run queues, stacks
+// and rank buffer pools kept across runs, the zero-copy posted-receive fast
+// path, and a many-rank smoke at P=512.
+#include <alloca.h>
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "core/ca3dmm.hpp"
 #include "costmodel/drift.hpp"
 #include "simmpi/cluster.hpp"
 #include "simmpi/comm.hpp"
@@ -188,7 +196,8 @@ TEST(FiberFaults, KillRankCaughtOnFibers) {
   ASSERT_EQ(cl.failed_ranks().size(), 1u);
   EXPECT_EQ(cl.failed_ranks()[0], 2);
 
-  // A clean plan runs again on the same cluster (fiber pool is per-run).
+  // A clean plan runs again on the same cluster, on the stacks and rank
+  // pools the killed run left.
   cl.set_fault_plan(FaultPlan{});
   cl.run([](Comm& c) { c.barrier(); });
 }
@@ -309,6 +318,213 @@ TEST(ZeroCopy, SizeMismatchStillRaisedOnReceiver) {
   });
   EXPECT_NE(msg.find("recv size mismatch"), std::string::npos) << msg;
   EXPECT_NE(msg.find("rank 0"), std::string::npos) << msg;
+}
+
+/// One CA3DMM multiply on `cl` with fixed per-rank inputs: returns every
+/// rank's local C block.
+std::vector<std::vector<double>> multiply_once(Cluster& cl) {
+  const int P = cl.nranks();
+  const Ca3dmmPlan plan = Ca3dmmPlan::make(48, 40, 64, P);
+  std::vector<std::vector<double>> c(static_cast<size_t>(P));
+  cl.run([&](Comm& world) {
+    const int r = world.rank();
+    std::vector<double> a(static_cast<size_t>(plan.a_native().local_size(r)));
+    std::vector<double> b(static_cast<size_t>(plan.b_native().local_size(r)));
+    for (size_t i = 0; i < a.size(); ++i) a[i] = 0.5 * r + 0.25 * i;
+    for (size_t i = 0; i < b.size(); ++i) b[i] = 1.0 - 0.125 * r + 0.5 * i;
+    std::vector<double>& cr = c[static_cast<size_t>(r)];
+    cr.assign(static_cast<size_t>(plan.c_native().local_size(r)), 0.0);
+    ca3dmm_multiply<double>(world, plan, false, false, plan.a_native(),
+                            a.data(), plan.b_native(), b.data(),
+                            plan.c_native(), cr.data());
+  });
+  return c;
+}
+
+TEST(FiberReuse, RepeatedRunsMatchFreshClusterAndReuseMemory) {
+  // The Cluster keeps its fiber stacks and rank buffer pools across runs.
+  // A repeated multiply must give the vtimes, C and peak bytes of a fresh
+  // Cluster, map no stack, and take every work buffer from the pools.
+  const int P = 16;
+  Cluster fresh(P, Machine::unit_test());
+  fresh.set_fiber_workers(4);
+  const std::vector<std::vector<double>> c_fresh = multiply_once(fresh);
+  EXPECT_EQ(fresh.host_profile().stacks_mapped, P);
+  EXPECT_GT(fresh.host_profile().pool_misses, 0);
+
+  Cluster cl(P, Machine::unit_test());
+  cl.set_fiber_workers(4);
+  for (int run = 0; run < 3; ++run) {
+    EXPECT_EQ(multiply_once(cl), c_fresh) << "run " << run;
+    for (int r = 0; r < P; ++r)
+      expect_stats_identical(cl.stats(r), fresh.stats(r), r);
+    const HostProfile& hp = cl.host_profile();
+    if (run == 0) {
+      EXPECT_EQ(hp.stacks_mapped, P);
+    } else {
+      EXPECT_EQ(hp.stacks_mapped, 0) << "run " << run;
+      EXPECT_GT(hp.pool_hits, 0) << "run " << run;
+      EXPECT_EQ(hp.pool_misses, 0) << "run " << run;
+    }
+  }
+}
+
+TEST(FiberReuse, BufferEscapingTheRunIsAnError) {
+  // A TrackedBuffer that outlives the run still holds rank pool memory the
+  // next run would hand out again: run() must refuse it. Once the buffers
+  // are released, the Cluster runs normally.
+  const int P = 4;
+  Cluster cl(P, Machine::unit_test());
+  {
+    std::vector<TrackedBuffer<double>> escaped(static_cast<size_t>(P));
+    const std::string msg = run_expect_error(cl, [&](Comm& c) {
+      escaped[static_cast<size_t>(c.rank())].resize(16);
+    });
+    EXPECT_NE(msg.find("leaked 128 tracked bytes"), std::string::npos) << msg;
+  }
+  cl.run([](Comm& c) {
+    TrackedBuffer<double> b(16);
+    c.barrier();
+  });
+  EXPECT_EQ(cl.host_profile().pool_hits, P);
+}
+
+/// Touches `bytes` of the calling fiber's stack.
+[[gnu::noinline]] int touch_stack(std::size_t bytes) {
+  auto* p = static_cast<volatile char*>(alloca(bytes));
+  for (std::size_t i = 0; i < bytes; i += 4096) p[i] = 1;
+  return p[0];
+}
+
+TEST(FiberReuse, StackSizeAndWorkerChangesRebuildStacks) {
+  // A new stack size or worker count between runs rebuilds the stacks; the
+  // next run with unchanged settings reuses them. 2 MiB of stack use only
+  // fits once the 4 MiB stacks are in place.
+  const int P = 4;
+  Cluster cl(P, Machine::unit_test());
+  cl.set_fiber_stack_bytes(64u << 10);
+  cl.run([](Comm& c) { c.barrier(); });
+  EXPECT_EQ(cl.host_profile().stacks_mapped, P);
+  cl.set_fiber_stack_bytes(4u << 20);
+  int touched = 0;
+  std::mutex mu;
+  for (int run = 0; run < 2; ++run) {
+    cl.run([&](Comm& c) {
+      const int v = touch_stack(2u << 20);
+      c.barrier();
+      std::lock_guard<std::mutex> lk(mu);
+      touched += v;
+    });
+    EXPECT_EQ(cl.host_profile().stacks_mapped, run == 0 ? P : 0);
+  }
+  EXPECT_EQ(touched, 2 * P);
+  cl.set_fiber_workers(2);
+  cl.run([](Comm& c) { c.barrier(); });
+  EXPECT_EQ(cl.host_profile().stacks_mapped, P);
+}
+
+TEST(FiberStealing, RanksWokenOntoOneQueueAreStolen) {
+  // Every rank parks on a recv nobody sends, so the deadlock abort wakes
+  // all of them from the thread driving the run, onto worker 0's queue
+  // alone. Each rank's unwind then holds its worker (blocked in the OS)
+  // until four ranks hold one each, which the other three workers can only
+  // reach by stealing from worker 0's queue. Every rank must finish.
+  const int P = 16;
+  Cluster cl(P, Machine::unit_test());
+  cl.set_fiber_workers(4);
+  std::mutex mu;
+  std::condition_variable cv;
+  int holding = 0, timed_out = 0;
+  struct HoldWorker {
+    std::mutex& mu;
+    std::condition_variable& cv;
+    int& holding;
+    int& timed_out;
+    ~HoldWorker() {
+      std::unique_lock<std::mutex> lk(mu);
+      ++holding;
+      cv.notify_all();
+      if (!cv.wait_for(lk, std::chrono::seconds(10),
+                       [&] { return holding >= 4; }))
+        ++timed_out;
+    }
+  };
+  const std::string msg = run_expect_error(cl, [&](Comm& c) {
+    HoldWorker hold{mu, cv, holding, timed_out};
+    double x = 0;
+    c.recv(&x, 1, (c.rank() + 1) % P, 5);
+  });
+  EXPECT_NE(msg.find("deadlock detected"), std::string::npos) << msg;
+  EXPECT_EQ(holding, P);
+  EXPECT_EQ(timed_out, 0);
+  EXPECT_GE(cl.host_profile().steals, 3);
+  // All ranks finished: the same Cluster runs again.
+  cl.run([](Comm& c) { c.barrier(); });
+}
+
+std::int64_t ns_since_epoch(std::chrono::steady_clock::time_point t) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             t.time_since_epoch())
+      .count();
+}
+
+TEST(FiberWatchdog, DeadlockReportedAtOnceWhileWorkSitsOnOtherQueues) {
+  // Rank 0 parks on a recv nobody sends at once, while 31 ranks still have
+  // rounds of ring traffic queued on four workers' run queues. The idle
+  // count must wait for all of them (the report shows each finished) and
+  // then report at once: no timer is involved, so the median time from the
+  // last rank's finish to the abort reaching rank 0 stays under 2 ms (the
+  // median keeps one host hiccup from failing the test).
+  const int P = 32;
+  std::vector<double> latencies_ms;
+  for (int iter = 0; iter < 5; ++iter) {
+    Cluster cl(P, Machine::unit_test());
+    cl.set_fiber_workers(4);
+    std::atomic<std::int64_t> last_finish_ns{0}, aborted_ns{0};
+    std::string msg;
+    try {
+      cl.run([&](Comm& c) {
+        const int me = c.rank();
+        Comm sub = c.split(me == 0 ? 1 : 0, me);
+        if (me == 0) {
+          double x = 0;
+          try {
+            c.recv(&x, 1, 1, 999);
+          } catch (...) {  // the abort's unwind
+            aborted_ns = ns_since_epoch(std::chrono::steady_clock::now());
+            throw;
+          }
+          return;
+        }
+        const int n = sub.size(), r = sub.rank();
+        double v = me;
+        for (int round = 0; round < 20; ++round) {
+          double got = -1;
+          sub.sendrecv(&v, 1, (r + 1) % n, &got, 1, (r + n - 1) % n, round);
+          v = got;
+          if (round % 5 == 4) sub.barrier();
+        }
+        const std::int64_t now =
+            ns_since_epoch(std::chrono::steady_clock::now());
+        std::int64_t prev = last_finish_ns.load();
+        while (prev < now && !last_finish_ns.compare_exchange_weak(prev, now)) {
+        }
+      });
+    } catch (const Error& e) {
+      msg = e.what();
+    }
+    EXPECT_NE(msg.find("rank   0  blocked in recv"), std::string::npos) << msg;
+    size_t finished = 0;
+    for (size_t pos = 0; (pos = msg.find("finished", pos)) != std::string::npos;
+         ++pos)
+      ++finished;
+    EXPECT_EQ(finished, static_cast<size_t>(P - 1)) << msg;
+    latencies_ms.push_back(
+        1e-6 * static_cast<double>(aborted_ns - last_finish_ns));
+    EXPECT_GE(latencies_ms.back(), 0.0);
+  }
+  std::sort(latencies_ms.begin(), latencies_ms.end());
+  EXPECT_LT(latencies_ms[2], 2.0) << "median of 5 detection latencies";
 }
 
 TEST(FiberScale, ManyRanksOnSmallStacksSmoke) {

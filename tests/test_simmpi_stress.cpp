@@ -1,7 +1,8 @@
 // Randomized stress tests of the simulated runtime: deep split trees,
 // interleaved collectives on sibling communicators, mixed p2p/collective
-// traffic, repeated cluster reuse, and a rank kill while peers are parked
-// on every kind of wait list. These guard the rendezvous machinery against
+// traffic, repeated cluster reuse, a rank kill while peers are parked on
+// every kind of wait list, and a rerun after a kill on the stacks and rank
+// buffer pools the killed run left behind. These guard the rendezvous machinery against
 // ordering bugs that simple unit tests cannot reach.
 #include <gtest/gtest.h>
 
@@ -223,6 +224,55 @@ TEST(AbortStress, KillWhilePeersParkedInRecvSendrecvAndCollective) {
     cl.set_fault_plan({});
     EXPECT_EQ(healthy_vtimes(cl), expect) << "iteration " << iter;
     EXPECT_TRUE(cl.failed_ranks().empty());
+  }
+}
+
+/// Ring traffic over tracked work buffers that every rank allocates before
+/// its first comm op; returns per-rank (vtime, peak bytes).
+std::vector<std::pair<double, i64>> buffered_ring(Cluster& cl) {
+  const int P = cl.nranks();
+  cl.run([P](Comm& c) {
+    const int me = c.rank();
+    TrackedBuffer<double> send(64 + me), recv(64 + (me + P - 1) % P);
+    TrackedBuffer<double> scratch(1000);
+    for (i64 i = 0; i < send.size(); ++i) send[i] = me + 0.5 * i;
+    for (int step = 0; step < 4; ++step) {
+      c.sendrecv(send.data(), send.size(), (me + 1) % P, recv.data(),
+                 recv.size(), (me + P - 1) % P, step);
+      ASSERT_EQ(recv[1], (me + P - 1) % P + 0.5);
+      c.barrier();
+    }
+  });
+  std::vector<std::pair<double, i64>> out;
+  for (int r = 0; r < P; ++r)
+    out.emplace_back(cl.stats(r).vtime, cl.stats(r).peak_bytes);
+  return out;
+}
+
+TEST(AbortStress, KillThenRerunReusesPoolsAndStacks) {
+  // A rank killed mid-run unwinds every rank's tracked buffers back into
+  // the rank pools and leaves every fiber finished. The next run on the same
+  // Cluster maps no stack, allocates nothing from the heap, and matches a
+  // fresh Cluster's vtimes and peak bytes.
+  const int P = 12;
+  Cluster fresh(P, Machine::unit_test());
+  fresh.set_fiber_workers(4);
+  const auto expect = buffered_ring(fresh);
+
+  Cluster cl(P, Machine::unit_test());
+  cl.set_fiber_workers(4);
+  for (int iter = 0; iter < 4; ++iter) {
+    FaultPlan fp;
+    fp.kills.push_back({.rank = 5, .at_op = 4});
+    cl.set_fault_plan(fp);
+    EXPECT_THROW(buffered_ring(cl), Error);
+    EXPECT_EQ(cl.failed_ranks(), std::vector<int>{5});
+    EXPECT_EQ(cl.host_profile().stacks_mapped, iter == 0 ? P : 0);
+    cl.set_fault_plan({});
+    EXPECT_EQ(buffered_ring(cl), expect) << "iteration " << iter;
+    EXPECT_EQ(cl.host_profile().stacks_mapped, 0);
+    EXPECT_EQ(cl.host_profile().pool_misses, 0);
+    EXPECT_EQ(cl.host_profile().pool_hits, 3 * P);
   }
 }
 
