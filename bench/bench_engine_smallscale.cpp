@@ -168,6 +168,7 @@ void write_engine_json(const std::vector<EngineRow>& rows, int P, int iters,
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"engine_iterative\",\n");
+  std::fprintf(f, "  \"gemm_isa\": \"%s\",\n", gemm_isa_name());
   std::fprintf(f, "  \"P\": %d,\n  \"iters\": %d,\n  \"classes\": [\n", P,
                iters);
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -248,7 +249,7 @@ void print_tables() {
 
 void register_benchmarks() {
   // Host wall-time benchmark of the local GEMM kernel (the one real-time
-  // measurement in the suite).
+  // measurement in the suite), labelled with the clone gemm_blocked runs.
   benchmark::RegisterBenchmark("local_gemm/256", [](benchmark::State& st) {
     const i64 n = 256;
     std::vector<double> a(static_cast<size_t>(n * n), 1.5),
@@ -258,6 +259,7 @@ void register_benchmarks() {
                            c.data());
       benchmark::DoNotOptimize(c.data());
     }
+    st.SetLabel(gemm_isa_name());  // which kernel clone the rate is of
     st.counters["GFLOP/s"] = benchmark::Counter(
         gemm_flops(n, n, n) * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
   });

@@ -12,6 +12,7 @@
 
 #include "bench_common.hpp"
 #include "costmodel/drift.hpp"
+#include "linalg/gemm.hpp"
 
 namespace ca3dmm::bench {
 namespace {
@@ -60,7 +61,8 @@ void print_real_execution() {
   };
   std::printf(
       "\n=== real execution on fibers: executed vs predicted, "
-      "m=n=k=960 ===\n");
+      "m=n=k=960 (local GEMM clone: %s) ===\n",
+      gemm_isa_name());
   for (const RealCase& rc : reals) {
     Workload w{960, 960, 960};
     w.force_grid = rc.grid;

@@ -1,7 +1,12 @@
 // Blocked GEMM kernel vs the triple-loop reference, across odd shapes,
-// transposes, alpha values, and accumulation.
+// transposes, alpha values, and accumulation; and the kernel's ISA clones
+// against each other, bit for bit.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <optional>
+#include <string>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -88,6 +93,70 @@ TEST(Gemm, FlopAndByteCounts) {
   EXPECT_DOUBLE_EQ(gemm_flops(10, 20, 30), 12000.0);
   EXPECT_DOUBLE_EQ(gemm_bytes(10, 20, 30, 8),
                    8.0 * (300 + 600 + 2 * 200));
+}
+
+/// Runs every (shape, transpose pair) case on `isa`, alpha = 1.5, into a
+/// non-zero C, with leading dimensions wider than the operands; returns all
+/// C blocks concatenated. isa = nullopt runs gemm_blocked's own dispatch.
+template <typename T>
+std::vector<T> clone_cases(std::optional<detail::GemmIsa> isa) {
+  // The P=3072 Fig. 3 block shapes (60x60x5, 60x60x80), k crossing the
+  // kKC = 256 panel (257, 513), n across kNC = 512 and off multiples of 16.
+  const int shapes[][3] = {{60, 60, 5},   {60, 60, 80}, {37, 23, 257},
+                           {5, 130, 513}, {131, 33, 19}, {1, 1, 1},
+                           {17, 515, 64}, {64, 100, 300}};
+  std::vector<T> out;
+  for (const auto& s : shapes) {
+    const i64 m = s[0], n = s[1], k = s[2];
+    for (bool ta : {false, true})
+      for (bool tb : {false, true}) {
+        const i64 lda = (ta ? m : k) + 3, ldb = (tb ? k : n) + 5, ldc = n + 2;
+        std::vector<T> a(static_cast<size_t>((ta ? k : m) * lda)),
+            b(static_cast<size_t>((tb ? n : k) * ldb)),
+            c(static_cast<size_t>(m * ldc));
+        fill(a, 21);
+        fill(b, 22);
+        fill(c, 23);
+        if (isa)
+          detail::gemm_blocked_isa<T>(*isa, ta, tb, m, n, k, T(1.5), a.data(),
+                                      lda, b.data(), ldb, c.data(), ldc);
+        else
+          gemm_blocked<T>(ta, tb, m, n, k, T(1.5), a.data(), lda, b.data(),
+                          ldb, c.data(), ldc);
+        out.insert(out.end(), c.begin(), c.end());
+      }
+  }
+  return out;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& x, const std::vector<T>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
+}
+
+// Every clone the host runs gives C bit for bit equal to the baseline clone
+// (gemm.hpp, "Bit identity"). Fails if the kernel's multiply-adds get fused.
+TEST(GemmIsa, ClonesAreBitIdenticalToBaseline) {
+  using detail::GemmIsa;
+  std::printf("gemm_blocked dispatches to the %s clone\n", gemm_isa_name());
+  const auto base_d = clone_cases<double>(GemmIsa::kBaseline);
+  const auto base_f = clone_cases<float>(GemmIsa::kBaseline);
+  EXPECT_TRUE(same_bits(clone_cases<double>(std::nullopt), base_d))
+      << "dispatched clone " << gemm_isa_name();
+  EXPECT_TRUE(same_bits(clone_cases<float>(std::nullopt), base_f))
+      << "dispatched clone " << gemm_isa_name();
+  std::string missing;
+  for (GemmIsa isa : {GemmIsa::kAvx2, GemmIsa::kAvx512}) {
+    const char* name = detail::gemm_isa_name(isa);
+    if (!detail::gemm_isa_supported(isa)) {
+      missing += std::string(missing.empty() ? "" : ", ") + name;
+      continue;
+    }
+    EXPECT_TRUE(same_bits(clone_cases<double>(isa), base_d)) << name << " double";
+    EXPECT_TRUE(same_bits(clone_cases<float>(isa), base_f)) << name << " float";
+  }
+  if (!missing.empty()) GTEST_SKIP() << "clones this CPU lacks: " << missing;
 }
 
 TEST(MatrixTest, RandomFillConsistentAcrossBlocks) {
