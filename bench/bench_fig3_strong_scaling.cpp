@@ -37,7 +37,7 @@ bool g_drift_failed = false;
 ///
 /// Each executed point runs twice on one Cluster (the repeated run reuses
 /// its fiber stacks and rank buffer pools) and prints each run's
-/// HostProfile: context switches, steals, lock acquisitions and contention
+/// HostProfile: context switches, steals, migrations, lock acquisitions and contention
 /// per lock class, p2p bytes copied, and the kernel's share (page faults,
 /// voluntary switches, system CPU) — what the host spent on the run.
 ///

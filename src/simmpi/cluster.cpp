@@ -52,6 +52,7 @@ HostProfile& HostProfile::operator+=(const HostProfile& o) {
   parks += o.parks;
   wakes += o.wakes;
   steals += o.steals;
+  migrations += o.migrations;
   for (int c = 0; c < static_cast<int>(LockClass::kCount); ++c) {
     locks[c].acquired += o.locks[c].acquired;
     locks[c].contended += o.locks[c].contended;
@@ -70,9 +71,11 @@ HostProfile& HostProfile::operator+=(const HostProfile& o) {
 
 std::string HostProfile::table() const {
   std::string out = strprintf(
-      "  context switches %lld, parks %lld, wakes %lld, steals %lld\n",
+      "  context switches %lld, parks %lld, wakes %lld, steals %lld, "
+      "migrations %lld\n",
       static_cast<long long>(switches), static_cast<long long>(parks),
-      static_cast<long long>(wakes), static_cast<long long>(steals));
+      static_cast<long long>(wakes), static_cast<long long>(steals),
+      static_cast<long long>(migrations));
   for (int c = 0; c < static_cast<int>(LockClass::kCount); ++c)
     out += strprintf("  lock %-12s acquired %10lld  contended %9lld (%.2f%%)\n",
                      lock_class_name(static_cast<LockClass>(c)),

@@ -231,12 +231,10 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Runs `rank_main` on every rank (each a fiber; every worker dispatches
-  /// the lowest virtual clock on its run queue first) with a world
-  /// communicator,
-  /// and waits for all ranks to finish. Statistics are reset at
-  /// entry, finalized for every rank (failed or not), and readable
-  /// afterwards.
+  /// Runs `rank_main` on every rank (each a fiber; every worker runs the
+  /// fiber it woke most recently first) with a world communicator, and
+  /// waits for all ranks to finish. Statistics are reset at entry,
+  /// finalized for every rank (failed or not), and readable afterwards.
   ///
   /// Failure semantics: a rank exception triggers a cooperative abort — all
   /// peers blocked in communication unwind, run() always joins, and a single

@@ -330,7 +330,7 @@ void FiberScheduler::spawn(int rank, std::function<void()> body) {
   Fiber* f = slot.get();
   f->body = std::move(body);
   f->state.store(Fiber::kRunnable, std::memory_order_relaxed);
-  f->vclock = 0;
+  f->last_worker = -1;
   f->wait_next = nullptr;
   f->tls_ctx = nullptr;
   f->tls_pool = nullptr;
@@ -359,7 +359,8 @@ void FiberScheduler::spawn(int rank, std::function<void()> body) {
               static_cast<unsigned>(p & 0xffffffffu));
 #endif
 
-  push_runnable(rank % workers_n_, f, kRunnableOne + kActiveOne);
+  push_runnable(rank % workers_n_, f, /*front=*/false,
+                kRunnableOne + kActiveOne);
 }
 
 void FiberScheduler::start() {
@@ -367,23 +368,22 @@ void FiberScheduler::start() {
     workers_.emplace_back([this, i] { worker_main(i); });
 }
 
-void FiberScheduler::push_runnable(int q, Fiber* f, std::uint64_t add) {
+void FiberScheduler::push_runnable(int q, Fiber* f, bool front,
+                                   std::uint64_t add) {
   RunQueue& rq = queues_[static_cast<size_t>(q)];
   std::unique_lock<std::mutex> lk = lock_counted(rq.mu, LockClass::kSched);
-  heap_push(rq, f);
+  if (front)
+    rq.fibers.push_front(f);
+  else
+    rq.fibers.push_back(f);
   publish(rq, lk, 1, add);
-}
-
-void FiberScheduler::heap_push(RunQueue& rq, Fiber* f) {
-  rq.heap.emplace_back(f->vclock, f->rank);
-  std::push_heap(rq.heap.begin(), rq.heap.end(), std::greater<>{});
 }
 
 void FiberScheduler::publish(RunQueue& rq, std::unique_lock<std::mutex>& lk,
                              int n, std::uint64_t add) {
-  rq.size.store(rq.heap.size(), std::memory_order_relaxed);
+  rq.size.store(rq.fibers.size(), std::memory_order_relaxed);
   // Counted under the queue lock, so the runnable count never runs ahead
-  // of what the heaps hold once a popper has taken its fiber.
+  // of what the queues hold once a popper has taken its fiber.
   counts_.fetch_add(add * static_cast<std::uint64_t>(n),
                     std::memory_order_seq_cst);
   lk.unlock();
@@ -410,11 +410,16 @@ Fiber* FiberScheduler::pop_runnable(int q, bool steal, HostProfile& prof) {
   } else {
     lk = lock_counted(rq.mu, LockClass::kSched);
   }
-  if (rq.heap.empty()) return nullptr;
-  std::pop_heap(rq.heap.begin(), rq.heap.end(), std::greater<>{});
-  Fiber* f = fibers_[static_cast<size_t>(rq.heap.back().second)].get();
-  rq.heap.pop_back();
-  rq.size.store(rq.heap.size(), std::memory_order_relaxed);
+  if (rq.fibers.empty()) return nullptr;
+  Fiber* f;
+  if (steal) {
+    f = rq.fibers.back();
+    rq.fibers.pop_back();
+  } else {
+    f = rq.fibers.front();
+    rq.fibers.pop_front();
+  }
+  rq.size.store(rq.fibers.size(), std::memory_order_relaxed);
   counts_.fetch_sub(kRunnableOne, std::memory_order_seq_cst);
   if (steal) ++prof.steals;
   return f;
@@ -465,6 +470,10 @@ void FiberScheduler::worker_main(int self) {
   while (Fiber* f = next_runnable(self, frame.prof)) {
     f->state.store(Fiber::kRunning, std::memory_order_relaxed);
     ++frame.prof.switches;
+    if (f->last_worker != self) {
+      if (f->last_worker >= 0) ++frame.prof.migrations;
+      f->last_worker = self;
+    }
     switch_into(f);
     // The fiber switched back: it either finished or is parking.
     if (f->state.load(std::memory_order_acquire) == Fiber::kFinished) {
@@ -480,9 +489,10 @@ void FiberScheduler::worker_main(int self) {
     }
     // The CAS failed: a waker caught the fiber mid-switch (kNotified). It
     // is in no wait list and no one else owns it, so this worker
-    // re-enqueues it on its own heap; it never stopped being active.
+    // re-enqueues it at the front of its own queue, like any wake; it
+    // never stopped being active.
     f->state.store(Fiber::kRunnable, std::memory_order_relaxed);
-    push_runnable(self, f, kRunnableOne);
+    push_runnable(self, f, /*front=*/true, kRunnableOne);
   }
   add_usage_since(frame.prof, usage0);
   g_worker = nullptr;
@@ -514,7 +524,6 @@ void FiberScheduler::park_current(std::unique_lock<std::mutex>& lk) {
   Fiber* f = g_fiber;
   CA_ASSERT(f != nullptr);
   ++host_counters().parks;
-  f->vclock = current_ctx() ? current_ctx()->clock : f->vclock;
   f->state.store(Fiber::kParking, std::memory_order_release);
   lk.unlock();
   WorkerFrame& w = *g_worker;
@@ -535,8 +544,9 @@ void FiberScheduler::wake_all(WaitList& list) {
   list.head = nullptr;
   if (f == nullptr) return;
   HostProfile& prof = host_counters();
-  // Parked fibers go onto the waking worker's heap in one batch; a thread
-  // that is not one of this scheduler's workers uses heap 0.
+  // Parked fibers go to the front of the waking worker's queue in one
+  // batch; a thread that is not one of this scheduler's workers uses
+  // queue 0.
   const int q =
       g_worker != nullptr && g_worker->sched == this ? g_worker->index : 0;
   RunQueue& rq = queues_[static_cast<size_t>(q)];
@@ -553,7 +563,7 @@ void FiberScheduler::wake_all(WaitList& list) {
       CA_ASSERT(expected == Fiber::kParked);
       f->state.store(Fiber::kRunnable, std::memory_order_relaxed);
       if (!lk.owns_lock()) lk = lock_counted(rq.mu, LockClass::kSched);
-      heap_push(rq, f);
+      rq.fibers.push_front(f);
       ++n;
     }
     f = next;

@@ -2,12 +2,12 @@
 //
 // A rank is a stackful fiber with its own small guard-paged stack,
 // multiplexed over a worker pool of about hardware_concurrency OS threads,
-// so thousands of ranks fit in one process. Runnable fibers are dispatched
-// lowest virtual clock first, so the execution order tracks simulated time;
-// the cluster's state transitions are order-independent by construction,
-// which is what makes results, vtimes, and traces identical under any
-// dispatch order — one worker or many (docs/SIMMPI.md documents the
-// determinism contract).
+// so thousands of ranks fit in one process. Dispatch is locality first: a
+// worker runs the fiber it woke most recently, while the data its peer
+// wrote is still in cache. That order is host-only: the cluster's state
+// transitions are order-independent by construction, which is what makes
+// results, vtimes, and traces identical under any dispatch order — one
+// worker or many (docs/SIMMPI.md documents the determinism contract).
 //
 // Blocking: a fiber parks on an intrusive WaitList owned by the state it
 // waits for — a p2p channel slot in the destination rank's inbox, or a
@@ -25,17 +25,20 @@
 // "switched out" is never lost, and a fiber is never enqueued while a
 // worker is still on its stack.
 //
-// Run queues: every worker owns a binary min-heap of (vclock, rank) under
-// its own small lock. A wake-up pushes onto the waking worker's heap (a
-// thread that is not a worker, i.e. the deadlock abort, pushes onto heap
-// 0). A worker pops its own heap first and, when that is empty, steals the
-// top of the others, starting at the next worker; with nothing anywhere it
-// sleeps on the scheduler's one condvar. A push notifies only when a
-// sleeper is registered: the seq_cst runnable count and the sleeper count
-// are a Dekker pair, so either the pusher sees the sleeper or the sleeper
-// sees the work. The state machine enqueues a fiber at most once, so with
-// one worker the pop order equals the order of a sorted set of the same
-// pairs.
+// Run queues: every worker owns a deque of fibers under its own small
+// lock. Spawns append at the back in rank order. A wake-up pushes at the
+// front of the waking worker's deque (a thread that is not a worker, i.e.
+// the deadlock abort, pushes onto deque 0), and a fiber woken mid-switch
+// goes back at the front of its own worker's deque. A worker pops the
+// front of its own deque, newest work first, and, when that is empty,
+// steals the back of the others, the oldest work, starting at the next
+// worker (Blumofe & Leiserson's work-stealing discipline); with nothing
+// anywhere it sleeps on the scheduler's one condvar. A push notifies only
+// when a sleeper is registered: the seq_cst runnable count and the sleeper
+// count are a Dekker pair, so either the pusher sees the sleeper or the
+// sleeper sees the work. With one worker, ranks start in rank order and a
+// woken fiber runs before every fiber that was already runnable when it
+// was woken.
 //
 // Workers never hold a rendezvous lock across a context switch, and a
 // fiber's TLS view (current rank context, active buffer pool) is saved and
@@ -74,6 +77,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -115,8 +119,8 @@ struct Fiber {
   std::size_t map_bytes = 0;
   int rank = -1;
   std::atomic<int> state{kRunnable};
-  /// Virtual clock at the last park; dispatch priority (lowest first).
-  double vclock = 0;
+  /// Worker of the fiber's last dispatch this run, -1 before the first.
+  int last_worker = -1;
   /// Next fiber on the WaitList this one is parked on; guarded by that
   /// list's lock.
   Fiber* wait_next = nullptr;
@@ -195,9 +199,9 @@ class FiberScheduler {
     return workers == workers_req_ && stack_bytes == stack_bytes_;
   }
 
-  /// Makes `rank`'s fiber runnable at virtual time 0 with `body`, on the
-  /// stack it ran on last time (mapped on first use). Call before start().
-  /// Rank r starts on worker r mod workers, so each worker dispatches its
+  /// Makes `rank`'s fiber runnable with `body`, on the stack it ran on last
+  /// time (mapped on first use). Call before start(), in rank order: rank r
+  /// is appended to worker r mod workers' deque, so each worker starts its
   /// share in rank order.
   void spawn(int rank, std::function<void()> body);
 
@@ -220,10 +224,10 @@ class FiberScheduler {
   /// after the resume (possibly on a different worker thread).
   void park_current(std::unique_lock<std::mutex>& lk);
 
-  /// Makes every fiber on `list` runnable again on the calling worker's
-  /// heap (or flags it kNotified if it is still switching out) and empties
-  /// the list. Caller holds the list's lock; callable from fibers and from
-  /// the thread in wait_finished_or_idle.
+  /// Makes every fiber on `list` runnable again at the front of the
+  /// calling worker's deque (or flags it kNotified if it is still switching
+  /// out) and empties the list. Caller holds the list's lock; callable from
+  /// fibers and from the thread in wait_finished_or_idle.
   void wake_all(WaitList& list);
 
   /// Moves this run's counters (workers' and spawn's) into `out`. Call
@@ -237,15 +241,15 @@ class FiberScheduler {
   /// One worker's run queue.
   struct alignas(64) RunQueue {
     std::mutex mu;
-    /// Binary min-heap of (vclock, rank) over std::greater: the lowest
-    /// virtual clock, ties to the lowest rank, is dispatched first.
-    std::vector<std::pair<double, int>> heap;
-    /// heap.size(), stored under mu; read without it to skip an empty
-    /// heap when stealing.
+    /// Wakes at the front, spawns at the back. The owner pops the front
+    /// (newest work), a thief the back (oldest).
+    std::deque<Fiber*> fibers;
+    /// fibers.size(), stored under mu; read without it to skip an empty
+    /// queue when stealing.
     std::atomic<std::size_t> size{0};
   };
 
-  // counts_ packs the runnable fibers (on some heap) in its low half and
+  // counts_ packs the runnable fibers (on some queue) in its low half and
   // the active ones (runnable + running) in its high half.
   static constexpr std::uint64_t kRunnableOne = 1;
   static constexpr std::uint64_t kActiveOne = std::uint64_t{1} << 32;
@@ -258,20 +262,20 @@ class FiberScheduler {
 
   void worker_main(int self);
   void switch_into(Fiber* f);
-  /// Pushes `f` onto queue `q`; `add` is what it adds to counts_
-  /// (kRunnableOne for a fiber already active, kRunnableOne + kActiveOne
-  /// for a parked or new one).
-  void push_runnable(int q, Fiber* f, std::uint64_t add);
-  static void heap_push(RunQueue& rq, Fiber* f);
-  /// Ends a batch of `n` heap_push calls on `rq` under `lk` (rq.mu, held):
+  /// Pushes `f` at the front (a wake) or the back (a spawn) of queue `q`;
+  /// `add` is what it adds to counts_ (kRunnableOne for a fiber already
+  /// active, kRunnableOne + kActiveOne for a parked or new one).
+  void push_runnable(int q, Fiber* f, bool front, std::uint64_t add);
+  /// Ends a batch of `n` pushes onto `rq` under `lk` (rq.mu, held):
   /// publishes the size and counts_ (`add` per push), unlocks, and
   /// notifies up to `n` sleeping workers, if any.
   void publish(RunQueue& rq, std::unique_lock<std::mutex>& lk, int n,
                std::uint64_t add);
-  /// Pops the top of queue `q`, or null when it is empty (or, for a
-  /// `steal`, when its lock is busy). Counts into `prof`.
+  /// Pops the front of queue `q`, or for a `steal` its back; null when it
+  /// is empty (or, for a `steal`, when its lock is busy). Counts into
+  /// `prof`.
   Fiber* pop_runnable(int q, bool steal, HostProfile& prof);
-  /// The next fiber for worker `self`: its own heap, else stolen, else
+  /// The next fiber for worker `self`: its own queue, else stolen, else
   /// after sleeping. Null once shutdown() stops the pool.
   Fiber* next_runnable(int self, HostProfile& prof);
   /// A dispatch of a fiber ended without a requeue (it finished or

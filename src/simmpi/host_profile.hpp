@@ -32,6 +32,9 @@ struct HostProfile {
   i64 parks = 0;     ///< fibers parked on a wait list
   i64 wakes = 0;     ///< wake-ups of parked fibers
   i64 steals = 0;    ///< dispatches a worker took from another's run queue
+  /// Dispatches of a fiber on another worker than its previous dispatch in
+  /// the run (the fiber's stack and data go cold in the new worker's cache).
+  i64 migrations = 0;
   Lock locks[static_cast<int>(LockClass::kCount)];
   /// P2p payload bytes staged through an eager buffer (copied twice: into
   /// the buffer by send, out of it by recv).

@@ -1,9 +1,9 @@
 // The fiber scheduler: the determinism contract (results, per-rank virtual
 // times, per-phase stats, and trace critical paths bit-identical under any
 // dispatch order — one worker against four), exact deadlock detection and
-// fault injection, work stealing between the per-worker run queues, stacks
-// and rank buffer pools kept across runs, the zero-copy posted-receive fast
-// path, and a many-rank smoke at P=512.
+// fault injection, the one-worker dispatch order, work stealing between the
+// per-worker run queues, stacks and rank buffer pools kept across runs, the
+// zero-copy posted-receive fast path, and a many-rank smoke at P=512.
 #include <alloca.h>
 #include <gtest/gtest.h>
 
@@ -30,7 +30,8 @@ using costmodel::Algo;
 using costmodel::Workload;
 
 /// Worker counts the parity tests compare: one worker dispatches in a
-/// fixed lowest-vclock-first order; four interleave as the host schedules.
+/// fixed order (ranks start in rank order, the newest wake runs first);
+/// four interleave as the host schedules.
 constexpr int kWorkerCounts[] = {1, 4};
 
 /// Every field of RankStats that is part of the determinism contract must
@@ -203,9 +204,9 @@ TEST(FiberFaults, KillRankCaughtOnFibers) {
 }
 
 TEST(FiberFaults, StragglerVtimesIndependentOfDispatchOrder) {
-  // Fault-injected time dilation must flow through the fiber scheduler's
-  // vclock ordering without disturbing determinism: one worker and four
-  // see the same straggler-shifted clocks.
+  // Fault-injected time dilation must flow through the fiber scheduler
+  // without disturbing determinism: one worker and four see the same
+  // straggler-shifted clocks.
   FaultPlan fp;
   fp.stragglers.push_back({.node = 1, .factor = 3.0});
   auto body = [](Comm& c) {
@@ -230,10 +231,10 @@ TEST(FiberFaults, StragglerVtimesIndependentOfDispatchOrder) {
 }
 
 TEST(FiberFaults, PayloadFlipFiresOnZeroCopyPath) {
-  // Rank 0 posts its recv first (one worker dispatches rank 0 at vclock 0
-  // until it parks), so rank 1's send takes the zero-copy path — and the
-  // flip must corrupt the posted buffer exactly as it would the staged
-  // copy.
+  // Rank 0 posts its recv first (one worker starts the ranks in rank order
+  // and runs rank 0 until it parks), so rank 1's send takes the zero-copy
+  // path — and the flip must corrupt the posted buffer exactly as it would
+  // the staged copy.
   Cluster cl(2, Machine::unit_test());
   cl.set_fiber_workers(1);
   FaultPlan fp;
@@ -421,6 +422,36 @@ TEST(FiberReuse, StackSizeAndWorkerChangesRebuildStacks) {
   cl.set_fiber_workers(2);
   cl.run([](Comm& c) { c.barrier(); });
   EXPECT_EQ(cl.host_profile().stacks_mapped, P);
+}
+
+TEST(FiberOrder, OneWorkerStartsInRankOrderAndRunsNewestWakeFirst) {
+  // One worker starts the ranks in rank order and then runs the fiber it
+  // woke most recently first, whatever the virtual clocks say: rank 0 parks
+  // at 5 ms and rank 1 at 0, and rank 2 wakes rank 1 and then rank 0, so
+  // rank 0 resumes first.
+  Cluster cl(3, Machine::unit_test());
+  cl.set_fiber_workers(1);
+  std::mutex mu;
+  std::vector<int> starts, resumes;
+  cl.run([&](Comm& c) {
+    const int me = c.rank();
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      starts.push_back(me);
+    }
+    double x = me;
+    if (me == 2) {
+      c.send(&x, 1, 1, 0);
+      c.send(&x, 1, 0, 0);
+      return;
+    }
+    if (me == 0) c.charge_compute(5e6, 0);  // 5 ms on the unit-test machine
+    c.recv(&x, 1, 2, 0);
+    std::lock_guard<std::mutex> lk(mu);
+    resumes.push_back(me);
+  });
+  EXPECT_EQ(starts, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(resumes, (std::vector<int>{0, 1}));
 }
 
 TEST(FiberStealing, RanksWokenOntoOneQueueAreStolen) {
