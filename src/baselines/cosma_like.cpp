@@ -6,7 +6,6 @@
 
 namespace ca3dmm {
 
-using simmpi::Comm;
 using simmpi::Phase;
 
 CosmaPlan CosmaPlan::make(i64 m, i64 n, i64 k, int nranks,
@@ -146,20 +145,18 @@ Rect CosmaPlan::c_rect(int world_rank) const {
   return row_slice(Rect{m_leaf(c.mi), n_leaf(c.ni)}, grid_.pk, c.ki);
 }
 
-void build_schedule(const CosmaPlan& plan, int me,
-                    const simmpi::Machine& anchor, bool trans_a, bool trans_b,
-                    Schedule& s, LayoutId a_from, int a_src, LayoutId b_from,
-                    int b_src) {
+void build_schedule(const CosmaPlan& plan, int me, const simmpi::Machine&,
+                    bool trans_a, bool trans_b, Schedule& s) {
+  redistribute_in(s, plan.a_rect(me).size(), plan.b_rect(me).size(), trans_a,
+                  trans_b);
+  redistribute_out(s, cosma_pipeline(plan, me, 1.0, s));
+}
+
+int cosma_pipeline(const CosmaPlan& plan, int me, double gemm_fraction,
+                   Schedule& s) {
   const CosmaPlan::Codes co = plan.codes(me);
   const ProcGrid& g = plan.grid();
   const i64 esize = s.esize();
-
-  s.alloc(kAInit, plan.a_rect(me).size());
-  s.alloc(kBInit, plan.b_rect(me).size());
-  s.set_phase(Phase::kRedistribute);
-  s.redistribute(a_from, a_src, kNativeA, kAInit, trans_a);
-  s.redistribute(b_from, b_src, kNativeB, kBInit, trans_b);
-  s.set_phase(kInheritPhase);
 
   s.split(kWorld, kActive, co.active ? 0 : -1, me, false);
   int c_result = kCResult;
@@ -197,13 +194,12 @@ void build_schedule(const CosmaPlan& plan, int me,
       s.set_phase(kInheritPhase);
     }
 
-    // ---- one local GEMM; CTF mode charges the derated contraction rate ----
+    // ---- one local GEMM (CTF charges its derated contraction rate) ----
     s.alloc(kCPartial, mb * nb);
-    const double frac = plan.ctf_mode() ? anchor.ctf_gemm_fraction() : 1.0;
     s.set_phase(Phase::kCompute);
     s.compute(a_op, b_op, kCPartial, mb, nb, kb, kb,
-              gemm_flops(mb, nb, kb) / frac, gemm_bytes(mb, nb, kb, esize),
-              false);
+              gemm_flops(mb, nb, kb) / gemm_fraction,
+              gemm_bytes(mb, nb, kb, esize), false);
     s.set_phase(kInheritPhase);
     s.free(kABlk);
     s.free(kBBlk);
@@ -228,31 +224,7 @@ void build_schedule(const CosmaPlan& plan, int me,
       c_result = kCResult;
     }
   }
-
-  s.set_phase(Phase::kRedistribute);
-  s.redistribute(kNativeC, c_result, kUserLayoutC, kUserC, false);
-  s.set_phase(kInheritPhase);
+  return c_result;
 }
-
-template <typename T>
-void cosma_multiply(Comm& world, const CosmaPlan& plan, bool trans_a,
-                    bool trans_b, const BlockLayout& a_layout, const T* a_local,
-                    const BlockLayout& b_layout, const T* b_local,
-                    const BlockLayout& c_layout, T* c_local) {
-  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
-           b_local, c_layout, c_local, [&](Schedule& s) {
-             build_schedule(plan, world.rank(), world.machine(), trans_a,
-                            trans_b, s);
-           });
-}
-
-template void cosma_multiply<float>(Comm&, const CosmaPlan&, bool, bool,
-                                    const BlockLayout&, const float*,
-                                    const BlockLayout&, const float*,
-                                    const BlockLayout&, float*);
-template void cosma_multiply<double>(Comm&, const CosmaPlan&, bool, bool,
-                                     const BlockLayout&, const double*,
-                                     const BlockLayout&, const double*,
-                                     const BlockLayout&, double*);
 
 }  // namespace ca3dmm

@@ -75,11 +75,6 @@ class CosmaPlan {
   static CosmaPlan make(i64 m, i64 n, i64 k, int nranks,
                         std::optional<ProcGrid> force_grid = {});
 
-  /// CTF mode: local GEMMs are derated by the machine's ctf_gemm_fraction
-  /// (set by CtfPlan::make).
-  bool ctf_mode() const { return ctf_mode_; }
-  void set_ctf_mode(bool v) { ctf_mode_ = v; }
-
   /// CARMA variant (paper §II): the number of processes must be a power of
   /// two; the strategy is a sequence of bisections of the currently largest
   /// dimension, and the 3-D grid is whatever those bisections produce. With
@@ -92,19 +87,21 @@ class CosmaPlan {
   int nranks_ = 0;
   ProcGrid grid_;
   std::vector<CosmaStep> steps_;
-  bool ctf_mode_ = false;
   NativeLayouts natives_;  ///< built once by make()
 };
 
-/// Appends world rank `rank`'s COSMA-like schedule to `s`. A and B start in
-/// layouts `a_from` / `b_from` (buffer slots `a_src` / `b_src`); CTF passes
-/// its remapped copies. `anchor` is the machine whose ctf_gemm_fraction
-/// derates CTF-mode GEMMs.
+/// Appends world rank `rank`'s COSMA-like schedule to `s` (`anchor` is
+/// unused: it is part of every plan's build_schedule signature).
 void build_schedule(const CosmaPlan& plan, int rank,
                     const simmpi::Machine& anchor, bool trans_a, bool trans_b,
-                    Schedule& s, LayoutId a_from = kUserLayoutA,
-                    int a_src = kUserA, LayoutId b_from = kUserLayoutB,
-                    int b_src = kUserB);
+                    Schedule& s);
+
+/// The pipeline between the two redistributions: replicate A and B, one
+/// local GEMM charged at `gemm_fraction` of the machine's GEMM rate, reduce
+/// partial C. Appends world rank `rank`'s share to `s` and returns the slot
+/// holding its native C block.
+int cosma_pipeline(const CosmaPlan& plan, int rank, double gemm_fraction,
+                   Schedule& s);
 
 /// C = op(A) x op(B) with COSMA-like scheduling; same calling convention as
 /// ca3dmm_multiply (user layouts in/out, redistribution included).
@@ -112,6 +109,9 @@ template <typename T>
 void cosma_multiply(simmpi::Comm& world, const CosmaPlan& plan, bool trans_a,
                     bool trans_b, const BlockLayout& a_layout, const T* a_local,
                     const BlockLayout& b_layout, const T* b_local,
-                    const BlockLayout& c_layout, T* c_local);
+                    const BlockLayout& c_layout, T* c_local) {
+  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
+           b_local, c_layout, c_local);
+}
 
 }  // namespace ca3dmm

@@ -12,34 +12,47 @@
 //    operands into its internal cyclic layout before computing, on top of
 //    any user-layout conversion.
 //
-// The execution core is the same replicate/GEMM/reduce pipeline as the
-// COSMA-like baseline, so the comparison isolates grid choice + remapping
-// overhead — which is what Fig. 3's CTF curves show.
+// A CtfPlan is a CosmaPlan on CTF's grid: the execution core is the same
+// replicate/GEMM/reduce pipeline as the COSMA-like baseline, with the local
+// GEMM derated to the machine's ctf_gemm_fraction, so the comparison
+// isolates grid choice + remapping overhead — which is what Fig. 3's CTF
+// curves show.
 #pragma once
 
 #include "baselines/cosma_like.hpp"
 
 namespace ca3dmm {
 
-struct CtfPlan {
-  CosmaPlan inner;
+struct CtfPlan : CosmaPlan {
   static CtfPlan make(i64 m, i64 n, i64 k, int nranks) {
-    CtfPlan p{CosmaPlan::make(m, n, k, nranks, find_grid_ctf(m, n, k, nranks))};
-    p.inner.set_ctf_mode(true);  // derated local GEMM (see Machine)
-    return p;
+    return {CosmaPlan::make(m, n, k, nranks, find_grid_ctf(m, n, k, nranks))};
   }
 };
 
-/// Appends world rank `rank`'s CTF-like schedule (remap into the 1-D column
-/// layouts kCyclicA/B, then the COSMA-like pipeline) to `s`.
+/// Appends world rank `rank`'s CTF-like schedule to `s`: remap into the
+/// 1-D column layouts kCyclicA/B, then the COSMA-like pipeline with its
+/// GEMM derated to `anchor`'s ctf_gemm_fraction.
 void build_schedule(const CtfPlan& plan, int rank,
                     const simmpi::Machine& anchor, bool trans_a, bool trans_b,
                     Schedule& s);
 
+/// C = op(A) x op(B) with the CTF-like pipeline; same calling convention as
+/// ca3dmm_multiply.
 template <typename T>
 void ctf_multiply(simmpi::Comm& world, const CtfPlan& plan, bool trans_a,
                   bool trans_b, const BlockLayout& a_layout, const T* a_local,
                   const BlockLayout& b_layout, const T* b_local,
-                  const BlockLayout& c_layout, T* c_local);
+                  const BlockLayout& c_layout, T* c_local) {
+  const i64 m = plan.m(), n = plan.n(), k = plan.k();
+  const BlockLayout a_cyc = BlockLayout::col_1d(
+      trans_a ? k : m, trans_a ? m : k, plan.nranks());
+  const BlockLayout b_cyc = BlockLayout::col_1d(
+      trans_b ? n : k, trans_b ? k : n, plan.nranks());
+  ScheduleIo<T> io;
+  io.layouts[kCyclicA] = &a_cyc;
+  io.layouts[kCyclicB] = &b_cyc;
+  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
+           b_local, c_layout, c_local, io);
+}
 
 }  // namespace ca3dmm

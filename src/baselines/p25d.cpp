@@ -8,7 +8,6 @@
 
 namespace ca3dmm {
 
-using simmpi::Comm;
 using simmpi::Phase;
 
 namespace {
@@ -83,8 +82,8 @@ Rect P25dPlan::c_rect(int r) const {
               block_range(n_, q_, idx / q_)};
 }
 
-void build_schedule(const P25dPlan& plan, int me, bool trans_a, bool trans_b,
-                    Schedule& s) {
+void build_schedule(const P25dPlan& plan, int me, const simmpi::Machine&,
+                    bool trans_a, bool trans_b, Schedule& s) {
   const int q = plan.q(), c = plan.c();
   const bool is_active = me < plan.active();
   const int layer = me / (q * q);
@@ -99,12 +98,7 @@ void build_schedule(const P25dPlan& plan, int me, bool trans_a, bool trans_b,
   auto kpart = [&](int t) { return block_size(k, q, wrap(t, q)); };
 
   const i64 a_init = plan.a_rect(me).size(), b_init = plan.b_rect(me).size();
-  s.alloc(kAInit, a_init);
-  s.alloc(kBInit, b_init);
-  s.set_phase(Phase::kRedistribute);
-  s.redistribute(kUserLayoutA, kUserA, kNativeA, kAInit, trans_a);
-  s.redistribute(kUserLayoutB, kUserB, kNativeB, kBInit, trans_b);
-  s.set_phase(kInheritPhase);
+  redistribute_in(s, a_init, b_init, trans_a, trans_b);
 
   s.split(kWorld, kActive, is_active ? 0 : -1, me, false);
   int c_result = kCResult;
@@ -191,30 +185,7 @@ void build_schedule(const P25dPlan& plan, int me, bool trans_a, bool trans_b,
       c_result = kCResult;
     }
   }
-
-  s.set_phase(Phase::kRedistribute);
-  s.redistribute(kNativeC, c_result, kUserLayoutC, kUserC, false);
-  s.set_phase(kInheritPhase);
+  redistribute_out(s, c_result);
 }
-
-template <typename T>
-void p25d_multiply(Comm& world, const P25dPlan& plan, bool trans_a,
-                   bool trans_b, const BlockLayout& a_layout, const T* a_local,
-                   const BlockLayout& b_layout, const T* b_local,
-                   const BlockLayout& c_layout, T* c_local) {
-  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
-           b_local, c_layout, c_local, [&](Schedule& s) {
-             build_schedule(plan, world.rank(), trans_a, trans_b, s);
-           });
-}
-
-template void p25d_multiply<float>(Comm&, const P25dPlan&, bool, bool,
-                                   const BlockLayout&, const float*,
-                                   const BlockLayout&, const float*,
-                                   const BlockLayout&, float*);
-template void p25d_multiply<double>(Comm&, const P25dPlan&, bool, bool,
-                                    const BlockLayout&, const double*,
-                                    const BlockLayout&, const double*,
-                                    const BlockLayout&, double*);
 
 }  // namespace ca3dmm

@@ -33,6 +33,8 @@ class P25dPlan {
   int q() const { return q_; }    ///< square grid side
   int c() const { return c_; }    ///< replication depth
   int active() const { return q_ * q_ * c_; }
+  /// The equivalent 3-D grid: q x q x c.
+  ProcGrid grid() const { return ProcGrid{q_, q_, c_}; }
 
   /// A and B initial distributions: q x q blocks on layer 0 only (rank
   /// j*q + i owns block (i, j)). *_rect(r) is rank r's one rect.
@@ -56,9 +58,11 @@ class P25dPlan {
   NativeLayouts natives_;  ///< built once by make()
 };
 
-/// Appends world rank `rank`'s 2.5D schedule to `s`.
-void build_schedule(const P25dPlan& plan, int rank, bool trans_a,
-                    bool trans_b, Schedule& s);
+/// Appends world rank `rank`'s 2.5D schedule to `s` (`anchor` is unused:
+/// it is part of every plan's build_schedule signature).
+void build_schedule(const P25dPlan& plan, int rank,
+                    const simmpi::Machine& anchor, bool trans_a, bool trans_b,
+                    Schedule& s);
 
 /// C = op(A) x op(B) with the 2.5D algorithm; same calling convention as
 /// ca3dmm_multiply.
@@ -66,6 +70,9 @@ template <typename T>
 void p25d_multiply(simmpi::Comm& world, const P25dPlan& plan, bool trans_a,
                    bool trans_b, const BlockLayout& a_layout, const T* a_local,
                    const BlockLayout& b_layout, const T* b_local,
-                   const BlockLayout& c_layout, T* c_local);
+                   const BlockLayout& c_layout, T* c_local) {
+  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
+           b_local, c_layout, c_local);
+}
 
 }  // namespace ca3dmm

@@ -6,7 +6,6 @@
 
 namespace ca3dmm {
 
-using simmpi::Comm;
 using simmpi::Phase;
 
 SummaPlan SummaPlan::make(i64 m, i64 n, i64 k, int nranks,
@@ -65,19 +64,15 @@ Rect SummaPlan::c_rect(int r) const {
   return Rect{block_range(m_, pr_, r / pc_), block_range(n_, pc_, r % pc_)};
 }
 
-void build_schedule(const SummaPlan& plan, int me, i64 panel_kb,
+void build_schedule(const SummaPlan& plan, int me, const simmpi::Machine&,
                     bool trans_a, bool trans_b, Schedule& s) {
   const int pr = plan.pr(), pc = plan.pc();
   const bool is_active = me < plan.active();
   const int gi = me / pc, gj = me % pc;
   const i64 k = plan.k(), esize = s.esize();
 
-  s.alloc(kAInit, plan.a_rect(me).size());
-  s.alloc(kBInit, plan.b_rect(me).size());
-  s.set_phase(Phase::kRedistribute);
-  s.redistribute(kUserLayoutA, kUserA, kNativeA, kAInit, trans_a);
-  s.redistribute(kUserLayoutB, kUserB, kNativeB, kBInit, trans_b);
-  s.set_phase(kInheritPhase);
+  redistribute_in(s, plan.a_rect(me).size(), plan.b_rect(me).size(), trans_a,
+                  trans_b);
 
   s.split(kWorld, kActive, is_active ? 0 : -1, me, false);
   if (is_active) {
@@ -89,12 +84,10 @@ void build_schedule(const SummaPlan& plan, int me, i64 panel_kb,
     s.alloc(kCResult, mb * nb);
 
     // Panel walk: intervals never straddle an A column-block or B row-block
-    // boundary; panel_kb further caps the width.
+    // boundary.
     const auto panel_end = [&](i64 k0) {
-      i64 k1 = std::min(block_range(k, pc, block_of_index(k, pc, k0)).hi,
-                        block_range(k, pr, block_of_index(k, pr, k0)).hi);
-      if (panel_kb > 0) k1 = std::min(k1, k0 + panel_kb);
-      return k1;
+      return std::min(block_range(k, pc, block_of_index(k, pc, k0)).hi,
+                      block_range(k, pr, block_of_index(k, pr, k0)).hi);
     };
     i64 kb_max = 0;
     for (i64 k0 = 0; k0 < k; k0 = panel_end(k0))
@@ -130,29 +123,7 @@ void build_schedule(const SummaPlan& plan, int me, i64 panel_kb,
   // The initial operand buffers are dead once the panel loop finishes.
   s.free(kAInit);
   s.free(kBInit);
-  s.set_phase(Phase::kRedistribute);
-  s.redistribute(kNativeC, kCResult, kUserLayoutC, kUserC, false);
-  s.set_phase(kInheritPhase);
+  redistribute_out(s, kCResult);
 }
-
-template <typename T>
-void summa_multiply(Comm& world, const SummaPlan& plan, bool trans_a,
-                    bool trans_b, const BlockLayout& a_layout, const T* a_local,
-                    const BlockLayout& b_layout, const T* b_local,
-                    const BlockLayout& c_layout, T* c_local, i64 panel_kb) {
-  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
-           b_local, c_layout, c_local, [&](Schedule& s) {
-             build_schedule(plan, world.rank(), panel_kb, trans_a, trans_b, s);
-           });
-}
-
-template void summa_multiply<float>(Comm&, const SummaPlan&, bool, bool,
-                                    const BlockLayout&, const float*,
-                                    const BlockLayout&, const float*,
-                                    const BlockLayout&, float*, i64);
-template void summa_multiply<double>(Comm&, const SummaPlan&, bool, bool,
-                                     const BlockLayout&, const double*,
-                                     const BlockLayout&, const double*,
-                                     const BlockLayout&, double*, i64);
 
 }  // namespace ca3dmm

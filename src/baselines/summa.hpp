@@ -29,6 +29,8 @@ class SummaPlan {
   int pr() const { return pr_; }
   int pc() const { return pc_; }
   int active() const { return pr_ * pc_; }
+  /// The 2-D grid as a ProcGrid: pr x pc x 1.
+  ProcGrid grid() const { return ProcGrid{pr_, pc_, 1}; }
 
   /// Grid ranks are row-major over (pr, pc); idle ranks own nothing.
   Rect a_rect(int world_rank) const;
@@ -49,18 +51,23 @@ class SummaPlan {
   NativeLayouts natives_;  ///< built once by make()
 };
 
-/// Appends world rank `rank`'s SUMMA schedule to `s` (`panel_kb` as in
-/// summa_multiply).
-void build_schedule(const SummaPlan& plan, int rank, i64 panel_kb,
-                    bool trans_a, bool trans_b, Schedule& s);
+/// Appends world rank `rank`'s SUMMA schedule to `s`: one broadcast panel
+/// per interval between consecutive A column-block and B row-block
+/// boundaries — the largest panels, the setting the paper's §III-E latency
+/// analysis assumes. `anchor` is unused: it is part of every plan's
+/// build_schedule signature.
+void build_schedule(const SummaPlan& plan, int rank,
+                    const simmpi::Machine& anchor, bool trans_a, bool trans_b,
+                    Schedule& s);
 
 /// C = op(A) x op(B) with SUMMA; same calling convention as ca3dmm_multiply.
-/// `panel_kb` caps the broadcast panel width (0 = largest possible panels,
-/// the setting the paper's §III-E latency analysis assumes).
 template <typename T>
 void summa_multiply(simmpi::Comm& world, const SummaPlan& plan, bool trans_a,
                     bool trans_b, const BlockLayout& a_layout, const T* a_local,
                     const BlockLayout& b_layout, const T* b_local,
-                    const BlockLayout& c_layout, T* c_local, i64 panel_kb = 0);
+                    const BlockLayout& c_layout, T* c_local) {
+  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
+           b_local, c_layout, c_local);
+}
 
 }  // namespace ca3dmm

@@ -5,8 +5,8 @@ namespace ca3dmm {
 using simmpi::Comm;
 using simmpi::Phase;
 
-void build_schedule(const Ca3dmmPlan& plan, int me, bool trans_a,
-                    bool trans_b, Schedule& s) {
+void build_schedule(const Ca3dmmPlan& plan, int me, const simmpi::Machine&,
+                    bool trans_a, bool trans_b, Schedule& s) {
   const Ca3dmmOptions& opt = plan.options();
   const RankCoord co = plan.coord(me);
   const int sd = plan.s(), c = plan.c(), pk = plan.grid().pk;
@@ -14,12 +14,8 @@ void build_schedule(const Ca3dmmPlan& plan, int me, bool trans_a,
   s.set_coll(opt.coll);
 
   // ---- step 4 (Alg. 1): redistribute A and B (all ranks participate) ----
-  s.alloc(kAInit, plan.a_rect(me).size());
-  s.alloc(kBInit, plan.b_rect(me).size());
-  s.set_phase(Phase::kRedistribute);
-  s.redistribute(kUserLayoutA, kUserA, kNativeA, kAInit, trans_a);
-  s.redistribute(kUserLayoutB, kUserB, kNativeB, kBInit, trans_b);
-  s.set_phase(kInheritPhase);
+  redistribute_in(s, plan.a_rect(me).size(), plan.b_rect(me).size(), trans_a,
+                  trans_b);
 
   // Communicator splits. Colors are disjoint per split call; inactive ranks
   // pass color -1 (undefined).
@@ -126,55 +122,8 @@ void build_schedule(const Ca3dmmPlan& plan, int me, bool trans_a,
   }
 
   // ---- step 8: redistribute C to the caller's layout (all ranks) ----
-  s.set_phase(Phase::kRedistribute);
-  s.redistribute(kNativeC, c_result, kUserLayoutC, kUserC, false);
-  s.set_phase(kInheritPhase);
+  redistribute_out(s, c_result);
 }
-
-namespace {
-
-/// Algorithm-1 execution: this rank's schedule, with the per-plan splits
-/// taken from `cached` when one is passed in and performed in place
-/// otherwise (at the same program points either way).
-template <typename T>
-void ca3dmm_execute(Comm& world, const Ca3dmmPlan& plan, PlanComms* cached,
-                    bool trans_a, bool trans_b, const BlockLayout& a_layout,
-                    const T* a_local, const BlockLayout& b_layout,
-                    const T* b_local, const BlockLayout& c_layout,
-                    T* c_local) {
-  ScheduleIo<T> io;
-  if (cached) {
-    io.cached[kActive] = &cached->active;
-    io.cached[kGrid] = &cached->cannon;
-    io.cached[kRepl] = &cached->repl;
-    io.cached[kReduce] = &cached->reduce;
-  }
-  run_plan(
-      world, plan, trans_a, trans_b, a_layout, a_local, b_layout, b_local,
-      c_layout, c_local,
-      [&](Schedule& s) {
-        // run_plan has validated the call; the cached communicators are
-        // checked here, still before any communication.
-        const int me = world.rank();
-        if (cached) {
-          const RankCoord co = plan.coord(me);
-          const int g = plan.s();
-          CA_REQUIRE(co.active == cached->active.valid(),
-                     "rank %d: cached communicators do not match the plan "
-                     "(active comm %s but rank is %s)",
-                     me, cached->active.valid() ? "valid" : "invalid",
-                     co.active ? "active" : "idle");
-          CA_REQUIRE(!co.active || cached->cannon.size() == g * g,
-                     "rank %d: cached Cannon comm has %d ranks, plan needs %d",
-                     me, cached->cannon.valid() ? cached->cannon.size() : 0,
-                     g * g);
-        }
-        build_schedule(plan, me, trans_a, trans_b, s);
-      },
-      io);
-}
-
-}  // namespace
 
 PlanComms PlanComms::make(Comm& world, const Ca3dmmPlan& plan) {
   CA_REQUIRE(world.valid(), "PlanComms::make needs a valid communicator");
@@ -182,7 +131,7 @@ PlanComms PlanComms::make(Comm& world, const Ca3dmmPlan& plan) {
              "plan is for %d ranks, comm has %d", plan.nranks(), world.size());
   CA_REQUIRE(plan.m() > 0, "plan is empty (default-constructed?)");
   Schedule s(sizeof(double), /*with_data=*/false);
-  build_schedule(plan, world.rank(), false, false, s);
+  build_schedule(plan, world.rank(), world.machine(), false, false, s);
   Comm comms[kCommCount];
   comms[kWorld] = world.dup();
   for (const Op& op : s.ops())
@@ -197,42 +146,26 @@ PlanComms PlanComms::make(Comm& world, const Ca3dmmPlan& plan) {
   return pc;
 }
 
-template <typename T>
-void ca3dmm_multiply(Comm& world, const Ca3dmmPlan& plan, bool trans_a,
-                     bool trans_b, const BlockLayout& a_layout,
-                     const T* a_local, const BlockLayout& b_layout,
-                     const T* b_local, const BlockLayout& c_layout,
-                     T* c_local) {
-  ca3dmm_execute<T>(world, plan, nullptr, trans_a, trans_b, a_layout, a_local,
-                    b_layout, b_local, c_layout, c_local);
+void PlanComms::check(const Comm& world, const Ca3dmmPlan& plan) const {
+  // run_plan reports a bad communicator or plan; here the world is known
+  // to match the plan before any coordinate is looked up.
+  if (!world.valid() || world.size() != plan.nranks() || plan.m() <= 0)
+    return;
+  const int me = world.rank();
+  const RankCoord co = plan.coord(me);
+  // An invalid comm counts as 0 ranks; ranks outside a group need none.
+  const auto expect = [&](const Comm& comm, const char* name, bool valid,
+                          int size) {
+    const int have = comm.valid() ? comm.size() : 0, need = valid ? size : 0;
+    CA_REQUIRE(have == need,
+               "rank %d: cached %s comm has %d ranks, plan needs %d", me,
+               name, have, need);
+  };
+  expect(active, "active", co.active, plan.active());
+  expect(cannon, "Cannon", co.active, plan.s() * plan.s());
+  expect(repl, "replication", co.active && plan.c() > 1, plan.c());
+  expect(reduce, "reduction", co.active && plan.grid().pk > 1,
+         plan.grid().pk);
 }
-
-template <typename T>
-void ca3dmm_multiply(Comm& world, const Ca3dmmPlan& plan, PlanComms& comms,
-                     bool trans_a, bool trans_b, const BlockLayout& a_layout,
-                     const T* a_local, const BlockLayout& b_layout,
-                     const T* b_local, const BlockLayout& c_layout,
-                     T* c_local) {
-  ca3dmm_execute<T>(world, plan, &comms, trans_a, trans_b, a_layout, a_local,
-                    b_layout, b_local, c_layout, c_local);
-}
-
-template void ca3dmm_multiply<float>(Comm&, const Ca3dmmPlan&, bool, bool,
-                                     const BlockLayout&, const float*,
-                                     const BlockLayout&, const float*,
-                                     const BlockLayout&, float*);
-template void ca3dmm_multiply<double>(Comm&, const Ca3dmmPlan&, bool, bool,
-                                      const BlockLayout&, const double*,
-                                      const BlockLayout&, const double*,
-                                      const BlockLayout&, double*);
-template void ca3dmm_multiply<float>(Comm&, const Ca3dmmPlan&, PlanComms&,
-                                     bool, bool, const BlockLayout&,
-                                     const float*, const BlockLayout&,
-                                     const float*, const BlockLayout&, float*);
-template void ca3dmm_multiply<double>(Comm&, const Ca3dmmPlan&, PlanComms&,
-                                      bool, bool, const BlockLayout&,
-                                      const double*, const BlockLayout&,
-                                      const double*, const BlockLayout&,
-                                      double*);
 
 }  // namespace ca3dmm

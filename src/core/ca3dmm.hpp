@@ -20,14 +20,14 @@
 // options other than the ones that shaped its grid.
 //
 // Execution runs the plan's schedule (core/schedule.hpp) for the calling
-// rank — the same op list the cost model replays. Two modes differ only in
-// where the schedule's four per-plan splits come from:
-//   * one-shot ca3dmm_multiply — splits the communicators in place, at
-//     their program points, on every call;
-//   * ca3dmm_multiply with a PlanComms — takes them from communicators
-//     split once by PlanComms::make, eliminating the per-call split
-//     latency. This is the building block of the persistent engine
-//     (src/engine).
+// rank through run_plan — the same op list the cost model replays. The two
+// ca3dmm_multiply overloads differ only in where the schedule's four
+// per-plan splits come from:
+//   * one-shot — the communicators are split in place, at their program
+//     points, on every call;
+//   * with a PlanComms — they are taken from communicators split once by
+//     PlanComms::make, eliminating the per-call split latency. This is the
+//     building block of the persistent engine (src/engine).
 #pragma once
 
 #include "core/engine2d.hpp"
@@ -40,9 +40,11 @@ namespace ca3dmm {
 
 /// Appends world rank `rank`'s share of Algorithm 1 under `plan` to `s`
 /// (layouts kUserLayout* -> kNative* -> kUserLayoutC; the active, Cannon,
-/// replication and reduction splits are cacheable).
-void build_schedule(const Ca3dmmPlan& plan, int rank, bool trans_a,
-                    bool trans_b, Schedule& s);
+/// replication and reduction splits are cacheable). `anchor` is unused: it
+/// is part of every plan's build_schedule signature.
+void build_schedule(const Ca3dmmPlan& plan, int rank,
+                    const simmpi::Machine& anchor, bool trans_a, bool trans_b,
+                    Schedule& s);
 
 /// The split communicators one plan's execution uses, created once and
 /// reusable across any number of multiplications with that plan.
@@ -65,6 +67,12 @@ struct PlanComms {
   /// must span exactly plan.nranks() ranks. Charges the split setup cost
   /// once; executions through the returned object charge none.
   static PlanComms make(simmpi::Comm& world, const Ca3dmmPlan& plan);
+
+  /// Raises ca3dmm::Error unless every communicator has the shape
+  /// make(world, plan) gives the calling rank: valid exactly where listed
+  /// above, with s^2 (cannon), c (repl), pk (reduce) or plan.active()
+  /// ranks. Local; runs before any communication.
+  void check(const simmpi::Comm& world, const Ca3dmmPlan& plan) const;
 };
 
 /// Computes C = op(A) x op(B) with op fixed by trans_a / trans_b.
@@ -84,7 +92,11 @@ template <typename T>
 void ca3dmm_multiply(simmpi::Comm& world, const Ca3dmmPlan& plan, bool trans_a,
                      bool trans_b, const BlockLayout& a_layout,
                      const T* a_local, const BlockLayout& b_layout,
-                     const T* b_local, const BlockLayout& c_layout, T* c_local);
+                     const T* b_local, const BlockLayout& c_layout,
+                     T* c_local) {
+  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
+           b_local, c_layout, c_local);
+}
 
 /// Same computation executed over pre-split communicators (`comms` from
 /// PlanComms::make with the same plan): no split latency is charged. Results
@@ -94,7 +106,16 @@ void ca3dmm_multiply(simmpi::Comm& world, const Ca3dmmPlan& plan,
                      PlanComms& comms, bool trans_a, bool trans_b,
                      const BlockLayout& a_layout, const T* a_local,
                      const BlockLayout& b_layout, const T* b_local,
-                     const BlockLayout& c_layout, T* c_local);
+                     const BlockLayout& c_layout, T* c_local) {
+  comms.check(world, plan);
+  ScheduleIo<T> io;
+  io.cached[kActive] = &comms.active;
+  io.cached[kGrid] = &comms.cannon;
+  io.cached[kRepl] = &comms.repl;
+  io.cached[kReduce] = &comms.reduce;
+  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
+           b_local, c_layout, c_local, io);
+}
 
 /// Convenience wrapper: plans with `opt` and multiplies.
 template <typename T>

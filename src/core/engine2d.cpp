@@ -9,7 +9,6 @@
 
 namespace ca3dmm {
 
-using simmpi::Comm;
 using simmpi::Phase;
 
 namespace {
@@ -219,46 +218,5 @@ void summa_schedule(Schedule& sc, const Engine2dShape& sh, int grid, int a,
   sc.free(kBCur);
   sc.free(kACur);
 }
-
-namespace {
-
-template <typename T>
-void run_fragment(Comm& grid, const Engine2dShape& sh, const Schedule& sc,
-                  const T* a_block, const T* b_block, T* c_partial) {
-  CA_ASSERT(grid.size() == sh.s * sh.s);
-  CA_ASSERT(grid.rank() == grid_rank(sh.s, sh.i, sh.j));
-  ScheduleIo<T> io;
-  io.a = a_block;
-  io.b = b_block;
-  io.c = c_partial;
-  run_schedule(grid, sc, io);
-}
-
-}  // namespace
-
-template <typename T>
-void cannon_2d(Comm& grid, const Engine2dShape& sh, const T* a_block,
-               const T* b_block, T* c_partial, i64 min_kblk) {
-  Schedule sc(sizeof(T));
-  cannon_schedule(sc, sh, kWorld, kUserA, kUserB, kUserC, min_kblk, {});
-  run_fragment(grid, sh, sc, a_block, b_block, c_partial);
-}
-
-template <typename T>
-void summa_2d(Comm& grid, const Engine2dShape& sh, const T* a_block,
-              const T* b_block, T* c_partial) {
-  Schedule sc(sizeof(T));
-  summa_schedule(sc, sh, kWorld, kUserA, kUserB, kUserC, {});
-  run_fragment(grid, sh, sc, a_block, b_block, c_partial);
-}
-
-template void cannon_2d<float>(Comm&, const Engine2dShape&, const float*,
-                               const float*, float*, i64);
-template void cannon_2d<double>(Comm&, const Engine2dShape&, const double*,
-                                const double*, double*, i64);
-template void summa_2d<float>(Comm&, const Engine2dShape&, const float*,
-                              const float*, float*);
-template void summa_2d<double>(Comm&, const Engine2dShape&, const double*,
-                               const double*, double*);
 
 }  // namespace ca3dmm

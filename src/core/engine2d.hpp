@@ -16,8 +16,8 @@
 // rows/columns instead; its latency is provably no better (paper §III-E).
 //
 // The engines are schedule fragments (core/schedule.hpp): cannon_schedule
-// and summa_schedule append their ops to a plan's schedule; cannon_2d and
-// summa_2d run one fragment standalone.
+// and summa_schedule append their ops to a CA3DMM plan's schedule. To run
+// one engine alone, execute a CA3DMM plan on a forced s x s x 1 grid.
 #pragma once
 
 #include <initializer_list>
@@ -76,15 +76,5 @@ void cannon_schedule(Schedule& s, const Engine2dShape& sh, int grid, int a,
 /// only freed after the last panel.
 void summa_schedule(Schedule& s, const Engine2dShape& sh, int grid, int a,
                     int b, int c, std::initializer_list<int> release);
-
-/// Runs the Cannon fragment alone on `grid` (s*s ranks).
-template <typename T>
-void cannon_2d(simmpi::Comm& grid, const Engine2dShape& sh, const T* a_block,
-               const T* b_block, T* c_partial, i64 min_kblk);
-
-/// Runs the SUMMA fragment alone on `grid` (s*s ranks).
-template <typename T>
-void summa_2d(simmpi::Comm& grid, const Engine2dShape& sh, const T* a_block,
-              const T* b_block, T* c_partial);
 
 }  // namespace ca3dmm

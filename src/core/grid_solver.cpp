@@ -67,62 +67,80 @@ Fitness fitness(i64 m, i64 n, i64 k, const ProcGrid& g, double ratio) {
                  g.pm};
 }
 
-template <typename Accept>
-ProcGrid enumerate_grids(i64 m, i64 n, i64 k, int P, double l, double ratio,
-                         Accept&& accept) {
+/// Calls visit(g) for every grid g that accept(g) admits and that meets
+/// the utilization floor of constraint (5), in (pm, pk, pn) order. Pass 1
+/// finds the floor: floor(l P), or the best reachable utilization when the
+/// clamps make that unreachable (tiny problems). Raises if no grid is
+/// feasible.
+template <typename Accept, typename Visit>
+void feasible_grids(i64 m, i64 n, i64 k, int P, double l, Accept&& accept,
+                    Visit&& visit) {
   // Never split a dimension more ways than its extent: a grid factor beyond
   // the dimension only idles processes inside the grid.
-  const auto clamp = [](i64 dim, int P_) {
-    return static_cast<int>(std::min<i64>(dim, P_));
+  const auto clamp = [P](i64 dim) {
+    return static_cast<int>(std::min<i64>(dim, P));
   };
-  const int pm_max = clamp(m, P), pn_max0 = clamp(n, P), pk_max0 = clamp(k, P);
+  const int pm_max = clamp(m), pn_max = clamp(n), pk_max = clamp(k);
 
-  // Constraint (5) with floor(l P); if the clamps make that unreachable
-  // (tiny problems), fall back to the best reachable utilization.
-  int max_active = 1;
+  int max_active = 0;
   for (int pm = 1; pm <= pm_max; ++pm)
-    for (int pk = 1; pk <= pk_max0 && pk * pm <= P; ++pk) {
-      const int pn_lim = std::min(pn_max0, P / (pm * pk));
-      for (int pn = pn_lim; pn >= 1; --pn) {
-        ProcGrid g{pm, pn, pk};
+    for (int pk = 1; pk <= pk_max && pk * pm <= P; ++pk)
+      for (int pn = std::min(pn_max, P / (pm * pk)); pn >= 1; --pn) {
+        const ProcGrid g{pm, pn, pk};
         if (g.active() <= max_active) break;  // pn descending: no improvement
         if (accept(g)) {
           max_active = g.active();
           break;
         }
       }
-    }
-  const int min_active =
-      std::min(static_cast<int>(std::floor(l * P)), max_active);
-
-  ProcGrid best;
-  bool have = false;
-  Fitness best_fit{};
-  for (int pm = 1; pm <= pm_max; ++pm)
-    for (int pk = 1; pk <= pk_max0 && pk * pm <= P; ++pk) {
-      const int pn_lim = std::min(pn_max0, P / (pm * pk));
-      for (int pn = 1; pn <= pn_lim; ++pn) {
-        ProcGrid g{pm, pn, pk};
-        if (g.active() < min_active) continue;
-        if (!accept(g)) continue;
-        const Fitness f = fitness(m, n, k, g, ratio);
-        if (!have || f < best_fit) {
-          best = g;
-          best_fit = f;
-          have = true;
-        }
-      }
-    }
-  CA_REQUIRE(have,
+  CA_REQUIRE(max_active > 0,
              "no feasible process grid for P=%d under the given constraints "
              "(memory budget too tight?)",
              P);
+  const int min_active =
+      std::min(static_cast<int>(std::floor(l * P)), max_active);
+
+  for (int pm = 1; pm <= pm_max; ++pm)
+    for (int pk = 1; pk <= pk_max && pk * pm <= P; ++pk)
+      for (int pn = 1, pn_lim = std::min(pn_max, P / (pm * pk));
+           pn <= pn_lim; ++pn) {
+        const ProcGrid g{pm, pn, pk};
+        if (g.active() >= min_active && accept(g)) visit(g);
+      }
+}
+
+/// The best feasible grid by fitness.
+template <typename Accept>
+ProcGrid best_grid(i64 m, i64 n, i64 k, int P, double l, double ratio,
+                   Accept&& accept) {
+  ProcGrid best;
+  Fitness best_fit{};
+  bool have = false;
+  feasible_grids(m, n, k, P, l, accept, [&](const ProcGrid& g) {
+    const Fitness f = fitness(m, n, k, g, ratio);
+    if (!have || f < best_fit) {
+      best = g;
+      best_fit = f;
+      have = true;
+    }
+  });
   return best;
 }
 
 bool cannon_ok(const ProcGrid& g) {
   const int lo = g.s(), hi = g.pm > g.pn ? g.pm : g.pn;
   return hi % lo == 0;
+}
+
+/// find_grid's admission test: the Cannon constraint (7) when enabled, and
+/// the memory budget.
+auto grid_filter(i64 m, i64 n, i64 k, const GridOptions& opt) {
+  return [=](const ProcGrid& g) {
+    if (opt.cannon_compatible && !cannon_ok(g)) return false;
+    return opt.max_memory_elems <= 0 ||
+           grid_memory_elems(m, n, k, g) <=
+               static_cast<double>(opt.max_memory_elems);
+  };
 }
 
 }  // namespace
@@ -132,17 +150,8 @@ ProcGrid find_grid(i64 m, i64 n, i64 k, int P, const GridOptions& opt) {
              "find_grid needs positive dimensions, got m=%lld n=%lld k=%lld P=%d",
              static_cast<long long>(m), static_cast<long long>(n),
              static_cast<long long>(k), P);
-  const i64 budget = opt.max_memory_elems;
-  const auto fits = [&](const ProcGrid& g) {
-    return budget <= 0 || grid_memory_elems(m, n, k, g) <=
-                              static_cast<double>(budget);
-  };
-  if (!opt.cannon_compatible)
-    return enumerate_grids(m, n, k, P, opt.l, opt.flop_word_ratio, fits);
-  return enumerate_grids(m, n, k, P, opt.l, opt.flop_word_ratio,
-                         [&](const ProcGrid& g) {
-                           return cannon_ok(g) && fits(g);
-                         });
+  return best_grid(m, n, k, P, opt.l, opt.flop_word_ratio,
+                   grid_filter(m, n, k, opt));
 }
 
 std::vector<ProcGrid> find_grid_candidates(i64 m, i64 n, i64 k, int P,
@@ -154,46 +163,18 @@ std::vector<ProcGrid> find_grid_candidates(i64 m, i64 n, i64 k, int P,
              static_cast<long long>(m), static_cast<long long>(n),
              static_cast<long long>(k), P);
   if (count <= 0) return {};
-  const i64 budget = opt.max_memory_elems;
-  const auto accept = [&](const ProcGrid& g) {
-    if (opt.cannon_compatible && !cannon_ok(g)) return false;
-    return budget <= 0 ||
-           grid_memory_elems(m, n, k, g) <= static_cast<double>(budget);
-  };
-
-  // Same enumeration bounds and utilization floor as enumerate_grids, but
-  // collecting every feasible grid instead of tracking the single best.
-  const auto clamp = [](i64 dim, int P_) {
-    return static_cast<int>(std::min<i64>(dim, P_));
-  };
-  const int pm_max = clamp(m, P), pn_max = clamp(n, P), pk_max = clamp(k, P);
-  int max_active = 0;
   std::vector<std::pair<Fitness, ProcGrid>> all;
-  for (int pm = 1; pm <= pm_max; ++pm)
-    for (int pk = 1; pk <= pk_max && pk * pm <= P; ++pk) {
-      const int pn_lim = std::min(pn_max, P / (pm * pk));
-      for (int pn = 1; pn <= pn_lim; ++pn) {
-        ProcGrid g{pm, pn, pk};
-        if (!accept(g)) continue;
-        max_active = std::max(max_active, g.active());
-        all.emplace_back(fitness(m, n, k, g, opt.flop_word_ratio), g);
-      }
-    }
-  CA_REQUIRE(!all.empty(),
-             "no feasible process grid for P=%d under the given constraints "
-             "(memory budget too tight?)",
-             P);
-  const int min_active =
-      std::min(static_cast<int>(std::floor(opt.l * P)), max_active);
+  feasible_grids(m, n, k, P, opt.l, grid_filter(m, n, k, opt),
+                 [&](const ProcGrid& g) {
+                   all.emplace_back(fitness(m, n, k, g, opt.flop_word_ratio),
+                                    g);
+                 });
   std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
     return a.first < b.first;
   });
   std::vector<ProcGrid> out;
-  for (const auto& [f, g] : all) {
-    if (g.active() < min_active) continue;
-    out.push_back(g);
-    if (static_cast<int>(out.size()) == count) break;
-  }
+  for (size_t i = 0; i < all.size() && static_cast<int>(i) < count; ++i)
+    out.push_back(all[i].second);
   return out;
 }
 
@@ -201,8 +182,7 @@ ProcGrid find_grid_cosma(i64 m, i64 n, i64 k, int P, double l) {
   // COSMA's source enumerates all grids and picks the one with
   // m/pm ~ k/pk ~ n/pn, i.e. the surface-minimizing grid, with no Cannon
   // constraint (paper §III-C).
-  return enumerate_grids(m, n, k, P, l, 100.0,
-                         [](const ProcGrid&) { return true; });
+  return best_grid(m, n, k, P, l, 100.0, [](const ProcGrid&) { return true; });
 }
 
 ProcGrid find_grid_ctf(i64 m, i64 n, i64 k, int P) {

@@ -331,19 +331,47 @@ template <typename T>
 void run_schedule(simmpi::Comm& world, const Schedule& s,
                   const ScheduleIo<T>& io);
 
+/// Paper Alg. 1 step 4, every rank: allocates the native operand buffers
+/// kAInit/kBInit (`a_elems`, `b_elems` elements) and redistributes A and B
+/// into the plan's native layouts under kRedistribute. The operands come
+/// from the caller's layouts, or from kCyclicA/B (slots kATmp/kBTmp) once
+/// CTF's remap has staged them there (`from_cyclic`).
+inline void redistribute_in(Schedule& s, i64 a_elems, i64 b_elems,
+                            bool trans_a, bool trans_b,
+                            bool from_cyclic = false) {
+  s.alloc(kAInit, a_elems);
+  s.alloc(kBInit, b_elems);
+  s.set_phase(simmpi::Phase::kRedistribute);
+  s.redistribute(from_cyclic ? kCyclicA : kUserLayoutA,
+                 from_cyclic ? kATmp : kUserA, kNativeA, kAInit, trans_a);
+  s.redistribute(from_cyclic ? kCyclicB : kUserLayoutB,
+                 from_cyclic ? kBTmp : kUserB, kNativeB, kBInit, trans_b);
+  s.set_phase(kInheritPhase);
+}
+
+/// Paper Alg. 1 step 8, every rank: redistributes the native C block in
+/// `c_slot` to the caller's layout under kRedistribute.
+inline void redistribute_out(Schedule& s, int c_slot) {
+  s.set_phase(simmpi::Phase::kRedistribute);
+  s.redistribute(kNativeC, c_slot, kUserLayoutC, kUserC, false);
+  s.set_phase(kInheritPhase);
+}
+
 /// The body of every algorithm's executor: validates the call, builds the
-/// calling rank's schedule with `build`, binds the caller's operands and
-/// `plan`'s native layouts (plus whatever `io` already holds) and runs it.
+/// calling rank's schedule with the plan's
+/// `build_schedule(plan, rank, anchor, trans_a, trans_b, Schedule&)`, binds
+/// the caller's operands and `plan`'s native layouts (plus whatever `io`
+/// already holds) and runs it.
 ///
 /// Every check depends only on arguments MPI semantics require to be
 /// identical on all ranks, or on this rank's own buffers, and runs before
 /// any communication: a bad input raises the same ca3dmm::Error on every
 /// rank collectively instead of diverging into a hang or a crash.
-template <typename T, typename Plan, typename Build>
+template <typename T, typename Plan>
 void run_plan(simmpi::Comm& world, const Plan& plan, bool trans_a,
               bool trans_b, const BlockLayout& la, const T* a,
               const BlockLayout& lb, const T* b, const BlockLayout& lc, T* c,
-              Build&& build, ScheduleIo<T> io = {}) {
+              ScheduleIo<T> io = {}) {
   CA_REQUIRE(world.valid(), "multiply needs a valid communicator");
   const int P = world.size();
   CA_REQUIRE(P == plan.nranks(), "plan is for %d ranks, comm has %d",
@@ -380,7 +408,7 @@ void run_plan(simmpi::Comm& world, const Plan& plan, bool trans_a,
                "%lld elements",
                me, "ABC"[i], static_cast<long long>(user[i]->local_size(me)));
   Schedule s(sizeof(T));
-  build(s);
+  build_schedule(plan, me, world.machine(), trans_a, trans_b, s);
   const BlockLayout* bound[] = {&la, &lb, &lc, &plan.a_native(),
                                 &plan.b_native(), &plan.c_native()};
   std::copy(std::begin(bound), std::end(bound), io.layouts);

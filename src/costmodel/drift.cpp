@@ -85,16 +85,27 @@ RankStats run_workload(Algo algo, const Workload& w, Cluster& cl) {
   CA_REQUIRE(w.esize == static_cast<i64>(sizeof(double)),
              "run_workload executes doubles, got esize %lld",
              static_cast<long long>(w.esize));
-  // The program predict() replays, run by the algorithm's public executor.
-  const Program pg = program_of(algo, w, cl.nranks(), cl.machine());
+  // The program predict() replays, run by run_plan — the body every public
+  // executor forwards to — with the program's layouts (CTF's cyclic ones
+  // included).
+  const Program pg = program_of(algo, w, cl.nranks());
+  const BlockLayout& la = pg.layouts[kUserLayoutA];
+  const BlockLayout& lb = pg.layouts[kUserLayoutB];
+  const BlockLayout& lc = pg.layouts[kUserLayoutC];
   cl.run([&](Comm& world) {
     const int me = world.rank();
     std::vector<double> a, b;
-    fill_local(pg.layouts[kUserLayoutA], me, 1, a);
-    fill_local(pg.layouts[kUserLayoutB], me, 2, b);
-    std::vector<double> c(
-        static_cast<size_t>(pg.layouts[kUserLayoutC].local_size(me)));
-    pg.execute(world, a.data(), b.data(), c.data());
+    fill_local(la, me, 1, a);
+    fill_local(lb, me, 2, b);
+    std::vector<double> c(static_cast<size_t>(lc.local_size(me)));
+    ScheduleIo<double> io;
+    for (int l = 0; l < kLayoutCount; ++l) io.layouts[l] = &pg.layouts[l];
+    std::visit(
+        [&](const auto& plan) {
+          run_plan(world, plan, false, false, la, a.data(), lb, b.data(), lc,
+                   c.data(), io);
+        },
+        pg.plan);
   });
   return cl.aggregate_stats();
 }

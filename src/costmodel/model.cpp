@@ -51,9 +51,6 @@ struct Group {
   int arrived = 0;  ///< members inside the in-flight collective
   double t0 = 0;    ///< their latest entry clock
   SplitArgs split;  ///< posts to the in-flight split
-  /// Posts (and their count) to each cacheable split taken from PlanComms,
-  /// by sequence: no rendezvous, the children exist once all have posted.
-  std::vector<std::pair<SplitArgs, int>> cached;
   /// Exchange entry clocks per member in program order (member i's n-th
   /// at xtimes[i * xstride + n]): ring peers run the same exchange
   /// sequence, so the n-th exchanges of two members match.
@@ -65,7 +62,6 @@ struct Group {
 struct CommRef {
   int group = -1;  ///< -1: not a member (color < 0)
   int index = 0;
-  bool pending = false;  ///< a cacheable split some member has not reached
 };
 
 /// Per-rank replay state: what RankCtx and TrackedBuffer keep.
@@ -77,7 +73,6 @@ struct RankSim {
   i64 cur = 0, peak = 0;
   i64 bytes[kSlotCount] = {};
   CommRef comm[kCommCount];
-  int cached_splits[kCommCount] = {};
   bool arrived = false;  ///< parked in the op at pc (collective or exchange)
   bool queued = false;
 
@@ -119,23 +114,28 @@ class Replay {
         order_(arena.order),
         ready_(arena.ready) {
     // Every rank's list, back to back in one schedule.
+    const int P = pg.nranks();
     sched_.reset(pg.esize);
-    end_.resize(static_cast<size_t>(pg.nranks));
-    ranks_.assign(static_cast<size_t>(pg.nranks), RankSim{});
+    end_.resize(static_cast<size_t>(P));
+    ranks_.assign(static_cast<size_t>(P), RankSim{});
     ready_.clear();
-    for (int r = 0; r < pg.nranks; ++r) {
-      ranks_[static_cast<size_t>(r)].pc = sched_.ops().size();
-      sched_.next_rank();
-      pg.build(r, sched_);
-      end_[static_cast<size_t>(r)] = sched_.ops().size();
-    }
+    std::visit(
+        [&](const auto& plan) {
+          for (int r = 0; r < P; ++r) {
+            ranks_[static_cast<size_t>(r)].pc = sched_.ops().size();
+            sched_.next_rank();
+            build_schedule(plan, r, anchor_, false, false, sched_);
+            end_[static_cast<size_t>(r)] = sched_.ops().size();
+          }
+        },
+        pg.plan);
     volumes_.reserve(kLayoutCount);
     Group& world = group(new_group(simmpi::CollectiveConfig{}));
-    world.members.resize(static_cast<size_t>(pg.nranks));
+    world.members.resize(static_cast<size_t>(P));
     std::iota(world.members.begin(), world.members.end(), 0);
     seal(world);
     for (size_t r = 0; r < ranks_.size(); ++r)
-      ranks_[r].comm[kWorld] = CommRef{0, static_cast<int>(r), false};
+      ranks_[r].comm[kWorld] = CommRef{0, static_cast<int>(r)};
   }
 
   Prediction run() {
@@ -147,8 +147,8 @@ class Replay {
       advance(r);
     }
     Prediction p;
-    p.grid = pg_.grid;
-    p.active = pg_.active;
+    p.grid = pg_.grid();
+    p.active = pg_.active();
     double lb_max = 0, lb_sum = 0;
     int lb_n = 0;
     for (size_t r = 0; r < ranks_.size(); ++r) {
@@ -192,7 +192,6 @@ class Replay {
     g.arrived = 0;
     g.t0 = 0;
     g.split.clear();
-    g.cached.clear();
     g.xtimes.clear();
     g.xcount.clear();
     g.xstride = 0;
@@ -255,12 +254,6 @@ class Replay {
           if (!exchange(r, op, ph)) return;
           break;
         case OpKind::kSplit:
-          if (warm_ && op.split.cacheable) {
-            if (!cached_split(r, op)) return;
-            break;
-          }
-          if (!collective(r, op)) return;
-          break;
         case OpKind::kRedistribute:
         case OpKind::kAllgatherv:
         case OpKind::kReduceScatter:
@@ -272,14 +265,16 @@ class Replay {
   }
 
   /// simmpi's run_collective: exit = max(entry clocks) + cost. The last
-  /// member to arrive completes the collective for every member.
+  /// member to arrive completes the collective for every member. A warm
+  /// cacheable split (taken from PlanComms) meets at the same point, at no
+  /// cost and without synchronizing clocks.
   bool collective(int r, const Op& op) {
     RankSim& R = ranks_[static_cast<size_t>(r)];
     const int slot = op.kind == OpKind::kRedistribute ? int{kWorld}
                      : op.kind == OpKind::kSplit      ? op.split.parent
                                                       : op.coll.comm;
     const CommRef ref = R.comm[slot];
-    if (ref.pending || R.arrived) return false;
+    if (R.arrived) return false;
     CA_ASSERT(ref.group >= 0);
     R.arrived = true;
     Group& g = group(ref.group);
@@ -303,7 +298,9 @@ class Replay {
   /// Charges every member its wait plus the cost; the others resume at
   /// their next op, `last` (the rank that completed it) continues itself.
   void complete(int gid, const Op& op, int last) {
-    const CollCost cost = price(group(gid), op);
+    const bool cached = warm_ && op.kind == OpKind::kSplit &&
+                        op.split.cacheable;
+    const CollCost cost = cached ? CollCost{} : price(group(gid), op);
     const double exit = group(gid).t0 + cost.t;
     const double share =
         cost.inter_bytes / static_cast<int>(group(gid).members.size());
@@ -312,7 +309,7 @@ class Replay {
     Group& g = group(gid);  // form_children may have grown groups_
     for (const int m : g.members) {
       RankSim& M = ranks_[static_cast<size_t>(m)];
-      const double adv = std::max(0.0, exit - M.clock);
+      const double adv = cached ? 0.0 : std::max(0.0, exit - M.clock);
       M.charge(ph, adv);
       M.inter[ph] += share;
       if (op.budget) M.budget += adv;
@@ -389,32 +386,12 @@ class Replay {
       for (size_t i = lo; i < hi; ++i) {
         const int world = group(gid).members[static_cast<size_t>(order_[i][2])];
         ranks_[static_cast<size_t>(world)].comm[order_[i][3]] =
-            CommRef{id, id < 0 ? 0 : static_cast<int>(i - lo), false};
+            CommRef{id, id < 0 ? 0 : static_cast<int>(i - lo)};
         if (id >= 0) group(id).members.push_back(world);
       }
       if (id >= 0) seal(group(id));
       lo = hi;
     }
-  }
-
-  /// A split taken from PlanComms: no cost, no rendezvous.
-  bool cached_split(int r, const Op& op) {
-    RankSim& R = ranks_[static_cast<size_t>(r)];
-    const CommRef ref = R.comm[op.split.parent];
-    if (ref.pending) return false;
-    Group& g = group(ref.group);
-    const size_t n = static_cast<size_t>(R.cached_splits[op.split.parent]++);
-    if (g.cached.size() <= n) g.cached.resize(n + 1);
-    auto& [args, posts] = g.cached[n];
-    if (args.empty()) args.resize(g.members.size());
-    args[static_cast<size_t>(ref.index)] = {op.split.color, op.split.key,
-                                            op.split.child};
-    R.comm[op.split.child] = CommRef{-1, 0, true};
-    if (++posts == static_cast<int>(g.members.size())) {
-      form_children(ref.group, args);
-      for (const int m : group(ref.group).members) wake(m);
-    }
-    return true;
   }
 
   /// Comm::sendrecv: the receive ends at max(entry, sender's entry) + p2p
@@ -424,7 +401,6 @@ class Replay {
     RankSim& R = ranks_[static_cast<size_t>(r)];
     const Op::Exchange& x = op.exchange;
     const CommRef ref = R.comm[x.comm];
-    if (ref.pending) return false;
     Group& g = group(ref.group);
     if (g.xcount.empty()) {
       // Every member runs as many exchanges on the group as this one has
@@ -510,7 +486,7 @@ Prediction predict(Algo algo, const Workload& w, int P, const Machine& mach) {
 Prediction predict(Algo algo, const Workload& w, int P, const Topology& topo) {
   CA_REQUIRE(P >= 1 && P <= topo.nranks(),
              "predict: P=%d outside [1, %d]", P, topo.nranks());
-  const Program pg = program_of(algo, w, P, topo.machine());
+  const Program pg = program_of(algo, w, P);
   thread_local Arena arena;
   return Replay(pg, topo, w.warm_comms, arena).run();
 }

@@ -24,15 +24,14 @@
 // included.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <optional>
+#include <variant>
 #include <vector>
 
-#include "baselines/cosma_like.hpp"
+#include "baselines/ctf_like.hpp"
+#include "baselines/p25d.hpp"
 #include "baselines/summa.hpp"
-#include "core/plan.hpp"
-#include "core/schedule.hpp"
+#include "core/ca3dmm.hpp"
 #include "simmpi/cluster.hpp"
 
 namespace ca3dmm::costmodel {
@@ -139,31 +138,30 @@ struct Prediction {
   }
 };
 
-/// One multiply of a workload by an algorithm on P ranks: the plan's
-/// per-rank schedule builder, its public executor, and the layouts its
-/// redistribute ops name. predict() replays every rank's schedule;
-/// run_workload (drift.hpp) runs the executor.
+/// One multiply of a workload by an algorithm on P ranks: the plan and the
+/// layouts its redistribute ops name. predict() replays every rank's
+/// build_schedule(plan, ...); run_workload (drift.hpp) executes the plan
+/// with run_plan, the body every public executor forwards to.
 struct Program {
-  int nranks = 0;
+  std::variant<Ca3dmmPlan, CosmaPlan, CtfPlan, SummaPlan, P25dPlan> plan;
   i64 esize = 8;
-  /// Appends world rank r's schedule to a Schedule.
-  std::function<void(int r, Schedule&)> build;
-  /// The algorithm's public executor (ca3dmm_multiply, cosma_multiply, ...)
-  /// on the calling rank's operands in the user layouts, untransposed.
-  std::function<void(simmpi::Comm&, const double* a, const double* b,
-                     double* c)>
-      execute;
   /// Indexed by LayoutId; user layouts share the native ones unless the
   /// workload asks for custom layouts.
   BlockLayout layouts[kLayoutCount];
-  ProcGrid grid{};
-  int active = 0;
+
+  int nranks() const {
+    return std::visit([](const auto& p) { return p.nranks(); }, plan);
+  }
+  ProcGrid grid() const {
+    return std::visit([](const auto& p) { return p.grid(); }, plan);
+  }
+  int active() const {
+    return std::visit([](const auto& p) { return p.active(); }, plan);
+  }
 };
 
-/// The program of `w` under `algo` on P ranks whose anchor machine is
-/// `anchor` (CTF derates its GEMMs by it).
-Program program_of(Algo algo, const Workload& w, int P,
-                   const simmpi::Machine& anchor);
+/// The program of `w` under `algo` on P ranks.
+Program program_of(Algo algo, const Workload& w, int P);
 
 /// Predicts one multiply of `w` by `algo` on P ranks of `mach`
 /// (homogeneous: wraps Topology::homogeneous).

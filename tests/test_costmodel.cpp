@@ -70,7 +70,7 @@ RankStats run_warm(Algo algo, const Workload& w, Cluster& cl) {
   const int P = cl.nranks();
   const Ca3dmmPlan plan = Ca3dmmPlan::make(
       w.m, w.n, w.k, P, costmodel::options_of(w, algo == Algo::kCa3dmmSumma));
-  const costmodel::Program pg = costmodel::program_of(algo, w, P, cl.machine());
+  const costmodel::Program pg = costmodel::program_of(algo, w, P);
   const BlockLayout& la = pg.layouts[kUserLayoutA];
   const BlockLayout& lb = pg.layouts[kUserLayoutB];
   const BlockLayout& lc = pg.layouts[kUserLayoutC];
