@@ -160,8 +160,10 @@ void print_engine_zoo() {
   }
   t.print();
   std::printf(
-      "\n(1-D algorithms shine only on their matching degenerate shape;\n"
-      "CA3DMM's unified view matches the best specialist per class.)\n");
+      "\n(Every run takes 1-D column user layouts. An algorithm converts\n"
+      "only the operands whose native layout differs: 1D-n none of B and C,\n"
+      "CA3DMM on large-K (1x1x16) none of A. Grids are chosen for the\n"
+      "multiply alone, so the layout match decides the small classes.)\n");
 }
 
 void register_benchmarks() {

@@ -19,14 +19,30 @@
 // curves show.
 #pragma once
 
+#include <utility>
+
 #include "baselines/cosma_like.hpp"
 
 namespace ca3dmm {
 
 struct CtfPlan : CosmaPlan {
   static CtfPlan make(i64 m, i64 n, i64 k, int nranks) {
-    return {CosmaPlan::make(m, n, k, nranks, find_grid_ctf(m, n, k, nranks))};
+    return CtfPlan(
+        CosmaPlan::make(m, n, k, nranks, find_grid_ctf(m, n, k, nranks)));
   }
+
+  /// The cyclic layouts of untransposed operands (A as m x k, B as k x n),
+  /// built once by make() like the native layouts.
+  const BlockLayout& a_cyclic() const { return cyclic_a_; }
+  const BlockLayout& b_cyclic() const { return cyclic_b_; }
+
+ private:
+  explicit CtfPlan(CosmaPlan base)
+      : CosmaPlan(std::move(base)),
+        cyclic_a_(BlockLayout::col_1d(m(), k(), nranks())),
+        cyclic_b_(BlockLayout::col_1d(k(), n(), nranks())) {}
+
+  BlockLayout cyclic_a_, cyclic_b_;
 };
 
 /// Appends world rank `rank`'s CTF-like schedule to `s`: remap into the
@@ -43,14 +59,16 @@ void ctf_multiply(simmpi::Comm& world, const CtfPlan& plan, bool trans_a,
                   bool trans_b, const BlockLayout& a_layout, const T* a_local,
                   const BlockLayout& b_layout, const T* b_local,
                   const BlockLayout& c_layout, T* c_local) {
-  const i64 m = plan.m(), n = plan.n(), k = plan.k();
-  const BlockLayout a_cyc = BlockLayout::col_1d(
-      trans_a ? k : m, trans_a ? m : k, plan.nranks());
-  const BlockLayout b_cyc = BlockLayout::col_1d(
-      trans_b ? n : k, trans_b ? k : n, plan.nranks());
+  // A transposed operand is remapped in its stored shape, which the plan's
+  // cached pair does not cover.
+  const int P = plan.nranks();
+  const BlockLayout a_t =
+      trans_a ? BlockLayout::col_1d(plan.k(), plan.m(), P) : BlockLayout();
+  const BlockLayout b_t =
+      trans_b ? BlockLayout::col_1d(plan.n(), plan.k(), P) : BlockLayout();
   ScheduleIo<T> io;
-  io.layouts[kCyclicA] = &a_cyc;
-  io.layouts[kCyclicB] = &b_cyc;
+  io.layouts[kCyclicA] = trans_a ? &a_t : &plan.a_cyclic();
+  io.layouts[kCyclicB] = trans_b ? &b_t : &plan.b_cyclic();
   run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
            b_local, c_layout, c_local, io);
 }

@@ -89,7 +89,8 @@ inline constexpr simmpi::Phase kInheritPhase = simmpi::Phase::kCount;
 enum class OpKind : std::uint8_t {
   kAlloc,          ///< TrackedBuffer of buf.elems elements into buf.slot
   kFree,           ///< release buf.slot
-  kRedistribute,   ///< layout pair over kWorld (staging + alltoallv)
+  kRedistribute,   ///< layout pair over kWorld (staging + alltoallv, or a
+                   ///< local copy when the pair is an identity)
   kSplit,          ///< communicator split (color = group key)
   kAllgatherv,     ///< counts in bytes
   kReduceScatter,  ///< counts in elements

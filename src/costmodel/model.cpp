@@ -230,12 +230,9 @@ class Replay {
         case OpKind::kCopy:
         case OpKind::kMarker:
           break;
-        case OpKind::kScan: {  // Comm::charge_local_work
-          const double bytes = static_cast<double>(op.scan.payload) *
-                               static_cast<double>(esize_);
-          if (bytes > 0) R.charge(ph, bytes / mach.intra_rank_bandwidth());
+        case OpKind::kScan:
+          local_work(R, ph, mach, op.scan.payload);
           break;
-        }
         case OpKind::kCompute: {  // Comm::charge_compute(_overlap_budget)
           const double t = mach.gemm_time(op.compute.flops, op.compute.bytes);
           R.flops += op.compute.flops;
@@ -253,8 +250,15 @@ class Replay {
         case OpKind::kExchange:
           if (!exchange(r, op, ph)) return;
           break;
-        case OpKind::kSplit:
         case OpKind::kRedistribute:
+          if (volume(op.redist).v.identity) {  // a local copy, no alltoallv
+            local_work(R, ph, mach,
+                       pg_.layouts[op.redist.from].local_size(r));
+            break;
+          }
+          if (!collective(r, op)) return;
+          break;
+        case OpKind::kSplit:
         case OpKind::kAllgatherv:
         case OpKind::kReduceScatter:
         case OpKind::kBcast:
@@ -262,6 +266,13 @@ class Replay {
           break;
       }
     }
+  }
+
+  /// Comm::charge_local_work: one scan of `elems` elements.
+  void local_work(RankSim& R, int ph, const Machine& mach, i64 elems) const {
+    const double bytes =
+        static_cast<double>(elems) * static_cast<double>(esize_);
+    if (bytes > 0) R.charge(ph, bytes / mach.intra_rank_bandwidth());
   }
 
   /// simmpi's run_collective: exit = max(entry clocks) + cost. The last

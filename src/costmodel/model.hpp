@@ -8,7 +8,8 @@
 //
 //   * a collective (redistribution alltoallv, split, all-gather,
 //     reduce-scatter, broadcast) ends at its latest member's entry clock
-//     plus its cost;
+//     plus its cost; an identity redistribution is no collective but a
+//     local copy, charged like any local scan;
 //   * a sendrecv's receive ends at max(own entry, the sender's entry) plus
 //     the point-to-point cost, and the op then waits until its peer has
 //     consumed the outgoing message;
@@ -59,7 +60,10 @@ const char* algo_name(Algo a);
 // Version 3: predictions replay the executed schedules, so collectives
 // synchronize at their latest member on uneven shapes too (phase
 // attribution and totals change there; evenly divisible shapes do not).
-inline constexpr int kCostModelVersion = 3;
+// Version 4: an identity conversion (native layouts in and out) is a local
+// copy charged as local work, not a world alltoallv priced at alpha(P-1),
+// and stages no buffers (totals and peaks of native-layout runs fall).
+inline constexpr int kCostModelVersion = 4;
 
 struct Workload {
   i64 m = 0, n = 0, k = 0;

@@ -53,11 +53,13 @@ Program program_of(Algo algo, const Workload& w, int P) {
     case Algo::kCarma:
       pg.plan = CosmaPlan::make_carma(w.m, w.n, w.k, P);
       break;
-    case Algo::kCtf:
-      pg.plan.emplace<CtfPlan>(CtfPlan::make(w.m, w.n, w.k, P));
-      pg.layouts[kCyclicA] = col_1d(w.m, w.k);
-      pg.layouts[kCyclicB] = col_1d(w.k, w.n);
+    case Algo::kCtf: {
+      const CtfPlan& plan =
+          pg.plan.emplace<CtfPlan>(CtfPlan::make(w.m, w.n, w.k, P));
+      pg.layouts[kCyclicA] = plan.a_cyclic();
+      pg.layouts[kCyclicB] = plan.b_cyclic();
       break;
+    }
     case Algo::kSumma:  // forced grids give (pr, pc) as (pm, pn)
       pg.plan = SummaPlan::make(
           w.m, w.n, w.k, P, force_pair(w, w.force_grid ? w.force_grid->pn : 0));

@@ -147,7 +147,7 @@ PgemmEngine::Entry& PgemmEngine::lookup(const PlanKey& key) {
       build_opt.overlap = te->config.overlap;
       e.tuned = true;
       e.tkey = te->key;
-      e.tuned_validated_s = te->validated_s;
+      e.tuned_work_s = te->validated_work_s;
       ++stats_.tuned_plans;
       simmpi::trace_marker("engine:plan tuned");
     } else if (tunable && cfg_.tune_on_miss && world_.rank() == 0) {
@@ -220,7 +220,12 @@ void PgemmEngine::execute(Entry& entry, const Request<T>& req) {
   PoolScope scope(&pool_);
   const bool observe =
       entry.tuned && cfg_.tuned_stale_rtol > 0 && cfg_.tuning_db != nullptr;
-  const double t0 = observe ? world_.now() : 0;
+  // This rank's clock outside Phase::kRedistribute (see tuned_stale_rtol).
+  const auto work_clock = [&] {
+    return world_.now() - simmpi::current_ctx()->stats.phase(
+                              simmpi::Phase::kRedistribute);
+  };
+  const double w0 = observe ? work_clock() : 0;
   try {
     ca3dmm_multiply<T>(world_, entry.plan, entry.comms, req.trans_a,
                        req.trans_b, *req.a_layout, req.a, *req.b_layout,
@@ -244,12 +249,14 @@ void PgemmEngine::execute(Entry& entry, const Request<T>& req) {
   }
   ++stats_.requests;
   if (observe) {
-    // Executed-drift feedback (EngineConfig::tuned_stale_rtol): rank 0's
-    // measurement is broadcast so the staleness decision — which mutates
-    // shared cache state — is bit-identical on every rank.
-    double executed_s = world_.now() - t0;
-    world_.bcast(&executed_s, 1, 0);
-    const double ref = entry.tuned_validated_s;
+    // Executed-drift feedback (EngineConfig::tuned_stale_rtol): the max
+    // over ranks, like the tuner's, is the same on every rank, so the
+    // staleness decision — which mutates shared cache state — is too.
+    const double mine = work_clock() - w0;
+    std::vector<double> all(static_cast<size_t>(world_.size()));
+    world_.allgather(&mine, 1, all.data());
+    const double executed_s = *std::max_element(all.begin(), all.end());
+    const double ref = entry.tuned_work_s;
     if (ref > 0 && std::abs(executed_s - ref) / ref > cfg_.tuned_stale_rtol) {
       const PlanKey key = entry.key;          // entry dies with the erase
       const tuner::TuningKey tkey = entry.tkey;

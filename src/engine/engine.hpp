@@ -92,16 +92,17 @@ struct EngineConfig {
   /// can tune it; the miss itself still runs on the heuristic.
   bool tune_on_miss = false;
   /// > 0 enables executed-drift feedback: after each multiply that ran a
-  /// tuned config, rank 0's executed vtime is broadcast and compared
-  /// against the entry's validated vtime; past this relative threshold the
-  /// key is marked stale in the DB (and re-tune requested under
-  /// tune_on_miss), the snapshot entry is disabled, and the cached plan
-  /// dropped — the next request falls back to the heuristic. Costs one
-  /// 8-byte broadcast per tuned multiply, so it is off (0) by default and
-  /// must stay off where quoted vtimes are exactness-gated (the service
-  /// layer). Executed time is a clock delta, so enable it only for
-  /// back-to-back streams on native layouts; skewed entry clocks inflate
-  /// the measurement.
+  /// tuned config, its time outside Phase::kRedistribute (max over ranks)
+  /// is compared against the entry's validated_work_s. Layouts are not part
+  /// of the tuning key, so the request's conversions are left out on both
+  /// sides. Past this relative threshold the key is marked stale in the DB
+  /// (and re-tune requested under tune_on_miss), the snapshot entry is
+  /// disabled, and the cached plan dropped — the next request falls back to
+  /// the heuristic. Costs one 8-byte allgather per tuned multiply, so it is
+  /// off (0) by default and must stay off where quoted vtimes are
+  /// exactness-gated (the service layer). Executed time is a clock delta,
+  /// so enable it only for back-to-back streams; skewed entry clocks
+  /// inflate the measurement.
   double tuned_stale_rtol = 0;
 };
 
@@ -234,7 +235,7 @@ class PgemmEngine {
     i64 splits_per_call = 0;  ///< one-shot splits this rank avoids per hit
     bool tuned = false;       ///< plan built from a tuning-DB entry
     tuner::TuningKey tkey{};  ///< the entry's key (valid when tuned)
-    double tuned_validated_s = 0;  ///< drift-feedback reference vtime
+    double tuned_work_s = 0;  ///< drift-feedback reference: validated_work_s
   };
 
   /// Returns the cache entry for the key, building plan + comms on a miss

@@ -81,6 +81,14 @@ void redistribute(simmpi::Comm& comm, const BlockLayout& src,
     CA_REQUIRE(dst.rows() == src.rows() && dst.cols() == src.cols(),
                "redistribution needs matching dimensions");
 
+  if (is_identity(src, dst, transpose)) {
+    const i64 n = src.local_size(me);
+    std::copy_n(src_local, n, dst_local);
+    comm.charge_local_work(static_cast<double>(n) * sizeof(T),
+                           "redistribute:copy");
+    return;
+  }
+
   const i64 esize = static_cast<i64>(sizeof(T));
   const auto src_base = rect_bases(src, me);
   const auto dst_base = rect_bases(dst, me);
@@ -160,12 +168,8 @@ RedistVolume redistribution_volume(const BlockLayout& src,
   v.recv_bytes.assign(static_cast<size_t>(P), 0);
   v.send_staging_bytes.assign(static_cast<size_t>(P), 0);
   v.recv_staging_bytes.assign(static_cast<size_t>(P), 0);
-  if (!transpose && src == dst) {
-    // Identity conversion: everything stays local.
-    for (int r = 0; r < P; ++r) {
-      v.send_staging_bytes[static_cast<size_t>(r)] = src.local_size(r) * esize;
-      v.recv_staging_bytes[static_cast<size_t>(r)] = src.local_size(r) * esize;
-    }
+  if (is_identity(src, dst, transpose)) {  // a local copy: nothing staged
+    v.identity = true;
     return v;
   }
   // Every segment is a send of its source rank and a receive of its peer.

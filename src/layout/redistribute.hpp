@@ -27,6 +27,15 @@
 
 namespace ca3dmm {
 
+/// True iff converting `src` to `dst` moves nothing: every element stays at
+/// the same offset of the same rank. Depends only on the layouts (equal
+/// content suffices, not the same handle), which MPI semantics make
+/// identical on every rank, so every rank agrees on it.
+inline bool is_identity(const BlockLayout& src, const BlockLayout& dst,
+                        bool transpose) {
+  return !transpose && src == dst;
+}
+
 /// Redistributes `src_local` (this rank's data under `src`) into `dst_local`
 /// (sized dst.local_size(rank)) under `dst`.
 ///
@@ -34,7 +43,10 @@ namespace ca3dmm {
 /// space: dst.rows() == src.cols() and dst.cols() == src.rows(), and global
 /// source element (i, j) lands at destination element (j, i).
 ///
-/// Collective over `comm`; src and dst must both span comm.size() ranks.
+/// Collective over `comm`; src and dst must both span comm.size() ranks. An
+/// identity conversion (is_identity) is a plain local copy instead: no
+/// staging, no alltoallv, no rendezvous, charged as one local scan of the
+/// rank's bytes (Comm::charge_local_work).
 template <typename T>
 void redistribute(simmpi::Comm& comm, const BlockLayout& src,
                   const T* src_local, const BlockLayout& dst, T* dst_local,
@@ -61,8 +73,10 @@ std::vector<RedistSegment> redistribution_segments(const BlockLayout& src,
 /// Byte volumes a redistribution would move. `max_*` exclude data that stays
 /// on its rank (no network traffic — matches the engine's all-to-all time
 /// charge); the per-rank staging sizes include it (the engine packs self
-/// segments through the same buffers — matters for memory accounting).
+/// segments through the same buffers — matters for memory accounting). An
+/// identity conversion sets `identity` and stages nothing.
 struct RedistVolume {
+  bool identity = false;   ///< is_identity: a local copy, no alltoallv
   i64 max_send_bytes = 0;  ///< max over ranks, self excluded
   i64 max_recv_bytes = 0;  ///< max over ranks, self excluded
   std::vector<i64> send_bytes;  ///< per rank, self excluded (wire traffic)

@@ -164,10 +164,10 @@ double PgemmService::dispatch(const ServiceRequest& r, double* predicted_out) {
   engine_.submit(reqs);
   const double dt = world_.now() - t0;
 
-  // Executed vtime = max over ranks of the clock delta. The final
-  // redistribution is a world collective, so exits are equalized and every
-  // rank computes the same value; the allgather below is service overhead,
-  // charged after the measurement window.
+  // Executed vtime = max over ranks of the clock delta. Native layouts
+  // convert by local copies, so ranks leave the batch at different clocks;
+  // the allgather below gives every rank the same maximum. It is service
+  // overhead, charged after the measurement window.
   std::vector<double> deltas(static_cast<size_t>(world_.size()));
   world_.allgather(&dt, 1, deltas.data());
   return *std::max_element(deltas.begin(), deltas.end());

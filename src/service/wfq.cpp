@@ -1,8 +1,23 @@
 #include "service/wfq.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/error.hpp"
 
 namespace ca3dmm::service {
+
+namespace {
+
+/// a's finish tag is smaller than b's by more than rounding. Tags of equal
+/// value reached along different tenants' chains (16 items of cost c at
+/// weight 1 against 64 of cost c at weight 4) differ in their last bits,
+/// and such a tie must go to the lower tenant id, not to the rounding.
+bool tag_less(double a, double b) {
+  return a < b - 1e-9 * std::max(std::abs(a), std::abs(b));
+}
+
+}  // namespace
 
 void WfqScheduler::add_tenant(int tenant, double weight, int priority_class) {
   CA_REQUIRE(weight > 0, "WFQ tenant %d needs weight > 0, got %g", tenant,
@@ -44,12 +59,11 @@ std::optional<WfqScheduler::Pick> WfqScheduler::pick(double now_s) {
         now_s - head.enqueued_s > starvation_bound_s_)
       cls = 0;  // aged past the bound: competes with the top class
     // Lexicographic (class, finish tag, tenant id): deterministic on every
-    // rank regardless of map sizes or float ties.
+    // rank regardless of map sizes or float ties. Tenants are visited in
+    // ascending id, so a tie keeps the earlier (lower) one.
     if (!best_t || cls < best_class ||
         (cls == best_class &&
-         (head.finish_tag < best_t->q.front().finish_tag ||
-          (head.finish_tag == best_t->q.front().finish_tag &&
-           tid < best_tenant)))) {
+         tag_less(head.finish_tag, best_t->q.front().finish_tag))) {
       best_t = &t;
       best_tenant = tid;
       best_class = cls;

@@ -509,7 +509,7 @@ void Comm::charge_compute_overlap_budget(double flops, double bytes,
   ctx->clock += adv;
 }
 
-void Comm::charge_local_work(double bytes) {
+void Comm::charge_local_work(double bytes, const char* name) {
   if (bytes <= 0) return;
   RankCtx* ctx = current_ctx();
   const double t =
@@ -520,7 +520,7 @@ void Comm::charge_local_work(double bytes) {
     r.phase = ctx->cur_phase;
     r.t0 = ctx->clock;
     r.t1 = ctx->clock + t;
-    r.name = "local-scan";
+    r.name = name;
     ctx->trace.push_back(r);
   }
   ctx->charge(t);

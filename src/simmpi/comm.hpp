@@ -170,9 +170,10 @@ class Comm {
   /// Charges memory-bandwidth-bound local processing of `bytes` bytes (one
   /// linear scan at the machine's per-rank intra-node bandwidth) to the
   /// current phase. Used for work that is neither a GEMM nor communication
-  /// — e.g. ABFT checksum encode/decode scans. The cost model mirrors this
-  /// charge at the same program points.
-  void charge_local_work(double bytes);
+  /// — e.g. ABFT checksum encode/decode scans, or the local copy an identity
+  /// redistribution makes. `name` labels its trace record. The cost model
+  /// mirrors this charge at the same program points.
+  void charge_local_work(double bytes, const char* name = "local-scan");
   /// Virtual cost of this rank's most recent communication operation.
   double last_op_cost() const;
   /// Selects the phase subsequent charges accumulate to.

@@ -60,7 +60,10 @@ struct Machine {
   /// congestion), and the paper's redistribution subroutine "does not have
   /// other optimizations" (§III-F). These factors inflate the latency and
   /// bandwidth terms of t_alltoallv for multi-node groups; they are what
-  /// make the Fig. 3b/3c "custom layout" conversion cost visible.
+  /// make the Fig. 3b/3c "custom layout" conversion cost visible. They
+  /// price non-identity conversions only: an identity conversion (native
+  /// layouts in and out, layout/redistribute.hpp is_identity) is a local
+  /// copy and runs no alltoallv.
   double alltoallv_alpha_factor = 8.0;
   double alltoallv_beta_factor = 4.0;
 

@@ -197,8 +197,8 @@ std::string TuningDb::serialize() const {
   for (const TuningEntry& e : es) {
     out += strprintf(
         "%d %d %d %d %d %d topo %llu rep %lld %lld %lld grid %d %d %d "
-        "coll %s %s %s %s %lld ov %d pred %.17g valid %.17g base %.17g "
-        "pruned %lld validated %lld stale %d\n",
+        "coll %s %s %s %s %lld ov %d pred %.17g valid %.17g work %.17g "
+        "base %.17g pruned %lld validated %lld stale %d\n",
         e.key.qm, e.key.qn, e.key.qk, e.key.nranks, e.key.ranks_per_node,
         e.key.gpu ? 1 : 0, static_cast<unsigned long long>(e.key.topo),
         static_cast<long long>(e.rep_m),
@@ -209,7 +209,8 @@ std::string TuningDb::serialize() const {
         coll_algo_token(e.config.coll.bcast),
         coll_algo_token(e.config.coll.allreduce),
         static_cast<long long>(e.config.coll.small_message_bytes),
-        e.config.overlap ? 1 : 0, e.predicted_s, e.validated_s, e.baseline_s,
+        e.config.overlap ? 1 : 0, e.predicted_s, e.validated_s,
+        e.validated_work_s, e.baseline_s,
         static_cast<long long>(e.candidates_pruned),
         static_cast<long long>(e.candidates_validated), e.stale ? 1 : 0);
   }
@@ -261,13 +262,14 @@ bool TuningDb::deserialize(const std::string& blob, const char* warn) {
     const int got = std::sscanf(
         line.c_str(),
         "%d %d %d %d %d %d topo %llu rep %lld %lld %lld grid %d %d %d "
-        "coll %15s %15s %15s %15s %lld ov %d pred %lg valid %lg base %lg "
-        "pruned %lld validated %lld stale %d",
+        "coll %15s %15s %15s %15s %lld ov %d pred %lg valid %lg work %lg "
+        "base %lg pruned %lld validated %lld stale %d",
         &e.key.qm, &e.key.qn, &e.key.qk, &e.key.nranks, &e.key.ranks_per_node,
         &gpu, &topo, &rm, &rn, &rk, &e.config.grid.pm, &e.config.grid.pn,
         &e.config.grid.pk, ag, rs, bc, ar, &smb, &ov, &e.predicted_s,
-        &e.validated_s, &e.baseline_s, &pruned, &validated, &stale);
-    if (got != 25 || !parse_coll_algo(ag, &e.config.coll.allgather) ||
+        &e.validated_s, &e.validated_work_s, &e.baseline_s, &pruned,
+        &validated, &stale);
+    if (got != 26 || !parse_coll_algo(ag, &e.config.coll.allgather) ||
         !parse_coll_algo(rs, &e.config.coll.reduce_scatter) ||
         !parse_coll_algo(bc, &e.config.coll.bcast) ||
         !parse_coll_algo(ar, &e.config.coll.allreduce)) {

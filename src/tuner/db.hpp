@@ -103,6 +103,12 @@ struct TuningEntry {
   /// Executed virtual time of the winner's traced validation run; 0 when
   /// the tuner ran in predict-only mode (TunerOptions::validate = false).
   double validated_s = 0;
+  /// The same run's time outside Phase::kRedistribute, max over ranks: the
+  /// part of a multiply the tuned config decides. Layouts are not part of
+  /// the key, so the engine's drift feedback compares against this rather
+  /// than validated_s, which includes the native layouts' conversions. 0
+  /// when not validated.
+  double validated_work_s = 0;
   /// Executed (or, in predict-only mode, predicted) vtime of the auto
   /// heuristic baseline the winner was required to beat-or-match.
   double baseline_s = 0;
@@ -176,7 +182,7 @@ class TuningDb {
   const std::string& path() const { return path_; }
 
   // Version 2: TuningKey carries the topology signature.
-  static constexpr int kSchemaVersion = 2;
+  static constexpr int kSchemaVersion = 3;
 
  private:
   void fire(const TuningEntry& entry);  ///< call without holding mu_

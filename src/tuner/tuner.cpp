@@ -12,6 +12,7 @@ using costmodel::Workload;
 using simmpi::CollAlgo;
 using simmpi::CollectiveConfig;
 using simmpi::Cluster;
+using simmpi::Phase;
 
 costmodel::Workload tuned_workload(i64 m, i64 n, i64 k,
                                    const TunedConfig& cfg, i64 min_kblk) {
@@ -120,6 +121,10 @@ TuneResult Tuner::tune(i64 m, i64 n, i64 k, int nranks) const {
         DriftOptions{opt_.drift_rtol, 1e-12});
     f.validated = true;
     f.validated_s = rep.total.executed_s;
+    for (int r = 0; r < nranks; ++r)
+      f.validated_work_s = std::max(
+          f.validated_work_s,
+          cl.stats(r).vtime - cl.stats(r).phase(Phase::kRedistribute));
     f.drift_ok = rep.ok();
   }
   res.candidates_validated =
@@ -150,6 +155,7 @@ TuneResult Tuner::tune(i64 m, i64 n, i64 k, int nranks) const {
   res.entry.config = finalists[win].config;
   res.entry.predicted_s = finalists[win].predicted_s;
   res.entry.validated_s = finalists[win].validated_s;
+  res.entry.validated_work_s = finalists[win].validated_work_s;
   res.entry.baseline_s = res.heuristic_s;
   res.entry.candidates_pruned = res.candidates_pruned;
   res.entry.candidates_validated = res.candidates_validated;

@@ -55,6 +55,7 @@ struct CandidateReport {
   TunedConfig config{};
   double predicted_s = 0;
   double validated_s = 0;  ///< 0 = pruned before validation
+  double validated_work_s = 0;  ///< TuningEntry::validated_work_s
   bool validated = false;
   bool drift_ok = true;    ///< meaningful only when validated
 };

@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "core/ca3dmm.hpp"
 #include "core/hetero.hpp"
+#include "layout/redistribute.hpp"
 #include "costmodel/drift.hpp"
 #include "simmpi/cluster.hpp"
 
@@ -358,6 +359,149 @@ TEST(CostModel, CommunicationLowerBoundRespected) {
   // for a cubic problem: check the plan-level value instead of timing.
   const Ca3dmmPlan plan = Ca3dmmPlan::make(49152, 49152, 49152, 4096);
   EXPECT_LT(plan.comm_volume_per_rank(), 1.35 * plan.volume_lower_bound());
+}
+
+// ---- identity conversions: native layouts in and out ----
+
+/// One CA3DMM multiply under `plan` with user layouts la/lb/lc, on one
+/// fiber worker (so host counters are deterministic).
+struct LayoutRun {
+  i64 cluster_locks = 0;          ///< Cluster::mu_ acquisitions
+  double redist_bytes_sent = 0;   ///< summed over ranks
+  std::vector<double> c;          ///< C gathered into global row-major order
+};
+
+LayoutRun run_layouts(const Ca3dmmPlan& plan, const BlockLayout& la,
+                      const BlockLayout& lb, const BlockLayout& lc) {
+  const int P = plan.nranks();
+  const auto local_of = [](const BlockLayout& l, int r, std::uint64_t seed) {
+    std::vector<double> v;
+    for (const Rect& rc : l.rects_of(r))
+      for (i64 i = rc.r.lo; i < rc.r.hi; ++i)
+        for (i64 j = rc.c.lo; j < rc.c.hi; ++j)
+          v.push_back(matrix_entry<double>(seed, i, j));
+    return v;
+  };
+  std::vector<std::vector<double>> cs(static_cast<size_t>(P));
+  Cluster cl(P, small_nodes());
+  cl.set_fiber_workers(1);
+  cl.run([&](Comm& world) {
+    const int me = world.rank();
+    const std::vector<double> a = local_of(la, me, 1), b = local_of(lb, me, 2);
+    std::vector<double>& c = cs[static_cast<size_t>(me)];
+    c.resize(static_cast<size_t>(lc.local_size(me)));
+    ca3dmm_multiply<double>(world, plan, false, false, la, a.data(), lb,
+                            b.data(), lc, c.data());
+  });
+  LayoutRun out;
+  out.cluster_locks =
+      cl.host_profile().lock(simmpi::LockClass::kCluster).acquired;
+  out.c.resize(static_cast<size_t>(plan.m() * plan.n()));
+  for (int r = 0; r < P; ++r) {
+    out.redist_bytes_sent += cl.stats(r).bytes_sent(simmpi::Phase::kRedistribute);
+    i64 pos = 0;
+    for (const Rect& rc : lc.rects_of(r))
+      for (i64 i = rc.r.lo; i < rc.r.hi; ++i)
+        for (i64 j = rc.c.lo; j < rc.c.hi; ++j)
+          out.c[static_cast<size_t>(i * plan.n() + j)] =
+              cs[static_cast<size_t>(r)][static_cast<size_t>(pos++)];
+  }
+  return out;
+}
+
+/// Cluster::mu_ acquisitions one world alltoallv adds to a run on P ranks.
+i64 locks_per_conversion(int P) {
+  const BlockLayout row = BlockLayout::row_1d(24, 24, P);
+  const BlockLayout col = BlockLayout::col_1d(24, 24, P);
+  const auto locks = [&](bool convert) {
+    Cluster cl(P, small_nodes());
+    cl.set_fiber_workers(1);
+    cl.run([&](Comm& c) {
+      if (!convert) return;
+      std::vector<double> in(static_cast<size_t>(row.local_size(c.rank())));
+      std::vector<double> out(static_cast<size_t>(col.local_size(c.rank())));
+      redistribute<double>(c, row, in.data(), col, out.data());
+    });
+    return cl.host_profile().lock(simmpi::LockClass::kCluster).acquired;
+  };
+  return locks(true) - locks(false);
+}
+
+TEST(IdentityConversion, NativeLayoutsSkipTheThreeWorldRendezvous) {
+  const int P = 12;
+  const Ca3dmmPlan plan = Ca3dmmPlan::make(96, 80, 112, P);
+  const BlockLayout ca = BlockLayout::col_1d(96, 112, P);
+  const BlockLayout cb = BlockLayout::col_1d(112, 80, P);
+  const BlockLayout cc = BlockLayout::col_1d(96, 80, P);
+  ASSERT_FALSE(is_identity(ca, plan.a_native(), false));
+  ASSERT_FALSE(is_identity(cb, plan.b_native(), false));
+  ASSERT_FALSE(is_identity(plan.c_native(), cc, false));
+  const LayoutRun native =
+      run_layouts(plan, plan.a_native(), plan.b_native(), plan.c_native());
+  const LayoutRun custom = run_layouts(plan, ca, cb, cc);
+  const i64 per_conversion = locks_per_conversion(P);
+  ASSERT_GT(per_conversion, 0);
+  EXPECT_EQ(custom.cluster_locks - native.cluster_locks, 3 * per_conversion);
+  EXPECT_EQ(native.redist_bytes_sent, 0);
+  // The local copies move C exactly as the alltoallv does: bit for bit.
+  EXPECT_EQ(native.c, custom.c);
+}
+
+TEST(IdentityConversion, OnlyTheCustomOperandConverts) {
+  const int P = 12;
+  const Ca3dmmPlan plan = Ca3dmmPlan::make(96, 80, 112, P);
+  const BlockLayout cb = BlockLayout::col_1d(112, 80, P);
+  ASSERT_FALSE(is_identity(cb, plan.b_native(), false));
+  const LayoutRun native =
+      run_layouts(plan, plan.a_native(), plan.b_native(), plan.c_native());
+  const LayoutRun mixed =
+      run_layouts(plan, plan.a_native(), cb, plan.c_native());
+  EXPECT_EQ(mixed.cluster_locks - native.cluster_locks,
+            locks_per_conversion(P));
+  const RedistVolume v =
+      redistribution_volume(cb, plan.b_native(), false, sizeof(double));
+  double b_bytes = 0;
+  for (const i64 sent : v.send_bytes) b_bytes += static_cast<double>(sent);
+  EXPECT_GT(b_bytes, 0);
+  EXPECT_EQ(mixed.redist_bytes_sent, b_bytes);
+  EXPECT_EQ(mixed.c, native.c);
+}
+
+TEST(IdentityConversion, ExecutorAndPredictChargeTheSame) {
+  // Native layouts: each identity conversion is one local scan of the
+  // rank's bytes on both sides, and stages no buffer.
+  const Machine mach = small_nodes();
+  const Workload w{96, 80, 112};
+  const int P = 16;
+  for (const Algo algo : {Algo::kCa3dmm, Algo::kCa3dmmSumma, Algo::kCosma,
+                          Algo::kCarma, Algo::kCtf, Algo::kSumma,
+                          Algo::kP25d}) {
+    SCOPED_TRACE(describe(algo, w, P));
+    Cluster cl(P, mach);
+    costmodel::run_workload(algo, w, cl);
+    const Prediction pred = costmodel::predict(algo, w, P, mach);
+    const simmpi::Phase redist = simmpi::Phase::kRedistribute;
+    double exec_redist = 0;
+    i64 exec_peak = 0;
+    for (int r = 0; r < P; ++r) {
+      exec_redist = std::max(exec_redist, cl.stats(r).phase(redist));
+      exec_peak = std::max(exec_peak, cl.stats(r).peak_bytes);
+    }
+    EXPECT_NEAR(pred.phase(redist), exec_redist, 1e-12 * exec_redist);
+    EXPECT_EQ(pred.peak_bytes, exec_peak);
+    if (algo != Algo::kCa3dmm) continue;
+    // CA3DMM's three conversions are all local: A, B and C, once each.
+    const costmodel::Program pg = costmodel::program_of(algo, w, P);
+    double want = 0;
+    for (int r = 0; r < P; ++r) {
+      const i64 elems = pg.layouts[kNativeA].local_size(r) +
+                        pg.layouts[kNativeB].local_size(r) +
+                        pg.layouts[kNativeC].local_size(r);
+      want = std::max(want, static_cast<double>(elems) * 8 /
+                                mach.intra_rank_bandwidth());
+    }
+    EXPECT_NEAR(exec_redist, want, 1e-12 * want);
+  }
 }
 
 }  // namespace

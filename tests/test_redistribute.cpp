@@ -3,7 +3,9 @@
 // search against an all-pairs oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -275,10 +277,17 @@ std::vector<RedistSegment> dense_segments(const BlockLayout& src,
 }
 
 /// redistribution_volume as the all-pairs loop over (source, destination).
+/// A conversion that leaves every rank its own rects in order, untransposed,
+/// is a local copy: it stages nothing.
 RedistVolume dense_volume(const BlockLayout& src, const BlockLayout& dst,
                           bool transpose, i64 esize) {
   const size_t P = static_cast<size_t>(src.nranks());
   RedistVolume v;
+  v.identity = !transpose && src.rows() == dst.rows() &&
+               src.cols() == dst.cols();
+  for (size_t r = 0; v.identity && r < P; ++r)
+    v.identity = std::ranges::equal(src.rects_of(static_cast<int>(r)),
+                                     dst.rects_of(static_cast<int>(r)));
   v.send_bytes.assign(P, 0);
   v.recv_bytes.assign(P, 0);
   v.send_staging_bytes.assign(P, 0);
@@ -288,8 +297,10 @@ RedistVolume dense_volume(const BlockLayout& src, const BlockLayout& dst,
          dense_segments(src, dst, transpose, static_cast<int>(s), true)) {
       const size_t d = static_cast<size_t>(sg.peer);
       const i64 bytes = sg.r.size() * esize;
-      v.send_staging_bytes[s] += bytes;
-      v.recv_staging_bytes[d] += bytes;
+      if (!v.identity) {
+        v.send_staging_bytes[s] += bytes;
+        v.recv_staging_bytes[d] += bytes;
+      }
       if (s == d) continue;
       v.send_bytes[s] += bytes;
       v.recv_bytes[d] += bytes;
@@ -322,6 +333,7 @@ void expect_matches_oracle(const BlockLayout& src, const BlockLayout& dst,
     }
   const RedistVolume got = redistribution_volume(src, dst, transpose, 8);
   const RedistVolume want = dense_volume(src, dst, transpose, 8);
+  EXPECT_EQ(got.identity, want.identity);
   EXPECT_EQ(got.max_send_bytes, want.max_send_bytes);
   EXPECT_EQ(got.max_recv_bytes, want.max_recv_bytes);
   EXPECT_EQ(got.send_bytes, want.send_bytes);
@@ -464,6 +476,108 @@ TEST(RedistributePeers, GuillotineLayoutsRoundTrip) {
     ASSERT_TRUE(dst.covers_exactly());
     roundtrip(src, dst, P, transpose);
   }
+}
+
+// ---- identity conversions: a local copy, no rendezvous ----
+
+/// Runs `body` on P ranks of `mach` on one fiber worker and returns the
+/// cluster.
+std::unique_ptr<Cluster> run_one_worker(int P, const Machine& mach,
+                                        const std::function<void(Comm&)>& body) {
+  auto cl = std::make_unique<Cluster>(P, mach);
+  cl->set_fiber_workers(1);
+  cl->run(body);
+  return cl;
+}
+
+i64 cluster_locks(const Cluster& cl) {
+  return cl.host_profile().lock(simmpi::LockClass::kCluster).acquired;
+}
+
+TEST(RedistributeIdentity, LocalCopyWithoutRendezvousOrStaging) {
+  const int P = 6;
+  const Machine mach = Machine::unit_test();
+  const BlockLayout l = BlockLayout::grid_2d(13, 9, 3, 2);
+  ASSERT_TRUE(is_identity(l, l, false));
+  ASSERT_TRUE(redistribution_volume(l, l, false, 8).identity);
+  const i64 idle = cluster_locks(*run_one_worker(P, mach, [](Comm&) {}));
+  const auto cl = run_one_worker(P, mach, [&](Comm& c) {
+    std::vector<double> in, out(static_cast<size_t>(l.local_size(c.rank())));
+    fill_local(l, c.rank(), 42, in);
+    redistribute<double>(c, l, in.data(), l, out.data());
+    check_local(l, c.rank(), 42, out, false);
+  });
+  // No collective: the Cluster lock is taken no more often than by a run
+  // that does nothing.
+  EXPECT_EQ(cluster_locks(*cl), idle);
+  for (int r = 0; r < P; ++r) {
+    const simmpi::RankStats& s = cl->stats(r);
+    // One scan of the rank's bytes, as Comm::charge_local_work prices it.
+    EXPECT_EQ(s.vtime, static_cast<double>(l.local_size(r)) * 8 /
+                           mach.intra_rank_bandwidth())
+        << "rank " << r;
+    EXPECT_EQ(s.peak_bytes, 0) << "rank " << r;  // nothing staged
+    EXPECT_EQ(s.total_bytes_sent(), 0) << "rank " << r;
+  }
+  // A real conversion of the same matrix rendezvouses.
+  const BlockLayout col = BlockLayout::col_1d(13, 9, P);
+  const auto conv = run_one_worker(P, mach, [&](Comm& c) {
+    std::vector<double> in, out(static_cast<size_t>(col.local_size(c.rank())));
+    fill_local(l, c.rank(), 42, in);
+    redistribute<double>(c, l, in.data(), col, out.data());
+  });
+  EXPECT_GT(cluster_locks(*conv), idle);
+}
+
+TEST(RedistributeIdentity, EqualContentHandlesTakeTheIdentityBranch) {
+  // Two handles built separately share no storage but own the same rects in
+  // the same order: still a local copy.
+  const BlockLayout a = BlockLayout::row_1d(8, 8, 4);
+  const BlockLayout b = BlockLayout::row_1d(8, 8, 4);
+  EXPECT_TRUE(is_identity(a, b, false));
+  EXPECT_TRUE(redistribution_volume(a, b, false, 8).identity);
+  const i64 idle =
+      cluster_locks(*run_one_worker(4, Machine::unit_test(), [](Comm&) {}));
+  const auto cl = run_one_worker(4, Machine::unit_test(), [&](Comm& c) {
+    std::vector<double> in, out(static_cast<size_t>(b.local_size(c.rank())));
+    fill_local(a, c.rank(), 7, in);
+    redistribute<double>(c, a, in.data(), b, out.data());
+    check_local(b, c.rank(), 7, out, false);
+  });
+  EXPECT_EQ(cluster_locks(*cl), idle);
+
+  // The same rects in another order put elements at other local offsets:
+  // not an identity, and the conversion reorders them.
+  BlockLayout fwd(6, 6, 2), rev(6, 6, 2);
+  fwd.add_rect(0, {{0, 3}, {0, 6}});
+  fwd.add_rect(0, {{3, 6}, {0, 3}});
+  fwd.add_rect(1, {{3, 6}, {3, 6}});
+  rev.add_rect(0, {{3, 6}, {0, 3}});
+  rev.add_rect(0, {{0, 3}, {0, 6}});
+  rev.add_rect(1, {{3, 6}, {3, 6}});
+  EXPECT_FALSE(is_identity(fwd, rev, false));
+  EXPECT_FALSE(redistribution_volume(fwd, rev, false, 8).identity);
+  roundtrip(fwd, rev, 2);
+}
+
+TEST(RedistributeIdentity, TransposedIdentityStillConverts) {
+  // A square layout onto itself, transposed, moves every off-diagonal
+  // block: it takes the alltoallv.
+  const int P = 4;
+  const BlockLayout l = BlockLayout::grid_2d(8, 8, 2, 2);
+  EXPECT_FALSE(is_identity(l, l, true));
+  const RedistVolume v = redistribution_volume(l, l, true, 8);
+  EXPECT_FALSE(v.identity);
+  EXPECT_GT(v.max_send_bytes, 0);
+  const i64 idle =
+      cluster_locks(*run_one_worker(P, Machine::unit_test(), [](Comm&) {}));
+  const auto cl = run_one_worker(P, Machine::unit_test(), [&](Comm& c) {
+    std::vector<double> in, out(static_cast<size_t>(l.local_size(c.rank())));
+    fill_local(l, c.rank(), 3, in);
+    redistribute<double>(c, l, in.data(), l, out.data(), /*transpose=*/true);
+    check_local(l, c.rank(), 3, out, /*transposed=*/true);
+  });
+  EXPECT_GT(cluster_locks(*cl), idle);
 }
 
 }  // namespace

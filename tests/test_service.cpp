@@ -96,6 +96,27 @@ TEST(Wfq, WeightsShapeServedVtimeWithUnevenCosts) {
   EXPECT_NEAR(share, 0.5, 0.05);
 }
 
+TEST(Wfq, EqualTagsOnDifferentChainsTieToTheLowerTenant) {
+  // Tenant 0 (weight 1) and tenant 1 (weight 4) queue items of one cost c:
+  // tenant 0's k-th finish tag equals tenant 1's 4k-th, reached by k
+  // additions of c against 4k additions of c/4. Each such tie must go to
+  // tenant 0 whatever the rounding, so every round of four of tenant 1's
+  // items ends right after one of tenant 0's.
+  for (const double c : {1.0, 0.1, 1.0 / 3, 13.098e-6, 466.006e-6}) {
+    SCOPED_TRACE(c);
+    WfqScheduler wfq;
+    wfq.add_tenant(0, 1.0);
+    wfq.add_tenant(1, 4.0);
+    for (int i = 0; i < 16; ++i) wfq.enqueue(0, 100 + i, c, 0);
+    for (int i = 0; i < 64; ++i) wfq.enqueue(1, 200 + i, c, 0);
+    std::string order;
+    while (const auto p = wfq.pick(0)) order += p->tenant == 0 ? 'a' : 'b';
+    std::string want;
+    for (int k = 0; k < 16; ++k) want += "bbbab";
+    EXPECT_EQ(order.substr(0, want.size()), want);
+  }
+}
+
 TEST(Wfq, PriorityClassesAreStrictWithoutAging) {
   WfqScheduler wfq(/*starvation_bound_s=*/0);
   wfq.add_tenant(0, 1.0, /*priority_class=*/1);

@@ -54,6 +54,7 @@ void fill_sample(TuningDb& db) {
   e.config.overlap = false;
   e.predicted_s = 1.25e-4;
   e.validated_s = 1.25e-4;
+  e.validated_work_s = 1.0e-4;
   e.baseline_s = 1.5e-4;
   e.candidates_pruned = 40;
   e.candidates_validated = 5;
@@ -191,6 +192,47 @@ TEST(TuningDbPersistence, CostModelVersionMismatchIsIgnored) {
         << warning;
     EXPECT_EQ(kept.serialize(), before);
   }
+}
+
+TEST(TuningDbPersistence, CostModelV3FileIsRejected) {
+  // A file as cost-model version 3 wrote it. Version 4 stopped pricing
+  // identity conversions as world alltoallvs, so its vtimes are not
+  // comparable: loading it warns and leaves the DB empty.
+  const std::string path = "test_tuner_v3.db";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(
+        "ca3dmm-tuning-db schema 2 costmodel 3\n"
+        "entries 1\n"
+        "13 13 13 8 24 0 topo 0 rep 96 96 96 grid 2 2 2 coll auto auto auto "
+        "auto 16384 ov 1 pred 2.6463600000000005e-05 valid "
+        "2.6463600000000005e-05 base 2.6463600000000005e-05 pruned 176 "
+        "validated 5 stale 0\n",
+        f);
+    std::fclose(f);
+  }
+  TuningDb db(path);
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(db.load());
+  testing::internal::GetCapturedStderr();
+  EXPECT_EQ(db.size(), 0u);
+
+  // The same header under today's schema fails on the model version.
+  TuningDb sample;
+  fill_sample(sample);
+  std::string blob = sample.serialize();
+  const std::string tag =
+      "costmodel " + std::to_string(costmodel::kCostModelVersion);
+  blob.replace(blob.find(tag), tag.size(), "costmodel 3");
+  TuningDb v3;
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(v3.deserialize(blob, "v3 test"));
+  const std::string warning = testing::internal::GetCapturedStderr();
+  EXPECT_NE(warning.find("cost-model version 3"), std::string::npos)
+      << warning;
+  EXPECT_EQ(v3.size(), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(TuningDbPersistence, TruncatedAndCorruptBlobsAreIgnored) {
