@@ -5,10 +5,12 @@
 // Runs every algorithm on the simulated cluster over uneven shapes with idle
 // ranks, native / 1-D / 2-D user layouts and the four transpose pairs, plus
 // ABFT with injected payload flips, no-overlap, cached PlanComms and a
-// heterogeneous topology with k weights. Each run prints one line: final
-// vtime, per-phase time and bytes sent, peak tracked bytes, flops, splits,
-// ABFT corrections and an FNV-1a hash of every rank's C. The matrix ends
-// with predict() and run_workload() for every algorithm.
+// heterogeneous topology with k weights. Each run prints one line of
+// Cluster::aggregate_stats(): final vtime, per-phase time, bytes sent and
+// inter-node bytes, compute load balance, peak tracked bytes, flops, splits,
+// ABFT corrections, and an FNV-1a hash of every rank's C. The matrix ends
+// with predict() and run_workload() for every algorithm; a predict row
+// prints the same vtime, phase, inter-node, load-balance and peak columns.
 //
 // Virtual time, bytes, peaks and C are deterministic, so the output is a
 // byte-exact fingerprint of execution and must not depend on the number of
@@ -144,6 +146,7 @@ class Digest {
                               costmodel::algo_name(algo),
                               name.c_str(), p.t_total);
     for (int i = 0; i < kPhases; ++i) s += strprintf(" %.17g", p.phase_s[i]);
+    s += inter_and_lb(p.inter_bytes_s, p.load_balance);
     s += strprintf(" peak %lld flops %.17g",
                    static_cast<long long>(p.peak_bytes), p.flops_per_rank);
     lines_.push_back(s);
@@ -238,32 +241,31 @@ class Digest {
 
   void emit(const std::string& head, const Cluster& cl,
             const std::vector<std::uint64_t>& c_hashes) {
-    double vt = 0, flops = 0, ph[kPhases] = {}, sent[kPhases] = {};
-    long long peak = 0, splits = 0, abft = 0;
-    for (int r = 0; r < cl.nranks(); ++r) {
-      const simmpi::RankStats& s = cl.stats(r);
-      vt = std::max(vt, s.vtime);
-      flops += s.flops;
-      for (int i = 0; i < kPhases; ++i) {
-        ph[i] = std::max(ph[i], s.phase_s[i]);
-        sent[i] += s.bytes_sent_s[i];
-      }
-      peak = std::max(peak, static_cast<long long>(s.peak_bytes));
-      splits += s.comm_splits;
-      abft += s.abft_corrected;
-    }
-    std::string line = head + strprintf(" vt %.17g ph", vt);
-    for (int i = 0; i < kPhases; ++i) line += strprintf(" %.17g", ph[i]);
+    const simmpi::RankStats s = cl.aggregate_stats();
+    std::string line = head + strprintf(" vt %.17g ph", s.vtime);
+    for (int i = 0; i < kPhases; ++i) line += strprintf(" %.17g", s.phase_s[i]);
     line += " sent";
-    for (int i = 0; i < kPhases; ++i) line += strprintf(" %.17g", sent[i]);
-    line += strprintf(" peak %lld flops %.17g splits %lld abft %lld", peak,
-                      flops, splits, abft);
+    for (int i = 0; i < kPhases; ++i)
+      line += strprintf(" %.17g", s.bytes_sent_s[i]);
+    line += inter_and_lb(s.inter_bytes_s, s.load_balance);
+    line += strprintf(" peak %lld flops %.17g splits %lld abft %lld",
+                      static_cast<long long>(s.peak_bytes), s.flops,
+                      static_cast<long long>(s.comm_splits),
+                      static_cast<long long>(s.abft_corrected));
     if (!c_hashes.empty()) {
       std::uint64_t h = 0xcbf29ce484222325ull;
       for (const std::uint64_t x : c_hashes) h = fnv1a(h, &x, sizeof x);
       line += strprintf(" c %016" PRIx64, h);
     }
     lines_.push_back(line);
+  }
+
+  /// Per-phase inter-node bytes (summed over ranks) and the compute-phase
+  /// load balance, printed alike by executed and predicted rows.
+  static std::string inter_and_lb(const double (&inter)[kPhases], double lb) {
+    std::string s = " inter";
+    for (int i = 0; i < kPhases; ++i) s += strprintf(" %.17g", inter[i]);
+    return s + strprintf(" lb %.17g", lb);
   }
 
   int workers_;
