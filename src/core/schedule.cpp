@@ -111,12 +111,8 @@ void run_schedule(Comm& world, const Schedule& s, const ScheduleIo<T>& io) {
         const Op::Compute& g = op.compute;
         gemm_blocked<T>(false, false, g.m, g.n, g.k, T{1}, in(g.a), g.lda,
                         in(g.b), g.n, out(g.c), g.n);
-        if (op.budget) {
-          world.charge_compute_overlap_budget(g.flops, g.bytes, budget);
-          budget = 0;
-        } else {
-          world.charge_compute(g.flops, g.bytes);
-        }
+        world.charge_compute(g.flops, g.bytes, op.budget ? budget : 0.0);
+        if (op.budget) budget = 0;
         break;
       }
       case OpKind::kMarker:

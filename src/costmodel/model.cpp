@@ -5,13 +5,11 @@
 #include <numeric>
 
 #include "layout/redistribute.hpp"
-#include "simmpi/coll_cost.hpp"
+#include "simmpi/clock_rules.hpp"
 
 namespace ca3dmm::costmodel {
 
-using simmpi::CollAlgo;
 using simmpi::CollCost;
-using simmpi::GroupProfile;
 using simmpi::Machine;
 using simmpi::Phase;
 using simmpi::Topology;
@@ -32,10 +30,9 @@ const char* algo_name(Algo a) {
 namespace {
 
 constexpr int kPhases = static_cast<int>(Phase::kCount);
-constexpr int kComputePhase = static_cast<int>(Phase::kCompute);
 
-int phase_index(Phase p) {
-  return static_cast<int>(p == kInheritPhase ? Phase::kMisc : p);
+Phase phase_of(const Op& op) {
+  return op.phase == kInheritPhase ? Phase::kMisc : op.phase;
 }
 
 /// (color, key, child slot) of each member's post to one split.
@@ -45,9 +42,7 @@ using SplitArgs = std::vector<std::array<int, 3>>;
 /// state a simmpi CommState keeps.
 struct Group {
   std::vector<int> members;  ///< world ranks, in group-rank order
-  GroupProfile prof;
-  simmpi::LinkParams link;
-  simmpi::CollectiveConfig cfg;
+  simmpi::GroupPricing pricing;
   int arrived = 0;  ///< members inside the in-flight collective
   double t0 = 0;    ///< their latest entry clock
   SplitArgs split;  ///< posts to the in-flight split
@@ -64,26 +59,15 @@ struct CommRef {
   int index = 0;
 };
 
-/// Per-rank replay state: what RankCtx and TrackedBuffer keep.
-struct RankSim {
+/// Per-rank replay state: the clock and stats a RankCtx keeps, plus the
+/// rank's place in its schedule and its live buffers.
+struct RankSim : simmpi::RankClock {
   size_t pc = 0;  ///< next op, an index into the shared schedule
-  double clock = 0, budget = 0, flops = 0;
-  double phase[kPhases] = {};
-  double inter[kPhases] = {};
-  i64 cur = 0, peak = 0;
+  double budget = 0;  ///< comm time an overlapped GEMM may hide behind
   i64 bytes[kSlotCount] = {};
   CommRef comm[kCommCount];
   bool arrived = false;  ///< parked in the op at pc (collective or exchange)
   bool queued = false;
-
-  void charge(int ph, double s) {
-    clock += s;
-    phase[ph] += s;
-  }
-  void alloc(i64 b) {
-    cur += b;
-    peak = std::max(peak, cur);
-  }
 };
 
 /// The replay's largest buffers, kept per thread: the tuner predicts
@@ -104,7 +88,6 @@ class Replay {
   Replay(const Program& pg, const Topology& topo, bool warm, Arena& arena)
       : pg_(pg),
         topo_(topo),
-        anchor_(topo.machine()),
         warm_(warm),
         esize_(pg.esize),
         sched_(arena.sched),
@@ -124,16 +107,16 @@ class Replay {
           for (int r = 0; r < P; ++r) {
             ranks_[static_cast<size_t>(r)].pc = sched_.ops().size();
             sched_.next_rank();
-            build_schedule(plan, r, anchor_, false, false, sched_);
+            build_schedule(plan, r, topo.machine(), false, false, sched_);
             end_[static_cast<size_t>(r)] = sched_.ops().size();
           }
         },
         pg.plan);
     volumes_.reserve(kLayoutCount);
-    Group& world = group(new_group(simmpi::CollectiveConfig{}));
+    Group& world = group(new_group());
     world.members.resize(static_cast<size_t>(P));
     std::iota(world.members.begin(), world.members.end(), 0);
-    seal(world);
+    world.pricing = simmpi::GroupPricing(topo_, world.members, {});
     for (size_t r = 0; r < ranks_.size(); ++r)
       ranks_[r].comm[kWorld] = CommRef{0, static_cast<int>(r)};
   }
@@ -149,27 +132,23 @@ class Replay {
     Prediction p;
     p.grid = pg_.grid();
     p.active = pg_.active();
-    double lb_max = 0, lb_sum = 0;
-    int lb_n = 0;
     for (size_t r = 0; r < ranks_.size(); ++r) {
-      const RankSim& R = ranks_[r];
+      RankSim& R = ranks_[r];
       CA_REQUIRE(R.pc == end_[r], "cost model replay deadlocked at rank %zu",
                  r);
-      p.t_total = std::max(p.t_total, R.clock);
-      for (int i = 0; i < kPhases; ++i) {
-        p.phase_s[i] = std::max(p.phase_s[i], R.phase[i]);
-        p.inter_bytes_s[i] += R.inter[i];
-      }
-      p.peak_bytes = std::max(p.peak_bytes, R.peak);
-      p.flops_per_rank = std::max(p.flops_per_rank, R.flops);
-      const double c = R.phase[kComputePhase];
-      if (c > 0) {
-        lb_max = std::max(lb_max, c);
-        lb_sum += c;
-        lb_n++;
-      }
+      R.stats.vtime = R.clock;
+      p.flops_per_rank = std::max(p.flops_per_rank, R.stats.flops);
     }
-    if (lb_n > 0 && lb_sum > 0) p.load_balance = lb_max * lb_n / lb_sum;
+    const simmpi::RankStats agg = simmpi::fold_rank_stats(
+        static_cast<int>(ranks_.size()),
+        [&](int r) -> const simmpi::RankStats& {
+          return ranks_[static_cast<size_t>(r)].stats;
+        });
+    p.t_total = agg.vtime;
+    std::copy_n(agg.phase_s, kPhases, p.phase_s);
+    std::copy_n(agg.inter_bytes_s, kPhases, p.inter_bytes_s);
+    p.peak_bytes = agg.peak_bytes;
+    p.load_balance = agg.load_balance;
     return p;
   }
 
@@ -178,17 +157,16 @@ class Replay {
   struct Volume {
     Op::Redist key;
     RedistVolume v;
-    double max_bytes = 0, off_self = 0;
+    simmpi::A2aVolume a2a;
   };
 
   Group& group(int id) { return groups_[static_cast<size_t>(id)]; }
 
-  /// An empty group; the caller adds its members, then seals it.
-  int new_group(const simmpi::CollectiveConfig& cfg) {
+  /// An empty group; the caller adds its members, then its pricing.
+  int new_group() {
     if (ngroups_ == groups_.size()) groups_.emplace_back();
     Group& g = groups_[ngroups_];
     g.members.clear();
-    g.cfg = cfg;
     g.arrived = 0;
     g.t0 = 0;
     g.split.clear();
@@ -196,12 +174,6 @@ class Replay {
     g.xcount.clear();
     g.xstride = 0;
     return static_cast<int>(ngroups_++);
-  }
-
-  /// CommState::create: exact node-multiset profile, anchor-machine link.
-  void seal(Group& g) {
-    g.prof = GroupProfile::from_topology(topo_, g.members);
-    g.link = group_link(anchor_, g.prof);
   }
 
   void wake(int r) {
@@ -217,14 +189,14 @@ class Replay {
     const Machine& mach = topo_.machine_of_rank(r);
     for (const size_t end = end_[static_cast<size_t>(r)]; R.pc < end; ++R.pc) {
       const Op& op = sched_.ops()[R.pc];
-      const int ph = phase_index(op.phase);
+      const Phase ph = phase_of(op);
       switch (op.kind) {
         case OpKind::kAlloc:
           R.bytes[op.buf.slot] = op.buf.elems * esize_;
-          R.alloc(R.bytes[op.buf.slot]);
+          R.track_alloc(R.bytes[op.buf.slot]);
           break;
         case OpKind::kFree:
-          R.cur -= R.bytes[op.buf.slot];
+          R.track_free(R.bytes[op.buf.slot]);
           R.bytes[op.buf.slot] = 0;
           break;
         case OpKind::kCopy:
@@ -233,20 +205,11 @@ class Replay {
         case OpKind::kScan:
           local_work(R, ph, mach, op.scan.payload);
           break;
-        case OpKind::kCompute: {  // Comm::charge_compute(_overlap_budget)
-          const double t = mach.gemm_time(op.compute.flops, op.compute.bytes);
-          R.flops += op.compute.flops;
-          R.phase[kComputePhase] += t;
-          if (!op.budget) {
-            R.clock += t;
-            break;
-          }
-          const double hidden =
-              mach.use_gpu ? 0.0 : R.budget * mach.overlap_efficiency;
-          R.clock += std::max(0.0, t - hidden);
-          R.budget = 0;
+        case OpKind::kCompute:
+          R.charge_compute(mach, op.compute.flops, op.compute.bytes,
+                           op.budget ? R.budget : 0.0, 1.0);
+          if (op.budget) R.budget = 0;
           break;
-        }
         case OpKind::kExchange:
           if (!exchange(r, op, ph)) return;
           break;
@@ -268,17 +231,16 @@ class Replay {
     }
   }
 
-  /// Comm::charge_local_work: one scan of `elems` elements.
-  void local_work(RankSim& R, int ph, const Machine& mach, i64 elems) const {
+  /// One scan of `elems` elements.
+  void local_work(RankSim& R, Phase ph, const Machine& mach, i64 elems) const {
     const double bytes =
         static_cast<double>(elems) * static_cast<double>(esize_);
-    if (bytes > 0) R.charge(ph, bytes / mach.intra_rank_bandwidth());
+    if (bytes > 0) R.charge(ph, simmpi::local_work_time(mach, bytes, 1.0));
   }
 
-  /// simmpi's run_collective: exit = max(entry clocks) + cost. The last
-  /// member to arrive completes the collective for every member. A warm
-  /// cacheable split (taken from PlanComms) meets at the same point, at no
-  /// cost and without synchronizing clocks.
+  /// A collective ends for every member when its last member arrives. A
+  /// warm cacheable split (taken from PlanComms) meets at the same point,
+  /// at no cost and without synchronizing clocks.
   bool collective(int r, const Op& op) {
     RankSim& R = ranks_[static_cast<size_t>(r)];
     const int slot = op.kind == OpKind::kRedistribute ? int{kWorld}
@@ -291,14 +253,14 @@ class Replay {
     Group& g = group(ref.group);
     if (op.kind == OpKind::kRedistribute) {  // its staging buffers
       const Volume& v = volume(op.redist);
-      R.alloc(v.v.send_staging_bytes[static_cast<size_t>(r)]);
-      R.alloc(v.v.recv_staging_bytes[static_cast<size_t>(r)]);
+      R.track_alloc(v.v.send_staging_bytes[static_cast<size_t>(r)]);
+      R.track_alloc(v.v.recv_staging_bytes[static_cast<size_t>(r)]);
     } else if (op.kind == OpKind::kSplit) {
       if (g.split.empty()) g.split.resize(g.members.size());
       g.split[static_cast<size_t>(ref.index)] = {op.split.color, op.split.key,
                                                  op.split.child};
     } else if (op.coll.use_cfg && sched_.coll()) {
-      g.cfg = *sched_.coll();
+      g.pricing.cfg = *sched_.coll();
     }
     g.t0 = std::max(g.t0, R.clock);
     if (++g.arrived < static_cast<int>(g.members.size())) return false;
@@ -311,23 +273,21 @@ class Replay {
   void complete(int gid, const Op& op, int last) {
     const bool cached = warm_ && op.kind == OpKind::kSplit &&
                         op.split.cacheable;
-    const CollCost cost = cached ? CollCost{} : price(group(gid), op);
-    const double exit = group(gid).t0 + cost.t;
-    const double share =
-        cost.inter_bytes / static_cast<int>(group(gid).members.size());
-    const int ph = phase_index(op.phase);
+    const simmpi::CollExit x = simmpi::collective_exit(
+        group(gid).t0, cached ? CollCost{} : price(group(gid).pricing, op),
+        static_cast<int>(group(gid).members.size()));
+    const Phase ph = phase_of(op);
     if (op.kind == OpKind::kSplit) form_children(gid, group(gid).split);
     Group& g = group(gid);  // form_children may have grown groups_
     for (const int m : g.members) {
       RankSim& M = ranks_[static_cast<size_t>(m)];
-      const double adv = cached ? 0.0 : std::max(0.0, exit - M.clock);
-      M.charge(ph, adv);
-      M.inter[ph] += share;
+      // A cached split books nothing: its cost and inter bytes are 0.
+      const double adv = cached ? 0.0 : M.leave_collective(ph, x);
       if (op.budget) M.budget += adv;
       if (op.kind == OpKind::kRedistribute) {
         const Volume& v = volume(op.redist);
-        M.cur -= v.v.send_staging_bytes[static_cast<size_t>(m)] +
-                 v.v.recv_staging_bytes[static_cast<size_t>(m)];
+        M.track_free(v.v.send_staging_bytes[static_cast<size_t>(m)] +
+                     v.v.recv_staging_bytes[static_cast<size_t>(m)]);
       }
       M.arrived = false;
       if (m != last) {
@@ -340,75 +300,53 @@ class Replay {
     g.split.clear();
   }
 
-  /// The cost function simmpi's collective of the same kind charges.
-  CollCost price(const Group& g, const Op& op) {
-    const int p = static_cast<int>(g.members.size());
-    const auto pick = [&](CollAlgo configured, double bytes) {
-      return resolve_coll_algo(configured, g.prof, bytes,
-                               g.cfg.small_message_bytes);
-    };
+  /// The collective `op` stands for, priced by its group.
+  CollCost price(const simmpi::GroupPricing& gp, const Op& op) {
     i64 total = 0;
     if (op.kind == OpKind::kAllgatherv || op.kind == OpKind::kReduceScatter)
       for (const i64 c : sched_.counts(op)) total += c;
-    double bytes = 0;
     switch (op.kind) {
-      case OpKind::kRedistribute: {
-        const Volume& v = volume(op.redist);
-        CollCost c;
-        c.t = t_alltoallv_machine(anchor_, g.link, v.max_bytes, p,
-                                  g.prof.single_node);
-        c.inter_bytes = v.off_self * group_inter_frac(g.prof);
-        return c;
-      }
-      case OpKind::kSplit:  // one small word per rank, always the butterfly
-        return coll_allgather_cost(anchor_, g.prof, g.link,
-                                   CollAlgo::kPaperButterfly, 8.0 * p, p);
-      case OpKind::kAllgatherv:
-        bytes = static_cast<double>(total);
-        return coll_allgather_cost(anchor_, g.prof, g.link,
-                                   pick(g.cfg.allgather, bytes), bytes, p);
+      case OpKind::kRedistribute: return gp.alltoallv(volume(op.redist).a2a);
+      case OpKind::kSplit: return gp.split();
+      case OpKind::kAllgatherv: return gp.allgather(static_cast<double>(total));
       case OpKind::kReduceScatter:
-        bytes = static_cast<double>(total * esize_);
-        return coll_reduce_scatter_cost(anchor_, g.prof, g.link,
-                                        pick(g.cfg.reduce_scatter, bytes),
-                                        bytes, p, op.coll.custom_tree);
+        return gp.reduce_scatter(static_cast<double>(total * esize_),
+                                 op.coll.custom_tree);
       default:  // kBcast
-        bytes = static_cast<double>(op.coll.elems * esize_);
-        return coll_bcast_cost(anchor_, g.prof, g.link,
-                               pick(g.cfg.bcast, bytes), bytes, p);
+        return gp.bcast(static_cast<double>(op.coll.elems * esize_));
     }
   }
 
-  /// Comm::split: ascending colors, members ordered by (key, parent rank);
-  /// color < 0 gets no communicator. `args` is read before any group is
-  /// added, so it may live in a group.
+  /// The split's children: ascending colors, members ordered by (key,
+  /// parent rank); color < 0 gets no communicator. `args` is read before
+  /// any group is added, so it may live in a group.
   void form_children(int gid, const SplitArgs& args) {
     order_.clear();  // (color, key, parent index, child slot)
     for (size_t i = 0; i < args.size(); ++i)
       order_.push_back(
           {args[i][0], args[i][1], static_cast<int>(i), args[i][2]});
     std::sort(order_.begin(), order_.end());
-    const simmpi::CollectiveConfig cfg = group(gid).cfg;
+    const simmpi::CollectiveConfig cfg = group(gid).pricing.cfg;
     for (size_t lo = 0; lo < order_.size();) {
       const int color = order_[lo][0];
       size_t hi = lo;
       while (hi < order_.size() && order_[hi][0] == color) ++hi;
-      const int id = color < 0 ? -1 : new_group(cfg);
+      const int id = color < 0 ? -1 : new_group();
       for (size_t i = lo; i < hi; ++i) {
         const int world = group(gid).members[static_cast<size_t>(order_[i][2])];
         ranks_[static_cast<size_t>(world)].comm[order_[i][3]] =
             CommRef{id, id < 0 ? 0 : static_cast<int>(i - lo)};
         if (id >= 0) group(id).members.push_back(world);
       }
-      if (id >= 0) seal(group(id));
+      if (id >= 0)
+        group(id).pricing = simmpi::GroupPricing(topo_, group(id).members, cfg);
       lo = hi;
     }
   }
 
-  /// Comm::sendrecv: the receive ends at max(entry, sender's entry) + p2p
-  /// cost; the op then waits until the peer consumed the outgoing message
-  /// (max(peer's entry, entry) + p2p cost).
-  bool exchange(int r, const Op& op, int ph) {
+  /// A sendrecv: the receive completes, then the op waits until the peer
+  /// consumed the outgoing message.
+  bool exchange(int r, const Op& op, Phase ph) {
     RankSim& R = ranks_[static_cast<size_t>(r)];
     const Op::Exchange& x = op.exchange;
     const CommRef ref = R.comm[x.comm];
@@ -441,16 +379,14 @@ class Replay {
     if (g.xcount[from] <= n || g.xcount[to] <= n) return false;
     const int src = g.members[from], dst = g.members[to];
     const double entry = R.clock;
-    const double recv_exit =
-        std::max(entry, g.xtimes[from * g.xstride + n]) +
-        simmpi::t_p2p_ranks(topo_, src, r,
-                            static_cast<double>(x.recv_elems * esize_));
-    R.charge(ph, recv_exit - R.clock);
-    const double send_exit =
-        std::max(g.xtimes[to * g.xstride + n], entry) +
-        simmpi::t_p2p_ranks(topo_, r, dst,
-                            static_cast<double>(x.send_elems * esize_));
-    if (send_exit > R.clock) R.charge(ph, send_exit - R.clock);
+    R.advance_to(ph, simmpi::p2p_exit(
+                         topo_, src, r,
+                         static_cast<double>(x.recv_elems * esize_), entry,
+                         g.xtimes[from * g.xstride + n], 1.0));
+    R.advance_to(ph, simmpi::p2p_exit(
+                         topo_, r, dst,
+                         static_cast<double>(x.send_elems * esize_),
+                         g.xtimes[to * g.xstride + n], entry, 1.0));
     if (op.budget) R.budget += R.clock - entry;
     R.arrived = false;
     return true;
@@ -466,16 +402,13 @@ class Replay {
     v.key = rd;
     v.v = redistribution_volume(pg_.layouts[rd.from], pg_.layouts[rd.to],
                                 rd.transpose, esize_);
-    v.max_bytes = static_cast<double>(
-        std::max(v.v.max_send_bytes, v.v.max_recv_bytes));
-    for (const i64 sent : v.v.send_bytes)
-      v.off_self += static_cast<double>(sent);
+    for (size_t r = 0; r < v.v.send_bytes.size(); ++r)
+      v.a2a.add(v.v.send_bytes[r], v.v.recv_bytes[r]);
     return v;
   }
 
   const Program& pg_;
   const Topology& topo_;
-  const Machine& anchor_;
   bool warm_;
   i64 esize_;
   Schedule& sched_;

@@ -2,27 +2,27 @@
 //
 // predict() does not re-derive the algorithms. Every plan emits a per-rank
 // schedule (core/schedule.hpp) — the op list its executor runs — and the
-// model replays all P schedules through a threadless discrete-event loop
-// that applies simmpi's clock rules with the same cost functions the engine
-// charges (coll_*_cost, t_p2p_ranks, Machine::gemm_time):
+// model replays all P schedules through a threadless discrete-event loop.
+// It defines no timing rule of its own: each op is charged by the function
+// simmpi's Comm charges it with, from simmpi/clock_rules.hpp, at slowdown 1:
 //
-//   * a collective (redistribution alltoallv, split, all-gather,
-//     reduce-scatter, broadcast) ends at its latest member's entry clock
-//     plus its cost; an identity redistribution is no collective but a
-//     local copy, charged like any local scan;
-//   * a sendrecv's receive ends at max(own entry, the sender's entry) plus
-//     the point-to-point cost, and the op then waits until its peer has
-//     consumed the outgoing message;
-//   * an overlapped GEMM hides behind the budget of the preceding comm ops'
-//     last_op_cost, waits included;
-//   * memory is tracked at the schedule's alloc/free points.
+//   GEMM                       RankClock::charge_compute
+//   ABFT scan, identity copy   local_work_time
+//   sendrecv                   p2p_exit, RankClock::advance_to
+//   collective, alltoallv      GroupPricing, collective_exit,
+//                              RankClock::leave_collective
+//   alloc / free               RankClock::track_alloc / track_free
+//   Prediction                 fold_rank_stats (Cluster::aggregate_stats)
+//
+// What the replay keeps is the rendezvous: which members a collective waits
+// for, which exchanges pair up, and the communicators a split forms.
 //
 // Without threads or data it evaluates the paper's 192..3072-process
 // configurations (matrices up to 1.2M on a side) in milliseconds, and it is
 // exact: tests/test_costmodel.cpp holds every phase, the total, per-rank
-// flops and per-rank peak memory to the executed engine at rtol 1e-6 on
-// every shape — uneven blocks, idle ranks and heterogeneous topologies
-// included.
+// flops, per-phase inter-node bytes, load balance and per-rank peak memory
+// to the executed engine at rtol 1e-6 on every shape — uneven blocks, idle
+// ranks and heterogeneous topologies included.
 #pragma once
 
 #include <optional>
@@ -110,10 +110,9 @@ struct Prediction {
   double phase_s[static_cast<int>(simmpi::Phase::kCount)] = {};
   i64 peak_bytes = 0;  ///< max over ranks
   double flops_per_rank = 0;
-  /// Compute-phase load balance: max over ranks of compute time divided by
-  /// the mean over ranks that computed anything. 1.0 = perfectly even.
-  /// Same definition as Cluster::aggregate_stats, so hetero-aware plans can
-  /// be judged before running them.
+  /// Compute-phase load balance from the fold Cluster::aggregate_stats
+  /// uses (fold_rank_stats), so hetero-aware plans can be judged before
+  /// running them. 1.0 = perfectly even.
   double load_balance = 1.0;
 
   /// Modeled inter-node traffic of every collective, bytes per phase.

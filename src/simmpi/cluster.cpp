@@ -26,18 +26,6 @@ RankCtx* swap_rank_tls(RankCtx* next) {
 
 }  // namespace detail
 
-const char* phase_name(Phase p) {
-  switch (p) {
-    case Phase::kRedistribute: return "redistribute";
-    case Phase::kReplicate: return "replicate A/B";
-    case Phase::kShift: return "2D engine comm";
-    case Phase::kCompute: return "local compute";
-    case Phase::kReduce: return "reduce C";
-    case Phase::kMisc: return "misc";
-    default: return "?";
-  }
-}
-
 const char* lock_class_name(LockClass c) {
   switch (c) {
     case LockClass::kCluster: return "cluster mu_";
@@ -387,38 +375,9 @@ void Cluster::write_chrome_trace(const std::string& path) const {
 }
 
 RankStats Cluster::aggregate_stats() const {
-  RankStats agg;
-  for (int r = 0; r < nranks_; ++r) {
-    const RankStats& s = ctx_[static_cast<size_t>(r)].stats;
-    agg.vtime = std::max(agg.vtime, s.vtime);
-    for (int p = 0; p < static_cast<int>(Phase::kCount); ++p) {
-      agg.phase_s[p] = std::max(agg.phase_s[p], s.phase_s[p]);
-      agg.inter_bytes_s[p] += s.inter_bytes_s[p];  // sum: per-rank 1/p shares
-      agg.bytes_sent_s[p] += s.bytes_sent_s[p];
-      agg.bytes_recvd_s[p] += s.bytes_recvd_s[p];
-    }
-    agg.flops += s.flops;
-    agg.peak_bytes = std::max(agg.peak_bytes, s.peak_bytes);
-    agg.comm_splits += s.comm_splits;
-    agg.abft_corrected += s.abft_corrected;
-  }
-  // Compute-phase load balance: max over ranks / mean over ranks that did any
-  // compute. 1.0 = perfectly even; > 1 = the slowest rank idles the rest.
-  {
-    double max_c = 0, sum_c = 0;
-    int n_c = 0;
-    for (int r = 0; r < nranks_; ++r) {
-      const double c =
-          ctx_[static_cast<size_t>(r)].stats.phase_s[static_cast<int>(
-              Phase::kCompute)];
-      if (c <= 0) continue;
-      max_c = std::max(max_c, c);
-      sum_c += c;
-      n_c++;
-    }
-    if (n_c > 0 && sum_c > 0) agg.load_balance = max_c * n_c / sum_c;
-  }
-  return agg;
+  return fold_rank_stats(nranks_, [&](int r) -> const RankStats& {
+    return ctx_[static_cast<size_t>(r)].stats;
+  });
 }
 
 namespace detail {
@@ -429,9 +388,7 @@ std::shared_ptr<CommState> CommState::create(Cluster* cl,
   st->cluster = cl;
   st->members = std::move(members);
   st->id = cl->next_comm_id_++;
-  st->prof = GroupProfile::from_topology(cl->topo_, st->members);
-  st->link = group_link(cl->machine_, st->prof);
-  st->cfg = cl->coll_config_;
+  st->pricing = GroupPricing(cl->topo_, st->members, cl->coll_config_);
   st->slots.resize(st->members.size());
   return st;
 }

@@ -44,6 +44,7 @@
 
 #include "common/error.hpp"
 #include "common/partition.hpp"
+#include "simmpi/clock_rules.hpp"
 #include "simmpi/coll_cost.hpp"
 #include "simmpi/fault.hpp"
 #include "simmpi/host_profile.hpp"
@@ -55,92 +56,11 @@ namespace ca3dmm::simmpi {
 
 class Comm;
 
-/// Phases every PGEMM algorithm in this repository charges its time to.
-/// These match the categories of the paper's Fig. 5 runtime breakdown
-/// ("replicate A,B" there is kReplicate + kShift here).
-enum class Phase {
-  kRedistribute,  ///< user layout <-> library-native layout conversion
-  kReplicate,     ///< A/B replication (all-gather / broadcast)
-  kShift,         ///< 2-D engine communication (Cannon shifts, SUMMA bcasts)
-  kCompute,       ///< local GEMM
-  kReduce,        ///< partial-C reduction (reduce-scatter / allreduce)
-  kMisc,          ///< everything else (barriers, setup)
-  kCount
-};
-
-const char* phase_name(Phase p);
-
-/// Per-rank results of a simulated run.
-struct RankStats {
-  double vtime = 0;                                  ///< final virtual clock
-  double phase_s[static_cast<int>(Phase::kCount)] = {};  ///< time per phase
-  /// Modeled inter-node traffic of the collectives this rank took part in,
-  /// per phase. Each member of a collective accounts 1/p of the schedule's
-  /// aggregate inter-node bytes, so summing over ranks recovers the total
-  /// bytes the schedule puts on the network (that sum is what
-  /// aggregate_stats reports).
-  double inter_bytes_s[static_cast<int>(Phase::kCount)] = {};
-  /// Logical payload bytes this rank sent / received per phase: p2p message
-  /// sizes, and for collectives the rank's own contribution / share of the
-  /// delivered data (e.g. allgather: send my block, receive everyone
-  /// else's). Schedule-independent by construction — redistribution sends
-  /// must match redistribution_volume's per-rank prediction exactly.
-  double bytes_sent_s[static_cast<int>(Phase::kCount)] = {};
-  double bytes_recvd_s[static_cast<int>(Phase::kCount)] = {};
-  double flops = 0;                                  ///< local flops executed
-  i64 peak_bytes = 0;                                ///< peak tracked memory
-  i64 cur_bytes = 0;
-  /// Compute-phase load balance: max over ranks of compute time divided by
-  /// the mean over ranks that computed anything. 1.0 = perfectly even; the
-  /// heterogeneity-aware planner's uneven k partitioning drives this toward
-  /// 1 on asymmetric topologies. Filled by aggregate_stats() only (1.0 on
-  /// per-rank stats).
-  double load_balance = 1.0;
-  /// Communicator splits this rank took part in. Splits are the setup cost
-  /// the engine's communicator cache amortizes, so the engine tests assert
-  /// on this counter directly.
-  i64 comm_splits = 0;
-  /// P2p messages delivered into this rank's *posted* receive buffer by the
-  /// rendezvous fast path (no eager staging copy). Purely observational: it
-  /// depends on whether the receiver parked before the sender arrived,
-  /// which with more than one fiber worker is up to the host, so it is NOT
-  /// part of the determinism contract (vtimes and payloads are identical
-  /// either way). With one worker (set_fiber_workers(1)) dispatch order is
-  /// deterministic, so tests can pin it exactly.
-  i64 p2p_zero_copy = 0;
-  /// Corruptions neutralized by ABFT decode on this rank: payload bytes
-  /// corrected in place plus trailer hits absorbed. Fault-injection tests
-  /// assert on this to prove an injected flip actually fired and was caught
-  /// (a run that dodged the fault would pass the bit-identity check too).
-  i64 abft_corrected = 0;
-
-  double phase(Phase p) const { return phase_s[static_cast<int>(p)]; }
-  double inter_bytes(Phase p) const {
-    return inter_bytes_s[static_cast<int>(p)];
-  }
-  double total_inter_bytes() const {
-    double s = 0;
-    for (double b : inter_bytes_s) s += b;
-    return s;
-  }
-  double bytes_sent(Phase p) const { return bytes_sent_s[static_cast<int>(p)]; }
-  double bytes_recvd(Phase p) const {
-    return bytes_recvd_s[static_cast<int>(p)];
-  }
-  double total_bytes_sent() const {
-    double s = 0;
-    for (double b : bytes_sent_s) s += b;
-    return s;
-  }
-};
-
 /// Mutable per-rank context; owned by Cluster, one per rank.
-struct RankCtx {
+struct RankCtx : RankClock {
   int world_rank = 0;
-  double clock = 0;          ///< virtual time (s)
   double last_op_cost = 0;   ///< virtual cost of the most recent comm op
   Phase cur_phase = Phase::kMisc;
-  RankStats stats;
   const Machine* machine = nullptr;
   bool trace_enabled = false;   ///< TraceConfig::enabled for this run
   bool trace_markers = false;   ///< TraceConfig::markers && enabled
@@ -157,21 +77,6 @@ struct RankCtx {
   int blocked_peer = -1;  ///< p2p peer (group rank) or #arrived for collectives
   int blocked_tag = -1;   ///< p2p tag; -1 for collectives
   bool finished = false;  ///< rank body has returned
-
-  // Tracing never enters here: clock arithmetic is identical with tracing
-  // on or off (call sites emit their own TraceRecords when enabled).
-  void charge(double seconds) {
-    clock += seconds;
-    stats.phase_s[static_cast<int>(cur_phase)] += seconds;
-  }
-  void add_record(const TraceRecord& r) {
-    if (trace_enabled) trace.push_back(r);
-  }
-  void track_alloc(i64 bytes) {
-    stats.cur_bytes += bytes;
-    if (stats.cur_bytes > stats.peak_bytes) stats.peak_bytes = stats.cur_bytes;
-  }
-  void track_free(i64 bytes) { stats.cur_bytes -= bytes; }
 };
 
 /// Context of the calling rank; null outside Cluster::run.
@@ -280,8 +185,9 @@ class Cluster {
   /// determinism contract.
   const HostProfile& host_profile() const { return host_prof_; }
 
-  /// Aggregate across ranks: max vtime, max per-phase time, max peak memory,
-  /// summed flops, summed inter-node bytes (see RankStats::inter_bytes_s).
+  /// Aggregate across ranks (fold_rank_stats): max vtime, max per-phase
+  /// time, max peak memory, summed flops, summed inter-node bytes (see
+  /// RankStats::inter_bytes_s), compute load balance.
   RankStats aggregate_stats() const;
 
   /// Enables per-rank structured trace recording for subsequent run()

@@ -7,9 +7,9 @@
 //   T_broadcast(n, P)      = alpha (log2(P)+P-1)  + 2 beta n (P-1)/P
 //   T_reduce_scatter(n, P) = alpha (P-1)          + beta n (P-1)/P
 //
-// where n is the total message size. These functions are shared between the
-// executable engine (simmpi charges them to rank virtual clocks) and the
-// analytic cost model, so the two layers are consistent by construction.
+// where n is the total message size. The executable engine and the analytic
+// cost model both reach these functions through GroupPricing
+// (clock_rules.hpp), so the two layers are consistent by construction.
 //
 // A process group spanning several nodes sees a mix of intra-node and
 // inter-node links. GroupProfile summarizes the composition of a group; the

@@ -186,9 +186,8 @@ std::string validate_collective(const CommState& st, CommState::Op op) {
 ///
 /// Phase A (rendezvous, under the cluster lock): every member stores its
 /// arguments into its slot; the last rank to arrive cross-checks them, runs
-/// `perform` (argument validation + cost/inter-byte computation via the
-/// schedule selected by st.cfg — **no** bulk data movement), and releases
-/// the group. Exit clock for everyone is max(entry clocks) + cost.
+/// `perform` (argument validation + the st.pricing cost — **no** bulk data
+/// movement), and releases the group at collective_exit.
 ///
 /// Phase B (data movement, no lock): the bulk memcpy/summation runs outside
 /// the lock so other communicators are never blocked behind it. Every
@@ -230,8 +229,7 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
   if (p <= 1) io = CollIo{};  // single-member groups move nothing
 
   bool movement_ok = false;
-  double exit_time = 0;
-  double inter_per_rank = 0;
+  CollExit exit;
   CollCost coll_cost;
   double coll_t0 = 0;
   int crit_world = -1;
@@ -309,8 +307,7 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
       }
       st.coll_error = e;
       st.coll_error_gen = gen;
-      st.exit_time = t0 + cost.t;
-      st.coll_inter = cost.inter_bytes / p;
+      st.coll_exit = collective_exit(t0, cost, p);
       st.coll_cost = cost;
       st.coll_t0 = t0;
       st.coll_crit_world = st.members[static_cast<size_t>(crit)];
@@ -334,8 +331,7 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
     // this comm rewrites it only after every member arrives there. Locals
     // keep this code independent of that.
     movement_ok = st.dm_ok;
-    exit_time = st.exit_time;
-    inter_per_rank = st.coll_inter;
+    exit = st.coll_exit;
     coll_cost = st.coll_cost;
     coll_t0 = st.coll_t0;
     crit_world = st.coll_crit_world;
@@ -360,21 +356,21 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
   if (err.empty()) finish(st);
 
   if (!err.empty()) throw Error(err);
-  const double delta = exit_time - ctx->clock;
-  CA_ASSERT(delta >= -1e-12);
-  const double adv = std::max(0.0, delta);
+  CA_ASSERT(exit.t - ctx->clock >= -1e-12);
+  const double entry = ctx->clock;
+  const double adv = ctx->leave_collective(ctx->cur_phase, exit);
   ctx->last_op_cost = adv;
   if (ctx->trace_enabled) {
     TraceRecord r;
     r.kind = TraceKind::kCollective;
     r.phase = ctx->cur_phase;
-    r.t0 = ctx->clock;
-    r.t1 = ctx->clock + adv;
+    r.t0 = entry;
+    r.t1 = entry + adv;
     r.name = coll_op_name(op);
     r.algo = coll_cost.algo;
     r.bytes_out = io.out;
     r.bytes_in = io.in;
-    r.inter_bytes = inter_per_rank;
+    r.inter_bytes = exit.inter_share;
     r.comm_id = st.id;
     r.comm_size = p;
     if (crit_world != ctx->world_rank) {
@@ -383,9 +379,7 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
     }
     ctx->trace.push_back(r);
   }
-  ctx->charge(adv);
   const int ph = static_cast<int>(ctx->cur_phase);
-  ctx->stats.inter_bytes_s[ph] += inter_per_rank;
   ctx->stats.bytes_sent_s[ph] += io.out;
   ctx->stats.bytes_recvd_s[ph] += io.in;
 }
@@ -397,13 +391,6 @@ struct NoFinish {
 struct NoShard {
   void operator()(CommState&, int) const {}
 };
-
-/// Resolves the schedule a collective call uses from the communicator's
-/// configuration. Runs under the rendezvous lock on the last arriver.
-CollAlgo pick_algo(const CommState& st, CollAlgo configured, double bytes) {
-  return resolve_coll_algo(configured, st.prof, bytes,
-                           st.cfg.small_message_bytes);
-}
 
 /// Element-wise sum of `n` elements from `src` into `dst`.
 void reduce_sum_into(void* dst, const void* src, i64 n, Dtype d) {
@@ -449,7 +436,7 @@ const Machine& Comm::my_machine() const {
 const Topology& Comm::topology() const { return state_->topology(); }
 
 
-const GroupProfile& Comm::profile() const { return state_->prof; }
+const GroupProfile& Comm::profile() const { return state_->pricing.prof; }
 
 double Comm::now() const { return current_ctx()->clock; }
 
@@ -459,61 +446,26 @@ void Comm::set_phase(Phase p) { current_ctx()->cur_phase = p; }
 
 Phase Comm::phase() const { return current_ctx()->cur_phase; }
 
-namespace {
-
-/// Trace one local-GEMM clock advance [t0, t0 + adv] on `ctx`.
-void trace_compute(RankCtx* ctx, double adv, double flops) {
+void Comm::charge_compute(double flops, double bytes, double overlap_budget) {
+  RankCtx* ctx = current_ctx();
+  const double t0 = ctx->clock;
+  const double adv = ctx->charge_compute(my_machine(), flops, bytes,
+                                         overlap_budget, ctx->slowdown);
   if (!ctx->trace_enabled) return;
   TraceRecord r;
   r.kind = TraceKind::kCompute;
   r.phase = Phase::kCompute;
-  r.t0 = ctx->clock;
-  r.t1 = ctx->clock + adv;
+  r.t0 = t0;
+  r.t1 = t0 + adv;
   r.name = "gemm";
   r.flops = flops;
   ctx->trace.push_back(r);
 }
 
-}  // namespace
-
-void Comm::charge_compute(double flops, double bytes) {
-  RankCtx* ctx = current_ctx();
-  const double t = my_machine().gemm_time(flops, bytes) * ctx->slowdown;
-  ctx->stats.flops += flops;
-  ctx->stats.phase_s[static_cast<int>(Phase::kCompute)] += t;
-  trace_compute(ctx, t, flops);
-  ctx->clock += t;
-}
-
-void Comm::charge_overlapped_compute(double flops, double bytes) {
-  charge_compute_overlap_budget(flops, bytes, current_ctx()->last_op_cost);
-}
-
-void Comm::charge_compute_overlap_budget(double flops, double bytes,
-                                         double budget) {
-  RankCtx* ctx = current_ctx();
-  // The paper's GPU implementation is a prototype that "simply offloads
-  // local matrix multiplications" (§IV-C) — no communication/computation
-  // pipelining on the device path. On CPU, only a fraction of the in-flight
-  // communication actually hides behind the GEMM.
-  const Machine& mach = my_machine();
-  budget = mach.use_gpu ? 0.0 : budget * mach.overlap_efficiency;
-  const double t = mach.gemm_time(flops, bytes) * ctx->slowdown;
-  ctx->stats.flops += flops;
-  // The full GEMM time is reported in the compute phase; the clock only
-  // advances by the part that does not hide behind the in-flight
-  // communication (dual-buffer overlap).
-  ctx->stats.phase_s[static_cast<int>(Phase::kCompute)] += t;
-  const double adv = std::max(0.0, t - budget);
-  trace_compute(ctx, adv, flops);
-  ctx->clock += adv;
-}
-
 void Comm::charge_local_work(double bytes, const char* name) {
   if (bytes <= 0) return;
   RankCtx* ctx = current_ctx();
-  const double t =
-      bytes / my_machine().intra_rank_bandwidth() * ctx->slowdown;
+  const double t = local_work_time(my_machine(), bytes, ctx->slowdown);
   if (ctx->trace_enabled) {
     TraceRecord r;
     r.kind = TraceKind::kCompute;
@@ -523,30 +475,26 @@ void Comm::charge_local_work(double bytes, const char* name) {
     r.name = name;
     ctx->trace.push_back(r);
   }
-  ctx->charge(t);
+  ctx->charge(ctx->cur_phase, t);
 }
 
 // ---------------- collectives ----------------
 
 void Comm::set_collective_config(const CollectiveConfig& cfg) {
   std::unique_lock<std::mutex> lk = state_->lock();
-  state_->cfg = cfg;
+  state_->pricing.cfg = cfg;
 }
 
 CollectiveConfig Comm::collective_config() const {
   std::unique_lock<std::mutex> lk = state_->lock();
-  return state_->cfg;
+  return state_->pricing.cfg;
 }
 
 void Comm::barrier() {
   run_collective(
       *state_, my_index_, CommState::Op::kBarrier, CollIo{},
       [](CommState::Slot&) {},
-      [](CommState& st) {
-        CollCost c;
-        c.t = st.link.alpha * log2d(static_cast<int>(st.members.size()));
-        return c;
-      },
+      [](CommState& st) { return st.pricing.barrier(); },
       NoShard{}, NoFinish{});
 }
 
@@ -578,10 +526,7 @@ void Comm::bcast_bytes(void* buf, i64 bytes, int root) {
           CA_REQUIRE(sj.n0 == bytes, "bcast size mismatch on comm %llu",
                      static_cast<unsigned long long>(st.id));
         }
-        return coll_bcast_cost(
-            st.cluster->machine_, st.prof, st.link,
-            pick_algo(st, st.cfg.bcast, static_cast<double>(bytes)),
-            static_cast<double>(bytes), p);
+        return st.pricing.bcast(static_cast<double>(bytes));
       },
       // Each shard copies the root's buffer into one destination; the root
       // buffer itself is only read.
@@ -612,10 +557,7 @@ void Comm::allgather_bytes(const void* sbuf, i64 bytes_each, void* rbuf) {
           CA_REQUIRE(st.slots[static_cast<size_t>(j)].n0 == bytes_each,
                      "allgather size mismatch on comm %llu",
                      static_cast<unsigned long long>(st.id));
-        const double total = static_cast<double>(bytes_each) * p;
-        return coll_allgather_cost(st.cluster->machine_, st.prof, st.link,
-                                   pick_algo(st, st.cfg.allgather, total),
-                                   total, p);
+        return st.pricing.allgather(static_cast<double>(bytes_each) * p);
       },
       // Shard d assembles destination d's result buffer from every member's
       // contribution; no other shard writes it.
@@ -656,10 +598,7 @@ void Comm::allgatherv_bytes(const void* sbuf, i64 my_bytes, void* rbuf,
         const int p = static_cast<int>(st.members.size());
         i64 total = 0;
         for (int j = 0; j < p; ++j) total += counts[static_cast<size_t>(j)];
-        return coll_allgather_cost(
-            st.cluster->machine_, st.prof, st.link,
-            pick_algo(st, st.cfg.allgather, static_cast<double>(total)),
-            static_cast<double>(total), p);
+        return st.pricing.allgather(static_cast<double>(total));
       },
       // Shard d assembles destination d's result buffer. The counts vector
       // is identical on every member (MPI contract), so capturing this
@@ -702,15 +641,10 @@ void Comm::reduce_scatter_sum(const void* sbuf, void* rbuf,
         s.dt = dtype;
       },
       [&](CommState& st) {
-        const int p = static_cast<int>(st.members.size());
-        const i64 esize = dtype_size(dtype);
         i64 total = 0;
         for (i64 c : counts) total += c;
-        const double bytes = static_cast<double>(total * esize);
-        return coll_reduce_scatter_cost(
-            st.cluster->machine_, st.prof, st.link,
-            pick_algo(st, st.cfg.reduce_scatter, bytes), bytes, p,
-            custom_tree);
+        return st.pricing.reduce_scatter(
+            static_cast<double>(total * dtype_size(dtype)), custom_tree);
       },
       // Shard d reduces segment d into destination d's buffer, always
       // accumulating in member order (0, 1, ..., p-1) so the result is
@@ -752,15 +686,12 @@ void Comm::allreduce_sum(const void* sbuf, void* rbuf, i64 count, Dtype dtype) {
       },
       [&](CommState& st) {
         const int p = static_cast<int>(st.members.size());
-        const i64 esize = dtype_size(dtype);
         for (int j = 0; j < p; ++j)
           CA_REQUIRE(st.slots[static_cast<size_t>(j)].n0 == count,
                      "allreduce count mismatch on comm %llu",
                      static_cast<unsigned long long>(st.id));
-        const double bytes = static_cast<double>(count * esize);
-        return coll_allreduce_cost(st.cluster->machine_, st.prof, st.link,
-                                   pick_algo(st, st.cfg.allreduce, bytes),
-                                   bytes, p);
+        return st.pricing.allreduce(
+            static_cast<double>(count * dtype_size(dtype)));
       },
       // Allreduce shards by element range, not by destination: shard d sums
       // elements [d*count/p, (d+1)*count/p) over every member (in member
@@ -827,8 +758,7 @@ void Comm::alltoallv_bytes(const void* sbuf, std::span<const PeerBlock> sends,
         if (const auto mm = alltoallv_mismatch(st))
           throw Error(strprintf("alltoallv count mismatch %d->%d", mm->src,
                                 mm->dst));
-        double max_bytes = 0;
-        double off_self = 0;  // aggregate bytes that leave their source rank
+        A2aVolume v;
         for (int src = 0; src < p; ++src) {
           const auto& ss = st.slots[static_cast<size_t>(src)];
           i64 sent = 0, recvd = 0;
@@ -836,15 +766,9 @@ void Comm::alltoallv_bytes(const void* sbuf, std::span<const PeerBlock> sends,
             if (b.peer != src) sent += b.bytes;
           for (const PeerBlock& b : ss.recvs)
             if (b.peer != src) recvd += b.bytes;
-          off_self += static_cast<double>(sent);
-          max_bytes = std::max(max_bytes,
-                               static_cast<double>(std::max(sent, recvd)));
+          v.add(sent, recvd);
         }
-        CollCost c;
-        c.t = t_alltoallv_machine(st.cluster->machine_, st.link, max_bytes,
-                                  p, st.prof.single_node);
-        c.inter_bytes = off_self * group_inter_frac(st.prof);
-        return c;
+        return st.pricing.alltoallv(v);
       },
       // Shard d fills destination d's receive buffer from its sources.
       [&](CommState& st, int d) {
@@ -887,15 +811,12 @@ Comm Comm::split(int color, int key) const {
           for (int j : idxs)
             members.push_back(st.members[static_cast<size_t>(j)]);
           auto ns = CommState::create(st.cluster, std::move(members));
-          ns->cfg = st.cfg;  // children inherit the parent's configuration
+          ns->pricing.cfg = st.pricing.cfg;  // children inherit it
           for (size_t i = 0; i < idxs.size(); ++i)
             st.split_out[static_cast<size_t>(idxs[i])] = {ns,
                                                           static_cast<int>(i)};
         }
-        // Modelled as an allgather of one small word per rank; always the
-        // butterfly schedule (setup metadata, never worth tuning).
-        return coll_allgather_cost(st.cluster->machine_, st.prof, st.link,
-                                   CollAlgo::kPaperButterfly, 8.0 * p, p);
+        return st.pricing.split();
       },
       NoShard{},
       [&](CommState& st) {
@@ -924,11 +845,9 @@ bool Cluster::try_deliver_posted_locked(detail::ChannelSlot& slot, int dst,
   detail::host_counters().zero_copy_bytes += bytes;
   const int src = slot.key.src;
   maybe_flip_payload_locked(src, dst, slot.key.tag, rec->buf, bytes);
-  // The receiver's exit time, computed exactly as its staged path would:
-  // its own slowdown, max of the two entry clocks plus the p2p cost.
-  const double t =
-      t_p2p_ranks(topo_, src, dst, static_cast<double>(bytes)) * rec->slowdown;
-  rec->t_exit = std::max(rec->t_entry, t_entry) + t;
+  // The receiver's exit time, computed exactly as its staged path would.
+  rec->t_exit = p2p_exit(topo_, src, dst, static_cast<double>(bytes),
+                         rec->t_entry, t_entry, rec->slowdown);
   rec->sender_entry = t_entry;
   rec->filled = true;
   // The receiver is parked on this slot (it only posts while blocked), so
@@ -982,9 +901,8 @@ void Comm::send_bytes(const void* buf, i64 bytes, int dst, int tag) {
       cl->fiber_sched_->wake_all(slot.waiters);
     }
   }
-  const double t = t_p2p_ranks(state_->topology(), world_rank(), dst_w,
-                               static_cast<double>(bytes)) *
-                   ctx->slowdown;
+  const double t = p2p_time(state_->topology(), world_rank(), dst_w,
+                            static_cast<double>(bytes), ctx->slowdown);
   ctx->last_op_cost = t;
   if (ctx->trace_enabled) {
     TraceRecord r;
@@ -999,7 +917,7 @@ void Comm::send_bytes(const void* buf, i64 bytes, int dst, int tag) {
     r.comm_id = state_->id;
     ctx->trace.push_back(r);
   }
-  ctx->charge(t);
+  ctx->charge(ctx->cur_phase, t);
   ctx->stats.bytes_sent_s[static_cast<int>(ctx->cur_phase)] +=
       static_cast<double>(bytes);
 }
@@ -1080,10 +998,9 @@ void Comm::recv_impl(void* buf, i64 bytes, int src, int tag) {
       slot.pop();
       if (bytes > 0) std::memmove(buf, rec->buf, static_cast<size_t>(bytes));
       cl->maybe_flip_payload_locked(key.src, me_w, tag, buf, bytes);
-      const double t = t_p2p_ranks(state_->topology(), key.src, me_w,
-                                   static_cast<double>(bytes)) *
-                       ctx->slowdown;
-      exit = std::max(entry, rec->t_entry) + t;
+      exit = p2p_exit(state_->topology(), key.src, me_w,
+                      static_cast<double>(bytes), entry, rec->t_entry,
+                      ctx->slowdown);
       sender_entry = rec->t_entry;
       if (rec->eager) {
         delete rec;
@@ -1115,7 +1032,7 @@ void Comm::recv_impl(void* buf, i64 bytes, int src, int tag) {
     }
     ctx->trace.push_back(r);
   }
-  ctx->charge(exit - ctx->clock);
+  ctx->advance_to(ctx->cur_phase, exit);
   ctx->stats.bytes_recvd_s[static_cast<int>(ctx->cur_phase)] +=
       static_cast<double>(bytes);
 }
@@ -1189,7 +1106,7 @@ void Comm::sendrecv_bytes(const void* sbuf, i64 sbytes, int dst, void* rbuf,
       r.t_dep = rec.t_consumer_entry;
       ctx->trace.push_back(r);
     }
-    ctx->charge(rec.t_exit - ctx->clock);
+    ctx->advance_to(ctx->cur_phase, rec.t_exit);
   }
   ctx->stats.bytes_sent_s[static_cast<int>(ctx->cur_phase)] +=
       static_cast<double>(sbytes);

@@ -5,9 +5,8 @@
 // communicator with matching operation and sizes; point-to-point send/recv
 // use (source, destination, tag) matching with rendezvous (synchronous-send)
 // semantics. Each operation moves real data between rank buffers AND charges
-// virtual time to every participant: exit clock = max(entry clocks) + cost,
-// where cost comes from the butterfly-collective formulas of paper §III-D
-// (coll_cost.hpp) evaluated with the communicator's node-placement profile.
+// virtual time to every participant by the rules of clock_rules.hpp (a
+// collective: exit clock = max(entry clocks) + its GroupPricing cost).
 #pragma once
 
 #include <cstdint>
@@ -154,25 +153,17 @@ class Comm {
 
   // ---- virtual clock ----
   double now() const;
-  /// Charges a local GEMM of `flops` touching `bytes` to the compute phase.
-  void charge_compute(double flops, double bytes);
-  /// Charges a local GEMM that is overlapped with the immediately preceding
-  /// communication op: only max(0, t_gemm - t_comm) is added to the clock,
-  /// modelling perfect overlap.
-  void charge_overlapped_compute(double flops, double bytes);
-  /// Charges a local GEMM overlapped with `budget` seconds of already-charged
-  /// communication (dual-buffer Cannon posts two shifts per step; the GEMM
-  /// hides behind their combined cost). Clock advances by
-  /// max(0, t_gemm - budget); the full GEMM time is still reported in the
-  /// compute phase.
-  void charge_compute_overlap_budget(double flops, double bytes,
-                                     double budget);
+  /// Charges a local GEMM of `flops` touching `bytes` (RankClock::
+  /// charge_compute): the full GEMM time goes to the compute phase, and the
+  /// clock advances by what does not hide behind `overlap_budget` seconds
+  /// of already-charged communication (dual-buffer pipelining; 0 = none).
+  void charge_compute(double flops, double bytes, double overlap_budget = 0);
   /// Charges memory-bandwidth-bound local processing of `bytes` bytes (one
   /// linear scan at the machine's per-rank intra-node bandwidth) to the
   /// current phase. Used for work that is neither a GEMM nor communication
   /// — e.g. ABFT checksum encode/decode scans, or the local copy an identity
-  /// redistribution makes. `name` labels its trace record. The cost model
-  /// mirrors this charge at the same program points.
+  /// redistribution makes (local_work_time). `name` labels its trace
+  /// record.
   void charge_local_work(double bytes, const char* name = "local-scan");
   /// Virtual cost of this rank's most recent communication operation.
   double last_op_cost() const;

@@ -162,26 +162,22 @@ struct CommState {
   Cluster* cluster = nullptr;
   std::uint64_t id = 0;
   std::vector<int> members;  ///< world rank of each group rank
-  GroupProfile prof;
-  LinkParams link;
-  /// Collective configuration: copied from the cluster default at creation,
-  /// overridable per communicator via Comm::set_collective_config. Guarded
-  /// by the rendezvous lock.
-  CollectiveConfig cfg;
+  /// Its cfg starts as the cluster default, is overridable per communicator
+  /// (Comm::set_collective_config) and is guarded by the rendezvous lock.
+  GroupPricing pricing;
 
   // --- rendezvous ---
   // Written under the rendezvous lock. The completion fields below
-  // (exit_time .. coll_error_gen, dm_ok, split_out) are written by the last
+  // (coll_exit .. coll_error_gen, dm_ok, split_out) are written by the last
   // arriver before it bumps `generation` (release), so a woken member reads
   // them after an acquire load of `generation`, without the lock: nothing
   // rewrites them before every member has arrived at the next collective.
   Op op = Op::kNone;
   int arrived = 0;
   std::atomic<std::uint64_t> generation{0};
-  double exit_time = 0;
-  /// Per-member share of the completed collective's modeled inter-node
-  /// bytes (aggregate / p), accounted into RankStats by every member.
-  double coll_inter = 0;
+  /// Exit clock of the completed collective and each member's share of
+  /// its modeled inter-node bytes, accounted into RankStats by every member.
+  CollExit coll_exit;
   /// Trace metadata of the completed rendezvous, written by the last
   /// arriver under mu_ and snapshotted by every member before leaving:
   /// the full modeled cost (schedule name, total bytes), the rendezvous
@@ -221,8 +217,6 @@ struct CommState {
     Dtype dt = Dtype::kF64;
   };
   std::vector<Slot> slots;
-  Dtype dtype = Dtype::kF64;
-  int root = 0;
 
   /// Per-member results of a split (new state + index within it).
   std::vector<std::pair<std::shared_ptr<CommState>, int>> split_out;
@@ -263,7 +257,6 @@ struct CommState {
     return cluster->straggler_policy_;
   }
   void note_degraded(int node) const { cluster->note_degraded_locked(node); }
-  const Machine& machine() const { return cluster->machine_; }
   const Topology& topology() const { return cluster->topo_; }
 
   static std::shared_ptr<CommState> create(Cluster* cl,

@@ -107,10 +107,7 @@ struct Machine {
   double gemm_time(double flops, double bytes) const {
     if (use_gpu)
       return gpu_gemm_overhead + flops / gpu_flops + bytes / pcie_bandwidth;
-    double rate = flops_per_core;
-    if (threads_per_rank > 1)
-      rate = flops_per_core * threads_per_rank * omp_gemm_efficiency;
-    return gemm_call_overhead + flops / rate;
+    return gemm_call_overhead + flops / rank_flops();
   }
 
   /// Aggregate sustained compute rate of one rank (flop/s).

@@ -134,11 +134,4 @@ std::uint64_t Topology::signature() const {
   return h == 0 ? 1 : h;
 }
 
-double t_p2p_ranks(const Topology& topo, int a, int b, double bytes) {
-  if (topo.cluster_of_rank(a) != topo.cluster_of_rank(b))
-    return topo.link().alpha + bytes * topo.link().beta();
-  const Machine& m = topo.machine_of_rank(a);
-  return t_p2p(m, bytes, topo.node_of_rank(a) == topo.node_of_rank(b));
-}
-
 }  // namespace ca3dmm::simmpi

@@ -121,11 +121,4 @@ class Topology {
   std::vector<int> node_of_;     ///< per world rank, physical id
 };
 
-/// Point-to-point time between two world ranks of `topo` for `bytes` bytes:
-/// shared memory on the same node, the cluster's NIC across nodes of one
-/// cluster, the inter-cluster link across clusters. This is the single p2p
-/// pricing rule shared by the engine (send/recv/sendrecv) and the cost
-/// model, so their times agree by construction.
-double t_p2p_ranks(const Topology& topo, int a, int b, double bytes);
-
 }  // namespace ca3dmm::simmpi

@@ -1,10 +1,12 @@
 // Virtual-time semantics: operations advance rank clocks by exactly the
 // paper's §III-D butterfly collective costs; exit time of a collective is
 // max(entry clocks) + cost; overlap charging; determinism; memory tracking.
+// ClockRules.* call the shared rules of clock_rules.hpp directly.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "simmpi/clock_rules.hpp"
 #include "simmpi/cluster.hpp"
 #include "simmpi/coll_cost.hpp"
 #include "simmpi/comm.hpp"
@@ -103,12 +105,12 @@ TEST(VClock, OverlappedComputeHidesBehindComm) {
     c.sendrecv(buf.data(), n, 1 - c.rank(), buf.data(), n, 1 - c.rank(), 0);
     const double t_after_comm = c.now();
     // 4e6 flops = 4 ms < 8 ms comm: fully hidden.
-    c.charge_overlapped_compute(4e6, 0);
+    c.charge_compute(4e6, 0, c.last_op_cost());
     EXPECT_NEAR(c.now(), t_after_comm, kTol);
     // 16e6 flops = 16 ms: only the excess over the last op cost advances.
     c.sendrecv(buf.data(), n, 1 - c.rank(), buf.data(), n, 1 - c.rank(), 0);
     const double t2 = c.now();
-    c.charge_overlapped_compute(16e6, 0);
+    c.charge_compute(16e6, 0, c.last_op_cost());
     EXPECT_NEAR(c.now(), t2 + (16e-3 - c.last_op_cost()), 1e-9);
     (void)x;
   });
@@ -238,6 +240,54 @@ TEST(VClock, ReduceScatterLargeMessagePenalty) {
   const double big_bytes = (m.rs_penalty_threshold_bytes * p) * 2.0;
   const double big = t_reduce_scatter_machine(m, l, big_bytes, p);
   EXPECT_DOUBLE_EQ(big, t_reduce_scatter(l, big_bytes, p) * m.rs_penalty_factor);
+}
+
+TEST(ClockRules, GpuIgnoresTheOverlapBudget) {
+  const Machine gpu = Machine::phoenix_gpu();
+  const double t = gpu.gemm_time(1e9, 1e6);
+  RankClock c;
+  EXPECT_EQ(c.charge_compute(gpu, 1e9, 1e6, /*budget=*/10 * t, 1.0), t);
+  EXPECT_EQ(c.clock, t);
+  EXPECT_EQ(c.stats.phase(Phase::kCompute), t);
+}
+
+TEST(ClockRules, CpuHidesOnlyTheEfficientShareOfTheBudget) {
+  Machine m = Machine::unit_test();
+  m.overlap_efficiency = 0.5;
+  RankClock c;
+  c.clock = 1.0;
+  // A 4 ms GEMM behind 6 ms of communication: 3 ms hide, 1 ms remains.
+  EXPECT_NEAR(c.charge_compute(m, 4e6, 0, 6e-3, 1.0), 1e-3, kTol);
+  EXPECT_NEAR(c.clock, 1.0 + 1e-3, kTol);
+  // A 2 ms GEMM hides entirely; the clock does not move backwards.
+  EXPECT_EQ(c.charge_compute(m, 2e6, 0, 6e-3, 1.0), 0.0);
+  EXPECT_NEAR(c.clock, 1.0 + 1e-3, kTol);
+  // The compute phase is still charged both GEMMs in full.
+  EXPECT_NEAR(c.stats.phase(Phase::kCompute), 6e-3, kTol);
+  EXPECT_EQ(c.stats.flops, 6e6);
+}
+
+TEST(ClockRules, SlowdownScalesP2pAndLocalWork) {
+  const Machine m = Machine::unit_test();
+  const Topology topo = Topology::homogeneous(2, m);
+  const double t = p2p_time(topo, 0, 1, 8e3, 1.0);
+  EXPECT_NEAR(t, kAlpha + kBeta * 8e3, kTol);
+  EXPECT_EQ(p2p_time(topo, 0, 1, 8e3, 3.0), 3.0 * t);
+  EXPECT_EQ(p2p_exit(topo, 0, 1, 8e3, 0.0, 0.0, 3.0), 3.0 * t);
+  EXPECT_NEAR(local_work_time(m, 1e6, 1.0), 1e-3, kTol);  // 1 GB/s per rank
+  EXPECT_EQ(local_work_time(m, 1e6, 2.5), 2.5 * local_work_time(m, 1e6, 1.0));
+}
+
+TEST(ClockRules, P2pExitTakesTheLaterEntry) {
+  const Topology topo = Topology::homogeneous(2, Machine::unit_test());
+  const double t = p2p_time(topo, 0, 1, 800, 1.0);
+  EXPECT_EQ(p2p_exit(topo, 0, 1, 800, 2.0, 5.0, 1.0), 5.0 + t);  // sender
+  EXPECT_EQ(p2p_exit(topo, 0, 1, 800, 5.0, 2.0, 1.0), 5.0 + t);  // receiver
+  // A receiver that already waited past the exit is not moved back.
+  RankClock c;
+  c.clock = 9.0;
+  EXPECT_EQ(c.advance_to(Phase::kShift, 5.0 + t), 0.0);
+  EXPECT_EQ(c.clock, 9.0);
 }
 
 }  // namespace
