@@ -16,6 +16,7 @@
 // the COSMA-like baseline.
 #pragma once
 
+#include <compare>
 #include <optional>
 #include <vector>
 
@@ -39,6 +40,7 @@ struct ProcGrid {
   bool replicates_a() const { return pn > pm; }
 
   friend bool operator==(const ProcGrid&, const ProcGrid&) = default;
+  friend auto operator<=>(const ProcGrid&, const ProcGrid&) = default;
 };
 
 /// Exact total surface (eq. 4) evaluated with real block sizes: uses
@@ -70,6 +72,7 @@ struct GridOptions {
   double flop_word_ratio = 100.0;
 
   friend bool operator==(const GridOptions&, const GridOptions&) = default;
+  friend auto operator<=>(const GridOptions&, const GridOptions&) = default;
 };
 
 /// The solver's objective for one grid: estimated per-process cost in flop

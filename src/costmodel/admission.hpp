@@ -16,16 +16,15 @@
 // peak_bytes is identical on both paths: buffer lifetimes don't depend on
 // communicator caching.
 //
-// CostOracle memoizes quotes by workload shape. A multi-tenant service
+// CostOracle memoizes quotes by (algorithm, workload). A multi-tenant service
 // prices thousands of requests drawn from a few shape classes; memoization
 // makes admission O(1) per request after the first sighting of a shape,
 // and — crucially for the deterministic service loop — guarantees every
 // rank computes bit-identical prices from its own oracle.
 #pragma once
 
-#include <functional>
 #include <map>
-#include <tuple>
+#include <utility>
 
 #include "costmodel/model.hpp"
 
@@ -54,36 +53,16 @@ class CostOracle {
  public:
   CostOracle(int P, const simmpi::Machine& mach) : P_(P), mach_(mach) {}
 
-  /// Quotes `w` under `algo`, memoized by the workload's cost-relevant
-  /// fields (m, n, k, esize, layout, min_kblk, abft, force_grid, the
-  /// collective schedule, the overlap flag — these three vary per shape
-  /// once a tuning DB feeds the service, see tuner/db.hpp — and k_weights).
-  /// `w.warm_comms` is ignored: a quote always carries both paths.
+  /// Quotes `w` under `algo`, memoized by (algo, w): every Workload field
+  /// is part of the key except `w.warm_comms`, which is ignored because a
+  /// quote always carries both paths.
   const Quote& quote(Algo algo, const Workload& w);
 
-  /// Drops every memoized quote for the exact shape (m, n, k), any algo /
-  /// config. Call when the configuration the engine would run that shape
-  /// with changes — e.g. the tuning DB updated its entry — so the next
-  /// quote re-prices under the new config. Returns entries erased.
-  i64 invalidate_shape(i64 m, i64 n, i64 k);
-
-  /// Drops every memoized quote whose (m, n, k) satisfies `pred`. Used for
-  /// tuning-key granularity (a key covers a bucket of shapes, not one
-  /// exact shape). Returns entries erased. Like quote(), not thread-safe.
-  i64 invalidate_if(const std::function<bool(i64 m, i64 n, i64 k)>& pred);
-
-  int P() const { return P_; }
-  const simmpi::Machine& machine() const { return mach_; }
   i64 lookups() const { return lookups_; }
   i64 evaluations() const { return evaluations_; }
 
  private:
-  using Key =
-      std::tuple<int, i64, i64, i64, i64, bool, i64, bool, int, int, int, int,
-                 int, int, int, i64, bool, std::vector<double>>;
-  // algo, m, n, k, esize, layout, kblk, abft, force pm/pn/pk (0,0,0 = none),
-  // coll allgather/reduce_scatter/bcast/allreduce, small_message_bytes,
-  // overlap, k_weights
+  using Key = std::pair<Algo, Workload>;  ///< warm_comms cleared
 
   int P_;
   simmpi::Machine mach_;

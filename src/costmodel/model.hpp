@@ -25,6 +25,7 @@
 // ranks and heterogeneous topologies included.
 #pragma once
 
+#include <compare>
 #include <optional>
 #include <variant>
 #include <vector>
@@ -95,6 +96,12 @@ struct Workload {
   /// heterogeneous topologies. Empty = equal split. kCa3dmm/kCa3dmmSumma
   /// only.
   std::vector<double> k_weights{};
+  /// Ca3dmmOptions::grid: the grid solver's constraints (memory budget,
+  /// utilization bound, ...). Ignored when force_grid is set.
+  /// kCa3dmm/kCa3dmmSumma only.
+  GridOptions grid{};
+
+  friend auto operator<=>(const Workload&, const Workload&) = default;
 };
 
 /// The single conversion between a CA3DMM Workload and the options it

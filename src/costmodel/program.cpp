@@ -4,6 +4,7 @@ namespace ca3dmm::costmodel {
 
 Ca3dmmOptions options_of(const Workload& w, bool use_summa) {
   Ca3dmmOptions opt;
+  opt.grid = w.grid;
   opt.use_summa = use_summa;
   opt.min_kblk = w.min_kblk;
   opt.force_grid = w.force_grid;
@@ -22,6 +23,7 @@ Workload workload_of(i64 m, i64 n, i64 k, const Ca3dmmOptions& opt) {
   w.abft = opt.abft;
   w.overlap = opt.overlap;
   w.k_weights = opt.k_weights;
+  w.grid = opt.grid;
   return w;
 }
 

@@ -34,7 +34,7 @@
 // Concurrency: the engine is a per-rank object, called from its rank's own
 // code, one call at a time — as an MPI rank is one single-threaded process
 // in every algorithm this repository reproduces. The collective entry
-// points (multiply, submit, plan_for, refresh_tuning) raise ca3dmm::Error
+// points (multiply, submit, plan_for) raise ca3dmm::Error
 // when called from anywhere else, such as an OS thread the rank spawned.
 //
 // Failure semantics: a rank killed mid-batch triggers the cluster's
@@ -55,7 +55,6 @@
 #include <list>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/ca3dmm.hpp"
@@ -77,33 +76,14 @@ struct EngineConfig {
   /// the pool's high-water mark provably stays under
   /// max(budget, peak live bytes), the serving layer's zero-OOM bound.
   i64 pool_footprint_budget_bytes = 0;
-  /// Tuning database consulted on plan-cache miss (tuner/db.hpp); null =
-  /// no tuning, the engine always plans with the request's own options.
-  /// The engine never reads the DB on its execution path — it works from a
-  /// per-engine snapshot taken at construction and refreshed by
-  /// refresh_tuning() — so a background tuner may write concurrently.
-  /// Caller keeps the DB alive for the engine's lifetime; every rank's
-  /// engine must point at a DB with identical contents at construction
-  /// (same file, no writer racing construction) or call refresh_tuning()
-  /// before the first tunable request.
-  tuner::TuningDb* tuning_db = nullptr;
-  /// With a tuning_db: rank 0 enqueues every tunable plan-cache miss that
-  /// found no fresh DB entry (request_tune) so a background Tuner::drain
-  /// can tune it; the miss itself still runs on the heuristic.
-  bool tune_on_miss = false;
-  /// > 0 enables executed-drift feedback: after each multiply that ran a
-  /// tuned config, its time outside Phase::kRedistribute (max over ranks)
-  /// is compared against the entry's validated_work_s. Layouts are not part
-  /// of the tuning key, so the request's conversions are left out on both
-  /// sides. Past this relative threshold the key is marked stale in the DB
-  /// (and re-tune requested under tune_on_miss), the snapshot entry is
-  /// disabled, and the cached plan dropped — the next request falls back to
-  /// the heuristic. Costs one 8-byte allgather per tuned multiply, so it is
-  /// off (0) by default and must stay off where quoted vtimes are
-  /// exactness-gated (the service layer). Executed time is a clock delta,
-  /// so enable it only for back-to-back streams; skewed entry clocks
-  /// inflate the measurement.
-  double tuned_stale_rtol = 0;
+  /// Tuning database written offline (tools/tune, Tuner::tune_into;
+  /// tuner/db.hpp); null = no tuning, the engine always plans with the
+  /// request's own options. The engine snapshots the DB at construction and
+  /// consults only the snapshot on plan-cache miss; it never reads the DB
+  /// again, so the caller need not keep it alive. Every rank's engine must
+  /// see identical contents at construction (same file, no writer racing
+  /// construction).
+  const tuner::TuningDb* tuning_db = nullptr;
 };
 
 /// Monotonic per-engine counters. Cache counters evolve identically on
@@ -200,21 +180,10 @@ class PgemmEngine {
   /// buffers. Purely local: no communication, no virtual-time charge.
   void clear();
 
-  /// Re-snapshots the tuning DB. Collective over world: rank 0 serializes
-  /// the DB (under its lock) and broadcasts the bytes, so every rank's
-  /// snapshot is identical by construction even with a tuner writing
-  /// concurrently — per-rank direct reads could observe different states
-  /// and diverge the collective plan build. Charges the broadcast's
-  /// virtual time; call it at stream boundaries, not inside priced
-  /// regions. Returns the keys whose entries changed (added, updated,
-  /// marked stale, or removed) — the service invalidates its CostOracle
-  /// quotes for exactly those. No-op without a tuning_db.
-  std::vector<tuner::TuningKey> refresh_tuning();
-
   /// The tuned config the engine would apply to a plan-cache miss of this
-  /// request, from the current snapshot: set iff the request is tunable
-  /// (no force_grid, no coll, not SUMMA) and a fresh (non-stale) entry
-  /// covers its key. Purely local — safe for pricing, like is_cached().
+  /// request, from the construction-time snapshot: set iff the request is
+  /// tunable (no force_grid, no coll, not SUMMA) and an entry covers its
+  /// key. Purely local — safe for pricing, like is_cached().
   std::optional<tuner::TunedConfig> tuned_for(
       i64 m, i64 n, i64 k, const Ca3dmmOptions& opt = {}) const;
 
@@ -225,18 +194,15 @@ class PgemmEngine {
     Ca3dmmOptions opt{};
     friend bool operator==(const PlanKey&, const PlanKey&) = default;
   };
-  struct PlanKeyHash {
-    size_t operator()(const PlanKey& key) const;
-  };
   struct Entry {
     PlanKey key;
     Ca3dmmPlan plan;
     PlanComms comms;
     i64 splits_per_call = 0;  ///< one-shot splits this rank avoids per hit
-    bool tuned = false;       ///< plan built from a tuning-DB entry
-    tuner::TuningKey tkey{};  ///< the entry's key (valid when tuned)
-    double tuned_work_s = 0;  ///< drift-feedback reference: validated_work_s
   };
+
+  /// The cached entry for the key, or lru_.end().
+  std::list<Entry>::const_iterator find(const PlanKey& key) const;
 
   /// Returns the cache entry for the key, building plan + comms on a miss
   /// (collective!) and updating LRU order and counters.
@@ -248,7 +214,7 @@ class PgemmEngine {
   template <typename T>
   PlanKey key_of(const Request<T>& req) const;
 
-  /// Fresh snapshot entry covering a tunable request, else null.
+  /// Snapshot entry covering a tunable request, else null.
   const tuner::TuningEntry* tuned_entry(i64 m, i64 n, i64 k,
                                         const Ca3dmmOptions& opt) const;
 
@@ -259,11 +225,13 @@ class PgemmEngine {
   EngineConfig cfg_;
   /// Rank context of the rank that constructed the engine (check_owner).
   simmpi::RankCtx* owner_ctx_;
-  std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<PlanKey, std::list<Entry>::iterator, PlanKeyHash> index_;
+  /// Front = most recently used; at most plan_cache_capacity entries, so
+  /// lookups scan it.
+  std::list<Entry> lru_;
   simmpi::BufferPool pool_;
   EngineStats stats_;
-  /// Per-engine snapshot of the tuning DB (see EngineConfig::tuning_db).
+  /// Snapshot of the tuning DB taken at construction (see
+  /// EngineConfig::tuning_db).
   std::map<tuner::TuningKey, tuner::TuningEntry> tuned_view_;
 };
 

@@ -80,34 +80,6 @@ PgemmService::PgemmService(Comm& world, const ServiceConfig& cfg)
     CA_REQUIRE(t.max_queue >= 1, "tenant '%s' needs max_queue >= 1",
                t.name.c_str());
   }
-  if (cfg_.engine.tuning_db)
-    tuning_listener_ = cfg_.engine.tuning_db->add_listener(
-        [this](const tuner::TuningEntry& e) {
-          std::lock_guard<std::mutex> lock(tuning_mu_);
-          tuning_changed_.push_back(e.key);
-        });
-}
-
-PgemmService::~PgemmService() {
-  if (tuning_listener_ >= 0)
-    cfg_.engine.tuning_db->remove_listener(tuning_listener_);
-}
-
-std::vector<tuner::TuningKey> PgemmService::refresh_tuning() {
-  std::vector<tuner::TuningKey> changed = engine_.refresh_tuning();
-  {
-    std::lock_guard<std::mutex> lock(tuning_mu_);
-    changed.insert(changed.end(), tuning_changed_.begin(),
-                   tuning_changed_.end());
-    tuning_changed_.clear();
-  }
-  // A tuning key covers a bucket of shapes; drop every memoized quote whose
-  // shape the changed key covers (duplicates are idempotent).
-  for (const tuner::TuningKey& key : changed)
-    oracle_.invalidate_if([&](i64 m, i64 n, i64 k) {
-      return tuner::make_key(m, n, k, oracle_.P(), oracle_.machine()) == key;
-    });
-  return changed;
 }
 
 Workload PgemmService::workload_of(const ServiceRequest& r) const {
@@ -176,7 +148,6 @@ double PgemmService::dispatch(const ServiceRequest& r, double* predicted_out) {
 ServiceReport PgemmService::serve(const std::vector<ServiceRequest>& load,
                                   const std::vector<RequestRecord>& journal,
                                   std::vector<RequestRecord>* journal_out) {
-  if (cfg_.engine.tuning_db) refresh_tuning();
   const int nt = static_cast<int>(cfg_.tenants.size());
 
   // --- per-tenant runtime state ---

@@ -46,7 +46,6 @@
 // tenants nothing but the recovery latency. See docs/SERVICE.md.
 #pragma once
 
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -159,7 +158,6 @@ struct ServiceReport {
 class PgemmService {
  public:
   PgemmService(simmpi::Comm& world, const ServiceConfig& cfg);
-  ~PgemmService();
 
   PgemmService(const PgemmService&) = delete;
   PgemmService& operator=(const PgemmService&) = delete;
@@ -178,16 +176,6 @@ class PgemmService {
   const ServiceConfig& config() const { return cfg_; }
   engine::PgemmEngine& engine() { return engine_; }
 
-  /// Re-snapshots the engine's tuning view (collective — see
-  /// PgemmEngine::refresh_tuning) and invalidates the CostOracle's memoized
-  /// quotes for every key that changed: reported by the refresh diff, or
-  /// recorded by the DB update listener since the last call. Admission
-  /// prices then re-derive from the tuned plans the engine will actually
-  /// run. serve() calls this once at its start, so mid-serve DB writes
-  /// apply at the next serve() — quotes and execution never diverge inside
-  /// one loop. No-op without a tuning DB.
-  std::vector<tuner::TuningKey> refresh_tuning();
-
  private:
   costmodel::Workload workload_of(const ServiceRequest& r) const;
   /// Executes one admitted request batch; returns executed vtime (max over
@@ -198,12 +186,6 @@ class PgemmService {
   ServiceConfig cfg_;
   engine::PgemmEngine engine_;
   costmodel::CostOracle oracle_;
-  /// Tuning-DB update listener state: changed keys accumulate here (the
-  /// listener may fire on a background tuner thread) until the next
-  /// refresh_tuning() drains them into oracle invalidations.
-  int tuning_listener_ = -1;
-  std::mutex tuning_mu_;
-  std::vector<tuner::TuningKey> tuning_changed_;
 };
 
 }  // namespace ca3dmm::service

@@ -35,6 +35,7 @@
 // FlagCX's hybrid runner.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -180,6 +181,8 @@ struct CollectiveConfig {
 
   friend bool operator==(const CollectiveConfig&,
                          const CollectiveConfig&) = default;
+  friend auto operator<=>(const CollectiveConfig&,
+                          const CollectiveConfig&) = default;
 };
 
 /// Modeled cost of one collective: virtual seconds charged to every

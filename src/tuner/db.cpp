@@ -1,7 +1,6 @@
 #include "tuner/db.hpp"
 
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -27,8 +26,6 @@ int shape_bucket(i64 d) {
                                   << (2 * e + 1);
   return 2 * e + (d2 >= split ? 1 : 0);
 }
-
-bool bucket_matches(int q, i64 d) { return d >= 1 && shape_bucket(d) == q; }
 
 TuningKey make_key(i64 m, i64 n, i64 k, int nranks,
                    const simmpi::Machine& mach) {
@@ -91,41 +88,8 @@ std::optional<TuningEntry> TuningDb::find(const TuningKey& key) const {
 }
 
 void TuningDb::put(const TuningEntry& entry) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_[entry.key] = entry;
-  }
-  fire(entry);
-}
-
-bool TuningDb::mark_stale(const TuningKey& key) {
-  TuningEntry changed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it == entries_.end() || it->second.stale) return false;
-    it->second.stale = true;
-    changed = it->second;
-  }
-  fire(changed);
-  return true;
-}
-
-bool TuningDb::observe_executed(const TuningKey& key, double executed_s,
-                                double rtol) {
-  if (rtol <= 0) return false;
-  double ref = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it == entries_.end() || it->second.stale) return false;
-    ref = it->second.validated_s > 0 ? it->second.validated_s
-                                     : it->second.predicted_s;
-  }
-  if (ref <= 0) return false;
-  const double rel = std::abs(executed_s - ref) / ref;
-  if (rel <= rtol) return false;
-  return mark_stale(key);
+  std::lock_guard<std::mutex> lock(mu_);
+  entries_[entry.key] = entry;
 }
 
 std::vector<TuningEntry> TuningDb::entries() const {
@@ -144,49 +108,6 @@ size_t TuningDb::size() const {
 void TuningDb::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
-  pending_.clear();
-}
-
-void TuningDb::request_tune(i64 m, i64 n, i64 k, int nranks,
-                            const simmpi::Machine& mach) {
-  const TuningKey key = make_key(m, n, k, nranks, mach);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const PendingTune& p : pending_)
-    if (make_key(p.m, p.n, p.k, p.nranks, mach) == key) return;
-  pending_.push_back(PendingTune{m, n, k, nranks});
-}
-
-std::vector<PendingTune> TuningDb::take_pending() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<PendingTune> out;
-  out.swap(pending_);
-  return out;
-}
-
-size_t TuningDb::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pending_.size();
-}
-
-int TuningDb::add_listener(std::function<void(const TuningEntry&)> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const int id = next_listener_++;
-  listeners_[id] = std::move(fn);
-  return id;
-}
-
-void TuningDb::remove_listener(int id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  listeners_.erase(id);
-}
-
-void TuningDb::fire(const TuningEntry& entry) {
-  std::vector<std::function<void(const TuningEntry&)>> fns;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [id, fn] : listeners_) fns.push_back(fn);
-  }
-  for (const auto& fn : fns) fn(entry);
 }
 
 std::string TuningDb::serialize() const {
@@ -197,8 +118,8 @@ std::string TuningDb::serialize() const {
   for (const TuningEntry& e : es) {
     out += strprintf(
         "%d %d %d %d %d %d topo %llu rep %lld %lld %lld grid %d %d %d "
-        "coll %s %s %s %s %lld ov %d pred %.17g valid %.17g work %.17g "
-        "base %.17g pruned %lld validated %lld stale %d\n",
+        "coll %s %s %s %s %lld ov %d pred %.17g valid %.17g base %.17g "
+        "pruned %lld validated %lld\n",
         e.key.qm, e.key.qn, e.key.qk, e.key.nranks, e.key.ranks_per_node,
         e.key.gpu ? 1 : 0, static_cast<unsigned long long>(e.key.topo),
         static_cast<long long>(e.rep_m),
@@ -209,10 +130,9 @@ std::string TuningDb::serialize() const {
         coll_algo_token(e.config.coll.bcast),
         coll_algo_token(e.config.coll.allreduce),
         static_cast<long long>(e.config.coll.small_message_bytes),
-        e.config.overlap ? 1 : 0, e.predicted_s, e.validated_s,
-        e.validated_work_s, e.baseline_s,
+        e.config.overlap ? 1 : 0, e.predicted_s, e.validated_s, e.baseline_s,
         static_cast<long long>(e.candidates_pruned),
-        static_cast<long long>(e.candidates_validated), e.stale ? 1 : 0);
+        static_cast<long long>(e.candidates_validated));
   }
   return out;
 }
@@ -258,18 +178,17 @@ bool TuningDb::deserialize(const std::string& blob, const char* warn) {
     char ag[16], rs[16], bc[16], ar[16];
     long long rm, rn, rk, smb, pruned, validated;
     unsigned long long topo;
-    int gpu, ov, stale;
+    int gpu, ov;
     const int got = std::sscanf(
         line.c_str(),
         "%d %d %d %d %d %d topo %llu rep %lld %lld %lld grid %d %d %d "
-        "coll %15s %15s %15s %15s %lld ov %d pred %lg valid %lg work %lg "
-        "base %lg pruned %lld validated %lld stale %d",
+        "coll %15s %15s %15s %15s %lld ov %d pred %lg valid %lg base %lg "
+        "pruned %lld validated %lld",
         &e.key.qm, &e.key.qn, &e.key.qk, &e.key.nranks, &e.key.ranks_per_node,
         &gpu, &topo, &rm, &rn, &rk, &e.config.grid.pm, &e.config.grid.pn,
         &e.config.grid.pk, ag, rs, bc, ar, &smb, &ov, &e.predicted_s,
-        &e.validated_s, &e.validated_work_s, &e.baseline_s, &pruned,
-        &validated, &stale);
-    if (got != 26 || !parse_coll_algo(ag, &e.config.coll.allgather) ||
+        &e.validated_s, &e.baseline_s, &pruned, &validated);
+    if (got != 24 || !parse_coll_algo(ag, &e.config.coll.allgather) ||
         !parse_coll_algo(rs, &e.config.coll.reduce_scatter) ||
         !parse_coll_algo(bc, &e.config.coll.bcast) ||
         !parse_coll_algo(ar, &e.config.coll.allreduce)) {
@@ -286,7 +205,6 @@ bool TuningDb::deserialize(const std::string& blob, const char* warn) {
     e.config.overlap = ov != 0;
     e.candidates_pruned = pruned;
     e.candidates_validated = validated;
-    e.stale = stale != 0;
     parsed[e.key] = e;
   }
   std::lock_guard<std::mutex> lock(mu_);

@@ -1,11 +1,13 @@
 // Persisted, versioned tuning database.
 //
 // The Tuner (tuner.hpp) searches configurations per (shape-class, topology)
-// key and records the winner here; PgemmEngine consults a snapshot of this
-// DB on plan-cache miss (engine/engine.hpp). The DB is the only component
-// that outlives a process: it serializes deterministically to a small text
-// file, so a DB warmed once (CI, a tools/tune run, a shipped artifact) keeps
-// paying off across runs — the NCCL-tuner model (SNIPPETS.md snippet 2).
+// key and records the winner here, offline; PgemmEngine snapshots the DB at
+// construction and consults the snapshot on plan-cache miss
+// (engine/engine.hpp). The DB is the only component that outlives a
+// process: it serializes deterministically to a small text file, so a DB
+// warmed once (CI, a tools/tune run, a shipped artifact) keeps paying off
+// across runs — a static table consulted at plan time, the NCCL-tuner model
+// (SNIPPETS.md snippet 2).
 //
 // Keys quantize (m, n, k) into half-octave (sqrt-2-spaced) buckets and pin
 // the rank count and machine topology (ranks per node, GPU offload): a
@@ -22,15 +24,12 @@
 // never be able to break a run.
 //
 // Thread-safety: all methods are safe to call concurrently (one internal
-// mutex). Update listeners fire on the mutating thread after the lock is
-// released. The engine never reads the DB on its hot path — it works from
-// a per-engine snapshot refreshed collectively (PgemmEngine::refresh_tuning)
-// — so a background tuner thread can write while engines execute.
+// mutex), so readers may serialize or look up entries while a tuner writes.
+// The engine never reads the DB after construction.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -81,8 +80,6 @@ struct TuningKey {
 
 /// Half-octave bucket index of a dimension extent (d >= 1).
 int shape_bucket(i64 d);
-/// True iff extent d falls in bucket q (for oracle invalidation predicates).
-bool bucket_matches(int q, i64 d);
 
 TuningKey make_key(i64 m, i64 n, i64 k, int nranks,
                    const simmpi::Machine& mach);
@@ -103,30 +100,13 @@ struct TuningEntry {
   /// Executed virtual time of the winner's traced validation run; 0 when
   /// the tuner ran in predict-only mode (TunerOptions::validate = false).
   double validated_s = 0;
-  /// The same run's time outside Phase::kRedistribute, max over ranks: the
-  /// part of a multiply the tuned config decides. Layouts are not part of
-  /// the key, so the engine's drift feedback compares against this rather
-  /// than validated_s, which includes the native layouts' conversions. 0
-  /// when not validated.
-  double validated_work_s = 0;
   /// Executed (or, in predict-only mode, predicted) vtime of the auto
   /// heuristic baseline the winner was required to beat-or-match.
   double baseline_s = 0;
   i64 candidates_pruned = 0;     ///< rejected on predictions alone
   i64 candidates_validated = 0;  ///< finalists run for real
-  /// Set when executed-vtime feedback drifted past the staleness threshold
-  /// (observe_executed); a stale entry is ignored by the engine and
-  /// re-tuned on the next Tuner::drain.
-  bool stale = false;
 
   friend bool operator==(const TuningEntry&, const TuningEntry&) = default;
-};
-
-/// A shape whose tuning was requested (engine miss with tune_on_miss, or a
-/// stale entry) but not performed yet.
-struct PendingTune {
-  i64 m = 0, n = 0, k = 0;
-  int nranks = 0;
 };
 
 class TuningDb {
@@ -138,33 +118,11 @@ class TuningDb {
 
   // ---- lookups / mutation (thread-safe) ----
   std::optional<TuningEntry> find(const TuningKey& key) const;
-  /// Inserts or replaces the entry for entry.key and fires listeners.
+  /// Inserts or replaces the entry for entry.key.
   void put(const TuningEntry& entry);
-  /// Marks the key stale (no-op if absent or already stale); fires
-  /// listeners when the entry actually changed. Returns true iff changed.
-  bool mark_stale(const TuningKey& key);
-  /// Drift feedback: compares an executed vtime against the entry's
-  /// validated (or predicted) vtime and marks the entry stale when the
-  /// relative difference exceeds rtol. Returns true iff it went stale.
-  bool observe_executed(const TuningKey& key, double executed_s, double rtol);
   std::vector<TuningEntry> entries() const;  ///< sorted by key
   size_t size() const;
   void clear();
-
-  // ---- pending-tune queue (tune_on_miss) ----
-  /// Enqueues a shape for background tuning; deduplicated by tuning key.
-  void request_tune(i64 m, i64 n, i64 k, int nranks,
-                    const simmpi::Machine& mach);
-  /// Drains the queue (Tuner::drain's input). Deterministic order.
-  std::vector<PendingTune> take_pending();
-  size_t pending() const;
-
-  // ---- update listeners ----
-  /// Registers a callback fired after every put()/mark_stale() that changed
-  /// an entry (the service uses this to invalidate CostOracle quotes).
-  /// Returns an id for remove_listener.
-  int add_listener(std::function<void(const TuningEntry&)> fn);
-  void remove_listener(int id);
 
   // ---- persistence ----
   /// Deterministic text serialization: versioned header + one line per
@@ -182,17 +140,13 @@ class TuningDb {
   const std::string& path() const { return path_; }
 
   // Version 2: TuningKey carries the topology signature.
-  static constexpr int kSchemaVersion = 3;
+  // Version 4: entry lines drop the `work` and `stale` columns.
+  static constexpr int kSchemaVersion = 4;
 
  private:
-  void fire(const TuningEntry& entry);  ///< call without holding mu_
-
   std::string path_;
   mutable std::mutex mu_;
   std::map<TuningKey, TuningEntry> entries_;
-  std::vector<PendingTune> pending_;
-  std::map<int, std::function<void(const TuningEntry&)>> listeners_;
-  int next_listener_ = 0;
 };
 
 const char* coll_algo_token(simmpi::CollAlgo a);  ///< stable short name

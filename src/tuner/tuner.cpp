@@ -12,7 +12,6 @@ using costmodel::Workload;
 using simmpi::CollAlgo;
 using simmpi::CollectiveConfig;
 using simmpi::Cluster;
-using simmpi::Phase;
 
 costmodel::Workload tuned_workload(i64 m, i64 n, i64 k,
                                    const TunedConfig& cfg, i64 min_kblk) {
@@ -121,10 +120,6 @@ TuneResult Tuner::tune(i64 m, i64 n, i64 k, int nranks) const {
         DriftOptions{opt_.drift_rtol, 1e-12});
     f.validated = true;
     f.validated_s = rep.total.executed_s;
-    for (int r = 0; r < nranks; ++r)
-      f.validated_work_s = std::max(
-          f.validated_work_s,
-          cl.stats(r).vtime - cl.stats(r).phase(Phase::kRedistribute));
     f.drift_ok = rep.ok();
   }
   res.candidates_validated =
@@ -155,11 +150,9 @@ TuneResult Tuner::tune(i64 m, i64 n, i64 k, int nranks) const {
   res.entry.config = finalists[win].config;
   res.entry.predicted_s = finalists[win].predicted_s;
   res.entry.validated_s = finalists[win].validated_s;
-  res.entry.validated_work_s = finalists[win].validated_work_s;
   res.entry.baseline_s = res.heuristic_s;
   res.entry.candidates_pruned = res.candidates_pruned;
   res.entry.candidates_validated = res.candidates_validated;
-  res.entry.stale = false;
   res.finalists = std::move(finalists);
   return res;
 }
@@ -169,18 +162,6 @@ TuneResult Tuner::tune_into(TuningDb& db, i64 m, i64 n, i64 k,
   TuneResult res = tune(m, n, k, nranks);
   db.put(res.entry);
   return res;
-}
-
-int Tuner::drain(TuningDb& db) const {
-  int tuned = 0;
-  for (const PendingTune& p : db.take_pending()) {
-    const TuningKey key = make_key(p.m, p.n, p.k, p.nranks, mach_);
-    const std::optional<TuningEntry> existing = db.find(key);
-    if (existing && !existing->stale) continue;  // tuned since the request
-    tune_into(db, p.m, p.n, p.k, p.nranks);
-    ++tuned;
-  }
-  return tuned;
 }
 
 }  // namespace ca3dmm::tuner

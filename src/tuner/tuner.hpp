@@ -55,7 +55,6 @@ struct CandidateReport {
   TunedConfig config{};
   double predicted_s = 0;
   double validated_s = 0;  ///< 0 = pruned before validation
-  double validated_work_s = 0;  ///< TuningEntry::validated_work_s
   bool validated = false;
   bool drift_ok = true;    ///< meaningful only when validated
 };
@@ -83,12 +82,6 @@ class Tuner {
 
   /// tune() + db.put() of the winner.
   TuneResult tune_into(TuningDb& db, i64 m, i64 n, i64 k, int nranks) const;
-
-  /// Processes the DB's pending-tune queue (shapes enqueued by engines on
-  /// plan-cache miss with EngineConfig::tune_on_miss, or re-tune requests
-  /// for stale keys). Returns the number of keys tuned. Safe to run on a
-  /// host thread while engines execute: they read snapshots, not the DB.
-  int drain(TuningDb& db) const;
 
   const TunerOptions& options() const { return opt_; }
   const simmpi::Machine& machine() const { return mach_; }

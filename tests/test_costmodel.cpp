@@ -22,6 +22,7 @@
 #include "core/ca3dmm.hpp"
 #include "core/hetero.hpp"
 #include "layout/redistribute.hpp"
+#include "costmodel/admission.hpp"
 #include "costmodel/drift.hpp"
 #include "simmpi/cluster.hpp"
 
@@ -516,6 +517,66 @@ TEST(IdentityConversion, ExecutorAndPredictChargeTheSame) {
     }
     EXPECT_NEAR(exec_redist, want, 1e-12 * want);
   }
+}
+
+// ---- Workload <-> Ca3dmmOptions, and the CostOracle's memo key ----
+
+TEST(WorkloadOptions, GridOptionsReachTheModel) {
+  // A per-rank memory budget moves the solver's grid. The model — and so
+  // the service's admission, which prices workload_of(request options) —
+  // must plan the grid the executor runs, not the unconstrained one.
+  const i64 m = 2048, n = 2048, k = 2048;
+  const int P = 64;
+  Ca3dmmOptions opt;
+  opt.grid.max_memory_elems = 500000;
+  const ProcGrid executed = Ca3dmmPlan::make(m, n, k, P, opt).grid();
+  ASSERT_FALSE(executed == find_grid(m, n, k, P))
+      << "the budget must move the grid for this test to mean anything";
+
+  const Workload w = costmodel::workload_of(m, n, k, opt);
+  const costmodel::Program pg = costmodel::program_of(Algo::kCa3dmm, w, P);
+  const ProcGrid modeled = std::get<Ca3dmmPlan>(pg.plan).grid();
+  EXPECT_EQ(modeled.pm, executed.pm);
+  EXPECT_EQ(modeled.pn, executed.pn);
+  EXPECT_EQ(modeled.pk, executed.pk);
+  EXPECT_TRUE(costmodel::options_of(w).grid == opt.grid);
+}
+
+TEST(CostOracle, KeysOnAlgoAndTheWholeWorkload) {
+  const i64 d = 2048;
+  const int P = 64;
+  costmodel::CostOracle oracle(P, Machine::unit_test());
+  Ca3dmmOptions opt;
+  const Workload plain = costmodel::workload_of(d, d, d, opt);
+  opt.grid.max_memory_elems = 500000;
+  const Workload budget = costmodel::workload_of(d, d, d, opt);
+
+  // Two quotes that differ only in the grid options are two evaluations,
+  // each on its own grid.
+  const ProcGrid g_plain = oracle.quote(Algo::kCa3dmm, plain).grid;
+  const ProcGrid g_budget = oracle.quote(Algo::kCa3dmm, budget).grid;
+  EXPECT_EQ(oracle.evaluations(), 2);
+  EXPECT_FALSE(g_plain == g_budget);
+  EXPECT_TRUE(g_budget == Ca3dmmPlan::make(d, d, d, P, opt).grid());
+
+  // warm_comms is not part of the key: a quote carries both paths.
+  Workload warm = plain;
+  warm.warm_comms = true;
+  oracle.quote(Algo::kCa3dmm, warm);
+  EXPECT_EQ(oracle.evaluations(), 2);
+  // The algorithm is.
+  oracle.quote(Algo::kCa3dmmSumma, plain);
+  EXPECT_EQ(oracle.evaluations(), 3);
+  // So is a tuned config: the same shape under another grid, schedule and
+  // overlap setting is priced afresh, and memoized from then on.
+  Workload tuned = plain;
+  tuned.force_grid = find_grid_candidates(d, d, d, P, 2).back();
+  tuned.coll = simmpi::CollectiveConfig::tuned();
+  tuned.overlap = false;
+  oracle.quote(Algo::kCa3dmm, tuned);
+  oracle.quote(Algo::kCa3dmm, tuned);
+  EXPECT_EQ(oracle.evaluations(), 4);
+  EXPECT_EQ(oracle.lookups(), 6);
 }
 
 }  // namespace

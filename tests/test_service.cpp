@@ -13,6 +13,7 @@
 #include "service/wfq.hpp"
 #include "simmpi/cluster.hpp"
 #include "simmpi/fault.hpp"
+#include "tuner/tuner.hpp"
 
 namespace ca3dmm {
 namespace {
@@ -372,6 +373,41 @@ TEST(Service, WeightedRequestsArePricedAsExecuted) {
     quote[r.id] = r.predicted_s;
   }
   EXPECT_NE(quote[1], quote[2]);
+}
+
+TEST(Service, TunedRequestsArePricedAsExecuted) {
+  // With a tuning DB the engine plans a tunable request under the DB's
+  // config, so admission must price it under that config too: tuned plans
+  // are built, and every quote still equals the executed vtime.
+  const Machine mach = Machine::unit_test();
+  const int P = 8;
+  const i64 d = 96;
+  tuner::TuningDb db;
+  tuner::Tuner(mach).tune_into(db, d, d, d, P);
+  ASSERT_EQ(db.size(), 1u);
+
+  ServiceConfig cfg;
+  cfg.tenants = {TenantConfig{.name = "a"}, TenantConfig{.name = "b"}};
+  cfg.engine.tuning_db = &db;
+  std::vector<ServiceRequest> load;
+  for (int i = 0; i < 3; ++i)
+    for (int t = 0; t < 2; ++t) {
+      ServiceRequest r = tiny_request(t, 100 * (t + 1) + i);
+      r.m = r.n = r.k = d;
+      load.push_back(r);
+    }
+  ServiceReport rep;
+  Cluster cl(P, mach);
+  cl.run([&](Comm& world) {
+    PgemmService svc(world, cfg);
+    ServiceReport r = svc.serve(load);
+    if (world.rank() == 0) rep = r;
+  });
+  EXPECT_GE(rep.engine.tuned_plans, 1);
+  for (const service::TenantMetrics& m : rep.tenants) {
+    EXPECT_EQ(m.completed, 3) << m.name;
+    EXPECT_LE(m.max_drift, 1e-6) << m.name;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,20 +1,19 @@
 // Auto-tuner and tuning DB: deterministic serialization round trips,
-// version/corruption fallback, the search's never-slower-than-heuristic
-// guarantee, engine consultation of a DB snapshot, tune-on-miss and
-// stale-key feedback loops, concurrent readers vs a tuner writer, and the
-// CostOracle invalidation the service layer relies on.
+// version/corruption fallback, concurrent readers vs a tuner writer, the
+// search's never-slower-than-heuristic guarantee, and engine consultation
+// of its construction-time DB snapshot.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "costmodel/admission.hpp"
+#include "costmodel/drift.hpp"
 #include "engine/engine.hpp"
-#include "linalg/matrix.hpp"
 #include "simmpi/cluster.hpp"
-#include "simmpi/fault.hpp"
 #include "tuner/db.hpp"
 #include "tuner/tuner.hpp"
 
@@ -23,26 +22,13 @@ namespace {
 
 using engine::EngineConfig;
 using engine::PgemmEngine;
-using engine::Request;
 using simmpi::Cluster;
 using simmpi::Comm;
 using simmpi::Machine;
-using tuner::TunedConfig;
 using tuner::Tuner;
 using tuner::TunerOptions;
 using tuner::TuningDb;
 using tuner::TuningEntry;
-using tuner::TuningKey;
-
-void fill_local(const BlockLayout& layout, int rank, std::uint64_t seed,
-                std::vector<double>& buf) {
-  buf.assign(static_cast<size_t>(layout.local_size(rank)), 0.0);
-  i64 pos = 0;
-  for (const Rect& r : layout.rects_of(rank))
-    for (i64 i = r.r.lo; i < r.r.hi; ++i)
-      for (i64 j = r.c.lo; j < r.c.hi; ++j)
-        buf[static_cast<size_t>(pos++)] = matrix_entry<double>(seed, i, j);
-}
 
 /// Fills `db` with two hand-built deterministic entries.
 void fill_sample(TuningDb& db) {
@@ -54,7 +40,6 @@ void fill_sample(TuningDb& db) {
   e.config.overlap = false;
   e.predicted_s = 1.25e-4;
   e.validated_s = 1.25e-4;
-  e.validated_work_s = 1.0e-4;
   e.baseline_s = 1.5e-4;
   e.candidates_pruned = 40;
   e.candidates_validated = 5;
@@ -65,7 +50,6 @@ void fill_sample(TuningDb& db) {
   f.rep_k = 768;
   f.config.grid = find_grid(48, 48, 768, 8);
   f.predicted_s = 3.5e-4;
-  f.stale = true;
   db.put(f);
 }
 
@@ -78,9 +62,10 @@ TEST(ShapeBucket, ConsistentAndMonotone) {
   for (i64 d = 1; d <= 5000; ++d) {
     const int q = tuner::shape_bucket(d);
     EXPECT_GE(q, prev) << "bucket index must be monotone in d, d=" << d;
-    EXPECT_TRUE(tuner::bucket_matches(q, d)) << "d=" << d;
-    EXPECT_FALSE(tuner::bucket_matches(q + 1, d)) << "d=" << d;
-    EXPECT_FALSE(tuner::bucket_matches(q - 1, d)) << "d=" << d;
+    // Bucket q covers [2^(q/2), 2^((q+1)/2)), i.e. 2^q <= d^2 < 2^(q+1).
+    const double d2 = static_cast<double>(d) * static_cast<double>(d);
+    EXPECT_LE(std::ldexp(1.0, q), d2) << "d=" << d;
+    EXPECT_LT(d2, std::ldexp(1.0, q + 1)) << "d=" << d;
     prev = q;
   }
   // Half-octave spacing: doubling a dimension moves exactly two buckets.
@@ -158,6 +143,21 @@ TEST(TuningDbPersistence, SchemaVersionMismatchIsIgnored) {
   const std::string before = victim.serialize();
   EXPECT_FALSE(victim.deserialize(blob, "schema-mismatch test"));
   EXPECT_EQ(victim.serialize(), before) << "a rejected blob must not mutate";
+
+  // A file as schema 3 wrote it, under today's cost model: its lines still
+  // carry the `work` and `stale` columns, and it is rejected on the schema.
+  const std::string v3 =
+      "ca3dmm-tuning-db schema 3 costmodel " +
+      std::to_string(costmodel::kCostModelVersion) +
+      "\nentries 1\n"
+      "13 13 13 8 24 0 topo 0 rep 96 96 96 grid 2 2 2 coll auto auto auto "
+      "auto 16384 ov 1 pred 2.6e-05 valid 2.6e-05 work 2.5e-05 base 2.6e-05 "
+      "pruned 176 validated 5 stale 0\n";
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(victim.deserialize(v3, "schema-3 test"));
+  const std::string warning = testing::internal::GetCapturedStderr();
+  EXPECT_NE(warning.find("schema version 3"), std::string::npos) << warning;
+  EXPECT_EQ(victim.serialize(), before);
 }
 
 TEST(TuningDbPersistence, CostModelVersionMismatchIsIgnored) {
@@ -203,19 +203,21 @@ TEST(TuningDbPersistence, CostModelV3FileIsRejected) {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
     std::fputs(
-        "ca3dmm-tuning-db schema 2 costmodel 3\n"
+        "ca3dmm-tuning-db schema 4 costmodel 3\n"
         "entries 1\n"
         "13 13 13 8 24 0 topo 0 rep 96 96 96 grid 2 2 2 coll auto auto auto "
         "auto 16384 ov 1 pred 2.6463600000000005e-05 valid "
         "2.6463600000000005e-05 base 2.6463600000000005e-05 pruned 176 "
-        "validated 5 stale 0\n",
+        "validated 5\n",
         f);
     std::fclose(f);
   }
   TuningDb db(path);
   testing::internal::CaptureStderr();
   EXPECT_FALSE(db.load());
-  testing::internal::GetCapturedStderr();
+  const std::string file_warning = testing::internal::GetCapturedStderr();
+  EXPECT_NE(file_warning.find("cost-model version 3"), std::string::npos)
+      << file_warning;
   EXPECT_EQ(db.size(), 0u);
 
   // The same header under today's schema fails on the model version.
@@ -248,62 +250,67 @@ TEST(TuningDbPersistence, TruncatedAndCorruptBlobsAreIgnored) {
     EXPECT_FALSE(victim.deserialize(blob.substr(0, len)));
     EXPECT_EQ(victim.serialize(), before) << "truncated at " << len;
   }
-  // Garbage body under a valid-looking start.
-  EXPECT_FALSE(victim.deserialize("ca3dmm-tuning-db schema 1 costmodel 1\n"
-                                  "entries 1\nnot an entry line\n"));
+  // Garbage body under a valid header.
+  const std::string header =
+      "ca3dmm-tuning-db schema " + std::to_string(TuningDb::kSchemaVersion) +
+      " costmodel " + std::to_string(costmodel::kCostModelVersion) + "\n";
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(victim.deserialize(header + "entries 1\nnot an entry line\n",
+                                  "garbage test"));
+  const std::string warning = testing::internal::GetCapturedStderr();
+  EXPECT_NE(warning.find("malformed entry 0"), std::string::npos) << warning;
   EXPECT_EQ(victim.serialize(), before);
   EXPECT_FALSE(victim.deserialize("complete nonsense"));
   EXPECT_EQ(victim.serialize(), before);
 }
 
 // ---------------------------------------------------------------------------
-// DB semantics: staleness, pending queue, listeners
+// Concurrency: readers vs a tuner writer
 // ---------------------------------------------------------------------------
 
-TEST(TuningDbSemantics, ObserveExecutedMarksStaleOnDrift) {
-  TuningDb db;
-  fill_sample(db);
-  const TuningKey key = tuner::make_key(96, 96, 96, 8, Machine::unit_test());
-  const double validated = db.find(key)->validated_s;
-
-  // Inside tolerance: stays fresh.
-  EXPECT_FALSE(db.observe_executed(key, validated * (1 + 1e-9), 1e-6));
-  EXPECT_FALSE(db.find(key)->stale);
-  // Outside tolerance: goes stale exactly once.
-  EXPECT_TRUE(db.observe_executed(key, validated * 1.5, 1e-6));
-  EXPECT_TRUE(db.find(key)->stale);
-  EXPECT_FALSE(db.observe_executed(key, validated * 1.5, 1e-6));
-}
-
-TEST(TuningDbSemantics, PendingQueueDeduplicatesByKey) {
-  TuningDb db;
+TEST(TuningDbConcurrency, ReadersVsTunerWriter) {
+  // TSan target: host threads look up, list and serialize the DB while
+  // another thread writes winners through the Tuner. Every read sees a
+  // consistent state (the DB's mutex), and the final DB is the four keys.
   const Machine mach = Machine::unit_test();
-  db.request_tune(96, 96, 96, 8, mach);
-  db.request_tune(95, 95, 95, 8, mach);  // same half-octave bucket
-  db.request_tune(48, 48, 768, 8, mach);
-  EXPECT_EQ(db.pending(), 2u);
-  EXPECT_EQ(db.take_pending().size(), 2u);
-  EXPECT_EQ(db.pending(), 0u);
-}
-
-TEST(TuningDbSemantics, ListenersFireOnChange) {
+  const int P = 4;
+  const i64 dims[] = {24, 48, 96, 192};
   TuningDb db;
-  std::vector<TuningKey> seen;
-  const int id = db.add_listener(
-      [&](const TuningEntry& e) { seen.push_back(e.key); });
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    TunerOptions topt;
+    topt.validate = false;
+    Tuner tuner(mach, topt);
+    for (int round = 0; round < 20; ++round)
+      for (const i64 d : dims) tuner.tune_into(db, d, d, d, P);
+    done = true;
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t)
+    readers.emplace_back([&] {
+      size_t last = 0;
+      while (!done) {
+        size_t found = 0;
+        for (const i64 d : dims)
+          found += db.find(tuner::make_key(d, d, d, P, mach)) ? 1u : 0u;
+        const std::vector<TuningEntry> es = db.entries();
+        // Entries are only ever added or replaced here, so a later listing
+        // holds everything found before it.
+        EXPECT_GE(es.size(), found);
+        EXPECT_GE(es.size(), last);
+        last = es.size();
+        TuningDb copy;
+        EXPECT_TRUE(copy.deserialize(db.serialize()));
+      }
+    });
+  writer.join();
+  for (std::thread& r : readers) r.join();
 
-  TuningEntry e;
-  e.key = tuner::make_key(96, 96, 96, 8, Machine::unit_test());
-  db.put(e);
-  EXPECT_EQ(seen.size(), 1u);
-  EXPECT_TRUE(db.mark_stale(e.key));
-  EXPECT_EQ(seen.size(), 2u);
-  EXPECT_FALSE(db.mark_stale(e.key)) << "already stale: no change, no event";
-  EXPECT_EQ(seen.size(), 2u);
-
-  db.remove_listener(id);
-  db.put(e);
-  EXPECT_EQ(seen.size(), 2u);
+  ASSERT_EQ(db.size(), 4u);
+  const std::string blob = db.serialize();
+  TuningDb copy;
+  ASSERT_TRUE(copy.deserialize(blob));
+  EXPECT_EQ(copy.serialize(), blob);
 }
 
 // ---------------------------------------------------------------------------
@@ -388,29 +395,6 @@ TEST(TunerSearch, PredictOnlyModeSkipsValidation) {
   EXPECT_LE(r.entry.predicted_s, r.heuristic_s);
 }
 
-TEST(TunerSearch, DrainProcessesPendingAndSkipsFreshKeys) {
-  TunerOptions opt;
-  opt.validate = false;
-  const Machine mach = Machine::unit_test();
-  Tuner tuner(mach, opt);
-  TuningDb db;
-  db.request_tune(96, 96, 96, 8, mach);
-  db.request_tune(48, 48, 768, 8, mach);
-  EXPECT_EQ(tuner.drain(db), 2);
-  EXPECT_EQ(db.size(), 2u);
-  EXPECT_EQ(db.pending(), 0u);
-
-  // Re-requesting a key that is already fresh is a no-op for drain.
-  db.request_tune(96, 96, 96, 8, mach);
-  EXPECT_EQ(tuner.drain(db), 0);
-
-  // A stale key re-tunes.
-  ASSERT_TRUE(db.mark_stale(tuner::make_key(96, 96, 96, 8, mach)));
-  db.request_tune(96, 96, 96, 8, mach);
-  EXPECT_EQ(tuner.drain(db), 1);
-  EXPECT_FALSE(db.find(tuner::make_key(96, 96, 96, 8, mach))->stale);
-}
-
 // ---------------------------------------------------------------------------
 // Engine integration
 // ---------------------------------------------------------------------------
@@ -468,6 +452,28 @@ TEST(EngineTuning, ConsultsDbOnMissAndRespectsUserOverrides) {
   });
 }
 
+TEST(EngineTuning, SnapshotIsTakenAtConstruction) {
+  // The engine reads the DB once, when it is built: a later write reaches
+  // only engines constructed after it.
+  const Machine mach = Machine::unit_test();
+  const int P = 4;
+  TunerOptions topt;
+  topt.validate = false;
+  TuningDb db;
+  Cluster cl(P, mach);
+  cl.run([&](Comm& world) {
+    EngineConfig cfg;
+    cfg.tuning_db = &db;
+    PgemmEngine before(world, cfg);
+    world.barrier();
+    if (world.rank() == 0) Tuner(mach, topt).tune_into(db, 48, 48, 48, P);
+    world.barrier();
+    EXPECT_FALSE(before.tuned_for(48, 48, 48).has_value());
+    PgemmEngine after(world, cfg);
+    EXPECT_TRUE(after.tuned_for(48, 48, 48).has_value());
+  });
+}
+
 TEST(EngineTuning, NoDbAndEmptyDbFallBackToHeuristic) {
   const Machine mach = Machine::unit_test();
   const int P = 4;
@@ -485,220 +491,6 @@ TEST(EngineTuning, NoDbAndEmptyDbFallBackToHeuristic) {
     EXPECT_EQ(plan.grid().pm, solver.pm);
     EXPECT_EQ(eng.stats().tuned_plans, 0);
   });
-}
-
-TEST(EngineTuning, TuneOnMissEnqueuesAndRefreshAdoptsDrainedResult) {
-  const Machine mach = Machine::unit_test();
-  const int P = 8;
-  TuningDb db;
-  Cluster cl(P, mach);
-  cl.run([&](Comm& world) {
-    EngineConfig cfg;
-    cfg.tuning_db = &db;
-    cfg.tune_on_miss = true;
-    PgemmEngine eng(world, cfg);
-    eng.plan_for(96, 96, 96);  // miss: heuristic plan + pending tune request
-    EXPECT_FALSE(eng.tuned_for(96, 96, 96).has_value());
-    world.barrier();
-    if (world.rank() == 0) {
-      EXPECT_EQ(db.pending(), 1u);
-    }
-    world.barrier();
-
-    // A host-side tuner would drain concurrently; here rank 0 stands in
-    // (the engines only read their snapshots until refresh_tuning).
-    if (world.rank() == 0) {
-      TunerOptions topt;
-      topt.validate = false;
-      EXPECT_EQ(Tuner(mach, topt).drain(db), 1);
-    }
-    world.barrier();
-
-    const auto changed = eng.refresh_tuning();
-    EXPECT_EQ(changed.size(), 1u);
-    EXPECT_TRUE(eng.tuned_for(96, 96, 96).has_value());
-  });
-}
-
-TEST(EngineTuning, InjectedDriftMarksKeyStaleOnEveryRank) {
-  const Machine mach = Machine::unit_test();
-  const int P = 4;
-  const i64 m = 48, n = 48, k = 48;
-  // Warm a real validated entry first (no faults).
-  TuningDb db;
-  Tuner tuner(mach);
-  tuner.tune_into(db, m, n, k, P);
-  const TuningKey key = tuner::make_key(m, n, k, P, mach);
-  ASSERT_TRUE(db.find(key).has_value());
-  ASSERT_FALSE(db.find(key)->stale);
-
-  const BlockLayout lay_a = BlockLayout::col_1d(m, k, P);
-  const BlockLayout lay_b = BlockLayout::col_1d(k, n, P);
-  const BlockLayout lay_c = BlockLayout::col_1d(m, n, P);
-
-  // Replay the tuned multiply on a cluster where node 0 straggles 3x: the
-  // executed vtime leaves the validated envelope, so every rank must mark
-  // the key stale, drop the cached plan, and enqueue a re-tune.
-  Cluster cl(P, mach);
-  simmpi::FaultPlan faults;
-  faults.stragglers.push_back({.node = 0, .factor = 3.0});
-  cl.set_fault_plan(faults);
-  engine::EngineStats st;
-  cl.run([&](Comm& world) {
-    EngineConfig cfg;
-    cfg.tuning_db = &db;
-    cfg.tune_on_miss = true;
-    cfg.tuned_stale_rtol = 0.05;
-    PgemmEngine eng(world, cfg);
-    std::vector<double> a, b;
-    fill_local(lay_a, world.rank(), 31, a);
-    fill_local(lay_b, world.rank(), 32, b);
-    std::vector<double> c(
-        static_cast<size_t>(lay_c.local_size(world.rank())));
-    Request<double> req;
-    req.m = m;
-    req.n = n;
-    req.k = k;
-    req.a_layout = &lay_a;
-    req.a = a.data();
-    req.b_layout = &lay_b;
-    req.b = b.data();
-    req.c_layout = &lay_c;
-    req.c = c.data();
-    eng.multiply(req);
-    // The tuned snapshot entry is disabled on every rank.
-    EXPECT_FALSE(eng.tuned_for(m, n, k).has_value());
-    if (world.rank() == 0) st = eng.stats();
-  });
-  EXPECT_EQ(st.tuned_plans, 1);
-  EXPECT_GE(st.plan_invalidations, 1);
-  EXPECT_TRUE(db.find(key)->stale);
-  EXPECT_GE(db.pending(), 1u);
-
-  // The feedback loop closes: drain re-tunes the stale key fresh.
-  EXPECT_GE(tuner.drain(db), 1);
-  EXPECT_FALSE(db.find(key)->stale);
-}
-
-TEST(EngineTuning, HealthyTunedRunStaysFresh) {
-  const Machine mach = Machine::unit_test();
-  const int P = 4;
-  const i64 m = 48, n = 48, k = 48;
-  TuningDb db;
-  Tuner(mach).tune_into(db, m, n, k, P);
-  const TuningKey key = tuner::make_key(m, n, k, P, mach);
-
-  const BlockLayout lay_a = BlockLayout::col_1d(m, k, P);
-  const BlockLayout lay_b = BlockLayout::col_1d(k, n, P);
-  const BlockLayout lay_c = BlockLayout::col_1d(m, n, P);
-  Cluster cl(P, mach);
-  cl.run([&](Comm& world) {
-    EngineConfig cfg;
-    cfg.tuning_db = &db;
-    // Generous threshold: the engine path differs from the tuner's traced
-    // validation run only by constant plan/communicator setup.
-    cfg.tuned_stale_rtol = 0.5;
-    PgemmEngine eng(world, cfg);
-    std::vector<double> a, b;
-    fill_local(lay_a, world.rank(), 31, a);
-    fill_local(lay_b, world.rank(), 32, b);
-    std::vector<double> c(
-        static_cast<size_t>(lay_c.local_size(world.rank())));
-    Request<double> req;
-    req.m = m;
-    req.n = n;
-    req.k = k;
-    req.a_layout = &lay_a;
-    req.a = a.data();
-    req.b_layout = &lay_b;
-    req.b = b.data();
-    req.c_layout = &lay_c;
-    req.c = c.data();
-    eng.multiply(req);
-    EXPECT_TRUE(eng.tuned_for(m, n, k).has_value());
-  });
-  EXPECT_FALSE(db.find(key)->stale);
-}
-
-TEST(EngineTuning, ConcurrentRefreshReadersVsTunerWriter) {
-  // TSan target: engines refresh their snapshots (rank 0 serializes the DB,
-  // broadcasts, all ranks parse) while a host thread keeps writing fresh
-  // entries through the Tuner. The engines must always see an internally
-  // consistent snapshot; the DB mutex plus the collective broadcast make
-  // every rank's view identical at each refresh.
-  const Machine mach = Machine::unit_test();
-  const int P = 4;
-  TuningDb db;
-  std::thread writer([&] {
-    TunerOptions topt;
-    topt.validate = false;
-    Tuner tuner(mach, topt);
-    for (int round = 0; round < 20; ++round)
-      for (const i64 d : {i64{24}, i64{48}, i64{96}, i64{192}})
-        tuner.tune_into(db, d, d, d, P);
-  });
-  Cluster cl(P, mach);
-  cl.run([&](Comm& world) {
-    EngineConfig cfg;
-    cfg.tuning_db = &db;
-    PgemmEngine eng(world, cfg);
-    size_t last = 0;
-    for (int i = 0; i < 50; ++i) {
-      eng.refresh_tuning();
-      size_t view = 0;
-      for (const i64 d : {i64{24}, i64{48}, i64{96}, i64{192}})
-        view += eng.tuned_for(d, d, d).has_value() ? 1u : 0u;
-      // Snapshots only ever grow here (no staleness in play).
-      EXPECT_GE(view, last);
-      last = view;
-    }
-  });
-  writer.join();
-  EXPECT_EQ(db.size(), 4u);
-}
-
-// ---------------------------------------------------------------------------
-// CostOracle invalidation (the service's side of the feedback loop)
-// ---------------------------------------------------------------------------
-
-TEST(OracleInvalidation, ShapeAndPredicateGranularity) {
-  costmodel::CostOracle oracle(8, Machine::unit_test());
-  costmodel::Workload w{96, 96, 96};
-  oracle.quote(costmodel::Algo::kCa3dmm, w);
-  costmodel::Workload w2{48, 48, 768};
-  oracle.quote(costmodel::Algo::kCa3dmm, w2);
-  EXPECT_EQ(oracle.evaluations(), 2);
-
-  // Exact-shape invalidation touches only that shape.
-  EXPECT_EQ(oracle.invalidate_shape(96, 96, 96), 1);
-  EXPECT_EQ(oracle.invalidate_shape(96, 96, 96), 0);
-  oracle.quote(costmodel::Algo::kCa3dmm, w);
-  EXPECT_EQ(oracle.evaluations(), 3) << "invalidated quote re-prices";
-  oracle.quote(costmodel::Algo::kCa3dmm, w2);
-  EXPECT_EQ(oracle.evaluations(), 3) << "untouched quote stays memoized";
-
-  // Key-granular predicate: every shape in the changed key's bucket goes.
-  const TuningKey key = tuner::make_key(96, 96, 96, 8, Machine::unit_test());
-  costmodel::Workload w3{95, 95, 95};  // same bucket as 96^3
-  oracle.quote(costmodel::Algo::kCa3dmm, w3);
-  const i64 erased = oracle.invalidate_if([&](i64 m, i64 n, i64 k) {
-    return tuner::make_key(m, n, k, 8, Machine::unit_test()) == key;
-  });
-  EXPECT_EQ(erased, 2);
-
-  // A tuned config is a distinct memoization key: the same shape priced
-  // under different grids/schedules yields separate entries (the service
-  // re-prices after refresh_tuning instead of reusing the heuristic quote).
-  costmodel::Workload tuned = w;
-  tuned.force_grid = find_grid_candidates(96, 96, 96, 8, 2).back();
-  tuned.overlap = false;
-  oracle.quote(costmodel::Algo::kCa3dmm, w);
-  const i64 before_tuned = oracle.evaluations();
-  oracle.quote(costmodel::Algo::kCa3dmm, tuned);
-  EXPECT_EQ(oracle.evaluations(), before_tuned + 1)
-      << "a tuned config must not reuse the heuristic quote";
-  oracle.quote(costmodel::Algo::kCa3dmm, tuned);
-  EXPECT_EQ(oracle.evaluations(), before_tuned + 1);
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 //
 //   --db PATH     tuning database file (created if missing)
 //   --warm        tune every --shape at P ranks and persist the winners;
-//                 shapes whose bucket already holds a fresh entry are
-//                 skipped (reload is O(1), no re-search)
+//                 shapes whose bucket already holds an entry are skipped
+//                 (reload is O(1), no re-search)
 //   --dump        print the database contents as a table
 //   --p N         rank count to tune for (default 32)
 //   --shape M,N,K problem shape; repeatable. Default: the four scaled
@@ -53,14 +53,14 @@ void dump(const tuner::TuningDb& db) {
               entries.size(), entries.size() == 1 ? "y" : "ies");
   if (entries.empty()) return;
   std::printf(
-      "%-22s %5s %-12s %-22s %2s %12s %12s %12s %7s %6s\n", "bucket(q m,n,k)",
+      "%-22s %5s %-12s %-22s %2s %12s %12s %12s %7s\n", "bucket(q m,n,k)",
       "P", "grid", "coll(ag,rs,bc,ar)", "ov", "predicted_s", "validated_s",
-      "baseline_s", "speedup", "stale");
+      "baseline_s", "speedup");
   for (const tuner::TuningEntry& e : entries) {
     const double speedup =
         e.validated_s > 0 ? e.baseline_s / e.validated_s : 0.0;
     std::printf(
-        "%6d,%6d,%6d %7d %-12s %-22s %2s %12.6g %12.6g %12.6g %6.3fx %6s\n",
+        "%6d,%6d,%6d %7d %-12s %-22s %2s %12.6g %12.6g %12.6g %6.3fx\n",
         e.key.qm, e.key.qn, e.key.qk, e.key.nranks,
         strprintf("%dx%dx%d", e.config.grid.pm, e.config.grid.pn,
                   e.config.grid.pk)
@@ -71,7 +71,7 @@ void dump(const tuner::TuningDb& db) {
                   tuner::coll_algo_token(e.config.coll.allreduce))
             .c_str(),
         e.config.overlap ? "y" : "n", e.predicted_s, e.validated_s,
-        e.baseline_s, speedup, e.stale ? "yes" : "no");
+        e.baseline_s, speedup);
   }
 }
 
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
     int tuned = 0, skipped = 0;
     for (const Shape& s : shapes) {
       const tuner::TuningKey key = tuner::make_key(s.m, s.n, s.k, P, mach);
-      if (const auto existing = db.find(key); existing && !existing->stale) {
+      if (db.find(key)) {
         ++skipped;
         continue;
       }
