@@ -22,9 +22,9 @@ using costmodel::Prediction;
 using costmodel::Workload;
 using simmpi::Machine;
 
-/// Set when the real-execution drift gate fails; main() turns it into a
-/// nonzero exit.
-bool g_drift_failed = false;
+/// Set when the real-execution drift or zero-fill gate fails; main() turns
+/// it into a nonzero exit.
+bool g_gate_failed = false;
 
 /// Real execution at the figure's two largest process counts, and at
 /// P=12288 (4x the paper's largest), on the fiber backend — the whole point
@@ -38,8 +38,11 @@ bool g_drift_failed = false;
 /// Each executed point runs twice on one Cluster (the repeated run reuses
 /// its fiber stacks and rank buffer pools) and prints each run's
 /// HostProfile: context switches, steals, migrations, lock acquisitions and contention
-/// per lock class, p2p bytes copied, and the kernel's share (page faults,
-/// voluntary switches, system CPU) — what the host spent on the run.
+/// per lock class, p2p bytes copied, pool zero fills and schedule copies,
+/// and the kernel's share (page faults, voluntary switches, system CPU) —
+/// what the host spent on the run. Only the GEMM accumulators (one mb x nb
+/// partial C per rank) need zeroed memory; a run whose pools zero more
+/// fails the binary like drift does (the count is deterministic).
 ///
 /// ranks_per_node is 16 here (not Phoenix's 24) so node boundaries align
 /// with the 256-rank Cannon groups. A group that straddles a node boundary
@@ -82,13 +85,23 @@ void print_real_execution() {
       // contract: they move with the worker count and host timing).
       std::printf("host profile:\n%s", cl.host_profile().table().c_str());
       if (!rep.ok()) {
-        g_drift_failed = true;
+        g_gate_failed = true;
         std::printf("^^ DRIFT GATE FAILED at P=%d (%s)\n", rc.P, which);
+      }
+      const i64 acc_bytes = static_cast<i64>(rc.P) * (w.m / rc.grid.pm) *
+                            (w.n / rc.grid.pn) * w.esize;
+      if (cl.host_profile().pool_zeroed_bytes > acc_bytes) {
+        g_gate_failed = true;
+        std::printf("^^ ZERO-FILL GATE FAILED at P=%d (%s): %lld B zeroed, "
+                    "accumulators are %lld B\n",
+                    rc.P, which,
+                    static_cast<long long>(cl.host_profile().pool_zeroed_bytes),
+                    static_cast<long long>(acc_bytes));
       }
     }
   }
-  std::printf("\nreal-execution drift gate: %s (rtol %.1e)\n",
-              g_drift_failed ? "FAIL" : "ok",
+  std::printf("\nreal-execution drift and zero-fill gates: %s (rtol %.1e)\n",
+              g_gate_failed ? "FAIL" : "ok",
               costmodel::DriftOptions{}.rtol);
 }
 
@@ -160,5 +173,5 @@ int main(int argc, char** argv) {
   const int rc = ca3dmm::bench::run_bench_main(argc, argv,
                                                ca3dmm::bench::print_tables);
   if (rc != 0) return rc;
-  return ca3dmm::bench::g_drift_failed ? 3 : 0;
+  return ca3dmm::bench::g_gate_failed ? 3 : 0;
 }

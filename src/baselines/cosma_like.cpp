@@ -195,7 +195,7 @@ int cosma_pipeline(const CosmaPlan& plan, int me, double gemm_fraction,
     }
 
     // ---- one local GEMM (CTF charges its derated contraction rate) ----
-    s.alloc(kCPartial, mb * nb);
+    s.alloc(kCPartial, mb * nb, /*zero=*/true);
     s.set_phase(Phase::kCompute);
     s.compute(a_op, b_op, kCPartial, mb, nb, kb, kb,
               gemm_flops(mb, nb, kb) / gemm_fraction,

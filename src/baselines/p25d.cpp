@@ -141,7 +141,7 @@ void build_schedule(const P25dPlan& plan, int me, const simmpi::Machine&,
     s.set_phase(kInheritPhase);
 
     // ---- my share of the Cannon steps ----
-    s.alloc(kCPartial, mb * nb);
+    s.alloc(kCPartial, mb * nb, /*zero=*/true);
     const int left = wrap(j - 1, q) * q + i;
     const int right = wrap(j + 1, q) * q + i;
     const int up = j * q + wrap(i - 1, q);

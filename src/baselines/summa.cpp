@@ -81,7 +81,7 @@ void build_schedule(const SummaPlan& plan, int me, const simmpi::Machine&,
     const Range a_kr = block_range(k, pc, gj);  // my A block's k columns
     const Range b_kr = block_range(k, pr, gi);  // my B block's k rows
     const i64 mb = block_size(plan.m(), pr, gi), nb = block_size(plan.n(), pc, gj);
-    s.alloc(kCResult, mb * nb);
+    s.alloc(kCResult, mb * nb, /*zero=*/true);
 
     // Panel walk: intervals never straddle an A column-block or B row-block
     // boundary.

@@ -85,7 +85,7 @@ void build_schedule(const Ca3dmmPlan& plan, int me, const simmpi::Machine&,
     }
 
     // ---- step 6: 2-D engine computes the partial C block ----
-    s.alloc(kCPartial, mb * nb);
+    s.alloc(kCPartial, mb * nb, /*zero=*/true);
     if (opt.use_summa)
       summa_schedule(s, sh, kGrid, a_op, b_op, kCPartial,
                      {kABlk, kBBlk, kAInit, kBInit});

@@ -78,6 +78,9 @@ void cannon_schedule(Schedule& sc, const Engine2dShape& sh, int grid, int a,
                 : payload;
   };
   const i64 kb_max = sh.kb_max();
+  // Multi-shift aggregation (paper §III-F): thin k-parts accumulate into a
+  // window of at least min_kblk before one GEMM runs on it.
+  const bool aggregate = min_kblk > 0 && kb_max < min_kblk;
   sc.alloc(kACur, msg(mb * kb_max));
   sc.alloc(kBCur, msg(kb_max * nb));
 
@@ -89,7 +92,8 @@ void cannon_schedule(Schedule& sc, const Engine2dShape& sh, int grid, int a,
   const int from_a = grid_rank(s, i, wrap(j + i, s));
   const int to_b = grid_rank(s, wrap(i - j, s), j);
   const int from_b = grid_rank(s, wrap(i + j, s), j);
-  const i64 pa_s = mb * kpart(j), pa_r = mb * kpart(j + i);
+  const i64 ka_s = kpart(j), ka_r = kpart(j + i);
+  const i64 pa_s = mb * ka_s, pa_r = mb * ka_r;
   const i64 pb_s = kpart(i) * nb, pb_r = kpart(i + j) * nb;
   sc.set_phase(Phase::kShift);
   if (!abft) {
@@ -100,7 +104,10 @@ void cannon_schedule(Schedule& sc, const Engine2dShape& sh, int grid, int a,
     // to make room for its trailer; the staging buffer dies with the
     // block, before the dual buffers are allocated.
     sc.alloc(kStage, msg(pa_s));
-    sc.copy(a, 0, 0, kStage, 0, 0, 1, pa_s);
+    if (aggregate)  // aggregated A panels travel k-major
+      sc.copy(a, 0, ka_s, kStage, 0, mb, mb, ka_s, /*transpose=*/true);
+    else
+      sc.copy(a, 0, 0, kStage, 0, 0, 1, pa_s);
     sc.scan(kStage, grid, pa_s, nullptr);
     sc.exchange(grid, kStage, msg(pa_s), to_a, kACur, msg(pa_r), from_a,
                 kTagSkewA, false);
@@ -122,13 +129,21 @@ void cannon_schedule(Schedule& sc, const Engine2dShape& sh, int grid, int a,
   sc.alloc(kANxt, msg(mb * kb_max));
   sc.alloc(kBNxt, msg(kb_max * nb));
 
-  // ---- aggregation buffers (multi-shift optimization, paper §III-F) ----
-  const bool aggregate = min_kblk > 0 && kb_max < min_kblk;
+  // ---- aggregation windows: kAggB holds B panels in k order, kAggA holds
+  // A k-major (agg_cap rows of mb), so every panel is one contiguous range
+  // and the flush GEMM reads A transposed. The skewed panels open the
+  // first window. ----
   const i64 agg_cap =
       aggregate ? std::min(sh.kb_total(), min_kblk + kb_max) : 0;
   sc.alloc(kAggA, mb * agg_cap);
   sc.alloc(kAggB, agg_cap * nb);
-  i64 agg_k = 0;
+  if (aggregate) {
+    if (abft)  // the staged skew arrived k-major
+      sc.copy(kACur, 0, 0, kAggA, 0, 0, 1, pa_r);
+    else
+      sc.copy(kACur, 0, ka_r, kAggA, 0, mb, mb, ka_r, /*transpose=*/true);
+    sc.copy(kBCur, 0, 0, kAggB, 0, 0, 1, pb_r);
+  }
 
   StepBytes step_bytes(sh, esize);
   const int left = grid_rank(s, i, wrap(j - 1, s));
@@ -136,43 +151,49 @@ void cannon_schedule(Schedule& sc, const Engine2dShape& sh, int grid, int a,
   const int up = grid_rank(s, wrap(i - 1, s), j);
   const int down = grid_rank(s, wrap(i + 1, s), j);
   int a_cur = kACur, a_nxt = kANxt, b_cur = kBCur, b_nxt = kBNxt;
+  // Aggregated panels are sent from the window and the next one received
+  // straight behind the current one, unless it opens a new window (the
+  // flush GEMM still reads the old one) or ABFT needs room for a trailer:
+  // then it lands in a shift buffer and is appended.
+  const bool from_window = aggregate && !abft;
+  i64 agg_k = 0;  // k extent of the window before the current panel
 
   // The overlap budget accumulates across shifts until the next GEMM flush:
-  // with aggregation, the appended panels free the shift buffers
-  // immediately, so several steps' transfers pipeline into one aggregated
-  // GEMM. The final step has nothing in flight.
+  // with aggregation, several steps' transfers pipeline into one
+  // aggregated GEMM. The final step has nothing in flight.
   for (int t = 0; t < s; ++t) {
     const i64 kb = kpart(i + j + t);  // current k-part extent
     const i64 kb_next = kpart(i + j + t + 1);
+    const bool flush = !aggregate || agg_k + kb >= min_kblk || t == s - 1;
+    const bool in_place = from_window && !flush;
     if (t < s - 1) {
+      const i64 src_k = from_window ? agg_k : 0;  // k offsets in the slots
+      const i64 dst_k = in_place ? agg_k + kb : 0;
       sc.set_phase(Phase::kShift);
       if (abft) sc.scan(a_cur, grid, mb * kb, nullptr);
-      sc.exchange(grid, a_cur, msg(mb * kb), left, a_nxt, msg(mb * kb_next),
-                  right, kTagShiftA, sh.overlap);
+      sc.exchange(grid, from_window ? kAggA : a_cur, msg(mb * kb), left,
+                  in_place ? kAggA : a_nxt, msg(mb * kb_next), right,
+                  kTagShiftA, sh.overlap, src_k * mb, dst_k * mb);
       if (abft) sc.scan(a_nxt, grid, mb * kb_next, "Cannon A-shift");
       if (abft) sc.scan(b_cur, grid, kb * nb, nullptr);
-      sc.exchange(grid, b_cur, msg(kb * nb), up, b_nxt, msg(kb_next * nb),
-                  down, kTagShiftB, sh.overlap);
+      sc.exchange(grid, from_window ? kAggB : b_cur, msg(kb * nb), up,
+                  in_place ? kAggB : b_nxt, msg(kb_next * nb), down,
+                  kTagShiftB, sh.overlap, src_k * nb, dst_k * nb);
       if (abft) sc.scan(b_nxt, grid, kb_next * nb, "Cannon B-shift");
       sc.set_phase(kInheritPhase);
     }
-    if (aggregate) {
-      // Append the current panels; run one GEMM once enough k accumulated.
-      sc.copy(a_cur, 0, kb, kAggA, agg_k, agg_cap, mb, kb);
-      sc.copy(b_cur, 0, 0, kAggB, agg_k * nb, 0, 1, kb * nb);
-      agg_k += kb;
-      if (agg_k >= min_kblk || t == s - 1) {
-        sc.set_phase(Phase::kCompute);
-        sc.compute(kAggA, kAggB, c, mb, nb, agg_k, agg_cap,
-                   gemm_flops(mb, nb, agg_k), step_bytes(agg_k), true);
-        sc.set_phase(kInheritPhase);
-        agg_k = 0;
-      }
-    } else {
+    agg_k += kb;
+    if (flush) {
       sc.set_phase(Phase::kCompute);
-      sc.compute(a_cur, b_cur, c, mb, nb, kb, kb, gemm_flops(mb, nb, kb),
-                 step_bytes(kb), true);
+      sc.compute(aggregate ? kAggA : a_cur, aggregate ? kAggB : b_cur, c, mb,
+                 nb, agg_k, aggregate ? mb : kb, gemm_flops(mb, nb, agg_k),
+                 step_bytes(agg_k), true, aggregate);
       sc.set_phase(kInheritPhase);
+      agg_k = 0;
+    }
+    if (aggregate && !in_place && t < s - 1) {
+      sc.copy(a_nxt, 0, 0, kAggA, agg_k * mb, 0, 1, kb_next * mb);
+      sc.copy(b_nxt, 0, 0, kAggB, agg_k * nb, 0, 1, kb_next * nb);
     }
     std::swap(a_cur, a_nxt);
     std::swap(b_cur, b_nxt);

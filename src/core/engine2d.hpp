@@ -12,7 +12,12 @@
 // Cannon performs the initial skew, then s-1 circular shifts with
 // dual-buffering (communication of step t+1 overlaps the GEMM of step t) and
 // multi-shift aggregation (several panels accumulated before one local GEMM
-// when k-parts are thin). SUMMA broadcasts the k-part panels along process
+// when k-parts are thin). Aggregated panels land in place: the window
+// buffers hold B in k order and A k-major (the skewed A panel is transposed
+// in once), so a shift sends out of the window and receives straight behind
+// the current panel, and the flush GEMM reads A transposed. Only a panel
+// that opens a window (and, under ABFT, every panel) goes through a shift
+// buffer and one append. SUMMA broadcasts the k-part panels along process
 // rows/columns instead; its latency is provably no better (paper §III-E).
 //
 // The engines are schedule fragments (core/schedule.hpp): cannon_schedule

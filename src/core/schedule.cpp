@@ -7,6 +7,7 @@
 #include "linalg/gemm.hpp"
 #include "resilience/abft.hpp"
 #include "simmpi/cluster.hpp"
+#include "simmpi/fiber.hpp"
 
 namespace ca3dmm {
 
@@ -40,7 +41,7 @@ void run_schedule(Comm& world, const Schedule& s, const ScheduleIo<T>& io) {
     world.set_phase(op.phase == kInheritPhase ? caller : op.phase);
     switch (op.kind) {
       case OpKind::kAlloc:
-        bufs[op.buf.slot].resize(op.buf.elems);
+        bufs[op.buf.slot].resize(op.buf.elems, op.buf.zero);
         break;
       case OpKind::kFree:
         bufs[op.buf.slot].release();
@@ -79,8 +80,9 @@ void run_schedule(Comm& world, const Schedule& s, const ScheduleIo<T>& io) {
         break;
       case OpKind::kExchange: {
         const Op::Exchange& x = op.exchange;
-        comms[x.comm].sendrecv(in(x.src), x.send_elems, x.to, out(x.dst),
-                               x.recv_elems, x.from, x.tag);
+        comms[x.comm].sendrecv(in(x.src) + x.src_off, x.send_elems, x.to,
+                               out(x.dst) + x.dst_off, x.recv_elems, x.from,
+                               x.tag);
         break;
       }
       case OpKind::kScan: {
@@ -109,7 +111,7 @@ void run_schedule(Comm& world, const Schedule& s, const ScheduleIo<T>& io) {
       }
       case OpKind::kCompute: {
         const Op::Compute& g = op.compute;
-        gemm_blocked<T>(false, false, g.m, g.n, g.k, T{1}, in(g.a), g.lda,
+        gemm_blocked<T>(g.trans_a, false, g.m, g.n, g.k, T{1}, in(g.a), g.lda,
                         in(g.b), g.n, out(g.c), g.n);
         world.charge_compute(g.flops, g.bytes, op.budget ? budget : 0.0);
         if (op.budget) budget = 0;
@@ -120,10 +122,19 @@ void run_schedule(Comm& world, const Schedule& s, const ScheduleIo<T>& io) {
         break;
       case OpKind::kCopy: {
         const Op::Copy& cp = op.copy;
-        for (i64 r = 0; r < cp.rows; ++r)
-          std::memcpy(out(cp.dst) + cp.dst_off + r * cp.dst_ld,
-                      in(cp.src) + cp.src_off + r * cp.src_ld,
-                      static_cast<size_t>(cp.cols) * sizeof(T));
+        const T* src = in(cp.src) + cp.src_off;
+        T* dst = out(cp.dst) + cp.dst_off;
+        if (cp.transpose) {
+          for (i64 r = 0; r < cp.rows; ++r)
+            for (i64 c = 0; c < cp.cols; ++c)
+              dst[c * cp.dst_ld + r] = src[r * cp.src_ld + c];
+        } else {
+          for (i64 r = 0; r < cp.rows; ++r)
+            std::memcpy(dst + r * cp.dst_ld, src + r * cp.src_ld,
+                        static_cast<size_t>(cp.cols) * sizeof(T));
+        }
+        simmpi::detail::host_counters().copy_bytes +=
+            cp.rows * cp.cols * static_cast<i64>(sizeof(T));
         break;
       }
     }

@@ -87,7 +87,8 @@ enum CommSlot : std::uint8_t {
 inline constexpr simmpi::Phase kInheritPhase = simmpi::Phase::kCount;
 
 enum class OpKind : std::uint8_t {
-  kAlloc,          ///< TrackedBuffer of buf.elems elements into buf.slot
+  kAlloc,          ///< TrackedBuffer of buf.elems elements into buf.slot,
+                   ///< zero-filled only if buf.zero
   kFree,           ///< release buf.slot
   kRedistribute,   ///< layout pair over kWorld (staging + alltoallv, or a
                    ///< local copy when the pair is an identity)
@@ -105,6 +106,7 @@ enum class OpKind : std::uint8_t {
 struct Op {
   struct Buf {
     std::uint8_t slot;
+    bool zero;  ///< a GEMM accumulator: must start at zero
     i64 elems;
   };
   struct Redist {
@@ -131,6 +133,7 @@ struct Op {
     std::uint8_t comm, src, dst;
     int to, from, tag;  ///< group ranks
     i64 send_elems, recv_elems;
+    i64 src_off, dst_off;  ///< elements into src and dst
   };
   struct Scan {
     std::uint8_t slot, comm;
@@ -139,12 +142,15 @@ struct Op {
   };
   struct Compute {
     std::uint8_t a, b, c;
-    /// C (m x n, ld n) += A (m x k, ld lda) * B (k x n, ld n)
+    /// C (m x n, ld n) += op(A) * B (k x n, ld n), where A is stored
+    /// m x k (ld lda), or k x m (ld lda) if trans_a
+    bool trans_a;
     i64 m, n, k, lda;
     double flops, bytes;  ///< what the clock is charged
   };
   struct Copy {
     std::uint8_t src, dst;
+    bool transpose;  ///< element (r, c) lands at dst[dst_off + c*dst_ld + r]
     i64 rows, cols, src_off, src_ld, dst_off, dst_ld;  ///< elements
   };
   struct Marker {
@@ -215,17 +221,19 @@ class Schedule {
   void set_phase(simmpi::Phase p) { phase_ = p; }
 
   /// Zero-size allocations are skipped (TrackedBuffer tracks nothing).
-  void alloc(int slot, i64 elems) {
+  /// Only a slot read before it is fully written asks for `zero`: the GEMM
+  /// accumulators.
+  void alloc(int slot, i64 elems, bool zero = false) {
     CA_ASSERT(slot > kUserC && slot < kSlotCount && !(live_ >> slot & 1u));
     if (elems <= 0) return;
     live_ |= 1u << slot;
-    push(OpKind::kAlloc).buf = Op::Buf{u8(slot), elems};
+    push(OpKind::kAlloc).buf = Op::Buf{u8(slot), zero, elems};
   }
   /// Releases a live slot; a dead slot is a no-op (TrackedBuffer::release).
   void free(int slot) {
     if (!(live_ >> slot & 1u)) return;
     live_ &= ~(1u << slot);
-    push(OpKind::kFree).buf = Op::Buf{u8(slot), 0};
+    push(OpKind::kFree).buf = Op::Buf{u8(slot), false, 0};
   }
   void redistribute(LayoutId from, int src, LayoutId to, int dst,
                     bool transpose) {
@@ -254,12 +262,17 @@ class Schedule {
     op.coll = Op::Coll{u8(comm), u8(buf), u8(buf), false, false, root,
                        0,        0,       elems};
   }
+  /// Sends send_elems from src + src_off, receives recv_elems into
+  /// dst + dst_off.
   void exchange(int comm, int src, i64 send_elems, int to, int dst,
-                i64 recv_elems, int from, int tag, bool budget) {
+                i64 recv_elems, int from, int tag, bool budget,
+                i64 src_off = 0, i64 dst_off = 0) {
     Op& op = push(OpKind::kExchange);
     op.budget = budget;
-    op.exchange = Op::Exchange{u8(comm), u8(src),    u8(dst),   to,
-                               from,     tag,        send_elems, recv_elems};
+    op.exchange = Op::Exchange{u8(comm),  u8(src),    u8(dst),
+                               to,        from,       tag,
+                               send_elems, recv_elems, src_off,
+                               dst_off};
   }
   /// ABFT scan of `payload` elements in `slot`: an encode (decode_what
   /// null) writes the checksum trailer, then charges the scan; a decode
@@ -270,18 +283,21 @@ class Schedule {
         Op::Scan{u8(slot), u8(comm), decode_what, payload};
   }
   void compute(int a, int b, int c, i64 m, i64 n, i64 k, i64 lda,
-               double flops, double bytes, bool budget) {
+               double flops, double bytes, bool budget, bool trans_a = false) {
     Op& op = push(OpKind::kCompute);
     op.budget = budget;
-    op.compute = Op::Compute{u8(a), u8(b), u8(c), m, n, k, lda, flops, bytes};
+    op.compute =
+        Op::Compute{u8(a), u8(b), u8(c), trans_a, m, n, k, lda, flops, bytes};
   }
   /// rows x cols elements from src[src_off + r*src_ld] to
-  /// dst[dst_off + r*dst_ld], one memcpy per row.
+  /// dst[dst_off + r*dst_ld], one memcpy per row; with `transpose`, row r
+  /// of the source becomes column r of the destination (dst ld dst_ld).
   void copy(int src, i64 src_off, i64 src_ld, int dst, i64 dst_off,
-            i64 dst_ld, i64 rows, i64 cols) {
+            i64 dst_ld, i64 rows, i64 cols, bool transpose = false) {
     if (!with_data_ || rows <= 0 || cols <= 0) return;
-    push(OpKind::kCopy).copy = Op::Copy{u8(src),  u8(dst), rows,    cols,
-                                        src_off, src_ld,  dst_off, dst_ld};
+    push(OpKind::kCopy).copy =
+        Op::Copy{u8(src), u8(dst), transpose, rows,   cols,
+                 src_off, src_ld,  dst_off,   dst_ld};
   }
   void marker(const char* name, double bytes) {
     if (with_data_) push(OpKind::kMarker).marker = Op::Marker{name, bytes};

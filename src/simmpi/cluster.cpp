@@ -51,6 +51,8 @@ HostProfile& HostProfile::operator+=(const HostProfile& o) {
   stacks_mapped += o.stacks_mapped;
   pool_hits += o.pool_hits;
   pool_misses += o.pool_misses;
+  pool_zeroed_bytes += o.pool_zeroed_bytes;
+  copy_bytes += o.copy_bytes;
   minor_faults += o.minor_faults;
   vol_switches += o.vol_switches;
   sys_cpu_s += o.sys_cpu_s;
@@ -77,9 +79,12 @@ std::string HostProfile::table() const {
       static_cast<long long>(zero_copy_bytes),
       static_cast<long long>(inbox_slots_peak));
   out += strprintf(
-      "  fiber stacks mapped %lld; rank pool hits %lld, misses %lld\n",
+      "  fiber stacks mapped %lld; rank pool hits %lld, misses %lld, "
+      "zeroed %lld B; schedule copies %lld B\n",
       static_cast<long long>(stacks_mapped), static_cast<long long>(pool_hits),
-      static_cast<long long>(pool_misses));
+      static_cast<long long>(pool_misses),
+      static_cast<long long>(pool_zeroed_bytes),
+      static_cast<long long>(copy_bytes));
   out += strprintf(
       "  kernel: minor faults %lld, voluntary switches %lld, system CPU "
       "%.3f s\n",
@@ -230,11 +235,17 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
   const HostProfile outer = std::exchange(detail::host_counters(), {});
   const detail::ThreadUsage usage0 = detail::ThreadUsage::now();
   // Pool counters are lifetime totals; the run's share is the difference.
-  i64 pool_hits0 = 0, pool_misses0 = 0;
-  for (int r = 0; r < nranks_; ++r) {
-    pool_hits0 += rank_pools_[r].stats().hits;
-    pool_misses0 += rank_pools_[r].stats().misses;
-  }
+  const auto pool_totals = [this] {
+    PoolStats t;
+    for (int r = 0; r < nranks_; ++r) {
+      const PoolStats& ps = rank_pools_[r].stats();
+      t.hits += ps.hits;
+      t.misses += ps.misses;
+      t.bytes_zeroed += ps.bytes_zeroed;
+    }
+    return t;
+  };
+  const PoolStats pool0 = pool_totals();
 
   std::vector<int> members(static_cast<size_t>(nranks_));
   std::iota(members.begin(), members.end(), 0);
@@ -275,12 +286,10 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
   detail::add_usage_since(detail::host_counters(), usage0);
   host_prof_ = std::exchange(detail::host_counters(), outer);
   sched.take_counters(host_prof_);
-  host_prof_.pool_hits = -pool_hits0;
-  host_prof_.pool_misses = -pool_misses0;
-  for (int r = 0; r < nranks_; ++r) {
-    host_prof_.pool_hits += rank_pools_[r].stats().hits;
-    host_prof_.pool_misses += rank_pools_[r].stats().misses;
-  }
+  const PoolStats pool1 = pool_totals();
+  host_prof_.pool_hits = pool1.hits - pool0.hits;
+  host_prof_.pool_misses = pool1.misses - pool0.misses;
+  host_prof_.pool_zeroed_bytes = pool1.bytes_zeroed - pool0.bytes_zeroed;
 
   // Drain undelivered messages. An aborted (or simply unbalanced) run can
   // leave eager sends in the inboxes; the receiver that would have deleted

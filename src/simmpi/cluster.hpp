@@ -16,8 +16,8 @@
 // and owns one BufferPool per rank that every TrackedBuffer of that rank's
 // body draws from. A repeated run therefore maps no stacks and takes its
 // work buffers from memory the last run already faulted in; pooled memory
-// is handed out zeroed and tracked exactly like a fresh allocation, so
-// results and peak bytes (Table I) do not change.
+// is tracked exactly like a fresh allocation and zeroed on request (see
+// pool.hpp), so results and peak bytes (Table I) do not change.
 //
 // Rendezvous state has one home and one lock per kind:
 //   * point-to-point: every rank owns an Inbox (detail_state.hpp) of
@@ -368,7 +368,7 @@ template <typename T>
 class TrackedBuffer {
  public:
   TrackedBuffer() = default;
-  explicit TrackedBuffer(i64 n) { resize(n); }
+  explicit TrackedBuffer(i64 n, bool zero = false) { resize(n, zero); }
   ~TrackedBuffer() { release(); }
 
   TrackedBuffer(const TrackedBuffer&) = delete;
@@ -380,23 +380,26 @@ class TrackedBuffer {
     return *this;
   }
 
-  void resize(i64 n) {
+  /// Zero-filled only if `zero`: a caller that overwrites every element
+  /// before reading it skips the fill.
+  void resize(i64 n, bool zero = false) {
     release();
     CA_ASSERT(n >= 0);
     if (n == 0) return;
     n_ = n;
     // Draw from the calling rank's active BufferPool: the Cluster's pool for
-    // that rank, or an engine's pool scoped over it. The pool hands back
-    // zeroed memory, matching new T[n](); outside a rank (no pool) this is
-    // a plain heap allocation. Tracked bytes are identical either way
-    // (Table I semantics).
+    // that rank, or an engine's pool scoped over it. Outside a rank (no
+    // pool) this is a plain heap allocation. Tracked bytes are identical
+    // either way (Table I semantics).
     if constexpr (std::is_trivially_copyable_v<T> &&
                   std::is_trivially_destructible_v<T>)
       pool_ = current_buffer_pool();
     if (pool_)
-      data_ = static_cast<T*>(pool_->acquire(bytes()));
-    else
+      data_ = static_cast<T*>(pool_->acquire(bytes(), zero));
+    else if (zero)
       data_ = new T[static_cast<size_t>(n)]();
+    else
+      data_ = new T[static_cast<size_t>(n)];
     ctx_ = current_ctx();
     if (ctx_) ctx_->track_alloc(bytes());
   }

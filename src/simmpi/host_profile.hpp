@@ -55,6 +55,11 @@ struct HostProfile {
   /// (misses). Pools an engine installs over them are not counted.
   i64 pool_hits = 0;
   i64 pool_misses = 0;
+  /// Bytes those pools zero-filled on request (GEMM accumulators).
+  i64 pool_zeroed_bytes = 0;
+  /// Bytes the schedules' data-only copy ops moved (packing, staging,
+  /// panel appends); p2p copies are counted above.
+  i64 copy_bytes = 0;
 
   // getrusage(RUSAGE_THREAD) deltas over the run, Linux only (0 elsewhere):
   // what the run cost the kernel.

@@ -1,5 +1,6 @@
 #include "simmpi/pool.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 
@@ -17,40 +18,49 @@ void BufferPool::note_footprint() {
   if (footprint > stats_.high_water_bytes) stats_.high_water_bytes = footprint;
 }
 
-void* BufferPool::acquire(i64 bytes) {
+void BufferPool::evict_to(i64 target) {
+  // Largest idle allocations go first: they reclaim the most bytes per
+  // freed buffer, and small same-shape scratch (the common steady-state
+  // reuse) survives the longest.
+  while (idle_bytes_ > target && !free_.empty()) {
+    auto it = std::prev(free_.end());
+    ::operator delete(it->second.back());
+    it->second.pop_back();
+    idle_bytes_ -= it->first;
+    ++stats_.trims;
+    if (it->second.empty()) free_.erase(it);
+  }
+}
+
+void* BufferPool::acquire(i64 bytes, bool zero) {
   CA_ASSERT(bytes > 0);
+  void* p;
   auto it = free_.find(bytes);
   if (it != free_.end() && !it->second.empty()) {
-    void* p = it->second.back();
+    p = it->second.back();
     it->second.pop_back();
     if (it->second.empty()) free_.erase(it);
     idle_bytes_ -= bytes;
     ++stats_.hits;
     stats_.bytes_reused += bytes;
-    stats_.live_bytes += bytes;
-    note_footprint();
-    // Pooled memory must look like a fresh `new T[n]()` allocation.
-    std::memset(p, 0, static_cast<size_t>(bytes));
-    return p;
+  } else {
+    ++stats_.misses;
+    // A fresh allocation is the only way the footprint grows: under a
+    // budget, make room for it by evicting idle allocations first.
+    if (footprint_budget_bytes_ > 0)
+      evict_to(footprint_budget_bytes_ - stats_.live_bytes - bytes);
+    p = ::operator new(static_cast<size_t>(bytes));
   }
-  ++stats_.misses;
-  // A fresh allocation is the only way the footprint grows: under a budget,
-  // make room for it by evicting idle allocations before touching the heap.
-  if (footprint_budget_bytes_ > 0) {
-    while (!free_.empty() &&
-           stats_.live_bytes + bytes + idle_bytes_ > footprint_budget_bytes_) {
-      auto bi = std::prev(free_.end());
-      ::operator delete(bi->second.back());
-      bi->second.pop_back();
-      idle_bytes_ -= bi->first;
-      ++stats_.trims;
-      if (bi->second.empty()) free_.erase(bi);
-    }
-  }
-  void* p = ::operator new(static_cast<size_t>(bytes));
-  std::memset(p, 0, static_cast<size_t>(bytes));
   stats_.live_bytes += bytes;
   note_footprint();
+  if (zero) {
+    std::memset(p, 0, static_cast<size_t>(bytes));
+    stats_.bytes_zeroed += bytes;
+  } else {
+#ifndef NDEBUG
+    std::memset(p, 0xFF, static_cast<size_t>(bytes));
+#endif
+  }
   return p;
 }
 
@@ -58,41 +68,21 @@ void BufferPool::give_back(void* p, i64 bytes) {
   if (p == nullptr) return;
   CA_ASSERT(bytes > 0);
   stats_.live_bytes -= bytes;
-  // Make room by dropping the largest idle allocations first; if the
-  // incoming buffer alone busts the cap, free it instead of pooling it.
-  while (idle_bytes_ + bytes > max_idle_bytes_ && !free_.empty()) {
-    auto it = std::prev(free_.end());
-    ::operator delete(it->second.back());
-    it->second.pop_back();
-    idle_bytes_ -= it->first;
-    ++stats_.trims;
-    if (it->second.empty()) free_.erase(it);
-  }
-  if (idle_bytes_ + bytes > max_idle_bytes_) {
+  if (bytes > max_idle_bytes_) {
+    // Too big to pool at all: free it and leave the idle lists alone.
     ::operator delete(p);
     ++stats_.trims;
-    note_footprint();
-    return;
+  } else {
+    evict_to(max_idle_bytes_ - bytes);
+    free_[bytes].push_back(p);
+    idle_bytes_ += bytes;
   }
-  free_[bytes].push_back(p);
-  idle_bytes_ += bytes;
   note_footprint();
 }
 
 i64 BufferPool::trim(i64 target_idle_bytes) {
-  if (target_idle_bytes < 0) target_idle_bytes = 0;
   const i64 before = idle_bytes_;
-  // Largest idle allocations go first: they reclaim the most bytes per
-  // freed buffer, and small same-shape scratch (the common steady-state
-  // reuse) survives the longest.
-  while (idle_bytes_ > target_idle_bytes && !free_.empty()) {
-    auto it = std::prev(free_.end());
-    ::operator delete(it->second.back());
-    it->second.pop_back();
-    idle_bytes_ -= it->first;
-    ++stats_.trims;
-    if (it->second.empty()) free_.erase(it);
-  }
+  evict_to(std::max<i64>(target_idle_bytes, 0));
   note_footprint();
   return before - idle_bytes_;
 }

@@ -13,11 +13,14 @@
 // Accounting contract (Table I semantics): pooled memory is reported to the
 // rank's memory tracker only while it is checked out. A TrackedBuffer served
 // from the pool tracks exactly the same byte count at exactly the same
-// program points as a heap-backed one, and pooled memory is returned zeroed
-// (like `new T[n]()`), so peak-memory numbers and computed results are
-// bit-identical with and without a pool. Idle pooled bytes are deliberately
-// NOT charged: they model a reusable arena owned by the runtime, and
-// `idle_bytes()` exposes them separately.
+// program points as a heap-backed one, so peak-memory numbers are identical
+// with and without a pool. Memory is zeroed on request only: a GEMM
+// accumulator asks for it, a buffer its user overwrites in full does not.
+// Builds without NDEBUG fill every unzeroed allocation with 0xFF bytes (NaN
+// for float and double), so a buffer read before it is written corrupts the
+// result visibly instead of reading stale data. Idle pooled bytes are
+// deliberately NOT charged: they model a reusable arena owned by the
+// runtime, and `idle_bytes()` exposes them separately.
 //
 // Exact size classes (not power-of-two buckets) are intentional: repeated
 // runs and the engine serve repeated identical shapes, where exact matching gives a 100% reuse
@@ -47,6 +50,7 @@ struct PoolStats {
   i64 misses = 0;          ///< acquires that hit the heap
   i64 bytes_reused = 0;    ///< total bytes served from free lists
   i64 trims = 0;           ///< allocations freed to respect max_idle_bytes
+  i64 bytes_zeroed = 0;    ///< bytes zero-filled on request by acquire
 
   // --- gauges ---
   i64 live_bytes = 0;       ///< bytes currently checked out of the pool
@@ -73,10 +77,10 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Returns a zeroed allocation of exactly `bytes` bytes (aligned for any
-  /// scalar type). The caller must return it via give_back with the same
-  /// size.
-  void* acquire(i64 bytes);
+  /// Returns an allocation of exactly `bytes` bytes (aligned for any scalar
+  /// type), zeroed if `zero` (see the file comment for the unzeroed fill).
+  /// The caller must return it via give_back with the same size.
+  void* acquire(i64 bytes, bool zero = false);
   void give_back(void* p, i64 bytes);
 
   /// Frees idle allocations (largest first) until at most
@@ -103,6 +107,9 @@ class BufferPool {
  private:
   /// Folds the current footprint into the high-water gauge.
   void note_footprint();
+  /// Frees idle allocations, largest first, while more than `target` idle
+  /// bytes are parked.
+  void evict_to(i64 target);
 
   std::map<i64, std::vector<void*>> free_;  ///< size in bytes -> free list
   i64 idle_bytes_ = 0;

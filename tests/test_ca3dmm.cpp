@@ -67,7 +67,9 @@ struct Cfg {
   Ca3dmmOptions opt{};
 };
 
-void run_case(const Cfg& cfg) {
+/// Runs `cfg`, checks C against the serial reference and returns every
+/// rank's local C.
+std::vector<std::vector<double>> run_case(const Cfg& cfg) {
   const Matrix<double> c_ref =
       reference_product(cfg.m, cfg.n, cfg.k, cfg.ta, cfg.tb);
   const BlockLayout a_layout = make_user_layout(
@@ -80,12 +82,13 @@ void run_case(const Cfg& cfg) {
       Ca3dmmPlan::make(cfg.m, cfg.n, cfg.k, cfg.P, cfg.opt);
 
   Cluster cl(cfg.P, Machine::unit_test());
+  std::vector<std::vector<double>> c_all(static_cast<size_t>(cfg.P));
   cl.run([&](Comm& world) {
     std::vector<double> a, b;
     fill_local(a_layout, world.rank(), kSeedA, a);
     fill_local(b_layout, world.rank(), kSeedB, b);
-    std::vector<double> c(
-        static_cast<size_t>(c_layout.local_size(world.rank())), -1.0);
+    std::vector<double>& c = c_all[static_cast<size_t>(world.rank())];
+    c.assign(static_cast<size_t>(c_layout.local_size(world.rank())), -1.0);
     ca3dmm_multiply<double>(world, plan, cfg.ta, cfg.tb, a_layout, a.data(),
                             b_layout, b.data(), c_layout, c.data());
     // Validate my slice of C against the reference.
@@ -100,6 +103,7 @@ void run_case(const Cfg& cfg) {
               << plan.grid().pk;
         }
   });
+  return c_all;
 }
 
 TEST(Ca3dmm, PaperExample1Shape) { run_case({32, 64, 16, 8}); }
@@ -178,6 +182,21 @@ TEST(Ca3dmm, MultiShiftAggregation) {
   Cfg without{24, 24, 64, 16};
   without.opt.min_kblk = 0;  // one GEMM per shift
   run_case(without);
+}
+
+TEST(Ca3dmm, MultiShiftWindowsSameCWithAbft) {
+  // Uneven k-parts and a small min_kblk: windows flush mid-ring, and
+  // neighbouring ranks flush at different steps. Plain runs receive panels
+  // in place, ABFT stages each through a shift buffer; C must not move.
+  std::vector<std::vector<double>> c[2];
+  for (const bool abft : {false, true}) {
+    Cfg cfg{45, 62, 70, 36, false, false, UserLayout::kGrid2D};
+    cfg.opt.force_grid = ProcGrid{3, 6, 2};  // s=3, c=2, k-parts 12,12,11
+    cfg.opt.min_kblk = 24;
+    cfg.opt.abft = abft;
+    c[abft] = run_case(cfg);
+  }
+  EXPECT_EQ(c[0], c[1]);
 }
 
 TEST(Ca3dmm, ForcedGridOverride) {

@@ -4,6 +4,9 @@
 // semantics), batched submit, and failure semantics under fault injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -449,20 +452,77 @@ TEST(BufferPool, IdleCapEvictsLargestFirst) {
   EXPECT_GT(pool.stats().trims, 0);
 }
 
+TEST(BufferPool, OversizedGiveBackKeepsIdleAllocations) {
+  // A buffer above the idle cap is freed on its own; the idle allocations
+  // it could never have made room for stay pooled.
+  simmpi::BufferPool pool(4096);
+  void* a = pool.acquire(1024);
+  void* b = pool.acquire(2048);
+  void* big = pool.acquire(8192);
+  pool.give_back(a, 1024);
+  pool.give_back(b, 2048);
+  pool.give_back(big, 8192);
+  EXPECT_EQ(pool.idle_bytes(), 3072);
+  EXPECT_EQ(pool.stats().trims, 1);
+  EXPECT_EQ(pool.stats().live_bytes, 0);
+}
+
+/// Whether all `bytes` bytes at `p` equal `v`.
+bool filled_with(const void* p, i64 bytes, unsigned char v) {
+  const auto* c = static_cast<const unsigned char*>(p);
+  return std::all_of(c, c + bytes, [v](unsigned char x) { return x == v; });
+}
+
+TEST(BufferPool, ZeroOnRequestOnMissAndHit) {
+  simmpi::BufferPool pool(1 << 20);
+  void* p = pool.acquire(512, /*zero=*/true);  // miss
+  EXPECT_TRUE(filled_with(p, 512, 0));
+  std::memset(p, 0x5a, 512);
+  pool.give_back(p, 512);
+  p = pool.acquire(512, /*zero=*/true);  // hit on the dirty allocation
+  EXPECT_EQ(pool.stats().hits, 1);
+  EXPECT_TRUE(filled_with(p, 512, 0));
+  EXPECT_EQ(pool.stats().bytes_zeroed, 1024);
+  pool.give_back(p, 512);
+  // An unzeroed acquisition fills nothing the counter sees.
+  pool.give_back(pool.acquire(512), 512);
+  EXPECT_EQ(pool.stats().bytes_zeroed, 1024);
+}
+
+TEST(BufferPool, UnzeroedAcquireIsPoisonedWithoutNdebug) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the poison fill is compiled out under NDEBUG";
+#else
+  // 0xFF bytes are a NaN for float and double: a slot read before it is
+  // written poisons every result it reaches.
+  simmpi::BufferPool pool(1 << 20);
+  void* p = pool.acquire(256);  // miss
+  EXPECT_TRUE(filled_with(p, 256, 0xFF));
+  std::memset(p, 0, 256);
+  pool.give_back(p, 256);
+  p = pool.acquire(256);  // hit on a zeroed allocation
+  EXPECT_EQ(pool.stats().hits, 1);
+  EXPECT_TRUE(filled_with(p, 256, 0xFF));
+  EXPECT_TRUE(std::isnan(static_cast<const double*>(p)[0]));
+  pool.give_back(p, 256);
+#endif
+}
+
 TEST(BufferPool, PooledTrackedBufferKeepsAccounting) {
   // Inside a PoolScope, TrackedBuffer draws from the pool but reports the
-  // same bytes to the (absent) rank tracker and returns zeroed memory.
+  // same bytes to the (absent) rank tracker and, asked to, returns zeroed
+  // memory.
   simmpi::BufferPool pool(1 << 20);
   {
     simmpi::PoolScope scope(&pool);
-    simmpi::TrackedBuffer<double> buf(128);
+    simmpi::TrackedBuffer<double> buf(128, /*zero=*/true);
     for (i64 i = 0; i < 128; ++i) EXPECT_EQ(buf[i], 0.0);
     for (i64 i = 0; i < 128; ++i) buf[i] = 1.5;
   }  // released back to the pool
   EXPECT_EQ(pool.idle_bytes(), 128 * 8);
   {
     simmpi::PoolScope scope(&pool);
-    simmpi::TrackedBuffer<double> buf(128);  // reuses the dirty allocation
+    simmpi::TrackedBuffer<double> buf(128, /*zero=*/true);  // dirty reuse
     EXPECT_EQ(pool.stats().hits, 1);
     for (i64 i = 0; i < 128; ++i) EXPECT_EQ(buf[i], 0.0);  // re-zeroed
   }

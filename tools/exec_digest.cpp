@@ -8,9 +8,10 @@
 // heterogeneous topology with k weights. Each run prints one line of
 // Cluster::aggregate_stats(): final vtime, per-phase time, bytes sent and
 // inter-node bytes, compute load balance, peak tracked bytes, flops, splits,
-// ABFT corrections, and an FNV-1a hash of every rank's C. The matrix ends
-// with predict() and run_workload() for every algorithm; a predict row
-// prints the same vtime, phase, inter-node, load-balance and peak columns.
+// ABFT corrections, and an FNV-1a hash of every rank's C. Then come
+// predict() and run_workload() for every algorithm (a predict row prints
+// the same vtime, phase, inter-node, load-balance and peak columns), and
+// last CA3DMM runs whose multi-shift windows flush mid-ring.
 //
 // Virtual time, bytes, peaks and C are deterministic, so the output is a
 // byte-exact fingerprint of execution and must not depend on the number of
@@ -369,6 +370,29 @@ void build(Digest& d) {
       d.predicted(algo, w, 16, name);
       d.workload(algo, w, 16, name);
     }
+
+  // Multi-shift aggregation with a small min_kblk over uneven k-parts:
+  // windows flush mid-ring, and neighbours flush at different steps.
+  struct Window {
+    const char* name;
+    int P;
+    i64 m, n, k;
+    ProcGrid grid;
+    i64 min_kblk;
+  };
+  const Window windows[] = {{"multishift", 16, 37, 29, 23, {4, 4, 1}, 12},
+                            {"multishift-3d", 36, 45, 62, 70, {3, 6, 2}, 24}};
+  for (const Window& w : windows)
+    for (const bool abft : {false, true})
+      for (const Lay lay : {Lay::kNative, Lay::kGrid2d}) {
+        Run r{abft ? std::string(w.name) + "-abft" : w.name, w.P, w.m, w.n,
+              w.k};
+        r.lay = lay;
+        r.opt.abft = abft;
+        r.opt.force_grid = w.grid;
+        r.opt.min_kblk = w.min_kblk;
+        d.run(Algo::kCa3dmm, r);
+      }
 }
 
 [[noreturn]] void usage(const char* argv0) {
