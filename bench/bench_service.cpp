@@ -269,9 +269,8 @@ void write_json(const WfqResult& wfq, const OverloadResult& ov) {
   }
   std::fprintf(f,
                "    ],\n    \"pool\": {\"budget_bytes\": %lld, "
-               "\"high_water_bytes\": %lld, \"pressure_trims\": %lld},\n",
-               (long long)ov.budget_bytes, (long long)rep.pool_high_water_bytes,
-               (long long)rep.pool_trims);
+               "\"high_water_bytes\": %lld},\n",
+               (long long)ov.budget_bytes, (long long)rep.pool_high_water_bytes);
   std::fprintf(f,
                "    \"engine\": {\"requests\": %lld, \"plan_hits\": %lld, "
                "\"plan_misses\": %lld, \"plan_invalidations\": %lld},\n",
@@ -338,10 +337,10 @@ void print_tables() {
     fail_gate("plan invalidations during load shedding");
   if (rep.pool_high_water_bytes > ov.budget_bytes)
     fail_gate("pool footprint exceeded the memory budget (OOM)");
-  std::printf("pool: high water %lld B <= budget %lld B, pressure trims "
-              "%lld; rejections %lld; engine %lld reqs (%.0f%% plan hits)\n",
+  std::printf("pool: high water %lld B <= budget %lld B; rejections %lld; "
+              "engine %lld reqs (%.0f%% plan hits)\n",
               (long long)rep.pool_high_water_bytes, (long long)ov.budget_bytes,
-              (long long)rep.pool_trims, (long long)total_rejected,
+              (long long)total_rejected,
               (long long)rep.engine.requests,
               rep.engine.plan_hit_rate() * 100);
 

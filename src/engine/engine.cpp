@@ -108,10 +108,6 @@ bool PgemmEngine::is_cached(i64 m, i64 n, i64 k,
   return find(PlanKey{m, n, k, world_.size(), opt}) != lru_.end();
 }
 
-i64 PgemmEngine::trim_pool(i64 target_idle_bytes) {
-  return pool_.trim(target_idle_bytes);
-}
-
 EngineStats PgemmEngine::stats() const {
   EngineStats s = stats_;
   s.pool = pool_.stats();

@@ -165,12 +165,6 @@ class PgemmEngine {
   /// may consult it for pricing without collective discipline.
   bool is_cached(i64 m, i64 n, i64 k, const Ca3dmmOptions& opt = {}) const;
 
-  /// Frees idle pooled buffers (largest first) until at most
-  /// `target_idle_bytes` remain parked; returns the bytes freed. Purely
-  /// local and safe mid-stream — the memory-pressure hook for a serving
-  /// layer (see BufferPool::trim).
-  i64 trim_pool(i64 target_idle_bytes);
-
   /// Counters, with a current buffer-pool snapshot merged in.
   EngineStats stats() const;
 

@@ -83,7 +83,6 @@ RecoveryReport ResilientRunner::run(
     cluster_ = std::make_unique<Cluster>(attempt_topo);
     cluster_->set_fault_plan(plan);
     cluster_->set_straggler_policy(straggler_);
-    cluster_->set_validation(validation_);
     cluster_->set_trace(trace_);
 
     AttemptRecord rec;

@@ -98,7 +98,6 @@ class ResilientRunner {
   /// dropped) for later attempts.
   void set_fault_plan(simmpi::FaultPlan plan) { faults_ = std::move(plan); }
   void set_straggler_policy(simmpi::StragglerPolicy p) { straggler_ = p; }
-  void set_validation(bool on) { validation_ = on; }
   void set_trace(const simmpi::TraceConfig& cfg) { trace_ = cfg; }
 
   /// Runs rank_main until it succeeds or the retry budget is exhausted.
@@ -120,7 +119,6 @@ class ResilientRunner {
   RetryPolicy policy_;
   simmpi::FaultPlan faults_;
   simmpi::StragglerPolicy straggler_;
-  bool validation_ = false;
   simmpi::TraceConfig trace_;
   std::unique_ptr<simmpi::Cluster> cluster_;
   RecoveryReport report_;

@@ -336,14 +336,6 @@ ServiceReport PgemmService::serve(const std::vector<ServiceRequest>& load,
     const AdmitInfo admit = admitted.at(pick.id);
     admitted.erase(pick.id);
 
-    // Pool pressure: trim idle pooled bytes so footprint (live + idle)
-    // stays under budget even at this request's predicted peak.
-    if (cfg_.memory_budget_bytes > 0) {
-      const i64 target =
-          std::max<i64>(0, cfg_.memory_budget_bytes - admit.peak);
-      if (engine_.trim_pool(target) > 0) ++rep.pool_trims;
-    }
-
     // In-flight journal mark: if the run aborts inside dispatch, the
     // driver knows exactly which request was lost.
     RequestRecord rec;

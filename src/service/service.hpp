@@ -143,7 +143,6 @@ struct ServiceReport {
   /// Max over ranks of the engine pool's high-water footprint; the zero-OOM
   /// gate checks this against ServiceConfig::memory_budget_bytes.
   i64 pool_high_water_bytes = 0;
-  i64 pool_trims = 0;            ///< this rank's pressure-trim count
   /// Fair-window snapshot: per-tenant served executed vtime accumulated
   /// while EVERY tenant stayed backlogged (the interval where WFQ's
   /// proportional-share guarantee applies), and the vtime it ended.

@@ -200,12 +200,6 @@ class Cluster {
   /// Trace records of one rank after a traced run(), in clock order.
   const std::vector<TraceRecord>& trace(int rank) const;
 
-  /// Debug-validation mode: every collective rendezvous cross-checks all
-  /// members' arguments (op, sizes, root, dtype, counts vectors) and raises
-  /// a ca3dmm::Error on every member before any data movement. Off by
-  /// default; the always-on checks still catch mismatched ops and sizes.
-  void set_validation(bool on) { validate_ = on; }
-
   /// Attaches a deterministic fault-injection plan to subsequent run()
   /// calls; pass a default-constructed FaultPlan to clear.
   void set_fault_plan(FaultPlan plan) { faults_ = std::move(plan); }
@@ -332,7 +326,6 @@ class Cluster {
   std::unique_ptr<detail::Inbox[]> inboxes_;
   std::uint64_t next_comm_id_ = 1;
   TraceConfig trace_cfg_;
-  bool validate_ = false;
   FaultPlan faults_;
   StragglerPolicy straggler_policy_;
   CollectiveConfig coll_config_;  ///< default for new communicators

@@ -97,17 +97,18 @@ std::optional<A2aMismatch> alltoallv_mismatch(const CommState& st) {
   return first;
 }
 
-/// Debug-validation pass over a complete rendezvous: cross-checks every
-/// member's arguments before any data movement. Returns an error message, or
-/// "" when the collective is consistent. Runs on the last arriver with the
-/// rendezvous lock held.
+/// The cross-member argument rules of a complete rendezvous: every member
+/// posted the same root, sizes, counts vector and dtype, no count is
+/// negative, and each alltoallv send matches its peer's receive. Rules about
+/// a rank's own arguments are checked at its call. Returns an error message,
+/// or "" when the collective is consistent. Runs on the last arriver with
+/// the rendezvous lock held, before any data movement, so a posting error
+/// never touches a peer's buffer.
 std::string validate_collective(const CommState& st, CommState::Op op) {
   const int p = static_cast<int>(st.members.size());
   const CommState::Slot& s0 = st.slots[0];
   switch (op) {
     case CommState::Op::kBcast:
-      if (s0.i0 < 0 || s0.i0 >= p)
-        return strprintf("bcast root %d out of range [0,%d)", s0.i0, p);
       for (int j = 1; j < p; ++j) {
         const auto& sj = st.slots[static_cast<size_t>(j)];
         if (sj.i0 != s0.i0)
@@ -131,27 +132,23 @@ std::string validate_collective(const CommState& st, CommState::Op op) {
       break;
     case CommState::Op::kAllgatherv:
     case CommState::Op::kReduceScatter: {
+      // Each call checked its vector's length and, for allgatherv, its own
+      // entry against my_bytes; equal vectors make those hold for all.
       const char* name = coll_op_name(op);
-      for (int j = 0; j < p; ++j) {
+      for (int j = 1; j < p; ++j) {
         const auto& sj = st.slots[static_cast<size_t>(j)];
-        if (sj.v0 == nullptr || static_cast<int>(sj.v0->size()) != p)
-          return strprintf("%s: rank %d passed a counts vector of size %d, "
-                           "expected %d", name, j,
-                           sj.v0 ? static_cast<int>(sj.v0->size()) : 0, p);
         if (*sj.v0 != *s0.v0)
           return strprintf("%s counts mismatch between rank 0 and rank %d",
                            name, j);
-        if (op == CommState::Op::kAllgatherv &&
-            (*sj.v0)[static_cast<size_t>(j)] != sj.n0)
-          return strprintf("allgatherv: rank %d passed my_bytes=%lld but "
-                           "counts[%d]=%lld", j,
-                           static_cast<long long>(sj.n0), j,
-                           static_cast<long long>(
-                               (*sj.v0)[static_cast<size_t>(j)]));
-        if (op == CommState::Op::kReduceScatter && sj.dt != s0.dt)
-          return strprintf("reduce_scatter dtype mismatch between rank 0 and "
-                           "rank %d", j);
+        if (sj.dt != s0.dt)  // allgatherv posts no dtype: always equal
+          return strprintf("%s dtype mismatch between rank 0 and rank %d",
+                           name, j);
       }
+      for (int j = 0; j < p; ++j)
+        if ((*s0.v0)[static_cast<size_t>(j)] < 0)
+          return strprintf("%s: counts[%d]=%lld is negative", name, j,
+                           static_cast<long long>(
+                               (*s0.v0)[static_cast<size_t>(j)]));
       break;
     }
     case CommState::Op::kAllreduce:
@@ -182,12 +179,22 @@ std::string validate_collective(const CommState& st, CommState::Op op) {
   return "";
 }
 
+/// Logical payload bytes one member of a collective contributes / receives
+/// (its own block vs. everyone else's blocks — schedule-independent, unlike
+/// the bytes a particular algorithm moves). Accounted into RankStats per
+/// phase and carried into trace records.
+struct CollIo {
+  double out = 0;
+  double in = 0;
+};
+
 /// Generic collective rendezvous, in three phases.
 ///
 /// Phase A (rendezvous, under the cluster lock): every member stores its
-/// arguments into its slot; the last rank to arrive cross-checks them, runs
-/// `perform` (argument validation + the st.pricing cost — **no** bulk data
-/// movement), and releases the group at collective_exit.
+/// arguments into its slot; the last rank to arrive cross-checks them
+/// (validate_collective), runs `perform` (the st.pricing cost — **no** bulk
+/// data movement; split also forms its groups there), and releases the
+/// group at collective_exit.
 ///
 /// Phase B (data movement, no lock): the bulk memcpy/summation runs outside
 /// the lock so other communicators are never blocked behind it. Every
@@ -206,19 +213,11 @@ std::string validate_collective(const CommState& st, CommState::Op op) {
 ///
 /// Failure handling: an in-flight cluster abort unwinds the phase-A wait
 /// via ClusterAborted; a mismatched op raises Error on the offending rank
-/// (peers unwind through the abort the failure triggers); a consistency-
-/// check or perform failure is stored in st.coll_error — tagged with the
-/// generation so no cross-rendezvous read is possible — data movement is
-/// skipped, and every member raises the same Error.
-/// Logical payload bytes one member of a collective contributes / receives
-/// (its own block vs. everyone else's blocks — schedule-independent, unlike
-/// the bytes a particular algorithm moves). Accounted into RankStats per
-/// phase and carried into trace records.
-struct CollIo {
-  double out = 0;
-  double in = 0;
-};
-
+/// (peers unwind through the abort the failure triggers); a failed
+/// consistency check or straggler reclassification is stored in
+/// st.coll_error — tagged with the generation so no cross-rendezvous read is
+/// possible — data movement is skipped, and every member raises the same
+/// Error.
 template <class Fill, class Perform, class Shard, class Finish>
 void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
                     Fill&& fill, Perform&& perform, Shard&& shard,
@@ -269,8 +268,8 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
       // Straggler reclassification (see StragglerPolicy): compare the last
       // arriver against the latest rank of any *other* node, so a whole
       // slow node cannot mask itself behind a same-node peer. Runs before
-      // validation/perform so a degraded node aborts the rendezvous the
-      // same way a validation failure would — raised on every member.
+      // the consistency check so a degraded node aborts the rendezvous the
+      // same way an argument error would — raised on every member.
       const StragglerPolicy& sp = st.straggler_policy();
       if (sp.enabled && p >= 2) {
         const Topology& topo = st.topology();
@@ -297,14 +296,8 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
               sp.degrade_factor, sp.min_lag_s, crit_node);
         }
       }
-      if (e.empty() && st.validation()) e = validate_collective(st, op);
-      if (e.empty()) {
-        try {
-          cost = perform(st);
-        } catch (const Error& ex) {
-          e = ex.what();
-        }
-      }
+      if (e.empty()) e = validate_collective(st, op);
+      if (e.empty()) cost = perform(st);
       st.coll_error = e;
       st.coll_error_gen = gen;
       st.coll_exit = collective_exit(t0, cost, p);
@@ -516,16 +509,6 @@ void Comm::bcast_bytes(void* buf, i64 bytes, int root) {
         s.i0 = root;
       },
       [&](CommState& st) {
-        const int p = static_cast<int>(st.members.size());
-        // Validate every member's arguments before any data movement runs
-        // so a posting error never corrupts peer buffers.
-        for (int j = 0; j < p; ++j) {
-          const auto& sj = st.slots[static_cast<size_t>(j)];
-          CA_REQUIRE(sj.i0 == root, "bcast root mismatch on comm %llu",
-                     static_cast<unsigned long long>(st.id));
-          CA_REQUIRE(sj.n0 == bytes, "bcast size mismatch on comm %llu",
-                     static_cast<unsigned long long>(st.id));
-        }
         return st.pricing.bcast(static_cast<double>(bytes));
       },
       // Each shard copies the root's buffer into one destination; the root
@@ -552,12 +535,7 @@ void Comm::allgather_bytes(const void* sbuf, i64 bytes_each, void* rbuf) {
         s.n0 = bytes_each;
       },
       [&](CommState& st) {
-        const int p = static_cast<int>(st.members.size());
-        for (int j = 0; j < p; ++j)
-          CA_REQUIRE(st.slots[static_cast<size_t>(j)].n0 == bytes_each,
-                     "allgather size mismatch on comm %llu",
-                     static_cast<unsigned long long>(st.id));
-        return st.pricing.allgather(static_cast<double>(bytes_each) * p);
+        return st.pricing.allgather(static_cast<double>(bytes_each) * size());
       },
       // Shard d assembles destination d's result buffer from every member's
       // contribution; no other shard writes it.
@@ -685,11 +663,6 @@ void Comm::allreduce_sum(const void* sbuf, void* rbuf, i64 count, Dtype dtype) {
         s.dt = dtype;
       },
       [&](CommState& st) {
-        const int p = static_cast<int>(st.members.size());
-        for (int j = 0; j < p; ++j)
-          CA_REQUIRE(st.slots[static_cast<size_t>(j)].n0 == count,
-                     "allreduce count mismatch on comm %llu",
-                     static_cast<unsigned long long>(st.id));
         return st.pricing.allreduce(
             static_cast<double>(count * dtype_size(dtype)));
       },
@@ -753,11 +726,6 @@ void Comm::alltoallv_bytes(const void* sbuf, std::span<const PeerBlock> sends,
         s.recvs = recvs;
       },
       [&](CommState& st) {
-        // Match every send against its peer's receive before any data
-        // movement so a count mismatch never corrupts peer buffers.
-        if (const auto mm = alltoallv_mismatch(st))
-          throw Error(strprintf("alltoallv count mismatch %d->%d", mm->src,
-                                mm->dst));
         A2aVolume v;
         for (int src = 0; src < p; ++src) {
           const auto& ss = st.slots[static_cast<size_t>(src)];

@@ -2,9 +2,13 @@
 // algorithm in this repository needs.
 //
 // Semantics follow MPI: collectives are called by every member of the
-// communicator with matching operation and sizes; point-to-point send/recv
-// use (source, destination, tag) matching with rendezvous (synchronous-send)
-// semantics. Each operation moves real data between rank buffers AND charges
+// communicator with matching operation, root, sizes, counts and dtype (a
+// mismatch raises the same ca3dmm::Error on every member before any data
+// moves); point-to-point send/recv use (source, destination, tag) matching.
+// send is eager: it copies the payload (straight into a posted receive's
+// buffer, or into a queued record) and returns; recv blocks until a matching
+// message arrives; sendrecv is a zero-copy rendezvous. Each operation moves
+// real data between rank buffers AND charges
 // virtual time to every participant by the rules of clock_rules.hpp (a
 // collective: exit clock = max(entry clocks) + its GroupPricing cost).
 #pragma once
@@ -85,7 +89,7 @@ class Comm {
   void set_collective_config(const CollectiveConfig& cfg);
   CollectiveConfig collective_config() const;
 
-  // ---- point-to-point (rendezvous semantics) ----
+  // ---- point-to-point (eager send, blocking recv) ----
   void send_bytes(const void* buf, i64 bytes, int dst, int tag);
   void recv_bytes(void* buf, i64 bytes, int src, int tag);
   /// Simultaneous send+receive (deadlock-free on shift rings).

@@ -187,8 +187,8 @@ struct CommState {
   CollCost coll_cost;
   double coll_t0 = 0;
   int coll_crit_world = -1;
-  /// Non-empty when the in-flight rendezvous failed a consistency check (or
-  /// its cost/validation step threw): every member throws this as a
+  /// Non-empty when the in-flight rendezvous failed its consistency check
+  /// or straggler reclassification: every member throws this as a
   /// ca3dmm::Error, so collective argument errors are raised collectively.
   /// Tagged with the generation it belongs to so a slow waiter of an old
   /// rendezvous can never observe a newer rendezvous's error (or vice
@@ -201,7 +201,7 @@ struct CommState {
   // lock, sharded across the participating ranks; these fields make every
   // member wait until all shards finished before returning (a member that
   // returned early could free buffers a peer's shard still touches).
-  bool dm_ok = false;  ///< movement may run (no validation error)
+  bool dm_ok = false;  ///< movement may run (no collective error)
   /// Members yet to check out of the barrier; each decrements it without
   /// the lock, and the one that reaches 0 wakes the rest.
   std::atomic<int> dm_remaining{0};
@@ -251,7 +251,6 @@ struct CommState {
     cluster->fiber_sched_->wake_all(waiters);
   }
   bool aborted() const { return cluster->aborting(); }
-  bool validation() const { return cluster->validate_; }
   void fault_point(RankCtx* ctx) const { cluster->fault_point(ctx); }
   const StragglerPolicy& straggler_policy() const {
     return cluster->straggler_policy_;

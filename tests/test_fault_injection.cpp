@@ -175,7 +175,6 @@ TEST(ConsistencyChecker, MismatchedCollectiveOpIsReported) {
 
 TEST(ConsistencyChecker, BcastRootMismatchRaisesBeforeCorruption) {
   Cluster cl(4, Machine::unit_test());
-  cl.set_validation(true);
   const std::string msg = run_expect_error(cl, [](Comm& c) {
     double x = c.rank();
     c.bcast(&x, 1, c.rank() == 0 ? 0 : 1);  // inconsistent root
@@ -186,7 +185,6 @@ TEST(ConsistencyChecker, BcastRootMismatchRaisesBeforeCorruption) {
 TEST(ConsistencyChecker, AllgathervCountsMismatchRaisesOnEveryRank) {
   const int P = 4;
   Cluster cl(P, Machine::unit_test());
-  cl.set_validation(true);
   const std::string msg = run_expect_error(cl, [&](Comm& c) {
     // Rank 2 disagrees about rank 0's contribution.
     std::vector<i64> counts{8, 8, 8, 8};
@@ -203,13 +201,77 @@ TEST(ConsistencyChecker, AllgathervCountsMismatchRaisesOnEveryRank) {
 
 TEST(ConsistencyChecker, AllreduceDtypeMismatchDetected) {
   Cluster cl(2, Machine::unit_test());
-  cl.set_validation(true);
   const std::string msg = run_expect_error(cl, [](Comm& c) {
     double s = 1, r = 0;
     c.allreduce_sum(&s, &r, 1,
                     c.rank() == 0 ? Dtype::kF64 : Dtype::kF32);
   });
   EXPECT_NE(msg.find("dtype mismatch"), std::string::npos) << msg;
+}
+
+/// Runs one collective on every rank of a P-rank cluster: `call` posts it
+/// with a receive buffer of `rbuf_bytes` bytes, each 0x5A. Returns each
+/// rank's error ("" = none) and checks that a failed call left the receive
+/// buffer untouched.
+std::vector<std::string> collective_errors(
+    int P, size_t rbuf_bytes,
+    const std::function<void(Comm&, char* rbuf)>& call) {
+  Cluster cl(P, Machine::unit_test());
+  std::vector<std::string> errors(static_cast<size_t>(P));
+  cl.run([&](Comm& c) {
+    std::vector<char> rbuf(rbuf_bytes, 0x5A);
+    try {
+      call(c, rbuf.data());
+    } catch (const Error& e) {
+      errors[static_cast<size_t>(c.rank())] = e.what();
+      for (char b : rbuf) EXPECT_EQ(b, 0x5A);
+    }
+  });
+  return errors;
+}
+
+void expect_same_error_everywhere(const std::vector<std::string>& errors,
+                                  const std::string& want) {
+  for (const std::string& e : errors) {
+    EXPECT_EQ(e, errors[0]);
+    EXPECT_NE(e.find(want), std::string::npos) << e;
+  }
+}
+
+TEST(ConsistencyChecker, ReduceScatterDtypeMismatchRaisesOnEveryRank) {
+  // Rank 1 posts F32 and sizes its buffer for F32; the others post F64.
+  const std::vector<i64> counts{2, 2, 2, 2};
+  expect_same_error_everywhere(
+      collective_errors(4, 16, [&](Comm& c, char* rbuf) {
+        const Dtype dt = c.rank() == 1 ? Dtype::kF32 : Dtype::kF64;
+        const std::vector<char> sbuf(static_cast<size_t>(8 * dtype_size(dt)));
+        c.reduce_scatter_sum(sbuf.data(), rbuf, counts, dt);
+      }),
+      "reduce_scatter dtype mismatch between rank 0 and rank 1");
+}
+
+TEST(ConsistencyChecker, AllgathervNegativeCountRaisesOnEveryRank) {
+  // Equal vectors on every rank, but rank 0 contributes -8 bytes: the
+  // other shards would start rank 1's block 8 bytes before the buffer.
+  const std::vector<i64> counts{-8, 16, 8, 8};
+  expect_same_error_everywhere(
+      collective_errors(4, 24, [&](Comm& c, char* rbuf) {
+        const i64 mine = counts[static_cast<size_t>(c.rank())];
+        const std::vector<char> sbuf(16, static_cast<char>(c.rank()));
+        c.allgatherv_bytes(sbuf.data(), mine, rbuf, counts);
+      }),
+      "allgatherv: counts[0]=-8 is negative");
+}
+
+TEST(ConsistencyChecker, ReduceScatterNegativeCountRaisesOnEveryRank) {
+  // Rank 1's segment would start one element before the send buffers.
+  const std::vector<i64> counts{-1, 2, 1, 1};
+  expect_same_error_everywhere(
+      collective_errors(4, 16, [&](Comm& c, char* rbuf) {
+        const std::vector<double> sbuf(3, 1.0);
+        c.reduce_scatter_sum(sbuf.data(), rbuf, counts, Dtype::kF64);
+      }),
+      "reduce_scatter: counts[0]=-1 is negative");
 }
 
 TEST(P2PValidation, RecvSizeMismatchIsAnErrorNotAnAbort) {

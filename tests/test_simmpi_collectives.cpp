@@ -263,9 +263,8 @@ TEST(CollectivesEdge, AlltoallvZeroCountsForSomePeers) {
 /// buffer untouched.
 using A2aLists = std::pair<std::vector<PeerBlock>, std::vector<PeerBlock>>;
 std::vector<std::string> alltoallv_errors(
-    int P, bool validate, const std::function<A2aLists(int)>& lists) {
+    int P, const std::function<A2aLists(int)>& lists) {
   Cluster cl(P, Machine::unit_test());
-  cl.set_validation(validate);
   std::vector<std::string> errors(static_cast<size_t>(P));
   cl.run([&](Comm& c) {
     const auto [sends, recvs] = lists(c.rank());
@@ -308,10 +307,8 @@ TEST(AlltoallvErrors, SendLargerThanPeerExpects) {
   const auto lists = all_pairs(4, [](int r, A2aLists& l) {
     if (r == 1) l.first[2].bytes = 16;  // rank 2 expects 8
   });
-  expect_same_error_everywhere(alltoallv_errors(4, false, lists),
-                               "alltoallv count mismatch 1->2");
   expect_same_error_everywhere(
-      alltoallv_errors(4, true, lists),
+      alltoallv_errors(4, lists),
       "alltoallv count mismatch: rank 1 sends 16 bytes to rank 2, which "
       "expects 8");
 }
@@ -320,10 +317,8 @@ TEST(AlltoallvErrors, ExpectedBytesNobodySends) {
   const auto lists = all_pairs(4, [](int r, A2aLists& l) {
     if (r == 0) l.first.erase(l.first.begin() + 3);  // nothing for rank 3
   });
-  expect_same_error_everywhere(alltoallv_errors(4, false, lists),
-                               "alltoallv count mismatch 0->3");
   expect_same_error_everywhere(
-      alltoallv_errors(4, true, lists),
+      alltoallv_errors(4, lists),
       "alltoallv count mismatch: rank 0 sends 0 bytes to rank 3, which "
       "expects 8");
 }
@@ -335,8 +330,10 @@ TEST(AlltoallvErrors, ReportsFirstMismatchedPairInRankOrder) {
     if (r == 2) l.first[1].bytes = 16;
     if (r == 0) l.first.erase(l.first.begin() + 3);
   });
-  expect_same_error_everywhere(alltoallv_errors(4, false, lists),
-                               "alltoallv count mismatch 0->3");
+  expect_same_error_everywhere(
+      alltoallv_errors(4, lists),
+      "alltoallv count mismatch: rank 0 sends 0 bytes to rank 3, which "
+      "expects 8");
 }
 
 TEST(AlltoallvErrors, UnsortedListIsRejected) {
@@ -353,20 +350,15 @@ TEST(AlltoallvErrors, UnsortedListIsRejected) {
 }
 
 TEST(AlltoallvErrors, SelfOnlySingleRankAndZeroPeerCallsSucceed) {
-  for (const bool validate : {false, true}) {
-    // Self only: each rank's one entry is itself.
-    const auto self = [](int r) {
-      return A2aLists{{{r, sizeof(double), 0}}, {{r, sizeof(double), 0}}};
-    };
-    for (const std::string& e : alltoallv_errors(5, validate, self))
-      EXPECT_EQ(e, "");
-    for (const std::string& e : alltoallv_errors(1, validate, self))
-      EXPECT_EQ(e, "");
-    // Zero peers: empty lists on every rank move nothing.
-    const auto none = [](int) { return A2aLists{}; };
-    for (const std::string& e : alltoallv_errors(5, validate, none))
-      EXPECT_EQ(e, "");
-  }
+  // Self only: each rank's one entry is itself.
+  const auto self = [](int r) {
+    return A2aLists{{{r, sizeof(double), 0}}, {{r, sizeof(double), 0}}};
+  };
+  for (const std::string& e : alltoallv_errors(5, self)) EXPECT_EQ(e, "");
+  for (const std::string& e : alltoallv_errors(1, self)) EXPECT_EQ(e, "");
+  // Zero peers: empty lists on every rank move nothing.
+  const auto none = [](int) { return A2aLists{}; };
+  for (const std::string& e : alltoallv_errors(5, none)) EXPECT_EQ(e, "");
   Cluster cl(3, Machine::unit_test());
   cl.run([](Comm& c) {
     const double mine = 10.0 + c.rank();

@@ -145,12 +145,12 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "  ],\n  \"pool\": {\"budget_bytes\": %lld, "
-               "\"high_water_bytes\": %lld, \"pressure_trims\": %lld},\n"
+               "\"high_water_bytes\": %lld},\n"
                "  \"engine\": {\"requests\": %lld, \"plan_hits\": %lld, "
                "\"plan_misses\": %lld},\n"
                "  \"vtime_end_s\": %.9f,\n  \"gates_ok\": %s\n}\n",
                (long long)cfg.memory_budget_bytes,
-               (long long)rep.pool_high_water_bytes, (long long)rep.pool_trims,
+               (long long)rep.pool_high_water_bytes,
                (long long)rep.engine.requests, (long long)rep.engine.plan_hits,
                (long long)rep.engine.plan_misses, rep.vtime_end,
                ok ? "true" : "false");
