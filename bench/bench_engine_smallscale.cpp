@@ -159,9 +159,58 @@ EngineRow run_iterative(const SmallClass& sc, int P, int iters,
   return row;
 }
 
+/// Host work of warm engine requests with native layouts, beyond the
+/// first (cold) request: both are 0 when the engine runs the schedule
+/// cached in its plan entry out of its arena.
+struct WarmCounts {
+  i64 schedule_builds = 0;  ///< HostProfile::schedule_builds
+  i64 pool_acquires = 0;    ///< engine-pool acquisitions, summed over ranks
+};
+
+WarmCounts warm_engine_counts(const SmallClass& sc, int P,
+                              const Machine& mach) {
+  Cluster cl(P, mach);
+  std::vector<i64> acquires(static_cast<size_t>(P));
+  const auto run = [&](int requests) {
+    cl.run([&](Comm& world) {
+      const int me = world.rank();
+      engine::PgemmEngine eng(world);
+      const Ca3dmmPlan& plan = eng.plan_for(sc.m, sc.n, sc.k);
+      const BlockLayout la = plan.a_native(), lb = plan.b_native(),
+                        lc = plan.c_native();
+      std::vector<double> a, b;
+      fill_local(la, me, 5, a);
+      fill_local(lb, me, 6, b);
+      std::vector<double> c(static_cast<size_t>(lc.local_size(me)));
+      engine::Request<double> req;
+      req.m = sc.m;
+      req.n = sc.n;
+      req.k = sc.k;
+      req.a_layout = &la;
+      req.a = a.data();
+      req.b_layout = &lb;
+      req.b = b.data();
+      req.c_layout = &lc;
+      req.c = c.data();
+      eng.multiply(req);
+      const simmpi::PoolStats cold = eng.stats().pool;
+      for (int i = 1; i < requests; ++i) eng.multiply(req);
+      const simmpi::PoolStats warm = eng.stats().pool;
+      acquires[static_cast<size_t>(me)] =
+          warm.hits + warm.misses - cold.hits - cold.misses;
+    });
+    return cl.host_profile().schedule_builds;
+  };
+  const i64 cold_builds = run(1);
+  WarmCounts w;
+  w.schedule_builds = run(4) - cold_builds;
+  for (i64 n : acquires) w.pool_acquires += n;
+  return w;
+}
+
 /// Emits the machine-readable summary consumed by CI and the paper harness.
 void write_engine_json(const std::vector<EngineRow>& rows, int P, int iters,
-                       const char* path) {
+                       const WarmCounts& warm, const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -169,8 +218,12 @@ void write_engine_json(const std::vector<EngineRow>& rows, int P, int iters,
   }
   std::fprintf(f, "{\n  \"bench\": \"engine_iterative\",\n");
   std::fprintf(f, "  \"gemm_isa\": \"%s\",\n", gemm_isa_name());
-  std::fprintf(f, "  \"P\": %d,\n  \"iters\": %d,\n  \"classes\": [\n", P,
-               iters);
+  std::fprintf(f, "  \"P\": %d,\n  \"iters\": %d,\n", P, iters);
+  std::fprintf(f,
+               "  \"warm_schedule_builds\": %lld,\n"
+               "  \"warm_pool_acquires\": %lld,\n  \"classes\": [\n",
+               static_cast<long long>(warm.schedule_builds),
+               static_cast<long long>(warm.pool_acquires));
   for (size_t i = 0; i < rows.size(); ++i) {
     const EngineRow& r = rows[i];
     std::fprintf(f,
@@ -218,7 +271,13 @@ void print_engine_iterative() {
   std::printf(
       "(plan + communicator splits amortized over the batch; peak memory "
       "unchanged)\n");
-  write_engine_json(rows, P, iters, "BENCH_engine.json");
+  const WarmCounts warm = warm_engine_counts(small_classes()[0], P, mach);
+  std::printf(
+      "warm native-layout requests: %lld schedule builds, %lld engine-pool "
+      "acquisitions\n",
+      static_cast<long long>(warm.schedule_builds),
+      static_cast<long long>(warm.pool_acquires));
+  write_engine_json(rows, P, iters, warm, "BENCH_engine.json");
 }
 
 void print_tables() {

@@ -11,6 +11,7 @@
 #include <chrono>
 
 #include "bench_common.hpp"
+#include "core/ca3dmm.hpp"
 #include "costmodel/drift.hpp"
 #include "linalg/gemm.hpp"
 
@@ -42,7 +43,9 @@ bool g_gate_failed = false;
 /// and the kernel's share (page faults, voluntary switches, system CPU) —
 /// what the host spent on the run. Only the GEMM accumulators (one mb x nb
 /// partial C per rank) need zeroed memory; a run whose pools zero more
-/// fails the binary like drift does (the count is deterministic).
+/// fails the binary like drift does (the count is deterministic). Each
+/// point also prints the largest per-rank arena its compiled schedules
+/// pack into, next to the largest tracked peak.
 ///
 /// ranks_per_node is 16 here (not Phoenix's 24) so node boundaries align
 /// with the 256-rank Cannon groups. A group that straddles a node boundary
@@ -99,6 +102,18 @@ void print_real_execution() {
                     static_cast<long long>(acc_bytes));
       }
     }
+    const Ca3dmmPlan plan =
+        Ca3dmmPlan::make(w.m, w.n, w.k, rc.P, costmodel::options_of(w));
+    i64 arena = 0;
+    for (int r = 0; r < rc.P; ++r) {
+      Schedule s(w.esize);
+      build_schedule(plan, r, mach, false, false, s);
+      s.pack();
+      arena = std::max(arena, s.arena_bytes());
+    }
+    std::printf("arena: largest per rank %lld B, tracked peak %lld B\n",
+                static_cast<long long>(arena),
+                static_cast<long long>(cl.aggregate_stats().peak_bytes));
   }
   std::printf("\nreal-execution drift and zero-fill gates: %s (rtol %.1e)\n",
               g_gate_failed ? "FAIL" : "ok",

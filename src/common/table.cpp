@@ -16,10 +16,6 @@ void TextTable::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void TextTable::add_row_f(std::initializer_list<std::string> cells) {
-  add_row(std::vector<std::string>(cells));
-}
-
 std::string TextTable::str() const {
   std::vector<size_t> width(header_.size(), 0);
   for (size_t c = 0; c < header_.size(); ++c) width[c] = header_[c].size();

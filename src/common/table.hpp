@@ -15,9 +15,6 @@ class TextTable {
   /// Adds one row; must have the same number of cells as the header.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats cells with printf-style specs.
-  void add_row_f(std::initializer_list<std::string> cells);
-
   /// Renders the table with a rule under the header.
   std::string str() const;
 

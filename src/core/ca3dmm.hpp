@@ -12,8 +12,8 @@
 //   6. redistribute C to the caller's distribution.
 //
 // All steps run on a simmpi communicator and charge virtual time per phase;
-// work buffers are TrackedBuffers, so per-rank peak memory matches what the
-// paper's Table I measures.
+// every work buffer is tracked from its alloc op to its free op, so per-rank
+// peak memory matches what the paper's Table I measures.
 //
 // Execution options (inner engine, multi-shift aggregation) are read from
 // the plan itself (Ca3dmmPlan::options()): a plan can never be executed with
@@ -67,12 +67,22 @@ struct PlanComms {
   /// must span exactly plan.nranks() ranks. Charges the split setup cost
   /// once; executions through the returned object charge none.
   static PlanComms make(simmpi::Comm& world, const Ca3dmmPlan& plan);
+  /// The same, read off this rank's schedule compiled from the plan.
+  static PlanComms make(simmpi::Comm& world, const Schedule& s);
 
   /// Raises ca3dmm::Error unless every communicator has the shape
   /// make(world, plan) gives the calling rank: valid exactly where listed
   /// above, with s^2 (cannon), c (repl), pk (reduce) or plan.active()
   /// ranks. Local; runs before any communication.
   void check(const simmpi::Comm& world, const Ca3dmmPlan& plan) const;
+
+  /// Binds the communicators to their schedule slots (ScheduleIo::cached).
+  void bind(const simmpi::Comm* (&cached)[kCommCount]) const {
+    cached[kActive] = &active;
+    cached[kGrid] = &cannon;
+    cached[kRepl] = &repl;
+    cached[kReduce] = &reduce;
+  }
 };
 
 /// Computes C = op(A) x op(B) with op fixed by trans_a / trans_b.
@@ -109,10 +119,7 @@ void ca3dmm_multiply(simmpi::Comm& world, const Ca3dmmPlan& plan,
                      const BlockLayout& c_layout, T* c_local) {
   comms.check(world, plan);
   ScheduleIo<T> io;
-  io.cached[kActive] = &comms.active;
-  io.cached[kGrid] = &comms.cannon;
-  io.cached[kRepl] = &comms.repl;
-  io.cached[kReduce] = &comms.reduce;
+  comms.bind(io.cached);
   run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
            b_local, c_layout, c_local, io);
 }

@@ -3,6 +3,8 @@
 #include <array>
 #include <cstring>
 
+#include <sanitizer/asan_interface.h>
+
 #include "layout/redistribute.hpp"
 #include "linalg/gemm.hpp"
 #include "resilience/abft.hpp"
@@ -13,12 +15,81 @@ namespace ca3dmm {
 
 using simmpi::Comm;
 using simmpi::Phase;
-using simmpi::TrackedBuffer;
+
+namespace {
+
+// Under ASan a poisoned gap follows every arena slot, so an overflow into
+// the next slot is reported as between separate heap blocks.
+constexpr i64 kSlotAlign = 64;
+#ifdef __SANITIZE_ADDRESS__
+constexpr i64 kSlotGap = kSlotAlign;
+#else
+constexpr i64 kSlotGap = 0;
+#endif
+
+/// The owned slots of one run: each is tracked, and unpoisoned, from its
+/// alloc op to its free op or to an unwind.
+template <typename T>
+struct Slots {
+  std::byte* arena;
+  i64 arena_bytes;
+  std::array<T*, kSlotCount> ptr{};
+  std::array<i64, kSlotCount> bytes{};
+
+  Slots(std::byte* a, i64 n) : arena(a), arena_bytes(n) {
+    ASAN_POISON_MEMORY_REGION(arena, static_cast<size_t>(n));
+  }
+  ~Slots() {
+    for (int i = 0; i < kSlotCount; ++i) free(i);
+    ASAN_UNPOISON_MEMORY_REGION(arena, static_cast<size_t>(arena_bytes));
+  }
+  void alloc(const Op::Buf& b) {
+    const i64 n = bytes[b.slot] = b.elems * static_cast<i64>(sizeof(T));
+    ptr[b.slot] = reinterpret_cast<T*>(arena + b.off);
+    ASAN_UNPOISON_MEMORY_REGION(ptr[b.slot], static_cast<size_t>(n));
+    if (b.zero) {
+      std::memset(ptr[b.slot], 0, static_cast<size_t>(n));
+      simmpi::detail::host_counters().pool_zeroed_bytes += n;
+    } else {
+#ifndef NDEBUG
+      std::memset(ptr[b.slot], 0xFF, static_cast<size_t>(n));  // NaN
+#endif
+    }
+    simmpi::current_ctx()->track_alloc(n);
+  }
+  void free(int slot) {
+    if (!ptr[slot]) return;
+    simmpi::current_ctx()->track_free(bytes[slot]);
+    ASAN_POISON_MEMORY_REGION(ptr[slot], static_cast<size_t>(bytes[slot]));
+    ptr[slot] = nullptr;
+  }
+};
+
+}  // namespace
+
+void Schedule::pack() {
+  struct Range { i64 lo, hi; std::uint8_t slot; };
+  std::vector<Range> live;  // by offset
+  arena_bytes_ = 0;
+  for (Op& op : ops_) {
+    if (op.kind == OpKind::kFree)
+      std::erase_if(live, [&](const Range& r) { return r.slot == op.buf.slot; });
+    if (op.kind != OpKind::kAlloc) continue;
+    const i64 bytes = op.buf.elems * esize_;
+    i64& off = op.buf.off = 0;
+    auto at = live.begin();
+    for (; at != live.end() && off + bytes + kSlotGap > at->lo; ++at)
+      off = (at->hi + kSlotGap + kSlotAlign - 1) / kSlotAlign * kSlotAlign;
+    live.insert(at, Range{off, off + bytes, op.buf.slot});
+    arena_bytes_ = std::max(arena_bytes_, off + bytes + kSlotGap);
+  }
+  ++simmpi::detail::host_counters().schedule_builds;
+}
 
 template <typename T>
 void run_schedule(Comm& world, const Schedule& s, const ScheduleIo<T>& io) {
   CA_ASSERT(s.esize() == static_cast<i64>(sizeof(T)));
-  std::array<TrackedBuffer<T>, kSlotCount> bufs;
+  Slots<T> bufs(io.arena, s.arena_bytes());
   std::array<Comm, kCommCount> comms;
   comms[kWorld] = world.dup();
   const auto in = [&](int slot) -> const T* {
@@ -26,12 +97,12 @@ void run_schedule(Comm& world, const Schedule& s, const ScheduleIo<T>& io) {
       case kUserA: return io.a;
       case kUserB: return io.b;
       case kUserC: return io.c;
-      default: return bufs[static_cast<size_t>(slot)].data();
+      default: return bufs.ptr[static_cast<size_t>(slot)];
     }
   };
   const auto out = [&](int slot) -> T* {
     CA_ASSERT(slot != kUserA && slot != kUserB);
-    return slot == kUserC ? io.c : bufs[static_cast<size_t>(slot)].data();
+    return slot == kUserC ? io.c : bufs.ptr[static_cast<size_t>(slot)];
   };
   const Phase caller = world.phase();
   simmpi::PhaseScope restore(world, caller);
@@ -41,10 +112,10 @@ void run_schedule(Comm& world, const Schedule& s, const ScheduleIo<T>& io) {
     world.set_phase(op.phase == kInheritPhase ? caller : op.phase);
     switch (op.kind) {
       case OpKind::kAlloc:
-        bufs[op.buf.slot].resize(op.buf.elems, op.buf.zero);
+        bufs.alloc(op.buf);
         break;
       case OpKind::kFree:
-        bufs[op.buf.slot].release();
+        bufs.free(op.buf.slot);
         break;
       case OpKind::kRedistribute: {
         const Op::Redist& r = op.redist;
@@ -64,8 +135,7 @@ void run_schedule(Comm& world, const Schedule& s, const ScheduleIo<T>& io) {
         const Op::Coll& c = op.coll;
         Comm& comm = comms[c.comm];
         if (c.use_cfg && s.coll()) comm.set_collective_config(*s.coll());
-        const std::span<const i64> sp = s.counts(op);
-        const std::vector<i64> counts(sp.begin(), sp.end());
+        const std::span<const i64> counts = s.counts(op);
         if (op.kind == OpKind::kAllgatherv)
           comm.allgatherv_bytes(in(c.src),
                                 counts[static_cast<size_t>(comm.rank())],

@@ -14,12 +14,15 @@
 //
 // Buffers and communicators are named by small rank-local slots. Buffer
 // slots kUserA/kUserB/kUserC are the caller's arrays; every other buffer is
-// a TrackedBuffer the schedule allocates and frees explicitly, at the
-// program points that fix per-rank peak memory. Communicator slot kWorld is
-// the communicator the schedule runs on; split ops fill the others.
+// allocated and freed explicitly, at the program points that fix per-rank
+// peak memory. Communicator slot kWorld is the communicator the schedule
+// runs on; split ops fill the others.
+// An executed schedule is compiled (built and packed into one arena) once:
+// per one-shot run, or per plan entry of the persistent engine.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <optional>
@@ -28,6 +31,7 @@
 
 #include "layout/block_layout.hpp"
 #include "simmpi/comm.hpp"
+#include "simmpi/pool.hpp"
 
 namespace ca3dmm {
 
@@ -87,8 +91,8 @@ enum CommSlot : std::uint8_t {
 inline constexpr simmpi::Phase kInheritPhase = simmpi::Phase::kCount;
 
 enum class OpKind : std::uint8_t {
-  kAlloc,          ///< TrackedBuffer of buf.elems elements into buf.slot,
-                   ///< zero-filled only if buf.zero
+  kAlloc,          ///< buf.elems elements at arena offset buf.off into
+                   ///< buf.slot, tracked; zero-filled only if buf.zero
   kFree,           ///< release buf.slot
   kRedistribute,   ///< layout pair over kWorld (staging + alltoallv, or a
                    ///< local copy when the pair is an identity)
@@ -108,6 +112,7 @@ struct Op {
     std::uint8_t slot;
     bool zero;  ///< a GEMM accumulator: must start at zero
     i64 elems;
+    i64 off = 0;  ///< bytes into the arena (pack)
   };
   struct Redist {
     LayoutId from, to;
@@ -199,6 +204,7 @@ class Schedule {
   /// Empties the schedule for reuse, keeping its storage.
   void reset(i64 esize) {
     esize_ = esize;
+    arena_bytes_ = 0;
     ops_.clear();
     counts_.clear();
     coll_.reset();
@@ -206,6 +212,10 @@ class Schedule {
   }
 
   i64 esize() const { return esize_; }
+  /// Gives each alloc op a 64-byte-aligned arena offset, first fit among
+  /// the slots live there. One rank's list; counts a schedule build.
+  void pack();
+  i64 arena_bytes() const { return arena_bytes_; }  ///< >= tracked peak
   const std::vector<Op>& ops() const { return ops_; }
   /// The counts of an allgatherv/reduce-scatter op.
   std::span<const i64> counts(const Op& op) const {
@@ -220,7 +230,7 @@ class Schedule {
   }
   void set_phase(simmpi::Phase p) { phase_ = p; }
 
-  /// Zero-size allocations are skipped (TrackedBuffer tracks nothing).
+  /// Zero-size allocations are skipped (they track nothing).
   /// Only a slot read before it is fully written asks for `zero`: the GEMM
   /// accumulators.
   void alloc(int slot, i64 elems, bool zero = false) {
@@ -229,7 +239,7 @@ class Schedule {
     live_ |= 1u << slot;
     push(OpKind::kAlloc).buf = Op::Buf{u8(slot), zero, elems};
   }
-  /// Releases a live slot; a dead slot is a no-op (TrackedBuffer::release).
+  /// Releases a live slot; a dead slot is a no-op.
   void free(int slot) {
     if (!(live_ >> slot & 1u)) return;
     live_ &= ~(1u << slot);
@@ -322,6 +332,7 @@ class Schedule {
   }
 
   i64 esize_;
+  i64 arena_bytes_ = 0;
   bool with_data_;
   simmpi::Phase phase_ = kInheritPhase;
   std::uint32_t live_ = 0;  ///< owned slots currently allocated
@@ -340,10 +351,11 @@ struct ScheduleIo {
   /// Pre-split communicators by slot (PlanComms): a cacheable split into a
   /// bound slot takes it instead of splitting, and charges nothing.
   const simmpi::Comm* cached[kCommCount] = {};
+  std::byte* arena = nullptr;  ///< Schedule::arena_bytes() bytes
 };
 
-/// Executes `s` on the calling rank with `world` bound to kWorld. Restores
-/// the caller's phase on return.
+/// Executes packed `s` on the calling rank with `world` bound to kWorld.
+/// Restores the caller's phase on return.
 template <typename T>
 void run_schedule(simmpi::Comm& world, const Schedule& s,
                   const ScheduleIo<T>& io);
@@ -374,11 +386,23 @@ inline void redistribute_out(Schedule& s, int c_slot) {
   s.set_phase(kInheritPhase);
 }
 
-/// The body of every algorithm's executor: validates the call, builds the
-/// calling rank's schedule with the plan's
-/// `build_schedule(plan, rank, anchor, trans_a, trans_b, Schedule&)`, binds
-/// the caller's operands and `plan`'s native layouts (plus whatever `io`
-/// already holds) and runs it.
+/// The calling rank's schedule under `plan`, built with the plan's
+/// `build_schedule(plan, rank, anchor, trans_a, trans_b, Schedule&)` and
+/// packed.
+template <typename Plan>
+Schedule compile(const Plan& plan, const simmpi::Comm& world, bool trans_a,
+                 bool trans_b, i64 esize) {
+  Schedule s(esize);
+  build_schedule(plan, world.rank(), world.machine(), trans_a, trans_b, s);
+  s.pack();
+  return s;
+}
+
+/// The body of every algorithm's executor: validates the call, compiles
+/// the calling rank's schedule and takes its arena from the rank's pool
+/// (unless the caller passes a compiled schedule `s` for (trans_a, trans_b)
+/// and its arena in `io`), binds the caller's operands and `plan`'s native
+/// layouts (plus whatever `io` already holds) and runs it.
 ///
 /// Every check depends only on arguments MPI semantics require to be
 /// identical on all ranks, or on this rank's own buffers, and runs before
@@ -388,7 +412,7 @@ template <typename T, typename Plan>
 void run_plan(simmpi::Comm& world, const Plan& plan, bool trans_a,
               bool trans_b, const BlockLayout& la, const T* a,
               const BlockLayout& lb, const T* b, const BlockLayout& lc, T* c,
-              ScheduleIo<T> io = {}) {
+              ScheduleIo<T> io = {}, const Schedule* s = nullptr) {
   CA_REQUIRE(world.valid(), "multiply needs a valid communicator");
   const int P = world.size();
   CA_REQUIRE(P == plan.nranks(), "plan is for %d ranks, comm has %d",
@@ -424,15 +448,19 @@ void run_plan(simmpi::Comm& world, const Plan& plan, bool trans_a,
                "rank %d: %c local buffer is null but the layout assigns it "
                "%lld elements",
                me, "ABC"[i], static_cast<long long>(user[i]->local_size(me)));
-  Schedule s(sizeof(T));
-  build_schedule(plan, me, world.machine(), trans_a, trans_b, s);
+  std::optional<Schedule> own;
+  simmpi::PoolBlock arena(simmpi::current_buffer_pool());
+  if (!s) {
+    s = &own.emplace(compile(plan, world, trans_a, trans_b, sizeof(T)));
+    io.arena = arena.reserve(s->arena_bytes());
+  }
   const BlockLayout* bound[] = {&la, &lb, &lc, &plan.a_native(),
                                 &plan.b_native(), &plan.c_native()};
   std::copy(std::begin(bound), std::end(bound), io.layouts);
   io.a = a;
   io.b = b;
   io.c = c;
-  run_schedule(world, s, io);
+  run_schedule(world, *s, io);
 }
 
 }  // namespace ca3dmm

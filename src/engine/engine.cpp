@@ -10,8 +10,7 @@ using simmpi::PoolScope;
 PgemmEngine::PgemmEngine(Comm& world, EngineConfig cfg)
     : world_(world.dup()),
       cfg_(cfg),
-      owner_ctx_(simmpi::current_ctx()),
-      pool_(cfg.pool_max_idle_bytes) {
+      owner_ctx_(simmpi::current_ctx()) {
   pool_.set_footprint_budget(cfg.pool_footprint_budget_bytes);
   CA_REQUIRE(world_.valid(), "PgemmEngine needs a valid communicator");
   CA_REQUIRE(cfg_.plan_cache_capacity >= 1,
@@ -53,7 +52,16 @@ std::list<PgemmEngine::Entry>::const_iterator PgemmEngine::find(
                       [&](const Entry& e) { return e.key == key; });
 }
 
-PgemmEngine::Entry& PgemmEngine::lookup(const PlanKey& key) {
+const Schedule& PgemmEngine::Entry::schedule(const Comm& world, bool trans_a,
+                                             bool trans_b, i64 esize) {
+  std::optional<Schedule>& s =
+      schedules[static_cast<size_t>(trans_a * 4 + trans_b * 2 + (esize == 8))];
+  if (!s) s = compile(plan, world, trans_a, trans_b, esize);
+  return *s;
+}
+
+PgemmEngine::Entry& PgemmEngine::lookup(const PlanKey& key, bool trans_a,
+                                        bool trans_b, i64 esize) {
   auto it = find(key);
   if (it != lru_.end()) {
     lru_.splice(lru_.begin(), lru_, it);
@@ -82,7 +90,8 @@ PgemmEngine::Entry& PgemmEngine::lookup(const PlanKey& key) {
   }
   simmpi::trace_marker("engine:plan build");
   e.plan = Ca3dmmPlan::make(key.m, key.n, key.k, key.nranks, build_opt);
-  e.comms = PlanComms::make(world_, e.plan);
+  e.comms =
+      PlanComms::make(world_, e.schedule(world_, trans_a, trans_b, esize));
   const RankCoord co = e.plan.coord(world_.rank());
   e.splits_per_call =
       1 + (co.active ? 1 + (e.plan.c() > 1 ? 1 : 0) +
@@ -118,6 +127,7 @@ size_t PgemmEngine::cached_plans() const { return lru_.size(); }
 
 void PgemmEngine::clear() {
   lru_.clear();
+  arena_.reserve(0);
   pool_.trim();
 }
 
@@ -131,15 +141,18 @@ void PgemmEngine::execute(Entry& entry, const Request<T>& req) {
   CA_REQUIRE(req.a_layout != nullptr && req.b_layout != nullptr &&
                  req.c_layout != nullptr,
              "engine request needs all three layouts set");
-  // All work buffers of the whole call tree (driver, 2-D engine,
-  // redistribution) draw from the engine's pool while this scope is active.
-  // PoolScope's destructor detaches the pool on any exit path, so an
-  // aborted multiply cannot leave later allocations drawing from it.
+  // Redistribution staging draws from the engine's pool while this scope
+  // is active. PoolScope's destructor detaches the pool on any exit path,
+  // so an aborted multiply cannot leave later allocations drawing from it.
   PoolScope scope(&pool_);
   try {
-    ca3dmm_multiply<T>(world_, entry.plan, entry.comms, req.trans_a,
-                       req.trans_b, *req.a_layout, req.a, *req.b_layout,
-                       req.b, *req.c_layout, req.c);
+    const Schedule& s =
+        entry.schedule(world_, req.trans_a, req.trans_b, sizeof(T));
+    ScheduleIo<T> io;
+    entry.comms.bind(io.cached);
+    io.arena = arena_.reserve(s.arena_bytes());
+    run_plan(world_, entry.plan, req.trans_a, req.trans_b, *req.a_layout,
+             req.a, *req.b_layout, req.b, *req.c_layout, req.c, io, &s);
   } catch (const Error&) {
     // The entry's communicators may have collectives half-rendezvoused on
     // peers that died (or, for a validation error, an inconsistent request
@@ -159,7 +172,7 @@ void PgemmEngine::execute(Entry& entry, const Request<T>& req) {
 template <typename T>
 void PgemmEngine::multiply(const Request<T>& req) {
   check_owner();
-  execute(lookup(key_of(req)), req);
+  execute(lookup(key_of(req), req.trans_a, req.trans_b, sizeof(T)), req);
 }
 
 template <typename T>
@@ -182,7 +195,8 @@ void PgemmEngine::submit(const std::vector<Request<T>>& batch) {
     git->second.push_back(&r);
   }
   for (const auto& [key, reqs] : groups)
-    for (const Request<T>* r : reqs) execute(lookup(key), *r);
+    for (const Request<T>* r : reqs)
+      execute(lookup(key, r->trans_a, r->trans_b, sizeof(T)), *r);
 }
 
 template void PgemmEngine::multiply<float>(const Request<float>&);

@@ -5,9 +5,10 @@
 // One-shot ca3dmm_multiply rebuilds everything per call: the plan (grid
 // solving), the split communicators (k-task / Cannon / replication /
 // reduction groups — four collective splits that each charge latency to
-// every rank), and all work buffers. Iterative workloads (density-matrix
-// purification, CholeskyQR iteration — the paper's §V motivation) issue
-// dozens of identically-shaped multiplications, so a PgemmEngine keeps:
+// every rank), the rank's schedule and its arena. Iterative workloads
+// (density-matrix purification, CholeskyQR iteration — the paper's §V
+// motivation) issue dozens of identically-shaped multiplications, so a
+// PgemmEngine keeps:
 //
 //   * a plan cache   — LRU over (m, n, k, P, Ca3dmmOptions), with hit /
 //                      miss / eviction counters. The element type is NOT
@@ -16,14 +17,18 @@
 //   * a comm cache   — each cached plan carries its PlanComms, split once
 //                      on the miss and reused by every subsequent call, so
 //                      repeated multiplies charge zero split latency.
-//   * a buffer pool  — released TrackedBuffer allocations are parked on
-//                      exact-size free lists and reused; pooled memory is
-//                      tracked only while checked out, so per-rank peak
-//                      memory keeps Table I semantics (see simmpi/pool.hpp).
+//   * schedules      — and this rank's compiled schedules, one per
+//                      (trans_a, trans_b, element size) run: allgatherv
+//                      counts are in bytes, so float and double differ.
+//   * one arena      — all of them run out of one block of the engine's
+//                      pool, grown to the largest (one request runs at a
+//                      time), live in its footprint; the schedule tracks
+//                      its slots, so peaks keep Table I semantics.
 //   * a batch API    — submit() takes a vector of requests, groups
 //                      same-plan requests together, and executes them
 //                      back-to-back (one plan lookup per run, no cache
 //                      thrash when shapes interleave).
+// A warm native-layout request builds nothing and acquires no memory.
 //
 // Usage contract: every member of `world` constructs an engine and calls
 // multiply()/submit()/plan_for() collectively in the same order with the
@@ -42,8 +47,8 @@
 // aggregated ca3dmm::Error. An engine whose execute() sees a ca3dmm::Error
 // on its own rank invalidates the plan-cache entry in use (its split
 // communicators may be poisoned by the failure), detaches the buffer pool
-// via PoolScope unwinding (every TrackedBuffer returns its allocation on
-// the exception path), and rethrows — leaving the engine safely reusable
+// via PoolScope unwinding (every slot and buffer is released on the
+// exception path), and rethrows — leaving the engine safely reusable
 // for the next submission. That reuse is exercised within a run for
 // collectively raised validation errors; after a real rank loss the whole
 // run is torn down and the shrink-and-replan layer (resilience/recovery.hpp)
@@ -51,6 +56,7 @@
 // docs/RESILIENCE.md.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <list>
 #include <map>
@@ -69,8 +75,6 @@ struct EngineConfig {
   /// Plans (with their communicators) kept alive; least recently used
   /// entries are evicted beyond this.
   size_t plan_cache_capacity = 8;
-  /// Cap on idle pooled buffer bytes per rank (see BufferPool).
-  i64 pool_max_idle_bytes = 256ll << 20;
   /// Hard cap on the pool's total per-rank footprint (live + idle); 0 =
   /// unlimited. See BufferPool::set_footprint_budget — with a budget set,
   /// the pool's high-water mark provably stays under
@@ -153,9 +157,9 @@ class PgemmEngine {
   void submit(const std::vector<Request<T>>& batch);
 
   /// Plans (or returns the cached plan) for a shape without executing —
-  /// pre-warming the caches. Collective over world on a cache miss (the
-  /// communicators are split here). The reference stays valid until the
-  /// entry is evicted.
+  /// pre-warming the caches, with the double, untransposed schedule.
+  /// Collective over world on a cache miss (the communicators are split
+  /// here). The reference stays valid until the entry is evicted.
   const Ca3dmmPlan& plan_for(i64 m, i64 n, i64 k,
                              const Ca3dmmOptions& opt = {});
 
@@ -170,8 +174,8 @@ class PgemmEngine {
 
   size_t cached_plans() const;
 
-  /// Drops every cached plan (with its communicators) and all idle pooled
-  /// buffers. Purely local: no communication, no virtual-time charge.
+  /// Drops every cached plan (with its communicators and schedules) and all
+  /// pooled memory. Purely local: no communication, no virtual-time charge.
   void clear();
 
   /// The tuned config the engine would apply to a plan-cache miss of this
@@ -192,15 +196,23 @@ class PgemmEngine {
     PlanKey key;
     Ca3dmmPlan plan;
     PlanComms comms;
+    /// By [trans_a * 4 + trans_b * 2 + (element size == 8)].
+    std::array<std::optional<Schedule>, 8> schedules;
     i64 splits_per_call = 0;  ///< one-shot splits this rank avoids per hit
+
+    /// Compiled on first use; local.
+    const Schedule& schedule(const simmpi::Comm& world, bool trans_a,
+                             bool trans_b, i64 esize);
   };
 
   /// The cached entry for the key, or lru_.end().
   std::list<Entry>::const_iterator find(const PlanKey& key) const;
 
-  /// Returns the cache entry for the key, building plan + comms on a miss
-  /// (collective!) and updating LRU order and counters.
-  Entry& lookup(const PlanKey& key);
+  /// Returns the cache entry for the key, building plan, comms and the
+  /// (trans_a, trans_b, esize) schedule on a miss (collective!) and
+  /// updating LRU order and counters.
+  Entry& lookup(const PlanKey& key, bool trans_a = false,
+                bool trans_b = false, i64 esize = sizeof(double));
 
   template <typename T>
   void execute(Entry& entry, const Request<T>& req);
@@ -223,6 +235,7 @@ class PgemmEngine {
   /// lookups scan it.
   std::list<Entry> lru_;
   simmpi::BufferPool pool_;
+  simmpi::PoolBlock arena_{&pool_};  ///< after pool_: goes before it
   EngineStats stats_;
   /// Snapshot of the tuning DB taken at construction (see
   /// EngineConfig::tuning_db).

@@ -41,8 +41,6 @@ class Matrix {
     return data_[static_cast<size_t>(i * cols_ + j)];
   }
 
-  void fill_zero() { std::memset(data_.data(), 0, data_.size() * sizeof(T)); }
-
   /// Fills with the deterministic virtual random matrix `seed`, reading the
   /// global coordinates (row0 + i, col0 + j): distributed blocks filled this
   /// way agree with a serially filled global matrix.
@@ -71,17 +69,6 @@ double max_abs_diff(const Matrix<T>& a, const Matrix<T>& b) {
     if (d > m) m = d;
   }
   return m;
-}
-
-/// Frobenius norm.
-template <typename T>
-double fro_norm(const Matrix<T>& a) {
-  double s = 0;
-  for (i64 i = 0; i < a.size(); ++i) {
-    const double v = static_cast<double>(a.data()[i]);
-    s += v * v;
-  }
-  return std::sqrt(s);
 }
 
 /// Copies a rectangular block of `src` (top-left at (sr, sc)) into `dst` at

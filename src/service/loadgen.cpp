@@ -18,15 +18,6 @@ const char* shape_mix_name(ShapeMix mix) {
   return "?";
 }
 
-ShapeMix shape_mix_from_name(const std::string& name) {
-  if (name == "iterative") return ShapeMix::kIterative;
-  if (name == "square") return ShapeMix::kSquare;
-  if (name == "tall-skinny") return ShapeMix::kTallSkinny;
-  if (name == "batched-small") return ShapeMix::kBatchedSmall;
-  CA_REQUIRE(false, "unknown shape mix '%s'", name.c_str());
-  return ShapeMix::kIterative;
-}
-
 namespace {
 
 struct Shape {

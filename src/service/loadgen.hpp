@@ -32,8 +32,6 @@ enum class ShapeMix : int {
 };
 
 const char* shape_mix_name(ShapeMix mix);
-/// Parses "iterative" / "square" / "tall-skinny" / "batched-small".
-ShapeMix shape_mix_from_name(const std::string& name);
 
 /// One tenant of a generated load: serving contract + traffic shape.
 struct TenantProfile {

@@ -28,11 +28,11 @@ const char* verdict_name(Verdict v) {
 namespace {
 
 /// Fills this rank's local buffer under `layout` from the virtual global
-/// random matrix `seed` (same generator the tests validate against). Host
-/// work only — charges no virtual time.
+/// random matrix `seed` (same generator the tests validate against),
+/// writing each element once. Host work only — charges no virtual time.
 void fill_local(const BlockLayout& layout, int rank, std::uint64_t seed,
                 std::vector<double>& buf) {
-  buf.assign(static_cast<size_t>(layout.local_size(rank)), 0.0);
+  buf.resize(static_cast<size_t>(layout.local_size(rank)));
   i64 pos = 0;
   for (const Rect& r : layout.rects_of(rank))
     for (i64 i = r.r.lo; i < r.r.hi; ++i)
@@ -59,7 +59,7 @@ namespace {
 
 /// The service's memory budget doubles as the pool's hard footprint cap,
 /// which is what makes the zero-OOM gate a guarantee rather than a hope:
-/// the pool evicts idle buffers before any allocation that would bust it.
+/// the pool evicts idle memory before any acquisition that would bust it.
 engine::EngineConfig engine_config_of(const ServiceConfig& cfg) {
   engine::EngineConfig ec = cfg.engine;
   if (cfg.memory_budget_bytes > 0 && ec.pool_footprint_budget_bytes == 0)
@@ -95,9 +95,8 @@ Workload PgemmService::workload_of(const ServiceRequest& r) const {
   return costmodel::workload_of(r.m, r.n, r.k, opt);
 }
 
-double PgemmService::dispatch(const ServiceRequest& r, double* predicted_out) {
-  const Algo algo = r.opt.use_summa ? Algo::kCa3dmmSumma : Algo::kCa3dmm;
-  const Quote& q = oracle_.quote(algo, workload_of(r));
+double PgemmService::dispatch(const ServiceRequest& r, const Quote& q,
+                              double* predicted_out) {
   // Price against the engine's *current* cache state: the first request of
   // a shape pays the plan + communicator splits, everyone after rides the
   // cached plan. is_cached evolves identically on every rank.
@@ -112,12 +111,12 @@ double PgemmService::dispatch(const ServiceRequest& r, double* predicted_out) {
   const BlockLayout b_nat = plan.b_native();
   const BlockLayout c_nat = plan.c_native();
   const int me = world_.rank();
-  std::vector<double> a, b;
-  fill_local(a_nat, me, r.seed_a, a);
-  fill_local(b_nat, me, r.seed_b, b);
-  std::vector<std::vector<double>> cs(
-      static_cast<size_t>(r.batch),
-      std::vector<double>(static_cast<size_t>(c_nat.local_size(me))));
+  fill_local(a_nat, me, r.seed_a, a_);
+  fill_local(b_nat, me, r.seed_b, b_);
+  // No zero fill: redistribute_out writes every element of C.
+  cs_.resize(static_cast<size_t>(r.batch));
+  for (std::vector<double>& c : cs_)
+    c.resize(static_cast<size_t>(c_nat.local_size(me)));
   std::vector<Request<double>> reqs;
   for (int i = 0; i < r.batch; ++i) {
     Request<double> req;
@@ -125,11 +124,11 @@ double PgemmService::dispatch(const ServiceRequest& r, double* predicted_out) {
     req.n = r.n;
     req.k = r.k;
     req.a_layout = &a_nat;
-    req.a = a.data();
+    req.a = a_.data();
     req.b_layout = &b_nat;
-    req.b = b.data();
+    req.b = b_.data();
     req.c_layout = &c_nat;
-    req.c = cs[static_cast<size_t>(i)].data();
+    req.c = cs_[static_cast<size_t>(i)].data();
     req.opt = r.opt;
     reqs.push_back(req);
   }
@@ -194,10 +193,11 @@ ServiceReport PgemmService::serve(const std::vector<ServiceRequest>& load,
   std::map<i64, RequestRecord> replay;  // journaled outcomes from attempts
   for (const RequestRecord& rec : journal) replay[rec.id] = rec;
 
-  // Admission-time debits, reconciled at completion.
+  // Admission-time debits, reconciled at completion, and the quote they
+  // came from, which prices the dispatch too.
   struct AdmitInfo {
     double debit = 0;
-    i64 peak = 0;
+    Quote quote;
   };
   std::map<i64, AdmitInfo> admitted;
 
@@ -309,7 +309,7 @@ ServiceReport PgemmService::serve(const std::vector<ServiceRequest>& load,
         s.outstanding_bytes += q.peak_bytes;
         m.peak_outstanding_bytes =
             std::max(m.peak_outstanding_bytes, s.outstanding_bytes);
-        admitted[r.id] = AdmitInfo{price, q.peak_bytes};
+        admitted[r.id] = AdmitInfo{price, q};
         wfq.enqueue(r.tenant, r.id, price, vnow);
         continue;  // outcome recorded at dispatch
       }
@@ -346,7 +346,7 @@ ServiceReport PgemmService::serve(const std::vector<ServiceRequest>& load,
     rec.arrival_s = r.arrival_s;
     rec.admit_s = pick.enqueued_s;
     rec.start_s = vnow;
-    rec.peak_bytes = admit.peak;
+    rec.peak_bytes = admit.quote.peak_bytes;
     size_t journal_slot = 0;
     if (journal_out) {
       journal_out->push_back(rec);
@@ -354,7 +354,7 @@ ServiceReport PgemmService::serve(const std::vector<ServiceRequest>& load,
     }
 
     double predicted = 0;
-    const double executed = dispatch(r, &predicted);
+    const double executed = dispatch(r, admit.quote, &predicted);
     const double t_start = vnow;
     vnow += executed;
 
@@ -368,7 +368,7 @@ ServiceReport PgemmService::serve(const std::vector<ServiceRequest>& load,
     if (journal_out) (*journal_out)[journal_slot] = rec;
 
     TState& s = ts[static_cast<size_t>(r.tenant)];
-    s.outstanding_bytes -= admit.peak;
+    s.outstanding_bytes -= admit.quote.peak_bytes;
     // Token reconciliation: the bucket was debited the steady-state price
     // at admission; settle to the executed cost.
     refill(r.tenant);

@@ -23,10 +23,10 @@
 //                  (wfq.hpp) with priority classes and a starvation bound.
 //   backpressure — bounded per-tenant queues; a full queue rejects with
 //                  retry-after instead of growing without bound.
-//   pool budget  — before each dispatch the engine's idle pooled bytes are
-//                  trimmed to (budget - predicted peak), so the pool's
-//                  high-water mark provably stays under the configured
-//                  per-rank budget: zero OOM by construction.
+//   pool budget  — the engine pool's footprint cap: idle memory is evicted
+//                  before an acquisition would exceed it, so the pool's
+//                  high-water mark stays under max(budget, live bytes),
+//                  where live is the engine's arena (its largest schedule).
 //
 // Execution model: serve() runs *inside* a Cluster rank body — every rank
 // runs the identical deterministic loop, so no control messages are needed.
@@ -72,7 +72,7 @@ struct TenantConfig {
 struct ServiceConfig {
   std::vector<TenantConfig> tenants;
   /// Per-rank cap on the engine pool footprint (live + idle bytes); 0 =
-  /// unlimited. Enforced by trimming idle pooled memory before dispatch.
+  /// unlimited. Becomes the engine's pool_footprint_budget_bytes.
   i64 memory_budget_bytes = 0;
   /// WFQ starvation bound in service vtime seconds (<= 0 disables aging).
   double starvation_bound_s = 0;
@@ -177,14 +177,18 @@ class PgemmService {
 
  private:
   costmodel::Workload workload_of(const ServiceRequest& r) const;
-  /// Executes one admitted request batch; returns executed vtime (max over
-  /// ranks of the clock delta, identical on every rank).
-  double dispatch(const ServiceRequest& r, double* predicted_out);
+  /// Executes one admitted request batch priced by quote `q`; returns
+  /// executed vtime (max over ranks of the clock delta, same on all ranks).
+  double dispatch(const ServiceRequest& r, const costmodel::Quote& q,
+                  double* predicted_out);
 
   simmpi::Comm world_;
   ServiceConfig cfg_;
   engine::PgemmEngine engine_;
   costmodel::CostOracle oracle_;
+  /// This rank's operands and batch C blocks, reused across dispatches.
+  std::vector<double> a_, b_;
+  std::vector<std::vector<double>> cs_;
 };
 
 }  // namespace ca3dmm::service

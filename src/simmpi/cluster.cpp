@@ -52,6 +52,7 @@ HostProfile& HostProfile::operator+=(const HostProfile& o) {
   pool_hits += o.pool_hits;
   pool_misses += o.pool_misses;
   pool_zeroed_bytes += o.pool_zeroed_bytes;
+  schedule_builds += o.schedule_builds;
   copy_bytes += o.copy_bytes;
   minor_faults += o.minor_faults;
   vol_switches += o.vol_switches;
@@ -79,10 +80,11 @@ std::string HostProfile::table() const {
       static_cast<long long>(zero_copy_bytes),
       static_cast<long long>(inbox_slots_peak));
   out += strprintf(
-      "  fiber stacks mapped %lld; rank pool hits %lld, misses %lld, "
-      "zeroed %lld B; schedule copies %lld B\n",
+      "  fiber stacks mapped %lld; rank pool hits %lld, misses %lld; "
+      "schedules built %lld, zeroed %lld B, copies %lld B\n",
       static_cast<long long>(stacks_mapped), static_cast<long long>(pool_hits),
       static_cast<long long>(pool_misses),
+      static_cast<long long>(schedule_builds),
       static_cast<long long>(pool_zeroed_bytes),
       static_cast<long long>(copy_bytes));
   out += strprintf(
@@ -241,7 +243,6 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
       const PoolStats& ps = rank_pools_[r].stats();
       t.hits += ps.hits;
       t.misses += ps.misses;
-      t.bytes_zeroed += ps.bytes_zeroed;
     }
     return t;
   };
@@ -289,7 +290,6 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
   const PoolStats pool1 = pool_totals();
   host_prof_.pool_hits = pool1.hits - pool0.hits;
   host_prof_.pool_misses = pool1.misses - pool0.misses;
-  host_prof_.pool_zeroed_bytes = pool1.bytes_zeroed - pool0.bytes_zeroed;
 
   // Drain undelivered messages. An aborted (or simply unbalanced) run can
   // leave eager sends in the inboxes; the receiver that would have deleted

@@ -13,11 +13,11 @@
 //
 // Rank memory outlives a run. The Cluster keeps its fiber scheduler, with
 // every rank's guard-paged stack, from the first run() to its destructor,
-// and owns one BufferPool per rank that every TrackedBuffer of that rank's
-// body draws from. A repeated run therefore maps no stacks and takes its
-// work buffers from memory the last run already faulted in; pooled memory
-// is tracked exactly like a fresh allocation and zeroed on request (see
-// pool.hpp), so results and peak bytes (Table I) do not change.
+// and owns one BufferPool per rank that the arenas and TrackedBuffers of
+// that rank's body draw from. A repeated run therefore maps no stacks and
+// takes its work memory from what the last run already faulted in;
+// tracking does not depend on where memory comes from (see pool.hpp), so
+// results and peak bytes (Table I) do not change.
 //
 // Rendezvous state has one home and one lock per kind:
 //   * point-to-point: every rank owns an Inbox (detail_state.hpp) of
@@ -203,7 +203,6 @@ class Cluster {
   /// Attaches a deterministic fault-injection plan to subsequent run()
   /// calls; pass a default-constructed FaultPlan to clear.
   void set_fault_plan(FaultPlan plan) { faults_ = std::move(plan); }
-  const FaultPlan& fault_plan() const { return faults_; }
 
   /// Straggler reclassification policy for subsequent run() calls (see
   /// StragglerPolicy). Disabled by default.
@@ -354,28 +353,21 @@ class Cluster {
   HostProfile host_prof_;  ///< counters of the last run()
 };
 
-/// RAII owning buffer whose size is reported to the rank's memory tracker.
-/// All work buffers inside the PGEMM algorithms use this, which is how the
-/// Table I per-process memory numbers are measured.
+/// RAII owning buffer whose size is reported to the rank's memory tracker
+/// (Table I): redistribution staging. A schedule's own slots live in its
+/// arena and are tracked by its alloc and free ops (core/schedule.hpp).
 template <typename T>
 class TrackedBuffer {
  public:
   TrackedBuffer() = default;
-  explicit TrackedBuffer(i64 n, bool zero = false) { resize(n, zero); }
+  explicit TrackedBuffer(i64 n) { resize(n); }
   ~TrackedBuffer() { release(); }
 
   TrackedBuffer(const TrackedBuffer&) = delete;
   TrackedBuffer& operator=(const TrackedBuffer&) = delete;
-  TrackedBuffer(TrackedBuffer&& o) noexcept { swap(o); }
-  TrackedBuffer& operator=(TrackedBuffer&& o) noexcept {
-    release();
-    swap(o);
-    return *this;
-  }
 
-  /// Zero-filled only if `zero`: a caller that overwrites every element
-  /// before reading it skips the fill.
-  void resize(i64 n, bool zero = false) {
+  /// Not zero-filled: the caller writes every element before reading it.
+  void resize(i64 n) {
     release();
     CA_ASSERT(n >= 0);
     if (n == 0) return;
@@ -387,12 +379,8 @@ class TrackedBuffer {
     if constexpr (std::is_trivially_copyable_v<T> &&
                   std::is_trivially_destructible_v<T>)
       pool_ = current_buffer_pool();
-    if (pool_)
-      data_ = static_cast<T*>(pool_->acquire(bytes(), zero));
-    else if (zero)
-      data_ = new T[static_cast<size_t>(n)]();
-    else
-      data_ = new T[static_cast<size_t>(n)];
+    data_ = pool_ ? static_cast<T*>(pool_->acquire(bytes()))
+                  : new T[static_cast<size_t>(n)];
     ctx_ = current_ctx();
     if (ctx_) ctx_->track_alloc(bytes());
   }
@@ -411,19 +399,10 @@ class TrackedBuffer {
     pool_ = nullptr;
   }
 
-  void swap(TrackedBuffer& o) noexcept {
-    std::swap(data_, o.data_);
-    std::swap(n_, o.n_);
-    std::swap(ctx_, o.ctx_);
-    std::swap(pool_, o.pool_);
-  }
-
   T* data() { return data_; }
-  const T* data() const { return data_; }
   i64 size() const { return n_; }
   i64 bytes() const { return n_ * static_cast<i64>(sizeof(T)); }
   T& operator[](i64 i) { return data_[i]; }
-  const T& operator[](i64 i) const { return data_[i]; }
 
  private:
   T* data_ = nullptr;

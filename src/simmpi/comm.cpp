@@ -137,7 +137,7 @@ std::string validate_collective(const CommState& st, CommState::Op op) {
       const char* name = coll_op_name(op);
       for (int j = 1; j < p; ++j) {
         const auto& sj = st.slots[static_cast<size_t>(j)];
-        if (*sj.v0 != *s0.v0)
+        if (!std::ranges::equal(sj.v0, s0.v0))
           return strprintf("%s counts mismatch between rank 0 and rank %d",
                            name, j);
         if (sj.dt != s0.dt)  // allgatherv posts no dtype: always equal
@@ -145,10 +145,10 @@ std::string validate_collective(const CommState& st, CommState::Op op) {
                            name, j);
       }
       for (int j = 0; j < p; ++j)
-        if ((*s0.v0)[static_cast<size_t>(j)] < 0)
+        if (s0.v0[static_cast<size_t>(j)] < 0)
           return strprintf("%s: counts[%d]=%lld is negative", name, j,
                            static_cast<long long>(
-                               (*s0.v0)[static_cast<size_t>(j)]));
+                               s0.v0[static_cast<size_t>(j)]));
       break;
     }
     case CommState::Op::kAllreduce:
@@ -552,7 +552,7 @@ void Comm::allgather_bytes(const void* sbuf, i64 bytes_each, void* rbuf) {
 }
 
 void Comm::allgatherv_bytes(const void* sbuf, i64 my_bytes, void* rbuf,
-                            const std::vector<i64>& counts) {
+                            std::span<const i64> counts) {
   CA_REQUIRE(static_cast<int>(counts.size()) == size(),
              "allgatherv counts vector has %d entries, comm has %d ranks",
              static_cast<int>(counts.size()), size());
@@ -570,7 +570,7 @@ void Comm::allgatherv_bytes(const void* sbuf, i64 my_bytes, void* rbuf,
         s.sbuf = sbuf;
         s.rbuf = rbuf;
         s.n0 = my_bytes;
-        s.v0 = &counts;
+        s.v0 = counts;
       },
       [&](CommState& st) {
         const int p = static_cast<int>(st.members.size());
@@ -598,7 +598,7 @@ void Comm::allgatherv_bytes(const void* sbuf, i64 my_bytes, void* rbuf,
 }
 
 void Comm::reduce_scatter_sum(const void* sbuf, void* rbuf,
-                              const std::vector<i64>& counts, Dtype dtype,
+                              std::span<const i64> counts, Dtype dtype,
                               bool custom_tree) {
   CA_REQUIRE(static_cast<int>(counts.size()) == size(),
              "reduce_scatter counts vector has %d entries, comm has %d ranks",
@@ -615,7 +615,7 @@ void Comm::reduce_scatter_sum(const void* sbuf, void* rbuf,
       [&](CommState::Slot& s) {
         s.sbuf = sbuf;
         s.rbuf = rbuf;
-        s.v0 = &counts;
+        s.v0 = counts;
         s.dt = dtype;
       },
       [&](CommState& st) {

@@ -104,14 +104,14 @@ class Comm {
   void allgather_bytes(const void* sbuf, i64 bytes_each, void* rbuf);
   /// Variable-size allgather; counts[r] = bytes contributed by rank r.
   void allgatherv_bytes(const void* sbuf, i64 my_bytes, void* rbuf,
-                        const std::vector<i64>& counts);
+                        std::span<const i64> counts);
   /// Reduce-scatter with sum: sbuf holds sum(counts) elements on every rank;
   /// rank r receives the element-wise sum of segment r (counts[r] elements).
   /// `custom_tree` models an application-implemented reduction tree (what
   /// COSMA does) instead of the MPI library's MPI_Reduce_scatter: it skips
   /// the machine's large-message degradation (paper §IV-C).
   void reduce_scatter_sum(const void* sbuf, void* rbuf,
-                          const std::vector<i64>& counts, Dtype dtype,
+                          std::span<const i64> counts, Dtype dtype,
                           bool custom_tree = false);
   void allreduce_sum(const void* sbuf, void* rbuf, i64 count, Dtype dtype);
   /// Sparse personalized all-to-all: `sends` / `recvs` list only the peers
@@ -146,7 +146,7 @@ class Comm {
     allgather_bytes(sbuf, n_each * static_cast<i64>(sizeof(T)), rbuf);
   }
   template <typename T>
-  void reduce_scatter(const T* sbuf, T* rbuf, const std::vector<i64>& counts,
+  void reduce_scatter(const T* sbuf, T* rbuf, std::span<const i64> counts,
                       bool custom_tree = false) {
     reduce_scatter_sum(sbuf, rbuf, counts, dtype_of<T>(), custom_tree);
   }

@@ -211,7 +211,7 @@ struct CommState {
     void* rbuf = nullptr;
     i64 n0 = 0;
     int i0 = 0, i1 = 0;
-    const std::vector<i64>* v0 = nullptr;
+    std::span<const i64> v0;
     std::span<const PeerBlock> sends, recvs;  ///< alltoallv lists
     double t_entry = 0;
     Dtype dt = Dtype::kF64;

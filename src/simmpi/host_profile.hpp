@@ -50,13 +50,16 @@ struct HostProfile {
   /// Fiber stacks mapped by this run: every rank on a Cluster's first run
   /// (or after a stack-size or worker-count change), 0 on later runs.
   i64 stacks_mapped = 0;
-  /// TrackedBuffer allocations served by the ranks' own BufferPools from
-  /// memory an earlier allocation returned (hits) or from the heap
-  /// (misses). Pools an engine installs over them are not counted.
+  /// Acquisitions (arenas, TrackedBuffers) served by the ranks' own
+  /// BufferPools from memory an earlier one returned (hits) or from the
+  /// heap (misses). Pools an engine installs over them are not counted.
   i64 pool_hits = 0;
   i64 pool_misses = 0;
-  /// Bytes those pools zero-filled on request (GEMM accumulators).
+  /// Bytes the schedules zero-filled at alloc ops (GEMM accumulators).
   i64 pool_zeroed_bytes = 0;
+  /// Rank schedules built for execution (core/schedule.hpp compile); a
+  /// warm engine request builds none.
+  i64 schedule_builds = 0;
   /// Bytes the schedules' data-only copy ops moved (packing, staging,
   /// panel appends); p2p copies are counted above.
   i64 copy_bytes = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <new>
+#include <utility>
 
 namespace ca3dmm::simmpi {
 
@@ -13,8 +14,7 @@ thread_local BufferPool* tls_pool = nullptr;
 BufferPool::~BufferPool() { trim(); }
 
 void BufferPool::note_footprint() {
-  stats_.idle_bytes = idle_bytes_;
-  const i64 footprint = stats_.live_bytes + idle_bytes_;
+  const i64 footprint = stats_.live_bytes + stats_.idle_bytes;
   if (footprint > stats_.high_water_bytes) stats_.high_water_bytes = footprint;
 }
 
@@ -22,17 +22,17 @@ void BufferPool::evict_to(i64 target) {
   // Largest idle allocations go first: they reclaim the most bytes per
   // freed buffer, and small same-shape scratch (the common steady-state
   // reuse) survives the longest.
-  while (idle_bytes_ > target && !free_.empty()) {
+  while (stats_.idle_bytes > target && !free_.empty()) {
     auto it = std::prev(free_.end());
     ::operator delete(it->second.back());
     it->second.pop_back();
-    idle_bytes_ -= it->first;
+    stats_.idle_bytes -= it->first;
     ++stats_.trims;
     if (it->second.empty()) free_.erase(it);
   }
 }
 
-void* BufferPool::acquire(i64 bytes, bool zero) {
+void* BufferPool::acquire(i64 bytes) {
   CA_ASSERT(bytes > 0);
   void* p;
   auto it = free_.find(bytes);
@@ -40,9 +40,8 @@ void* BufferPool::acquire(i64 bytes, bool zero) {
     p = it->second.back();
     it->second.pop_back();
     if (it->second.empty()) free_.erase(it);
-    idle_bytes_ -= bytes;
+    stats_.idle_bytes -= bytes;
     ++stats_.hits;
-    stats_.bytes_reused += bytes;
   } else {
     ++stats_.misses;
     // A fresh allocation is the only way the footprint grows: under a
@@ -53,14 +52,9 @@ void* BufferPool::acquire(i64 bytes, bool zero) {
   }
   stats_.live_bytes += bytes;
   note_footprint();
-  if (zero) {
-    std::memset(p, 0, static_cast<size_t>(bytes));
-    stats_.bytes_zeroed += bytes;
-  } else {
 #ifndef NDEBUG
-    std::memset(p, 0xFF, static_cast<size_t>(bytes));
+  std::memset(p, 0xFF, static_cast<size_t>(bytes));
 #endif
-  }
   return p;
 }
 
@@ -75,16 +69,16 @@ void BufferPool::give_back(void* p, i64 bytes) {
   } else {
     evict_to(max_idle_bytes_ - bytes);
     free_[bytes].push_back(p);
-    idle_bytes_ += bytes;
+    stats_.idle_bytes += bytes;
   }
   note_footprint();
 }
 
 i64 BufferPool::trim(i64 target_idle_bytes) {
-  const i64 before = idle_bytes_;
+  const i64 before = stats_.idle_bytes;
   evict_to(std::max<i64>(target_idle_bytes, 0));
   note_footprint();
-  return before - idle_bytes_;
+  return before - stats_.idle_bytes;
 }
 
 BufferPool* current_buffer_pool() { return tls_pool; }
@@ -102,5 +96,16 @@ BufferPool* swap_tls_pool(BufferPool* next) {
 PoolScope::PoolScope(BufferPool* pool) : saved_(tls_pool) { tls_pool = pool; }
 
 PoolScope::~PoolScope() { tls_pool = saved_; }
+
+std::byte* PoolBlock::reserve(i64 bytes) {
+  if (bytes > 0 && bytes <= bytes_) return data_;
+  if (data_) {
+    pool_->give_back(std::exchange(data_, nullptr), std::exchange(bytes_, 0));
+    if (bytes > 0) pool_->trim();
+  }
+  if (bytes > 0) data_ = static_cast<std::byte*>(pool_->acquire(bytes));
+  bytes_ = bytes;
+  return data_;
+}
 
 }  // namespace ca3dmm::simmpi

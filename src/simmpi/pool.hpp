@@ -1,39 +1,32 @@
-// Per-rank buffer pool backing TrackedBuffer allocations.
+// Per-rank buffer pool: where a rank's work memory comes from.
 //
 // Every rank of a Cluster allocates from one: the Cluster owns a pool per
 // rank and installs it around the rank's body, so a Cluster that runs many
-// times (a benchmark loop, a service) serves each run's work buffers from
-// memory earlier runs released and already faulted in. The persistent
-// PGEMM engine (src/engine) scopes a pool of its own over the rank's for
-// its calls, with its own idle cap and footprint budget. Either way a
-// released allocation waits on an exact-size free list and is handed back
-// on the next request of the same size, so a steady stream of same-shape
-// requests performs zero heap allocations after the first.
+// times (a benchmark loop, a service) serves each run from memory earlier
+// runs released and already faulted in. The persistent PGEMM engine
+// (src/engine) scopes a pool of its own over the rank's for its calls, with
+// its own idle cap and footprint budget. Two things are acquired: a
+// schedule's arena (PoolBlock; core/schedule.hpp packs every work buffer of
+// a run into it — one acquisition per one-shot run, one per rank held
+// across an engine's requests) and redistribution staging (TrackedBuffer).
+// A released allocation waits on an exact-size free list and is handed back
+// on the next request of the same size: repeated shapes reuse 100%, with no
+// round-up slack.
 //
-// Accounting contract (Table I semantics): pooled memory is reported to the
-// rank's memory tracker only while it is checked out. A TrackedBuffer served
-// from the pool tracks exactly the same byte count at exactly the same
-// program points as a heap-backed one, so peak-memory numbers are identical
-// with and without a pool. Memory is zeroed on request only: a GEMM
-// accumulator asks for it, a buffer its user overwrites in full does not.
-// Builds without NDEBUG fill every unzeroed allocation with 0xFF bytes (NaN
-// for float and double), so a buffer read before it is written corrupts the
-// result visibly instead of reading stale data. Idle pooled bytes are
-// deliberately NOT charged: they model a reusable arena owned by the
-// runtime, and `idle_bytes()` exposes them separately.
-//
-// Exact size classes (not power-of-two buckets) are intentional: repeated
-// runs and the engine serve repeated identical shapes, where exact matching gives a 100% reuse
-// rate, and it keeps the tracked footprint identical to the unpooled path
-// instead of inflating it by round-up slack.
+// Pool memory is raw and untracked: the rank's tracker sees a TrackedBuffer
+// while it lives and an arena slot between its alloc and free ops (Table I
+// semantics); the pool's own gauges report live, idle and high-water bytes,
+// what a serving budget bounds. Builds without NDEBUG fill every
+// acquisition with 0xFF bytes (NaN for float and double), so memory read
+// before it is written corrupts the result visibly.
 //
 // A pool is owned by one rank and is not thread-safe. Activate it with
-// PoolScope; TrackedBuffer::resize picks up the scope's pool through a
-// thread-local (which the fiber scheduler saves and restores per fiber), so
-// the whole CA3DMM call tree (driver, 2-D engines, redistribution) is
-// pool-backed without signature changes.
+// PoolScope; acquisitions pick up the scope's pool through a thread-local
+// (which the fiber scheduler saves and restores per fiber), so the whole
+// call tree is pool-backed without signature changes.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <vector>
 
@@ -48,9 +41,7 @@ namespace ca3dmm::simmpi {
 struct PoolStats {
   i64 hits = 0;            ///< acquires served from a free list
   i64 misses = 0;          ///< acquires that hit the heap
-  i64 bytes_reused = 0;    ///< total bytes served from free lists
   i64 trims = 0;           ///< allocations freed to respect max_idle_bytes
-  i64 bytes_zeroed = 0;    ///< bytes zero-filled on request by acquire
 
   // --- gauges ---
   i64 live_bytes = 0;       ///< bytes currently checked out of the pool
@@ -78,9 +69,9 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// Returns an allocation of exactly `bytes` bytes (aligned for any scalar
-  /// type), zeroed if `zero` (see the file comment for the unzeroed fill).
-  /// The caller must return it via give_back with the same size.
-  void* acquire(i64 bytes, bool zero = false);
+  /// type; see the file comment for its contents). The caller must return
+  /// it via give_back with the same size.
+  void* acquire(i64 bytes);
   void give_back(void* p, i64 bytes);
 
   /// Frees idle allocations (largest first) until at most
@@ -98,9 +89,8 @@ class BufferPool {
   /// live bytes): a serving layer that admits only requests whose predicted
   /// peak fits the budget gets a provable zero-OOM bound.
   void set_footprint_budget(i64 bytes) { footprint_budget_bytes_ = bytes; }
-  i64 footprint_budget() const { return footprint_budget_bytes_; }
 
-  i64 idle_bytes() const { return idle_bytes_; }
+  i64 idle_bytes() const { return stats_.idle_bytes; }
   i64 live_bytes() const { return stats_.live_bytes; }
   const PoolStats& stats() const { return stats_; }
 
@@ -112,14 +102,13 @@ class BufferPool {
   void evict_to(i64 target);
 
   std::map<i64, std::vector<void*>> free_;  ///< size in bytes -> free list
-  i64 idle_bytes_ = 0;
   i64 max_idle_bytes_;
   i64 footprint_budget_bytes_ = 0;
   PoolStats stats_;
 };
 
-/// The pool new TrackedBuffers of the calling thread draw from (null when no
-/// PoolScope is active).
+/// The pool new TrackedBuffers and arenas of the calling thread draw from
+/// (null when no PoolScope is active).
 BufferPool* current_buffer_pool();
 
 namespace detail {
@@ -141,6 +130,25 @@ class PoolScope {
 
  private:
   BufferPool* saved_;
+};
+
+/// One untracked block of `pool`, given back on destruction: a schedule's
+/// arena. Growing gives the old block back and trims the pool first, so a
+/// footprint holds one arena, not every size it ever had.
+class PoolBlock {
+ public:
+  explicit PoolBlock(BufferPool* pool) : pool_(pool) { CA_ASSERT(pool); }
+  ~PoolBlock() { reserve(0); }
+  PoolBlock(const PoolBlock&) = delete;
+  PoolBlock& operator=(const PoolBlock&) = delete;
+
+  /// At least `bytes` bytes, the block's own if they fit; 0 gives it back.
+  std::byte* reserve(i64 bytes);
+
+ private:
+  BufferPool* pool_;
+  std::byte* data_ = nullptr;
+  i64 bytes_ = 0;
 };
 
 }  // namespace ca3dmm::simmpi

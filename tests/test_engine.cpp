@@ -1,7 +1,8 @@
 // Persistent PGEMM engine: plan-cache hit/miss/eviction behavior, dtype
 // sharing, communicator reuse (fewer splits, strictly lower virtual time),
-// buffer-pool reuse with unchanged peak-memory accounting (Table I
-// semantics), batched submit, and failure semantics under fault injection.
+// schedule caching and the per-rank arena with unchanged peak-memory
+// accounting (Table I semantics), batched submit, and failure semantics
+// under fault injection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -126,6 +127,100 @@ TEST(PlanCache, FloatAndDoubleShareOnePlan) {
   EXPECT_EQ(st.plan_misses, 1);
   EXPECT_EQ(st.plan_hits, 1);
   EXPECT_EQ(st.requests, 2);
+}
+
+TEST(Engine, WarmRequestBuildsNoScheduleAndAcquiresNothing) {
+  // A warm native-layout request runs the schedule cached in its plan entry
+  // out of the engine's arena: no schedule build, no pool acquisition.
+  const i64 m = 32, n = 24, k = 40;
+  const int P = 8;
+  Cluster cl(P, Machine::unit_test());
+  std::vector<i64> warm_acquires(static_cast<size_t>(P), -1);
+  const auto run = [&](int requests) {
+    cl.run([&](Comm& world) {
+      const int me = world.rank();
+      PgemmEngine eng(world);
+      const Ca3dmmPlan& plan = eng.plan_for(m, n, k);
+      const BlockLayout la = plan.a_native(), lb = plan.b_native(),
+                        lc = plan.c_native();
+      std::vector<double> a, b;
+      fill_local(la, me, kSeedA, a);
+      fill_local(lb, me, kSeedB, b);
+      std::vector<double> c(static_cast<size_t>(lc.local_size(me)));
+      const Request<double> req =
+          make_request<double>(m, n, k, la, a.data(), lb, b.data(), lc,
+                               c.data());
+      eng.multiply(req);
+      const simmpi::PoolStats cold = eng.stats().pool;
+      for (int i = 1; i < requests; ++i) eng.multiply(req);
+      const simmpi::PoolStats warm = eng.stats().pool;
+      warm_acquires[static_cast<size_t>(me)] =
+          warm.hits + warm.misses - cold.hits - cold.misses;
+      EXPECT_EQ(warm.high_water_bytes, warm.live_bytes);  // the arena alone
+    });
+    return cl.host_profile().schedule_builds;
+  };
+  const i64 cold_builds = run(1);
+  EXPECT_EQ(cold_builds, P);  // plan_for compiled one schedule per rank
+  EXPECT_EQ(run(4), cold_builds);
+  for (int r = 0; r < P; ++r)
+    EXPECT_EQ(warm_acquires[static_cast<size_t>(r)], 0) << "rank " << r;
+}
+
+/// Runs C = op(A) op(B) for all four transpose pairs in element type T,
+/// twice through `eng` and once one-shot on the engine's plan, and expects
+/// the three C blocks bit-identical.
+template <typename T>
+void expect_engine_matches_oneshot(Comm& world, PgemmEngine& eng, i64 m,
+                                   i64 n, i64 k) {
+  const int me = world.rank(), P = world.size();
+  for (int t = 0; t < 4; ++t) {
+    const bool ta = t & 2, tb = t & 1;
+    const BlockLayout la = BlockLayout::col_1d(ta ? k : m, ta ? m : k, P);
+    const BlockLayout lb = BlockLayout::col_1d(tb ? n : k, tb ? k : n, P);
+    const BlockLayout lc = BlockLayout::col_1d(m, n, P);
+    std::vector<double> ad, bd;
+    fill_local(la, me, kSeedA + t, ad);
+    fill_local(lb, me, kSeedB + t, bd);
+    const std::vector<T> a(ad.begin(), ad.end()), b(bd.begin(), bd.end());
+    const size_t nc = static_cast<size_t>(lc.local_size(me));
+    std::vector<T> c1(nc), c2(nc), ref(nc);
+    Request<T> req =
+        make_request<T>(m, n, k, la, a.data(), lb, b.data(), lc, c1.data());
+    req.trans_a = ta;
+    req.trans_b = tb;
+    eng.multiply(req);
+    req.c = c2.data();
+    eng.multiply(req);
+    ca3dmm_multiply<T>(world, eng.plan_for(m, n, k), ta, tb, la, a.data(), lb,
+                       b.data(), lc, ref.data());
+    EXPECT_EQ(0, std::memcmp(c1.data(), ref.data(), nc * sizeof(T)))
+        << "rank " << me << " trans " << ta << tb << " esize " << sizeof(T);
+    EXPECT_EQ(0, std::memcmp(c2.data(), ref.data(), nc * sizeof(T)))
+        << "rank " << me << " trans " << ta << tb << " esize " << sizeof(T);
+  }
+}
+
+TEST(Engine, EachTransposePairAndElementSizeGetsItsOwnSchedule) {
+  // One plan, eight cached schedules: float and double differ in their
+  // allgatherv byte counts, the transpose pairs in their redistributions.
+  // A k-heavy shape replicates and reduces, so every collective is on the
+  // path.
+  const i64 m = 16, n = 12, k = 96;
+  const int P = 8;
+  Cluster cl(P, Machine::unit_test());
+  EngineStats st;
+  cl.run([&](Comm& world) {
+    PgemmEngine eng(world);
+    expect_engine_matches_oneshot<double>(world, eng, m, n, k);
+    expect_engine_matches_oneshot<float>(world, eng, m, n, k);
+    if (world.rank() == 0) st = eng.stats();
+  });
+  EXPECT_EQ(st.plan_misses, 1);
+  EXPECT_EQ(st.requests, 16);
+  // Eight engine compiles and eight one-shot compiles per rank; the warm
+  // repeats compiled nothing.
+  EXPECT_EQ(cl.host_profile().schedule_builds, 16 * P);
 }
 
 /// Runs `iters` same-shape multiplies one-shot, returns per-rank C copies,
@@ -468,28 +563,12 @@ TEST(BufferPool, OversizedGiveBackKeepsIdleAllocations) {
 }
 
 /// Whether all `bytes` bytes at `p` equal `v`.
-bool filled_with(const void* p, i64 bytes, unsigned char v) {
+[[maybe_unused]] bool filled_with(const void* p, i64 bytes, unsigned char v) {
   const auto* c = static_cast<const unsigned char*>(p);
   return std::all_of(c, c + bytes, [v](unsigned char x) { return x == v; });
 }
 
-TEST(BufferPool, ZeroOnRequestOnMissAndHit) {
-  simmpi::BufferPool pool(1 << 20);
-  void* p = pool.acquire(512, /*zero=*/true);  // miss
-  EXPECT_TRUE(filled_with(p, 512, 0));
-  std::memset(p, 0x5a, 512);
-  pool.give_back(p, 512);
-  p = pool.acquire(512, /*zero=*/true);  // hit on the dirty allocation
-  EXPECT_EQ(pool.stats().hits, 1);
-  EXPECT_TRUE(filled_with(p, 512, 0));
-  EXPECT_EQ(pool.stats().bytes_zeroed, 1024);
-  pool.give_back(p, 512);
-  // An unzeroed acquisition fills nothing the counter sees.
-  pool.give_back(pool.acquire(512), 512);
-  EXPECT_EQ(pool.stats().bytes_zeroed, 1024);
-}
-
-TEST(BufferPool, UnzeroedAcquireIsPoisonedWithoutNdebug) {
+TEST(BufferPool, AcquireIsPoisonedWithoutNdebug) {
 #ifdef NDEBUG
   GTEST_SKIP() << "the poison fill is compiled out under NDEBUG";
 #else
@@ -509,23 +588,22 @@ TEST(BufferPool, UnzeroedAcquireIsPoisonedWithoutNdebug) {
 }
 
 TEST(BufferPool, PooledTrackedBufferKeepsAccounting) {
-  // Inside a PoolScope, TrackedBuffer draws from the pool but reports the
-  // same bytes to the (absent) rank tracker and, asked to, returns zeroed
-  // memory.
+  // Inside a PoolScope, TrackedBuffer draws from the pool and returns its
+  // allocation there; the next same-size buffer reuses it.
   simmpi::BufferPool pool(1 << 20);
   {
     simmpi::PoolScope scope(&pool);
-    simmpi::TrackedBuffer<double> buf(128, /*zero=*/true);
-    for (i64 i = 0; i < 128; ++i) EXPECT_EQ(buf[i], 0.0);
+    simmpi::TrackedBuffer<double> buf(128);
     for (i64 i = 0; i < 128; ++i) buf[i] = 1.5;
+    EXPECT_EQ(pool.live_bytes(), 128 * 8);
   }  // released back to the pool
   EXPECT_EQ(pool.idle_bytes(), 128 * 8);
   {
     simmpi::PoolScope scope(&pool);
-    simmpi::TrackedBuffer<double> buf(128, /*zero=*/true);  // dirty reuse
+    simmpi::TrackedBuffer<double> buf(128);  // reuse
     EXPECT_EQ(pool.stats().hits, 1);
-    for (i64 i = 0; i < 128; ++i) EXPECT_EQ(buf[i], 0.0);  // re-zeroed
   }
+  EXPECT_EQ(pool.live_bytes(), 0);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -317,6 +318,76 @@ TEST(Memory, FaultAbortLeavesNoLeakedOrStaleBuffers) {
           << "rank " << r << " element " << i;
   }
 }
+
+/// Runs hand-built schedule `s` (packed here) on a 1-rank cluster with A
+/// and C bound; returns the cluster's zero-filled bytes.
+i64 run_packed(Schedule& s, const std::vector<double>& a,
+               std::vector<double>& c, i64* peak = nullptr) {
+  s.pack();
+  Cluster cl(1, Machine::unit_test());
+  cl.run([&](Comm& world) {
+    simmpi::PoolBlock arena(simmpi::current_buffer_pool());
+    ScheduleIo<double> io;
+    io.a = a.data();
+    io.c = c.data();
+    io.arena = arena.reserve(s.arena_bytes());
+    run_schedule(world, s, io);
+  });
+  if (peak) *peak = cl.stats(0).peak_bytes;
+  return cl.host_profile().pool_zeroed_bytes;
+}
+
+TEST(Memory, ArenaSlotsAreAlignedDisjointAndZeroedOnlyOnRequest) {
+  // Two live slots share the arena without overlapping; only the
+  // accumulator is zeroed (and counted), the other holds 0xFF (NaN) bytes
+  // until written in builds without NDEBUG. A slot freed before the next
+  // alloc lends it its range.
+  Schedule s(sizeof(double));
+  s.alloc(kCPartial, 5, /*zero=*/true);
+  s.alloc(kPacked, 4);
+  s.copy(kCPartial, 0, 5, kUserC, 0, 5, 1, 5);
+  s.copy(kPacked, 0, 4, kUserC, 5, 4, 1, 4);
+  s.free(kCPartial);
+  s.alloc(kStage, 2);
+  s.copy(kUserA, 0, 2, kStage, 0, 2, 1, 2);
+  s.copy(kStage, 0, 2, kUserC, 9, 2, 1, 2);
+  std::vector<double> a = {3.0, 4.0}, c(11, 7.0);
+  i64 peak = 0;
+  EXPECT_EQ(run_packed(s, a, c, &peak), 5 * 8);
+  EXPECT_EQ(peak, 9 * 8);  // tracked per slot, not per arena
+  std::vector<i64> offs;
+  for (const Op& op : s.ops())
+    if (op.kind == OpKind::kAlloc) offs.push_back(op.buf.off);
+  ASSERT_EQ(offs.size(), 3u);
+  for (i64 off : offs) EXPECT_EQ(off % 64, 0);
+  EXPECT_GE(offs[1], 5 * 8);
+  EXPECT_EQ(offs[2], offs[0]);  // first fit: kCPartial's freed range
+  EXPECT_GE(s.arena_bytes(), offs[1] + 4 * 8);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(c[static_cast<size_t>(i)], 0.0);
+#ifndef NDEBUG
+  for (int i = 5; i < 9; ++i) EXPECT_TRUE(std::isnan(c[static_cast<size_t>(i)]));
+#endif
+  EXPECT_EQ(c[9], 3.0);
+  EXPECT_EQ(c[10], 4.0);
+}
+
+#ifdef __SANITIZE_ADDRESS__
+TEST(Memory, ArenaOverflowIntoNextSlotIsReported) {
+  // Slots share one arena, yet an overlong copy off the end of one slot
+  // towards the next is still reported, as between separate heap blocks:
+  // the bytes between live slots are poisoned.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto overflow = [] {
+    Schedule s(sizeof(double));
+    s.alloc(kAInit, 8);
+    s.alloc(kBInit, 8);
+    s.copy(kUserA, 0, 9, kAInit, 0, 9, 1, 9);  // one element too many
+    std::vector<double> a(9, 1.0), c;
+    run_packed(s, a, c);
+  };
+  EXPECT_DEATH(overflow(), "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace ca3dmm
