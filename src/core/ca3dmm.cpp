@@ -148,26 +148,4 @@ PlanComms PlanComms::make(Comm& world, const Schedule& s) {
   return pc;
 }
 
-void PlanComms::check(const Comm& world, const Ca3dmmPlan& plan) const {
-  // run_plan reports a bad communicator or plan; here the world is known
-  // to match the plan before any coordinate is looked up.
-  if (!world.valid() || world.size() != plan.nranks() || plan.m() <= 0)
-    return;
-  const int me = world.rank();
-  const RankCoord co = plan.coord(me);
-  // An invalid comm counts as 0 ranks; ranks outside a group need none.
-  const auto expect = [&](const Comm& comm, const char* name, bool valid,
-                          int size) {
-    const int have = comm.valid() ? comm.size() : 0, need = valid ? size : 0;
-    CA_REQUIRE(have == need,
-               "rank %d: cached %s comm has %d ranks, plan needs %d", me,
-               name, have, need);
-  };
-  expect(active, "active", co.active, plan.active());
-  expect(cannon, "Cannon", co.active, plan.s() * plan.s());
-  expect(repl, "replication", co.active && plan.c() > 1, plan.c());
-  expect(reduce, "reduction", co.active && plan.grid().pk > 1,
-         plan.grid().pk);
-}
-
 }  // namespace ca3dmm

@@ -20,14 +20,11 @@
 // options other than the ones that shaped its grid.
 //
 // Execution runs the plan's schedule (core/schedule.hpp) for the calling
-// rank through run_plan — the same op list the cost model replays. The two
-// ca3dmm_multiply overloads differ only in where the schedule's four
-// per-plan splits come from:
-//   * one-shot — the communicators are split in place, at their program
-//     points, on every call;
-//   * with a PlanComms — they are taken from communicators split once by
-//     PlanComms::make, eliminating the per-call split latency. This is the
-//     building block of the persistent engine (src/engine).
+// rank through run_plan — the same op list the cost model replays.
+// ca3dmm_multiply is the one-shot path: it compiles the schedule and splits
+// the communicators in place, at their program points, on every call. The
+// warm path is the persistent engine (src/engine): it caches the schedule
+// and takes its four per-plan splits from a PlanComms split once.
 #pragma once
 
 #include "core/engine2d.hpp"
@@ -65,16 +62,11 @@ struct PlanComms {
   /// Splits all communicators for `plan` — the cacheable splits of this
   /// rank's schedule, in program order. Collective over `world`, which
   /// must span exactly plan.nranks() ranks. Charges the split setup cost
-  /// once; executions through the returned object charge none.
+  /// once. The engine uses the overload below; this one serves callers
+  /// that time the splits alone (perfbench's simmpi.split_s probe).
   static PlanComms make(simmpi::Comm& world, const Ca3dmmPlan& plan);
   /// The same, read off this rank's schedule compiled from the plan.
   static PlanComms make(simmpi::Comm& world, const Schedule& s);
-
-  /// Raises ca3dmm::Error unless every communicator has the shape
-  /// make(world, plan) gives the calling rank: valid exactly where listed
-  /// above, with s^2 (cannon), c (repl), pk (reduce) or plan.active()
-  /// ranks. Local; runs before any communication.
-  void check(const simmpi::Comm& world, const Ca3dmmPlan& plan) const;
 
   /// Binds the communicators to their schedule slots (ScheduleIo::cached).
   void bind(const simmpi::Comm* (&cached)[kCommCount]) const {
@@ -106,22 +98,6 @@ void ca3dmm_multiply(simmpi::Comm& world, const Ca3dmmPlan& plan, bool trans_a,
                      T* c_local) {
   run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
            b_local, c_layout, c_local);
-}
-
-/// Same computation executed over pre-split communicators (`comms` from
-/// PlanComms::make with the same plan): no split latency is charged. Results
-/// are bit-identical to the one-shot overload.
-template <typename T>
-void ca3dmm_multiply(simmpi::Comm& world, const Ca3dmmPlan& plan,
-                     PlanComms& comms, bool trans_a, bool trans_b,
-                     const BlockLayout& a_layout, const T* a_local,
-                     const BlockLayout& b_layout, const T* b_local,
-                     const BlockLayout& c_layout, T* c_local) {
-  comms.check(world, plan);
-  ScheduleIo<T> io;
-  comms.bind(io.cached);
-  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
-           b_local, c_layout, c_local, io);
 }
 
 /// Convenience wrapper: plans with `opt` and multiplies.

@@ -62,7 +62,7 @@ struct RankStats {
   /// on this counter directly.
   i64 comm_splits = 0;
   /// P2p messages delivered into this rank's *posted* receive buffer by the
-  /// rendezvous fast path (no eager staging copy). Purely observational: it
+  /// sender, rather than pulled by this rank. Purely observational: it
   /// depends on whether the receiver parked before the sender arrived,
   /// which with more than one fiber worker is up to the host, so it is NOT
   /// part of the determinism contract (vtimes and payloads are identical

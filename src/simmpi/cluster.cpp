@@ -45,7 +45,6 @@ HostProfile& HostProfile::operator+=(const HostProfile& o) {
     locks[c].acquired += o.locks[c].acquired;
     locks[c].contended += o.locks[c].contended;
   }
-  eager_bytes += o.eager_bytes;
   zero_copy_bytes += o.zero_copy_bytes;
   inbox_slots_peak = std::max(inbox_slots_peak, o.inbox_slots_peak);
   stacks_mapped += o.stacks_mapped;
@@ -73,12 +72,9 @@ std::string HostProfile::table() const {
                      static_cast<long long>(locks[c].acquired),
                      static_cast<long long>(locks[c].contended),
                      100.0 * locks[c].contended_frac());
-  out += strprintf(
-      "  p2p bytes copied: eager %lld, zero-copy %lld; inbox slots peak "
-      "%lld\n",
-      static_cast<long long>(eager_bytes),
-      static_cast<long long>(zero_copy_bytes),
-      static_cast<long long>(inbox_slots_peak));
+  out += strprintf("  p2p bytes copied %lld; inbox slots peak %lld\n",
+                   static_cast<long long>(zero_copy_bytes),
+                   static_cast<long long>(inbox_slots_peak));
   out += strprintf(
       "  fiber stacks mapped %lld; rank pool hits %lld, misses %lld; "
       "schedules built %lld, zeroed %lld B, copies %lld B\n",
@@ -291,23 +287,12 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
   host_prof_.pool_hits = pool1.hits - pool0.hits;
   host_prof_.pool_misses = pool1.misses - pool0.misses;
 
-  // Drain undelivered messages. An aborted (or simply unbalanced) run can
-  // leave eager sends in the inboxes; the receiver that would have deleted
-  // them never came. Rendezvous records point into (already unwound)
-  // sender stack frames and are unlinked by the sender's cleanup, so only
-  // eager records are owned here. Posted recvs and wait lists likewise
-  // point into dead stacks; every rank unregistered its own on the way
-  // out — the slots are dropped anyway so a future bug cannot leak into
-  // the next run.
+  // Pending sends, posted recvs and wait lists point into (already
+  // unwound) rank stacks; every rank cleared its own on the way out. The
+  // slots are dropped anyway so a future bug cannot leak into the next run.
   for (int r = 0; r < nranks_; ++r) {
-    detail::Inbox& ib = inbox(r);
-    for (detail::ChannelSlot& s : ib.slots)
-      while (s.head != nullptr) {
-        detail::SendRec* rec = s.pop();
-        if (rec->eager) delete rec;
-      }
-    ib.slots.clear();
-    ib.flip_matches.clear();
+    inbox(r).slots.clear();
+    inbox(r).flip_matches.clear();
   }
 
   // Finalize stats for every rank before reporting failures: a failed run

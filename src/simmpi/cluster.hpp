@@ -21,9 +21,8 @@
 //
 // Rendezvous state has one home and one lock per kind:
 //   * point-to-point: every rank owns an Inbox (detail_state.hpp) of
-//     channel slots keyed by (comm, source, tag); a send or a recv (a
-//     sendrecv is one of each) touches one slot under that inbox's own
-//     mutex and never takes mu_;
+//     channel slots keyed by (comm, source, tag); each half of a sendrecv
+//     touches one slot under that inbox's own mutex and never takes mu_;
 //   * collectives: each communicator's CommState, under Cluster::mu_;
 //   * dispatch: the FiberScheduler's per-worker run queues, each under its
 //     own small lock, and its sleep/idle lock.
@@ -266,17 +265,14 @@ class Cluster {
   // --- point-to-point inboxes (each under its own mutex) ---
   detail::Inbox& inbox(int world_rank);  ///< defined in detail_state.hpp
   /// Delivers `bytes` from `buf` straight into the recv posted on `slot` of
-  /// rank `dst`'s inbox (lock held), if one is posted and the slot's FIFO
-  /// is empty (a queued message must be consumed first). Computes the
-  /// receiver's exit time, applies payload flips, and wakes the receiver.
-  /// When `sender_rec` is non-null (the sendrecv path) its completion
-  /// fields are filled in as if the receiver had consumed it. Returns false
-  /// when the sender must queue instead (no posted recv, occupied FIFO, or
-  /// size mismatch — the mismatch must queue so the *receiver* raises the
-  /// size error).
+  /// rank `dst`'s inbox (lock held), if one is posted. Computes the
+  /// receiver's exit time, applies payload flips, wakes the receiver, and
+  /// fills `sender_rec`'s completion fields as if the receiver had consumed
+  /// it. Returns false when the send must stay pending instead (no posted
+  /// recv, or a size mismatch — so the *receiver* raises the size error).
   bool try_deliver_posted_locked(detail::ChannelSlot& slot, int dst,
                                  const void* buf, i64 bytes, double t_entry,
-                                 detail::SendRec* sender_rec);
+                                 detail::SendRec& sender_rec);
 
   // --- cooperative abort ---
   /// Records `what` as rank `world_rank`'s failure (first error per rank

@@ -800,20 +800,17 @@ Comm Comm::split(int color, int key) const {
 bool Cluster::try_deliver_posted_locked(detail::ChannelSlot& slot, int dst,
                                         const void* buf, i64 bytes,
                                         double t_entry,
-                                        detail::SendRec* sender_rec) {
+                                        detail::SendRec& sender_rec) {
   detail::RecvRec* rec = slot.posted;
-  // FIFO: a queued message (e.g. an earlier eager send on this channel)
-  // must be matched before this one may jump the queue.
-  if (rec == nullptr || slot.head != nullptr) return false;
-  // Size mismatch: queue instead so the *receiver* raises the posting
-  // error — attribution identical to the staged path.
-  if (rec->bytes != bytes) return false;
+  // Size mismatch: stay pending instead so the *receiver* raises the
+  // posting error.
+  if (rec == nullptr || rec->bytes != bytes) return false;
   slot.posted = nullptr;
   if (bytes > 0) std::memcpy(rec->buf, buf, static_cast<size_t>(bytes));
   detail::host_counters().zero_copy_bytes += bytes;
   const int src = slot.key.src;
   maybe_flip_payload_locked(src, dst, slot.key.tag, rec->buf, bytes);
-  // The receiver's exit time, computed exactly as its staged path would.
+  // The receiver's exit time, computed exactly as its own pull would.
   rec->t_exit = p2p_exit(topo_, src, dst, static_cast<double>(bytes),
                          rec->t_entry, t_entry, rec->slowdown);
   rec->sender_entry = t_entry;
@@ -821,82 +818,11 @@ bool Cluster::try_deliver_posted_locked(detail::ChannelSlot& slot, int dst,
   // The receiver is parked on this slot (it only posts while blocked), so
   // touching its stats here cannot race with its own writes.
   ctx_[static_cast<size_t>(dst)].stats.p2p_zero_copy++;
-  if (sender_rec != nullptr) {
-    sender_rec->consumed = true;
-    sender_rec->t_exit = rec->t_exit;
-    sender_rec->t_consumer_entry = rec->t_entry;
-  }
+  sender_rec.consumed = true;
+  sender_rec.t_exit = rec->t_exit;
+  sender_rec.t_consumer_entry = rec->t_entry;
   fiber_sched_->wake_all(slot.waiters);
   return true;
-}
-
-void Comm::send_bytes(const void* buf, i64 bytes, int dst, int tag) {
-  CA_REQUIRE(bytes >= 0, "send of negative size %lld",
-             static_cast<long long>(bytes));
-  CA_REQUIRE(dst >= 0 && dst < size(),
-             "send destination %d out of range [0,%d)", dst, size());
-  Cluster* cl = state_->cluster;
-  RankCtx* ctx = current_ctx();
-  cl->fault_point(ctx);
-  const double entry = ctx->clock;
-  const int dst_w = world_rank_of(dst);
-  const SlotKey key{state_->id, world_rank(), tag};
-  {
-    std::unique_lock<std::mutex> lk = cl->lock_inbox(dst_w);
-    cl->check_abort();
-    detail::Inbox& ib = cl->inbox(dst_w);
-    ChannelSlot& slot = ib.get(key);
-    // Zero-copy fast path: a matching recv is already posted, so deliver
-    // straight into its destination buffer — no eager staging copy. Falls
-    // back to the eager queue when nothing is posted, the slot has queued
-    // messages (FIFO), or sizes mismatch (the receiver must raise that
-    // error).
-    if (cl->try_deliver_posted_locked(slot, dst_w, buf, bytes, entry,
-                                      nullptr)) {
-      ib.release(key);
-    } else {
-      auto rec = std::make_unique<SendRec>();
-      rec->bytes = bytes;
-      rec->t_entry = entry;
-      rec->eager = true;
-      if (bytes > 0) {
-        rec->owned = std::make_unique<char[]>(static_cast<size_t>(bytes));
-        std::memcpy(rec->owned.get(), buf, static_cast<size_t>(bytes));
-        rec->buf = rec->owned.get();
-      }
-      detail::host_counters().eager_bytes += bytes;
-      slot.push(rec.release());  // receiver deletes
-      cl->fiber_sched_->wake_all(slot.waiters);
-    }
-  }
-  const double t = p2p_time(state_->topology(), world_rank(), dst_w,
-                            static_cast<double>(bytes), ctx->slowdown);
-  ctx->last_op_cost = t;
-  if (ctx->trace_enabled) {
-    TraceRecord r;
-    r.kind = TraceKind::kP2pSend;
-    r.phase = ctx->cur_phase;
-    r.t0 = entry;
-    r.t1 = entry + t;
-    r.name = "send";
-    r.bytes_out = static_cast<double>(bytes);
-    r.peer = dst_w;
-    r.tag = tag;
-    r.comm_id = state_->id;
-    ctx->trace.push_back(r);
-  }
-  ctx->charge(ctx->cur_phase, t);
-  ctx->stats.bytes_sent_s[static_cast<int>(ctx->cur_phase)] +=
-      static_cast<double>(bytes);
-}
-
-void Comm::recv_bytes(void* buf, i64 bytes, int src, int tag) {
-  CA_REQUIRE(bytes >= 0, "recv of negative size %lld",
-             static_cast<long long>(bytes));
-  CA_REQUIRE(src >= 0 && src < size(), "recv source %d out of range [0,%d)",
-             src, size());
-  state_->cluster->fault_point(current_ctx());
-  recv_impl(buf, bytes, src, tag);
 }
 
 void Comm::recv_impl(void* buf, i64 bytes, int src, int tag) {
@@ -911,10 +837,9 @@ void Comm::recv_impl(void* buf, i64 bytes, int src, int tag) {
     detail::Inbox& ib = cl->inbox(me_w);
     std::unique_lock<std::mutex> lk = cl->lock_inbox(me_w);
     SendRec* rec = nullptr;
-    // Posted-receive record for the zero-copy fast path: registered (on
-    // this stack frame) once the wait finds the slot's FIFO empty, so a
-    // later sender can deliver straight into `buf` instead of staging an
-    // eager copy. Unregistered on every exit path of the wait.
+    // Posted-receive record: registered (on this stack frame) once the wait
+    // finds no send pending, so the sender delivers straight into `buf`.
+    // Unregistered on every exit path of the wait.
     detail::RecvRec posted;
     posted.buf = buf;
     posted.bytes = bytes;
@@ -923,12 +848,12 @@ void Comm::recv_impl(void* buf, i64 bytes, int src, int tag) {
     bool registered = false;
     {
       BlockedScope bs(ctx, "recv", state_->id, src, tag);
-      // A delivered zero-copy recv completes even when an abort raced in:
-      // the payload is already in place and the exit time computed.
+      // A delivered posted recv completes even when an abort raced in: the
+      // payload is already in place and the exit time computed.
       while (!posted.filled && !cl->aborting()) {
         ChannelSlot& slot = ib.get(key);
-        if (slot.head != nullptr) {
-          rec = slot.head;
+        if (slot.pending != nullptr) {
+          rec = slot.pending;
           break;
         }
         if (!registered) {
@@ -945,16 +870,15 @@ void Comm::recv_impl(void* buf, i64 bytes, int src, int tag) {
     }
     if (posted.filled) {
       // The sender already copied the payload, applied any fault-plan flip,
-      // and computed this receiver's exit time with its slowdown — the
-      // clock arithmetic below is shared with the staged path.
+      // and computed this receiver's exit time with its slowdown.
       exit = posted.t_exit;
       sender_entry = posted.sender_entry;
     } else if (rec == nullptr) {
       ib.release(key);
       throw detail::ClusterAborted{};
     } else {
-      // A size mismatch is a user-facing posting error: leave the record in
-      // the slot (the sender's cleanup owns it) and let the Error flow
+      // A size mismatch is a user-facing posting error: leave the record
+      // pending (the sender's cleanup clears it) and let the Error flow
       // through the cooperative-abort path.
       CA_REQUIRE(rec->bytes == bytes,
                  "recv size mismatch on comm %llu (world %d -> %d, tag %d): "
@@ -963,22 +887,19 @@ void Comm::recv_impl(void* buf, i64 bytes, int src, int tag) {
                  tag, static_cast<long long>(bytes),
                  static_cast<long long>(rec->bytes));
       ChannelSlot& slot = *ib.find(key);
-      slot.pop();
+      slot.pending = nullptr;
+      // memmove: a sendrecv to itself may pass overlapping buffers.
       if (bytes > 0) std::memmove(buf, rec->buf, static_cast<size_t>(bytes));
+      detail::host_counters().zero_copy_bytes += bytes;
       cl->maybe_flip_payload_locked(key.src, me_w, tag, buf, bytes);
       exit = p2p_exit(state_->topology(), key.src, me_w,
                       static_cast<double>(bytes), entry, rec->t_entry,
                       ctx->slowdown);
       sender_entry = rec->t_entry;
-      if (rec->eager) {
-        delete rec;
-      } else {
-        detail::host_counters().zero_copy_bytes += bytes;
-        rec->t_exit = exit;
-        rec->t_consumer_entry = entry;
-        rec->consumed = true;
-        cl->fiber_sched_->wake_all(slot.waiters);
-      }
+      rec->t_exit = exit;
+      rec->t_consumer_entry = entry;
+      rec->consumed = true;
+      cl->fiber_sched_->wake_all(slot.waiters);
       ib.release(key);
     }
   }
@@ -1025,14 +946,15 @@ void Comm::sendrecv_bytes(const void* sbuf, i64 sbytes, int dst, void* rbuf,
     std::unique_lock<std::mutex> lk = cl->lock_inbox(dst_w);
     cl->check_abort();
     ChannelSlot& slot = ib.get(skey);
-    // Zero-copy fast path: the peer's recv is already posted, so deliver in
-    // place — rec's completion fields are filled as if the peer consumed
-    // the queued record, and the wait below returns immediately.
+    // The peer's recv is already posted: deliver in place — rec's
+    // completion fields are filled as if the peer consumed it, and the wait
+    // below returns immediately. Otherwise leave rec pending for the peer.
     if (cl->try_deliver_posted_locked(slot, dst_w, sbuf, sbytes, entry,
-                                      &rec)) {
+                                      rec)) {
       ib.release(skey);
     } else {
-      slot.push(&rec);
+      CA_ASSERT(slot.pending == nullptr);
+      slot.pending = &rec;
       cl->fiber_sched_->wake_all(slot.waiters);
     }
   }
@@ -1049,17 +971,18 @@ void Comm::sendrecv_bytes(const void* sbuf, i64 sbytes, int dst, void* rbuf,
     ib.release(skey);
     if (!rec.consumed) throw detail::ClusterAborted{};
   } catch (...) {
-    // The zero-copy send record points into this stack frame: unlink it
+    // The pending send record points into this stack frame: clear it
     // before unwinding so no peer can touch a dangling pointer.
     std::unique_lock<std::mutex> lk = cl->lock_inbox(dst_w);
-    if (ChannelSlot* slot = ib.find(skey)) slot->unlink(&rec);
+    ChannelSlot* slot = ib.find(skey);
+    if (slot != nullptr && slot->pending == &rec) slot->pending = nullptr;
     ib.release(skey);
     throw;
   }
   if (rec.t_exit > ctx->clock) {
     if (ctx->trace_enabled) {
       // The recv half is already on the timeline; this extra interval is
-      // the wait for the peer to consume our (zero-copy) send.
+      // the wait for the peer to consume our send.
       TraceRecord r;
       r.kind = TraceKind::kP2pWait;
       r.phase = ctx->cur_phase;

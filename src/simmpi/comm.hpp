@@ -4,10 +4,10 @@
 // Semantics follow MPI: collectives are called by every member of the
 // communicator with matching operation, root, sizes, counts and dtype (a
 // mismatch raises the same ca3dmm::Error on every member before any data
-// moves); point-to-point send/recv use (source, destination, tag) matching.
-// send is eager: it copies the payload (straight into a posted receive's
-// buffer, or into a queued record) and returns; recv blocks until a matching
-// message arrives; sendrecv is a zero-copy rendezvous. Each operation moves
+// moves). The only point-to-point operation is sendrecv, a blocking
+// rendezvous matched by (source, destination, tag): the payload moves by one
+// memcpy from the sender's buffer into the receiver's, and the call returns
+// once its receive is complete and its send consumed. Each operation moves
 // real data between rank buffers AND charges
 // virtual time to every participant by the rules of clock_rules.hpp (a
 // collective: exit clock = max(entry clocks) + its GroupPricing cost).
@@ -89,10 +89,11 @@ class Comm {
   void set_collective_config(const CollectiveConfig& cfg);
   CollectiveConfig collective_config() const;
 
-  // ---- point-to-point (eager send, blocking recv) ----
-  void send_bytes(const void* buf, i64 bytes, int dst, int tag);
-  void recv_bytes(void* buf, i64 bytes, int src, int tag);
-  /// Simultaneous send+receive (deadlock-free on shift rings).
+  // ---- point-to-point ----
+  /// Simultaneous send+receive (deadlock-free on shift rings): sends
+  /// `sbytes` to `dst` and receives exactly `rbytes` from `src`, both on
+  /// `tag`. A receive size that differs from the matching send raises
+  /// ca3dmm::Error on the receiver.
   void sendrecv_bytes(const void* sbuf, i64 sbytes, int dst, void* rbuf,
                       i64 rbytes, int src, int tag);
 
@@ -123,14 +124,6 @@ class Comm {
                        void* rbuf, std::span<const PeerBlock> recvs);
 
   // ---- typed convenience wrappers ----
-  template <typename T>
-  void send(const T* buf, i64 n, int dst, int tag) {
-    send_bytes(buf, n * static_cast<i64>(sizeof(T)), dst, tag);
-  }
-  template <typename T>
-  void recv(T* buf, i64 n, int src, int tag) {
-    recv_bytes(buf, n * static_cast<i64>(sizeof(T)), src, tag);
-  }
   template <typename T>
   void sendrecv(const T* sbuf, i64 sn, int dst, T* rbuf, i64 rn, int src,
                 int tag) {
@@ -180,8 +173,7 @@ class Comm {
   explicit Comm(std::shared_ptr<detail::CommState> s, int my_index)
       : state_(std::move(s)), my_index_(my_index) {}
 
-  /// recv_bytes without the fault-injection op count (sendrecv counts as one
-  /// op and reuses this for its receive half).
+  /// The receive half of sendrecv_bytes.
   void recv_impl(void* buf, i64 bytes, int src, int tag);
 
   std::shared_ptr<detail::CommState> state_;

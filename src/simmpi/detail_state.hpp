@@ -3,8 +3,8 @@
 //
 // Where each piece of state lives, and its lock:
 //   * Inbox (one per world rank, its own mutex): the rank's p2p channel
-//     slots — pending SendRec FIFO, posted RecvRec, wait list — and the
-//     fault plan's per-(src, tag) flip match counts.
+//     slots — the pending SendRec, the posted RecvRec, the wait list — and
+//     the fault plan's per-(src, tag) flip match counts.
 //   * CommState (one per communicator, Cluster::mu_): the in-flight
 //     collective rendezvous and its wait list.
 // Lock order: Cluster::mu_ -> inbox[r] ascending -> one scheduler lock (a
@@ -27,12 +27,11 @@
 
 namespace ca3dmm::simmpi::detail {
 
-/// A pending send. Plain send() is eager (MPI standard-mode style): the
-/// payload is copied into `owned` and the sender proceeds, so send/recv
-/// ordering across communicators cannot deadlock. sendrecv() deposits the
-/// caller's buffer zero-copy and rendezvous-waits, which is safe because
-/// both directions are posted before either blocks. Guarded by the
-/// destination inbox's lock while queued.
+/// The send half of a sendrecv: the caller's buffer, deposited on its
+/// channel slot without a copy while the sender rendezvous-waits, which is
+/// safe because both directions are posted before either blocks. Lives on
+/// the sender's stack; guarded by the destination inbox's lock while
+/// pending.
 struct SendRec {
   const void* buf = nullptr;
   i64 bytes = 0;
@@ -42,18 +41,14 @@ struct SendRec {
   /// Receiver's entry clock, written when the record is consumed; lets a
   /// rendezvous sender trace which side bounded its completion wait.
   double t_consumer_entry = 0;
-  std::unique_ptr<char[]> owned;  ///< non-null for eager sends
-  bool eager = false;
-  SendRec* next = nullptr;  ///< next record in the channel slot's FIFO
 };
 
 /// A posted receive, registered on its channel slot while the receiver is
-/// parked in recv with an empty FIFO. A sender that finds it delivers
-/// zero-copy: memcpy straight into `buf`, payload flip applied in place,
-/// and the receiver's exit time computed on the spot from its own
-/// slowdown, skipping the eager staging copy entirely. Lives on the
-/// receiver's stack; the receiver unregisters it on every exit path of its
-/// wait. Guarded by the receiver's inbox lock.
+/// parked with no send pending. A sender that finds it delivers in place:
+/// memcpy straight into `buf`, payload flip applied in place, and the
+/// receiver's exit time computed on the spot from its own slowdown. Lives
+/// on the receiver's stack; the receiver unregisters it on every exit path
+/// of its wait. Guarded by the receiver's inbox lock.
 struct RecvRec {
   void* buf = nullptr;
   i64 bytes = 0;
@@ -72,40 +67,18 @@ struct SlotKey {
   bool operator==(const SlotKey&) const = default;
 };
 
-/// One p2p channel (comm, src -> the inbox's rank, tag).
+/// One p2p channel (comm, src -> the inbox's rank, tag). Its one sender
+/// has at most one sendrecv in flight, so at most one send is pending.
 struct ChannelSlot {
   SlotKey key;
-  SendRec* head = nullptr;  ///< FIFO of pending sends, linked by next
-  SendRec* tail = nullptr;
-  RecvRec* posted = nullptr;  ///< the receiver's posted recv, if parked
+  SendRec* pending = nullptr;  ///< the sender's unconsumed send, if any
+  RecvRec* posted = nullptr;   ///< the receiver's posted recv, if parked
   /// The receiver waiting for a message, and a sendrecv sender waiting for
   /// its record to be consumed.
   WaitList waiters;
 
   bool idle() const {
-    return head == nullptr && posted == nullptr && waiters.empty();
-  }
-  void push(SendRec* r) {
-    r->next = nullptr;
-    (tail != nullptr ? tail->next : head) = r;
-    tail = r;
-  }
-  SendRec* pop() {
-    SendRec* r = head;
-    head = r->next;
-    if (head == nullptr) tail = nullptr;
-    return r;
-  }
-  /// Unlinks `r` from anywhere in the FIFO (a sendrecv unwinding with its
-  /// stack record still queued).
-  void unlink(SendRec* r) {
-    SendRec* prev = nullptr;
-    for (SendRec* c = head; c != nullptr; prev = c, c = c->next) {
-      if (c != r) continue;
-      (prev != nullptr ? prev->next : head) = c->next;
-      if (tail == c) tail = prev;
-      return;
-    }
+    return pending == nullptr && posted == nullptr && waiters.empty();
   }
 };
 

@@ -14,8 +14,8 @@ namespace ca3dmm::simmpi {
 
 struct FaultPlan {
   /// Throw a ca3dmm::Error inside world rank `rank` when it issues its
-  /// `at_op`-th communication operation (1-based; every collective, send,
-  /// recv, and sendrecv counts as one op on the calling rank).
+  /// `at_op`-th communication operation (1-based; every collective and
+  /// sendrecv counts as one op on the calling rank).
   struct KillRank {
     int rank = -1;
     i64 at_op = 1;

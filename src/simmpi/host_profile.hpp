@@ -36,12 +36,9 @@ struct HostProfile {
   /// the run (the fiber's stack and data go cold in the new worker's cache).
   i64 migrations = 0;
   Lock locks[static_cast<int>(LockClass::kCount)];
-  /// P2p payload bytes staged through an eager buffer (copied twice: into
-  /// the buffer by send, out of it by recv).
-  i64 eager_bytes = 0;
-  /// P2p payload bytes copied once, straight from the sender's buffer into
-  /// the receiver's (a sendrecv record consumed in place, or a send into a
-  /// posted recv).
+  /// P2p payload bytes moved. Every byte is copied once, straight from the
+  /// sender's buffer into the receiver's (a pending send pulled by the
+  /// receiver, or a send delivered into a posted recv).
   i64 zero_copy_bytes = 0;
   /// Most channel slots any one rank's inbox held at once (a maximum, not
   /// a sum).

@@ -13,7 +13,6 @@ namespace {
 const char* kind_name(TraceKind k) {
   switch (k) {
     case TraceKind::kCollective: return "collective";
-    case TraceKind::kP2pSend: return "p2p_send";
     case TraceKind::kP2pRecv: return "p2p_recv";
     case TraceKind::kP2pWait: return "p2p_wait";
     case TraceKind::kCompute: return "compute";

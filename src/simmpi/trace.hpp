@@ -27,8 +27,7 @@ enum class Phase;
 /// What a TraceRecord describes.
 enum class TraceKind : std::uint8_t {
   kCollective,  ///< one collective call (barrier/bcast/.../alltoallv/split)
-  kP2pSend,     ///< eager send (cost charged at the sender)
-  kP2pRecv,     ///< receive (recv half of sendrecv included)
+  kP2pRecv,     ///< the receive half of a sendrecv
   kP2pWait,     ///< sendrecv completion wait beyond the recv half
   kCompute,     ///< local GEMM (duration = non-overlapped clock advance)
   kMarker,      ///< zero-duration annotation (plan build, cache event, ...)

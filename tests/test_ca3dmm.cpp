@@ -300,39 +300,5 @@ TEST(Ca3dmm, RejectsMismatchedLayouts) {
                Error);
 }
 
-TEST(Ca3dmm, RejectsPlanCommsOfAnotherPlan) {
-  // The PlanComms of a 2x2x2 plan have the active set and the Cannon size a
-  // 2x4x1 plan needs, but no replication comm (c = 2 needs one) and a
-  // reduction comm it must not have. Every rank raises before any
-  // communication, naming the communicator.
-  const int P = 8;
-  Ca3dmmOptions made_opt, used_opt;
-  made_opt.force_grid = ProcGrid{2, 2, 2};
-  used_opt.force_grid = ProcGrid{2, 4, 1};
-  const Ca3dmmPlan made = Ca3dmmPlan::make(16, 16, 16, P, made_opt);
-  const Ca3dmmPlan used = Ca3dmmPlan::make(16, 16, 16, P, used_opt);
-  Cluster cl(P, Machine::unit_test());
-  try {
-    cl.run([&](Comm& world) {
-      PlanComms comms = PlanComms::make(world, made);
-      const int me = world.rank();
-      std::vector<double> a(
-          static_cast<size_t>(used.a_native().local_size(me)));
-      std::vector<double> b(
-          static_cast<size_t>(used.b_native().local_size(me)));
-      std::vector<double> c(
-          static_cast<size_t>(used.c_native().local_size(me)));
-      ca3dmm_multiply<double>(world, used, comms, false, false,
-                              used.a_native(), a.data(), used.b_native(),
-                              b.data(), used.c_native(), c.data());
-    });
-    FAIL() << "mismatched PlanComms were accepted";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("cached replication comm"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
 }  // namespace
 }  // namespace ca3dmm

@@ -24,6 +24,7 @@
 #include "layout/redistribute.hpp"
 #include "costmodel/admission.hpp"
 #include "costmodel/drift.hpp"
+#include "engine/engine.hpp"
 #include "simmpi/cluster.hpp"
 
 namespace ca3dmm {
@@ -66,14 +67,14 @@ std::string describe(Algo algo, const Workload& w, int P) {
   return s;
 }
 
-/// The persistent engine's hit path, executed: communicators split once by
-/// PlanComms::make, a barrier so every rank enters at the same clock, then
-/// one multiply over the cached communicators, measured as per-rank deltas
-/// — what a warm_comms prediction describes.
+/// The persistent engine's hit path, executed: PgemmEngine::plan_for splits
+/// the communicators, a barrier so every rank enters at the same clock, then
+/// one warm multiply, measured as per-rank deltas — what a warm_comms
+/// prediction describes.
 RankStats run_warm(Algo algo, const Workload& w, Cluster& cl) {
   const int P = cl.nranks();
-  const Ca3dmmPlan plan = Ca3dmmPlan::make(
-      w.m, w.n, w.k, P, costmodel::options_of(w, algo == Algo::kCa3dmmSumma));
+  const Ca3dmmOptions opt =
+      costmodel::options_of(w, algo == Algo::kCa3dmmSumma);
   const costmodel::Program pg = costmodel::program_of(algo, w, P);
   const BlockLayout& la = pg.layouts[kUserLayoutA];
   const BlockLayout& lb = pg.layouts[kUserLayoutB];
@@ -85,13 +86,15 @@ RankStats run_warm(Algo algo, const Workload& w, Cluster& cl) {
     std::vector<double> a(static_cast<size_t>(la.local_size(me)));
     std::vector<double> b(static_cast<size_t>(lb.local_size(me)));
     std::vector<double> c(static_cast<size_t>(lc.local_size(me)));
-    PlanComms comms = PlanComms::make(world, plan);
+    engine::PgemmEngine eng(world);
+    eng.plan_for(w.m, w.n, w.k, opt);
     world.barrier();
     const RankStats& stats = simmpi::current_ctx()->stats;
     const RankStats before = stats;
     const double t0 = world.now();
-    ca3dmm_multiply<double>(world, plan, comms, false, false, la, a.data(), lb,
-                            b.data(), lc, c.data());
+    eng.multiply(engine::Request<double>{w.m, w.n, w.k, false, false, &la,
+                                         a.data(), &lb, b.data(), &lc,
+                                         c.data(), opt});
     RankStats& d = delta[static_cast<size_t>(me)];
     d.vtime = world.now() - t0;
     for (int p = 0; p < kPhases; ++p)

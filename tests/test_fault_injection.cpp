@@ -52,12 +52,13 @@ TEST(CooperativeAbort, ThrowMidCollectiveUnwindsWholeCluster) {
 }
 
 TEST(CooperativeAbort, ThrowMidP2pUnwindsBlockedReceiver) {
-  // Rank 0 blocks in a recv whose sender dies first.
+  // Rank 0 blocks in a sendrecv whose peer dies first.
   Cluster cl(2, Machine::unit_test());
   const std::string msg = run_expect_error(cl, [](Comm& c) {
     if (c.rank() == 1) throw Error("sender died");
+    const double v = 1;
     double x = 0;
-    c.recv(&x, 1, 1, 0);
+    c.sendrecv(&v, 1, 1, &x, 1, 1, 0);
   });
   EXPECT_NE(msg.find("rank 1"), std::string::npos) << msg;
 }
@@ -147,14 +148,11 @@ TEST(FaultInjection, PayloadFlipIsCaughtByReceiverValidation) {
       {.src = 0, .dst = 1, .tag = 5, .nth_match = 1, .offset = 9, .mask = 0xFF});
   cl.set_fault_plan(fp);
   const std::string msg = run_expect_error(cl, [](Comm& c) {
-    std::vector<double> buf(4, 1.25);
-    if (c.rank() == 0) {
-      c.send(buf.data(), 4, 1, 5);
-    } else {
-      c.recv(buf.data(), 4, 0, 5);
-      for (double v : buf)
-        if (v != 1.25) throw Error("corrupted payload detected");
-    }
+    const std::vector<double> send(4, 1.25);
+    std::vector<double> buf(4);
+    c.sendrecv(send.data(), 4, 1 - c.rank(), buf.data(), 4, 1 - c.rank(), 5);
+    for (double v : buf)
+      if (v != 1.25) throw Error("corrupted payload detected");
   });
   EXPECT_NE(msg.find("rank 1"), std::string::npos) << msg;
   EXPECT_NE(msg.find("corrupted payload"), std::string::npos) << msg;
@@ -279,29 +277,25 @@ TEST(P2PValidation, RecvSizeMismatchIsAnErrorNotAnAbort) {
   // through the cooperative-abort path, not kill the process.
   Cluster cl(2, Machine::unit_test());
   const std::string msg = run_expect_error(cl, [](Comm& c) {
-    double x[2] = {1, 2};
-    if (c.rank() == 0)
-      c.send(x, 1, 1, 0);
-    else
-      c.recv(x, 2, 0, 0);
+    double x[2] = {1, 2}, y[2] = {0, 0};
+    // Both send one double; rank 1 posts two.
+    c.sendrecv(x, 1, 1 - c.rank(), y, c.rank() == 1 ? 2 : 1, 1 - c.rank(), 0);
   });
   EXPECT_NE(msg.find("recv size mismatch"), std::string::npos) << msg;
   EXPECT_NE(msg.find("rank 1"), std::string::npos) << msg;
 }
 
 TEST(Watchdog, TagMismatchBecomesWaitForTable) {
-  // Rank 1 sends tag 7 and finishes; rank 0 waits for tag 999 forever. The
-  // scheduler going idle must turn the hang into a diagnostic naming the
-  // stuck op.
-  Cluster cl(2, Machine::unit_test());
+  // Rank 1 exchanges with rank 0 on tag 7, rank 0 with rank 1 on tag 999,
+  // and rank 2 finishes: both exchanges wait forever. The scheduler going
+  // idle must turn the hang into a diagnostic naming the stuck ops.
+  Cluster cl(3, Machine::unit_test());
   const std::string msg = run_expect_error(cl, [](Comm& c) {
-    if (c.rank() == 0) {
-      double x = 0;
-      c.recv(&x, 1, 1, 999);
-    } else {
-      double v = 1;
-      c.send(&v, 1, 0, 7);
-    }
+    if (c.rank() == 2) return;
+    const double v = 1;
+    double x = 0;
+    c.sendrecv(&v, 1, 1 - c.rank(), &x, 1, 1 - c.rank(),
+               c.rank() == 0 ? 999 : 7);
   });
   EXPECT_NE(msg.find("deadlock detected"), std::string::npos) << msg;
   EXPECT_NE(msg.find("wait-for table"), std::string::npos) << msg;
@@ -319,8 +313,9 @@ TEST(Watchdog, SplitCollectiveDeadlockDetected) {
     if (c.rank() == 0) {
       c.barrier();
     } else {
+      const double v = 1;
       double x = 0;
-      c.recv(&x, 1, 0, 0);  // rank 0 never sends
+      c.sendrecv(&v, 1, 0, &x, 1, 0, 0);  // rank 0 never sends
     }
   });
   EXPECT_NE(msg.find("deadlock detected"), std::string::npos) << msg;

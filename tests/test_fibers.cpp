@@ -2,8 +2,8 @@
 // times, per-phase stats, and trace critical paths bit-identical under any
 // dispatch order — one worker against four), exact deadlock detection and
 // fault injection, the one-worker dispatch order, work stealing between the
-// per-worker run queues, stacks and rank buffer pools kept across runs, the
-// zero-copy posted-receive fast path, and a many-rank smoke at P=512.
+// per-worker run queues, stacks and rank buffer pools kept across runs,
+// sendrecv's two delivery orders, and a many-rank smoke at P=512.
 #include <alloca.h>
 #include <gtest/gtest.h>
 
@@ -36,7 +36,7 @@ constexpr int kWorkerCounts[] = {1, 4};
 
 /// Every field of RankStats that is part of the determinism contract must
 /// match bit-for-bit across dispatch orders. p2p_zero_copy is deliberately
-/// excluded: it depends on send/recv arrival order, which several workers
+/// excluded: it depends on sendrecv arrival order, which several workers
 /// leave to the host scheduler (vtimes are identical either way).
 void expect_stats_identical(const RankStats& a, const RankStats& b, int rank) {
   EXPECT_EQ(a.vtime, b.vtime) << "rank " << rank;
@@ -169,13 +169,10 @@ TEST(FiberWatchdog, DeadlockDetectedOnFibers) {
     Cluster cl(2, Machine::unit_test());
     cl.set_fiber_workers(workers);
     const std::string msg = run_expect_error(cl, [](Comm& c) {
-      if (c.rank() == 0) {
-        double x = 0;
-        c.recv(&x, 1, 1, 999);  // rank 1 sends tag 7, never 999
-      } else {
-        double v = 1;
-        c.send(&v, 1, 0, 7);
-      }
+      // Rank 0 exchanges on tag 999, rank 1 on tag 7: neither ever matches.
+      double v = 1, x = 0;
+      c.sendrecv(&v, 1, 1 - c.rank(), &x, 1, 1 - c.rank(),
+                 c.rank() == 0 ? 999 : 7);
     });
     EXPECT_NE(msg.find("deadlock detected"), std::string::npos) << msg;
     EXPECT_NE(msg.find("wait-for table"), std::string::npos) << msg;
@@ -230,11 +227,11 @@ TEST(FiberFaults, StragglerVtimesIndependentOfDispatchOrder) {
   EXPECT_GT(vt[1][1], vt[1][0]);  // straggled rank finishes later
 }
 
-TEST(FiberFaults, PayloadFlipFiresOnZeroCopyPath) {
+TEST(FiberFaults, PayloadFlipFiresOnPostedReceive) {
   // Rank 0 posts its recv first (one worker starts the ranks in rank order
-  // and runs rank 0 until it parks), so rank 1's send takes the zero-copy
-  // path — and the flip must corrupt the posted buffer exactly as it would
-  // the staged copy.
+  // and runs rank 0 until it parks), so rank 1's send is delivered into the
+  // posted buffer — and the flip must corrupt it exactly as it would a
+  // pulled message.
   Cluster cl(2, Machine::unit_test());
   cl.set_fiber_workers(1);
   FaultPlan fp;
@@ -243,12 +240,10 @@ TEST(FiberFaults, PayloadFlipFiresOnZeroCopyPath) {
   cl.set_fault_plan(fp);
   double got = 0;
   cl.run([&got](Comm& c) {
-    if (c.rank() == 0) {
-      c.recv(&got, 1, 1, 5);
-    } else {
-      double v = 1.0;
-      c.send(&v, 1, 0, 5);
-    }
+    const double v = 1.0;
+    double x = 0;
+    c.sendrecv(&v, 1, 1 - c.rank(), &x, 1, 1 - c.rank(), 5);
+    if (c.rank() == 0) got = x;
   });
   double expect = 1.0;
   unsigned char b[sizeof(double)];
@@ -256,33 +251,33 @@ TEST(FiberFaults, PayloadFlipFiresOnZeroCopyPath) {
   b[0] ^= 1;
   std::memcpy(&expect, b, sizeof expect);
   EXPECT_EQ(got, expect);
-  EXPECT_EQ(cl.stats(0).p2p_zero_copy, 1);  // the fast path really fired
+  EXPECT_EQ(cl.stats(0).p2p_zero_copy, 1);  // the posted path really fired
+}
+
+/// Rank `from` sends one double to rank `to` on tag 0: one half of a
+/// sendrecv whose other half is empty.
+void one_way(Comm& c, int from, int to, double& x) {
+  if (c.rank() == from)
+    c.sendrecv_bytes(&x, sizeof x, to, nullptr, 0, to, 0);
+  else
+    c.sendrecv_bytes(nullptr, 0, from, &x, sizeof x, from, 0);
 }
 
 TEST(ZeroCopy, PostedReceiveTakesFastPathWithIdenticalTiming) {
-  // With one worker, receiver-first order (rank 0 posts, rank 1 sends) must
-  // hit the zero-copy path; sender-first order (rank 0 sends into an
-  // unposted channel) must not. Both orders, on one worker and on four,
-  // produce the same values and virtual clocks.
+  // With one worker, rank 0 runs first and parks with its recv posted. So
+  // when rank 0 receives, the sender delivers into the posted buffer; when
+  // rank 0 sends, the message is left pending and rank 1 pulls it. Both
+  // orders, on one worker and on four, produce the same values and virtual
+  // clocks.
   auto recv_first = [](Comm& c) {
-    double x = 0;
-    if (c.rank() == 0) {
-      c.recv(&x, 1, 1, 0);
-      EXPECT_EQ(x, 41.0);
-    } else {
-      x = 41.0;
-      c.send(&x, 1, 0, 0);
-    }
+    double x = c.rank() == 1 ? 41.0 : 0;
+    one_way(c, 1, 0, x);
+    EXPECT_EQ(x, 41.0);
   };
   auto send_first = [](Comm& c) {
-    double x = 0;
-    if (c.rank() == 0) {
-      x = 43.0;
-      c.send(&x, 1, 1, 0);
-    } else {
-      c.recv(&x, 1, 0, 0);
-      EXPECT_EQ(x, 43.0);
-    }
+    double x = c.rank() == 0 ? 43.0 : 0;
+    one_way(c, 0, 1, x);
+    EXPECT_EQ(x, 43.0);
   };
 
   Cluster one(2, Machine::unit_test());
@@ -291,7 +286,7 @@ TEST(ZeroCopy, PostedReceiveTakesFastPathWithIdenticalTiming) {
   EXPECT_EQ(one.stats(0).p2p_zero_copy, 1);
   const double vt_recv = one.stats(0).vtime;
   one.run(send_first);
-  EXPECT_EQ(one.stats(1).p2p_zero_copy, 0);  // eager: nothing was posted
+  EXPECT_EQ(one.stats(1).p2p_zero_copy, 0);  // pulled: nothing was posted
   const double vt_send = one.stats(1).vtime;
 
   Cluster four(2, Machine::unit_test());
@@ -300,22 +295,20 @@ TEST(ZeroCopy, PostedReceiveTakesFastPathWithIdenticalTiming) {
   EXPECT_EQ(four.stats(0).vtime, vt_recv);
   four.run(send_first);
   EXPECT_EQ(four.stats(1).vtime, vt_send);
-  // Delivery path never changes modeled time: receiver's cost is the same
-  // whether the message was staged or delivered zero-copy.
+  // Delivery order never changes modeled time: the receiver's cost is the
+  // same whether it pulled the message or had it delivered.
   EXPECT_EQ(vt_recv, vt_send);
 }
 
 TEST(ZeroCopy, SizeMismatchStillRaisedOnReceiver) {
-  // A posted-size mismatch must decline the fast path and flow through the
-  // eager queue so the *receiver* raises the error, same attribution as the
-  // staged path.
+  // A posted-size mismatch must decline the posted path and leave the send
+  // pending, so the *receiver* raises the error, as when it pulls.
   Cluster cl(2, Machine::unit_test());
+  cl.set_fiber_workers(1);  // rank 0 posts its recv before rank 1 sends
   const std::string msg = run_expect_error(cl, [](Comm& c) {
-    double x[2] = {1, 2};
-    if (c.rank() == 0)
-      c.recv(x, 2, 1, 0);  // posts 16 bytes; sender provides 8
-    else
-      c.send(x, 1, 0, 0);
+    double x[2] = {1, 2}, y[2] = {0, 0};
+    // Rank 0 posts 16 bytes; rank 1 sends 8.
+    c.sendrecv(x, 1, 1 - c.rank(), y, c.rank() == 0 ? 2 : 1, 1 - c.rank(), 0);
   });
   EXPECT_NE(msg.find("recv size mismatch"), std::string::npos) << msg;
   EXPECT_NE(msg.find("rank 0"), std::string::npos) << msg;
@@ -439,14 +432,14 @@ TEST(FiberOrder, OneWorkerStartsInRankOrderAndRunsNewestWakeFirst) {
       std::lock_guard<std::mutex> lk(mu);
       starts.push_back(me);
     }
-    double x = me;
+    double x = me, y = 0;
     if (me == 2) {
-      c.send(&x, 1, 1, 0);
-      c.send(&x, 1, 0, 0);
+      c.sendrecv(&x, 1, 1, &y, 1, 1, 0);
+      c.sendrecv(&x, 1, 0, &y, 1, 0, 0);
       return;
     }
     if (me == 0) c.charge_compute(5e6, 0);  // 5 ms on the unit-test machine
-    c.recv(&x, 1, 2, 0);
+    c.sendrecv(&x, 1, 2, &y, 1, 2, 0);
     std::lock_guard<std::mutex> lk(mu);
     resumes.push_back(me);
   });
@@ -455,7 +448,9 @@ TEST(FiberOrder, OneWorkerStartsInRankOrderAndRunsNewestWakeFirst) {
 }
 
 TEST(FiberStealing, RanksWokenOntoOneQueueAreStolen) {
-  // Every rank parks on a recv nobody sends, so the deadlock abort wakes
+  // Every rank parks on a recv nobody sends (each sends to and receives
+  // from its right neighbour, which sends further right), so the deadlock
+  // abort wakes
   // all of them from the thread driving the run, onto worker 0's queue
   // alone. Each rank's unwind then holds its worker (blocked in the OS)
   // until four ranks hold one each, which the other three workers can only
@@ -482,8 +477,10 @@ TEST(FiberStealing, RanksWokenOntoOneQueueAreStolen) {
   };
   const std::string msg = run_expect_error(cl, [&](Comm& c) {
     HoldWorker hold{mu, cv, holding, timed_out};
+    const double v = 1;
     double x = 0;
-    c.recv(&x, 1, (c.rank() + 1) % P, 5);
+    const int right = (c.rank() + 1) % P;
+    c.sendrecv(&v, 1, right, &x, 1, right, 5);
   });
   EXPECT_NE(msg.find("deadlock detected"), std::string::npos) << msg;
   EXPECT_EQ(holding, P);
@@ -518,9 +515,10 @@ TEST(FiberWatchdog, DeadlockReportedAtOnceWhileWorkSitsOnOtherQueues) {
         const int me = c.rank();
         Comm sub = c.split(me == 0 ? 1 : 0, me);
         if (me == 0) {
+          const double v = 1;
           double x = 0;
           try {
-            c.recv(&x, 1, 1, 999);
+            c.sendrecv(&v, 1, 1, &x, 1, 1, 999);
           } catch (...) {  // the abort's unwind
             aborted_ns = ns_since_epoch(std::chrono::steady_clock::now());
             throw;

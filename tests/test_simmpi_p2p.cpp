@@ -1,8 +1,8 @@
-// Point-to-point semantics of the simulated message-passing runtime:
-// (src, dst, tag) matching, FIFO ordering per channel, rendezvous progress,
-// ring shifts via sendrecv, communicator isolation, and the per-rank inbox
-// that holds the channels (slot recycling, FIFO across delivery paths,
-// unwinding sendrecv records, fault-plan flip counting).
+// Point-to-point semantics of the simulated message-passing runtime, whose
+// only p2p operation is sendrecv: (src, dst, tag) matching, rendezvous
+// progress, ring shifts, communicator isolation, and the per-rank inbox
+// that holds the channels (slot recycling, both delivery orders, unwinding
+// sendrecv records, fault-plan flip counting).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -18,61 +18,41 @@ namespace ca3dmm::simmpi {
 namespace {
 
 TEST(P2P, PingPong) {
+  // A value goes to rank 1 and comes back incremented; each message is one
+  // half of a sendrecv whose other half is empty.
   Cluster cl(2, Machine::unit_test());
   cl.run([](Comm& c) {
     double x = 0;
     if (c.rank() == 0) {
       x = 42.0;
-      c.send(&x, 1, 1, 0);
-      c.recv(&x, 1, 1, 1);
+      c.sendrecv_bytes(&x, sizeof x, 1, nullptr, 0, 1, 0);
+      c.sendrecv_bytes(nullptr, 0, 1, &x, sizeof x, 1, 1);
       EXPECT_DOUBLE_EQ(x, 43.0);
     } else {
-      c.recv(&x, 1, 0, 0);
+      c.sendrecv_bytes(nullptr, 0, 0, &x, sizeof x, 0, 0);
       EXPECT_DOUBLE_EQ(x, 42.0);
       x += 1.0;
-      c.send(&x, 1, 0, 1);
+      c.sendrecv_bytes(&x, sizeof x, 0, nullptr, 0, 0, 1);
     }
   });
 }
 
 TEST(P2P, TagMatching) {
-  // Rank 0 sends two messages with different tags; rank 1 receives them in
-  // the opposite order. Rendezvous sends deposit without blocking the match,
-  // so tag selection must pick the right record.
-  Cluster cl(2, Machine::unit_test());
-  cl.run([](Comm& c) {
-    if (c.rank() == 0) {
-      const double a = 1.0, b = 2.0;
-      // Deposit both via sendrecv-style trick is not needed: use two sends
-      // from a helper ordering. Rank 1 first asks for tag 7.
-      c.send(&b, 1, 1, 7);
-      c.send(&a, 1, 1, 3);
-    } else {
-      double x = 0, y = 0;
-      c.recv(&x, 1, 0, 7);
-      c.recv(&y, 1, 0, 3);
-      EXPECT_DOUBLE_EQ(x, 2.0);
-      EXPECT_DOUBLE_EQ(y, 1.0);
-    }
-  });
-}
-
-TEST(P2P, FifoPerChannel) {
-  Cluster cl(2, Machine::unit_test());
-  cl.run([](Comm& c) {
-    if (c.rank() == 0) {
-      for (int i = 0; i < 10; ++i) {
-        const double v = i;
-        c.send(&v, 1, 1, 0);
+  // Consecutive exchanges on different tags each deliver their own payload,
+  // on one worker and on four.
+  for (const int workers : {1, 4}) {
+    Cluster cl(2, Machine::unit_test());
+    cl.set_fiber_workers(workers);
+    cl.run([](Comm& c) {
+      const int peer = 1 - c.rank();
+      for (const int tag : {7, 3}) {
+        const double v = 10.0 * c.rank() + tag;
+        double got = -1;
+        c.sendrecv(&v, 1, peer, &got, 1, peer, tag);
+        EXPECT_DOUBLE_EQ(got, 10.0 * peer + tag);
       }
-    } else {
-      for (int i = 0; i < 10; ++i) {
-        double v = -1;
-        c.recv(&v, 1, 0, 0);
-        EXPECT_DOUBLE_EQ(v, static_cast<double>(i));
-      }
-    }
-  });
+    });
+  }
 }
 
 TEST(P2P, RingShiftSendrecv) {
@@ -105,32 +85,39 @@ TEST(P2P, RepeatedRingShiftsFullRotation) {
 }
 
 TEST(P2P, CommIsolation) {
-  // Messages on a split communicator do not collide with world messages of
-  // the same (src, dst, tag).
+  // A split communicator's channels are separate from the world's of the
+  // same (src, dst, tag): exchanges on each deliver their own payload, and
+  // a world send never satisfies a receive on the split communicator — the
+  // two ranks deadlock, and the watchdog reports it.
   Cluster cl(2, Machine::unit_test());
   cl.run([](Comm& c) {
     Comm sub = c.split(0, c.rank());
-    if (c.rank() == 0) {
-      const double a = 10.0, b = 20.0;
-      c.send(&a, 1, 1, 0);
-      sub.send(&b, 1, 1, 0);
-    } else {
-      double b = 0, a = 0;
-      sub.recv(&b, 1, 0, 0);
-      c.recv(&a, 1, 0, 0);
-      EXPECT_DOUBLE_EQ(a, 10.0);
-      EXPECT_DOUBLE_EQ(b, 20.0);
-    }
+    const int peer = 1 - c.rank();
+    const double a = 10.0 + c.rank(), b = 20.0 + c.rank();
+    double got_a = 0, got_b = 0;
+    c.sendrecv(&a, 1, peer, &got_a, 1, peer, 0);
+    sub.sendrecv(&b, 1, peer, &got_b, 1, peer, 0);
+    EXPECT_DOUBLE_EQ(got_a, 10.0 + peer);
+    EXPECT_DOUBLE_EQ(got_b, 20.0 + peer);
   });
+  std::string msg;
+  try {
+    cl.run([](Comm& c) {
+      Comm sub = c.split(0, c.rank());
+      Comm& mine = c.rank() == 0 ? c : sub;
+      double v = 1, got = 0;
+      mine.sendrecv(&v, 1, 1 - c.rank(), &got, 1, 1 - c.rank(), 0);
+    });
+  } catch (const Error& e) {
+    msg = e.what();
+  }
+  EXPECT_NE(msg.find("deadlock detected"), std::string::npos) << msg;
 }
 
 TEST(P2P, ZeroByteMessage) {
   Cluster cl(2, Machine::unit_test());
   cl.run([](Comm& c) {
-    if (c.rank() == 0)
-      c.send_bytes(nullptr, 0, 1, 0);
-    else
-      c.recv_bytes(nullptr, 0, 0, 0);
+    c.sendrecv_bytes(nullptr, 0, 1 - c.rank(), nullptr, 0, 1 - c.rank(), 0);
   });
 }
 
@@ -138,15 +125,12 @@ TEST(P2P, LargePayloadIntegrity) {
   const i64 n = 100000;
   Cluster cl(2, Machine::unit_test());
   cl.run([&](Comm& c) {
-    std::vector<double> buf(static_cast<size_t>(n));
-    if (c.rank() == 0) {
-      std::iota(buf.begin(), buf.end(), 0.0);
-      c.send(buf.data(), n, 1, 0);
-    } else {
-      c.recv(buf.data(), n, 0, 0);
-      for (i64 i = 0; i < n; i += 9999)
-        ASSERT_DOUBLE_EQ(buf[static_cast<size_t>(i)], static_cast<double>(i));
-    }
+    const int peer = 1 - c.rank();
+    std::vector<double> send(static_cast<size_t>(n)), recv(send.size());
+    std::iota(send.begin(), send.end(), 1e6 * c.rank());
+    c.sendrecv(send.data(), n, peer, recv.data(), n, peer, 0);
+    for (i64 i = 0; i < n; i += 9999)
+      ASSERT_DOUBLE_EQ(recv[static_cast<size_t>(i)], 1e6 * peer + i);
   });
 }
 
@@ -161,10 +145,9 @@ TEST(P2P, RankExceptionPropagates) {
 }
 
 TEST(Inbox, StaysBoundedAcrossManyTags) {
-  // 10k distinct tags used in turn on one pair, by plain send/recv and by
-  // sendrecv. A slot whose FIFO, posted recv and wait list are all empty is
-  // recycled, so the inbox holds only the channels in flight, not one slot
-  // per tag ever used.
+  // 10k distinct tags used in turn on one pair. A slot whose pending send,
+  // posted recv and wait list are all empty is recycled, so the inbox holds
+  // only the channels in flight, not one slot per tag ever used.
   constexpr int kTags = 10000;
   for (const int workers : {1, 4}) {
     Cluster cl(2, Machine::unit_test());
@@ -173,13 +156,7 @@ TEST(Inbox, StaysBoundedAcrossManyTags) {
       const int peer = 1 - c.rank();
       for (int t = 0; t < kTags; ++t) {
         double v = t, got = -1;
-        if (c.rank() == 0) {
-          c.send(&v, 1, peer, 2 * t);
-        } else {
-          c.recv(&got, 1, peer, 2 * t);
-          ASSERT_EQ(got, v);
-        }
-        c.sendrecv(&v, 1, peer, &got, 1, peer, 2 * t + 1);
+        c.sendrecv(&v, 1, peer, &got, 1, peer, t);
         ASSERT_EQ(got, v);
       }
     });
@@ -188,87 +165,65 @@ TEST(Inbox, StaysBoundedAcrossManyTags) {
   }
 }
 
-TEST(Inbox, FifoAcrossEagerAndZeroCopyDeliveries) {
-  // One channel carries, in order: a zero-copy delivery (the receiver is
-  // parked with its recv posted), two eager messages (nothing posted, so
-  // staged), and another zero-copy delivery. One worker dispatches in a
-  // fixed order, so the paths are pinned exactly; four workers must still
-  // deliver in order.
-  for (const int workers : {1, 4}) {
-    Cluster cl(2, Machine::unit_test());
-    cl.set_fiber_workers(workers);
-    std::vector<double> got;
-    cl.run([&got](Comm& c) {
-      double ack = 0;
-      if (c.rank() == 0) {
-        for (int i = 0; i < 3; ++i) {
-          double v = -1;
-          c.recv(&v, 1, 1, 0);
-          got.push_back(v);
-        }
-        c.send(&ack, 1, 1, 1);
-        double v = -1;
-        c.recv(&v, 1, 1, 0);
-        got.push_back(v);
-      } else {
-        for (int i = 0; i < 3; ++i) {
-          const double v = i;
-          c.send(&v, 1, 0, 0);
-        }
-        c.recv(&ack, 1, 0, 1);
-        const double v = 3;
-        c.send(&v, 1, 0, 0);
-      }
-    });
-    EXPECT_EQ(got, (std::vector<double>{0, 1, 2, 3})) << workers;
-    if (workers == 1) {
-      // Messages 0 and 3 and the ack found their recv posted.
-      EXPECT_EQ(cl.stats(0).p2p_zero_copy, 2);
-      EXPECT_EQ(cl.stats(1).p2p_zero_copy, 1);
-      EXPECT_EQ(cl.host_profile().zero_copy_bytes, 3 * 8);
-      EXPECT_EQ(cl.host_profile().eager_bytes, 2 * 8);
-    }
-  }
+TEST(Inbox, SendrecvTakesBothDeliveryOrders) {
+  // One worker starts rank 0 first: its send is left pending (rank 1 has
+  // posted nothing) and it parks with its recv posted. Rank 1 then delivers
+  // into rank 0's posted buffer and pulls rank 0's pending send. Each
+  // payload is copied once; both ranks leave at the same virtual time.
+  Cluster cl(2, Machine::unit_test());
+  cl.set_fiber_workers(1);
+  cl.run([](Comm& c) {
+    const int peer = 1 - c.rank();
+    const double v = c.rank();
+    double got = -1;
+    c.sendrecv(&v, 1, peer, &got, 1, peer, 0);
+    EXPECT_EQ(got, peer);
+  });
+  EXPECT_EQ(cl.stats(0).p2p_zero_copy, 1);  // delivered into rank 0's recv
+  EXPECT_EQ(cl.stats(1).p2p_zero_copy, 0);  // rank 1 pulled its message
+  EXPECT_EQ(cl.host_profile().zero_copy_bytes, 2 * 8);
+  EXPECT_EQ(cl.stats(0).vtime, cl.stats(1).vtime);
 }
 
-TEST(Inbox, UnwindingSendrecvUnlinksItsRecordBehindAQueuedMessage) {
-  // Rank 0 queues an eager message on channel (0 -> 1, tag 5), then a
-  // sendrecv on the same channel whose receive half fails (size mismatch),
-  // so the sendrecv unwinds with its stack record queued behind the eager
-  // one. The record must leave the FIFO without disturbing it: rank 1 then
-  // receives the eager message and the next one rank 0 sends, in order.
+TEST(Inbox, UnwindingSendrecvClearsItsPendingRecord) {
+  // Rank 0's sendrecv sends to rank 1 on (0 -> 1, tag 5), but its receive
+  // half fails (rank 1 sends 2 doubles, rank 0 posted 1) while its send is
+  // still pending: rank 1 receives from rank 2 meanwhile, not from rank 0.
+  // The sendrecv must clear the record as it unwinds. Rank 0 then takes
+  // rank 1's message (and feeds rank 2), and a last exchange between ranks
+  // 0 and 1 on the same channel delivers the new payload, not the dead one.
   for (const int workers : {1, 4}) {
-    Cluster cl(2, Machine::unit_test());
+    Cluster cl(3, Machine::unit_test());
     cl.set_fiber_workers(workers);
-    std::vector<double> got;
     bool caught = false;
+    double big[2] = {0, 0}, from2 = 0, to2 = 0, last = 0;
     cl.run([&](Comm& c) {
       if (c.rank() == 0) {
-        const double m1 = 1, dead = 99, m2 = 2;
-        double small = 0, big[2] = {0, 0};
-        c.send(&m1, 1, 1, 5);
+        const double dead = 99, fed = 3, fresh = 4;
+        double small = 0, back = 0;
         try {
-          c.sendrecv(&dead, 1, 1, &small, 1, 1, 5);  // peer sends 2 doubles
+          c.sendrecv(&dead, 1, 1, &small, 1, 1, 5);
         } catch (const Error& e) {
           caught = std::string(e.what()).find("recv size mismatch") !=
                    std::string::npos;
         }
-        c.send(&m2, 1, 1, 5);
-        c.barrier();
-        c.recv(big, 2, 1, 5);  // the mismatched message is still queued
+        c.sendrecv(&fed, 1, 2, big, 2, 1, 5);
+        c.sendrecv(&fresh, 1, 1, &back, 1, 1, 5);
+      } else if (c.rank() == 1) {
+        const double two[2] = {7, 8}, six = 6;
+        c.sendrecv(two, 2, 0, &from2, 1, 2, 5);
+        c.sendrecv(&six, 1, 0, &last, 1, 0, 5);
       } else {
-        const double two[2] = {7, 8};
-        c.send(two, 2, 0, 5);
-        c.barrier();
-        for (int i = 0; i < 2; ++i) {
-          double v = -1;
-          c.recv(&v, 1, 0, 5);
-          got.push_back(v);
-        }
+        const double v = 2;
+        c.sendrecv(&v, 1, 1, &to2, 1, 0, 5);
       }
     });
     EXPECT_TRUE(caught) << workers;
-    EXPECT_EQ(got, (std::vector<double>{1, 2})) << workers;
+    EXPECT_EQ(big[0], 7) << workers;
+    EXPECT_EQ(big[1], 8) << workers;
+    EXPECT_EQ(from2, 2) << workers;
+    EXPECT_EQ(to2, 3) << workers;
+    EXPECT_EQ(last, 4) << workers;
   }
 }
 
@@ -285,12 +240,15 @@ TEST(Inbox, FlipMatchCountsPerWorldTripleAcrossComms) {
   cl.run([&](Comm& c) {
     Comm sub = c.split(0, -c.rank());  // reversed: world 0 is sub rank 1
     const double v = 1.0;
-    if (c.rank() == 0) {
-      c.send(&v, 1, 1, 3);
-      sub.send(&v, 1, 0, 3);
-    } else {
-      c.recv(&first, 1, 0, 3);
-      sub.recv(&second, 1, 1, 3);
+    double x = 0, y = 0;
+    c.sendrecv(&v, 1, 1 - c.rank(), &x, 1, 1 - c.rank(), 3);
+    sub.sendrecv(&v, 1, 1 - sub.rank(), &y, 1, 1 - sub.rank(), 3);
+    if (c.rank() == 1) {
+      first = x;
+      second = y;
+    } else {  // messages 1 -> 0 match no flip
+      EXPECT_EQ(x, 1.0);
+      EXPECT_EQ(y, 1.0);
     }
   });
   double flipped = 1.0;

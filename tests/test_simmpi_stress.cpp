@@ -79,30 +79,6 @@ TEST(Stress, MixedP2pAndCollectives) {
   });
 }
 
-TEST(Stress, ManySmallMessagesFifo) {
-  const int P = 2;
-  Cluster cl(P, Machine::unit_test());
-  cl.run([&](Comm& world) {
-    const int n = 500;
-    if (world.rank() == 0) {
-      for (int i = 0; i < n; ++i) {
-        const double v = i;
-        world.send(&v, 1, 1, i % 7);  // several interleaved tag streams
-      }
-    } else {
-      std::vector<int> next(7, 0);
-      // Drain tag streams in an order different from the send order.
-      for (int tag = 6; tag >= 0; --tag) {
-        for (int i = tag; i < n; i += 7) {
-          double v = -1;
-          world.recv(&v, 1, 0, tag);
-          ASSERT_DOUBLE_EQ(v, static_cast<double>(i));
-        }
-      }
-    }
-  });
-}
-
 TEST(Stress, ClusterReuseAcrossRuns) {
   Cluster cl(8, Machine::unit_test());
   for (int run = 0; run < 5; ++run) {
@@ -174,10 +150,11 @@ std::vector<double> healthy_vtimes(Cluster& cl) {
 }
 
 TEST(AbortStress, KillWhilePeersParkedInRecvSendrecvAndCollective) {
-  // Four workers; rank 0 is killed at its 3rd comm op while the other
-  // ranks wait on it in every kind of wait list: recv (ranks 1-5, inbox
-  // slots of their own inboxes), sendrecv-wait (ranks 6-10, slots of rank
-  // 0's inbox: their recv half is satisfied by a message to themselves) and
+  // Four workers; rank 0 is killed at its 3rd comm op (its 2nd is a
+  // sendrecv with itself) while the other ranks wait on it in every kind of
+  // wait list: recv (ranks 1-5, inbox slots of their own inboxes, once
+  // their send half fed ranks 6-10), sendrecv-wait (ranks 6-10, slots of
+  // rank 0's inbox: their recv half is satisfied by ranks 1-5) and
   // a barrier on a communicator rank 0 belongs to (ranks 11-15, the
   // communicator's list under the cluster lock). The abort must wake them
   // all, the run must raise the kill attributed to rank 0 alone, and the
@@ -201,13 +178,12 @@ TEST(AbortStress, KillWhilePeersParkedInRecvSendrecvAndCollective) {
         Comm sub = c.split(me == 0 || me >= 11 ? 1 : 0, me);  // op 1
         double x = me, y = 0;
         if (me == 0) {
-          c.send(&x, 1, 15, 99);  // op 2: eager, never received
-          sub.barrier();          // op 3: killed here
+          c.sendrecv(&x, 1, 0, &y, 1, 0, 99);  // op 2: with itself
+          sub.barrier();                       // op 3: killed here
         } else if (me <= 5) {
-          c.recv(&y, 1, 0, 7);
+          c.sendrecv(&x, 1, me + 5, &y, 1, 0, 7);
         } else if (me <= 10) {
-          c.send(&x, 1, me, 8);
-          c.sendrecv(&x, 1, 0, &y, 1, me, 8);
+          c.sendrecv(&x, 1, 0, &y, 1, me - 5, 7);
         } else {
           sub.barrier();
         }

@@ -21,11 +21,11 @@ constexpr double kTol = 1e-15;
 TEST(VClock, P2PCost) {
   Cluster cl(2, Machine::unit_test());
   cl.run([](Comm& c) {
-    double x = 1.0;
-    if (c.rank() == 0)
-      c.send(&x, 1, 1, 0);
-    else
-      c.recv(&x, 1, 0, 0);
+    // Each rank's exit is its receive's (or its send's consumption): one
+    // message of 8 bytes, alpha + 8 beta, on both.
+    const double x = 1.0;
+    double y = 0;
+    c.sendrecv(&x, 1, 1 - c.rank(), &y, 1, 1 - c.rank(), 0);
     EXPECT_NEAR(c.now(), kAlpha + kBeta * 8.0, kTol);
   });
   EXPECT_NEAR(cl.stats(0).vtime, kAlpha + kBeta * 8.0, kTol);

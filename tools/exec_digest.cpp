@@ -4,7 +4,7 @@
 //
 // Runs every algorithm on the simulated cluster over uneven shapes with idle
 // ranks, native / 1-D / 2-D user layouts and the four transpose pairs, plus
-// ABFT with injected payload flips, no-overlap, cached PlanComms and a
+// ABFT with injected payload flips, no-overlap, a warm PgemmEngine and a
 // heterogeneous topology with k weights. Each run prints one line of
 // Cluster::aggregate_stats(): final vtime, per-phase time, bytes sent and
 // inter-node bytes, compute load balance, peak tracked bytes, flops, splits,
@@ -39,6 +39,7 @@
 #include "core/ca3dmm.hpp"
 #include "core/hetero.hpp"
 #include "costmodel/drift.hpp"
+#include "engine/engine.hpp"
 
 using namespace ca3dmm;
 using costmodel::Algo;
@@ -124,7 +125,7 @@ struct Run {
   Lay lay = Lay::kNative;
   Ca3dmmOptions opt{};            ///< CA3DMM / CA3DMM-S only
   simmpi::FaultPlan faults{};     ///< payload flips
-  bool cached_comms = false;      ///< CA3DMM through PlanComms, two calls
+  bool cached_comms = false;      ///< CA3DMM through a PgemmEngine, two calls
   const Topology* topo = nullptr;  ///< null: homogeneous digest machine
 };
 
@@ -206,10 +207,11 @@ class Digest {
       cm.assign(static_cast<size_t>(lc.local_size(me)), 0.0);
       if constexpr (std::is_same_v<Plan, Ca3dmmPlan>) {
         if (r.cached_comms) {
-          PlanComms comms = PlanComms::make(world, plan);
-          for (int call = 0; call < 2; ++call)
-            ca3dmm_multiply<double>(world, plan, comms, r.ta, r.tb, la,
-                                    a.data(), lb, b.data(), lc, cm.data());
+          engine::PgemmEngine eng(world);
+          const engine::Request<double> req{
+              r.m, r.n, r.k, r.ta, r.tb, &la, a.data(), &lb, b.data(), &lc,
+              cm.data(), r.opt};
+          for (int call = 0; call < 2; ++call) eng.multiply(req);
           return;
         }
         ca3dmm_multiply<double>(world, plan, r.ta, r.tb, la, a.data(), lb,
@@ -335,7 +337,7 @@ void build(Digest& d) {
       r.opt.overlap = false;
       d.run(algo, r);
     }
-  // Cached PlanComms: two calls on communicators split once.
+  // A warm engine: two calls on one plan, its communicators split once.
   for (const Lay lay : {Lay::kNative, Lay::kRow1d}) {
     Run r{"cached-comms", 10, 64, 48, 80};
     r.lay = lay;
