@@ -29,6 +29,7 @@ RankCtx* swap_rank_tls(RankCtx* next) {
 const char* lock_class_name(LockClass c) {
   switch (c) {
     case LockClass::kCluster: return "cluster mu_";
+    case LockClass::kComm: return "comm";
     case LockClass::kInbox: return "inbox";
     case LockClass::kSched: return "scheduler";
     default: return "?";
@@ -123,8 +124,19 @@ std::unique_lock<std::mutex> Cluster::lock_inbox(int world_rank) {
 }
 
 void Cluster::wake_all_fibers_locked() {
-  for (detail::CommState* st : coll_parked_)
-    if (st != nullptr) st->wake_coll();
+  // Snapshot under the leaf lock, then take each communicator's lock on its
+  // own: a split registers its children under the parent's lock.
+  std::vector<std::shared_ptr<detail::CommState>> live;
+  {
+    std::lock_guard<std::mutex> g(leaf_mu_);
+    for (const std::weak_ptr<detail::CommState>& w : comms_)
+      if (std::shared_ptr<detail::CommState> st = w.lock())
+        live.push_back(std::move(st));
+  }
+  for (const std::shared_ptr<detail::CommState>& st : live) {
+    std::unique_lock<std::mutex> lk = st->lock();
+    st->wake_coll();
+  }
   for (int r = 0; r < nranks_; ++r) {
     std::unique_lock<std::mutex> lk = lock_inbox(r);
     for (detail::ChannelSlot& s : inbox(r).slots)
@@ -166,12 +178,22 @@ void Cluster::maybe_flip_payload_locked(int src, int dst, int tag, void* buf,
       static_cast<unsigned char*>(buf)[f.offset] ^= f.mask;
 }
 
-void Cluster::note_degraded_locked(int node) {
+void Cluster::note_degraded(int node) {
+  std::lock_guard<std::mutex> g(leaf_mu_);
   for (int n : degraded_nodes_)
     if (n == node) return;
   degraded_nodes_.insert(
       std::upper_bound(degraded_nodes_.begin(), degraded_nodes_.end(), node),
       node);
+}
+
+void Cluster::register_comm(const std::shared_ptr<detail::CommState>& st) {
+  std::lock_guard<std::mutex> g(leaf_mu_);
+  if (comms_.size() >= comms_prune_at_) {
+    std::erase_if(comms_, [](const auto& w) { return w.expired(); });
+    comms_prune_at_ = std::max<std::size_t>(64, 2 * comms_.size());
+  }
+  comms_.push_back(st);
 }
 
 std::vector<int> Cluster::failed_ranks() const {
@@ -224,7 +246,6 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
   rank_failed_.assign(static_cast<size_t>(nranks_), 0);
   degraded_nodes_.clear();
   deadlock_report_.clear();
-  coll_parked_.assign(static_cast<size_t>(nranks_), nullptr);
   abort_requested_.store(false, std::memory_order_relaxed);
   finished_count_ = 0;
   // This thread counts into its own block during the run (spawn, the
@@ -381,9 +402,10 @@ std::shared_ptr<CommState> CommState::create(Cluster* cl,
   auto st = std::make_shared<CommState>();
   st->cluster = cl;
   st->members = std::move(members);
-  st->id = cl->next_comm_id_++;
+  st->id = cl->next_comm_id_.fetch_add(1, std::memory_order_relaxed);
   st->pricing = GroupPricing(cl->topo_, st->members, cl->coll_config_);
   st->slots.resize(st->members.size());
+  cl->register_comm(st);
   return st;
 }
 

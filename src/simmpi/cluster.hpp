@@ -23,12 +23,18 @@
 //   * point-to-point: every rank owns an Inbox (detail_state.hpp) of
 //     channel slots keyed by (comm, source, tag); each half of a sendrecv
 //     touches one slot under that inbox's own mutex and never takes mu_;
-//   * collectives: each communicator's CommState, under Cluster::mu_;
+//   * collectives: each communicator's CommState, under that
+//     communicator's own rendezvous lock; the last arriver prices the
+//     collective and moves every member's bytes before it releases them;
+//   * failure state (failed ranks, their errors, finished ranks, the
+//     deadlock report): Cluster::mu_, which no rendezvous takes;
 //   * dispatch: the FiberScheduler's per-worker run queues, each under its
 //     own small lock, and its sleep/idle lock.
-// Lock order: mu_, then inbox locks in ascending rank, then one scheduler
-// lock. No path holds two inbox locks at once; the abort takes them one at
-// a time, in ascending rank order. No path holds two scheduler locks.
+// Lock order: mu_, then one communicator's lock, then inbox locks in
+// ascending rank, then one scheduler lock. No path holds two communicator
+// or two inbox locks at once; the abort takes them one at a time. No path
+// holds two scheduler locks. A leaf lock (leaf_mu_), under which nothing
+// else is taken, guards the communicator registry and the degraded nodes.
 #pragma once
 
 #include <atomic>
@@ -254,8 +260,9 @@ class Cluster {
   /// only way anything waits in the cluster, which is what makes deadlock
   /// detection exact.
   void park(detail::WaitList& list, std::unique_lock<std::mutex>& lk);
-  /// Wakes every parked fiber: collective waiters under mu_ (held), then
-  /// each inbox's slot waiters under that inbox's lock, ascending.
+  /// Wakes every parked fiber: each live communicator's collective
+  /// waiters under its lock, then each inbox's slot waiters under that
+  /// inbox's lock, ascending. mu_ held.
   void wake_all_fibers_locked();
 
   // --- locks, counted in the HostProfile ---
@@ -301,8 +308,12 @@ class Cluster {
   /// lock the caller holds.
   void maybe_flip_payload_locked(int src, int dst, int tag, void* buf,
                                  i64 bytes);
-  /// Records a node the straggler policy reclassified as degraded. mu_ held.
-  void note_degraded_locked(int node);
+  /// Records a node the straggler policy reclassified as degraded. Takes
+  /// leaf_mu_, so a rendezvous may call it under its communicator's lock.
+  void note_degraded(int node);
+  /// Adds a new communicator to the registry the abort walks. Takes
+  /// leaf_mu_.
+  void register_comm(const std::shared_ptr<detail::CommState>& st);
 
   // --- deadlock report ---
   /// Reads every rank's blocked_* fields; call only while the scheduler is
@@ -314,12 +325,12 @@ class Cluster {
   Machine machine_;  ///< anchor copy: topo_.machine() (cluster 0)
   std::vector<RankCtx> ctx_;
 
-  /// Lock of the collective rendezvous state (every CommState) and of the
-  /// run-scoped failure state below. Point-to-point never takes it.
+  /// Lock of the run-scoped failure state below. No rendezvous takes it.
   std::mutex mu_;
   /// One p2p inbox per world rank, each under its own mutex.
   std::unique_ptr<detail::Inbox[]> inboxes_;
-  std::uint64_t next_comm_id_ = 1;
+  /// Unique, not ordered: sibling splits draw ids in host order.
+  std::atomic<std::uint64_t> next_comm_id_{1};
   TraceConfig trace_cfg_;
   FaultPlan faults_;
   StragglerPolicy straggler_policy_;
@@ -330,12 +341,16 @@ class Cluster {
   int finished_count_ = 0;  ///< rank bodies that returned
   std::vector<std::string> rank_errors_;
   std::vector<std::uint8_t> rank_failed_;
+  std::string deadlock_report_;
+
+  // --- guarded by leaf_mu_ (a leaf: nothing else is taken under it) ---
+  std::mutex leaf_mu_;
   /// Nodes the straggler policy reclassified as degraded (sorted, unique).
   std::vector<int> degraded_nodes_;
-  std::string deadlock_report_;
-  /// The communicator each rank is parked on in a collective wait, or null
-  /// (guarded by mu_); the abort wakes those lists through it.
-  std::vector<detail::CommState*> coll_parked_;
+  /// Every communicator created on this cluster; expired entries are
+  /// pruned once the list doubles. The abort snapshots the live ones.
+  std::vector<std::weak_ptr<detail::CommState>> comms_;
+  std::size_t comms_prune_at_ = 64;
 
   // --- fiber scheduler state ---
   std::size_t fiber_stack_bytes_ = 0;  ///< 0 = default (1 MiB)

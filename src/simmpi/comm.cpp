@@ -188,46 +188,32 @@ struct CollIo {
   double in = 0;
 };
 
-/// Generic collective rendezvous, in three phases.
+/// Generic collective rendezvous, under the communicator's own lock. Every
+/// member stores its arguments into its slot. The last rank to arrive
+/// cross-checks them (validate_collective), runs `perform` (the st.pricing
+/// cost; split also forms its groups and hands each member its result
+/// there), then `deliver(st, d)` for every member d in order, which moves
+/// the bytes member d receives. Only then does it publish the completion
+/// state and wake the group, so each member parks once, and when it
+/// returns — and may reuse or free its buffers — no peer touches them any
+/// more. The parked members' buffers are stable while the last arriver
+/// reads and writes them. Reductions always sum in member order, so results
+/// do not depend on which rank arrives last.
 ///
-/// Phase A (rendezvous, under the cluster lock): every member stores its
-/// arguments into its slot; the last rank to arrive cross-checks them
-/// (validate_collective), runs `perform` (the st.pricing cost — **no** bulk
-/// data movement; split also forms its groups there), and releases the
-/// group at collective_exit.
-///
-/// Phase B (data movement, no lock): the bulk memcpy/summation runs outside
-/// the lock so other communicators are never blocked behind it. Every
-/// member executes `shard(st, me)`, which moves the data owned by its own
-/// destination index and touches only buffers no other shard writes, so
-/// the shards run in parallel. Results do not depend on their order: the
-/// shards partition the writes and reductions always sum in member order.
-///
-/// Phase C (completion barrier): no member may return — and possibly free
-/// its buffers — before every shard finished. Members count down an atomic;
-/// only the last one, and a member that must park, take the lock. The wait
-/// is guaranteed finite (all p members passed phase A and shard work cannot
-/// block or throw), so it records no blocked state for the deadlock report.
-/// `finish` then runs for every rank (used by split to fetch its result,
-/// which the next split rewrites only after every member arrives there).
-///
-/// Failure handling: an in-flight cluster abort unwinds the phase-A wait
-/// via ClusterAborted; a mismatched op raises Error on the offending rank
+/// Failure handling: an in-flight cluster abort unwinds the wait via
+/// ClusterAborted; a mismatched op raises Error on the offending rank
 /// (peers unwind through the abort the failure triggers); a failed
 /// consistency check or straggler reclassification is stored in
 /// st.coll_error — tagged with the generation so no cross-rendezvous read is
-/// possible — data movement is skipped, and every member raises the same
-/// Error.
-template <class Fill, class Perform, class Shard, class Finish>
+/// possible — no bytes move, and every member raises the same Error.
+template <class Fill, class Perform, class Deliver>
 void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
-                    Fill&& fill, Perform&& perform, Shard&& shard,
-                    Finish&& finish) {
+                    Fill&& fill, Perform&& perform, Deliver&& deliver) {
   RankCtx* ctx = current_ctx();
   CA_ASSERT(ctx != nullptr);
   const int p = static_cast<int>(st.members.size());
   if (p <= 1) io = CollIo{};  // single-member groups move nothing
 
-  bool movement_ok = false;
   CollExit exit;
   CollCost coll_cost;
   double coll_t0 = 0;
@@ -297,15 +283,16 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
         }
       }
       if (e.empty()) e = validate_collective(st, op);
-      if (e.empty()) cost = perform(st);
+      if (e.empty()) {
+        cost = perform(st);
+        for (int d = 0; d < p; ++d) deliver(st, d);
+      }
       st.coll_error = e;
       st.coll_error_gen = gen;
       st.coll_exit = collective_exit(t0, cost, p);
       st.coll_cost = cost;
       st.coll_t0 = t0;
       st.coll_crit_world = st.members[static_cast<size_t>(crit)];
-      st.dm_ok = e.empty();
-      st.dm_remaining.store(p, std::memory_order_relaxed);
       st.arrived = 0;
       st.op = CommState::Op::kNone;
       st.generation.store(gen + 1, std::memory_order_release);
@@ -316,14 +303,13 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
       const auto done = [&] {
         return st.generation.load(std::memory_order_acquire) != gen;
       };
-      st.coll_wait(lk, ctx->world_rank, [&] { return done() || st.aborted(); });
+      st.coll_wait(lk, [&] { return done() || st.aborted(); });
       if (!done()) throw ClusterAborted{};
     }
     // Snapshot the completion state, without the lock: the last arriver
     // wrote it before bumping the generation, and the next rendezvous on
     // this comm rewrites it only after every member arrives there. Locals
     // keep this code independent of that.
-    movement_ok = st.dm_ok;
     exit = st.coll_exit;
     coll_cost = st.coll_cost;
     coll_t0 = st.coll_t0;
@@ -331,22 +317,6 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
     if (st.coll_error_gen == gen && !st.coll_error.empty())
       err = st.coll_error;
   }
-
-  // Phase B: bulk data movement, outside the lock.
-  if (movement_ok) shard(st, me);
-
-  // Phase C: completion barrier. The last member to check out wakes the
-  // rest; the others wait without holding the lock once woken.
-  if (st.dm_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::unique_lock<std::mutex> lk = st.lock();
-    st.wake_coll();
-  } else {
-    std::unique_lock<std::mutex> lk;
-    st.coll_wait(lk, ctx->world_rank, [&] {
-      return st.dm_remaining.load(std::memory_order_acquire) == 0;
-    });
-  }
-  if (err.empty()) finish(st);
 
   if (!err.empty()) throw Error(err);
   CA_ASSERT(exit.t - ctx->clock >= -1e-12);
@@ -377,11 +347,7 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
   ctx->stats.bytes_recvd_s[ph] += io.in;
 }
 
-struct NoFinish {
-  void operator()(CommState&) const {}
-};
-
-struct NoShard {
+struct NoDelivery {
   void operator()(CommState&, int) const {}
 };
 
@@ -488,7 +454,7 @@ void Comm::barrier() {
       *state_, my_index_, CommState::Op::kBarrier, CollIo{},
       [](CommState::Slot&) {},
       [](CommState& st) { return st.pricing.barrier(); },
-      NoShard{}, NoFinish{});
+      NoDelivery{});
 }
 
 void Comm::bcast_bytes(void* buf, i64 bytes, int root) {
@@ -511,15 +477,14 @@ void Comm::bcast_bytes(void* buf, i64 bytes, int root) {
       [&](CommState& st) {
         return st.pricing.bcast(static_cast<double>(bytes));
       },
-      // Each shard copies the root's buffer into one destination; the root
-      // buffer itself is only read.
+      // Copies the root's buffer into destination d; the root buffer itself
+      // is only read.
       [&](CommState& st, int d) {
         if (d == root || bytes <= 0) return;
         std::memcpy(st.slots[static_cast<size_t>(d)].rbuf,
                     st.slots[static_cast<size_t>(root)].rbuf,
                     static_cast<size_t>(bytes));
-      },
-      NoFinish{});
+      });
 }
 
 void Comm::allgather_bytes(const void* sbuf, i64 bytes_each, void* rbuf) {
@@ -537,8 +502,8 @@ void Comm::allgather_bytes(const void* sbuf, i64 bytes_each, void* rbuf) {
       [&](CommState& st) {
         return st.pricing.allgather(static_cast<double>(bytes_each) * size());
       },
-      // Shard d assembles destination d's result buffer from every member's
-      // contribution; no other shard writes it.
+      // Assembles destination d's result buffer from every member's
+      // contribution.
       [&](CommState& st, int d) {
         if (bytes_each <= 0) return;
         const int p = static_cast<int>(st.members.size());
@@ -547,8 +512,7 @@ void Comm::allgather_bytes(const void* sbuf, i64 bytes_each, void* rbuf) {
           std::memcpy(static_cast<char*>(sd.rbuf) + j * bytes_each,
                       st.slots[static_cast<size_t>(j)].sbuf,
                       static_cast<size_t>(bytes_each));
-      },
-      NoFinish{});
+      });
 }
 
 void Comm::allgatherv_bytes(const void* sbuf, i64 my_bytes, void* rbuf,
@@ -578,9 +542,9 @@ void Comm::allgatherv_bytes(const void* sbuf, i64 my_bytes, void* rbuf,
         for (int j = 0; j < p; ++j) total += counts[static_cast<size_t>(j)];
         return st.pricing.allgather(static_cast<double>(total));
       },
-      // Shard d assembles destination d's result buffer. The counts vector
-      // is identical on every member (MPI contract), so capturing this
-      // rank's copy is valid for any destination.
+      // Assembles destination d's result buffer. The counts vector is
+      // identical on every member (MPI contract), so the last arriver's
+      // copy is valid for any destination.
       [&](CommState& st, int d) {
         const int p = static_cast<int>(st.members.size());
         auto& sd = st.slots[static_cast<size_t>(d)];
@@ -593,8 +557,7 @@ void Comm::allgatherv_bytes(const void* sbuf, i64 my_bytes, void* rbuf,
                         static_cast<size_t>(nj));
           off += nj;
         }
-      },
-      NoFinish{});
+      });
 }
 
 void Comm::reduce_scatter_sum(const void* sbuf, void* rbuf,
@@ -624,9 +587,8 @@ void Comm::reduce_scatter_sum(const void* sbuf, void* rbuf,
         return st.pricing.reduce_scatter(
             static_cast<double>(total * dtype_size(dtype)), custom_tree);
       },
-      // Shard d reduces segment d into destination d's buffer, always
-      // accumulating in member order (0, 1, ..., p-1) so the result is
-      // byte-identical no matter which thread runs the shard.
+      // Reduces segment d into destination d's buffer, accumulating in
+      // member order (0, 1, ..., p-1).
       [&](CommState& st, int d) {
         const int p = static_cast<int>(st.members.size());
         const i64 esize = dtype_size(dtype);
@@ -644,8 +606,7 @@ void Comm::reduce_scatter_sum(const void* sbuf, void* rbuf,
                               st.slots[static_cast<size_t>(j)].sbuf) +
                               off * esize,
                           nd, dtype);
-      },
-      NoFinish{});
+      });
 }
 
 void Comm::allreduce_sum(const void* sbuf, void* rbuf, i64 count, Dtype dtype) {
@@ -666,12 +627,10 @@ void Comm::allreduce_sum(const void* sbuf, void* rbuf, i64 count, Dtype dtype) {
         return st.pricing.allreduce(
             static_cast<double>(count * dtype_size(dtype)));
       },
-      // Allreduce shards by element range, not by destination: shard d sums
-      // elements [d*count/p, (d+1)*count/p) over every member (in member
-      // order, into member 0's buffer, exactly like the serial path) and
-      // fans the result out to all destinations. Total work stays equal to
-      // the serial path's, and the ranges are disjoint so no two shards
-      // touch the same elements of any buffer.
+      // Allreduce delivers by element range, not by destination: call d
+      // sums elements [d*count/p, (d+1)*count/p) over every member, in
+      // member order, into member 0's buffer, and fans the range out to
+      // every other member while it is still in cache.
       [&](CommState& st, int d) {
         if (count <= 0) return;
         const int p = static_cast<int>(st.members.size());
@@ -695,8 +654,7 @@ void Comm::allreduce_sum(const void* sbuf, void* rbuf, i64 count, Dtype dtype) {
                           st.slots[static_cast<size_t>(j)].rbuf) +
                           lo * esize,
                       acc, static_cast<size_t>(n * esize));
-      },
-      NoFinish{});
+      });
 }
 
 void Comm::alltoallv_bytes(const void* sbuf, std::span<const PeerBlock> sends,
@@ -738,7 +696,7 @@ void Comm::alltoallv_bytes(const void* sbuf, std::span<const PeerBlock> sends,
         }
         return st.pricing.alltoallv(v);
       },
-      // Shard d fills destination d's receive buffer from its sources.
+      // Fills destination d's receive buffer from its sources.
       [&](CommState& st, int d) {
         const auto& sd = st.slots[static_cast<size_t>(d)];
         for (const PeerBlock& r : sd.recvs) {
@@ -749,21 +707,22 @@ void Comm::alltoallv_bytes(const void* sbuf, std::span<const PeerBlock> sends,
                           find_peer(ss.sends, d)->displ,
                       static_cast<size_t>(r.bytes));
         }
-      },
-      NoFinish{});
+      });
 }
 
 Comm Comm::split(int color, int key) const {
-  std::pair<std::shared_ptr<CommState>, int> result{nullptr, -1};
+  CommState::SplitResult result{nullptr, -1};
   run_collective(
       *state_, my_index_, CommState::Op::kSplit, CollIo{},
       [&](CommState::Slot& s) {
         s.i0 = color;
         s.i1 = key;
+        s.split_out = &result;
       },
+      // Forms the groups and hands every member its result; a member with
+      // a negative color keeps {nullptr, -1}.
       [&](CommState& st) {
         const int p = static_cast<int>(st.members.size());
-        st.split_out.assign(static_cast<size_t>(p), {nullptr, -1});
         // Collect colors in ascending order; negative color = undefined.
         std::map<int, std::vector<int>> groups;  // color -> member indices
         for (int j = 0; j < p; ++j)
@@ -781,15 +740,12 @@ Comm Comm::split(int color, int key) const {
           auto ns = CommState::create(st.cluster, std::move(members));
           ns->pricing.cfg = st.pricing.cfg;  // children inherit it
           for (size_t i = 0; i < idxs.size(); ++i)
-            st.split_out[static_cast<size_t>(idxs[i])] = {ns,
-                                                          static_cast<int>(i)};
+            *st.slots[static_cast<size_t>(idxs[i])].split_out = {
+                ns, static_cast<int>(i)};
         }
         return st.pricing.split();
       },
-      NoShard{},
-      [&](CommState& st) {
-        result = st.split_out[static_cast<size_t>(my_index_)];
-      });
+      NoDelivery{});
   if (RankCtx* ctx = current_ctx()) ctx->stats.comm_splits++;
   if (!result.first) return Comm();
   return Comm(std::move(result.first), result.second);

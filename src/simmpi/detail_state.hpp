@@ -5,10 +5,13 @@
 //   * Inbox (one per world rank, its own mutex): the rank's p2p channel
 //     slots — the pending SendRec, the posted RecvRec, the wait list — and
 //     the fault plan's per-(src, tag) flip match counts.
-//   * CommState (one per communicator, Cluster::mu_): the in-flight
-//     collective rendezvous and its wait list.
-// Lock order: Cluster::mu_ -> inbox[r] ascending -> one scheduler lock (a
-// worker's run queue or the sleep lock).
+//   * CommState (one per communicator, its own mutex): the in-flight
+//     collective rendezvous and its wait list. The last arriver prices the
+//     collective and moves every member's bytes under it, while the other
+//     members are parked.
+// Lock order: Cluster::mu_ -> one CommState -> inbox[r] ascending -> one
+// scheduler lock (a worker's run queue or the sleep lock). Cluster::leaf_mu_
+// (registry, degraded nodes) is a leaf under any of them.
 #pragma once
 
 #include <algorithm>
@@ -120,6 +123,9 @@ struct alignas(64) Inbox {
 /// collective rendezvous. MPI semantics guarantee all members call the same
 /// collective in the same order, so one slot set per communicator suffices.
 struct CommState {
+  /// Where a split delivers a member's new communicator and rank in it.
+  using SplitResult = std::pair<std::shared_ptr<CommState>, int>;
+
   enum class Op {
     kNone,
     kBarrier,
@@ -140,11 +146,13 @@ struct CommState {
   GroupPricing pricing;
 
   // --- rendezvous ---
-  // Written under the rendezvous lock. The completion fields below
-  // (coll_exit .. coll_error_gen, dm_ok, split_out) are written by the last
-  // arriver before it bumps `generation` (release), so a woken member reads
-  // them after an acquire load of `generation`, without the lock: nothing
-  // rewrites them before every member has arrived at the next collective.
+  // Written under the rendezvous lock `mu`. The completion fields below
+  // (coll_exit .. coll_error_gen) and every member's output buffers are
+  // written by the last arriver before it bumps `generation` (release), so
+  // a woken member reads them after an acquire load of `generation`,
+  // without the lock: nothing rewrites them before every member has
+  // arrived at the next collective.
+  mutable std::mutex mu;
   Op op = Op::kNone;
   int arrived = 0;
   std::atomic<std::uint64_t> generation{0};
@@ -152,7 +160,7 @@ struct CommState {
   /// its modeled inter-node bytes, accounted into RankStats by every member.
   CollExit coll_exit;
   /// Trace metadata of the completed rendezvous, written by the last
-  /// arriver under mu_ and snapshotted by every member before leaving:
+  /// arriver under the rendezvous lock and snapshotted by every member:
   /// the full modeled cost (schedule name, total bytes), the rendezvous
   /// start (= the last arriver's entry clock), and the world rank whose
   /// late arrival set that start time (the collective's critical-path
@@ -169,16 +177,6 @@ struct CommState {
   std::string coll_error;
   std::uint64_t coll_error_gen = 0;
 
-  // --- data-movement completion barrier ---
-  // The bulk memcpy/summation of a collective runs *outside* the rendezvous
-  // lock, sharded across the participating ranks; these fields make every
-  // member wait until all shards finished before returning (a member that
-  // returned early could free buffers a peer's shard still touches).
-  bool dm_ok = false;  ///< movement may run (no collective error)
-  /// Members yet to check out of the barrier; each decrements it without
-  /// the lock, and the one that reaches 0 wakes the rest.
-  std::atomic<int> dm_remaining{0};
-
   struct Slot {
     const void* sbuf = nullptr;
     void* rbuf = nullptr;
@@ -186,49 +184,45 @@ struct CommState {
     int i0 = 0, i1 = 0;
     std::span<const i64> v0;
     std::span<const PeerBlock> sends, recvs;  ///< alltoallv lists
+    SplitResult* split_out = nullptr;         ///< the member's split result
     double t_entry = 0;
     Dtype dt = Dtype::kF64;
   };
   std::vector<Slot> slots;
 
-  /// Per-member results of a split (new state + index within it).
-  std::vector<std::pair<std::shared_ptr<CommState>, int>> split_out;
-
   /// Fibers parked in coll_wait (guarded by the rendezvous lock).
   WaitList waiters;
 
+  /// Takes the rendezvous lock, counted in the HostProfile.
+  std::unique_lock<std::mutex> lock() const {
+    return lock_counted(mu, LockClass::kComm);
+  }
   // CommState is a friend of Cluster; these let the collective runner reach
-  // the cluster-wide rendezvous lock and failure-handling state.
-  std::unique_lock<std::mutex> lock() const { return cluster->lock_mu(); }
-  /// Parks the calling rank (world rank `me_world`) on this communicator's
-  /// rendezvous until `pred` holds; `pred` reads only atomics, so a woken
-  /// rank re-checks it without re-taking the lock. `lk` (on the rendezvous
-  /// lock) may be held or not on entry and is released on return. The rank
-  /// records the list it is on, so an abort can find it.
+  // the scheduler and the cluster's failure-handling state.
+  /// Parks the calling rank on this communicator's rendezvous until `pred`
+  /// holds; `pred` reads only atomics, so a woken rank re-checks it without
+  /// re-taking the lock. `lk` holds the rendezvous lock on entry and is
+  /// released on return. The abort finds the rank through the cluster's
+  /// registry of communicators.
   template <typename Pred>
-  void coll_wait(std::unique_lock<std::mutex>& lk, int me_world, Pred&& pred) {
+  void coll_wait(std::unique_lock<std::mutex>& lk, Pred&& pred) {
     while (!pred()) {
       if (!lk.owns_lock()) {
         lk = lock();
         if (pred()) break;
       }
-      cluster->coll_parked_[static_cast<size_t>(me_world)] = this;
       cluster->park(waiters, lk);
     }
     if (lk.owns_lock()) lk.unlock();
   }
-  /// Wakes fibers parked in coll_wait, clearing their records. Lock held.
-  void wake_coll() {
-    for (Fiber* f = waiters.head; f != nullptr; f = f->wait_next)
-      cluster->coll_parked_[static_cast<size_t>(f->rank)] = nullptr;
-    cluster->fiber_sched_->wake_all(waiters);
-  }
+  /// Wakes the fibers parked in coll_wait. Lock held.
+  void wake_coll() { cluster->fiber_sched_->wake_all(waiters); }
   bool aborted() const { return cluster->aborting(); }
   void fault_point(RankCtx* ctx) const { cluster->fault_point(ctx); }
   const StragglerPolicy& straggler_policy() const {
     return cluster->straggler_policy_;
   }
-  void note_degraded(int node) const { cluster->note_degraded_locked(node); }
+  void note_degraded(int node) const { cluster->note_degraded(node); }
   const Topology& topology() const { return cluster->topo_; }
 
   static std::shared_ptr<CommState> create(Cluster* cl,

@@ -11,9 +11,10 @@
 namespace ca3dmm::simmpi {
 
 /// The lock classes the counters tell apart. Order is the lock order:
-/// Cluster::mu_, then inbox locks in ascending rank, then one of the
+/// Cluster::mu_ (the run's failure state), then one communicator's
+/// rendezvous lock, then inbox locks in ascending rank, then one of the
 /// scheduler's (the per-worker run queues and its sleep lock).
-enum class LockClass { kCluster, kInbox, kSched, kCount };
+enum class LockClass { kCluster, kComm, kInbox, kSched, kCount };
 
 const char* lock_class_name(LockClass c);
 

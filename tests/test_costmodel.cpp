@@ -384,7 +384,7 @@ TEST(CostModel, CommunicationLowerBoundRespected) {
 /// One CA3DMM multiply under `plan` with user layouts la/lb/lc, on one
 /// fiber worker (so host counters are deterministic).
 struct LayoutRun {
-  i64 cluster_locks = 0;          ///< Cluster::mu_ acquisitions
+  i64 comm_locks = 0;             ///< rendezvous-lock acquisitions
   double redist_bytes_sent = 0;   ///< summed over ranks
   std::vector<double> c;          ///< C gathered into global row-major order
 };
@@ -412,8 +412,8 @@ LayoutRun run_layouts(const Ca3dmmPlan& plan, const BlockLayout& la,
                             b.data(), lc, c.data());
   });
   LayoutRun out;
-  out.cluster_locks =
-      cl.host_profile().lock(simmpi::LockClass::kCluster).acquired;
+  out.comm_locks =
+      cl.host_profile().lock(simmpi::LockClass::kComm).acquired;
   out.c.resize(static_cast<size_t>(plan.m() * plan.n()));
   for (int r = 0; r < P; ++r) {
     out.redist_bytes_sent += cl.stats(r).bytes_sent(simmpi::Phase::kRedistribute);
@@ -427,7 +427,7 @@ LayoutRun run_layouts(const Ca3dmmPlan& plan, const BlockLayout& la,
   return out;
 }
 
-/// Cluster::mu_ acquisitions one world alltoallv adds to a run on P ranks.
+/// Rendezvous-lock acquisitions one world alltoallv adds to a run on P ranks.
 i64 locks_per_conversion(int P) {
   const BlockLayout row = BlockLayout::row_1d(24, 24, P);
   const BlockLayout col = BlockLayout::col_1d(24, 24, P);
@@ -440,7 +440,7 @@ i64 locks_per_conversion(int P) {
       std::vector<double> out(static_cast<size_t>(col.local_size(c.rank())));
       redistribute<double>(c, row, in.data(), col, out.data());
     });
-    return cl.host_profile().lock(simmpi::LockClass::kCluster).acquired;
+    return cl.host_profile().lock(simmpi::LockClass::kComm).acquired;
   };
   return locks(true) - locks(false);
 }
@@ -459,7 +459,7 @@ TEST(IdentityConversion, NativeLayoutsSkipTheThreeWorldRendezvous) {
   const LayoutRun custom = run_layouts(plan, ca, cb, cc);
   const i64 per_conversion = locks_per_conversion(P);
   ASSERT_GT(per_conversion, 0);
-  EXPECT_EQ(custom.cluster_locks - native.cluster_locks, 3 * per_conversion);
+  EXPECT_EQ(custom.comm_locks - native.comm_locks, 3 * per_conversion);
   EXPECT_EQ(native.redist_bytes_sent, 0);
   // The local copies move C exactly as the alltoallv does: bit for bit.
   EXPECT_EQ(native.c, custom.c);
@@ -474,7 +474,7 @@ TEST(IdentityConversion, OnlyTheCustomOperandConverts) {
       run_layouts(plan, plan.a_native(), plan.b_native(), plan.c_native());
   const LayoutRun mixed =
       run_layouts(plan, plan.a_native(), cb, plan.c_native());
-  EXPECT_EQ(mixed.cluster_locks - native.cluster_locks,
+  EXPECT_EQ(mixed.comm_locks - native.comm_locks,
             locks_per_conversion(P));
   const RedistVolume v =
       redistribution_volume(cb, plan.b_native(), false, sizeof(double));

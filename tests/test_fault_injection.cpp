@@ -141,6 +141,45 @@ TEST(FaultInjection, StragglerShiftsAggregateVtimeByModeledAmount) {
   EXPECT_DOUBLE_EQ(cl.stats(0).vtime, cl.stats(1).vtime);
 }
 
+TEST(FaultInjection, StragglerPolicyDegradesNodesOfTwoSiblingCommsAtOnce) {
+  // unit_test machine: 1 rank/node. Nodes 1 and 6 run 50x slow; the world
+  // splits into sibling communicators {0..3} and {4..7}, and each runs one
+  // GEMM and a barrier. Both barriers reclassify their straggler at about
+  // the same moment on four workers, each under its own communicator's
+  // lock. Every member catches its communicator's error, so neither
+  // failure aborts the other rendezvous: the degraded-node list must hold
+  // both nodes, and each member must see its own communicator's node.
+  Cluster cl(8, Machine::unit_test());
+  cl.set_fiber_workers(4);
+  FaultPlan fp;
+  fp.stragglers.push_back({.node = 1, .factor = 50.0});
+  fp.stragglers.push_back({.node = 6, .factor = 50.0});
+  cl.set_fault_plan(fp);
+  StragglerPolicy sp;
+  sp.enabled = true;
+  sp.degrade_factor = 5.0;
+  sp.min_lag_s = 1e-6;
+  cl.set_straggler_policy(sp);
+  for (int iter = 0; iter < 10; ++iter) {
+    std::vector<std::string> errs(8);
+    cl.run([&](Comm& c) {
+      Comm half = c.split(c.rank() / 4, c.rank());
+      c.charge_compute(1e6, 0);
+      try {
+        half.barrier();
+      } catch (const Error& e) {
+        errs[static_cast<size_t>(c.rank())] = e.what();
+      }
+    });
+    EXPECT_EQ(cl.degraded_nodes(), (std::vector<int>{1, 6}));
+    for (int r = 0; r < 8; ++r)
+      EXPECT_NE(errs[static_cast<size_t>(r)].find(strprintf(
+                    "node %d reclassified as degraded", r < 4 ? 1 : 6)),
+                std::string::npos)
+          << "rank " << r << ": " << errs[static_cast<size_t>(r)];
+  }
+}
+
 TEST(FaultInjection, PayloadFlipIsCaughtByReceiverValidation) {
   Cluster cl(2, Machine::unit_test());
   FaultPlan fp;
@@ -250,7 +289,8 @@ TEST(ConsistencyChecker, ReduceScatterDtypeMismatchRaisesOnEveryRank) {
 
 TEST(ConsistencyChecker, AllgathervNegativeCountRaisesOnEveryRank) {
   // Equal vectors on every rank, but rank 0 contributes -8 bytes: the
-  // other shards would start rank 1's block 8 bytes before the buffer.
+  // copy into any receive buffer would start rank 1's block 8 bytes before
+  // the buffer.
   const std::vector<i64> counts{-8, 16, 8, 8};
   expect_same_error_everywhere(
       collective_errors(4, 24, [&](Comm& c, char* rbuf) {

@@ -490,8 +490,8 @@ std::unique_ptr<Cluster> run_one_worker(int P, const Machine& mach,
   return cl;
 }
 
-i64 cluster_locks(const Cluster& cl) {
-  return cl.host_profile().lock(simmpi::LockClass::kCluster).acquired;
+i64 comm_locks(const Cluster& cl) {
+  return cl.host_profile().lock(simmpi::LockClass::kComm).acquired;
 }
 
 TEST(RedistributeIdentity, LocalCopyWithoutRendezvousOrStaging) {
@@ -500,16 +500,16 @@ TEST(RedistributeIdentity, LocalCopyWithoutRendezvousOrStaging) {
   const BlockLayout l = BlockLayout::grid_2d(13, 9, 3, 2);
   ASSERT_TRUE(is_identity(l, l, false));
   ASSERT_TRUE(redistribution_volume(l, l, false, 8).identity);
-  const i64 idle = cluster_locks(*run_one_worker(P, mach, [](Comm&) {}));
+  const i64 idle = comm_locks(*run_one_worker(P, mach, [](Comm&) {}));
   const auto cl = run_one_worker(P, mach, [&](Comm& c) {
     std::vector<double> in, out(static_cast<size_t>(l.local_size(c.rank())));
     fill_local(l, c.rank(), 42, in);
     redistribute<double>(c, l, in.data(), l, out.data());
     check_local(l, c.rank(), 42, out, false);
   });
-  // No collective: the Cluster lock is taken no more often than by a run
+  // No collective: no rendezvous lock is taken more often than by a run
   // that does nothing.
-  EXPECT_EQ(cluster_locks(*cl), idle);
+  EXPECT_EQ(comm_locks(*cl), idle);
   for (int r = 0; r < P; ++r) {
     const simmpi::RankStats& s = cl->stats(r);
     // One scan of the rank's bytes, as Comm::charge_local_work prices it.
@@ -526,7 +526,7 @@ TEST(RedistributeIdentity, LocalCopyWithoutRendezvousOrStaging) {
     fill_local(l, c.rank(), 42, in);
     redistribute<double>(c, l, in.data(), col, out.data());
   });
-  EXPECT_GT(cluster_locks(*conv), idle);
+  EXPECT_GT(comm_locks(*conv), idle);
 }
 
 TEST(RedistributeIdentity, EqualContentHandlesTakeTheIdentityBranch) {
@@ -537,14 +537,14 @@ TEST(RedistributeIdentity, EqualContentHandlesTakeTheIdentityBranch) {
   EXPECT_TRUE(is_identity(a, b, false));
   EXPECT_TRUE(redistribution_volume(a, b, false, 8).identity);
   const i64 idle =
-      cluster_locks(*run_one_worker(4, Machine::unit_test(), [](Comm&) {}));
+      comm_locks(*run_one_worker(4, Machine::unit_test(), [](Comm&) {}));
   const auto cl = run_one_worker(4, Machine::unit_test(), [&](Comm& c) {
     std::vector<double> in, out(static_cast<size_t>(b.local_size(c.rank())));
     fill_local(a, c.rank(), 7, in);
     redistribute<double>(c, a, in.data(), b, out.data());
     check_local(b, c.rank(), 7, out, false);
   });
-  EXPECT_EQ(cluster_locks(*cl), idle);
+  EXPECT_EQ(comm_locks(*cl), idle);
 
   // The same rects in another order put elements at other local offsets:
   // not an identity, and the conversion reorders them.
@@ -570,14 +570,14 @@ TEST(RedistributeIdentity, TransposedIdentityStillConverts) {
   EXPECT_FALSE(v.identity);
   EXPECT_GT(v.max_send_bytes, 0);
   const i64 idle =
-      cluster_locks(*run_one_worker(P, Machine::unit_test(), [](Comm&) {}));
+      comm_locks(*run_one_worker(P, Machine::unit_test(), [](Comm&) {}));
   const auto cl = run_one_worker(P, Machine::unit_test(), [&](Comm& c) {
     std::vector<double> in, out(static_cast<size_t>(l.local_size(c.rank())));
     fill_local(l, c.rank(), 3, in);
     redistribute<double>(c, l, in.data(), l, out.data(), /*transpose=*/true);
     check_local(l, c.rank(), 3, out, /*transposed=*/true);
   });
-  EXPECT_GT(cluster_locks(*cl), idle);
+  EXPECT_GT(comm_locks(*cl), idle);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Collective operations of the simulated runtime against serial oracles:
-// data results for every collective, uneven counts, splits, and nesting.
+// data results for every collective, uneven counts, splits, nesting, and
+// buffers reused the moment a collective returns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -428,6 +431,126 @@ TEST(CollectivesEdge, SingleRankCluster) {
     double x = 3.0, r = 0.0;
     c.allreduce(&x, &r, 1);
     EXPECT_DOUBLE_EQ(r, 3.0);
+  });
+}
+
+// A collective completes for every member at once: the last arriver moves
+// every member's bytes before it releases the group, so a member may
+// overwrite or free its buffers as soon as its call returns. Every rank
+// poisons its send and receive buffers right after each call and then
+// frees them; a peer still reading them would get NaNs, and one still
+// writing them would touch freed memory (caught under ASan). Four workers,
+// so members really run concurrently; the CI flake gate repeats it.
+TEST(CollectiveLifetime, BuffersReusableOnReturn) {
+  const int P = 7;
+  const int kRounds = 12;
+  using Buf = std::vector<double>;
+  const auto at = [](auto& v, i64 i) -> auto& {
+    return v[static_cast<size_t>(i)];
+  };
+  const auto bytes = [](i64 n) { return n * static_cast<i64>(sizeof(double)); };
+  Cluster cl(P, Machine::unit_test());
+  cl.set_fiber_workers(4);
+  cl.run([&](Comm& c) {
+    const int me = c.rank();
+    for (int round = 0; round < kRounds; ++round) {
+      // Integer-valued entries: every sum below is exact in any order.
+      const auto val = [&](int rank, i64 i) {
+        return 1000.0 * round + 37.0 * rank + static_cast<double>(i);
+      };
+      const auto sum_over_ranks = [&](i64 i) {
+        double s = 0;
+        for (int r = 0; r < P; ++r) s += val(r, i);
+        return s;
+      };
+      // A buffer of n entries val(rank, i0 + i), or of n entries -1.
+      const auto make = [&](i64 n, int rank = -1, i64 i0 = 0) {
+        Buf b(static_cast<size_t>(n), -1);
+        if (rank >= 0)
+          for (i64 i = 0; i < n; ++i) at(b, i) = val(rank, i0 + i);
+        return b;
+      };
+      Buf got;
+      // Takes the result, then poisons and frees both buffers.
+      const auto take = [&](Buf& sbuf, Buf& rbuf) {
+        got = rbuf;
+        for (Buf* b : {&sbuf, &rbuf}) {
+          std::fill(b->begin(), b->end(),
+                    std::numeric_limits<double>::quiet_NaN());
+          Buf().swap(*b);
+        }
+      };
+      const i64 n = 1 + round % 4;
+      {  // bcast from a rotating root
+        const int root = round % P;
+        Buf none, buf = make(n, me == root ? root : -1);
+        c.bcast(buf.data(), n, root);
+        take(none, buf);
+        for (i64 i = 0; i < n; ++i) EXPECT_EQ(at(got, i), val(root, i));
+      }
+      {  // allgather
+        Buf sbuf = make(n, me), rbuf = make(n * P);
+        c.allgather(sbuf.data(), n, rbuf.data());
+        take(sbuf, rbuf);
+        for (int r = 0; r < P; ++r)
+          for (i64 i = 0; i < n; ++i) EXPECT_EQ(at(got, r * n + i), val(r, i));
+      }
+      // Uneven per-rank element counts, some zero.
+      std::vector<i64> cnt, counts;
+      for (int r = 0; r < P; ++r) {
+        cnt.push_back((r + round) % 3);
+        counts.push_back(bytes(cnt.back()));
+      }
+      const i64 total = std::accumulate(cnt.begin(), cnt.end(), i64{0});
+      const i64 mine = at(cnt, me);
+      {  // allgatherv
+        Buf sbuf = make(mine, me), rbuf = make(total);
+        c.allgatherv_bytes(sbuf.data(), bytes(mine), rbuf.data(), counts);
+        take(sbuf, rbuf);
+        i64 off = 0;
+        for (int r = 0; r < P; ++r)
+          for (i64 i = 0; i < at(cnt, r); ++i)
+            EXPECT_EQ(at(got, off++), val(r, i));
+      }
+      {  // reduce-scatter
+        Buf sbuf = make(total, me), rbuf = make(mine);
+        c.reduce_scatter(sbuf.data(), rbuf.data(), cnt);
+        take(sbuf, rbuf);
+        const i64 off = std::accumulate(cnt.begin(), cnt.begin() + me, i64{0});
+        for (i64 i = 0; i < mine; ++i)
+          EXPECT_EQ(at(got, i), sum_over_ranks(off + i));
+      }
+      {  // allreduce
+        const i64 m = 3 * n + 1;
+        Buf sbuf = make(m, me), rbuf = make(m);
+        c.allreduce(sbuf.data(), rbuf.data(), m);
+        take(sbuf, rbuf);
+        for (i64 i = 0; i < m; ++i) EXPECT_EQ(at(got, i), sum_over_ranks(i));
+      }
+      {  // alltoallv: src sends k(src, dst) entries val(src, 100 dst + i)
+        const auto k = [&](int src, int dst) {
+          return i64{(src + dst + round) % 3};
+        };
+        std::vector<PeerBlock> sends, recvs;
+        Buf sbuf;
+        i64 rn = 0;
+        for (int d = 0; d < P; ++d) {
+          sends.push_back(
+              {d, bytes(k(me, d)), bytes(static_cast<i64>(sbuf.size()))});
+          const Buf part = make(k(me, d), me, 100 * d);
+          sbuf.insert(sbuf.end(), part.begin(), part.end());
+          recvs.push_back({d, bytes(k(d, me)), bytes(rn)});
+          rn += k(d, me);
+        }
+        Buf rbuf = make(rn);
+        c.alltoallv_bytes(sbuf.data(), sends, rbuf.data(), recvs);
+        take(sbuf, rbuf);
+        i64 off = 0;
+        for (int s = 0; s < P; ++s)
+          for (i64 i = 0; i < k(s, me); ++i)
+            EXPECT_EQ(at(got, off++), val(s, 100 * me + i));
+      }
+    }
   });
 }
 

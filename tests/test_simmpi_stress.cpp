@@ -1,8 +1,9 @@
 // Randomized stress tests of the simulated runtime: deep split trees,
 // interleaved collectives on sibling communicators, mixed p2p/collective
 // traffic, repeated cluster reuse, a rank kill while peers are parked on
-// every kind of wait list, and a rerun after a kill on the stacks and rank
-// buffer pools the killed run left behind. These guard the rendezvous machinery against
+// every kind of wait list and on collectives of several sibling
+// communicators, and a rerun after a kill on the stacks and rank buffer
+// pools the killed run left behind. These guard the rendezvous machinery against
 // ordering bugs that simple unit tests cannot reach.
 #include <gtest/gtest.h>
 
@@ -156,7 +157,7 @@ TEST(AbortStress, KillWhilePeersParkedInRecvSendrecvAndCollective) {
   // their send half fed ranks 6-10), sendrecv-wait (ranks 6-10, slots of
   // rank 0's inbox: their recv half is satisfied by ranks 1-5) and
   // a barrier on a communicator rank 0 belongs to (ranks 11-15, the
-  // communicator's list under the cluster lock). The abort must wake them
+  // communicator's list under its own rendezvous lock). The abort must wake them
   // all, the run must raise the kill attributed to rank 0 alone, and the
   // same Cluster must then run healthy traffic with the vtimes of a fresh
   // one.
@@ -194,6 +195,73 @@ TEST(AbortStress, KillWhilePeersParkedInRecvSendrecvAndCollective) {
     }
     EXPECT_NE(msg.find("rank 0 failed: fault injection: rank 0 killed at its "
                        "comm op 3"),
+              std::string::npos)
+        << msg;
+    EXPECT_EQ(cl.failed_ranks(), std::vector<int>{0});
+    cl.set_fault_plan({});
+    EXPECT_EQ(healthy_vtimes(cl), expect) << "iteration " << iter;
+    EXPECT_TRUE(cl.failed_ranks().empty());
+  }
+}
+
+TEST(AbortStress, KillWhilePeersParkedOnSiblingCommunicators) {
+  // Every communicator has its own rendezvous lock, and the abort finds
+  // the parked ranks by walking the cluster's registry of live
+  // communicators. Four workers; the world splits into four sibling quads
+  // and each quad into two pairs, all in this run. Rank 0 first handshakes
+  // with every other rank (ops 3-17), so they tend to be parked by the
+  // time it is killed at op 18, in its pair's barrier. Meanwhile rank 1
+  // waits in that pair barrier, ranks 2-3 in an allreduce on quad 0, the
+  // leaders of quads 1-3 (ranks 4, 8, 12) in a world barrier, and the other
+  // members of quads 1-3 in an allgather, a bcast and an allreduce on their
+  // own quads, which wait for their leader. The abort must wake every
+  // list, the kill must be attributed to rank 0 alone, and the Cluster
+  // must then reproduce a fresh one's vtimes.
+  const int P = 16;
+  Cluster fresh(P, Machine::unit_test());
+  fresh.set_fiber_workers(4);
+  const std::vector<double> expect = healthy_vtimes(fresh);
+
+  Cluster cl(P, Machine::unit_test());
+  cl.set_fiber_workers(4);
+  for (int iter = 0; iter < 8; ++iter) {
+    FaultPlan fp;
+    fp.kills.push_back({.rank = 0, .at_op = 18});
+    cl.set_fault_plan(fp);
+    std::string msg;
+    try {
+      cl.run([P](Comm& c) {
+        const int me = c.rank();
+        Comm quad = c.split(me / 4, me);              // op 1
+        Comm pair = quad.split(quad.rank() / 2, me);  // op 2
+        double x = me, y = 0;
+        if (me == 0) {
+          for (int r = 1; r < P; ++r) c.sendrecv(&x, 1, r, &y, 1, r, 5);
+          pair.barrier();  // op 18: killed here
+        } else {
+          c.sendrecv(&x, 1, 0, &y, 1, 0, 5);
+          std::vector<double> all(4);
+          if (me == 1) {
+            pair.barrier();
+          } else if (me < 4) {
+            quad.allreduce(&x, &y, 1);
+          } else if (me % 4 == 0) {
+            c.barrier();
+          } else if (me < 8) {
+            quad.allgather(&x, 1, all.data());
+          } else if (me < 12) {
+            quad.bcast(&x, 1, 0);
+          } else {
+            quad.allreduce(&x, &y, 1);
+          }
+        }
+        ADD_FAILURE() << "rank " << me << " returned past the kill";
+      });
+    } catch (const Error& e) {
+      msg = e.what();
+    }
+    EXPECT_NE(msg.find("rank 0 failed: fault injection: rank 0 killed at its "
+                       "comm op 18"),
               std::string::npos)
         << msg;
     EXPECT_EQ(cl.failed_ranks(), std::vector<int>{0});
