@@ -112,50 +112,50 @@ void print_engine_zoo() {
                        [&](Comm& w, const BlockLayout& la, const double* a,
                            const BlockLayout& lb, const double* b,
                            const BlockLayout& lc, double* c) {
-                         cosma_multiply<double>(w, cs, false, false, la, a, lb,
-                                                b, lc, c);
+                         run_plan<double>(w, cs, false, false, la, a, lb, b, lc,
+                                          c);
                        })),
          ms(run_engine(sc.m, sc.n, sc.k, P, mach,
                        [&](Comm& w, const BlockLayout& la, const double* a,
                            const BlockLayout& lb, const double* b,
                            const BlockLayout& lc, double* c) {
-                         ctf_multiply<double>(w, ct, false, false, la, a, lb,
-                                              b, lc, c);
+                         run_plan<double>(w, ct, false, false, la, a, lb, b, lc,
+                                          c);
                        })),
          ms(run_engine(sc.m, sc.n, sc.k, P, mach,
                        [&](Comm& w, const BlockLayout& la, const double* a,
                            const BlockLayout& lb, const double* b,
                            const BlockLayout& lc, double* c) {
-                         p25d_multiply<double>(w, pd, false, false, la, a, lb,
-                                               b, lc, c);
+                         run_plan<double>(w, pd, false, false, la, a, lb, b, lc,
+                                          c);
                        })),
          ms(run_engine(sc.m, sc.n, sc.k, P, mach,
                        [&](Comm& w, const BlockLayout& la, const double* a,
                            const BlockLayout& lb, const double* b,
                            const BlockLayout& lc, double* c) {
-                         summa_multiply<double>(w, su, false, false, la, a, lb,
-                                                b, lc, c);
+                         run_plan<double>(w, su, false, false, la, a, lb, b, lc,
+                                          c);
                        })),
          ms(run_engine(sc.m, sc.n, sc.k, P, mach,
                        [&](Comm& w, const BlockLayout& la, const double* a,
                            const BlockLayout& lb, const double* b,
                            const BlockLayout& lc, double* c) {
-                         cosma_multiply<double>(w, o_m, false, false, la, a,
-                                                lb, b, lc, c);
+                         run_plan<double>(w, o_m, false, false, la, a, lb, b,
+                                          lc, c);
                        })),
          ms(run_engine(sc.m, sc.n, sc.k, P, mach,
                        [&](Comm& w, const BlockLayout& la, const double* a,
                            const BlockLayout& lb, const double* b,
                            const BlockLayout& lc, double* c) {
-                         cosma_multiply<double>(w, o_n, false, false, la, a,
-                                                lb, b, lc, c);
+                         run_plan<double>(w, o_n, false, false, la, a, lb, b,
+                                          lc, c);
                        })),
          ms(run_engine(sc.m, sc.n, sc.k, P, mach,
                        [&](Comm& w, const BlockLayout& la, const double* a,
                            const BlockLayout& lb, const double* b,
                            const BlockLayout& lc, double* c) {
-                         cosma_multiply<double>(w, o_k, false, false, la, a,
-                                                lb, b, lc, c);
+                         run_plan<double>(w, o_k, false, false, la, a, lb, b,
+                                          lc, c);
                        }))});
   }
   t.print();

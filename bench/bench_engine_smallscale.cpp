@@ -60,14 +60,14 @@ double run_engine(Algo algo, const SmallClass& sc, int P,
       }
       case Algo::kCosma: {
         const CosmaPlan plan = CosmaPlan::make(sc.m, sc.n, sc.k, P);
-        cosma_multiply<double>(world, plan, false, false, a_lay, a.data(),
-                               b_lay, b.data(), c_lay, c.data());
+        run_plan<double>(world, plan, false, false, a_lay, a.data(), b_lay,
+                         b.data(), c_lay, c.data());
         break;
       }
       case Algo::kCtf: {
         const CtfPlan plan = CtfPlan::make(sc.m, sc.n, sc.k, P);
-        ctf_multiply<double>(world, plan, false, false, a_lay, a.data(),
-                             b_lay, b.data(), c_lay, c.data());
+        run_plan<double>(world, plan, false, false, a_lay, a.data(), b_lay,
+                         b.data(), c_lay, c.data());
         break;
       }
       default: CA_ASSERT(false);

@@ -103,15 +103,4 @@ void build_schedule(const CosmaPlan& plan, int rank,
 int cosma_pipeline(const CosmaPlan& plan, int rank, double gemm_fraction,
                    Schedule& s);
 
-/// C = op(A) x op(B) with COSMA-like scheduling; same calling convention as
-/// ca3dmm_multiply (user layouts in/out, redistribution included).
-template <typename T>
-void cosma_multiply(simmpi::Comm& world, const CosmaPlan& plan, bool trans_a,
-                    bool trans_b, const BlockLayout& a_layout, const T* a_local,
-                    const BlockLayout& b_layout, const T* b_local,
-                    const BlockLayout& c_layout, T* c_local) {
-  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
-           b_local, c_layout, c_local);
-}
-
 }  // namespace ca3dmm

@@ -31,18 +31,21 @@ struct CtfPlan : CosmaPlan {
         CosmaPlan::make(m, n, k, nranks, find_grid_ctf(m, n, k, nranks)));
   }
 
-  /// The cyclic layouts of untransposed operands (A as m x k, B as k x n),
-  /// built once by make() like the native layouts.
-  const BlockLayout& a_cyclic() const { return cyclic_a_; }
-  const BlockLayout& b_cyclic() const { return cyclic_b_; }
+  /// The cyclic layouts of the operands in their stored shape (A as m x k,
+  /// or k x m if transposed; likewise B), built once by make() like the
+  /// native layouts. run_plan binds them to kCyclicA/B.
+  const BlockLayout& a_cyclic(bool trans) const { return cyclic_a_[trans]; }
+  const BlockLayout& b_cyclic(bool trans) const { return cyclic_b_[trans]; }
 
  private:
   explicit CtfPlan(CosmaPlan base)
       : CosmaPlan(std::move(base)),
-        cyclic_a_(BlockLayout::col_1d(m(), k(), nranks())),
-        cyclic_b_(BlockLayout::col_1d(k(), n(), nranks())) {}
+        cyclic_a_{BlockLayout::col_1d(m(), k(), nranks()),
+                  BlockLayout::col_1d(k(), m(), nranks())},
+        cyclic_b_{BlockLayout::col_1d(k(), n(), nranks()),
+                  BlockLayout::col_1d(n(), k(), nranks())} {}
 
-  BlockLayout cyclic_a_, cyclic_b_;
+  BlockLayout cyclic_a_[2], cyclic_b_[2];
 };
 
 /// Appends world rank `rank`'s CTF-like schedule to `s`: remap into the
@@ -51,26 +54,5 @@ struct CtfPlan : CosmaPlan {
 void build_schedule(const CtfPlan& plan, int rank,
                     const simmpi::Machine& anchor, bool trans_a, bool trans_b,
                     Schedule& s);
-
-/// C = op(A) x op(B) with the CTF-like pipeline; same calling convention as
-/// ca3dmm_multiply.
-template <typename T>
-void ctf_multiply(simmpi::Comm& world, const CtfPlan& plan, bool trans_a,
-                  bool trans_b, const BlockLayout& a_layout, const T* a_local,
-                  const BlockLayout& b_layout, const T* b_local,
-                  const BlockLayout& c_layout, T* c_local) {
-  // A transposed operand is remapped in its stored shape, which the plan's
-  // cached pair does not cover.
-  const int P = plan.nranks();
-  const BlockLayout a_t =
-      trans_a ? BlockLayout::col_1d(plan.k(), plan.m(), P) : BlockLayout();
-  const BlockLayout b_t =
-      trans_b ? BlockLayout::col_1d(plan.n(), plan.k(), P) : BlockLayout();
-  ScheduleIo<T> io;
-  io.layouts[kCyclicA] = trans_a ? &a_t : &plan.a_cyclic();
-  io.layouts[kCyclicB] = trans_b ? &b_t : &plan.b_cyclic();
-  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
-           b_local, c_layout, c_local, io);
-}
 
 }  // namespace ca3dmm

@@ -2,24 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
+#include <vector>
 
-#include "linalg/gemm.hpp"
+#include "core/engine2d.hpp"
 
 namespace ca3dmm {
 
 using simmpi::Phase;
-
-namespace {
-
-constexpr int kTagAlignA = 501;
-constexpr int kTagAlignB = 502;
-constexpr int kTagShiftA = 503;
-constexpr int kTagShiftB = 504;
-
-inline int wrap(int v, int q) { return ((v % q) + q) % q; }
-
-}  // namespace
 
 P25dPlan P25dPlan::make(i64 m, i64 n, i64 k, int nranks,
                         std::optional<std::pair<int, int>> force_qc) {
@@ -89,13 +78,7 @@ void build_schedule(const P25dPlan& plan, int me, const simmpi::Machine&,
   const int layer = me / (q * q);
   const int idx = me % (q * q);
   const int i = idx % q, j = idx / q;
-  const i64 k = plan.k(), esize = s.esize();
-
-  // A and B blocks live on layer 0 initially; every active rank still sizes
-  // its (replicated) block buffers (the 2.5D extra-memory cost).
-  const i64 mb = block_size(plan.m(), q, i), nb = block_size(plan.n(), q, j);
-  const i64 kb_max = ceil_div(k, q);
-  auto kpart = [&](int t) { return block_size(k, q, wrap(t, q)); };
+  const i64 k = plan.k();
 
   const i64 a_init = plan.a_rect(me).size(), b_init = plan.b_rect(me).size();
   redistribute_in(s, a_init, b_init, trans_a, trans_b);
@@ -105,71 +88,34 @@ void build_schedule(const P25dPlan& plan, int me, const simmpi::Machine&,
   if (is_active) {
     s.split(kActive, kGrid, layer, idx, false);  // my layer's q x q grid
     s.split(kActive, kRepl, c /*offset*/ + idx, layer, false);  // fixed (i, j)
+    const i64 mb = block_size(plan.m(), q, i), nb = block_size(plan.n(), q, j);
+    thread_local std::vector<i64> kparts;  // the cost model builds P schedules
+    kparts.resize(static_cast<size_t>(q));
+    for (int t = 0; t < q; ++t)
+      kparts[static_cast<size_t>(t)] = block_size(k, q, t);
+    const Engine2dShape sh{q, q, i, j, mb, nb, kparts, kparts, false, true};
 
-    // ---- replicate layer 0's blocks down the layer dimension ----
-    s.alloc(kACur, mb * kb_max);
-    s.alloc(kBCur, kb_max * nb);
+    // ---- replicate layer 0's blocks down the layer dimension. Every
+    // active rank sizes its blocks for the largest k-part (the 2.5D
+    // extra-memory cost). ----
+    const i64 kb_max = ceil_div(k, q);
+    s.alloc(kABlk, mb * kb_max);
+    s.alloc(kBBlk, kb_max * nb);
     s.set_phase(Phase::kReplicate);
-    if (layer == 0) s.copy(kAInit, 0, 0, kACur, 0, 0, 1, a_init);
-    s.bcast(kRepl, kACur, mb * kpart(j), 0, false);
-    if (layer == 0) s.copy(kBInit, 0, 0, kBCur, 0, 0, 1, b_init);
-    s.bcast(kRepl, kBCur, kpart(i) * nb, 0, false);
+    if (layer == 0) s.copy(kAInit, 0, 0, kABlk, 0, 0, 1, a_init);
+    s.bcast(kRepl, kABlk, mb * kparts[static_cast<size_t>(j)], 0, false);
+    if (layer == 0) s.copy(kBInit, 0, 0, kBBlk, 0, 0, 1, b_init);
+    s.bcast(kRepl, kBBlk, kparts[static_cast<size_t>(i)] * nb, 0, false);
     s.set_phase(kInheritPhase);
     s.free(kAInit);
     s.free(kBInit);
 
-    // ---- layer-specific Cannon alignment ----
-    // Layer `layer` executes global shift steps [off, off + steps): align so
-    // that this rank holds A(i, i+j+off) and B(i+j+off, j).
-    const int off = static_cast<int>(block_start(q, c, layer));
-    const int steps = static_cast<int>(block_size(q, c, layer));
-    s.alloc(kANxt, mb * kb_max);
-    s.alloc(kBNxt, kb_max * nb);
-    int a_cur = kACur, a_nxt = kANxt, b_cur = kBCur, b_nxt = kBNxt;
-    s.set_phase(Phase::kShift);
-    // A: I hold (i, j); the rank needing mine has j' with
-    // wrap(j' + i + off) == j.
-    s.exchange(kGrid, a_cur, mb * kpart(j), wrap(j - i - off, q) * q + i,
-               a_nxt, mb * kpart(i + j + off), wrap(j + i + off, q) * q + i,
-               kTagAlignA, false);
-    std::swap(a_cur, a_nxt);
-    // B: the rank needing mine has i' with wrap(i' + j + off) == i.
-    s.exchange(kGrid, b_cur, kpart(i) * nb, j * q + wrap(i - j - off, q),
-               b_nxt, kpart(i + j + off) * nb, j * q + wrap(i + j + off, q),
-               kTagAlignB, false);
-    std::swap(b_cur, b_nxt);
-    s.set_phase(kInheritPhase);
-
-    // ---- my share of the Cannon steps ----
+    // ---- layer `layer` runs global shift steps [first, first + steps) ----
     s.alloc(kCPartial, mb * nb, /*zero=*/true);
-    const int left = wrap(j - 1, q) * q + i;
-    const int right = wrap(j + 1, q) * q + i;
-    const int up = j * q + wrap(i - 1, q);
-    const int down = j * q + wrap(i + 1, q);
-    for (int t = 0; t < steps; ++t) {
-      const i64 kb = kpart(i + j + off + t);
-      const i64 kb_next = kpart(i + j + off + t + 1);
-      if (t < steps - 1) {
-        s.set_phase(Phase::kShift);
-        s.exchange(kGrid, a_cur, mb * kb, left, a_nxt, mb * kb_next, right,
-                   kTagShiftA, true);
-        s.exchange(kGrid, b_cur, kb * nb, up, b_nxt, kb_next * nb, down,
-                   kTagShiftB, true);
-      }
-      s.set_phase(Phase::kCompute);
-      s.compute(a_cur, b_cur, kCPartial, mb, nb, kb, kb,
-                gemm_flops(mb, nb, kb),
-                gemm_operand_bytes(mb, nb, kb, esize) +
-                    (t == 0 ? gemm_result_bytes(mb, nb, esize) : 0.0),
-                true);
-      s.set_phase(kInheritPhase);
-      std::swap(a_cur, a_nxt);
-      std::swap(b_cur, b_nxt);
-    }
-    s.free(kACur);
-    s.free(kANxt);
-    s.free(kBCur);
-    s.free(kBNxt);
+    cannon_schedule(s, sh, kGrid, kABlk, kBBlk, kCPartial, 0,
+                    static_cast<int>(block_start(q, c, layer)),
+                    static_cast<int>(block_size(q, c, layer)),
+                    {kABlk, kBBlk});
 
     // ---- reduce partial C across layers (row split) ----
     c_result = kCPartial;

@@ -4,9 +4,10 @@
 // P = q x q x c processes: c replication layers over a square q x q grid.
 // A and B live on layer 0 in q x q blocks ("the matrices are only stored on
 // a subset of processes", as the CA3DMM paper notes); they are broadcast
-// down the layer dimension, each layer performs its 1/c share of the Cannon
-// shift sequence starting from a layer-specific alignment, and the partial C
-// results are reduce-scattered across layers.
+// down the layer dimension, each layer runs its 1/c share of the Cannon
+// shift sequence (core/engine2d's cannon_schedule on a window of steps,
+// whose skew is the layer's alignment), and the partial C results are
+// reduce-scattered across layers.
 //
 // With c = 1 this is exactly Cannon's 2-D algorithm; with c = P^(1/3) it is
 // the original 3-D algorithm — the trade-off curve the CA3DMM paper's §II
@@ -63,16 +64,5 @@ class P25dPlan {
 void build_schedule(const P25dPlan& plan, int rank,
                     const simmpi::Machine& anchor, bool trans_a, bool trans_b,
                     Schedule& s);
-
-/// C = op(A) x op(B) with the 2.5D algorithm; same calling convention as
-/// ca3dmm_multiply.
-template <typename T>
-void p25d_multiply(simmpi::Comm& world, const P25dPlan& plan, bool trans_a,
-                   bool trans_b, const BlockLayout& a_layout, const T* a_local,
-                   const BlockLayout& b_layout, const T* b_local,
-                   const BlockLayout& c_layout, T* c_local) {
-  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
-           b_local, c_layout, c_local);
-}
 
 }  // namespace ca3dmm

@@ -1,12 +1,11 @@
 #include "baselines/summa.hpp"
 
 #include <algorithm>
+#include <vector>
 
-#include "linalg/gemm.hpp"
+#include "core/engine2d.hpp"
 
 namespace ca3dmm {
-
-using simmpi::Phase;
 
 SummaPlan SummaPlan::make(i64 m, i64 n, i64 k, int nranks,
                           std::optional<std::pair<int, int>> force_grid) {
@@ -69,60 +68,29 @@ void build_schedule(const SummaPlan& plan, int me, const simmpi::Machine&,
   const int pr = plan.pr(), pc = plan.pc();
   const bool is_active = me < plan.active();
   const int gi = me / pc, gj = me % pc;
-  const i64 k = plan.k(), esize = s.esize();
+  const i64 k = plan.k();
 
   redistribute_in(s, plan.a_rect(me).size(), plan.b_rect(me).size(), trans_a,
                   trans_b);
 
   s.split(kWorld, kActive, is_active ? 0 : -1, me, false);
   if (is_active) {
-    s.split(kActive, kRow, gi, gj, false);
-    s.split(kActive, kCol, pr + gj, gi, false);
-    const Range a_kr = block_range(k, pc, gj);  // my A block's k columns
-    const Range b_kr = block_range(k, pr, gi);  // my B block's k rows
-    const i64 mb = block_size(plan.m(), pr, gi), nb = block_size(plan.n(), pc, gj);
+    // A's k range is split over the pc grid columns, B's over the pr rows.
+    thread_local std::vector<i64> kparts;  // the cost model builds P schedules
+    kparts.resize(static_cast<size_t>(pc + pr));
+    for (int t = 0; t < pc; ++t)
+      kparts[static_cast<size_t>(t)] = block_size(k, pc, t);
+    for (int t = 0; t < pr; ++t)
+      kparts[static_cast<size_t>(pc + t)] = block_size(k, pr, t);
+    const std::span<const i64> all = kparts;
+    const i64 mb = block_size(plan.m(), pr, gi);
+    const i64 nb = block_size(plan.n(), pc, gj);
+    const Engine2dShape sh{pr, pc, gi, gj, mb, nb, all.first(pc),
+                           all.subspan(pc), false, true};
     s.alloc(kCResult, mb * nb, /*zero=*/true);
-
-    // Panel walk: intervals never straddle an A column-block or B row-block
-    // boundary.
-    const auto panel_end = [&](i64 k0) {
-      return std::min(block_range(k, pc, block_of_index(k, pc, k0)).hi,
-                      block_range(k, pr, block_of_index(k, pr, k0)).hi);
-    };
-    i64 kb_max = 0;
-    for (i64 k0 = 0; k0 < k; k0 = panel_end(k0))
-      kb_max = std::max(kb_max, panel_end(k0) - k0);
-    s.alloc(kACur, mb * kb_max);  // the panels
-    s.alloc(kBCur, kb_max * nb);
-
-    for (i64 k0 = 0; k0 < k;) {
-      const int a_owner_col = static_cast<int>(block_of_index(k, pc, k0));
-      const int b_owner_row = static_cast<int>(block_of_index(k, pr, k0));
-      const i64 k1 = panel_end(k0), w = k1 - k0;
-      s.set_phase(Phase::kShift);
-      // The owners pack my columns / rows [k0, k1) into the panels.
-      if (gj == a_owner_col)
-        s.copy(kAInit, k0 - a_kr.lo, a_kr.size(), kACur, 0, w, mb, w);
-      s.bcast(kRow, kACur, mb * w, a_owner_col, true);
-      if (gi == b_owner_row)
-        s.copy(kBInit, (k0 - b_kr.lo) * nb, 0, kBCur, 0, 0, 1, w * nb);
-      s.bcast(kCol, kBCur, w * nb, b_owner_row, true);
-      s.set_phase(Phase::kCompute);
-      s.compute(kACur, kBCur, kCResult, mb, nb, w, w,
-                gemm_flops(mb, nb, w),
-                gemm_operand_bytes(mb, nb, w, esize) +
-                    (k0 == 0 ? gemm_result_bytes(mb, nb, esize) : 0.0),
-                true);
-      s.set_phase(kInheritPhase);
-      k0 = k1;
-    }
-    s.free(kBCur);
-    s.free(kACur);
+    summa_schedule(s, sh, kActive, kAInit, kBInit, kCResult,
+                   {kAInit, kBInit});
   }
-
-  // The initial operand buffers are dead once the panel loop finishes.
-  s.free(kAInit);
-  s.free(kBInit);
   redistribute_out(s, kCResult);
 }
 

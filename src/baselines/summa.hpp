@@ -7,8 +7,10 @@
 // exploit extra memory (no k-dimension parallelism), which is exactly the
 // limitation CA3DMM's 3-D organization removes.
 //
-// This implementation handles rectangular process grids with unaligned A/B
-// k-partitions by walking the union of both partitions' panel boundaries.
+// The panel loop is core/engine2d's summa_schedule on the whole pr x pc
+// grid, with A's k range split over the grid columns and B's over the rows:
+// it walks the union of both partitions' boundaries, so rectangular grids
+// with unaligned k-partitions work.
 #pragma once
 
 #include <optional>
@@ -51,23 +53,11 @@ class SummaPlan {
   NativeLayouts natives_;  ///< built once by make()
 };
 
-/// Appends world rank `rank`'s SUMMA schedule to `s`: one broadcast panel
-/// per interval between consecutive A column-block and B row-block
-/// boundaries — the largest panels, the setting the paper's §III-E latency
-/// analysis assumes. `anchor` is unused: it is part of every plan's
+/// Appends world rank `rank`'s SUMMA schedule to `s`: summa_schedule on the
+/// active ranks' grid. `anchor` is unused: it is part of every plan's
 /// build_schedule signature.
 void build_schedule(const SummaPlan& plan, int rank,
                     const simmpi::Machine& anchor, bool trans_a, bool trans_b,
                     Schedule& s);
-
-/// C = op(A) x op(B) with SUMMA; same calling convention as ca3dmm_multiply.
-template <typename T>
-void summa_multiply(simmpi::Comm& world, const SummaPlan& plan, bool trans_a,
-                    bool trans_b, const BlockLayout& a_layout, const T* a_local,
-                    const BlockLayout& b_layout, const T* b_local,
-                    const BlockLayout& c_layout, T* c_local) {
-  run_plan(world, plan, trans_a, trans_b, a_layout, a_local, b_layout,
-           b_local, c_layout, c_local);
-}
 
 }  // namespace ca3dmm

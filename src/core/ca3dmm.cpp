@@ -1,5 +1,7 @@
 #include "core/ca3dmm.hpp"
 
+#include <vector>
+
 namespace ca3dmm {
 
 using simmpi::Comm;
@@ -25,18 +27,13 @@ void build_schedule(const Ca3dmmPlan& plan, int me, const simmpi::Machine&,
   if (co.active) {
     const i64 mb = plan.m_range(co.I).size();
     const i64 nb = plan.n_range(co.J).size();
-    thread_local Engine2dShape sh;  // the cost model builds P schedules
-    sh.s = sd;
-    sh.i = co.i;
-    sh.j = co.j;
-    sh.mb = mb;
-    sh.nb = nb;
+    thread_local std::vector<i64> kparts;  // the cost model builds P schedules
     const Range kg = plan.k_range(co.gk);
-    sh.kpart_sizes.resize(static_cast<size_t>(sd));
+    kparts.resize(static_cast<size_t>(sd));
     for (int t = 0; t < sd; ++t)
-      sh.kpart_sizes[static_cast<size_t>(t)] = block_size(kg.size(), sd, t);
-    sh.abft = opt.abft;
-    sh.overlap = opt.overlap;
+      kparts[static_cast<size_t>(t)] = block_size(kg.size(), sd, t);
+    const Engine2dShape sh{sd,   sd,     co.i,   co.j,     mb,
+                           nb,   kparts, kparts, opt.abft, opt.overlap};
     s.split(kActive, kGrid, co.gk * c + co.gc, co.j * sd + co.i, true);
 
     // ---- step 5: replicate A or B across the c Cannon groups ----
@@ -51,7 +48,7 @@ void build_schedule(const Ca3dmmPlan& plan, int me, const simmpi::Machine&,
         // Slice g is (mb x ksub_g) row-major; slices are column ranges of
         // the full (mb x kb) block, in order, so they interleave
         // column-wise into the assembled block.
-        const i64 kb = sh.kpart_sizes[static_cast<size_t>(co.j)];
+        const i64 kb = kparts[static_cast<size_t>(co.j)];
         s.alloc(kGathered, mb * kb);
         const std::span<i64> sub =
             s.allgatherv(kRepl, kAInit, kGathered, c, true);
@@ -72,7 +69,7 @@ void build_schedule(const Ca3dmmPlan& plan, int me, const simmpi::Machine&,
       } else {
         // B slices are row ranges: the all-gather output is already the
         // row-major block.
-        const i64 kb = sh.kpart_sizes[static_cast<size_t>(co.i)];
+        const i64 kb = kparts[static_cast<size_t>(co.i)];
         s.alloc(kBBlk, kb * nb);
         const std::span<i64> sub =
             s.allgatherv(kRepl, kBInit, kBBlk, c, true);
@@ -90,8 +87,8 @@ void build_schedule(const Ca3dmmPlan& plan, int me, const simmpi::Machine&,
       summa_schedule(s, sh, kGrid, a_op, b_op, kCPartial,
                      {kABlk, kBBlk, kAInit, kBInit});
     else
-      cannon_schedule(s, sh, kGrid, a_op, b_op, kCPartial, opt.min_kblk,
-                      {kABlk, kBBlk, kAInit, kBInit});
+      cannon_schedule(s, sh, kGrid, a_op, b_op, kCPartial, opt.min_kblk, 0,
+                      sd, {kABlk, kBBlk, kAInit, kBInit});
 
     // ---- step 7: reduce-scatter partial C across the pk k-task groups ----
     c_result = kCPartial;

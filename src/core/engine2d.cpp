@@ -1,6 +1,7 @@
 #include "core/engine2d.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/error.hpp"
@@ -23,16 +24,17 @@ constexpr int kTagSkewB = 401;
 inline int grid_rank(int s, int i, int j) { return j * s + i; }
 inline int wrap(int v, int s) { return ((v % s) + s) % s; }
 
-/// The degenerate s == 1 grid of both engines: one local GEMM, nothing to
-/// communicate.
-void single_gemm(Schedule& sc, const Engine2dShape& sh, int a, int b, int c,
-                 std::initializer_list<int> release) {
-  const i64 kb = sh.kpart_sizes[0];
-  sc.set_phase(Phase::kCompute);
-  sc.compute(a, b, c, sh.mb, sh.nb, kb, kb,
-             gemm_flops(sh.mb, sh.nb, kb),
-             gemm_bytes(sh.mb, sh.nb, kb, sc.esize()), false);
-  sc.set_phase(kInheritPhase);
+/// The degenerate 1 x 1 grid of both engines: `steps` (0 or 1) local
+/// GEMMs, nothing to communicate.
+void single_gemm(Schedule& sc, const Engine2dShape& sh, int steps, int a,
+                 int b, int c, std::initializer_list<int> release) {
+  const i64 kb = sh.a_kparts[0];
+  if (steps > 0) {
+    sc.set_phase(Phase::kCompute);
+    sc.compute(a, b, c, sh.mb, sh.nb, kb, kb, gemm_flops(sh.mb, sh.nb, kb),
+               gemm_bytes(sh.mb, sh.nb, kb, sc.esize()), false);
+    sc.set_phase(kInheritPhase);
+  }
   for (const int slot : release) sc.free(slot);
 }
 
@@ -55,20 +57,40 @@ class StepBytes {
   bool c_staged_ = false;
 };
 
+/// Calls f(ta, a_off, tb, b_off, w) for each SUMMA panel in k order: the
+/// nonempty intervals between consecutive boundaries of A's and B's k
+/// partitions. The panel is columns [a_off, a_off + w) of A k-part ta and
+/// rows [b_off, b_off + w) of B k-part tb.
+template <typename F>
+void for_each_panel(const Engine2dShape& sh, F&& f) {
+  const std::span<const i64> ka = sh.a_kparts, kb = sh.b_kparts;
+  size_t ta = 0, tb = 0;
+  i64 a_off = 0, b_off = 0;
+  while (ta < ka.size() && tb < kb.size()) {
+    const i64 w = std::min(ka[ta] - a_off, kb[tb] - b_off);
+    if (w > 0)
+      f(static_cast<int>(ta), a_off, static_cast<int>(tb), b_off, w);
+    a_off += w;
+    b_off += w;
+    if (a_off == ka[ta]) ++ta, a_off = 0;
+    if (b_off == kb[tb]) ++tb, b_off = 0;
+  }
+}
+
 }  // namespace
 
 void cannon_schedule(Schedule& sc, const Engine2dShape& sh, int grid, int a,
-                     int b, int c, i64 min_kblk,
+                     int b, int c, i64 min_kblk, int first, int steps,
                      std::initializer_list<int> release) {
-  const int s = sh.s, i = sh.i, j = sh.j;
-  CA_ASSERT(static_cast<int>(sh.kpart_sizes.size()) == s);
+  const int s = sh.pr, i = sh.i, j = sh.j;
+  CA_ASSERT(sh.pc == s && static_cast<int>(sh.a_kparts.size()) == s);
   if (s == 1) {
-    single_gemm(sc, sh, a, b, c, release);
+    single_gemm(sc, sh, steps, a, b, c, release);
     return;
   }
   const i64 esize = sc.esize(), mb = sh.mb, nb = sh.nb;
   auto kpart = [&](int t) {
-    return sh.kpart_sizes[static_cast<size_t>(wrap(t, s))];
+    return sh.a_kparts[static_cast<size_t>(wrap(t, s))];
   };
   // Elements on the wire for a tile of `payload` elements: the payload
   // alone, or payload + ABFT checksum trailer when protection is on.
@@ -77,24 +99,25 @@ void cannon_schedule(Schedule& sc, const Engine2dShape& sh, int grid, int a,
     return abft ? payload + resilience::abft_trailer_elems(payload, esize)
                 : payload;
   };
-  const i64 kb_max = sh.kb_max();
+  const i64 kb_max = std::ranges::max(sh.a_kparts);
   // Multi-shift aggregation (paper §III-F): thin k-parts accumulate into a
   // window of at least min_kblk before one GEMM runs on it.
   const bool aggregate = min_kblk > 0 && kb_max < min_kblk;
   sc.alloc(kACur, msg(mb * kb_max));
   sc.alloc(kBCur, msg(kb_max * nb));
 
-  // ---- initial skew (paper §III-B): afterwards this process holds
-  // A k-part (i + j) and B k-part (i + j). A: row i shifts left by i, send
-  // to (i, j-i), receive from (i, j+i). B: column j shifts up by j, send to
-  // (i-j, j), receive from (i+j, j). ----
-  const int to_a = grid_rank(s, i, wrap(j - i, s));
-  const int from_a = grid_rank(s, i, wrap(j + i, s));
-  const int to_b = grid_rank(s, wrap(i - j, s), j);
-  const int from_b = grid_rank(s, wrap(i + j, s), j);
-  const i64 ka_s = kpart(j), ka_r = kpart(j + i);
+  // ---- initial skew (paper §III-B), shifted by `first`: afterwards this
+  // process holds A k-part (i + j + first) and B k-part (i + j + first).
+  // A: row i shifts left by i + first, send to (i, j-i-first), receive
+  // from (i, j+i+first). B: column j shifts up by j + first. ----
+  const int h = i + j + first;  // the k-part this rank starts on
+  const int to_a = grid_rank(s, i, wrap(j - i - first, s));
+  const int from_a = grid_rank(s, i, wrap(h, s));
+  const int to_b = grid_rank(s, wrap(i - j - first, s), j);
+  const int from_b = grid_rank(s, wrap(h, s), j);
+  const i64 ka_s = kpart(j), ka_r = kpart(h);
   const i64 pa_s = mb * ka_s, pa_r = mb * ka_r;
-  const i64 pb_s = kpart(i) * nb, pb_r = kpart(i + j) * nb;
+  const i64 pb_s = kpart(i) * nb, pb_r = kpart(h) * nb;
   sc.set_phase(Phase::kShift);
   if (!abft) {
     sc.exchange(grid, a, pa_s, to_a, kACur, pa_r, from_a, kTagSkewA, false);
@@ -133,8 +156,9 @@ void cannon_schedule(Schedule& sc, const Engine2dShape& sh, int grid, int a,
   // A k-major (agg_cap rows of mb), so every panel is one contiguous range
   // and the flush GEMM reads A transposed. The skewed panels open the
   // first window. ----
-  const i64 agg_cap =
-      aggregate ? std::min(sh.kb_total(), min_kblk + kb_max) : 0;
+  const i64 kb_total =
+      std::accumulate(sh.a_kparts.begin(), sh.a_kparts.end(), i64{0});
+  const i64 agg_cap = aggregate ? std::min(kb_total, min_kblk + kb_max) : 0;
   sc.alloc(kAggA, mb * agg_cap);
   sc.alloc(kAggB, agg_cap * nb);
   if (aggregate) {
@@ -161,12 +185,12 @@ void cannon_schedule(Schedule& sc, const Engine2dShape& sh, int grid, int a,
   // The overlap budget accumulates across shifts until the next GEMM flush:
   // with aggregation, several steps' transfers pipeline into one
   // aggregated GEMM. The final step has nothing in flight.
-  for (int t = 0; t < s; ++t) {
-    const i64 kb = kpart(i + j + t);  // current k-part extent
-    const i64 kb_next = kpart(i + j + t + 1);
-    const bool flush = !aggregate || agg_k + kb >= min_kblk || t == s - 1;
+  for (int t = 0; t < steps; ++t) {
+    const i64 kb = kpart(h + t);  // current k-part extent
+    const i64 kb_next = kpart(h + t + 1);
+    const bool flush = !aggregate || agg_k + kb >= min_kblk || t == steps - 1;
     const bool in_place = from_window && !flush;
-    if (t < s - 1) {
+    if (t < steps - 1) {
       const i64 src_k = from_window ? agg_k : 0;  // k offsets in the slots
       const i64 dst_k = in_place ? agg_k + kb : 0;
       sc.set_phase(Phase::kShift);
@@ -191,7 +215,7 @@ void cannon_schedule(Schedule& sc, const Engine2dShape& sh, int grid, int a,
       sc.set_phase(kInheritPhase);
       agg_k = 0;
     }
-    if (aggregate && !in_place && t < s - 1) {
+    if (aggregate && !in_place && t < steps - 1) {
       sc.copy(a_nxt, 0, 0, kAggA, agg_k * mb, 0, 1, kb_next * mb);
       sc.copy(b_nxt, 0, 0, kAggB, agg_k * nb, 0, 1, kb_next * nb);
     }
@@ -208,33 +232,41 @@ void cannon_schedule(Schedule& sc, const Engine2dShape& sh, int grid, int a,
 
 void summa_schedule(Schedule& sc, const Engine2dShape& sh, int grid, int a,
                     int b, int c, std::initializer_list<int> release) {
-  const int s = sh.s, i = sh.i, j = sh.j;
-  if (s == 1) {
-    single_gemm(sc, sh, a, b, c, release);
+  const int pr = sh.pr, i = sh.i, j = sh.j;
+  CA_ASSERT(static_cast<int>(sh.a_kparts.size()) == sh.pc &&
+            static_cast<int>(sh.b_kparts.size()) == pr);
+  if (pr == 1 && sh.pc == 1) {
+    single_gemm(sc, sh, 1, a, b, c, release);
     return;
   }
   // Row communicator (fixed i, varying j) and column communicator.
   sc.split(grid, kRow, i, j, false);
-  sc.split(grid, kCol, s + j, i, false);  // color offset keeps it symmetric
+  sc.split(grid, kCol, pr + j, i, false);  // color offset keeps it symmetric
 
-  const i64 mb = sh.mb, nb = sh.nb, kb_max = sh.kb_max();
+  const i64 mb = sh.mb, nb = sh.nb;
+  i64 kb_max = 0;
+  for_each_panel(sh, [&](int, i64, int, i64, i64 w) {
+    kb_max = std::max(kb_max, w);
+  });
   sc.alloc(kACur, mb * kb_max);  // the panels
   sc.alloc(kBCur, kb_max * nb);
   StepBytes step_bytes(sh, sc.esize());
-  for (int t = 0; t < s; ++t) {
-    const i64 kb = sh.kpart_sizes[static_cast<size_t>(t)];
-    // Owner of A(i, k-part t) is (i, t); of B(k-part t, j) is (t, j).
+  for_each_panel(sh, [&](int ta, i64 a_off, int tb, i64 b_off, i64 w) {
+    // The owners of A k-part ta (grid column ta) and B k-part tb (grid row
+    // tb) pack the panel's columns / rows.
     sc.set_phase(Phase::kShift);
-    if (j == t) sc.copy(a, 0, 0, kACur, 0, 0, 1, mb * kb);
-    sc.bcast(kRow, kACur, mb * kb, t, sh.overlap);
-    if (i == t) sc.copy(b, 0, 0, kBCur, 0, 0, 1, kb * nb);
-    sc.bcast(kCol, kBCur, kb * nb, t, sh.overlap);
+    if (j == ta)
+      sc.copy(a, a_off, sh.a_kparts[static_cast<size_t>(ta)], kACur, 0, w,
+              mb, w);
+    sc.bcast(kRow, kACur, mb * w, ta, sh.overlap);
+    if (i == tb) sc.copy(b, b_off * nb, 0, kBCur, 0, 0, 1, w * nb);
+    sc.bcast(kCol, kBCur, w * nb, tb, sh.overlap);
     // SUMMA pipelines the next panel broadcast with the current update.
     sc.set_phase(Phase::kCompute);
-    sc.compute(kACur, kBCur, c, mb, nb, kb, kb, gemm_flops(mb, nb, kb),
-               step_bytes(kb), true);
+    sc.compute(kACur, kBCur, c, mb, nb, w, w, gemm_flops(mb, nb, w),
+               step_bytes(w), true);
     sc.set_phase(kInheritPhase);
-  }
+  });
   for (const int slot : release) sc.free(slot);
   sc.free(kBCur);
   sc.free(kACur);

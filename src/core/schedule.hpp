@@ -27,6 +27,7 @@
 #include <iterator>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "layout/block_layout.hpp"
@@ -305,6 +306,8 @@ class Schedule {
   void copy(int src, i64 src_off, i64 src_ld, int dst, i64 dst_off,
             i64 dst_ld, i64 rows, i64 cols, bool transpose = false) {
     if (!with_data_ || rows <= 0 || cols <= 0) return;
+    if (!transpose && src_ld == cols && dst_ld == cols)  // one contiguous run
+      cols *= std::exchange(rows, 1);
     push(OpKind::kCopy).copy =
         Op::Copy{u8(src), u8(dst), transpose, rows,   cols,
                  src_off, src_ld,  dst_off,   dst_ld};
@@ -457,6 +460,10 @@ void run_plan(simmpi::Comm& world, const Plan& plan, bool trans_a,
   const BlockLayout* bound[] = {&la, &lb, &lc, &plan.a_native(),
                                 &plan.b_native(), &plan.c_native()};
   std::copy(std::begin(bound), std::end(bound), io.layouts);
+  if constexpr (requires { plan.a_cyclic(trans_a); }) {  // CTF's remap
+    io.layouts[kCyclicA] = &plan.a_cyclic(trans_a);
+    io.layouts[kCyclicB] = &plan.b_cyclic(trans_b);
+  }
   io.a = a;
   io.b = b;
   io.c = c;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 
 namespace ca3dmm::costmodel {
 
@@ -15,16 +14,6 @@ using simmpi::Cluster;
 using simmpi::Comm;
 using simmpi::Phase;
 using simmpi::RankStats;
-
-void fill_local(const BlockLayout& layout, int rank, std::uint64_t seed,
-                std::vector<double>& buf) {
-  buf.assign(static_cast<size_t>(layout.local_size(rank)), 0.0);
-  i64 pos = 0;
-  for (const Rect& r : layout.rects_of(rank))
-    for (i64 i = r.r.lo; i < r.r.hi; ++i)
-      for (i64 j = r.c.lo; j < r.c.hi; ++j)
-        buf[static_cast<size_t>(pos++)] = matrix_entry<double>(seed, i, j);
-}
 
 PhaseDrift join(const char* name, double pred, double exec,
                 const DriftOptions& o) {
@@ -85,9 +74,8 @@ RankStats run_workload(Algo algo, const Workload& w, Cluster& cl) {
   CA_REQUIRE(w.esize == static_cast<i64>(sizeof(double)),
              "run_workload executes doubles, got esize %lld",
              static_cast<long long>(w.esize));
-  // The program predict() replays, run by run_plan — the body every public
-  // executor forwards to — with the program's layouts (CTF's cyclic ones
-  // included).
+  // The program predict() replays, run by run_plan (every algorithm's
+  // executor), which binds the plan's own layouts.
   const Program pg = program_of(algo, w, cl.nranks());
   const BlockLayout& la = pg.layouts[kUserLayoutA];
   const BlockLayout& lb = pg.layouts[kUserLayoutB];
@@ -98,12 +86,10 @@ RankStats run_workload(Algo algo, const Workload& w, Cluster& cl) {
     fill_local(la, me, 1, a);
     fill_local(lb, me, 2, b);
     std::vector<double> c(static_cast<size_t>(lc.local_size(me)));
-    ScheduleIo<double> io;
-    for (int l = 0; l < kLayoutCount; ++l) io.layouts[l] = &pg.layouts[l];
     std::visit(
         [&](const auto& plan) {
           run_plan(world, plan, false, false, la, a.data(), lb, b.data(), lc,
-                   c.data(), io);
+                   c.data());
         },
         pg.plan);
   });

@@ -59,8 +59,8 @@ DriftReport drift_report(const Prediction& pred,
                          const DriftOptions& opts = {});
 
 /// Executes one multiply of `w` by `algo` on the caller's Cluster: run_plan
-/// — the body of every public executor (ca3dmm_multiply, cosma_multiply,
-/// ...) — on program_of()'s plan and layouts, one-shot (w.warm_comms is not
+/// — every algorithm's executor (ca3dmm_multiply forwards to it) — on
+/// program_of()'s plan and layouts, one-shot (w.warm_comms is not
 /// executed), and returns the aggregate stats. The Cluster is
 /// caller-owned so tracing can be enabled beforehand and the trace exported
 /// afterwards; operands are deterministic matrix_entry values, so repeated

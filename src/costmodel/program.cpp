@@ -58,8 +58,8 @@ Program program_of(Algo algo, const Workload& w, int P) {
     case Algo::kCtf: {
       const CtfPlan& plan =
           pg.plan.emplace<CtfPlan>(CtfPlan::make(w.m, w.n, w.k, P));
-      pg.layouts[kCyclicA] = plan.a_cyclic();
-      pg.layouts[kCyclicB] = plan.b_cyclic();
+      pg.layouts[kCyclicA] = plan.a_cyclic(false);
+      pg.layouts[kCyclicB] = plan.b_cyclic(false);
       break;
     }
     case Algo::kSumma:  // forced grids give (pr, pc) as (pm, pn)

@@ -90,13 +90,11 @@ PgemmEngine::Entry& PgemmEngine::lookup(const PlanKey& key, bool trans_a,
   }
   simmpi::trace_marker("engine:plan build");
   e.plan = Ca3dmmPlan::make(key.m, key.n, key.k, key.nranks, build_opt);
-  e.comms =
-      PlanComms::make(world_, e.schedule(world_, trans_a, trans_b, esize));
-  const RankCoord co = e.plan.coord(world_.rank());
-  e.splits_per_call =
-      1 + (co.active ? 1 + (e.plan.c() > 1 ? 1 : 0) +
-                           (e.plan.grid().pk > 1 ? 1 : 0)
-                     : 0);
+  const Schedule& s = e.schedule(world_, trans_a, trans_b, esize);
+  e.comms = PlanComms::make(world_, s);
+  e.splits_per_call = std::ranges::count_if(s.ops(), [](const Op& op) {
+    return op.kind == OpKind::kSplit && op.split.cacheable;
+  });
   lru_.push_front(std::move(e));
   while (lru_.size() > cfg_.plan_cache_capacity) {
     lru_.pop_back();

@@ -28,6 +28,7 @@
 
 #include "common/error.hpp"
 #include "common/partition.hpp"
+#include "common/rng.hpp"
 
 namespace ca3dmm {
 
@@ -190,5 +191,19 @@ struct NativeLayouts {
             each(p.m(), p.n(), [&](int r) { return p.c_rect(r); })};
   }
 };
+
+/// Sets `buf` to `rank`'s local buffer under `layout` of the virtual global
+/// random matrix `seed` (matrix_entry, the generator tests validate
+/// against), writing each element once: no zero pass first.
+template <typename T>
+void fill_local(const BlockLayout& layout, int rank, std::uint64_t seed,
+                std::vector<T>& buf) {
+  buf.clear();
+  buf.reserve(static_cast<size_t>(layout.local_size(rank)));
+  for (const Rect& r : layout.rects_of(rank))
+    for (i64 i = r.r.lo; i < r.r.hi; ++i)
+      for (i64 j = r.c.lo; j < r.c.hi; ++j)
+        buf.push_back(matrix_entry<T>(seed, i, j));
+}
 
 }  // namespace ca3dmm

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "common/rng.hpp"
-
 namespace ca3dmm::service {
 
 using costmodel::Algo;
@@ -26,19 +24,6 @@ const char* verdict_name(Verdict v) {
 }
 
 namespace {
-
-/// Fills this rank's local buffer under `layout` from the virtual global
-/// random matrix `seed` (same generator the tests validate against),
-/// writing each element once. Host work only — charges no virtual time.
-void fill_local(const BlockLayout& layout, int rank, std::uint64_t seed,
-                std::vector<double>& buf) {
-  buf.resize(static_cast<size_t>(layout.local_size(rank)));
-  i64 pos = 0;
-  for (const Rect& r : layout.rects_of(rank))
-    for (i64 i = r.r.lo; i < r.r.hi; ++i)
-      for (i64 j = r.c.lo; j < r.c.hi; ++j)
-        buf[static_cast<size_t>(pos++)] = matrix_entry<double>(seed, i, j);
-}
 
 double percentile(std::vector<double> v, double q) {
   if (v.empty()) return 0;

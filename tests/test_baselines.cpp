@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "baselines/cosma_like.hpp"
@@ -21,16 +23,6 @@ using simmpi::Comm;
 using simmpi::Machine;
 
 constexpr std::uint64_t kSeedA = 31, kSeedB = 32;
-
-void fill_local(const BlockLayout& layout, int rank, std::uint64_t seed,
-                std::vector<double>& buf) {
-  buf.assign(static_cast<size_t>(layout.local_size(rank)), 0.0);
-  i64 pos = 0;
-  for (const Rect& r : layout.rects_of(rank))
-    for (i64 i = r.r.lo; i < r.r.hi; ++i)
-      for (i64 j = r.c.lo; j < r.c.hi; ++j)
-        buf[static_cast<size_t>(pos++)] = matrix_entry<double>(seed, i, j);
-}
 
 using MultiplyFn = std::function<void(
     Comm&, bool, bool, const BlockLayout&, const double*, const BlockLayout&,
@@ -67,12 +59,13 @@ void run_baseline(i64 m, i64 n, i64 k, int P, bool ta, bool tb,
   });
 }
 
-MultiplyFn summa_fn(i64 m, i64 n, i64 k, int P) {
-  const SummaPlan plan = SummaPlan::make(m, n, k, P);
+MultiplyFn summa_fn(i64 m, i64 n, i64 k, int P,
+                    std::optional<std::pair<int, int>> grid = {}) {
+  const SummaPlan plan = SummaPlan::make(m, n, k, P, grid);
   return [plan](Comm& w, bool ta, bool tb, const BlockLayout& la,
                 const double* a, const BlockLayout& lb, const double* b,
                 const BlockLayout& lc, double* c) {
-    summa_multiply<double>(w, plan, ta, tb, la, a, lb, b, lc, c);
+    run_plan<double>(w, plan, ta, tb, la, a, lb, b, lc, c);
   };
 }
 
@@ -80,7 +73,7 @@ MultiplyFn cosma_fn(const CosmaPlan& plan) {
   return [plan](Comm& w, bool ta, bool tb, const BlockLayout& la,
                 const double* a, const BlockLayout& lb, const double* b,
                 const BlockLayout& lc, double* c) {
-    cosma_multiply<double>(w, plan, ta, tb, la, a, lb, b, lc, c);
+    run_plan<double>(w, plan, ta, tb, la, a, lb, b, lc, c);
   };
 }
 
@@ -95,6 +88,9 @@ TEST(Summa, RectangularGridUnalignedPanels) {
 
 TEST(Summa, UnevenBlocks) {
   run_baseline(37, 29, 53, 6, false, false, summa_fn(37, 29, 53, 6));
+  // k smaller than the grid: empty k-parts on both sides of the panel walk.
+  run_baseline(24, 24, 2, 16, false, false,
+               summa_fn(24, 24, 2, 16, std::make_pair(4, 4)));
 }
 
 TEST(Summa, Transposes) {
@@ -193,7 +189,7 @@ TEST(CtfLike, Correct) {
                [&](Comm& w, bool ta, bool tb, const BlockLayout& la,
                    const double* a, const BlockLayout& lb, const double* b,
                    const BlockLayout& lc, double* c) {
-                 ctf_multiply<double>(w, plan, ta, tb, la, a, lb, b, lc, c);
+                 run_plan<double>(w, plan, ta, tb, la, a, lb, b, lc, c);
                });
 }
 

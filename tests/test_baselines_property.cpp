@@ -45,16 +45,6 @@ std::vector<Sample> samples() {
   return out;
 }
 
-void fill_local(const BlockLayout& layout, int rank, std::uint64_t seed,
-                std::vector<double>& buf) {
-  buf.assign(static_cast<size_t>(layout.local_size(rank)), 0.0);
-  i64 pos = 0;
-  for (const Rect& r : layout.rects_of(rank))
-    for (i64 i = r.r.lo; i < r.r.hi; ++i)
-      for (i64 j = r.c.lo; j < r.c.hi; ++j)
-        buf[static_cast<size_t>(pos++)] = matrix_entry<double>(seed, i, j);
-}
-
 class BaselineProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(BaselineProperty, AllAlgorithmsAgreeWithReference) {
@@ -96,20 +86,20 @@ TEST_P(BaselineProperty, AllAlgorithmsAgreeWithReference) {
                                   b_lay, bl.data(), c_lay, cb.data());
           break;
         case 1:
-          cosma_multiply<double>(world, cs_plan, s.ta, s.tb, a_lay, al.data(),
-                                 b_lay, bl.data(), c_lay, cb.data());
+          run_plan<double>(world, cs_plan, s.ta, s.tb, a_lay, al.data(), b_lay,
+                           bl.data(), c_lay, cb.data());
           break;
         case 2:
-          ctf_multiply<double>(world, ctf_plan, s.ta, s.tb, a_lay, al.data(),
-                               b_lay, bl.data(), c_lay, cb.data());
+          run_plan<double>(world, ctf_plan, s.ta, s.tb, a_lay, al.data(), b_lay,
+                           bl.data(), c_lay, cb.data());
           break;
         case 3:
-          summa_multiply<double>(world, su_plan, s.ta, s.tb, a_lay, al.data(),
-                                 b_lay, bl.data(), c_lay, cb.data());
+          run_plan<double>(world, su_plan, s.ta, s.tb, a_lay, al.data(), b_lay,
+                           bl.data(), c_lay, cb.data());
           break;
         default:
-          p25d_multiply<double>(world, pd_plan, s.ta, s.tb, a_lay, al.data(),
-                                b_lay, bl.data(), c_lay, cb.data());
+          run_plan<double>(world, pd_plan, s.ta, s.tb, a_lay, al.data(), b_lay,
+                           bl.data(), c_lay, cb.data());
           break;
       }
       i64 pos = 0;

@@ -20,18 +20,6 @@ using simmpi::Machine;
 
 constexpr std::uint64_t kSeedA = 11, kSeedB = 22;
 
-/// Fills this rank's local buffer under `layout` from the virtual global
-/// random matrix `seed`.
-void fill_local(const BlockLayout& layout, int rank, std::uint64_t seed,
-                std::vector<double>& buf) {
-  buf.assign(static_cast<size_t>(layout.local_size(rank)), 0.0);
-  i64 pos = 0;
-  for (const Rect& r : layout.rects_of(rank))
-    for (i64 i = r.r.lo; i < r.r.hi; ++i)
-      for (i64 j = r.c.lo; j < r.c.hi; ++j)
-        buf[static_cast<size_t>(pos++)] = matrix_entry<double>(seed, i, j);
-}
-
 /// Serial reference: C = op(A) op(B) with the same virtual matrices.
 Matrix<double> reference_product(i64 m, i64 n, i64 k, bool ta, bool tb) {
   Matrix<double> a(ta ? k : m, ta ? m : k), b(tb ? n : k, tb ? k : n);

@@ -62,16 +62,6 @@ BlockLayout pick_layout(int kind, i64 rows, i64 cols, int P) {
   }
 }
 
-void fill_local(const BlockLayout& layout, int rank, std::uint64_t seed,
-                std::vector<double>& buf) {
-  buf.assign(static_cast<size_t>(layout.local_size(rank)), 0.0);
-  i64 pos = 0;
-  for (const Rect& r : layout.rects_of(rank))
-    for (i64 i = r.r.lo; i < r.r.hi; ++i)
-      for (i64 j = r.c.lo; j < r.c.hi; ++j)
-        buf[static_cast<size_t>(pos++)] = matrix_entry<double>(seed, i, j);
-}
-
 class Ca3dmmProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(Ca3dmmProperty, MatchesReference) {

@@ -392,20 +392,14 @@ struct LayoutRun {
 LayoutRun run_layouts(const Ca3dmmPlan& plan, const BlockLayout& la,
                       const BlockLayout& lb, const BlockLayout& lc) {
   const int P = plan.nranks();
-  const auto local_of = [](const BlockLayout& l, int r, std::uint64_t seed) {
-    std::vector<double> v;
-    for (const Rect& rc : l.rects_of(r))
-      for (i64 i = rc.r.lo; i < rc.r.hi; ++i)
-        for (i64 j = rc.c.lo; j < rc.c.hi; ++j)
-          v.push_back(matrix_entry<double>(seed, i, j));
-    return v;
-  };
   std::vector<std::vector<double>> cs(static_cast<size_t>(P));
   Cluster cl(P, small_nodes());
   cl.set_fiber_workers(1);
   cl.run([&](Comm& world) {
     const int me = world.rank();
-    const std::vector<double> a = local_of(la, me, 1), b = local_of(lb, me, 2);
+    std::vector<double> a, b;
+    fill_local(la, me, 1, a);
+    fill_local(lb, me, 2, b);
     std::vector<double>& c = cs[static_cast<size_t>(me)];
     c.resize(static_cast<size_t>(lc.local_size(me)));
     ca3dmm_multiply<double>(world, plan, false, false, la, a.data(), lb,

@@ -31,16 +31,6 @@ using simmpi::Machine;
 
 constexpr std::uint64_t kSeedA = 31, kSeedB = 32;
 
-void fill_local(const BlockLayout& layout, int rank, std::uint64_t seed,
-                std::vector<double>& buf) {
-  buf.assign(static_cast<size_t>(layout.local_size(rank)), 0.0);
-  i64 pos = 0;
-  for (const Rect& r : layout.rects_of(rank))
-    for (i64 i = r.r.lo; i < r.r.hi; ++i)
-      for (i64 j = r.c.lo; j < r.c.hi; ++j)
-        buf[static_cast<size_t>(pos++)] = matrix_entry<double>(seed, i, j);
-}
-
 template <typename T>
 Request<T> make_request(i64 m, i64 n, i64 k, const BlockLayout& a_lay,
                         const T* a, const BlockLayout& b_lay, const T* b,
@@ -318,6 +308,39 @@ TEST(EngineVsOneShot, BitIdenticalLowerVtimeSamePeakMemory) {
     for (size_t i = 0; i < eng.c[ur].size(); ++i)
       ASSERT_EQ(eng.c[ur][i], oneshot.c[ur][i])
           << "rank " << r << " element " << i;
+  }
+}
+
+TEST(EngineStats, SplitsSavedAreThePlansCacheableSplitsPerHit) {
+  // Forced 1 x 2 x 2 grid on 5 ranks: s = 1, c = 2, pk = 2, rank 4 idle.
+  // An active rank's plan takes four cacheable splits (active, Cannon,
+  // replication, reduction), the idle rank's one (active); every hit saves
+  // them all.
+  const i64 m = 8, n = 12, k = 10;
+  const int P = 5, iters = 3;
+  const BlockLayout la = BlockLayout::col_1d(m, k, P);
+  const BlockLayout lb = BlockLayout::col_1d(k, n, P);
+  const BlockLayout lc = BlockLayout::col_1d(m, n, P);
+  std::vector<EngineStats> st(static_cast<size_t>(P));
+  Cluster cl(P, Machine::unit_test());
+  cl.run([&](Comm& world) {
+    const int me = world.rank();
+    std::vector<double> a, b;
+    fill_local(la, me, kSeedA, a);
+    fill_local(lb, me, kSeedB, b);
+    std::vector<double> c(static_cast<size_t>(lc.local_size(me)));
+    Request<double> req =
+        make_request<double>(m, n, k, la, a.data(), lb, b.data(), lc, c.data());
+    req.opt.force_grid = ProcGrid{1, 2, 2};
+    PgemmEngine eng(world);
+    for (int t = 0; t < iters; ++t) eng.multiply(req);
+    st[static_cast<size_t>(me)] = eng.stats();
+  });
+  for (int r = 0; r < P; ++r) {
+    EXPECT_EQ(st[static_cast<size_t>(r)].plan_hits, iters - 1);
+    EXPECT_EQ(st[static_cast<size_t>(r)].splits_saved,
+              (iters - 1) * (r < 4 ? 4 : 1))
+        << "rank " << r;
   }
 }
 

@@ -122,7 +122,8 @@ INSTANTIATE_TEST_SUITE_P(
                       GridCase{2, 17, 13, 19, true, 0},
                       GridCase{3, 25, 23, 22, true, 0},
                       GridCase{4, 37, 29, 53, true, 0},
-                      GridCase{4, 16, 16, 3, true, 0}));
+                      GridCase{4, 16, 16, 3, true, 0},
+                      GridCase{4, 16, 16, 2, true, 0}));
 
 TEST(Engine2d, CannonAndSummaAgreeBitwiseOnEvenBlocks) {
   // With even blocks and the same panel order both engines sum the same

@@ -436,36 +436,36 @@ const NamedExecutor kExecutors[] = {
      [](Comm& w, i64 m, i64 n, i64 k, const BlockLayout& la, const double* a,
         const BlockLayout& lb, const double* b, const BlockLayout& lc,
         double* c) {
-       cosma_multiply<double>(w, CosmaPlan::make(m, n, k, w.size()), false,
-                              false, la, a, lb, b, lc, c);
+       run_plan<double>(w, CosmaPlan::make(m, n, k, w.size()), false, false, la,
+                        a, lb, b, lc, c);
      }},
     {"carma",
      [](Comm& w, i64 m, i64 n, i64 k, const BlockLayout& la, const double* a,
         const BlockLayout& lb, const double* b, const BlockLayout& lc,
         double* c) {
-       cosma_multiply<double>(w, CosmaPlan::make_carma(m, n, k, w.size()),
-                              false, false, la, a, lb, b, lc, c);
+       run_plan<double>(w, CosmaPlan::make_carma(m, n, k, w.size()), false,
+                        false, la, a, lb, b, lc, c);
      }},
     {"ctf",
      [](Comm& w, i64 m, i64 n, i64 k, const BlockLayout& la, const double* a,
         const BlockLayout& lb, const double* b, const BlockLayout& lc,
         double* c) {
-       ctf_multiply<double>(w, CtfPlan::make(m, n, k, w.size()), false, false,
-                            la, a, lb, b, lc, c);
+       run_plan<double>(w, CtfPlan::make(m, n, k, w.size()), false, false, la,
+                        a, lb, b, lc, c);
      }},
     {"summa",
      [](Comm& w, i64 m, i64 n, i64 k, const BlockLayout& la, const double* a,
         const BlockLayout& lb, const double* b, const BlockLayout& lc,
         double* c) {
-       summa_multiply<double>(w, SummaPlan::make(m, n, k, w.size()), false,
-                              false, la, a, lb, b, lc, c);
+       run_plan<double>(w, SummaPlan::make(m, n, k, w.size()), false, false, la,
+                        a, lb, b, lc, c);
      }},
     {"p25d",
      [](Comm& w, i64 m, i64 n, i64 k, const BlockLayout& la, const double* a,
         const BlockLayout& lb, const double* b, const BlockLayout& lc,
         double* c) {
-       p25d_multiply<double>(w, P25dPlan::make(m, n, k, w.size()), false,
-                             false, la, a, lb, b, lc, c);
+       run_plan<double>(w, P25dPlan::make(m, n, k, w.size()), false, false, la,
+                        a, lb, b, lc, c);
      }},
 };
 
@@ -507,16 +507,6 @@ using resilience::ResilientRunner;
 using resilience::RetryPolicy;
 
 constexpr std::uint64_t kSeedA = 31, kSeedB = 32;
-
-void fill_local(const BlockLayout& layout, int rank, std::uint64_t seed,
-                std::vector<double>& buf) {
-  buf.assign(static_cast<size_t>(layout.local_size(rank)), 0.0);
-  i64 pos = 0;
-  for (const Rect& r : layout.rects_of(rank))
-    for (i64 i = r.r.lo; i < r.r.hi; ++i)
-      for (i64 j = r.c.lo; j < r.c.hi; ++j)
-        buf[static_cast<size_t>(pos++)] = matrix_entry<double>(seed, i, j);
-}
 
 /// A rank_main computing C = A·B that derives the plan and every layout from
 /// world.size() — the contract that makes shrink-and-replan automatic: after

@@ -18,16 +18,6 @@ using simmpi::Cluster;
 using simmpi::Comm;
 using simmpi::Machine;
 
-void fill_local_f(const BlockLayout& layout, int rank, std::uint64_t seed,
-                  std::vector<float>& buf) {
-  buf.assign(static_cast<size_t>(layout.local_size(rank)), 0.0f);
-  i64 pos = 0;
-  for (const Rect& r : layout.rects_of(rank))
-    for (i64 i = r.r.lo; i < r.r.hi; ++i)
-      for (i64 j = r.c.lo; j < r.c.hi; ++j)
-        buf[static_cast<size_t>(pos++)] = matrix_entry<float>(seed, i, j);
-}
-
 TEST(Float, Ca3dmmEndToEnd) {
   const i64 m = 36, n = 28, k = 44;
   const int P = 9;
@@ -43,8 +33,8 @@ TEST(Float, Ca3dmmEndToEnd) {
   Cluster cl(P, Machine::unit_test());
   cl.run([&](Comm& world) {
     std::vector<float> al, bl;
-    fill_local_f(lay_a, world.rank(), 3, al);
-    fill_local_f(lay_b, world.rank(), 4, bl);
+    fill_local(lay_a, world.rank(), 3, al);
+    fill_local(lay_b, world.rank(), 4, bl);
     std::vector<float> cb(
         static_cast<size_t>(lay_c.local_size(world.rank())));
     ca3dmm_multiply<float>(world, plan, false, false, lay_a, al.data(), lay_b,
@@ -73,12 +63,12 @@ TEST(Float, CosmaEndToEnd) {
   Cluster cl(P, Machine::unit_test());
   cl.run([&](Comm& world) {
     std::vector<float> al, bl;
-    fill_local_f(lay_a, world.rank(), 5, al);
-    fill_local_f(lay_b, world.rank(), 6, bl);
+    fill_local(lay_a, world.rank(), 5, al);
+    fill_local(lay_b, world.rank(), 6, bl);
     std::vector<float> cb(
         static_cast<size_t>(lay_c.local_size(world.rank())));
-    cosma_multiply<float>(world, plan, false, false, lay_a, al.data(), lay_b,
-                          bl.data(), lay_c, cb.data());
+    run_plan<float>(world, plan, false, false, lay_a, al.data(), lay_b,
+                    bl.data(), lay_c, cb.data());
     i64 pos = 0;
     for (const Rect& r : lay_c.rects_of(world.rank()))
       for (i64 i = r.r.lo; i < r.r.hi; ++i)
@@ -106,7 +96,7 @@ TEST(Float, RedistributeFloat) {
   Cluster cl(4, Machine::unit_test());
   cl.run([&](Comm& c) {
     std::vector<float> in, out(static_cast<size_t>(dst.local_size(c.rank())));
-    fill_local_f(src, c.rank(), 9, in);
+    fill_local(src, c.rank(), 9, in);
     redistribute<float>(c, src, in.data(), dst, out.data());
     i64 pos = 0;
     for (const Rect& r : dst.rects_of(c.rank()))

@@ -20,7 +20,6 @@
 #include <sstream>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/ca3dmm.hpp"
 #include "core/hetero.hpp"
 #include "costmodel/drift.hpp"
@@ -76,16 +75,6 @@ Topology cpu_gpu_topology() {
   return Topology::make({ClusterSpec{"cpu", cpu_machine(), 8},
                          ClusterSpec{"gpu", gpu_machine(), 8}},
                         InterClusterLink{5e-6, 5e8});
-}
-
-void fill_local(const BlockLayout& layout, int rank, std::uint64_t seed,
-                std::vector<double>& buf) {
-  buf.assign(static_cast<size_t>(layout.local_size(rank)), 0.0);
-  i64 pos = 0;
-  for (const Rect& r : layout.rects_of(rank))
-    for (i64 i = r.r.lo; i < r.r.hi; ++i)
-      for (i64 j = r.c.lo; j < r.c.hi; ++j)
-        buf[static_cast<size_t>(pos++)] = matrix_entry<double>(seed, i, j);
 }
 
 /// Runs C = A*B on `cl` under `opt` (native layouts) and returns every

@@ -17,16 +17,6 @@ using simmpi::Cluster;
 using simmpi::Comm;
 using simmpi::Machine;
 
-void fill_local(const BlockLayout& layout, int rank, std::uint64_t seed,
-                std::vector<double>& buf) {
-  buf.assign(static_cast<size_t>(layout.local_size(rank)), 0.0);
-  i64 pos = 0;
-  for (const Rect& r : layout.rects_of(rank))
-    for (i64 i = r.r.lo; i < r.r.hi; ++i)
-      for (i64 j = r.c.lo; j < r.c.hi; ++j)
-        buf[static_cast<size_t>(pos++)] = matrix_entry<double>(seed, i, j);
-}
-
 void run_p25d(i64 m, i64 n, i64 k, int P, bool ta, bool tb,
               std::optional<std::pair<int, int>> qc = {}) {
   const P25dPlan plan = P25dPlan::make(m, n, k, P, qc);
@@ -50,8 +40,8 @@ void run_p25d(i64 m, i64 n, i64 k, int P, bool ta, bool tb,
     fill_local(b_lay, world.rank(), 52, bl);
     std::vector<double> cb(
         static_cast<size_t>(c_lay.local_size(world.rank())));
-    p25d_multiply<double>(world, plan, ta, tb, a_lay, al.data(), b_lay,
-                          bl.data(), c_lay, cb.data());
+    run_plan<double>(world, plan, ta, tb, a_lay, al.data(), b_lay, bl.data(),
+                     c_lay, cb.data());
     i64 pos = 0;
     for (const Rect& r : c_lay.rects_of(world.rank()))
       for (i64 i = r.r.lo; i < r.r.hi; ++i)
@@ -85,6 +75,9 @@ TEST(P25d, ForcedDepths) {
   run_p25d(24, 24, 24, 8, false, false, std::make_pair(2, 2));   // 2.5D
   run_p25d(48, 48, 48, 27, false, false, std::make_pair(3, 3));  // full 3D
   run_p25d(36, 36, 36, 32, false, false, std::make_pair(4, 2));
+  // 1 x 1 grids: layer 0 runs the one local GEMM, the 0-step layers add
+  // nothing to C.
+  run_p25d(24, 24, 24, 3, false, false, std::make_pair(1, 3));
 }
 
 TEST(P25d, UnevenBlocks) {
@@ -124,8 +117,8 @@ TEST(P25d, ExtraMemoryComparedTo2D) {
       fill_local(b_lay, world.rank(), 2, bl);
       std::vector<double> cb(
           static_cast<size_t>(c_lay.local_size(world.rank())));
-      p25d_multiply<double>(world, plan, false, false, a_lay, al.data(),
-                            b_lay, bl.data(), c_lay, cb.data());
+      run_plan<double>(world, plan, false, false, a_lay, al.data(), b_lay,
+                       bl.data(), c_lay, cb.data());
     });
     return cl.aggregate_stats().peak_bytes;
   };

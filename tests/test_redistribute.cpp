@@ -26,18 +26,6 @@ using simmpi::Cluster;
 using simmpi::Comm;
 using simmpi::Machine;
 
-/// Fills this rank's local buffer under `layout` from the virtual global
-/// random matrix `seed` (in source orientation).
-void fill_local(const BlockLayout& layout, int rank, std::uint64_t seed,
-                std::vector<double>& buf) {
-  buf.assign(static_cast<size_t>(layout.local_size(rank)), 0.0);
-  i64 pos = 0;
-  for (const Rect& r : layout.rects_of(rank))
-    for (i64 i = r.r.lo; i < r.r.hi; ++i)
-      for (i64 j = r.c.lo; j < r.c.hi; ++j)
-        buf[static_cast<size_t>(pos++)] = matrix_entry<double>(seed, i, j);
-}
-
 /// Checks this rank's local buffer under `layout` against the global matrix,
 /// optionally with transposed coordinates (local (i,j) == global (j,i)).
 void check_local(const BlockLayout& layout, int rank, std::uint64_t seed,

@@ -135,18 +135,9 @@ int main(int argc, char** argv) {
   for (int t = 0; t < std::max(1, a.ntest); ++t) {
     cl.run([&](Comm& world) {
       const int me = world.rank();
-      auto fill = [&](const BlockLayout& lay, std::uint64_t seed,
-                      std::vector<double>& buf) {
-        buf.assign(static_cast<size_t>(lay.local_size(me)), 0.0);
-        i64 pos = 0;
-        for (const Rect& r : lay.rects_of(me))
-          for (i64 i = r.r.lo; i < r.r.hi; ++i)
-            for (i64 j = r.c.lo; j < r.c.hi; ++j)
-              buf[static_cast<size_t>(pos++)] = matrix_entry<double>(seed, i, j);
-      };
       std::vector<double> al, bl;
-      fill(a_lay, 1, al);
-      fill(b_lay, 2, bl);
+      fill_local(a_lay, me, 1, al);
+      fill_local(b_lay, me, 2, bl);
       std::vector<double> clq(static_cast<size_t>(c_lay.local_size(me)));
       ca3dmm_multiply<double>(world, plan, a.trans_a, a.trans_b, a_lay,
                               al.data(), b_lay, bl.data(), c_lay, clq.data());

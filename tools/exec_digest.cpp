@@ -35,7 +35,6 @@
 #include "baselines/ctf_like.hpp"
 #include "baselines/p25d.hpp"
 #include "baselines/summa.hpp"
-#include "common/rng.hpp"
 #include "core/ca3dmm.hpp"
 #include "core/hetero.hpp"
 #include "costmodel/drift.hpp"
@@ -65,17 +64,6 @@ std::uint64_t fnv1a(std::uint64_t h, const void* data, size_t bytes) {
   const auto* p = static_cast<const unsigned char*>(data);
   for (size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 0x100000001b3ull;
   return h;
-}
-
-std::vector<double> local_of(const BlockLayout& l, int rank,
-                             std::uint64_t seed) {
-  std::vector<double> buf;
-  buf.reserve(static_cast<size_t>(l.local_size(rank)));
-  for (const Rect& r : l.rects_of(rank))
-    for (i64 i = r.r.lo; i < r.r.hi; ++i)
-      for (i64 j = r.c.lo; j < r.c.hi; ++j)
-        buf.push_back(matrix_entry<double>(seed, i, j));
-  return buf;
 }
 
 enum class Lay { kNative, kRow1d, kCol1d, kGrid2d };
@@ -201,8 +189,9 @@ class Digest {
     if (!r.faults.empty()) cl->set_fault_plan(r.faults);
     cl->run([&](Comm& world) {
       const int me = world.rank();
-      const std::vector<double> a = local_of(la, me, 1);
-      const std::vector<double> b = local_of(lb, me, 2);
+      std::vector<double> a, b;
+      fill_local(la, me, 1, a);
+      fill_local(lb, me, 2, b);
       std::vector<double>& cm = c[static_cast<size_t>(me)];
       cm.assign(static_cast<size_t>(lc.local_size(me)), 0.0);
       if constexpr (std::is_same_v<Plan, Ca3dmmPlan>) {
@@ -214,21 +203,9 @@ class Digest {
           for (int call = 0; call < 2; ++call) eng.multiply(req);
           return;
         }
-        ca3dmm_multiply<double>(world, plan, r.ta, r.tb, la, a.data(), lb,
-                                b.data(), lc, cm.data());
-      } else if constexpr (std::is_same_v<Plan, CtfPlan>) {
-        ctf_multiply<double>(world, plan, r.ta, r.tb, la, a.data(), lb,
-                             b.data(), lc, cm.data());
-      } else if constexpr (std::is_same_v<Plan, CosmaPlan>) {
-        cosma_multiply<double>(world, plan, r.ta, r.tb, la, a.data(), lb,
-                               b.data(), lc, cm.data());
-      } else if constexpr (std::is_same_v<Plan, SummaPlan>) {
-        summa_multiply<double>(world, plan, r.ta, r.tb, la, a.data(), lb,
-                               b.data(), lc, cm.data());
-      } else {
-        p25d_multiply<double>(world, plan, r.ta, r.tb, la, a.data(), lb,
-                              b.data(), lc, cm.data());
       }
+      run_plan<double>(world, plan, r.ta, r.tb, la, a.data(), lb, b.data(), lc,
+                       cm.data());
     });
     std::vector<std::uint64_t> hashes;
     for (const auto& cm : c)
