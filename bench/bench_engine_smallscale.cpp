@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "baselines/ctf_like.hpp"
+#include "costmodel/drift.hpp"
 #include "core/ca3dmm.hpp"
 #include "engine/engine.hpp"
 #include "linalg/gemm.hpp"
@@ -38,42 +38,14 @@ std::vector<SmallClass> small_classes() {
   };
 }
 
-/// Runs one algorithm on the engine; returns max simulated seconds.
+/// Runs one algorithm on the engine with 1-D column layouts; returns max
+/// simulated seconds.
 double run_engine(Algo algo, const SmallClass& sc, int P,
                   const Machine& mach) {
-  const BlockLayout a_lay = BlockLayout::col_1d(sc.m, sc.k, P);
-  const BlockLayout b_lay = BlockLayout::col_1d(sc.k, sc.n, P);
-  const BlockLayout c_lay = BlockLayout::col_1d(sc.m, sc.n, P);
+  costmodel::Workload w(sc.m, sc.n, sc.k);
+  w.custom_layout = true;
   Cluster cl(P, mach);
-  cl.run([&](Comm& world) {
-    std::vector<double> a, b;
-    fill_local(a_lay, world.rank(), 5, a);
-    fill_local(b_lay, world.rank(), 6, b);
-    std::vector<double> c(
-        static_cast<size_t>(c_lay.local_size(world.rank())));
-    switch (algo) {
-      case Algo::kCa3dmm: {
-        const Ca3dmmPlan plan = Ca3dmmPlan::make(sc.m, sc.n, sc.k, P);
-        ca3dmm_multiply<double>(world, plan, false, false, a_lay, a.data(),
-                                b_lay, b.data(), c_lay, c.data());
-        break;
-      }
-      case Algo::kCosma: {
-        const CosmaPlan plan = CosmaPlan::make(sc.m, sc.n, sc.k, P);
-        run_plan<double>(world, plan, false, false, a_lay, a.data(), b_lay,
-                         b.data(), c_lay, c.data());
-        break;
-      }
-      case Algo::kCtf: {
-        const CtfPlan plan = CtfPlan::make(sc.m, sc.n, sc.k, P);
-        run_plan<double>(world, plan, false, false, a_lay, a.data(), b_lay,
-                         b.data(), c_lay, c.data());
-        break;
-      }
-      default: CA_ASSERT(false);
-    }
-  });
-  return cl.aggregate_stats().vtime;
+  return costmodel::run_workload(algo, w, cl).vtime;
 }
 
 /// One row of the iterative engine-vs-one-shot comparison (ISSUE acceptance

@@ -103,7 +103,7 @@ void print_real_execution() {
       }
     }
     const Ca3dmmPlan plan =
-        Ca3dmmPlan::make(w.m, w.n, w.k, rc.P, costmodel::options_of(w));
+        Ca3dmmPlan::make(w.m, w.n, w.k, rc.P, w);
     i64 arena = 0;
     for (int r = 0; r < rc.P; ++r) {
       Schedule s(w.esize);

@@ -135,7 +135,7 @@ std::vector<DriftRow> run_drift_gates() {
   rs.m = rs.n = 48;
   rs.k = 64;
   rs.force_grid = ProcGrid{2, 2, 4};
-  rs.coll.reduce_scatter = CollAlgo::kCrossCluster;
+  rs.coll.emplace().reduce_scatter = CollAlgo::kCrossCluster;
   gate("xc reduce-scatter (cannon)", rs, Algo::kCa3dmm);
   gate("xc reduce-scatter (summa)", rs, Algo::kCa3dmmSumma);
 
@@ -144,7 +144,7 @@ std::vector<DriftRow> run_drift_gates() {
   ag.n = 32;
   ag.k = 32;
   ag.force_grid = ProcGrid{8, 2, 1};
-  ag.coll.allgather = CollAlgo::kCrossCluster;
+  ag.coll.emplace().allgather = CollAlgo::kCrossCluster;
   gate("xc allgather (cannon)", ag, Algo::kCa3dmm);
 
   Workload au = rs;

@@ -127,7 +127,10 @@ PlanComms PlanComms::make(Comm& world, const Ca3dmmPlan& plan) {
   CA_REQUIRE(world.size() == plan.nranks(),
              "plan is for %d ranks, comm has %d", plan.nranks(), world.size());
   CA_REQUIRE(plan.m() > 0, "plan is empty (default-constructed?)");
-  return make(world, compile(plan, world, false, false, sizeof(double)));
+  // Only the split ops are read: no data ops, no arena.
+  Schedule s(sizeof(double), /*with_data=*/false);
+  build_schedule(plan, world.rank(), world.machine(), false, false, s);
+  return make(world, s);
 }
 
 PlanComms PlanComms::make(Comm& world, const Schedule& s) {

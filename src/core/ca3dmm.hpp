@@ -63,7 +63,8 @@ struct PlanComms {
   /// rank's schedule, in program order. Collective over `world`, which
   /// must span exactly plan.nranks() ranks. Charges the split setup cost
   /// once. The engine uses the overload below; this one serves callers
-  /// that time the splits alone (perfbench's simmpi.split_s probe).
+  /// that time the splits alone (perfbench's simmpi.split_s probe), and
+  /// builds the schedule without compiling it (no schedule_builds).
   static PlanComms make(simmpi::Comm& world, const Ca3dmmPlan& plan);
   /// The same, read off this rank's schedule compiled from the plan.
   static PlanComms make(simmpi::Comm& world, const Schedule& s);

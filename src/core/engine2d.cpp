@@ -84,7 +84,7 @@ void cannon_schedule(Schedule& sc, const Engine2dShape& sh, int grid, int a,
                      std::initializer_list<int> release) {
   const int s = sh.pr, i = sh.i, j = sh.j;
   CA_ASSERT(sh.pc == s && static_cast<int>(sh.a_kparts.size()) == s);
-  if (s == 1) {
+  if (s == 1 || steps == 0) {  // no shift: no skew either
     single_gemm(sc, sh, steps, a, b, c, release);
     return;
   }

@@ -68,7 +68,8 @@ struct Engine2dShape {
 /// per shift). The buffers in `release` are freed as soon as the inputs are
 /// dead — right after the skew moved them into the shift buffers — which
 /// is what keeps CA3DMM at the paper's eq.-(11) memory footprint (two shift
-/// buffers, not three copies). A window of 0 steps computes nothing.
+/// buffers, not three copies). A window of 0 steps computes and sends
+/// nothing: it only frees `release`.
 void cannon_schedule(Schedule& s, const Engine2dShape& sh, int grid, int a,
                      int b, int c, i64 min_kblk, int first, int steps,
                      std::initializer_list<int> release);

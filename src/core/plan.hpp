@@ -53,8 +53,9 @@ struct Ca3dmmOptions {
   /// communication (§III-D). Unset (the default) leaves the communicators
   /// on whatever the cluster/world configuration says, i.e. the paper's
   /// butterfly model; setting it overrides the repl/reduce communicators on
-  /// every call. The cost model honors Workload::coll at the same two
-  /// spots, keeping prediction and execution consistent by construction.
+  /// every call. The cost model prices the same schedule (an unset config
+  /// as the paper butterfly), keeping prediction and execution consistent
+  /// by construction.
   std::optional<simmpi::CollectiveConfig> coll{};
   /// Protect the Cannon point-to-point traffic (skews and circular shifts)
   /// with ABFT checksum trailers (resilience/abft.hpp): any single byte
@@ -82,10 +83,10 @@ struct Ca3dmmOptions {
   /// bit-identical to the unweighted plan's.
   std::vector<double> k_weights{};
 
-  /// Member-wise equality: plans built from equal options on equal problem
+  /// Member-wise comparison: plans built from equal options on equal problem
   /// dimensions are interchangeable, which is what the engine's plan cache
-  /// keys on.
-  friend bool operator==(const Ca3dmmOptions&, const Ca3dmmOptions&) = default;
+  /// keys on; the order lets the cost oracle key on a costmodel::Workload.
+  friend auto operator<=>(const Ca3dmmOptions&, const Ca3dmmOptions&) = default;
 };
 
 /// Placement of one world rank in the CA3DMM topology.

@@ -53,9 +53,9 @@ class CostOracle {
  public:
   CostOracle(int P, const simmpi::Machine& mach) : P_(P), mach_(mach) {}
 
-  /// Quotes `w` under `algo`, memoized by (algo, w): every Workload field
-  /// is part of the key except `w.warm_comms`, which is ignored because a
-  /// quote always carries both paths.
+  /// Quotes `w` under `algo`, memoized by (algo, w): every option and
+  /// field of the Workload is part of the key except `w.warm_comms`, which
+  /// is ignored because a quote always carries both paths.
   const Quote& quote(Algo algo, const Workload& w);
 
   i64 lookups() const { return lookups_; }

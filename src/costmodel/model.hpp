@@ -66,25 +66,17 @@ const char* algo_name(Algo a);
 // and stages no buffers (totals and peaks of native-layout runs fall).
 inline constexpr int kCostModelVersion = 4;
 
-struct Workload {
+/// One multiply: the options a CA3DMM plan is built with (the base; the
+/// baselines read only `force_grid`) plus its shape and how it is laid out,
+/// typed and warmed. program_of sets `use_summa` from the Algo, so a
+/// Workload run as kCa3dmm must leave it false. An unset `coll` is priced
+/// and run as the world default, the paper butterfly.
+struct Workload : Ca3dmmOptions {
   i64 m = 0, n = 0, k = 0;
   /// false = library-native input/output layouts (Fig. 3 "native layout");
   /// true = 1-D column layouts for A, B, C (Fig. 3 "custom layout").
   bool custom_layout = false;
   i64 esize = 8;  ///< element size (double)
-  std::optional<ProcGrid> force_grid{};  ///< Table II grid overrides
-  i64 min_kblk = 192;  ///< CA3DMM multi-shift aggregation threshold
-  /// Collective schedules for the replication all-gather and the partial-C
-  /// reduce-scatter (Ca3dmmOptions::coll). The default — paper butterfly —
-  /// reproduces the seeded predictions exactly.
-  simmpi::CollectiveConfig coll{};
-  /// Ca3dmmOptions::abft: checksum trailers on every Cannon skew/shift
-  /// message plus the encode/decode scans. Ignored by the other algorithms.
-  bool abft = false;
-  /// Ca3dmmOptions::overlap: when false, the 2-D engine does not pipeline
-  /// shift/broadcast transfers behind the local GEMM. kCa3dmm/kCa3dmmSumma
-  /// only.
-  bool overlap = true;
   /// Plan and split communicators already cached — the persistent engine's
   /// hit path (engine/engine.hpp): the four per-plan splits PlanComms
   /// caches (world/cannon/replication/reduction) charge nothing and do not
@@ -92,23 +84,13 @@ struct Workload {
   /// the executable hit path. kCa3dmm/kCa3dmmSumma only: the other
   /// algorithms have no communicator cache to be warm in.
   bool warm_comms = false;
-  /// Ca3dmmOptions::k_weights: per-k-task-group k-split weights for
-  /// heterogeneous topologies. Empty = equal split. kCa3dmm/kCa3dmmSumma
-  /// only.
-  std::vector<double> k_weights{};
-  /// Ca3dmmOptions::grid: the grid solver's constraints (memory budget,
-  /// utilization bound, ...). Ignored when force_grid is set.
-  /// kCa3dmm/kCa3dmmSumma only.
-  GridOptions grid{};
+
+  Workload() = default;
+  Workload(i64 m_, i64 n_, i64 k_, const Ca3dmmOptions& opt = {})
+      : Ca3dmmOptions(opt), m(m_), n(n_), k(k_) {}
 
   friend auto operator<=>(const Workload&, const Workload&) = default;
 };
-
-/// The single conversion between a CA3DMM Workload and the options it
-/// executes with (`use_summa` is the one option Algo carries), used by the
-/// model, the drift gate, the service's pricing and the tuner alike.
-Ca3dmmOptions options_of(const Workload& w, bool use_summa = false);
-Workload workload_of(i64 m, i64 n, i64 k, const Ca3dmmOptions& opt);
 
 struct Prediction {
   ProcGrid grid{};

@@ -2,31 +2,6 @@
 
 namespace ca3dmm::costmodel {
 
-Ca3dmmOptions options_of(const Workload& w, bool use_summa) {
-  Ca3dmmOptions opt;
-  opt.grid = w.grid;
-  opt.use_summa = use_summa;
-  opt.min_kblk = w.min_kblk;
-  opt.force_grid = w.force_grid;
-  opt.coll = w.coll;
-  opt.abft = w.abft;
-  opt.overlap = w.overlap;
-  opt.k_weights = w.k_weights;
-  return opt;
-}
-
-Workload workload_of(i64 m, i64 n, i64 k, const Ca3dmmOptions& opt) {
-  Workload w{m, n, k};
-  w.force_grid = opt.force_grid;
-  w.min_kblk = opt.min_kblk;
-  w.coll = opt.coll.value_or(simmpi::CollectiveConfig{});
-  w.abft = opt.abft;
-  w.overlap = opt.overlap;
-  w.k_weights = opt.k_weights;
-  w.grid = opt.grid;
-  return w;
-}
-
 namespace {
 
 /// A 2-D baseline's forced (first, second) grid pair: pm and `second`.
@@ -45,10 +20,15 @@ Program program_of(Algo algo, const Workload& w, int P) {
   };
   switch (algo) {
     case Algo::kCa3dmm:
-    case Algo::kCa3dmmSumma:
-      pg.plan = Ca3dmmPlan::make(w.m, w.n, w.k, P,
-                                 options_of(w, algo == Algo::kCa3dmmSumma));
+    case Algo::kCa3dmmSumma: {
+      CA_REQUIRE(!w.use_summa || algo == Algo::kCa3dmmSumma,
+                 "a Workload with use_summa runs as kCa3dmmSumma, not %s",
+                 algo_name(algo));
+      Ca3dmmOptions opt = w;
+      opt.use_summa = algo == Algo::kCa3dmmSumma;
+      pg.plan = Ca3dmmPlan::make(w.m, w.n, w.k, P, opt);
       break;
+    }
     case Algo::kCosma:
       pg.plan = CosmaPlan::make(w.m, w.n, w.k, P, w.force_grid);
       break;

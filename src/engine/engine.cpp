@@ -82,9 +82,7 @@ PgemmEngine::Entry& PgemmEngine::lookup(const PlanKey& key, bool trans_a,
   Ca3dmmOptions build_opt = key.opt;
   if (const tuner::TuningEntry* te =
           tuned_entry(key.m, key.n, key.k, key.opt)) {
-    build_opt.force_grid = te->config.grid;
-    build_opt.coll = te->config.coll;
-    build_opt.overlap = te->config.overlap;
+    build_opt = te->config.applied_to(key.opt);
     ++stats_.tuned_plans;
     simmpi::trace_marker("engine:plan tuned");
   }

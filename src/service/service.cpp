@@ -71,13 +71,8 @@ Workload PgemmService::workload_of(const ServiceRequest& r) const {
   // Mirror the engine's tuning snapshot: a tunable request plans under the
   // tuned config on its cache miss, so it must be priced under it too —
   // the quote/execution exactness gate depends on the two never diverging.
-  Ca3dmmOptions opt = r.opt;
-  if (const auto tuned = engine_.tuned_for(r.m, r.n, r.k, r.opt)) {
-    opt.force_grid = tuned->grid;
-    opt.coll = tuned->coll;
-    opt.overlap = tuned->overlap;
-  }
-  return costmodel::workload_of(r.m, r.n, r.k, opt);
+  const auto tuned = engine_.tuned_for(r.m, r.n, r.k, r.opt);
+  return Workload(r.m, r.n, r.k, tuned ? tuned->applied_to(r.opt) : r.opt);
 }
 
 double PgemmService::dispatch(const ServiceRequest& r, const Quote& q,

@@ -36,7 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "core/grid_solver.hpp"
+#include "core/plan.hpp"
 #include "simmpi/coll_cost.hpp"
 #include "simmpi/machine.hpp"
 #include "simmpi/topology.hpp"
@@ -49,6 +49,17 @@ struct TunedConfig {
   ProcGrid grid{};
   simmpi::CollectiveConfig coll = simmpi::CollectiveConfig::tuned();
   bool overlap = true;
+
+  /// `opt` run under this config: the tuned grid, collective schedules and
+  /// overlap replace the request's. The only place a tuned decision becomes
+  /// options — the engine's plan miss, the service's quote and
+  /// tuned_workload all call it, so all three run the same multiply.
+  Ca3dmmOptions applied_to(Ca3dmmOptions opt) const {
+    opt.force_grid = grid;
+    opt.coll = coll;
+    opt.overlap = overlap;
+    return opt;
+  }
 
   friend bool operator==(const TunedConfig&, const TunedConfig&) = default;
 };

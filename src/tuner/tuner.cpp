@@ -16,11 +16,8 @@ using simmpi::Cluster;
 costmodel::Workload tuned_workload(i64 m, i64 n, i64 k,
                                    const TunedConfig& cfg, i64 min_kblk) {
   Ca3dmmOptions opt;
-  opt.force_grid = cfg.grid;
-  opt.coll = cfg.coll;
-  opt.overlap = cfg.overlap;
   opt.min_kblk = min_kblk;
-  return costmodel::workload_of(m, n, k, opt);
+  return Workload(m, n, k, cfg.applied_to(opt));
 }
 
 namespace {

@@ -91,9 +91,9 @@ class Tuner {
   TunerOptions opt_;
 };
 
-/// The workload a TunedConfig prescribes for (m, n, k) — shared by the
-/// tuner's search, the engine's application of a DB hit, and the service's
-/// quoting, so all three price and run the exact same thing.
+/// The workload a TunedConfig prescribes for (m, n, k): default options
+/// with `min_kblk`, under TunedConfig::applied_to — the same application
+/// the engine's plan miss and the service's quote make.
 costmodel::Workload tuned_workload(i64 m, i64 n, i64 k,
                                    const TunedConfig& cfg, i64 min_kblk);
 

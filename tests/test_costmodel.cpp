@@ -73,9 +73,8 @@ std::string describe(Algo algo, const Workload& w, int P) {
 /// prediction describes.
 RankStats run_warm(Algo algo, const Workload& w, Cluster& cl) {
   const int P = cl.nranks();
-  const Ca3dmmOptions opt =
-      costmodel::options_of(w, algo == Algo::kCa3dmmSumma);
   const costmodel::Program pg = costmodel::program_of(algo, w, P);
+  const Ca3dmmOptions& opt = std::get<Ca3dmmPlan>(pg.plan).options();
   const BlockLayout& la = pg.layouts[kUserLayoutA];
   const BlockLayout& lb = pg.layouts[kUserLayoutB];
   const BlockLayout& lc = pg.layouts[kUserLayoutC];
@@ -152,8 +151,7 @@ void expect_exact(Algo algo, const Workload& w, int P, const Machine& mach) {
 
 TEST(CostModel, Ca3dmmEvenExact) {
   expect_exact(Algo::kCa3dmm, {32, 32, 32}, 8, Machine::unit_test());
-  expect_exact(Algo::kCa3dmm, {32, 32, 64, false, 8, {}, 192}, 16,
-               Machine::unit_test());
+  expect_exact(Algo::kCa3dmm, {32, 32, 64}, 16, Machine::unit_test());
   expect_exact(Algo::kCa3dmm, {32, 32, 32}, 8, small_nodes());
 }
 
@@ -343,9 +341,8 @@ TEST(CostModel, SeededSweepIsExact) {
     const Algo algo = it % 3 == 0 ? Algo::kCa3dmmSumma : Algo::kCa3dmm;
     Workload w{rng.uniform(8, 200), rng.uniform(8, 200), rng.uniform(8, 200)};
     if (it % 4 < 2)
-      w = costmodel::workload_of(
-          w.m, w.n, w.k,
-          make_hetero_options(topo, w.m, w.n, w.k, topo.nranks()));
+      w = Workload(w.m, w.n, w.k,
+                   make_hetero_options(topo, w.m, w.n, w.k, topo.nranks()));
     w.abft = rng.uniform(0, 1) == 1;
     w.warm_comms = rng.uniform(0, 2) == 0;
     SCOPED_TRACE(describe(algo, w, topo.nranks()) + " hetero");
@@ -516,37 +513,59 @@ TEST(IdentityConversion, ExecutorAndPredictChargeTheSame) {
   }
 }
 
-// ---- Workload <-> Ca3dmmOptions, and the CostOracle's memo key ----
+// ---- A Workload is its options plus a shape; the CostOracle's memo key ----
 
-TEST(WorkloadOptions, GridOptionsReachTheModel) {
-  // A per-rank memory budget moves the solver's grid. The model — and so
-  // the service's admission, which prices workload_of(request options) —
-  // must plan the grid the executor runs, not the unconstrained one.
-  const i64 m = 2048, n = 2048, k = 2048;
-  const int P = 64;
+TEST(WorkloadOptions, EveryOptionReachesThePlan) {
+  // Every Ca3dmmOptions field off its default: program_of must build the
+  // plan on exactly these options under both CA3DMM engines, with only
+  // use_summa taken from the Algo.
+  const int P = 8;
+  Workload w(40, 48, 56);
+  w.grid.max_memory_elems = 1 << 20;
+  w.min_kblk = 16;
+  w.force_grid = ProcGrid{2, 2, 2};
+  w.coll = simmpi::CollectiveConfig::tuned();
+  w.abft = true;
+  w.overlap = false;
+  w.k_weights = {1.0, 3.0};
+  const auto plan_options = [&](Algo algo, const Workload& x) {
+    return std::get<Ca3dmmPlan>(costmodel::program_of(algo, x, P).plan)
+        .options();
+  };
+  Workload summa = w;
+  summa.use_summa = true;
+  // A default use_summa runs either engine, and the Algo sets it.
+  EXPECT_TRUE(plan_options(Algo::kCa3dmm, w) == w);
+  EXPECT_TRUE(plan_options(Algo::kCa3dmmSumma, w) == summa);
+  EXPECT_TRUE(plan_options(Algo::kCa3dmmSumma, summa) == summa);
+  // use_summa = true names CA3DMM-S, so running it as CA3DMM raises.
+  EXPECT_THROW(costmodel::program_of(Algo::kCa3dmm, summa, P), Error);
+  EXPECT_THROW(costmodel::predict(Algo::kCa3dmm, summa, P,
+                                  Machine::unit_test()),
+               Error);
+
+  // The grid options reach the solver: a per-rank memory budget moves the
+  // grid, and the model — so the service's admission too — plans the grid
+  // the executor runs, not the unconstrained one.
+  const i64 d = 2048;
+  const int Pb = 64;
   Ca3dmmOptions opt;
   opt.grid.max_memory_elems = 500000;
-  const ProcGrid executed = Ca3dmmPlan::make(m, n, k, P, opt).grid();
-  ASSERT_FALSE(executed == find_grid(m, n, k, P))
+  const ProcGrid executed = Ca3dmmPlan::make(d, d, d, Pb, opt).grid();
+  ASSERT_FALSE(executed == find_grid(d, d, d, Pb))
       << "the budget must move the grid for this test to mean anything";
-
-  const Workload w = costmodel::workload_of(m, n, k, opt);
-  const costmodel::Program pg = costmodel::program_of(Algo::kCa3dmm, w, P);
-  const ProcGrid modeled = std::get<Ca3dmmPlan>(pg.plan).grid();
-  EXPECT_EQ(modeled.pm, executed.pm);
-  EXPECT_EQ(modeled.pn, executed.pn);
-  EXPECT_EQ(modeled.pk, executed.pk);
-  EXPECT_TRUE(costmodel::options_of(w).grid == opt.grid);
+  const costmodel::Program pg =
+      costmodel::program_of(Algo::kCa3dmm, Workload(d, d, d, opt), Pb);
+  EXPECT_TRUE(std::get<Ca3dmmPlan>(pg.plan).grid() == executed);
 }
 
 TEST(CostOracle, KeysOnAlgoAndTheWholeWorkload) {
   const i64 d = 2048;
   const int P = 64;
   costmodel::CostOracle oracle(P, Machine::unit_test());
-  Ca3dmmOptions opt;
-  const Workload plain = costmodel::workload_of(d, d, d, opt);
-  opt.grid.max_memory_elems = 500000;
-  const Workload budget = costmodel::workload_of(d, d, d, opt);
+  const Workload plain(d, d, d);
+  Workload budget = plain;
+  budget.grid.max_memory_elems = 500000;
 
   // Two quotes that differ only in the grid options are two evaluations,
   // each on its own grid.
@@ -554,7 +573,7 @@ TEST(CostOracle, KeysOnAlgoAndTheWholeWorkload) {
   const ProcGrid g_budget = oracle.quote(Algo::kCa3dmm, budget).grid;
   EXPECT_EQ(oracle.evaluations(), 2);
   EXPECT_FALSE(g_plain == g_budget);
-  EXPECT_TRUE(g_budget == Ca3dmmPlan::make(d, d, d, P, opt).grid());
+  EXPECT_TRUE(g_budget == Ca3dmmPlan::make(d, d, d, P, budget).grid());
 
   // warm_comms is not part of the key: a quote carries both paths.
   Workload warm = plain;

@@ -157,6 +157,27 @@ TEST(Engine, WarmRequestBuildsNoScheduleAndAcquiresNothing) {
     EXPECT_EQ(warm_acquires[static_cast<size_t>(r)], 0) << "rank " << r;
 }
 
+TEST(Engine, PlanCommsFromAPlanCompilesNoSchedule) {
+  // PlanComms::make(world, plan) reads only the split ops of the rank's
+  // schedule, so it builds one without data ops and never packs it; the
+  // communicators it splits are still the plan's.
+  const int P = 64;
+  const Ca3dmmPlan plan = Ca3dmmPlan::make(96, 96, 96, P);
+  ASSERT_GT(plan.c() * plan.grid().pk, 1);  // repl or reduce is split too
+  Cluster cl(P, Machine::unit_test());
+  cl.run([&](Comm& world) {
+    const PlanComms pc = PlanComms::make(world, plan);
+    const RankCoord co = plan.coord(world.rank());
+    EXPECT_EQ(pc.active.valid(), co.active);
+    if (!co.active) return;
+    EXPECT_EQ(pc.active.size(), plan.active());
+    EXPECT_EQ(pc.cannon.size(), plan.s() * plan.s());
+    EXPECT_EQ(pc.repl.valid() ? pc.repl.size() : 1, plan.c());
+    EXPECT_EQ(pc.reduce.valid() ? pc.reduce.size() : 1, plan.grid().pk);
+  });
+  EXPECT_EQ(cl.host_profile().schedule_builds, 0);
+}
+
 /// Runs C = op(A) op(B) for all four transpose pairs in element type T,
 /// twice through `eng` and once one-shot on the engine's plan, and expects
 /// the three C blocks bit-identical.

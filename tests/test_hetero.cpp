@@ -483,7 +483,7 @@ TEST(HeteroDrift, CrossClusterReduceScatterInsideGate) {
   w.n = 48;
   w.k = 64;
   w.force_grid = ProcGrid{2, 2, 4};
-  w.coll.reduce_scatter = CollAlgo::kCrossCluster;
+  w.coll.emplace().reduce_scatter = CollAlgo::kCrossCluster;
   for (const costmodel::Algo algo :
        {costmodel::Algo::kCa3dmm, costmodel::Algo::kCa3dmmSumma}) {
     Cluster cl(topo);
@@ -503,7 +503,7 @@ TEST(HeteroDrift, CrossClusterAllgatherInsideGate) {
   w.n = 32;
   w.k = 32;
   w.force_grid = ProcGrid{8, 2, 1};
-  w.coll.allgather = CollAlgo::kCrossCluster;
+  w.coll.emplace().allgather = CollAlgo::kCrossCluster;
   Cluster cl(topo);
   const costmodel::DriftReport rep =
       costmodel::check_drift(costmodel::Algo::kCa3dmm, w, cl);
@@ -540,7 +540,7 @@ TEST(HeteroDrift, WeightedKSplitTotalAndMemoryInsideGate) {
   w.k = 160;
   w.force_grid = ProcGrid{2, 2, 4};
   w.k_weights = {1.0, 1.0, 3.0, 3.0};
-  w.coll.reduce_scatter = CollAlgo::kCrossCluster;
+  w.coll.emplace().reduce_scatter = CollAlgo::kCrossCluster;
   Cluster cl(topo);
   const costmodel::DriftReport rep =
       costmodel::check_drift(costmodel::Algo::kCa3dmm, w, cl);

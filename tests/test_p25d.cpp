@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "baselines/p25d.hpp"
+#include "costmodel/drift.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/matrix.hpp"
 #include "simmpi/cluster.hpp"
@@ -16,9 +17,13 @@ namespace {
 using simmpi::Cluster;
 using simmpi::Comm;
 using simmpi::Machine;
+using simmpi::Phase;
+using simmpi::RankStats;
 
-void run_p25d(i64 m, i64 n, i64 k, int P, bool ta, bool tb,
-              std::optional<std::pair<int, int>> qc = {}) {
+/// Runs the plan on col_1d layouts, checks C against the reference and
+/// returns every rank's stats.
+std::vector<RankStats> run_p25d(i64 m, i64 n, i64 k, int P, bool ta, bool tb,
+                                std::optional<std::pair<int, int>> qc = {}) {
   const P25dPlan plan = P25dPlan::make(m, n, k, P, qc);
   SCOPED_TRACE(strprintf("m=%lld n=%lld k=%lld P=%d q=%d c=%d",
                          static_cast<long long>(m), static_cast<long long>(n),
@@ -49,6 +54,9 @@ void run_p25d(i64 m, i64 n, i64 k, int P, bool ta, bool tb,
           ASSERT_NEAR(cb[static_cast<size_t>(pos++)], c_ref(i, j),
                       1e-11 * (k + 1));
   });
+  std::vector<RankStats> st;
+  for (int r = 0; r < P; ++r) st.push_back(cl.stats(r));
+  return st;
 }
 
 TEST(P25d, PlanGeometry) {
@@ -98,9 +106,33 @@ TEST(P25d, IdleRanks) {
 TEST(P25d, SingleProcess) { run_p25d(9, 7, 11, 1, false, false); }
 
 TEST(P25d, DepthLargerThanStepsIsStillCorrect) {
-  // Forced c > q: extra layers get zero Cannon steps but still participate
-  // in replication and reduction.
-  run_p25d(20, 20, 20, 16, false, false, std::make_pair(2, 4));
+  // Forced c > q: q = 2 shift steps over c = 4 layers, so layers 2 and 3 run
+  // a window of 0 steps but still take part in replication and reduction.
+  // Such a window skips Cannon's skew too: those layers send no shift
+  // bytes, and C and the cost model's price stay exact.
+  const int q = 2, c = 4, P = q * q * c;
+  const std::vector<RankStats> st =
+      run_p25d(20, 20, 20, P, false, false, std::make_pair(q, c));
+  const int shift = static_cast<int>(Phase::kShift);
+  double stepping_layers = 0;
+  for (int r = 0; r < P; ++r) {
+    const double sent = st[static_cast<size_t>(r)].bytes_sent_s[shift];
+    if (r / (q * q) >= q)
+      EXPECT_EQ(sent, 0) << "rank " << r;
+    else
+      stepping_layers += sent;
+  }
+  EXPECT_GT(stepping_layers, 0);
+
+  costmodel::Workload w(20, 20, 20);
+  w.force_grid = ProcGrid{q, q, c};  // (q, c) as (pm, pk)
+  Cluster cl(P, Machine::unit_test());
+  const costmodel::DriftReport rep =
+      costmodel::check_drift(costmodel::Algo::kP25d, w, cl);
+  EXPECT_EQ(rep.total.rel, 0) << rep.table();
+  for (const costmodel::PhaseDrift& d : rep.phases)
+    EXPECT_EQ(d.rel, 0) << d.name << "\n" << rep.table();
+  EXPECT_FALSE(rep.peak_bytes_flagged) << rep.table();
 }
 
 TEST(P25d, ExtraMemoryComparedTo2D) {

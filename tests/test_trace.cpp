@@ -123,7 +123,9 @@ TEST(Trace, ChromeTraceStructure) {
   const int P = 8;
   Cluster cl(P, small_nodes());
   cl.set_trace(true);
-  costmodel::run_workload(Algo::kCa3dmm, {32, 32, 64, true}, cl);
+  costmodel::Workload w(32, 32, 64);
+  w.custom_layout = true;
+  costmodel::run_workload(Algo::kCa3dmm, w, cl);
   const char* path = "trace_structure.json";
   simmpi::write_chrome_trace_file(cl, path);
   const std::string t = slurp(path);
@@ -180,7 +182,9 @@ TEST(Trace, MarkersRecordLibraryEvents) {
   Cluster cl(8, Machine::unit_test());
   cl.set_trace(true);
   // Custom layouts force real pack/unpack work in redistribution.
-  costmodel::run_workload(Algo::kCa3dmm, {32, 32, 32, true}, cl);
+  costmodel::Workload w(32, 32, 32);
+  w.custom_layout = true;
+  costmodel::run_workload(Algo::kCa3dmm, w, cl);
   bool saw_pack = false, saw_unpack = false;
   for (int r = 0; r < cl.nranks(); ++r)
     for (const TraceRecord& rec : cl.trace(r)) {

@@ -32,9 +32,6 @@
 #include <variant>
 #include <vector>
 
-#include "baselines/ctf_like.hpp"
-#include "baselines/p25d.hpp"
-#include "baselines/summa.hpp"
 #include "core/ca3dmm.hpp"
 #include "core/hetero.hpp"
 #include "costmodel/drift.hpp"
@@ -111,7 +108,7 @@ struct Run {
   i64 m = 0, n = 0, k = 0;
   bool ta = false, tb = false;
   Lay lay = Lay::kNative;
-  Ca3dmmOptions opt{};            ///< CA3DMM / CA3DMM-S only
+  Ca3dmmOptions opt{};            ///< baselines read only force_grid
   simmpi::FaultPlan faults{};     ///< payload flips
   bool cached_comms = false;      ///< CA3DMM through a PgemmEngine, two calls
   const Topology* topo = nullptr;  ///< null: homogeneous digest machine
@@ -126,7 +123,7 @@ class Digest {
   void run(Algo algo, const Run& r) {
     std::visit(
         [&](const auto& plan) { execute(algo, r, plan); },
-        plan_of(algo, r));
+        costmodel::program_of(algo, {r.m, r.n, r.k, r.opt}, r.P).plan);
   }
 
   void predicted(Algo algo, const costmodel::Workload& w, int P,
@@ -152,26 +149,6 @@ class Digest {
   }
 
  private:
-  using AnyPlan =
-      std::variant<Ca3dmmPlan, CosmaPlan, CtfPlan, SummaPlan, P25dPlan>;
-
-  static AnyPlan plan_of(Algo algo, const Run& r) {
-    switch (algo) {
-      case Algo::kCa3dmm:
-      case Algo::kCa3dmmSumma: {
-        Ca3dmmOptions opt = r.opt;
-        opt.use_summa = algo == Algo::kCa3dmmSumma;
-        return Ca3dmmPlan::make(r.m, r.n, r.k, r.P, opt);
-      }
-      case Algo::kCosma: return CosmaPlan::make(r.m, r.n, r.k, r.P);
-      case Algo::kCarma: return CosmaPlan::make_carma(r.m, r.n, r.k, r.P);
-      case Algo::kCtf: return CtfPlan::make(r.m, r.n, r.k, r.P);
-      case Algo::kSumma: return SummaPlan::make(r.m, r.n, r.k, r.P);
-      case Algo::kP25d: return P25dPlan::make(r.m, r.n, r.k, r.P);
-    }
-    return Ca3dmmPlan{};
-  }
-
   template <typename Plan>
   void execute(Algo algo, const Run& r, const Plan& plan) {
     // Stored operands: op(A) is m x k, op(B) is k x n.
