@@ -37,12 +37,12 @@ bool g_gate_failed = false;
 /// bench_fig5_breakdown's P=16 gate but at up to 768x the rank count.
 ///
 /// Each executed point runs twice on one Cluster (the repeated run reuses
-/// its fiber stacks and rank buffer pools) and prints each run's
+/// its fiber stacks and rank memory blocks) and prints each run's
 /// HostProfile: context switches, steals, migrations, lock acquisitions and contention
 /// per lock class, p2p bytes copied, pool zero fills and schedule copies,
 /// and the kernel's share (page faults, voluntary switches, system CPU) —
 /// what the host spent on the run. Only the GEMM accumulators (one mb x nb
-/// partial C per rank) need zeroed memory; a run whose pools zero more
+/// partial C per rank) need zeroed memory; a run whose schedules zero more
 /// fails the binary like drift does (the count is deterministic). Each
 /// point also prints the largest per-rank arena its compiled schedules
 /// pack into, next to the largest tracked peak.
@@ -74,7 +74,7 @@ void print_real_execution() {
     w.force_grid = rc.grid;
     simmpi::Cluster cl(rc.P, mach);
     // Executed twice on one Cluster: the first run maps the fiber stacks
-    // and fills the rank pools, the repeated run reuses both.
+    // and grows the rank blocks, the repeated run reuses both.
     for (const char* which : {"first run", "repeated run"}) {
       const auto t0 = std::chrono::steady_clock::now();
       const costmodel::DriftReport rep =

@@ -27,16 +27,26 @@ constexpr i64 kSlotGap = kSlotAlign;
 constexpr i64 kSlotGap = 0;
 #endif
 
+i64 align_up(i64 bytes) {
+  return (bytes + kSlotAlign - 1) / kSlotAlign * kSlotAlign;
+}
+
+/// Arena bytes of a slot of `bytes` bytes at an aligned offset.
+i64 slot_span(i64 bytes) { return align_up(bytes) + kSlotGap; }
+
 /// The owned slots of one run: each is tracked, and unpoisoned, from its
-/// alloc op to its free op or to an unwind.
+/// alloc op to its free op or to an unwind. A redistribution's staging
+/// slots sit in the tail behind the `packed` bytes of the schedule's own.
 template <typename T>
 struct Slots {
   std::byte* arena;
   i64 arena_bytes;
+  i64 tail;  ///< offset of the staging tail
   std::array<T*, kSlotCount> ptr{};
   std::array<i64, kSlotCount> bytes{};
 
-  Slots(std::byte* a, i64 n) : arena(a), arena_bytes(n) {
+  Slots(std::byte* a, i64 packed, i64 n)
+      : arena(a), arena_bytes(n), tail(align_up(packed)) {
     ASAN_POISON_MEMORY_REGION(arena, static_cast<size_t>(n));
   }
   ~Slots() {
@@ -63,6 +73,24 @@ struct Slots {
     ASAN_POISON_MEMORY_REGION(ptr[slot], static_cast<size_t>(bytes[slot]));
     ptr[slot] = nullptr;
   }
+  /// Allocates the two staging slots of a redistribution that packs
+  /// `send` and receives `recv` elements; raises unless the tail holds
+  /// them, before anything is written.
+  RedistStaging<T> stage(i64 send, i64 recv) {
+    const i64 esize = static_cast<i64>(sizeof(T));
+    const i64 recv_off = tail + slot_span(send * esize);
+    CA_REQUIRE(recv_off + slot_span(recv * esize) <= arena_bytes,
+               "rank %d: a redistribution stages %lld + %lld bytes, more than "
+               "the %lld-byte tail its layouts' local sizes reserve (do a "
+               "layout's rects overlap?)",
+               simmpi::current_ctx()->world_rank,
+               static_cast<long long>(send * esize),
+               static_cast<long long>(recv * esize),
+               static_cast<long long>(arena_bytes - tail));
+    alloc(Op::Buf{kRedistSend, false, send, tail});
+    alloc(Op::Buf{kRedistRecv, false, recv, recv_off});
+    return {ptr[kRedistSend], ptr[kRedistRecv]};
+  }
 };
 
 }  // namespace
@@ -79,17 +107,33 @@ void Schedule::pack() {
     i64& off = op.buf.off = 0;
     auto at = live.begin();
     for (; at != live.end() && off + bytes + kSlotGap > at->lo; ++at)
-      off = (at->hi + kSlotGap + kSlotAlign - 1) / kSlotAlign * kSlotAlign;
+      off = align_up(at->hi + kSlotGap);
     live.insert(at, Range{off, off + bytes, op.buf.slot});
     arena_bytes_ = std::max(arena_bytes_, off + bytes + kSlotGap);
   }
   ++simmpi::detail::host_counters().schedule_builds;
 }
 
+i64 run_arena_bytes(const Schedule& s,
+                    const BlockLayout* const (&layouts)[kLayoutCount],
+                    int me) {
+  i64 tail = -1;  // no staging
+  for (const Op& op : s.ops()) {
+    if (op.kind != OpKind::kRedistribute) continue;
+    const BlockLayout& src = *layouts[op.redist.from];
+    const BlockLayout& dst = *layouts[op.redist.to];
+    if (!is_identity(src, dst, op.redist.transpose))
+      tail = std::max(tail, slot_span(src.local_size(me) * s.esize()) +
+                                slot_span(dst.local_size(me) * s.esize()));
+  }
+  return tail < 0 ? s.arena_bytes() : align_up(s.arena_bytes()) + tail;
+}
+
 template <typename T>
 void run_schedule(Comm& world, const Schedule& s, const ScheduleIo<T>& io) {
   CA_ASSERT(s.esize() == static_cast<i64>(sizeof(T)));
-  Slots<T> bufs(io.arena, s.arena_bytes());
+  CA_ASSERT(io.arena_bytes >= s.arena_bytes());
+  Slots<T> bufs(io.arena, s.arena_bytes(), io.arena_bytes);
   std::array<Comm, kCommCount> comms;
   comms[kWorld] = world.dup();
   const auto in = [&](int slot) -> const T* {
@@ -120,7 +164,12 @@ void run_schedule(Comm& world, const Schedule& s, const ScheduleIo<T>& io) {
       case OpKind::kRedistribute: {
         const Op::Redist& r = op.redist;
         redistribute<T>(comms[kWorld], *io.layouts[r.from], in(r.src),
-                        *io.layouts[r.to], out(r.dst), r.transpose);
+                        *io.layouts[r.to], out(r.dst), r.transpose,
+                        [&](i64 send, i64 recv) {
+                          return bufs.stage(send, recv);
+                        });
+        bufs.free(kRedistSend);
+        bufs.free(kRedistRecv);
         break;
       }
       case OpKind::kSplit: {

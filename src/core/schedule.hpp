@@ -18,7 +18,9 @@
 // peak memory. Communicator slot kWorld is the communicator the schedule
 // runs on; split ops fill the others.
 // An executed schedule is compiled (built and packed into one arena) once:
-// per one-shot run, or per plan entry of the persistent engine.
+// per one-shot run, or per plan entry of the persistent engine. The arena
+// ends in a tail for a redistribution's two staging slots, sized when the
+// layouts bind; it comes from one memory block per owner (simmpi/pool.hpp).
 #pragma once
 
 #include <algorithm>
@@ -72,6 +74,8 @@ enum Slot : std::uint8_t {
   kStage,
   kAggA,
   kAggB,
+  kRedistSend,  ///< a redistribution's staging, in the arena's tail
+  kRedistRecv,
   kSlotCount
 };
 
@@ -95,8 +99,9 @@ enum class OpKind : std::uint8_t {
   kAlloc,          ///< buf.elems elements at arena offset buf.off into
                    ///< buf.slot, tracked; zero-filled only if buf.zero
   kFree,           ///< release buf.slot
-  kRedistribute,   ///< layout pair over kWorld (staging + alltoallv, or a
-                   ///< local copy when the pair is an identity)
+  kRedistribute,   ///< layout pair over kWorld (staging slots kRedistSend
+                   ///< and kRedistRecv + alltoallv, or a local copy when
+                   ///< the pair is an identity)
   kSplit,          ///< communicator split (color = group key)
   kAllgatherv,     ///< counts in bytes
   kReduceScatter,  ///< counts in elements
@@ -354,8 +359,17 @@ struct ScheduleIo {
   /// Pre-split communicators by slot (PlanComms): a cacheable split into a
   /// bound slot takes it instead of splitting, and charges nothing.
   const simmpi::Comm* cached[kCommCount] = {};
-  std::byte* arena = nullptr;  ///< Schedule::arena_bytes() bytes
+  std::byte* arena = nullptr;
+  i64 arena_bytes = 0;  ///< run_arena_bytes: packed slots + staging tail
 };
+
+/// Bytes the arena of a run of packed `s` on rank `me` needs once
+/// `layouts` are bound: its packed slots, then a tail that holds the two
+/// staging slots of its largest non-identity redistribution, sized from
+/// the layouts' local sizes (the walk's totals for layouts that cover
+/// their matrix exactly). A schedule of identity conversions has no tail.
+i64 run_arena_bytes(const Schedule& s,
+                    const BlockLayout* const (&layouts)[kLayoutCount], int me);
 
 /// Executes packed `s` on the calling rank with `world` bound to kWorld.
 /// Restores the caller's phase on return.
@@ -402,10 +416,11 @@ Schedule compile(const Plan& plan, const simmpi::Comm& world, bool trans_a,
 }
 
 /// The body of every algorithm's executor: validates the call, compiles
-/// the calling rank's schedule and takes its arena from the rank's pool
-/// (unless the caller passes a compiled schedule `s` for (trans_a, trans_b)
-/// and its arena in `io`), binds the caller's operands and `plan`'s native
-/// layouts (plus whatever `io` already holds) and runs it.
+/// the calling rank's schedule (unless the caller passes a compiled
+/// schedule `s` for (trans_a, trans_b)), binds the caller's operands and
+/// `plan`'s native layouts (plus whatever `io` already holds), reserves
+/// its arena and staging tail from `block` (by default the rank's own,
+/// RankCtx::pool) and runs it.
 ///
 /// Every check depends only on arguments MPI semantics require to be
 /// identical on all ranks, or on this rank's own buffers, and runs before
@@ -415,7 +430,8 @@ template <typename T, typename Plan>
 void run_plan(simmpi::Comm& world, const Plan& plan, bool trans_a,
               bool trans_b, const BlockLayout& la, const T* a,
               const BlockLayout& lb, const T* b, const BlockLayout& lc, T* c,
-              ScheduleIo<T> io = {}, const Schedule* s = nullptr) {
+              ScheduleIo<T> io = {}, const Schedule* s = nullptr,
+              simmpi::BufferPool* block = nullptr) {
   CA_REQUIRE(world.valid(), "multiply needs a valid communicator");
   const int P = world.size();
   CA_REQUIRE(P == plan.nranks(), "plan is for %d ranks, comm has %d",
@@ -452,11 +468,7 @@ void run_plan(simmpi::Comm& world, const Plan& plan, bool trans_a,
                "%lld elements",
                me, "ABC"[i], static_cast<long long>(user[i]->local_size(me)));
   std::optional<Schedule> own;
-  simmpi::PoolBlock arena(simmpi::current_buffer_pool());
-  if (!s) {
-    s = &own.emplace(compile(plan, world, trans_a, trans_b, sizeof(T)));
-    io.arena = arena.reserve(s->arena_bytes());
-  }
+  if (!s) s = &own.emplace(compile(plan, world, trans_a, trans_b, sizeof(T)));
   const BlockLayout* bound[] = {&la, &lb, &lc, &plan.a_native(),
                                 &plan.b_native(), &plan.c_native()};
   std::copy(std::begin(bound), std::end(bound), io.layouts);
@@ -467,6 +479,9 @@ void run_plan(simmpi::Comm& world, const Plan& plan, bool trans_a,
   io.a = a;
   io.b = b;
   io.c = c;
+  io.arena_bytes = run_arena_bytes(*s, io.layouts, me);
+  io.arena = (block ? block : simmpi::current_ctx()->pool)
+                 ->reserve(io.arena_bytes);
   run_schedule(world, *s, io);
 }
 

@@ -5,13 +5,11 @@
 namespace ca3dmm::engine {
 
 using simmpi::Comm;
-using simmpi::PoolScope;
 
 PgemmEngine::PgemmEngine(Comm& world, EngineConfig cfg)
     : world_(world.dup()),
       cfg_(cfg),
       owner_ctx_(simmpi::current_ctx()) {
-  pool_.set_footprint_budget(cfg.pool_footprint_budget_bytes);
   CA_REQUIRE(world_.valid(), "PgemmEngine needs a valid communicator");
   CA_REQUIRE(cfg_.plan_cache_capacity >= 1,
              "plan_cache_capacity must be >= 1, got %zu",
@@ -123,8 +121,7 @@ size_t PgemmEngine::cached_plans() const { return lru_.size(); }
 
 void PgemmEngine::clear() {
   lru_.clear();
-  arena_.reserve(0);
-  pool_.trim();
+  pool_.release();
 }
 
 template <typename T>
@@ -137,18 +134,14 @@ void PgemmEngine::execute(Entry& entry, const Request<T>& req) {
   CA_REQUIRE(req.a_layout != nullptr && req.b_layout != nullptr &&
                  req.c_layout != nullptr,
              "engine request needs all three layouts set");
-  // Redistribution staging draws from the engine's pool while this scope
-  // is active. PoolScope's destructor detaches the pool on any exit path,
-  // so an aborted multiply cannot leave later allocations drawing from it.
-  PoolScope scope(&pool_);
   try {
     const Schedule& s =
         entry.schedule(world_, req.trans_a, req.trans_b, sizeof(T));
     ScheduleIo<T> io;
     entry.comms.bind(io.cached);
-    io.arena = arena_.reserve(s.arena_bytes());
     run_plan(world_, entry.plan, req.trans_a, req.trans_b, *req.a_layout,
-             req.a, *req.b_layout, req.b, *req.c_layout, req.c, io, &s);
+             req.a, *req.b_layout, req.b, *req.c_layout, req.c, io, &s,
+             &pool_);
   } catch (const Error&) {
     // The entry's communicators may have collectives half-rendezvoused on
     // peers that died (or, for a validation error, an inconsistent request

@@ -20,15 +20,17 @@
 //   * schedules      — and this rank's compiled schedules, one per
 //                      (trans_a, trans_b, element size) run: allgatherv
 //                      counts are in bytes, so float and double differ.
-//   * one arena      — all of them run out of one block of the engine's
-//                      pool, grown to the largest (one request runs at a
-//                      time), live in its footprint; the schedule tracks
-//                      its slots, so peaks keep Table I semantics.
+//   * one block      — all of them run out of the engine's one memory
+//                      block (simmpi/pool.hpp), grown to the largest
+//                      arena plus staging tail (one request runs at a
+//                      time); the schedule tracks its slots, staging
+//                      included, so peaks keep Table I semantics.
 //   * a batch API    — submit() takes a vector of requests, groups
 //                      same-plan requests together, and executes them
 //                      back-to-back (one plan lookup per run, no cache
 //                      thrash when shapes interleave).
-// A warm native-layout request builds nothing and acquires no memory.
+// A warm request builds nothing and acquires no memory, whatever its
+// layouts: a custom layout's staging lives in the block's tail.
 //
 // Usage contract: every member of `world` constructs an engine and calls
 // multiply()/submit()/plan_for() collectively in the same order with the
@@ -46,10 +48,9 @@
 // cooperative abort, every peer unwinds, and Cluster::run raises one
 // aggregated ca3dmm::Error. An engine whose execute() sees a ca3dmm::Error
 // on its own rank invalidates the plan-cache entry in use (its split
-// communicators may be poisoned by the failure), detaches the buffer pool
-// via PoolScope unwinding (every slot and buffer is released on the
-// exception path), and rethrows — leaving the engine safely reusable
-// for the next submission. That reuse is exercised within a run for
+// communicators may be poisoned by the failure), releases every slot of
+// its block on the way out (the block itself stays), and rethrows —
+// leaving the engine safely reusable for the next submission. That reuse is exercised within a run for
 // collectively raised validation errors; after a real rank loss the whole
 // run is torn down and the shrink-and-replan layer (resilience/recovery.hpp)
 // re-executes rank_main — with fresh engines — on the survivors. See
@@ -75,11 +76,6 @@ struct EngineConfig {
   /// Plans (with their communicators) kept alive; least recently used
   /// entries are evicted beyond this.
   size_t plan_cache_capacity = 8;
-  /// Hard cap on the pool's total per-rank footprint (live + idle); 0 =
-  /// unlimited. See BufferPool::set_footprint_budget — with a budget set,
-  /// the pool's high-water mark provably stays under
-  /// max(budget, peak live bytes), the serving layer's zero-OOM bound.
-  i64 pool_footprint_budget_bytes = 0;
   /// Tuning database written offline (tools/tune, Tuner::tune_into;
   /// tuner/db.hpp); null = no tuning, the engine always plans with the
   /// request's own options. The engine snapshots the DB at construction and
@@ -91,8 +87,8 @@ struct EngineConfig {
 };
 
 /// Monotonic per-engine counters. Cache counters evolve identically on
-/// every rank (the request stream is collective); splits_saved and the pool
-/// snapshot are this rank's own view (idle ranks skip the per-plan group
+/// every rank (the request stream is collective); splits_saved and the
+/// block snapshot are this rank's own view (idle ranks skip the per-plan group
 /// splits, so they save fewer).
 struct EngineStats {
   i64 requests = 0;         ///< multiplies executed
@@ -111,7 +107,7 @@ struct EngineStats {
   /// Plan-cache misses whose plan was built from a tuning-DB entry instead
   /// of the request's own options. Evolves identically on every rank.
   i64 tuned_plans = 0;
-  simmpi::PoolStats pool;   ///< buffer-pool snapshot (filled by stats())
+  simmpi::PoolStats pool;   ///< memory-block snapshot (filled by stats())
 
   double plan_hit_rate() const {
     const i64 total = plan_hits + plan_misses;
@@ -169,13 +165,13 @@ class PgemmEngine {
   /// may consult it for pricing without collective discipline.
   bool is_cached(i64 m, i64 n, i64 k, const Ca3dmmOptions& opt = {}) const;
 
-  /// Counters, with a current buffer-pool snapshot merged in.
+  /// Counters, with a current memory-block snapshot merged in.
   EngineStats stats() const;
 
   size_t cached_plans() const;
 
-  /// Drops every cached plan (with its communicators and schedules) and all
-  /// pooled memory. Purely local: no communication, no virtual-time charge.
+  /// Drops every cached plan (with its communicators and schedules) and
+  /// frees the memory block. Purely local: no communication, no virtual-time charge.
   void clear();
 
   /// The tuned config the engine would apply to a plan-cache miss of this
@@ -234,8 +230,7 @@ class PgemmEngine {
   /// Front = most recently used; at most plan_cache_capacity entries, so
   /// lookups scan it.
   std::list<Entry> lru_;
-  simmpi::BufferPool pool_;
-  simmpi::PoolBlock arena_{&pool_};  ///< after pool_: goes before it
+  simmpi::BufferPool pool_;  ///< every request's arena and staging tail
   EngineStats stats_;
   /// Snapshot of the tuning DB taken at construction (see
   /// EngineConfig::tuning_db).

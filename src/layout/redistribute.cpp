@@ -68,7 +68,7 @@ std::vector<RedistSegment> redistribution_segments(const BlockLayout& src,
 template <typename T>
 void redistribute(simmpi::Comm& comm, const BlockLayout& src,
                   const T* src_local, const BlockLayout& dst, T* dst_local,
-                  bool transpose) {
+                  bool transpose, const StageFn<T>& stage) {
   const int P = comm.size();
   const int me = comm.rank();
   CA_REQUIRE(src.nranks() == P && dst.nranks() == P,
@@ -103,11 +103,11 @@ void redistribute(simmpi::Comm& comm, const BlockLayout& src,
   };
   const i64 send_total = total(send_list) / esize;
   const i64 recv_total = total(recv_list) / esize;
+  // Staging is part of the per-rank memory footprint the paper's Table I
+  // measures; the caller tracks it.
+  const RedistStaging<T> buf = stage(send_total, recv_total);
 
   // --- pack: row-major in source coordinates, canonical segment order ---
-  // Tracked: redistribution staging is part of the per-rank memory footprint
-  // the paper's Table I measures.
-  simmpi::TrackedBuffer<T> sendbuf(send_total);
   simmpi::trace_marker("redistribute:pack",
                        static_cast<double>(send_total * esize));
   {
@@ -119,7 +119,7 @@ void redistribute(simmpi::Comm& comm, const BlockLayout& src,
       const T* base = src_local + src_base[sg.si];
       for (i64 i = r.r.lo; i < r.r.hi; ++i) {
         const T* row = base + (i - srect.r.lo) * ld + (r.c.lo - srect.c.lo);
-        std::memcpy(&sendbuf[static_cast<size_t>(pos)], row,
+        std::memcpy(buf.send + pos, row,
                     static_cast<size_t>(r.c.size()) * sizeof(T));
         pos += r.c.size();
       }
@@ -127,8 +127,7 @@ void redistribute(simmpi::Comm& comm, const BlockLayout& src,
     CA_ASSERT(pos == send_total);
   }
 
-  simmpi::TrackedBuffer<T> recvbuf(recv_total);
-  comm.alltoallv_bytes(sendbuf.data(), send_list, recvbuf.data(), recv_list);
+  comm.alltoallv_bytes(buf.send, send_list, buf.recv, recv_list);
 
   // --- unpack: same canonical order; apply transpose when writing ---
   simmpi::trace_marker("redistribute:unpack",
@@ -143,7 +142,7 @@ void redistribute(simmpi::Comm& comm, const BlockLayout& src,
       if (!transpose) {
         for (i64 i = r.r.lo; i < r.r.hi; ++i) {
           T* row = base + (i - drect.r.lo) * ld + (r.c.lo - drect.c.lo);
-          std::memcpy(row, &recvbuf[static_cast<size_t>(pos)],
+          std::memcpy(row, buf.recv + pos,
                       static_cast<size_t>(r.c.size()) * sizeof(T));
           pos += r.c.size();
         }
@@ -151,12 +150,30 @@ void redistribute(simmpi::Comm& comm, const BlockLayout& src,
         // Source element (i, j) lands at destination (j, i).
         for (i64 i = r.r.lo; i < r.r.hi; ++i)
           for (i64 j = r.c.lo; j < r.c.hi; ++j)
-            base[(j - drect.r.lo) * ld + (i - drect.c.lo)] =
-                recvbuf[static_cast<size_t>(pos++)];
+            base[(j - drect.r.lo) * ld + (i - drect.c.lo)] = buf.recv[pos++];
       }
     }
     CA_ASSERT(pos == recv_total);
   }
+}
+
+template <typename T>
+void redistribute(simmpi::Comm& comm, const BlockLayout& src,
+                  const T* src_local, const BlockLayout& dst, T* dst_local,
+                  bool transpose) {
+  simmpi::RankCtx& ctx = *simmpi::current_ctx();
+  struct Tracked {  // released on any exit
+    simmpi::RankCtx& ctx;
+    i64 bytes = 0;
+    ~Tracked() { ctx.track_free(bytes); }
+  } tracked{ctx};
+  const auto stage = [&](i64 send, i64 recv) {
+    tracked.bytes = (send + recv) * static_cast<i64>(sizeof(T));
+    T* p = reinterpret_cast<T*>(ctx.pool->reserve(tracked.bytes));
+    ctx.track_alloc(tracked.bytes);
+    return RedistStaging<T>{p, p + send};
+  };
+  redistribute<T>(comm, src, src_local, dst, dst_local, transpose, stage);
 }
 
 RedistVolume redistribution_volume(const BlockLayout& src,
@@ -190,6 +207,12 @@ RedistVolume redistribution_volume(const BlockLayout& src,
   return v;
 }
 
+template void redistribute<float>(simmpi::Comm&, const BlockLayout&,
+                                  const float*, const BlockLayout&, float*,
+                                  bool, const StageFn<float>&);
+template void redistribute<double>(simmpi::Comm&, const BlockLayout&,
+                                   const double*, const BlockLayout&, double*,
+                                   bool, const StageFn<double>&);
 template void redistribute<float>(simmpi::Comm&, const BlockLayout&,
                                   const float*, const BlockLayout&, float*,
                                   bool);

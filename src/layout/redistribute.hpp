@@ -20,6 +20,7 @@
 // the same query for every rank.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "layout/block_layout.hpp"
@@ -36,8 +37,23 @@ inline bool is_identity(const BlockLayout& src, const BlockLayout& dst,
   return !transpose && src == dst;
 }
 
+/// Staging of a non-identity redistribution: the packed send buffer and
+/// the receive buffer.
+template <typename T>
+struct RedistStaging {
+  T* send = nullptr;
+  T* recv = nullptr;
+};
+
+/// Gives a non-identity redistribution its staging once the segment walk
+/// is known: called with the elements the rank packs and receives, it
+/// returns buffers of that many elements, valid until redistribute
+/// returns, or raises ca3dmm::Error.
+template <typename T>
+using StageFn = std::function<RedistStaging<T>(i64 send_elems, i64 recv_elems)>;
+
 /// Redistributes `src_local` (this rank's data under `src`) into `dst_local`
-/// (sized dst.local_size(rank)) under `dst`.
+/// (sized dst.local_size(rank)) under `dst`, staging through `stage`.
 ///
 /// If `transpose`, the destination layout describes the transposed index
 /// space: dst.rows() == src.cols() and dst.cols() == src.rows(), and global
@@ -46,7 +62,16 @@ inline bool is_identity(const BlockLayout& src, const BlockLayout& dst,
 /// Collective over `comm`; src and dst must both span comm.size() ranks. An
 /// identity conversion (is_identity) is a plain local copy instead: no
 /// staging, no alltoallv, no rendezvous, charged as one local scan of the
-/// rank's bytes (Comm::charge_local_work).
+/// rank's bytes (Comm::charge_local_work). When both layouts cover their
+/// matrix exactly, a rank packs src.local_size(rank) elements and receives
+/// dst.local_size(rank).
+template <typename T>
+void redistribute(simmpi::Comm& comm, const BlockLayout& src,
+                  const T* src_local, const BlockLayout& dst, T* dst_local,
+                  bool transpose, const StageFn<T>& stage);
+
+/// As above, staging through the calling rank's memory block
+/// (RankCtx::pool), tracked while the call runs.
 template <typename T>
 void redistribute(simmpi::Comm& comm, const BlockLayout& src,
                   const T* src_local, const BlockLayout& dst, T* dst_local,

@@ -40,24 +40,10 @@ double rel_drift(double predicted, double executed) {
 
 }  // namespace
 
-namespace {
-
-/// The service's memory budget doubles as the pool's hard footprint cap,
-/// which is what makes the zero-OOM gate a guarantee rather than a hope:
-/// the pool evicts idle memory before any acquisition that would bust it.
-engine::EngineConfig engine_config_of(const ServiceConfig& cfg) {
-  engine::EngineConfig ec = cfg.engine;
-  if (cfg.memory_budget_bytes > 0 && ec.pool_footprint_budget_bytes == 0)
-    ec.pool_footprint_budget_bytes = cfg.memory_budget_bytes;
-  return ec;
-}
-
-}  // namespace
-
 PgemmService::PgemmService(Comm& world, const ServiceConfig& cfg)
     : world_(world.dup()),
       cfg_(cfg),
-      engine_(world, engine_config_of(cfg)),
+      engine_(world, cfg.engine),
       oracle_(world.size(), world.machine()) {
   CA_REQUIRE(!cfg_.tenants.empty(), "PgemmService needs at least one tenant");
   for (const TenantConfig& t : cfg_.tenants) {

@@ -23,10 +23,10 @@
 //                  (wfq.hpp) with priority classes and a starvation bound.
 //   backpressure — bounded per-tenant queues; a full queue rejects with
 //                  retry-after instead of growing without bound.
-//   pool budget  — the engine pool's footprint cap: idle memory is evicted
-//                  before an acquisition would exceed it, so the pool's
-//                  high-water mark stays under max(budget, live bytes),
-//                  where live is the engine's arena (its largest schedule).
+//   memory       — the engine runs every request in one memory block per
+//                  rank, grown to the largest arena plus staging tail it
+//                  ran: its high-water mark is one admitted request's
+//                  footprint, reported against the memory budget.
 //
 // Execution model: serve() runs *inside* a Cluster rank body — every rank
 // runs the identical deterministic loop, so no control messages are needed.
@@ -71,8 +71,10 @@ struct TenantConfig {
 
 struct ServiceConfig {
   std::vector<TenantConfig> tenants;
-  /// Per-rank cap on the engine pool footprint (live + idle bytes); 0 =
-  /// unlimited. Becomes the engine's pool_footprint_budget_bytes.
+  /// Per-rank memory budget (0 = none) that the engine block's high-water
+  /// mark (ServiceReport::pool_high_water_bytes) is gated against by the
+  /// service benches and tools/loadgen. Nothing idle is held to evict: the
+  /// block is the largest request's arena and staging tail.
   i64 memory_budget_bytes = 0;
   /// WFQ starvation bound in service vtime seconds (<= 0 disables aging).
   double starvation_bound_s = 0;

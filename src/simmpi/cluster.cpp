@@ -77,7 +77,7 @@ std::string HostProfile::table() const {
                    static_cast<long long>(zero_copy_bytes),
                    static_cast<long long>(inbox_slots_peak));
   out += strprintf(
-      "  fiber stacks mapped %lld; rank pool hits %lld, misses %lld; "
+      "  fiber stacks mapped %lld; rank blocks reused %lld, grown %lld; "
       "schedules built %lld, zeroed %lld B, copies %lld B\n",
       static_cast<long long>(stacks_mapped), static_cast<long long>(pool_hits),
       static_cast<long long>(pool_misses),
@@ -238,6 +238,8 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
     ctx_[r].machine = &topo_.machine_of_rank(r);
     ctx_[r].trace_enabled = trace_cfg_.enabled;
     ctx_[r].trace_markers = trace_cfg_.enabled && trace_cfg_.markers;
+    ctx_[r].pool = &rank_pools_[r];
+    rank_pools_[r].begin_use();
     for (const FaultPlan::StraggleNode& s : faults_.stragglers)
       if (s.node == topo_.node_of_rank(r))
         ctx_[r].slowdown *= s.factor;
@@ -253,7 +255,7 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
   // of an enclosing run.
   const HostProfile outer = std::exchange(detail::host_counters(), {});
   const detail::ThreadUsage usage0 = detail::ThreadUsage::now();
-  // Pool counters are lifetime totals; the run's share is the difference.
+  // Block counters are lifetime totals; the run's share is the difference.
   const auto pool_totals = [this] {
     PoolStats t;
     for (int r = 0; r < nranks_; ++r) {
@@ -320,14 +322,6 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
   // still leaves per-rank virtual times readable for diagnostics.
   for (int r = 0; r < nranks_; ++r) ctx_[r].stats.vtime = ctx_[r].clock;
 
-  // Every rank's buffers were released as its body unwound. One still
-  // checked out of a rank pool escaped the run, and the pool would hand
-  // its memory to the next run while the escapee still points at it.
-  for (int r = 0; r < nranks_; ++r)
-    CA_REQUIRE(rank_pools_[r].live_bytes() == 0,
-               "rank %d leaked %lld tracked bytes out of Cluster::run", r,
-               static_cast<long long>(rank_pools_[r].live_bytes()));
-
   if (!deadlock_report_.empty()) throw Error(deadlock_report_);
 
   int nfailed = 0;
@@ -349,10 +343,9 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
 
 void Cluster::rank_body(int rank, const std::function<void(Comm&)>& rank_main,
                         const std::shared_ptr<detail::CommState>& world) {
-  // The scheduler saves/restores both thread-locals (rank context, pool)
-  // around every switch, so they follow the fiber across workers.
+  // The scheduler saves/restores the rank-context thread-local around
+  // every switch, so it follows the fiber across workers.
   detail::swap_rank_tls(&ctx_[static_cast<size_t>(rank)]);
-  PoolScope pool(&rank_pools_[rank]);
   try {
     Comm c(world, rank);
     rank_main(c);

@@ -13,11 +13,11 @@
 //
 // Rank memory outlives a run. The Cluster keeps its fiber scheduler, with
 // every rank's guard-paged stack, from the first run() to its destructor,
-// and owns one BufferPool per rank that the arenas and TrackedBuffers of
-// that rank's body draw from. A repeated run therefore maps no stacks and
-// takes its work memory from what the last run already faulted in;
-// tracking does not depend on where memory comes from (see pool.hpp), so
-// results and peak bytes (Table I) do not change.
+// and owns one growable block per rank (RankCtx::pool) that the one-shot
+// schedules of that rank's body run in. A repeated run therefore maps no
+// stacks and takes its work memory from what the last run already faulted
+// in; tracking does not depend on where memory comes from (see pool.hpp),
+// so results and peak bytes (Table I) do not change.
 //
 // Rendezvous state has one home and one lock per kind:
 //   * point-to-point: every rank owns an Inbox (detail_state.hpp) of
@@ -45,8 +45,6 @@
 #include <string>
 #include <vector>
 
-#include <type_traits>
-
 #include "common/error.hpp"
 #include "common/partition.hpp"
 #include "simmpi/clock_rules.hpp"
@@ -72,6 +70,9 @@ struct RankCtx : RankClock {
   std::vector<TraceRecord> trace;
   double slowdown = 1.0;  ///< fault-injected straggler factor (>= 1)
   i64 comm_ops = 0;       ///< communication ops issued (fault-kill counter)
+  /// The rank's memory block, kept by the Cluster across runs: a one-shot
+  /// schedule's arena (core/schedule.hpp run_plan).
+  BufferPool* pool = nullptr;
 
   // --- blocked-state, read by the deadlock report's wait-for table ---
   // Written by the rank itself around its waits; the report reads them only
@@ -185,7 +186,7 @@ class Cluster {
 
   /// Host-side counters of the last run() (see HostProfile): context
   /// switches, parks, wakes, steals, lock acquisitions per lock class, p2p
-  /// bytes copied, stacks mapped, rank-pool reuse and the kernel's share
+  /// bytes copied, stacks mapped, rank-block reuse and the kernel's share
   /// (page faults, voluntary switches, system CPU). Not part of the
   /// determinism contract.
   const HostProfile& host_profile() const { return host_prof_; }
@@ -358,68 +359,10 @@ class Cluster {
   /// The scheduler and its fiber stacks: built by the first run(), rebuilt
   /// when the stack size or worker count changed, kept until ~Cluster.
   std::unique_ptr<detail::FiberScheduler> fiber_sched_;
-  /// One pool per rank, installed around its body by rank_body; its idle
-  /// buffers carry over to the next run.
+  /// One block per rank, reached through its RankCtx; it carries over to
+  /// the next run.
   std::unique_ptr<BufferPool[]> rank_pools_;
   HostProfile host_prof_;  ///< counters of the last run()
-};
-
-/// RAII owning buffer whose size is reported to the rank's memory tracker
-/// (Table I): redistribution staging. A schedule's own slots live in its
-/// arena and are tracked by its alloc and free ops (core/schedule.hpp).
-template <typename T>
-class TrackedBuffer {
- public:
-  TrackedBuffer() = default;
-  explicit TrackedBuffer(i64 n) { resize(n); }
-  ~TrackedBuffer() { release(); }
-
-  TrackedBuffer(const TrackedBuffer&) = delete;
-  TrackedBuffer& operator=(const TrackedBuffer&) = delete;
-
-  /// Not zero-filled: the caller writes every element before reading it.
-  void resize(i64 n) {
-    release();
-    CA_ASSERT(n >= 0);
-    if (n == 0) return;
-    n_ = n;
-    // Draw from the calling rank's active BufferPool: the Cluster's pool for
-    // that rank, or an engine's pool scoped over it. Outside a rank (no
-    // pool) this is a plain heap allocation. Tracked bytes are identical
-    // either way (Table I semantics).
-    if constexpr (std::is_trivially_copyable_v<T> &&
-                  std::is_trivially_destructible_v<T>)
-      pool_ = current_buffer_pool();
-    data_ = pool_ ? static_cast<T*>(pool_->acquire(bytes()))
-                  : new T[static_cast<size_t>(n)];
-    ctx_ = current_ctx();
-    if (ctx_) ctx_->track_alloc(bytes());
-  }
-
-  void release() {
-    if (data_) {
-      if (ctx_) ctx_->track_free(bytes());
-      if (pool_)
-        pool_->give_back(data_, bytes());
-      else
-        delete[] data_;
-    }
-    data_ = nullptr;
-    n_ = 0;
-    ctx_ = nullptr;
-    pool_ = nullptr;
-  }
-
-  T* data() { return data_; }
-  i64 size() const { return n_; }
-  i64 bytes() const { return n_ * static_cast<i64>(sizeof(T)); }
-  T& operator[](i64 i) { return data_[i]; }
-
- private:
-  T* data_ = nullptr;
-  i64 n_ = 0;
-  RankCtx* ctx_ = nullptr;
-  BufferPool* pool_ = nullptr;  ///< pool this buffer was drawn from, if any
 };
 
 }  // namespace ca3dmm::simmpi

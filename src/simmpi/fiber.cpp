@@ -11,7 +11,6 @@
 
 #include "common/error.hpp"
 #include "simmpi/cluster.hpp"
-#include "simmpi/pool.hpp"
 
 // ---- sanitizer fiber annotations ----
 // ASan tracks a fake stack per context; without start/finish_switch_fiber
@@ -333,7 +332,6 @@ void FiberScheduler::spawn(int rank, std::function<void()> body) {
   f->last_worker = -1;
   f->wait_next = nullptr;
   f->tls_ctx = nullptr;
-  f->tls_pool = nullptr;
   f->asan_fake_stack = nullptr;
 #if defined(CA_FIBER_TSAN)
   // A fresh TSan context too: the last run's never left its final frame.
@@ -503,10 +501,9 @@ void FiberScheduler::worker_main(int self) {
 void FiberScheduler::switch_into(Fiber* f) {
   WorkerFrame& w = *g_worker;
   g_fiber = f;
-  // Install the fiber's TLS view; the worker's own view (always null rank
-  // context / null pool) is restored on the way out.
+  // Install the fiber's TLS view; the worker's own view (always a null
+  // rank context) is restored on the way out.
   RankCtx* prev_ctx = swap_rank_tls(f->tls_ctx);
-  BufferPool* prev_pool = swap_tls_pool(f->tls_pool);
   asan_start_switch(&w.asan_fake_stack, f->stack_lo, f->stack_bytes);
   tsan_switch_to(f->tsan_fiber);
 #if defined(CA_SIMMPI_FAST_SWITCH)
@@ -515,7 +512,6 @@ void FiberScheduler::switch_into(Fiber* f) {
   swapcontext(&w.sched_ctx, &f->uctx);
 #endif
   asan_finish_switch(w.asan_fake_stack);
-  f->tls_pool = swap_tls_pool(prev_pool);
   f->tls_ctx = swap_rank_tls(prev_ctx);
   g_fiber = nullptr;
 }

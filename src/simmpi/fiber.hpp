@@ -41,8 +41,8 @@
 // was woken.
 //
 // Workers never hold a rendezvous lock across a context switch, and a
-// fiber's TLS view (current rank context, active buffer pool) is saved and
-// restored around every switch, so fibers migrate freely between workers.
+// fiber's TLS view (its current rank context) is saved and restored
+// around every switch, so fibers migrate freely between workers.
 // The worker count is fixed for the scheduler's life. A fiber that blocks
 // in the OS (a std::mutex, a join) keeps its worker and counts as running
 // until it returns.
@@ -89,7 +89,6 @@
 namespace ca3dmm::simmpi {
 
 struct RankCtx;
-class BufferPool;
 
 namespace detail {
 
@@ -127,12 +126,11 @@ struct Fiber {
   std::function<void()> body;
   FiberScheduler* sched = nullptr;
 
-  // Fiber-virtualized thread-locals, live while the fiber is switched out.
-  // PoolScope and the rank body mutate real TLS; saving both around every
-  // switch keeps one fiber's pool or rank context from leaking into
-  // another fiber sharing the worker.
+  // Fiber-virtualized thread-local, live while the fiber is switched out.
+  // The rank body mutates real TLS; saving it around every switch keeps
+  // one fiber's rank context from leaking into another fiber sharing the
+  // worker.
   RankCtx* tls_ctx = nullptr;
-  BufferPool* tls_pool = nullptr;
 
   void* asan_fake_stack = nullptr;  ///< __sanitizer_*_switch_fiber handle
   void* tsan_fiber = nullptr;       ///< __tsan fiber handle

@@ -48,9 +48,9 @@ struct HostProfile {
   /// Fiber stacks mapped by this run: every rank on a Cluster's first run
   /// (or after a stack-size or worker-count change), 0 on later runs.
   i64 stacks_mapped = 0;
-  /// Acquisitions (arenas, TrackedBuffers) served by the ranks' own
-  /// BufferPools from memory an earlier one returned (hits) or from the
-  /// heap (misses). Pools an engine installs over them are not counted.
+  /// Ranks whose memory block (RankCtx::pool) already held this run's
+  /// arenas (reused), and grows of those blocks (heap allocations). An
+  /// engine's own block is not counted.
   i64 pool_hits = 0;
   i64 pool_misses = 0;
   /// Bytes the schedules zero-filled at alloc ops (GEMM accumulators).

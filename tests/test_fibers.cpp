@@ -2,7 +2,7 @@
 // times, per-phase stats, and trace critical paths bit-identical under any
 // dispatch order — one worker against four), exact deadlock detection and
 // fault injection, the one-worker dispatch order, work stealing between the
-// per-worker run queues, stacks and rank buffer pools kept across runs,
+// per-worker run queues, stacks and rank memory blocks kept across runs,
 // sendrecv's two delivery orders, and a many-rank smoke at P=512.
 #include <alloca.h>
 #include <gtest/gtest.h>
@@ -336,9 +336,9 @@ std::vector<std::vector<double>> multiply_once(Cluster& cl) {
 }
 
 TEST(FiberReuse, RepeatedRunsMatchFreshClusterAndReuseMemory) {
-  // The Cluster keeps its fiber stacks and rank buffer pools across runs.
+  // The Cluster keeps its fiber stacks and rank memory blocks across runs.
   // A repeated multiply must give the vtimes, C and peak bytes of a fresh
-  // Cluster, map no stack, and take every work buffer from the pools.
+  // Cluster, map no stack, and take every work buffer from the blocks.
   const int P = 16;
   Cluster fresh(P, Machine::unit_test());
   fresh.set_fiber_workers(4);
@@ -363,24 +363,27 @@ TEST(FiberReuse, RepeatedRunsMatchFreshClusterAndReuseMemory) {
   }
 }
 
-TEST(FiberReuse, BufferEscapingTheRunIsAnError) {
-  // A TrackedBuffer that outlives the run still holds rank pool memory the
-  // next run would hand out again: run() must refuse it. Once the buffers
-  // are released, the Cluster runs normally.
+TEST(FiberReuse, RankBlocksCarryOverToTheNextRun) {
+  // Each rank's memory block outlives the run: a later run that needs no
+  // more gets the same memory back (one hit per rank), a larger need grows
+  // it (one miss per rank).
   const int P = 4;
   Cluster cl(P, Machine::unit_test());
-  {
-    std::vector<TrackedBuffer<double>> escaped(static_cast<size_t>(P));
-    const std::string msg = run_expect_error(cl, [&](Comm& c) {
-      escaped[static_cast<size_t>(c.rank())].resize(16);
+  std::vector<std::byte*> first(static_cast<size_t>(P));
+  const auto reserve = [&](i64 bytes, bool record) {
+    cl.run([&](Comm& c) {
+      std::byte* p = simmpi::current_ctx()->pool->reserve(bytes);
+      if (record) first[static_cast<size_t>(c.rank())] = p;
+      else EXPECT_EQ(p, first[static_cast<size_t>(c.rank())]);
+      c.barrier();
     });
-    EXPECT_NE(msg.find("leaked 128 tracked bytes"), std::string::npos) << msg;
-  }
-  cl.run([](Comm& c) {
-    TrackedBuffer<double> b(16);
-    c.barrier();
-  });
-  EXPECT_EQ(cl.host_profile().pool_hits, P);
+    return std::make_pair(cl.host_profile().pool_hits,
+                          cl.host_profile().pool_misses);
+  };
+  EXPECT_EQ(reserve(128, true), std::make_pair(i64{0}, i64{P}));
+  EXPECT_EQ(reserve(64, false), std::make_pair(i64{P}, i64{0}));
+  EXPECT_EQ(reserve(128, false), std::make_pair(i64{P}, i64{0}));
+  EXPECT_EQ(reserve(256, true), std::make_pair(i64{0}, i64{P}));
 }
 
 /// Touches `bytes` of the calling fiber's stack.

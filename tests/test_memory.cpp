@@ -10,10 +10,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <cstdint>
 #include <vector>
-
-#include <memory>
 
 #include "core/ca3dmm.hpp"
 #include "costmodel/model.hpp"
@@ -125,198 +123,102 @@ TEST(Memory, ModelTracksGridChanges) {
   EXPECT_GT(*mx / *mn, 1.4);  // uneven decay = grid shape transitions
 }
 
-TEST(Memory, PoolGaugesTrackAcquireAndGiveBack) {
+TEST(Memory, BlockGaugesTrackGrowsAndHighWater) {
   simmpi::BufferPool pool;
   EXPECT_EQ(pool.stats().live_bytes, 0);
-  EXPECT_EQ(pool.stats().idle_bytes, 0);
   EXPECT_EQ(pool.stats().high_water_bytes, 0);
 
-  void* a = pool.acquire(1024);
-  void* b = pool.acquire(4096);
-  EXPECT_EQ(pool.stats().live_bytes, 5120);
-  EXPECT_EQ(pool.stats().idle_bytes, 0);
-  EXPECT_EQ(pool.stats().high_water_bytes, 5120);
-
-  pool.give_back(a, 1024);
+  std::byte* a = pool.reserve(4096);  // first use: a grow
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 64, 0u);
+  EXPECT_EQ(pool.stats().misses, 1);
   EXPECT_EQ(pool.stats().live_bytes, 4096);
-  EXPECT_EQ(pool.stats().idle_bytes, 1024);
-  EXPECT_EQ(pool.stats().idle_bytes, pool.idle_bytes());
-  // Returning a buffer parks it; total footprint unchanged.
-  EXPECT_EQ(pool.stats().high_water_bytes, 5120);
+  EXPECT_EQ(pool.stats().high_water_bytes, 4096);
+  // A smaller reserve of the same use is the block itself, uncounted.
+  EXPECT_EQ(pool.reserve(1024), a);
+  EXPECT_EQ(pool.stats().hits + pool.stats().misses, 1);
 
-  // Re-acquiring the parked size moves the bytes idle -> live.
-  void* a2 = pool.acquire(1024);
-  EXPECT_EQ(pool.stats().live_bytes, 5120);
-  EXPECT_EQ(pool.stats().idle_bytes, 0);
+  // A new use that fits is a hit on the same memory.
+  pool.begin_use();
+  EXPECT_EQ(pool.reserve(4096), a);
+  EXPECT_EQ(pool.stats().hits, 1);
+  EXPECT_EQ(pool.reserve(0), a);  // no use of the block
   EXPECT_EQ(pool.stats().hits, 1);
 
-  pool.give_back(a2, 1024);
-  pool.give_back(b, 4096);
+  // Growing frees the old block first: the footprint is one block, and the
+  // high-water mark is the largest block, not the sum.
+  pool.reserve(8192);
+  EXPECT_EQ(pool.stats().misses, 2);
+  EXPECT_EQ(pool.stats().live_bytes, 8192);
+  EXPECT_EQ(pool.stats().high_water_bytes, 8192);
+  pool.release();
   EXPECT_EQ(pool.stats().live_bytes, 0);
-  EXPECT_EQ(pool.stats().idle_bytes, 5120);
-  EXPECT_EQ(pool.stats().high_water_bytes, 5120);  // never exceeded
+  EXPECT_EQ(pool.stats().high_water_bytes, 8192);  // historical
 }
 
-TEST(Memory, PoolHighWaterIsMonotonic) {
+TEST(Memory, BlockHighWaterIsMonotonic) {
   simmpi::BufferPool pool;
   i64 prev = 0;
-  for (int i = 1; i <= 8; ++i) {
-    void* p = pool.acquire(i * 256);
-    EXPECT_GE(pool.stats().high_water_bytes, prev);
-    prev = pool.stats().high_water_bytes;
-    pool.give_back(p, i * 256);
+  for (int i : {3, 1, 4, 1, 5, 9, 2, 6}) {
+    pool.begin_use();
+    pool.reserve(i * 256);
     EXPECT_GE(pool.stats().high_water_bytes, prev);
     prev = pool.stats().high_water_bytes;
   }
-  // One buffer live at a time, all sizes distinct and parked: footprint grew
-  // to sum(parked) + largest live.
-  EXPECT_EQ(pool.stats().live_bytes, 0);
-  EXPECT_EQ(pool.stats().idle_bytes, 256 * (1 + 2 + 3 + 4 + 5 + 6 + 7 + 8));
-}
-
-TEST(Memory, PoolTrimToTargetFreesLargestFirst) {
-  simmpi::BufferPool pool;
-  void* a = pool.acquire(1024);
-  void* b = pool.acquire(2048);
-  void* c = pool.acquire(8192);
-  pool.give_back(a, 1024);
-  pool.give_back(b, 2048);
-  pool.give_back(c, 8192);
-  ASSERT_EQ(pool.idle_bytes(), 11264);
-
-  // Target 4096: only the 8192 buffer must go (largest-first), leaving the
-  // two small ones — 3072 idle, 8192 freed.
-  const i64 freed = pool.trim(4096);
-  EXPECT_EQ(freed, 8192);
-  EXPECT_EQ(pool.idle_bytes(), 3072);
-  EXPECT_EQ(pool.stats().idle_bytes, 3072);
-
-  // The survivors are still reusable.
-  void* b2 = pool.acquire(2048);
-  EXPECT_EQ(pool.stats().hits, 1);
-  pool.give_back(b2, 2048);
-
-  // Default trim drains everything; live buffers would be untouched (none
-  // here), and the high-water gauge keeps its historical value.
-  const i64 freed_all = pool.trim();
-  EXPECT_EQ(freed_all, 3072);
-  EXPECT_EQ(pool.idle_bytes(), 0);
-  EXPECT_EQ(pool.stats().high_water_bytes, 11264);
-}
-
-TEST(Memory, PoolTrimLeavesLiveBuffersAlone) {
-  simmpi::BufferPool pool;
-  void* live = pool.acquire(4096);
-  void* idle = pool.acquire(1024);
-  pool.give_back(idle, 1024);
-  EXPECT_EQ(pool.trim(0), 1024);
-  EXPECT_EQ(pool.stats().live_bytes, 4096);
-  // The live buffer is still valid and returnable after the trim.
-  std::memset(live, 0xab, 4096);
-  pool.give_back(live, 4096);
-  EXPECT_EQ(pool.stats().live_bytes, 0);
-  EXPECT_EQ(pool.stats().idle_bytes, 4096);
-  pool.trim();
-}
-
-TEST(Memory, PoolFootprintBudgetEvictsIdleBeforeAllocating) {
-  simmpi::BufferPool pool;
-  pool.set_footprint_budget(8192);
-  void* a = pool.acquire(4096);
-  pool.give_back(a, 4096);
-  // Fits alongside the parked 4096: no eviction on this miss.
-  void* b = pool.acquire(2048);
-  pool.give_back(b, 2048);
-  EXPECT_EQ(pool.stats().idle_bytes, 6144);
-  EXPECT_EQ(pool.stats().trims, 0);
-  // 8192 cannot fit next to 6144 idle under the budget: both idle
-  // allocations are evicted (largest first) before the heap is touched.
-  void* c = pool.acquire(8192);
-  EXPECT_EQ(pool.stats().trims, 2);
-  EXPECT_EQ(pool.stats().idle_bytes, 0);
-  EXPECT_EQ(pool.stats().live_bytes, 8192);
-  // The footprint high-water never exceeded the budget.
-  EXPECT_LE(pool.stats().high_water_bytes, 8192);
-  pool.give_back(c, 8192);
-  // Live allocations are never denied: a request above the budget still
-  // succeeds (the bound is max(budget, live peak), not a hard failure).
-  void* big = pool.acquire(16384);
-  EXPECT_EQ(pool.stats().idle_bytes, 0);
-  pool.give_back(big, 16384);
+  EXPECT_EQ(pool.stats().high_water_bytes, 9 * 256);
+  EXPECT_EQ(pool.stats().live_bytes, 9 * 256);  // the block never shrinks
+  EXPECT_EQ(pool.stats().misses, 4);            // 3, 4, 5, 9 grew it
+  EXPECT_EQ(pool.stats().hits, 4);
 }
 
 TEST(Memory, FaultAbortLeavesNoLeakedOrStaleBuffers) {
-  // Recovery regression: a rank killed mid-multiply unwinds every peer
-  // through its PoolScope. Afterwards (a) no tracked bytes may remain
-  // checked out on any rank — cur_bytes back to zero, nothing leaked — and
-  // (b) a clean rerun on the SAME pools must produce a bit-identical C,
-  // proving pooled reuse after an aborted run hands out zeroed memory, not
-  // stale bytes from the failed attempt.
+  // Recovery regression: a rank killed mid-multiply unwinds every peer.
+  // Afterwards (a) no tracked bytes may remain on any rank — cur_bytes back
+  // to zero, nothing leaked — and (b) a clean rerun on the SAME Cluster,
+  // whose rank blocks the failed attempt left holding its bytes, must grow
+  // no block and produce a bit-identical C: every slot is
+  // written (or zeroed) before it is read, so stale bytes never leak in.
+  // The custom layouts make every conversion stage through the arena tail.
   const int P = 4;
   const Ca3dmmPlan plan = Ca3dmmPlan::make(32, 32, 32, P);
-  const BlockLayout a_nat = plan.a_native();
-  const BlockLayout b_nat = plan.b_native();
-  const BlockLayout c_nat = plan.c_native();
-  std::vector<std::unique_ptr<simmpi::BufferPool>> pools;
-  for (int r = 0; r < P; ++r)
-    pools.push_back(std::make_unique<simmpi::BufferPool>());
+  const BlockLayout la = BlockLayout::row_1d(32, 32, P);
+  const BlockLayout lb = BlockLayout::col_1d(32, 32, P);
+  const BlockLayout lc = BlockLayout::row_1d(32, 32, P);
 
   std::vector<std::vector<double>> c_out(P);
   const auto rank_body = [&](Comm& world) {
     const int me = world.rank();
-    simmpi::PoolScope scope(pools[static_cast<size_t>(me)].get());
-    std::vector<double> a(static_cast<size_t>(a_nat.local_size(me)), 1.0);
-    std::vector<double> b(static_cast<size_t>(b_nat.local_size(me)), 1.0);
-    std::vector<double> c(static_cast<size_t>(c_nat.local_size(me)));
-    ca3dmm_multiply<double>(world, plan, false, false, a_nat, a.data(), b_nat,
-                            b.data(), c_nat, c.data());
+    std::vector<double> a, b;
+    fill_local(la, me, 3, a);
+    fill_local(lb, me, 4, b);
+    std::vector<double> c(static_cast<size_t>(lc.local_size(me)));
+    ca3dmm_multiply<double>(world, plan, false, false, la, a.data(), lb,
+                            b.data(), lc, c.data());
     c_out[static_cast<size_t>(me)] = std::move(c);
   };
 
   Cluster cl(P, Machine::unit_test());
   simmpi::FaultPlan fp;
-  fp.kills.push_back({.rank = 2, .at_op = 6});  // inside the Cannon step
+  fp.kills.push_back({.rank = 2, .at_op = 6});  // mid-multiply
   cl.set_fault_plan(fp);
   EXPECT_THROW(cl.run(rank_body), Error);
-
-  i64 pooled_after_abort = 0;
-  for (int r = 0; r < P; ++r) {
+  for (int r = 0; r < P; ++r)
     EXPECT_EQ(cl.stats(r).cur_bytes, 0) << "rank " << r << " leaked";
-    pooled_after_abort += pools[static_cast<size_t>(r)]->idle_bytes();
-  }
-  EXPECT_GT(pooled_after_abort, 0);  // unwinding returned buffers, not lost
+  EXPECT_EQ(cl.host_profile().pool_misses, P);  // every rank grew its block
 
-  // Clean rerun on the same (now warm) pools.
+  // Clean rerun on the same (now warm) blocks.
   cl.set_fault_plan(simmpi::FaultPlan{});
   cl.run(rank_body);
-  i64 pool_hits = 0;
-  for (int r = 0; r < P; ++r) {
+  for (int r = 0; r < P; ++r)
     EXPECT_EQ(cl.stats(r).cur_bytes, 0) << "rank " << r;
-    pool_hits += pools[static_cast<size_t>(r)]->stats().hits;
-  }
-  EXPECT_GT(pool_hits, 0);  // the rerun actually reused aborted-run buffers
+  EXPECT_EQ(cl.host_profile().pool_hits, P);
+  EXPECT_EQ(cl.host_profile().pool_misses, 0);
 
-  // Reference without any pool: the pooled post-abort rerun must match
-  // bit for bit.
-  std::vector<std::vector<double>> c_ref(P);
+  // Reference on a fresh Cluster: the rerun must match bit for bit.
+  const std::vector<std::vector<double>> c_rerun = c_out;
   Cluster ref(P, Machine::unit_test());
-  ref.run([&](Comm& world) {
-    const int me = world.rank();
-    std::vector<double> a(static_cast<size_t>(a_nat.local_size(me)), 1.0);
-    std::vector<double> b(static_cast<size_t>(b_nat.local_size(me)), 1.0);
-    std::vector<double> c(static_cast<size_t>(c_nat.local_size(me)));
-    ca3dmm_multiply<double>(world, plan, false, false, a_nat, a.data(), b_nat,
-                            b.data(), c_nat, c.data());
-    c_ref[static_cast<size_t>(me)] = std::move(c);
-  });
-  for (int r = 0; r < P; ++r) {
-    ASSERT_EQ(c_out[static_cast<size_t>(r)].size(),
-              c_ref[static_cast<size_t>(r)].size());
-    for (size_t i = 0; i < c_ref[static_cast<size_t>(r)].size(); ++i)
-      ASSERT_EQ(c_out[static_cast<size_t>(r)][i],
-                c_ref[static_cast<size_t>(r)][i])
-          << "rank " << r << " element " << i;
-  }
+  ref.run(rank_body);
+  EXPECT_EQ(c_rerun, c_out);
+  EXPECT_EQ(ref.aggregate_stats().peak_bytes, cl.aggregate_stats().peak_bytes);
 }
 
 /// Runs hand-built schedule `s` (packed here) on a 1-rank cluster with A
@@ -326,11 +228,11 @@ i64 run_packed(Schedule& s, const std::vector<double>& a,
   s.pack();
   Cluster cl(1, Machine::unit_test());
   cl.run([&](Comm& world) {
-    simmpi::PoolBlock arena(simmpi::current_buffer_pool());
     ScheduleIo<double> io;
     io.a = a.data();
     io.c = c.data();
-    io.arena = arena.reserve(s.arena_bytes());
+    io.arena_bytes = s.arena_bytes();
+    io.arena = simmpi::current_ctx()->pool->reserve(io.arena_bytes);
     run_schedule(world, s, io);
   });
   if (peak) *peak = cl.stats(0).peak_bytes;
@@ -369,6 +271,21 @@ TEST(Memory, ArenaSlotsAreAlignedDisjointAndZeroedOnlyOnRequest) {
 #endif
   EXPECT_EQ(c[9], 3.0);
   EXPECT_EQ(c[10], 4.0);
+}
+
+TEST(Memory, PeakTracksLiveSlotsOnly) {
+  // Tracked bytes follow the alloc and free ops, not the arena: a slot
+  // freed before the next alloc no longer counts.
+  Schedule s(sizeof(double));
+  s.alloc(kAInit, 1000);  // 8000 bytes
+  s.alloc(kBInit, 500);   // peak 12000
+  s.free(kBInit);
+  s.alloc(kStage, 100);  // current 8800 < peak
+  std::vector<double> none;
+  i64 peak = 0;
+  run_packed(s, none, none, &peak);
+  EXPECT_EQ(peak, 12000);
+  EXPECT_GE(s.arena_bytes(), 12000);
 }
 
 #ifdef __SANITIZE_ADDRESS__

@@ -13,6 +13,7 @@
 #include "baselines/p25d.hpp"
 #include "baselines/summa.hpp"
 #include "common/rng.hpp"
+#include "core/ca3dmm.hpp"
 #include "core/plan.hpp"
 #include "layout/redistribute.hpp"
 #include "linalg/matrix.hpp"
@@ -566,6 +567,46 @@ TEST(RedistributeIdentity, TransposedIdentityStillConverts) {
     check_local(l, c.rank(), 3, out, /*transposed=*/true);
   });
   EXPECT_GT(comm_locks(*cl), idle);
+}
+
+TEST(RedistributeStaging, OverlappingUserLayoutRaisesBeforeStaging) {
+  // A schedule's staging tail is sized from the layouts' local sizes, which
+  // equal the walk's totals only for a layout that covers its matrix
+  // exactly. A user C layout in which every rank owns the whole matrix
+  // makes each owner of a native C block send it to all P ranks: more than
+  // the tail holds. The run raises one Error before any staging byte is
+  // written (ASan would report a write past the tail), C is untouched, and
+  // every rank unwinds its tracked slots.
+  const int P = 4;
+  const i64 m = 32, n = 32, k = 32;
+  const Ca3dmmPlan plan = Ca3dmmPlan::make(m, n, k, P);
+  BlockLayout everywhere(m, n, P);
+  for (int r = 0; r < P; ++r) everywhere.add_rect(r, {{0, m}, {0, n}});
+  ASSERT_FALSE(everywhere.covers_exactly());
+  Cluster cl(P, Machine::unit_test());
+  std::vector<std::vector<double>> c(static_cast<size_t>(P));
+  std::string msg;
+  try {
+    cl.run([&](Comm& world) {
+      const int me = world.rank();
+      std::vector<double> a, b;
+      fill_local(plan.a_native(), me, 1, a);
+      fill_local(plan.b_native(), me, 2, b);
+      std::vector<double>& cr = c[static_cast<size_t>(me)];
+      cr.assign(static_cast<size_t>(m * n), -1.0);
+      ca3dmm_multiply<double>(world, plan, false, false, plan.a_native(),
+                              a.data(), plan.b_native(), b.data(), everywhere,
+                              cr.data());
+    });
+  } catch (const Error& e) {
+    msg = e.what();
+  }
+  EXPECT_NE(msg.find("more than the"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("rects overlap"), std::string::npos) << msg;
+  for (int r = 0; r < P; ++r) {
+    EXPECT_EQ(cl.stats(r).cur_bytes, 0) << "rank " << r;
+    for (double x : c[static_cast<size_t>(r)]) ASSERT_EQ(x, -1.0);
+  }
 }
 
 }  // namespace

@@ -157,19 +157,6 @@ TEST(VClock, PhaseAccounting) {
   EXPECT_DOUBLE_EQ(cl.stats(0).phase(Phase::kCompute), 0.0);
 }
 
-TEST(VClock, TrackedBufferPeak) {
-  Cluster cl(1, Machine::unit_test());
-  cl.run([](Comm&) {
-    TrackedBuffer<double> a(1000);  // 8000 bytes
-    {
-      TrackedBuffer<double> b(500);  // peak 12000
-    }
-    TrackedBuffer<double> c2(100);  // current 8800 < peak
-  });
-  EXPECT_EQ(cl.stats(0).peak_bytes, 12000);
-  EXPECT_EQ(cl.stats(0).cur_bytes, 0);
-}
-
 TEST(VClock, ChromeTraceExport) {
   Cluster cl(3, Machine::unit_test());
   cl.set_trace(true);

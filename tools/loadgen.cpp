@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
   spec.tenants = service::default_profiles(tenants, requests_each);
   const GeneratedLoad load = service::generate_load(spec, kRanks);
 
-  // Per-rank pool budget: twice the largest single-request predicted peak —
-  // tight enough to exercise pressure trims, safe for every request.
+  // Per-rank memory budget: twice the largest single-request predicted
+  // peak, room for the engine block's alignment and first-fit slack.
   costmodel::CostOracle oracle(kRanks, exact_machine());
   i64 max_peak = 0;
   for (const service::ServiceRequest& r : load.requests) {
