@@ -11,7 +11,9 @@
 //      reloaded DB consults it (tuned_for returns the winner config).
 //
 // Also reports the search cost per class: candidates pruned by the cost
-// model vs validated with traced simulator runs. Emits BENCH_tuner.json.
+// model vs validated with traced simulator runs, and the fiber stacks the
+// validation runs mapped (P: the finalists of a key share one Cluster).
+// Emits BENCH_tuner.json.
 #include "bench_common.hpp"
 
 #include <cstdio>
@@ -68,7 +70,8 @@ void write_tuner_json(const std::vector<TunerRow>& rows, bool reload_ok,
         "     \"speedup\": %.4f, \"winner_is_heuristic\": %s,\n"
         "     \"grid\": \"%dx%dx%d\", \"overlap\": %s,\n"
         "     \"candidates_total\": %lld, \"candidates_pruned\": %lld,\n"
-        "     \"candidates_validated\": %lld, \"drift_ok\": %s}%s\n",
+        "     \"candidates_validated\": %lld, \"drift_ok\": %s,\n"
+        "     \"validation_stacks_mapped\": %lld}%s\n",
         r.name, static_cast<long long>(r.m), static_cast<long long>(r.n),
         static_cast<long long>(r.k), r.result.heuristic_s, e.validated_s,
         e.validated_s > 0 ? r.result.heuristic_s / e.validated_s : 0.0,
@@ -79,6 +82,7 @@ void write_tuner_json(const std::vector<TunerRow>& rows, bool reload_ok,
         static_cast<long long>(r.result.candidates_pruned),
         static_cast<long long>(r.result.candidates_validated),
         r.winner_drift_ok ? "true" : "false",
+        static_cast<long long>(r.result.validation_profile.stacks_mapped),
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

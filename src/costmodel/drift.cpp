@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace ca3dmm::costmodel {
 
@@ -70,10 +71,46 @@ DriftReport drift_report(const Prediction& pred, const RankStats& executed,
   return rep;
 }
 
+Operands::Operands(i64 m_, i64 n_, i64 k_) : m(m_), n(n_), k(k_) {
+  const auto fill = [](std::uint64_t seed, i64 rows, i64 cols,
+                       std::vector<double>& g) {
+    g.resize(static_cast<size_t>(rows * cols));
+    for (i64 i = 0; i < rows; ++i)
+      for (i64 j = 0; j < cols; ++j)
+        g[static_cast<size_t>(i * cols + j)] =
+            matrix_entry<double>(seed, i, j);
+  };
+  fill(1, m, k, a);
+  fill(2, k, n, b);
+}
+
+void slice_local(const BlockLayout& layout, int rank,
+                 const std::vector<double>& global, std::vector<double>& buf) {
+  CA_ASSERT(static_cast<i64>(global.size()) == layout.rows() * layout.cols());
+  buf.clear();
+  buf.reserve(static_cast<size_t>(layout.local_size(rank)));
+  for (const Rect& r : layout.rects_of(rank))
+    for (i64 i = r.r.lo; i < r.r.hi; ++i) {
+      const auto row = global.begin() + i * layout.cols();
+      buf.insert(buf.end(), row + r.c.lo, row + r.c.hi);
+    }
+}
+
 RankStats run_workload(Algo algo, const Workload& w, Cluster& cl) {
+  return run_workload(algo, w, Operands(w.m, w.n, w.k), cl);
+}
+
+RankStats run_workload(Algo algo, const Workload& w, const Operands& ops,
+                       Cluster& cl) {
   CA_REQUIRE(w.esize == static_cast<i64>(sizeof(double)),
              "run_workload executes doubles, got esize %lld",
              static_cast<long long>(w.esize));
+  CA_REQUIRE(ops.m == w.m && ops.n == w.n && ops.k == w.k,
+             "run_workload: operands are %lldx%lldx%lld, the workload "
+             "%lldx%lldx%lld",
+             static_cast<long long>(ops.m), static_cast<long long>(ops.n),
+             static_cast<long long>(ops.k), static_cast<long long>(w.m),
+             static_cast<long long>(w.n), static_cast<long long>(w.k));
   // The program predict() replays, run by run_plan (every algorithm's
   // executor), which binds the plan's own layouts.
   const Program pg = program_of(algo, w, cl.nranks());
@@ -83,8 +120,8 @@ RankStats run_workload(Algo algo, const Workload& w, Cluster& cl) {
   cl.run([&](Comm& world) {
     const int me = world.rank();
     std::vector<double> a, b;
-    fill_local(la, me, 1, a);
-    fill_local(lb, me, 2, b);
+    slice_local(la, me, ops.a, a);
+    slice_local(lb, me, ops.b, b);
     std::vector<double> c(static_cast<size_t>(lc.local_size(me)));
     std::visit(
         [&](const auto& plan) {

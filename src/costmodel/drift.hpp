@@ -9,6 +9,10 @@
 // costmodel::predict for the same workload. Phases outside tolerance are
 // flagged; bench_fig5_breakdown and CI use ok() as a hard gate so the model
 // cannot silently drift away from the engine it claims to describe.
+//
+// A caller that runs many configs of one shape (the tuner) generates the
+// operands once (Operands), reuses one Cluster, and joins each run against
+// a prediction it already holds with drift_report.
 #pragma once
 
 #include <string>
@@ -58,15 +62,40 @@ DriftReport drift_report(const Prediction& pred,
                          const simmpi::RankStats& executed,
                          const DriftOptions& opts = {});
 
+/// The operands of every executed multiply of one shape, generated once:
+/// global row-major A (m x k) and B (k x n) holding matrix_entry(1, i, j)
+/// and matrix_entry(2, i, j), the values fill_local gives each rank. Runs
+/// that share a shape (the tuner's finalists) copy their slices from here
+/// instead of hashing every entry again.
+struct Operands {
+  Operands(i64 m, i64 n, i64 k);
+
+  i64 m = 0, n = 0, k = 0;
+  std::vector<double> a, b;
+};
+
+/// Sets `buf` to `rank`'s local buffer under `layout` of the row-major
+/// `global` matrix (layout.rows() x layout.cols()): its rects in order,
+/// each row-major — fill_local's order, so it equals fill_local of the
+/// matrix `global` was generated from.
+void slice_local(const BlockLayout& layout, int rank,
+                 const std::vector<double>& global, std::vector<double>& buf);
+
 /// Executes one multiply of `w` by `algo` on the caller's Cluster: run_plan
 /// — every algorithm's executor (ca3dmm_multiply forwards to it) — on
 /// program_of()'s plan and layouts, one-shot (w.warm_comms is not
 /// executed), and returns the aggregate stats. The Cluster is
 /// caller-owned so tracing can be enabled beforehand and the trace exported
-/// afterwards; operands are deterministic matrix_entry values, so repeated
-/// runs are bit-identical.
+/// afterwards, and so repeated runs keep its fiber stacks and rank blocks;
+/// operands are deterministic matrix_entry values, so repeated runs are
+/// bit-identical.
 simmpi::RankStats run_workload(Algo algo, const Workload& w,
                                simmpi::Cluster& cl);
+
+/// run_workload with operands generated beforehand; `ops` must have w's
+/// shape. Each rank copies its slices of A and B from them.
+simmpi::RankStats run_workload(Algo algo, const Workload& w,
+                               const Operands& ops, simmpi::Cluster& cl);
 
 /// predict + run_workload + drift_report in one call.
 DriftReport check_drift(Algo algo, const Workload& w, simmpi::Cluster& cl,

@@ -82,7 +82,8 @@ struct Arena {
   std::vector<int> ready;
 };
 
-/// Replays every rank's schedule with simmpi's clock rules.
+/// Builds every rank's schedule once; each run() replays them with simmpi's
+/// clock rules.
 class Replay {
  public:
   Replay(const Program& pg, const Topology& topo, bool warm, Arena& arena)
@@ -100,12 +101,9 @@ class Replay {
     const int P = pg.nranks();
     sched_.reset(pg.esize);
     end_.resize(static_cast<size_t>(P));
-    ranks_.assign(static_cast<size_t>(P), RankSim{});
-    ready_.clear();
     std::visit(
         [&](const auto& plan) {
           for (int r = 0; r < P; ++r) {
-            ranks_[static_cast<size_t>(r)].pc = sched_.ops().size();
             sched_.next_rank();
             build_schedule(plan, r, topo.machine(), false, false, sched_);
             end_[static_cast<size_t>(r)] = sched_.ops().size();
@@ -113,16 +111,29 @@ class Replay {
         },
         pg.plan);
     volumes_.reserve(kLayoutCount);
-    Group& world = group(new_group());
-    world.members.resize(static_cast<size_t>(P));
-    std::iota(world.members.begin(), world.members.end(), 0);
-    world.pricing = simmpi::GroupPricing(topo_, world.members, {});
-    for (size_t r = 0; r < ranks_.size(); ++r)
-      ranks_[r].comm[kWorld] = CommRef{0, static_cast<int>(r)};
+    std::vector<int> world(static_cast<size_t>(P));
+    std::iota(world.begin(), world.end(), 0);
+    world_pricing_ = simmpi::GroupPricing(topo_, world, {});
   }
 
-  Prediction run() {
-    for (int r = static_cast<int>(ranks_.size()) - 1; r >= 0; --r) wake(r);
+  /// One replay of the built schedules with their collectives configured
+  /// by `coll` (Schedule::set_coll): only the replay state is reset, so
+  /// configs that share a program share its schedules and volumes.
+  Prediction run(const std::optional<simmpi::CollectiveConfig>& coll) {
+    sched_.set_coll(coll);
+    const size_t P = end_.size();
+    ranks_.assign(P, RankSim{});
+    ready_.clear();
+    ngroups_ = 0;
+    Group& world = group(new_group());
+    world.members.resize(P);
+    std::iota(world.members.begin(), world.members.end(), 0);
+    world.pricing = world_pricing_;
+    for (size_t r = 0; r < P; ++r) {
+      ranks_[r].pc = r == 0 ? 0 : end_[r - 1];
+      ranks_[r].comm[kWorld] = CommRef{0, static_cast<int>(r)};
+    }
+    for (int r = static_cast<int>(P) - 1; r >= 0; --r) wake(r);
     while (!ready_.empty()) {
       const int r = ready_.back();
       ready_.pop_back();
@@ -419,6 +430,7 @@ class Replay {
   std::vector<std::array<int, 4>>& order_;
   std::vector<int>& ready_;
   std::vector<Volume> volumes_;
+  simmpi::GroupPricing world_pricing_;  ///< before a collective configures it
 };
 
 }  // namespace
@@ -428,11 +440,21 @@ Prediction predict(Algo algo, const Workload& w, int P, const Machine& mach) {
 }
 
 Prediction predict(Algo algo, const Workload& w, int P, const Topology& topo) {
+  return predict_each(algo, w, P, topo, {&w.coll, 1}).front();
+}
+
+std::vector<Prediction> predict_each(
+    Algo algo, const Workload& w, int P, const Topology& topo,
+    std::span<const std::optional<simmpi::CollectiveConfig>> configs) {
   CA_REQUIRE(P >= 1 && P <= topo.nranks(),
              "predict: P=%d outside [1, %d]", P, topo.nranks());
   const Program pg = program_of(algo, w, P);
   thread_local Arena arena;
-  return Replay(pg, topo, w.warm_comms, arena).run();
+  Replay replay(pg, topo, w.warm_comms, arena);
+  std::vector<Prediction> out;
+  out.reserve(configs.size());
+  for (const auto& coll : configs) out.push_back(replay.run(coll));
+  return out;
 }
 
 }  // namespace ca3dmm::costmodel

@@ -16,6 +16,8 @@
 //
 // What the replay keeps is the rendezvous: which members a collective waits
 // for, which exchanges pair up, and the communicators a split forms.
+// predict_each replays one built program once per collective config, so
+// pricing many schedules of one plan pays for one build.
 //
 // Without threads or data it evaluates the paper's 192..3072-process
 // configurations (matrices up to 1.2M on a side) in milliseconds, and it is
@@ -27,6 +29,7 @@
 
 #include <compare>
 #include <optional>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -162,8 +165,18 @@ Prediction predict(Algo algo, const Workload& w, int P,
 
 /// Topology-aware prediction: per-rank machines, exact node-multiset group
 /// profiles, cross-cluster schedules — what the heterogeneous engine
-/// charges. P must not exceed topo.nranks().
+/// charges. P must not exceed topo.nranks(). predict_each with the one
+/// config `w.coll`.
 Prediction predict(Algo algo, const Workload& w, int P,
                    const simmpi::Topology& topo);
+
+/// predict() of `w` with its `coll` replaced by each of `configs`, in order.
+/// The collective config enters a schedule only as Schedule::coll(), so the
+/// program and all P schedules are built once and replayed per config:
+/// element i equals predict() of `w` with `coll = configs[i]`, bit for bit.
+/// The tuner prices every collective schedule of a (grid, overlap) this way.
+std::vector<Prediction> predict_each(
+    Algo algo, const Workload& w, int P, const simmpi::Topology& topo,
+    std::span<const std::optional<simmpi::CollectiveConfig>> configs);
 
 }  // namespace ca3dmm::costmodel

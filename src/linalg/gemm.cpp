@@ -1,7 +1,7 @@
 #include "linalg/gemm.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <memory>
 
 // The clones need GCC's x86 function-target attributes; elsewhere only the
 // baseline clone is built.
@@ -91,16 +91,18 @@ template <i64 kMR, i64 kNR, typename T>
 /// Cannon step (and each aggregated multi-shift flush) calls gemm_blocked
 /// once, and with many simmpi ranks per process the per-call allocation of
 /// two panel buffers showed up as allocator contention. Sized for the
-/// widest micro-tile, so one buffer serves every clone.
+/// widest micro-tile, so one buffer serves every clone. Left uninitialized:
+/// packing writes every element the kernel reads (edge tiles are padded
+/// with zeros), so zero-filling 1.25 MiB per new thread would be waste.
 template <typename T>
 struct PackScratch {
-  std::vector<T> pa, pb;
+  std::unique_ptr<T[]> pa, pb;
   static PackScratch& get() {
     static thread_local PackScratch s{
-        std::vector<T>(static_cast<size_t>(
-            ((kMC + kMaxMR - 1) / kMaxMR) * kMaxMR * kKC)),
-        std::vector<T>(static_cast<size_t>(
-            ((kNC + kMaxNR - 1) / kMaxNR) * kMaxNR * kKC))};
+        std::unique_ptr<T[]>(new T[static_cast<size_t>(
+            ((kMC + kMaxMR - 1) / kMaxMR) * kMaxMR * kKC)]),
+        std::unique_ptr<T[]>(new T[static_cast<size_t>(
+            ((kNC + kMaxNR - 1) / kMaxNR) * kMaxNR * kKC)])};
     return s;
   }
 };
@@ -181,8 +183,8 @@ void run_clone(detail::GemmIsa isa, bool trans_a, bool trans_b, i64 m, i64 n,
                i64 ldc) {
   if (m == 0 || n == 0 || k == 0) return;
   PackScratch<T>& s = PackScratch<T>::get();
-  T* pa = s.pa.data();
-  T* pb = s.pb.data();
+  T* pa = s.pa.get();
+  T* pb = s.pb.get();
   switch (isa) {
 #if CA_GEMM_X86_CLONES
     case detail::GemmIsa::kAvx512:

@@ -1,6 +1,7 @@
 #include "tuner/tuner.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <tuple>
 
 namespace ca3dmm::tuner {
@@ -57,30 +58,40 @@ TuneResult Tuner::tune(i64 m, i64 n, i64 k, int nranks) const {
   // ---- enumerate + prune on predictions ----
   // The allgather schedule only matters when the grid replicates (c > 1)
   // and the reduce-scatter one only when pk > 1; degenerate axes stay on
-  // kAuto so the candidate set has no cost-identical duplicates.
+  // kAuto so the candidate set has no cost-identical duplicates. The
+  // schedules of one (grid, overlap) share a program: predict_each builds
+  // it once and replays it per schedule.
+  const simmpi::Topology topo = simmpi::Topology::homogeneous(nranks, mach_);
   const CollAlgo algos[] = {CollAlgo::kAuto, CollAlgo::kPaperButterfly,
                             CollAlgo::kRing, CollAlgo::kRecursive,
                             CollAlgo::kHierarchical};
   std::vector<CandidateReport> cands;
+  std::vector<std::optional<CollectiveConfig>> colls;
   for (const ProcGrid& g : grids) {
-    for (CollAlgo ag : algos) {
-      if (g.c() == 1 && ag != CollAlgo::kAuto) continue;
-      for (CollAlgo rs : algos) {
-        if (g.pk == 1 && rs != CollAlgo::kAuto) continue;
-        for (bool ov : {true, false}) {
-          CandidateReport r;
+    for (bool ov : {true, false}) {
+      const size_t first = cands.size();
+      colls.clear();
+      for (CollAlgo ag : algos) {
+        if (g.c() == 1 && ag != CollAlgo::kAuto) continue;
+        for (CollAlgo rs : algos) {
+          if (g.pk == 1 && rs != CollAlgo::kAuto) continue;
+          CandidateReport& r = cands.emplace_back();
           r.config.grid = g;
           r.config.coll = CollectiveConfig::tuned();
           r.config.coll.allgather = ag;
           r.config.coll.reduce_scatter = rs;
           r.config.overlap = ov;
-          r.predicted_s =
-              costmodel::predict(Algo::kCa3dmm,
-                                 tuned_workload(m, n, k, r.config, opt_.min_kblk),
-                                 nranks, mach_)
-                  .t_total;
-          cands.push_back(r);
+          colls.push_back(r.config.coll);
         }
+      }
+      const std::vector<costmodel::Prediction> preds =
+          costmodel::predict_each(
+              Algo::kCa3dmm,
+              tuned_workload(m, n, k, cands[first].config, opt_.min_kblk),
+              nranks, topo, colls);
+      for (size_t i = 0; i < preds.size(); ++i) {
+        cands[first + i].prediction = preds[i];
+        cands[first + i].predicted_s = preds[i].t_total;
       }
     }
   }
@@ -88,41 +99,42 @@ TuneResult Tuner::tune(i64 m, i64 n, i64 k, int nranks) const {
   res.candidates_total = static_cast<i64>(cands.size());
 
   // ---- finalists: the heuristic plus the top-K predictions ----
-  std::vector<CandidateReport> finalists;
-  CandidateReport heur_report;
-  heur_report.config = heuristic;
-  heur_report.predicted_s =
-      costmodel::predict(Algo::kCa3dmm,
-                         tuned_workload(m, n, k, heuristic, opt_.min_kblk),
-                         nranks, mach_)
-          .t_total;
-  finalists.push_back(heur_report);
+  // The heuristic is a candidate (the solver grid, kAuto on both axes).
+  const auto heur = std::find_if(
+      cands.begin(), cands.end(),
+      [&](const CandidateReport& c) { return c.config == heuristic; });
+  CA_ASSERT(heur != cands.end());
+  std::vector<CandidateReport> finalists{*heur};
   for (const CandidateReport& c : cands) {
     if (static_cast<int>(finalists.size()) > opt_.top_k) break;
     if (c.config == heuristic) continue;
     finalists.push_back(c);
   }
 
-  // ---- validate with real traced runs under the drift gate ----
-  for (CandidateReport& f : finalists) {
-    if (!opt_.validate) {
-      f.validated_s = 0;
-      f.drift_ok = true;
-      continue;
-    }
+  // ---- validate with real traced runs under the drift gate: one cluster
+  // and one set of operands for every finalist, each joined against the
+  // prediction it was ranked by ----
+  if (opt_.validate) {
     Cluster cl(nranks, mach_);
     cl.set_trace(true);
-    const DriftReport rep = costmodel::check_drift(
-        Algo::kCa3dmm, tuned_workload(m, n, k, f.config, opt_.min_kblk), cl,
-        DriftOptions{opt_.drift_rtol, 1e-12});
-    f.validated = true;
-    f.validated_s = rep.total.executed_s;
-    f.drift_ok = rep.ok();
+    const costmodel::Operands ops(m, n, k);
+    for (CandidateReport& f : finalists) {
+      const simmpi::RankStats executed = costmodel::run_workload(
+          Algo::kCa3dmm, tuned_workload(m, n, k, f.config, opt_.min_kblk), ops,
+          cl);
+      res.validation_profile += cl.host_profile();
+      const DriftReport rep = costmodel::drift_report(
+          f.prediction, executed, DriftOptions{opt_.drift_rtol, 1e-12});
+      f.validated = true;
+      f.validated_s = rep.total.executed_s;
+      f.drift_ok = rep.ok();
+    }
   }
   res.candidates_validated =
       opt_.validate ? static_cast<i64>(finalists.size()) : 0;
-  // Everything enumerated but not promoted to finalist was pruned on its
-  // prediction alone (the heuristic finalist is not drawn from cands).
+  // Every candidate but the top-K finalists was pruned on its prediction
+  // alone; the heuristic's own candidate counts as pruned too (it is
+  // validated as the baseline, not promoted).
   res.candidates_pruned =
       res.candidates_total - static_cast<i64>(finalists.size()) + 1;
   res.heuristic_s =

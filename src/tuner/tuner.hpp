@@ -13,9 +13,11 @@
 //     reduce-scatter (the two §III-D collectives that dominate)
 //   x communication/computation overlap on/off
 //
-// prunes the bulk of it with costmodel::predict, then validates the top-K
-// finalists (always including the auto heuristic the engine would use
-// without a DB) with real traced simmpi runs under the drift gate. The
+// prunes the bulk of it with costmodel::predict_each (one program build per
+// grid and overlap, replayed per collective schedule), then validates the
+// top-K finalists (always including the auto heuristic the engine would use
+// without a DB) with real traced simmpi runs under the drift gate, all on
+// one Cluster with operands generated once per call. The
 // winner is the finalist with the smallest *executed* vtime whose
 // prediction stayed inside the gate — so a tuned config is never slower
 // than the heuristic by construction, and its recorded vtime is evidence,
@@ -53,7 +55,10 @@ struct TunerOptions {
 /// One searched candidate with its outcome, for --dump style reporting.
 struct CandidateReport {
   TunedConfig config{};
-  double predicted_s = 0;
+  double predicted_s = 0;  ///< prediction.t_total
+  /// The model's prediction the candidate was ranked by; its validation run
+  /// is drift-checked against it.
+  costmodel::Prediction prediction{};
   double validated_s = 0;  ///< 0 = pruned before validation
   bool validated = false;
   bool drift_ok = true;    ///< meaningful only when validated
@@ -69,6 +74,9 @@ struct TuneResult {
   double heuristic_s = 0;
   bool winner_is_heuristic = false;
   std::vector<CandidateReport> finalists;  ///< validation detail
+  /// Host counters of the validation runs, summed. They share one Cluster,
+  /// so `stacks_mapped` is nranks (0 with validate = false).
+  simmpi::HostProfile validation_profile{};
 };
 
 class Tuner {

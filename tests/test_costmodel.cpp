@@ -13,6 +13,7 @@
 // heterogeneous topologies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -374,6 +375,109 @@ TEST(CostModel, CommunicationLowerBoundRespected) {
   // for a cubic problem: check the plan-level value instead of timing.
   const Ca3dmmPlan plan = Ca3dmmPlan::make(49152, 49152, 49152, 4096);
   EXPECT_LT(plan.comm_volume_per_rank(), 1.35 * plan.volume_lower_bound());
+}
+
+// ---- one program, many collective configs ----
+
+/// predict_each of `w` over every (allgather, reduce-scatter) pair the
+/// tuner enumerates (and the unset default), overlap on and off, against
+/// one predict() per config: equal bit for bit.
+void expect_predict_each_matches(Algo algo, Workload w, int P,
+                                 const Topology& topo) {
+  const simmpi::CollAlgo algos[] = {
+      simmpi::CollAlgo::kAuto, simmpi::CollAlgo::kPaperButterfly,
+      simmpi::CollAlgo::kRing, simmpi::CollAlgo::kRecursive,
+      simmpi::CollAlgo::kHierarchical};
+  std::vector<std::optional<simmpi::CollectiveConfig>> colls{std::nullopt};
+  for (const simmpi::CollAlgo ag : algos)
+    for (const simmpi::CollAlgo rs : algos) {
+      simmpi::CollectiveConfig c = simmpi::CollectiveConfig::tuned();
+      c.allgather = ag;
+      c.reduce_scatter = rs;
+      colls.push_back(c);
+    }
+  for (const bool ov : {true, false}) {
+    w.overlap = ov;
+    const std::vector<Prediction> each =
+        costmodel::predict_each(algo, w, P, topo, colls);
+    ASSERT_EQ(each.size(), colls.size());
+    std::vector<double> totals;
+    for (size_t i = 0; i < colls.size(); ++i) {
+      Workload one = w;
+      one.coll = colls[i];
+      SCOPED_TRACE(describe(algo, one, P) + strprintf(" config %zu", i));
+      const Prediction p = costmodel::predict(algo, one, P, topo);
+      EXPECT_EQ(each[i].t_total, p.t_total);
+      for (int ph = 0; ph < kPhases; ++ph) {
+        EXPECT_EQ(each[i].phase_s[ph], p.phase_s[ph]);
+        EXPECT_EQ(each[i].inter_bytes_s[ph], p.inter_bytes_s[ph]);
+      }
+      EXPECT_EQ(each[i].peak_bytes, p.peak_bytes);
+      EXPECT_EQ(each[i].load_balance, p.load_balance);
+      totals.push_back(p.t_total);
+    }
+    // The configs must price differently, or replaying one program per
+    // config would not be tested.
+    EXPECT_NE(*std::min_element(totals.begin(), totals.end()),
+              *std::max_element(totals.begin(), totals.end()))
+        << describe(algo, w, P);
+  }
+}
+
+TEST(CostModel, PredictEachMatchesPredict) {
+  const Machine mach = small_nodes();
+  const int P = 32;
+  const Topology homo = Topology::homogeneous(P, mach);
+  // Even, replicated (c = 2) and reduced (pk = 4).
+  Workload even{192, 192, 192};
+  even.force_grid = ProcGrid{2, 4, 4};
+  expect_predict_each_matches(Algo::kCa3dmm, even, P, homo);
+  // Uneven blocks, the solver's grid and a forced one with idle ranks.
+  expect_predict_each_matches(Algo::kCa3dmm, {100, 70, 130}, P, homo);
+  Workload uneven{100, 70, 130};
+  uneven.force_grid = ProcGrid{4, 2, 3};
+  expect_predict_each_matches(Algo::kCa3dmm, uneven, P, homo);
+  // The persistent engine's hit path.
+  Workload warm = even;
+  warm.warm_comms = true;
+  expect_predict_each_matches(Algo::kCa3dmm, warm, P, homo);
+  // A heterogeneous topology, rate-weighted.
+  Machine fast = small_nodes();
+  fast.flops_per_core *= 3;
+  const Topology hetero =
+      Topology::make({ClusterSpec{"slow", small_nodes(), 16},
+                      ClusterSpec{"fast", fast, 16}},
+                     simmpi::InterClusterLink{5e-6, 5e8});
+  expect_predict_each_matches(
+      Algo::kCa3dmm,
+      Workload(160, 96, 200, make_hetero_options(hetero, 160, 96, 200, P)), P,
+      hetero);
+}
+
+TEST(Drift, OperandsSliceMatchesFillLocal) {
+  // Every rank's slice of the global operands equals its fill_local
+  // buffer: native layouts of an uneven plan with idle ranks, the 1-D
+  // column layouts and an uneven row split.
+  const i64 m = 100, n = 70, k = 130;
+  const int P = 31;
+  const costmodel::Operands ops(m, n, k);
+  const Ca3dmmPlan plan = Ca3dmmPlan::make(m, n, k, P);
+  ASSERT_LT(plan.active(), P);
+  const auto expect_slices = [&](const BlockLayout& la,
+                                 const BlockLayout& lb) {
+    std::vector<double> got, want;
+    for (int r = 0; r < P; ++r) {
+      costmodel::slice_local(la, r, ops.a, got);
+      fill_local(la, r, 1, want);
+      EXPECT_EQ(got, want) << "A, rank " << r;
+      costmodel::slice_local(lb, r, ops.b, got);
+      fill_local(lb, r, 2, want);
+      EXPECT_EQ(got, want) << "B, rank " << r;
+    }
+  };
+  expect_slices(plan.a_native(), plan.b_native());
+  expect_slices(BlockLayout::col_1d(m, k, P), BlockLayout::col_1d(k, n, P));
+  expect_slices(BlockLayout::row_1d(m, k, P), BlockLayout::row_1d(k, n, P));
 }
 
 // ---- identity conversions: native layouts in and out ----

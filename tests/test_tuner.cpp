@@ -395,6 +395,42 @@ TEST(TunerSearch, PredictOnlyModeSkipsValidation) {
   EXPECT_LE(r.entry.predicted_s, r.heuristic_s);
 }
 
+TEST(Tuner, WarmValidationMatchesFreshClusters) {
+  // The search prices each (grid, overlap) program once and validates every
+  // finalist of a key on one Cluster with one set of operands. Each
+  // finalist must read exactly as predict() plus check_drift() on a fresh
+  // Cluster read it: the four perfbench classes and an uneven shape.
+  const int P = 32;
+  const Machine mach = Machine::phoenix_mpi();
+  const Tuner tuner(mach);
+  const i64 shapes[][3] = {{192, 192, 192}, {48, 48, 3072}, {3072, 48, 48},
+                           {384, 384, 24},  {100, 70, 130}};
+  for (const auto& [m, n, k] : shapes) {
+    SCOPED_TRACE(strprintf("%lldx%lldx%lld", static_cast<long long>(m),
+                           static_cast<long long>(n),
+                           static_cast<long long>(k)));
+    const tuner::TuneResult r = tuner.tune(m, n, k, P);
+    EXPECT_EQ(r.validation_profile.stacks_mapped, P);  // one Cluster
+    ASSERT_EQ(r.finalists.size(),
+              static_cast<size_t>(tuner.options().top_k + 1));
+    for (const tuner::CandidateReport& f : r.finalists) {
+      const costmodel::Workload w =
+          tuner::tuned_workload(m, n, k, f.config, tuner.options().min_kblk);
+      Cluster cl(P, mach);
+      cl.set_trace(true);
+      const costmodel::DriftReport rep = costmodel::check_drift(
+          costmodel::Algo::kCa3dmm, w, cl,
+          costmodel::DriftOptions{tuner.options().drift_rtol, 1e-12});
+      EXPECT_EQ(f.predicted_s,
+                costmodel::predict(costmodel::Algo::kCa3dmm, w, P, mach)
+                    .t_total);
+      EXPECT_TRUE(f.validated);
+      EXPECT_EQ(f.validated_s, rep.total.executed_s);
+      EXPECT_EQ(f.drift_ok, rep.ok());
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Engine integration
 // ---------------------------------------------------------------------------
